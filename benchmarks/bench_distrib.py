@@ -30,14 +30,8 @@ from time import perf_counter
 
 from _recording import SMOKE, record
 
-from repro.batch.executor import CheckpointStore, iter_chunks
-from repro.distrib import (
-    DistributedExecutor,
-    LeaseStore,
-    publish_spec,
-    resolve_study_manifest,
-    run_worker,
-)
+from repro.batch import shard_ranges
+from repro.distrib import DistributedExecutor, LeaseStore, run_worker
 from repro.obs import Tracer
 from repro.study import DesignSpec, StudySpec, run_study
 
@@ -63,13 +57,11 @@ def test_bench_distrib_identity(tmp_path):
     serial = run_study(spec)
     serial_s = perf_counter() - started
 
-    shards = list(iter_chunks(spec, chunk_rows=CHUNK_ROWS))
-    n_shards = len(shards)
-    manifest, _ = resolve_study_manifest(tmp_path, shards)
-    CheckpointStore.open(tmp_path, manifest)
-    publish_spec(tmp_path, spec)
+    n_shards = len(shard_ranges(N_ROWS, CHUNK_ROWS))
+    # The ghost claimed shard 0 before the initiator even stamped the
+    # work dir; joiners wait for the initiator's manifest and spec.
     ghost = LeaseStore(
-        tmp_path, manifest.digest, "ghost", lease_ttl_s=GHOST_TTL_S
+        tmp_path, spec.content_digest(), "ghost", lease_ttl_s=GHOST_TTL_S
     )
     assert ghost.try_claim(0) is not None
 

@@ -4,7 +4,9 @@
 What CI's ``distrib-smoke`` job runs (not pytest-collected — this is a
 script with an exit code, like ``repro.serve.client``'s smoke mode):
 
-1. publish a study into a shared work dir;
+1. publish a study into a shared work dir: an in-process initiator
+   run stamps ``manifest.json`` + ``spec.json``, and its shard records
+   are then removed so the fleet starts from nothing;
 2. start a *victim* ``repro-skyline worker`` process whose shard
    computations are artificially slowed (the
    ``REPRO_DISTRIB_INJECT_SHARD_DELAY_S`` fault-injection knob), wait
@@ -37,8 +39,8 @@ import sys
 from pathlib import Path
 from time import monotonic, sleep
 
-from repro.batch.executor import CheckpointStore, iter_chunks
-from repro.distrib import publish_spec, resolve_study_manifest
+from repro.batch import shard_ranges
+from repro.distrib import DistributedExecutor
 from repro.study import DesignSpec, StudySpec, run_study
 from repro.study.result import StudyResult
 
@@ -100,10 +102,11 @@ def main(argv=None) -> int:
     expected = run_study(spec)  # the single-host reference, in-process
 
     # Publish the study, then let the victim claim before anyone else.
-    shards = list(iter_chunks(spec, chunk_rows=CHUNK_ROWS))
-    manifest, _ = resolve_study_manifest(work_dir, shards)
-    CheckpointStore.open(work_dir, manifest)
-    publish_spec(work_dir, spec)
+    with DistributedExecutor(work_dir, worker_id="publisher") as executor:
+        run_study(spec, executor=executor, chunk_rows=CHUNK_ROWS)
+    for record in work_dir.glob("shard-*.jsonl"):
+        record.unlink()
+    n_shards = len(shard_ranges(N_ROWS, CHUNK_ROWS))
 
     victim_env = {
         **os.environ,
@@ -114,7 +117,7 @@ def main(argv=None) -> int:
         _worker_argv(work_dir, "victim"),
         stdout=victim_log, stderr=subprocess.STDOUT, env=victim_env,
     )
-    summary = {"n_shards": len(shards), "workers": 3}
+    summary = {"n_shards": n_shards, "workers": 3}
     try:
         if not _wait_for_lease_of(work_dir, "victim"):
             print("FAIL: victim never claimed a lease", file=sys.stderr)
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
             "ok": bool(
                 identical
                 and not leases_left
-                and records == len(shards)
+                and records == n_shards
                 and joiner_rc == 0
             ),
         }

@@ -46,8 +46,6 @@ from .executor import (
     ShardManifest,
     ShardResult,
     default_chunk_rows,
-    evaluate_matrix_sharded,
-    evaluate_spec_sharded,
     iter_chunks,
     shard_ranges,
     top_k_sharded,
@@ -84,8 +82,6 @@ __all__ = [
     "ShardManifest",
     "ShardResult",
     "default_chunk_rows",
-    "evaluate_matrix_sharded",
-    "evaluate_spec_sharded",
     "iter_chunks",
     "shard_ranges",
     "top_k_sharded",

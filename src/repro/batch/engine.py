@@ -52,6 +52,15 @@ def clear_default_cache() -> None:
     DEFAULT_CACHE.clear()
 
 
+def _knee_of(matrix: DesignMatrix, knee_fraction: Optional[float]) -> float:
+    """``knee_fraction``, else the matrix's own, else the default rule."""
+    if knee_fraction is not None:
+        return knee_fraction
+    if matrix.knee_fraction is not None:
+        return matrix.knee_fraction
+    return DEFAULT_KNEE_FRACTION
+
+
 def evaluate_matrix(
     matrix: DesignMatrix,
     knee_fraction: Optional[float] = None,
@@ -90,12 +99,7 @@ def evaluate_matrix(
     on the sharded path (per completed shard).  Both default to
     ``None`` — uninstrumented calls pay a null-check, nothing more.
     """
-    if knee_fraction is None:
-        knee_fraction = (
-            matrix.knee_fraction
-            if matrix.knee_fraction is not None
-            else DEFAULT_KNEE_FRACTION
-        )
+    knee_fraction = _knee_of(matrix, knee_fraction)
     require_fraction("knee_fraction", knee_fraction)
     require_nonnegative("tolerance", tolerance)
 
@@ -121,9 +125,9 @@ def evaluate_matrix(
         executor is not None or chunk_rows is not None
         or checkpoint_dir is not None or resume
     ):
-        from .executor import evaluate_matrix_sharded
+        from .executor import _run_sharded
 
-        result = evaluate_matrix_sharded(
+        result, _, _ = _run_sharded(
             matrix,
             knee_fraction=knee_fraction,
             tolerance=tolerance,
@@ -161,10 +165,12 @@ def evaluate_matrix(
             knee_fraction=knee_fraction,
             tolerance=tolerance,
         )
+        if tracer is not None:
+            # Sharded rows are counted once, by each shard's own pass.
+            tracer.counter("rows.evaluated").add(len(matrix))
     if cache is not None:
         cache.put(key, result)
     if tracer is not None:
-        tracer.counter("rows.evaluated").add(len(matrix))
         _record_evaluation(
             tracer, started, cache, cache_before, matrix, cache_hit=False
         )

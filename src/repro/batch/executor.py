@@ -3,34 +3,50 @@
 :func:`~repro.batch.engine.evaluate_matrix` is a single vectorized
 pass: one process, one allocation the size of the whole grid.  This
 module scales that pass out without changing a single bit of the
-result:
+result.  Every sharded entry point — ``evaluate_matrix(executor=...)``,
+``run_study(executor=...)`` and :func:`top_k_sharded` — runs the same
+three-step pipeline:
 
-* :func:`iter_chunks` splits a :class:`~repro.batch.matrix.DesignMatrix`
-  *or* a declarative :class:`~repro.study.spec.StudySpec` into
-  row-range shards.  Spec shards are never materialized in the parent:
-  each worker rebuilds only its ``[start, stop)`` rows by Cartesian
-  index arithmetic (:func:`~repro.batch.grid.cartesian_slice` via
-  :func:`~repro.study.planner.compile_chunk`), so a 10M-point grid
-  needs ``O(chunk_rows)`` memory per worker, not ``O(N)``.
-* :class:`ParallelExecutor` fans shards out over
-  :mod:`concurrent.futures` workers — ``backend="process"`` (true
-  parallelism, fresh per-worker caches), ``"thread"`` (shared cache,
-  no pickling) or ``"serial"`` (chunked streaming in-process).
-* :func:`evaluate_matrix_sharded` / :func:`evaluate_spec_sharded`
-  merge per-shard results back into one
+* **plan** resolves the evaluation contract (knee, tolerance), the
+  source digest and the chunking into one :class:`ShardManifest`, and
+  binds the run's store: a checkpoint directory, the work directory of
+  a :class:`~repro.distrib.DistributedExecutor`, or none.  An
+  unspecified ``chunk_rows`` adopts the chunking of a manifest already
+  on disk, so a resumed or restarted run picks up exactly where the
+  original left off.
+* **drive** resumes the store's completed shards once
+  (:meth:`CheckpointStore.load_completed`), hands the rest to the
+  executor's ``map_shards`` scheduling policy, and counts progress.
+* **reduce** concatenates the shards into one
   :class:`~repro.batch.result.BatchResult` with stable global row
-  indices (:func:`~repro.batch.result.concat_results`), and
-  :func:`top_k_sharded` folds shards into a global top-k as they
-  complete (:func:`~repro.batch.result.merge_top_k`), keeping ``O(k)``
-  state so fleet-scale winners never require fleet-scale memory.
-* :class:`CheckpointStore` persists each completed shard as one JSONL
-  record next to a manifest
-  (see :func:`repro.io.serialization.shard_manifest_to_dict` for the
-  wire format), so an interrupted million-point study resumes from its
-  completed shards instead of restarting.
+  indices (:func:`~repro.batch.result.concat_results`), or folds them
+  into a global top-k as they complete
+  (:func:`~repro.batch.result.merge_top_k`), keeping ``O(k)`` state so
+  fleet-scale winners never require fleet-scale memory.
 
-Identical chunks (by content hash) are dispatched once and fanned back
-out on join, and every worker process starts with a *fresh*
+A source is a :class:`~repro.batch.matrix.DesignMatrix` or a
+declarative :class:`~repro.study.spec.StudySpec` (:func:`iter_chunks`).
+Spec shards are never materialized in the parent: each worker rebuilds
+only its ``[start, stop)`` rows by Cartesian index arithmetic
+(:func:`~repro.batch.grid.cartesian_slice` via
+:func:`~repro.study.planner.compile_chunk`), so a 10M-point grid needs
+``O(chunk_rows)`` memory per worker, not ``O(N)``.
+
+There are two scheduling policies.  :class:`ParallelExecutor` fans
+shards out over :mod:`concurrent.futures` workers —
+``backend="process"`` (true parallelism, fresh per-worker caches),
+``"thread"`` (shared cache, no pickling) or ``"serial"`` (chunked
+streaming in-process) — and dispatches identical chunks (by content
+hash) once, fanning them back out on join.
+:class:`~repro.distrib.DistributedExecutor` pulls shards from a shared
+work directory under the lease protocol.  Both persist every shard
+they complete to the store as one JSONL record
+(:class:`CheckpointStore`; see
+:func:`repro.io.serialization.shard_manifest_to_dict` for the wire
+format), so an interrupted million-point study resumes from its
+completed shards instead of restarting.
+
+Every worker process starts with a *fresh*
 :data:`~repro.batch.engine.DEFAULT_CACHE` — a forked snapshot of the
 parent's cache is cleared by the worker initializer, so cross-spec
 state can never leak between runs.
@@ -43,7 +59,7 @@ import json
 import math
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import (
@@ -60,7 +76,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.knee import DEFAULT_KNEE_FRACTION
 from ..errors import ConfigurationError, ShardExecutionError
 from ..io.serialization import (
     shard_manifest_to_dict,
@@ -69,7 +84,12 @@ from ..io.serialization import (
 )
 from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
-from .engine import DEFAULT_CACHE, clear_default_cache, evaluate_matrix
+from .engine import (
+    DEFAULT_CACHE,
+    _knee_of,
+    clear_default_cache,
+    evaluate_matrix,
+)
 from .matrix import DesignMatrix
 from .result import BatchResult, concat_results, merge_top_k
 
@@ -187,21 +207,6 @@ def _matrix_digest(
     return digest.hexdigest()
 
 
-def _spec_digest(spec: Any) -> str:
-    """A canonical-JSON digest of a study spec (restart-stable)."""
-    return spec.content_digest()
-
-
-def _reduce_clause(
-    k: Optional[int], by: str, descending: bool
-) -> Optional[Dict[str, Any]]:
-    if k is None:
-        return None
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    return {"k": int(k), "by": by, "descending": bool(descending)}
-
-
 def iter_chunks(
     source: Union[DesignMatrix, "Any"],
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -211,9 +216,9 @@ def iter_chunks(
 ) -> Iterator[Shard]:
     """Stream the row-range shards of a matrix or a study spec.
 
-    For a :class:`DesignMatrix`, each shard's task carries slices of
-    the parent's columns (``O(chunk_rows)`` pickled bytes per shard)
-    plus a content hash so identical chunks dispatch once.  For a
+    For a :class:`DesignMatrix`, each shard's task carries a copy of
+    its rows' columns (``O(chunk_rows)`` pickled bytes per shard) plus
+    a content hash so identical chunks dispatch once.  For a
     :class:`~repro.study.spec.StudySpec`, the task carries only the
     spec and the ``[start, stop)`` range — the worker rebuilds its rows
     by index arithmetic, so the full grid never exists in the parent;
@@ -226,28 +231,11 @@ def iter_chunks(
     from ..study.spec import StudySpec
 
     if isinstance(source, DesignMatrix):
-        resolved = knee_fraction
-        if resolved is None:
-            resolved = (
-                source.knee_fraction
-                if source.knee_fraction is not None
-                else DEFAULT_KNEE_FRACTION
-            )
+        resolved = _knee_of(source, knee_fraction)
         for index, (start, stop) in enumerate(
             shard_ranges(len(source), chunk_rows)
         ):
-            columns = {
-                name: column[start:stop]
-                for name, column in zip(source.column_names, source.columns())
-            }
-            labels = (
-                source.labels[start:stop]
-                if source.labels is not None
-                else None
-            )
-            chunk = DesignMatrix.from_arrays(
-                **columns, labels=labels, knee_fraction=source.knee_fraction
-            )
+            chunk = source.take(np.arange(start, stop))
             yield Shard(
                 index=index,
                 start=start,
@@ -273,7 +261,7 @@ def iter_chunks(
     if isinstance(source, StudySpec):
         from ..study.planner import study_size
 
-        digest = _spec_digest(source)
+        digest = source.content_digest()
         for index, (start, stop) in enumerate(
             shard_ranges(study_size(source), chunk_rows)
         ):
@@ -416,8 +404,91 @@ def _evaluate_shard_task(task: Dict[str, Any]) -> Dict[str, Any]:
     return outcome
 
 
+def _worker_task(
+    shard: Shard, tracer: Optional[Tracer], in_process: bool
+) -> Dict[str, Any]:
+    """The task a worker evaluates for ``shard``.
+
+    In-process workers share the caller's default cache, and memoizing
+    every chunk there would pin (up to) the whole grid against the
+    caller's wishes, so they stream; traced, they record spans straight
+    onto the shard's track of ``tracer`` (same process, same epoch).
+    Process workers keep their own fresh, bounded caches and ship their
+    spans home as wire dicts.
+    """
+    task = dict(shard.task)
+    if in_process:
+        task["streaming"] = True
+        if tracer is not None:
+            task["tracer"] = tracer.track(shard.index + 1)
+    elif tracer is not None:
+        task["trace"] = True
+    return task
+
+
+def _finish(
+    shard: Shard,
+    outcome: Dict[str, Any],
+    dispatch_clock: float,
+    tracer: Optional[Tracer],
+) -> ShardResult:
+    """Wrap one evaluated shard, recording its parent-side view.
+
+    Traced, every evaluated shard contributes a ``shard.task`` span
+    (dispatch → result receipt, with ``queue_wait_s``/``compute_s``
+    attributes), the spans and counters a process worker shipped home,
+    and a ``shards.completed`` tick.
+    """
+    telemetry = outcome.get("telemetry")
+    if tracer is not None:
+        finish_clock = perf_counter()
+        worker_s = (telemetry or outcome).get("elapsed_s")
+        attrs: Dict[str, Any] = {"shard": shard.index, "rows": len(shard)}
+        if worker_s is not None:
+            attrs["compute_s"] = round(worker_s, 6)
+            attrs["queue_wait_s"] = round(
+                max(0.0, finish_clock - dispatch_clock - worker_s), 6
+            )
+        tracer.record_clock(
+            "shard.task", dispatch_clock, finish_clock, **attrs
+        )
+        if telemetry:  # process workers: merge the wire payload
+            if telemetry.get("events"):
+                tracer.absorb(
+                    telemetry["events"],
+                    tid=shard.index + 1,
+                    end_clock=finish_clock,
+                    shard=shard.index,
+                )
+            if telemetry.get("counters"):
+                tracer.merge_counters(telemetry["counters"])
+        tracer.counter("shards.completed").add()
+    return ShardResult(
+        index=shard.index,
+        start=shard.start,
+        stop=shard.stop,
+        batch=outcome["batch"],
+        local_indices=outcome["local_indices"],
+        extras=outcome["extras"],
+        telemetry=telemetry,
+    )
+
+
+def _evaluate_in_process(
+    shard: Shard, tracer: Optional[Tracer]
+) -> ShardResult:
+    """Evaluate one shard inline, as the serial backend does.
+
+    Also the distributed policy's worker: a leased shard is computed
+    in-process under exactly the same memory and tracing contract.
+    """
+    dispatched = perf_counter()
+    outcome = _evaluate_shard(_worker_task(shard, tracer, in_process=True))
+    return _finish(shard, outcome, dispatched, tracer)
+
+
 # ---------------------------------------------------------------------------
-# The executor
+# The local scheduling policy
 # ---------------------------------------------------------------------------
 class ParallelExecutor:
     """Fan shards out over serial, thread, or process workers.
@@ -429,6 +500,10 @@ class ParallelExecutor:
     time, which is the chunked *streaming* mode: peak memory is one
     chunk, not one grid.
     """
+
+    #: A local pool keeps no shared work directory: it persists shards
+    #: only to a checkpoint directory the caller names.
+    work_dir: Optional[Path] = None
 
     def __init__(
         self,
@@ -489,183 +564,74 @@ class ParallelExecutor:
         self,
         shards: Iterable[Shard],
         tracer: Optional[Tracer] = None,
-        progress: Optional[ProgressCallback] = None,
+        store: Optional["CheckpointStore"] = None,
     ) -> Iterator[ShardResult]:
         """Evaluate shards, yielding results as they complete.
 
         Identical shards (same content ``key``) are evaluated once and
-        fanned back out to every duplicate.  Completion order is
-        arbitrary for parallel backends; consumers that need global
-        order collect by :attr:`ShardResult.index`.
+        fanned back out to every duplicate, each copy counted as a
+        ``shards.dedupe_hits`` tick.  Completion order is arbitrary
+        for parallel backends; consumers that need global order collect
+        by :attr:`ShardResult.index`.  ``store`` persists every result
+        before it is yielded.
 
         ``tracer`` opts workers into span recording: each unique shard
-        contributes a parent-side ``shard.task`` span (dispatch →
-        result receipt, with ``queue_wait_s``/``compute_s``
-        attributes) and its worker-side spans
-        (``shard.compile``/``shard.evaluate``/…) under
-        ``tid = shard_index + 1``, plus ``shards.completed``/
-        ``shards.dedupe_hits`` counters, worker cache counters, and a
-        running ``rows_per_s`` gauge.  In-process workers (serial and
-        thread backends) record those spans directly into ``tracer``
-        via :meth:`~repro.obs.tracer.Tracer.track`; process workers
-        ship them home as wire dicts (rebased on absorption, and also
+        contributes a parent-side ``shard.task`` span and its
+        worker-side spans (``shard.compile``/``shard.evaluate``/…)
+        under ``tid = shard_index + 1``, plus ``shards.completed`` and
+        worker cache counters.  In-process workers (serial and thread
+        backends) record those spans directly into ``tracer`` via
+        :meth:`~repro.obs.tracer.Tracer.track`; process workers ship
+        them home as wire dicts (rebased on absorption, and also
         exposed as :attr:`ShardResult.telemetry`).
-        ``progress`` is called with a
-        :class:`~repro.obs.progress.Progress` snapshot after every
-        yielded result (dedupe copies included) — the hook a progress
-        bar or a serving layer's progress endpoint attaches to.
         """
-        shard_list = list(shards)
-        primaries: Dict[str, Shard] = {}
-        followers: Dict[int, List[Shard]] = {}
-        unique: List[Shard] = []
-        for shard in shard_list:
-            first = primaries.get(shard.key) if shard.key else None
-            if first is None:
-                if shard.key:
-                    primaries[shard.key] = shard
-                unique.append(shard)
-                followers[shard.index] = []
-            else:
-                followers[first.index].append(shard)
-
-        total = len(shard_list)
-        rows_total = sum(len(s) for s in shard_list)
-        completed = 0
-        rows_done = 0
-        started = perf_counter()
-        overrides: Dict[str, Any] = (
-            {"trace": True} if tracer is not None else {}
-        )
-        # Serial and thread backends share the parent's DEFAULT_CACHE:
-        # memoizing every chunk there would pin (up to) the whole grid
-        # in the process-wide cache against the caller's wishes.  Only
-        # process workers — with their own fresh, bounded caches —
-        # memoize chunks.
-        in_process = self.backend in ("serial", "thread")
-        if in_process:
-            overrides["streaming"] = True
-
-        def worker_task(shard: Shard) -> Dict[str, Any]:
-            task = {**shard.task, **overrides}
-            if tracer is not None and in_process:
-                # Same process, same epoch: record spans directly onto
-                # the shard's track instead of shipping wire dicts.
-                task["tracer"] = tracer.track(shard.index + 1)
-            return task
-
-        # Metric handles are stable objects; resolve them once instead
-        # of taking the tracer's registry lock on every shard.
-        rate_gauge = (
-            tracer.gauge("rows_per_s") if tracer is not None else None
-        )
-        completed_counter = (
-            tracer.counter("shards.completed") if tracer is not None else None
-        )
-
-        def advance(result: ShardResult) -> ShardResult:
-            nonlocal completed, rows_done
-            completed += 1
-            rows_done += result.stop - result.start
-            elapsed = perf_counter() - started
-            if rate_gauge is not None and elapsed > 0:
-                rate_gauge.set(rows_done / elapsed)
-            if progress is not None:
-                progress(
-                    Progress(
-                        done=completed,
-                        total=total,
-                        rows_done=rows_done,
-                        rows_total=rows_total,
-                        elapsed_s=elapsed,
-                    )
+        groups: Dict[Any, List[Shard]] = {}
+        for shard in shards:
+            groups.setdefault(shard.key or shard.index, []).append(shard)
+        followers = {group[0].index: group[1:] for group in groups.values()}
+        unique = [group[0] for group in groups.values()]
+        for result in self._evaluate(unique, tracer):
+            copies = [
+                replace(
+                    result,
+                    index=follower.index,
+                    start=follower.start,
+                    stop=follower.stop,
+                    telemetry=None,
                 )
-            return result
+                for follower in followers[result.index]
+            ]
+            if copies and tracer is not None:
+                tracer.counter("shards.dedupe_hits").add(len(copies))
+            for each in (result, *copies):
+                if store is not None:
+                    store.write(each, tracer)
+                yield each
 
-        def note_unique(
-            shard: Shard,
-            outcome: Dict[str, Any],
-            dispatch_clock: float,
-            finish_clock: float,
-        ) -> None:
-            """Record the parent-side view of one evaluated shard."""
-            if tracer is None:
-                return
-            telemetry = outcome.get("telemetry")
-            worker_s = (
-                outcome.get("elapsed_s")
-                if telemetry is None
-                else telemetry.get("elapsed_s")
-            )
-            attrs: Dict[str, Any] = {
-                "shard": shard.index, "rows": len(shard)
-            }
-            if worker_s is not None:
-                attrs["compute_s"] = round(worker_s, 6)
-                attrs["queue_wait_s"] = round(
-                    max(0.0, finish_clock - dispatch_clock - worker_s), 6
-                )
-            tracer.record_clock(
-                "shard.task", dispatch_clock, finish_clock, **attrs
-            )
-            if telemetry:  # process workers: merge the wire payload
-                if telemetry.get("events"):
-                    tracer.absorb(
-                        telemetry["events"],
-                        tid=shard.index + 1,
-                        end_clock=finish_clock,
-                        shard=shard.index,
-                    )
-                if telemetry.get("counters"):
-                    tracer.merge_counters(telemetry["counters"])
-            completed_counter.add()
-
-        def fan_out(
-            shard: Shard, outcome: Dict[str, Any]
-        ) -> Iterator[ShardResult]:
-            for target in (shard, *followers[shard.index]):
-                if target is not shard and tracer is not None:
-                    tracer.counter("shards.dedupe_hits").add()
-                yield advance(
-                    ShardResult(
-                        index=target.index,
-                        start=target.start,
-                        stop=target.stop,
-                        batch=outcome["batch"],
-                        local_indices=outcome["local_indices"],
-                        extras=outcome["extras"],
-                        telemetry=(
-                            outcome.get("telemetry")
-                            if target is shard
-                            else None
-                        ),
-                    )
-                )
-
+    def _evaluate(
+        self, unique: List[Shard], tracer: Optional[Tracer]
+    ) -> Iterator[ShardResult]:
+        """Evaluate each shard once, yielding in completion order."""
         if self.backend == "serial":
             for shard in unique:
-                dispatched = perf_counter()
-                outcome = _evaluate_shard(worker_task(shard))
-                note_unique(shard, outcome, dispatched, perf_counter())
-                yield from fan_out(shard, outcome)
+                yield _evaluate_in_process(shard, tracer)
+            return
+        if not unique:
             return
         pool = self._ensure_pool()
-        future_to_shard: Dict[Future, Shard] = {}
-        dispatch_clock: Dict[Future, float] = {}
+        in_process = self.backend == "thread"
+        dispatched: Dict[Future, Tuple[Shard, float]] = {}
         for shard in unique:
-            future = pool.submit(_evaluate_shard, worker_task(shard))
-            future_to_shard[future] = shard
-            dispatch_clock[future] = perf_counter()
-        pending = set(future_to_shard)
+            future = pool.submit(
+                _evaluate_shard, _worker_task(shard, tracer, in_process)
+            )
+            dispatched[future] = (shard, perf_counter())
+        pending = set(dispatched)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                shard = future_to_shard[future]
-                outcome = future.result()
-                note_unique(
-                    shard, outcome, dispatch_clock[future], perf_counter()
-                )
-                yield from fan_out(shard, outcome)
+                shard, dispatch_clock = dispatched[future]
+                yield _finish(shard, future.result(), dispatch_clock, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +703,9 @@ class CheckpointStore:
         """Bind a checkpoint directory to this run's manifest.
 
         A fresh directory is created and stamped; an existing one must
-        match the incoming manifest exactly.  ``must_exist=True`` (the
-        ``--resume`` contract) additionally rejects a directory without
-        a manifest instead of silently starting over.
+        match the incoming manifest in every field.  ``must_exist=True``
+        (the ``--resume`` contract) additionally rejects a directory
+        without a manifest instead of silently starting over.
         """
         directory = Path(directory)
         existing = cls.peek_manifest(directory)
@@ -766,7 +732,7 @@ class CheckpointStore:
                 f"different run: manifest field(s) do not match: "
                 f"{'; '.join(mismatched)} "
                 "(pass a fresh directory, or re-run with the original "
-                "spec and chunking)"
+                f"spec and chunk_rows={existing.chunk_rows})"
             )
         return cls(directory, manifest)
 
@@ -774,10 +740,22 @@ class CheckpointStore:
     def shard_path(self, index: int) -> Path:
         return self.directory / f"shard-{index:06d}.jsonl"
 
-    def write(self, result: ShardResult) -> None:
-        """Persist one completed shard atomically (write + rename)."""
+    def write(
+        self, result: ShardResult, tracer: Optional[Tracer] = None
+    ) -> None:
+        """Persist one completed shard atomically (write + rename).
+
+        ``tracer`` times the write as a ``checkpoint.write`` span and
+        counts it in ``checkpoint.writes``.
+        """
+        started = perf_counter() if tracer is not None else 0.0
         record = json.dumps(shard_record_to_dict(result))
         _atomic_write(self.shard_path(result.index), record + "\n")
+        if tracer is not None:
+            tracer.record_clock(
+                "checkpoint.write", started, perf_counter(), shard=result.index
+            )
+            tracer.counter("checkpoint.writes").add()
 
     def load_completed(self) -> Dict[int, ShardResult]:
         """Every reusable shard record, keyed by shard index.
@@ -804,16 +782,7 @@ class CheckpointStore:
         recomputed, never trusted.
         """
         path = self.shard_path(index)
-        if not path.exists():
-            return None
-        result = self._read_record(path)
-        if result is not None and result.index != index:
-            self.skipped.append(
-                f"{path.name}: record index {result.index} does not match "
-                f"file name"
-            )
-            return None
-        return result
+        return self._read_record(path) if path.exists() else None
 
     def _read_record(self, path: Path) -> Optional[ShardResult]:
         try:
@@ -828,6 +797,10 @@ class CheckpointStore:
                 start + self.manifest.chunk_rows,
                 self.manifest.total_rows,
             )
+            if path != self.shard_path(result.index):
+                raise ConfigurationError(
+                    f"record index {result.index} does not match file name"
+                )
             if not (
                 0 <= result.index < self.manifest.n_shards
                 and (result.start, result.stop) == (start, stop)
@@ -850,128 +823,73 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Drivers: shard -> evaluate -> merge
+# The pipeline: plan -> drive -> reduce
 # ---------------------------------------------------------------------------
-def _stream_results(
-    shards: Sequence[Shard],
-    executor: Optional[ParallelExecutor],
-    checkpoint: Optional[CheckpointStore],
-    tracer: Optional[Tracer] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> Iterator[ShardResult]:
-    """Yield shard results (checkpointed first, then freshly computed).
-
-    Progress accounting lives here, not in ``map_shards``, so shards
-    restored from a checkpoint count toward the same done/total a
-    resumed run reports; checkpoint persistence is timed as
-    ``checkpoint.write`` spans.
-    """
-    completed: Dict[int, ShardResult] = (
-        checkpoint.load_completed() if checkpoint is not None else {}
-    )
-    total = len(shards)
-    rows_total = sum(len(s) for s in shards)
-    done = 0
-    rows_done = 0
-    started = perf_counter()
-
-    def advance(result: ShardResult) -> ShardResult:
-        nonlocal done, rows_done
-        done += 1
-        rows_done += result.stop - result.start
-        if progress is not None:
-            progress(
-                Progress(
-                    done=done,
-                    total=total,
-                    rows_done=rows_done,
-                    rows_total=rows_total,
-                    elapsed_s=perf_counter() - started,
-                )
-            )
-        return result
-
-    for index in sorted(completed):
-        if tracer is not None:
-            tracer.counter("shards.resumed").add()
-        yield advance(completed[index])
-    remaining = [s for s in shards if s.index not in completed]
-    if not remaining:
-        return
-    own = executor is None
-    executor = executor or ParallelExecutor(backend="serial")
-    try:
-        for result in executor.map_shards(remaining, tracer=tracer):
-            if checkpoint is not None:
-                write_started = perf_counter()
-                checkpoint.write(result)
-                if tracer is not None:
-                    tracer.record_clock(
-                        "checkpoint.write",
-                        write_started,
-                        perf_counter(),
-                        shard=result.index,
-                    )
-                    tracer.counter("checkpoint.writes").add()
-            yield advance(result)
-    finally:
-        if own:
-            executor.close()
-
-
-def _collect_ordered(
-    shards: Sequence[Shard],
-    executor: Optional[ParallelExecutor],
-    checkpoint: Optional[CheckpointStore],
-    tracer: Optional[Tracer] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[ShardResult]:
-    results = {
-        r.index: r
-        for r in _stream_results(
-            shards, executor, checkpoint, tracer=tracer, progress=progress
-        )
-    }
-    missing = [s.index for s in shards if s.index not in results]
-    if missing:  # pragma: no cover - internal invariant
-        raise ConfigurationError(
-            f"shard(s) {missing} produced no result"
-        )
-    return [results[s.index] for s in shards]
-
-
-def _open_checkpoint(
-    checkpoint_dir: Optional[Union[str, Path]],
-    resume: bool,
-    kind: str,
-    digest: str,
-    total_rows: int,
-    chunk_rows: Optional[int],
-    n_workers: int,
+def _plan(
+    source: Any,
     knee_fraction: Optional[float],
     tolerance: float,
     reduce: Optional[Dict[str, Any]],
-) -> Tuple[Optional[CheckpointStore], int]:
-    """Resolve the chunk size and bind the checkpoint dir, if any.
+    executor: Optional[ParallelExecutor],
+    chunk_rows: Optional[int],
+    checkpoint_dir: Optional[Union[str, Path]],
+    resume: bool,
+) -> Tuple[ShardManifest, Optional[CheckpointStore], List[Shard]]:
+    """Resolve one run's manifest, store (if it has one) and shards.
 
-    On resume, an unspecified ``chunk_rows`` adopts the manifest's, so
-    ``--resume <dir>`` picks up exactly where the original invocation
-    left off even if the worker count changed.
+    The store is the checkpoint directory, or the executor's own work
+    directory for a distributed run.  An unspecified ``chunk_rows``
+    adopts the manifest already there (a resume, a re-run, a restarted
+    server), else targets ~4 shards per worker.  Opening the store then
+    checks every manifest field against the one on disk, so a
+    directory never feeds rows from a different run.
     """
-    if resume and checkpoint_dir is None:
-        raise ConfigurationError("resume requires a checkpoint directory")
-    if checkpoint_dir is not None and chunk_rows is None:
-        existing = CheckpointStore.peek_manifest(checkpoint_dir)
-        if existing is not None:
-            chunk_rows = existing.chunk_rows
-    if chunk_rows is None:
-        chunk_rows = default_chunk_rows(total_rows, n_workers)
-    elif chunk_rows < 1:
+    from ..study.spec import StudySpec
+
+    if isinstance(source, DesignMatrix):
+        knee_fraction = _knee_of(source, knee_fraction)
+        kind, total_rows = "matrix", len(source)
+        digest = _matrix_digest(source, knee_fraction, tolerance)
+    elif isinstance(source, StudySpec):
+        from ..study.planner import study_size
+
+        kind, total_rows = "study", study_size(source)
+        digest = source.content_digest()
+        knee_fraction, tolerance = source.knee_fraction, source.tolerance
+    else:
         raise ConfigurationError(
-            f"chunk_rows must be >= 1, got {chunk_rows}"
+            "sharded execution takes a DesignMatrix or a StudySpec, got "
+            f"{type(source).__name__}"
         )
-    if checkpoint_dir is None:
-        return None, chunk_rows
+    directory = checkpoint_dir
+    if executor is not None and executor.work_dir is not None:
+        if checkpoint_dir is not None:
+            raise ConfigurationError(
+                "a distributed work dir already checkpoints every shard; "
+                "do not also pass a checkpoint directory"
+            )
+        if kind != "study":
+            raise ConfigurationError(
+                "distributed execution requires a StudySpec (joining "
+                "workers rebuild their shards from the published spec); "
+                "got a DesignMatrix — run the study via a StudySpec instead"
+            )
+        directory = executor.work_dir
+    if resume and directory is None:
+        raise ConfigurationError("resume requires a checkpoint directory")
+    if chunk_rows is None:
+        existing = (
+            CheckpointStore.peek_manifest(directory)
+            if directory is not None
+            else None
+        )
+        chunk_rows = (
+            existing.chunk_rows
+            if existing is not None
+            else default_chunk_rows(
+                total_rows, executor.n_workers if executor is not None else 1
+            )
+        )
     manifest = ShardManifest(
         kind=kind,
         digest=digest,
@@ -982,120 +900,128 @@ def _open_checkpoint(
         tolerance=tolerance,
         reduce=reduce,
     )
-    store = CheckpointStore.open(
-        checkpoint_dir, manifest, must_exist=resume
+    store = (
+        CheckpointStore.open(directory, manifest, must_exist=resume)
+        if directory is not None
+        else None
     )
-    return store, chunk_rows
+    shards = iter_chunks(source, chunk_rows, knee_fraction, tolerance, reduce)
+    return manifest, store, list(shards)
 
 
-def evaluate_matrix_sharded(
-    matrix: DesignMatrix,
+def _resume_and_map(
+    shards: Sequence[Shard],
+    store: Optional[CheckpointStore],
+    executor: Optional[ParallelExecutor],
+    tracer: Optional[Tracer],
+    progress: Optional[ProgressCallback],
+) -> Iterator[ShardResult]:
+    """Yield every shard's result: resumed from the store, then scheduled.
+
+    Progress is counted here, not in a scheduling policy, so shards
+    restored from the store count toward the same done/total (and the
+    ``rows_per_s`` gauge) as the ones computed now.
+    """
+    completed = store.load_completed() if store is not None else {}
+    total, rows_total = len(shards), sum(len(s) for s in shards)
+    done = rows_done = 0
+    started = perf_counter()
+    rate_gauge = tracer.gauge("rows_per_s") if tracer is not None else None
+
+    def advance(result: ShardResult) -> ShardResult:
+        nonlocal done, rows_done
+        done += 1
+        rows_done += result.stop - result.start
+        elapsed = perf_counter() - started
+        if rate_gauge is not None and elapsed > 0:
+            rate_gauge.set(rows_done / elapsed)
+        if progress is not None:
+            progress(
+                Progress(
+                    done=done,
+                    total=total,
+                    rows_done=rows_done,
+                    rows_total=rows_total,
+                    elapsed_s=elapsed,
+                )
+            )
+        return result
+
+    if completed and tracer is not None:
+        tracer.counter("shards.resumed").add(len(completed))
+    for index in sorted(completed):
+        yield advance(completed[index])
+    remaining = [s for s in shards if s.index not in completed]
+    # Without an executor the run streams in-process (a serial executor
+    # owns no pool, so there is nothing to close).
+    policy = executor or ParallelExecutor(backend="serial")
+    for result in policy.map_shards(remaining, tracer=tracer, store=store):
+        yield advance(result)
+
+
+def _run_sharded(
+    source: Any,
     knee_fraction: Optional[float] = None,
     tolerance: float = 0.05,
+    reduce: Optional[Dict[str, Any]] = None,
     executor: Optional[ParallelExecutor] = None,
     chunk_rows: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     tracer: Optional[Tracer] = None,
     progress: Optional[ProgressCallback] = None,
-) -> BatchResult:
-    """Sharded :func:`~repro.batch.engine.evaluate_matrix`.
+) -> Tuple[BatchResult, Dict[str, np.ndarray], Optional[np.ndarray]]:
+    """Plan, drive and reduce one sharded run: ``(batch, extras, indices)``.
 
-    Bitwise identical to the one-pass engine (every kernel is
-    elementwise, so chunk boundaries cannot change a single double).
-    Prefer calling ``evaluate_matrix(..., executor=...)``, which also
-    consults the result cache.  ``tracer``/``progress`` opt into
-    per-shard spans and completion callbacks (see
-    :meth:`ParallelExecutor.map_shards`).
+    Without ``reduce`` the shards concatenate in row order — bitwise
+    identical to the one-pass engine, since every kernel is elementwise
+    — and ``indices`` is ``None``; a spec source also returns the
+    study's accounting columns (:data:`EXTRA_COLUMNS`) as ``extras``.
+    With ``reduce`` (``{"k", "by", "descending"}``) every worker returns
+    only its shard-local winners, which fold into a running global
+    top-k as shards complete; ``indices`` are the winners' global rows
+    and ``extras`` is empty.
     """
-    if knee_fraction is None:
-        knee_fraction = (
-            matrix.knee_fraction
-            if matrix.knee_fraction is not None
-            else DEFAULT_KNEE_FRACTION
-        )
-    n_workers = executor.n_workers if executor is not None else 1
-    checkpoint, chunk_rows = _open_checkpoint(
-        checkpoint_dir,
-        resume,
-        kind="matrix",
-        digest=_matrix_digest(matrix, knee_fraction, tolerance),
-        total_rows=len(matrix),
-        chunk_rows=chunk_rows,
-        n_workers=n_workers,
-        knee_fraction=knee_fraction,
-        tolerance=tolerance,
-        reduce=None,
-    )
-    shards = list(
-        iter_chunks(
-            matrix,
-            chunk_rows=chunk_rows,
-            knee_fraction=knee_fraction,
-            tolerance=tolerance,
-        )
-    )
-    ordered = _collect_ordered(
-        shards, executor, checkpoint, tracer=tracer, progress=progress
-    )
-    with maybe_span(tracer, "study.merge", shards=len(ordered)):
-        # Reuse the caller's matrix rather than reassembling a second
-        # full-size copy from the chunk matrices.
-        return concat_results([r.batch for r in ordered], matrix=matrix)
-
-
-def evaluate_spec_sharded(
-    spec: Any,
-    executor: Optional[ParallelExecutor] = None,
-    chunk_rows: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    tracer: Optional[Tracer] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> Tuple[BatchResult, Dict[str, np.ndarray]]:
-    """Evaluate a :class:`~repro.study.spec.StudySpec` shard by shard.
-
-    Workers rebuild only their own rows (Cartesian index arithmetic),
-    evaluate them, and ship the result columns back; the merged batch
-    plus the study's accounting columns (:data:`EXTRA_COLUMNS`) come
-    back exactly as :func:`~repro.study.planner.compile_spec` +
-    ``evaluate_matrix`` would produce them in one pass.
-    """
-    from ..study.planner import study_size
     from ..study.spec import StudySpec
 
-    if not isinstance(spec, StudySpec):
-        raise ConfigurationError(
-            f"evaluate_spec_sharded takes a StudySpec, got "
-            f"{type(spec).__name__}"
+    is_spec = isinstance(source, StudySpec)
+    # Sizing and planning the grid is a spec's whole compile step in
+    # this process: each shard compiles its own rows.
+    with maybe_span(tracer if is_spec else None, "study.compile") as span:
+        manifest, store, shards = _plan(
+            source, knee_fraction, tolerance, reduce, executor,
+            chunk_rows, checkpoint_dir, resume,
         )
-    n_workers = executor.n_workers if executor is not None else 1
-    with maybe_span(tracer, "study.compile") as compile_span:
-        total_rows = study_size(spec)
-        checkpoint, chunk_rows = _open_checkpoint(
-            checkpoint_dir,
-            resume,
-            kind="study",
-            digest=_spec_digest(spec),
-            total_rows=total_rows,
-            chunk_rows=chunk_rows,
-            n_workers=n_workers,
-            knee_fraction=spec.knee_fraction,
-            tolerance=spec.tolerance,
-            reduce=None,
-        )
-        shards = list(iter_chunks(spec, chunk_rows=chunk_rows))
-        compile_span.set(rows=total_rows, shards=len(shards))
-    ordered = _collect_ordered(
-        shards, executor, checkpoint, tracer=tracer, progress=progress
-    )
+        span.set(rows=manifest.total_rows, shards=manifest.n_shards)
+    results = _resume_and_map(shards, store, executor, tracer, progress)
+    if reduce is not None:
+        running: Optional[Tuple[np.ndarray, BatchResult]] = None
+        for result in results:
+            candidate = (result.global_indices, result.batch)
+            parts = [candidate] if running is None else [running, candidate]
+            with maybe_span(
+                tracer, "study.merge", k=reduce["k"], shard=result.index
+            ):
+                running = merge_top_k(
+                    parts,
+                    reduce["k"],
+                    by=reduce["by"],
+                    descending=reduce["descending"],
+                )
+        assert running is not None  # shard_ranges yields >= 1 range
+        return running[1], {}, running[0]
+    ordered = sorted(results, key=lambda result: result.index)
     with maybe_span(tracer, "study.merge", shards=len(ordered)):
-        batch = concat_results([r.batch for r in ordered])
+        # A matrix source reuses the caller's matrix rather than
+        # reassembling a second full-size copy from the chunks.
+        batch = concat_results(
+            [r.batch for r in ordered], matrix=None if is_spec else source
+        )
         extras = {
             name: np.concatenate([r.extras[name] for r in ordered])
-            for name in EXTRA_COLUMNS
+            for name in (EXTRA_COLUMNS if is_spec else ())
         }
-    return batch, extras
+    return batch, extras, None
 
 
 def top_k_sharded(
@@ -1122,59 +1048,19 @@ def top_k_sharded(
     ``(global_row_indices, result)``, identical to evaluating the full
     grid and calling ``top_k(k, by, descending)``.
     """
-    from ..study.spec import StudySpec
-
-    reduce = _reduce_clause(k, by, descending)
-    if isinstance(source, DesignMatrix):
-        if knee_fraction is None:
-            knee_fraction = (
-                source.knee_fraction
-                if source.knee_fraction is not None
-                else DEFAULT_KNEE_FRACTION
-            )
-        kind, digest = "matrix", _matrix_digest(
-            source, knee_fraction, tolerance
-        )
-        total = len(source)
-    elif isinstance(source, StudySpec):
-        from ..study.planner import study_size
-
-        kind, digest = "study", _spec_digest(source)
-        total = study_size(source)
-        knee_fraction = source.knee_fraction
-        tolerance = source.tolerance
-    else:
-        raise ConfigurationError(
-            "top_k_sharded takes a DesignMatrix or a StudySpec, got "
-            f"{type(source).__name__}"
-        )
-    n_workers = executor.n_workers if executor is not None else 1
-    checkpoint, chunk_rows = _open_checkpoint(
-        checkpoint_dir,
-        resume,
-        kind=kind,
-        digest=digest,
-        total_rows=total,
-        chunk_rows=chunk_rows,
-        n_workers=n_workers,
-        knee_fraction=knee_fraction,
-        tolerance=tolerance,
-        reduce=reduce,
-    )
-    shards = iter_chunks(
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    batch, _, indices = _run_sharded(
         source,
-        chunk_rows=chunk_rows,
         knee_fraction=knee_fraction,
         tolerance=tolerance,
-        reduce=reduce,
+        reduce={"k": int(k), "by": by, "descending": bool(descending)},
+        executor=executor,
+        chunk_rows=chunk_rows,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        tracer=tracer,
+        progress=progress,
     )
-    running: Optional[Tuple[np.ndarray, BatchResult]] = None
-    for result in _stream_results(
-        list(shards), executor, checkpoint, tracer=tracer, progress=progress
-    ):
-        candidate = (result.global_indices, result.batch)
-        parts = [candidate] if running is None else [running, candidate]
-        with maybe_span(tracer, "study.merge", k=k, shard=result.index):
-            running = merge_top_k(parts, k, by=by, descending=descending)
-    assert running is not None  # shard_ranges yields >= 1 range
-    return running
+    assert indices is not None  # the top-k reduction always returns them
+    return indices, batch

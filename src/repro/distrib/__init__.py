@@ -21,7 +21,6 @@ from .executor import (
     DistributedExecutor,
     default_worker_id,
     publish_spec,
-    resolve_study_manifest,
 )
 from .lease import (
     DEFAULT_LEASE_TTL_S,
@@ -42,6 +41,5 @@ __all__ = [
     "default_worker_id",
     "open_study",
     "publish_spec",
-    "resolve_study_manifest",
     "run_worker",
 ]

@@ -1,12 +1,15 @@
 """Joining workers: pull shards of a study someone else initiated.
 
 ``repro-skyline worker --work-dir DIR`` is this module's CLI face: it
-waits for the initiator's ``manifest.json`` + ``spec.json`` to appear,
-rebuilds the shard list locally (the spec is the *whole* study — no
-row data crosses the wire), and runs the same drive loop as
-:class:`~repro.distrib.executor.DistributedExecutor` until every shard
-has a record.  Workers are stateless and interchangeable: any number
-may join, leave, or crash at any point without coordination.
+waits for the initiator's ``manifest.json`` + ``spec.json`` to appear
+(:func:`open_study`), rebuilds the shard list locally (the spec is the
+*whole* study — no row data crosses the wire), skips the shards
+already recorded, and runs the same lease state machine as
+:class:`~repro.distrib.executor.DistributedExecutor` over the rest
+until every shard has a record.  A joiner never merges: it only
+computes and publishes records.  Workers are stateless and
+interchangeable: any number may join, leave, or crash at any point
+without coordination.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ from typing import Dict, Optional, Tuple, Union
 from ..batch.executor import CheckpointStore, ShardManifest, iter_chunks
 from ..errors import ConfigurationError
 from ..obs.tracer import Tracer
-from .executor import (
-    SPEC_FILE_NAME,
-    _drive,
-    _HeartbeatPump,
-    _study_evaluator,
-    default_worker_id,
-)
-from .lease import DEFAULT_LEASE_TTL_S, LeaseStore
+from .executor import SPEC_FILE_NAME, DistributedExecutor
+from .lease import DEFAULT_LEASE_TTL_S
 
 
 @dataclass(frozen=True)
@@ -108,56 +105,40 @@ def run_worker(
     already checkpointed.  Safe to run any number of times, from any
     number of hosts, concurrently with the initiator.
     """
-    if poll_interval_s is None:
-        poll_interval_s = min(1.0, lease_ttl_s / 4.0)
-    if not poll_interval_s > 0:
-        raise ConfigurationError(
-            f"poll_interval_s must be > 0, got {poll_interval_s}"
-        )
-    manifest, spec = open_study(
-        work_dir, wait_s=wait_s, poll_interval_s=min(0.25, poll_interval_s)
+    executor = DistributedExecutor(
+        work_dir,
+        worker_id=worker_id,
+        lease_ttl_s=lease_ttl_s,
+        poll_interval_s=poll_interval_s,
     )
-    owner = worker_id or default_worker_id()
-    shards = list(
-        iter_chunks(
-            spec, chunk_rows=manifest.chunk_rows, reduce=manifest.reduce
-        )
+    manifest, spec = open_study(
+        work_dir,
+        wait_s=wait_s,
+        poll_interval_s=min(0.25, executor.poll_interval_s),
     )
     store = CheckpointStore.open(work_dir, manifest)
-    leases = LeaseStore(
-        work_dir,
-        manifest.digest,
-        owner,
-        lease_ttl_s=lease_ttl_s,
-        tracer=tracer,
-    )
-    pump = _HeartbeatPump(leases, lease_ttl_s / 3.0, tracer=tracer)
-    events = {"computed": 0, "loaded": 0, "resumed": 0}
+    done = store.load_completed()
+    shards = [
+        shard
+        for shard in iter_chunks(
+            spec, chunk_rows=manifest.chunk_rows, reduce=manifest.reduce
+        )
+        if shard.index not in done
+    ]
+    events = {"computed": 0, "loaded": 0}
     rows_computed = 0
     started = perf_counter()
-    pump.start()
-    try:
-        for event, result in _drive(
-            store,
-            leases,
-            shards,
-            _study_evaluator(tracer),
-            poll_interval_s,
-            pump,
-            tracer=tracer,
-        ):
-            events[event] += 1
-            if event == "computed":
-                rows_computed += result.stop - result.start
-    finally:
-        pump.stop()
+    for event, result in executor._pull(shards, store, tracer):
+        events[event] += 1
+        if event == "computed":
+            rows_computed += result.stop - result.start
     return WorkerReport(
-        worker_id=owner,
+        worker_id=executor.worker_id,
         spec_digest=manifest.digest,
-        shards_total=len(shards),
+        shards_total=manifest.n_shards,
         computed=events["computed"],
         loaded=events["loaded"],
-        resumed=events["resumed"],
+        resumed=len(done),
         rows_computed=rows_computed,
         elapsed_s=perf_counter() - started,
         counters=(

@@ -1,9 +1,10 @@
 """Progress reporting for sharded studies.
 
-:class:`Progress` is the immutable snapshot a
-:class:`~repro.batch.executor.ParallelExecutor` (and everything built
-on it) hands to a :data:`ProgressCallback` each time a shard
-completes: shards done/total, rows done/total, elapsed seconds, and
+:class:`Progress` is the immutable snapshot the sharded pipeline
+(:mod:`repro.batch.executor`, behind ``run_study``,
+``evaluate_matrix`` and ``top_k_sharded``) hands to a
+:data:`ProgressCallback` each time a shard completes or resumes:
+shards done/total, rows done/total, elapsed seconds, and
 the derived rows/sec throughput and ETA.  :class:`ProgressPrinter` is
 the stock callback behind the CLI's ``--progress`` flag — one human
 line per update on stderr, never stdout, so piped JSON stays pure.

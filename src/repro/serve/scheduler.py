@@ -35,7 +35,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Optional, Union
 
-from ..batch.executor import ParallelExecutor, default_chunk_rows
+from ..batch.executor import ParallelExecutor
 from ..errors import (
     ConfigurationError,
     ServiceUnavailableError,
@@ -43,7 +43,6 @@ from ..errors import (
 )
 from ..obs.progress import Progress
 from ..obs.tracer import Tracer
-from ..study.planner import study_size
 from ..study.runner import run_study
 from ..study.spec import StudySpec
 from .state import StudyRecord, StudyStore
@@ -246,14 +245,11 @@ class StudyScheduler:
         study_tracer = Tracer()
         executor: Optional[Any] = None
         try:
-            chunk_rows = self.chunk_rows
-            if chunk_rows is None:
-                # Serve always runs studies sharded: chunked streaming
-                # bounds worker memory and gives the /progress stream
-                # one callback per completed shard.
-                chunk_rows = default_chunk_rows(
-                    study_size(record.spec), self.study_workers or 1
-                )
+            # Serve always runs studies sharded: chunked streaming
+            # bounds worker memory and gives the /progress stream one
+            # callback per completed shard.  An unset chunk_rows lets
+            # the run adopt the chunking already on disk (a restart with
+            # a different --workers resumes) or pick the default.
             if self.distrib_root is not None:
                 # Each study gets its own work dir (keyed by study id,
                 # itself digest-derived), so external `repro-skyline
@@ -266,9 +262,11 @@ class StudyScheduler:
                     worker_id=f"serve-{default_worker_id()}",
                     n_workers=self.study_workers or 1,
                 )
-            elif self.study_workers is not None:
+            else:
+                # Without --workers, stream serially in this thread.
                 executor = ParallelExecutor(
-                    n_workers=self.study_workers, backend=self.backend
+                    n_workers=self.study_workers or 1,
+                    backend=self.backend if self.study_workers else "serial",
                 )
             checkpoint = None
             if self.checkpoint_root is not None:
@@ -276,7 +274,7 @@ class StudyScheduler:
             result = run_study(
                 record.spec,
                 executor=executor,
-                chunk_rows=chunk_rows,
+                chunk_rows=self.chunk_rows,
                 checkpoint=checkpoint,
                 tracer=study_tracer,
                 progress=_RecordProgress(record),

@@ -426,18 +426,9 @@ def _run_study(args: argparse.Namespace) -> int:
         progress = ProgressPrinter()
 
     executor = None
-    chunk_rows = args.chunk_rows
     if args.distributed:
-        from ..batch.executor import CheckpointStore
         from ..distrib import DEFAULT_LEASE_TTL_S, DistributedExecutor
 
-        if chunk_rows is None:
-            # Re-running against an existing work dir resumes it, so
-            # an unspecified chunking adopts the manifest's (mirroring
-            # --resume) instead of re-deriving a possibly different one.
-            existing = CheckpointStore.peek_manifest(args.work_dir)
-            if existing is not None:
-                chunk_rows = existing.chunk_rows
         executor = DistributedExecutor(
             args.work_dir,
             worker_id=args.worker_id,
@@ -458,7 +449,7 @@ def _run_study(args: argparse.Namespace) -> int:
         result = run_study(
             spec,
             executor=executor,
-            chunk_rows=chunk_rows,
+            chunk_rows=args.chunk_rows,
             checkpoint=args.resume or args.checkpoint,
             resume=args.resume is not None,
             tracer=tracer,

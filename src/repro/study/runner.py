@@ -130,7 +130,10 @@ def run_study(
     ``cache`` scopes result memoization exactly as in
     :func:`~repro.batch.engine.evaluate_matrix`: the process-wide
     default is shared with every other analysis surface, so a study
-    re-covering a grid a sweep already evaluated is free.
+    re-covering a grid a sweep already evaluated is free.  A sharded
+    spec never touches it: its full matrix never exists in this
+    process, and pinning the merged result would undo the memory
+    bound that chunked streaming is for.
 
     ``executor`` / ``chunk_rows`` opt into sharded execution (see the
     module docstring); ``checkpoint`` names a directory that receives
@@ -153,10 +156,12 @@ def run_study(
         or checkpoint is not None or resume
     )
     if sharded and isinstance(study, StudySpec):
-        from ..batch.executor import evaluate_spec_sharded
+        # Each shard compiles its own rows: the full grid is never
+        # built here, so there is nothing to compile or cache up front.
+        from ..batch.executor import _run_sharded
 
-        spec = study
-        batch, extras = evaluate_spec_sharded(
+        spec, axes = study, study_axes(study)
+        batch, extras, _ = _run_sharded(
             spec,
             executor=executor,
             chunk_rows=chunk_rows,
@@ -165,19 +170,6 @@ def run_study(
             tracer=tracer,
             progress=progress,
         )
-        # A spec-sharded run cannot consult the cache up front — the
-        # cache is keyed by the full matrix's content hash and the full
-        # matrix deliberately never exists here — but it seeds the
-        # cache on the way out, so later single-pass runs over the
-        # same grid are free.
-        if cache is not None:
-            key = (
-                batch.matrix.content_hash(),
-                batch.knee_fraction,
-                batch.tolerance,
-            )
-            cache.put(key, batch)
-        axes = study_axes(spec)
     else:
         if isinstance(study, StudyPlan):
             plan = study
@@ -191,9 +183,9 @@ def run_study(
             knee_fraction=spec.knee_fraction,
             tolerance=spec.tolerance,
             cache=cache,
-            executor=executor if sharded else None,
-            chunk_rows=chunk_rows if sharded else None,
-            checkpoint_dir=checkpoint if sharded else None,
+            executor=executor,
+            chunk_rows=chunk_rows,
+            checkpoint_dir=checkpoint,
             resume=resume,
             tracer=tracer,
             progress=progress,

@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.batch.executor import CheckpointStore, iter_chunks
+from repro.batch import evaluate_matrix, top_k_sharded
+from repro.batch.executor import CheckpointStore
 from repro.distrib import (
     DEFAULT_LEASE_TTL_S,
     DistributedExecutor,
@@ -28,7 +29,6 @@ from repro.distrib import (
     default_worker_id,
     open_study,
     publish_spec,
-    resolve_study_manifest,
     run_worker,
 )
 from repro.distrib.executor import INJECT_DELAY_ENV
@@ -67,6 +67,12 @@ def _expire(store: LeaseStore, index: int) -> None:
     path = store.lease_path(index)
     past = path.stat().st_mtime - store.lease_ttl_s - 60.0
     os.utime(path, (past, past))
+
+
+def _initiate(work_dir, spec: StudySpec, chunk_rows: int, **kwargs):
+    """One initiator run over ``work_dir``; returns its StudyResult."""
+    with DistributedExecutor(work_dir, worker_id="init", **kwargs) as ex:
+        return run_study(spec, executor=ex, chunk_rows=chunk_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -313,42 +319,32 @@ class TestHeartbeatAndRelease:
 class TestStudyPublication:
     def test_fresh_dir_infers_manifest(self, tmp_path):
         spec = _spec(10)
-        shards = list(iter_chunks(spec, chunk_rows=4))
-        manifest, got_spec = resolve_study_manifest(tmp_path, shards)
+        _initiate(tmp_path, spec, chunk_rows=4)
+        manifest, got_spec = open_study(tmp_path)
         assert manifest.kind == "study"
         assert manifest.digest == spec.content_digest()
         assert (manifest.total_rows, manifest.chunk_rows) == (10, 4)
         assert manifest.n_shards == 3
-        assert got_spec is spec
+        assert got_spec == spec
 
     def test_existing_manifest_is_adopted(self, tmp_path):
         spec = _spec(10)
-        shards = list(iter_chunks(spec, chunk_rows=4))
-        manifest, _ = resolve_study_manifest(tmp_path, shards)
-        CheckpointStore.open(tmp_path, manifest)
-        adopted, _ = resolve_study_manifest(tmp_path, shards)
-        assert adopted == manifest
+        first = _initiate(tmp_path, spec, chunk_rows=4)
+        manifest = CheckpointStore.peek_manifest(tmp_path)
+        # No chunk_rows and a bigger expected fleet: the dir's wins.
+        with DistributedExecutor(tmp_path, n_workers=3) as ex:
+            adopted = run_study(spec, executor=ex)
+        assert CheckpointStore.peek_manifest(tmp_path) == manifest
+        assert adopted.equals(first)
 
     def test_digest_mismatch_names_both_digests(self, tmp_path):
         spec_a, spec_b = _spec(8), _spec(12)
-        manifest, _ = resolve_study_manifest(
-            tmp_path, list(iter_chunks(spec_a, chunk_rows=4))
-        )
-        CheckpointStore.open(tmp_path, manifest)
+        _initiate(tmp_path, spec_a, chunk_rows=4)
         with pytest.raises(ConfigurationError) as exc:
-            resolve_study_manifest(
-                tmp_path, list(iter_chunks(spec_b, chunk_rows=4))
-            )
+            _initiate(tmp_path, spec_b, chunk_rows=4)
         message = str(exc.value)
         assert spec_a.content_digest() in message
         assert spec_b.content_digest() in message
-
-    def test_partial_shard_list_is_refused(self, tmp_path):
-        shards = list(iter_chunks(_spec(12), chunk_rows=4))
-        with pytest.raises(ConfigurationError, match="partial"):
-            resolve_study_manifest(tmp_path, shards[1:])
-        with pytest.raises(ConfigurationError, match="at least one"):
-            resolve_study_manifest(tmp_path, [])
 
     def test_matrix_shards_are_refused(self, tmp_path):
         import numpy as np
@@ -362,9 +358,14 @@ class TestStudyPublication:
             f_compute_hz=np.array([10.0, 20.0, 30.0]),
             f_control_hz=np.array([100.0, 100.0, 100.0]),
         )
-        shards = list(iter_chunks(matrix, chunk_rows=2))
         with pytest.raises(ConfigurationError, match="StudySpec"):
-            resolve_study_manifest(tmp_path, shards)
+            evaluate_matrix(
+                matrix,
+                cache=None,
+                executor=DistributedExecutor(tmp_path),
+                chunk_rows=2,
+            )
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_publish_spec_is_idempotent_and_digest_checked(self, tmp_path):
         spec = _spec(8)
@@ -381,11 +382,8 @@ class TestStudyPublication:
     def test_checkpoint_mismatch_error_names_both_values(self, tmp_path):
         # Satellite fix: CheckpointStore.open used to say only that the
         # manifest "does not match" — operators need expected vs found.
-        spec = _spec(8)
-        manifest, _ = resolve_study_manifest(
-            tmp_path, list(iter_chunks(spec, chunk_rows=4))
-        )
-        CheckpointStore.open(tmp_path, manifest)
+        run_study(_spec(8), chunk_rows=4, checkpoint=tmp_path)
+        manifest = CheckpointStore.peek_manifest(tmp_path)
         other = replace(manifest, digest="f" * 32, chunk_rows=2)
         with pytest.raises(ConfigurationError) as exc:
             CheckpointStore.open(tmp_path, other)
@@ -399,11 +397,8 @@ class TestStudyPublication:
             open_study(tmp_path, wait_s=0.0)
 
     def test_open_study_rejects_mixed_directories(self, tmp_path):
-        spec = _spec(8)
-        manifest, _ = resolve_study_manifest(
-            tmp_path, list(iter_chunks(spec, chunk_rows=4))
-        )
-        CheckpointStore.open(tmp_path, manifest)
+        _initiate(tmp_path, _spec(8), chunk_rows=4)
+        manifest = CheckpointStore.peek_manifest(tmp_path)
         # A foreign spec.json lands in the directory (a mixed-up copy).
         (tmp_path / "spec.json").write_text(
             _spec(9).to_json(), encoding="utf-8"
@@ -492,12 +487,8 @@ class TestDistributedExecutor:
         # must steal it and still produce the identical result.
         spec = _spec(12)
         serial = run_study(spec)
-        shards = list(iter_chunks(spec, chunk_rows=4))
-        manifest, _ = resolve_study_manifest(tmp_path, shards)
-        CheckpointStore.open(tmp_path, manifest)
-        publish_spec(tmp_path, spec)
         ghost = LeaseStore(
-            tmp_path, manifest.digest, "ghost", lease_ttl_s=0.5
+            tmp_path, spec.content_digest(), "ghost", lease_ttl_s=0.5
         )
         ghost.try_claim(0)
         _expire(ghost, 0)
@@ -525,7 +516,7 @@ class TestDistributedExecutor:
         spec = _spec(12)
         serial = run_study(spec)
         calls = {"n": 0}
-        import repro.distrib.executor as executor_mod
+        import repro.batch.executor as executor_mod
 
         real = executor_mod._evaluate_shard
 
@@ -575,15 +566,94 @@ class TestDistributedExecutor:
     def test_default_worker_id_is_host_and_pid(self):
         assert default_worker_id().endswith(f"-{os.getpid()}")
 
+    @pytest.mark.parametrize("store", ["leased", "checkpoint"])
+    def test_full_merge_over_a_top_k_dir_is_refused(self, tmp_path, store):
+        # A top-k run's records hold only each shard's winners: merging
+        # them as full shards would silently drop rows.
+        spec = _spec(16)
+        if store == "leased":
+            with DistributedExecutor(tmp_path, worker_id="w1") as ex:
+                top_k_sharded(spec, 2, executor=ex, chunk_rows=4)
+            with pytest.raises(ConfigurationError, match="reduce"):
+                _initiate(tmp_path, spec, chunk_rows=4)
+        else:
+            top_k_sharded(spec, 2, chunk_rows=4, checkpoint_dir=tmp_path)
+            with pytest.raises(ConfigurationError, match="reduce"):
+                run_study(spec, chunk_rows=4, checkpoint=tmp_path)
+
+    def test_top_k_sharded_with_a_joining_worker(self, tmp_path):
+        spec = _spec(20)
+        full = run_study(spec, cache=None).batch
+        reports = []
+
+        def join() -> None:
+            reports.append(
+                run_worker(
+                    tmp_path, worker_id="join", lease_ttl_s=10.0,
+                    poll_interval_s=0.02, wait_s=30.0,
+                )
+            )
+
+        joiner = threading.Thread(target=join)
+        joiner.start()
+        try:
+            with DistributedExecutor(
+                tmp_path, worker_id="init", lease_ttl_s=10.0,
+                poll_interval_s=0.02,
+            ) as ex:
+                indices, winners = top_k_sharded(
+                    spec, 5, executor=ex, chunk_rows=3
+                )
+        finally:
+            joiner.join(timeout=60)
+        assert not joiner.is_alive()
+        assert batch_results_equal(full.top_k(5), winners)
+        assert list(indices) == list(full.top_k_indices(5))
+        assert [r.shards_total for r in reports] == [7]
+        assert CheckpointStore.peek_manifest(tmp_path).reduce == {
+            "k": 5, "by": "safe_velocity", "descending": True,
+        }
+        assert list((tmp_path / "leases").glob("*.lease.json")) == []
+
+    def test_resumed_work_dir_parses_each_record_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.batch.executor as executor_mod
+
+        spec = _spec(16)
+        first = _initiate(tmp_path, spec, chunk_rows=4)
+        real = executor_mod.shard_record_from_dict
+        calls = []
+
+        def counting(data):
+            calls.append(data["index"])
+            return real(data)
+
+        monkeypatch.setattr(executor_mod, "shard_record_from_dict", counting)
+        resumed = _initiate(tmp_path, spec, chunk_rows=4)
+        assert sorted(calls) == [0, 1, 2, 3]  # one parse per shard
+        assert resumed.equals(first)
+
+    def test_traced_shards_record_task_and_write_spans(self, tmp_path):
+        tracer = Tracer()
+        with DistributedExecutor(tmp_path, worker_id="solo") as ex:
+            run_study(_spec(12), executor=ex, chunk_rows=4, tracer=tracer)
+        counters = tracer.counters_snapshot()
+        names = [span.name for span in tracer.spans]
+        assert counters["distrib.shards.computed"] == 3
+        assert names.count("shard.task") == 3
+        assert names.count("checkpoint.write") == 3
+        assert counters["checkpoint.writes"] == 3
+
 
 class TestRunWorker:
     def test_worker_alone_finishes_the_study(self, tmp_path):
         spec = _spec(10)
         serial = run_study(spec)
-        shards = list(iter_chunks(spec, chunk_rows=4))
-        manifest, _ = resolve_study_manifest(tmp_path, shards)
-        CheckpointStore.open(tmp_path, manifest)
-        publish_spec(tmp_path, spec)
+        # An initiator published the study, then lost every record.
+        _initiate(tmp_path, spec, chunk_rows=4)
+        for record in tmp_path.glob("shard-*.jsonl"):
+            record.unlink()
         tracer = Tracer()
         report = run_worker(
             tmp_path,

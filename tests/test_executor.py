@@ -31,8 +31,6 @@ from repro.batch import (
     concat_results,
     default_chunk_rows,
     evaluate_matrix,
-    evaluate_matrix_sharded,
-    evaluate_spec_sharded,
     iter_chunks,
     merge_top_k,
     scenario_grid,
@@ -207,7 +205,7 @@ class TestShardedEvaluate:
     def test_serial_sharding_is_bitwise_identical(self, n_rows, chunk):
         matrix = _grid(n_rows)
         reference = evaluate_matrix(matrix, cache=None)
-        sharded = evaluate_matrix_sharded(matrix, chunk_rows=chunk)
+        sharded = evaluate_matrix(matrix, cache=None, chunk_rows=chunk)
         assert batch_results_equal(reference, sharded)
 
     def test_thread_backend_identical(self):
@@ -233,7 +231,7 @@ class TestShardedEvaluate:
         matrix = DesignMatrix.from_arrays(
             *plain.columns(), labels=[f"design-{i}" for i in range(20)]
         )
-        sharded = evaluate_matrix_sharded(matrix, chunk_rows=7)
+        sharded = evaluate_matrix(matrix, cache=None, chunk_rows=7)
         assert sharded.matrix.labels == matrix.labels
 
     def test_identical_chunks_dispatch_once(self, monkeypatch):
@@ -250,7 +248,7 @@ class TestShardedEvaluate:
             "_evaluate_shard",
             lambda task: calls.append(1) or original(task),
         )
-        result = evaluate_matrix_sharded(matrix, chunk_rows=10)
+        result = evaluate_matrix(matrix, cache=None, chunk_rows=10)
         assert len(calls) == 1  # three identical chunks, one evaluation
         reference = evaluate_matrix(matrix, cache=None)
         assert batch_results_equal(reference, result)
@@ -405,6 +403,92 @@ class TestShardedStudies:
         single = run_study(plan, cache=None)
         sharded = run_study(plan, cache=None, chunk_rows=4)
         assert single.equals(sharded)
+
+
+# ---------------------------------------------------------------------------
+# The one pipeline: source x reducer x store x backend
+# ---------------------------------------------------------------------------
+_PIPELINE_CASES = [
+    (source, reducer, store, backend)
+    for source in ("matrix", "spec")
+    for reducer in ("concat", "top-k")
+    for store in ("none", "checkpoint", "leased")
+    for backend in ("serial", "thread")
+    if not (store == "leased" and source == "matrix")
+]
+
+
+class TestShardedPipeline:
+    """Every combination the pipeline runs is bitwise identical to the
+    one-pass result.  A leased store is a distributed work dir (spec
+    sources only); its "thread" backend adds a joining worker thread."""
+
+    @pytest.mark.parametrize(
+        "source,reducer,store,backend", _PIPELINE_CASES
+    )
+    def test_bitwise_identical_to_one_pass(
+        self, tmp_path, source, reducer, store, backend
+    ):
+        import threading
+
+        from repro.distrib import DistributedExecutor, run_worker
+
+        spec = _knob_spec()
+        matrix = _grid(45)
+        if source == "matrix":
+            full = evaluate_matrix(matrix, cache=None)
+        else:
+            one_pass = run_study(spec, cache=None)
+            full = one_pass.batch
+        joiner = None
+        if store == "leased":
+            executor = DistributedExecutor(
+                tmp_path, worker_id="init", lease_ttl_s=10.0,
+                poll_interval_s=0.02,
+            )
+            if backend == "thread":
+                joiner = threading.Thread(
+                    target=run_worker,
+                    args=(tmp_path,),
+                    kwargs={
+                        "worker_id": "join", "lease_ttl_s": 10.0,
+                        "poll_interval_s": 0.02, "wait_s": 30.0,
+                    },
+                )
+                joiner.start()
+        else:
+            executor = ParallelExecutor(n_workers=2, backend=backend)
+        checkpoint = tmp_path if store == "checkpoint" else None
+        try:
+            with executor:
+                if reducer == "top-k":
+                    indices, got = top_k_sharded(
+                        matrix if source == "matrix" else spec, 7,
+                        executor=executor, chunk_rows=4,
+                        checkpoint_dir=checkpoint,
+                    )
+                elif source == "matrix":
+                    got = evaluate_matrix(
+                        matrix, cache=None, executor=executor,
+                        chunk_rows=4, checkpoint_dir=checkpoint,
+                    )
+                else:
+                    result = run_study(
+                        spec, cache=None, executor=executor, chunk_rows=4,
+                        checkpoint=checkpoint,
+                    )
+        finally:
+            if joiner is not None:
+                joiner.join(timeout=60)
+                assert not joiner.is_alive()
+        if reducer == "top-k":
+            assert batch_results_equal(full.top_k(7), got)
+            np.testing.assert_array_equal(indices, full.top_k_indices(7))
+        elif source == "matrix":
+            assert batch_results_equal(full, got)
+        else:
+            assert one_pass.equals(result)
+            assert result.to_json() == one_pass.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +670,21 @@ class TestCacheHygiene:
     def test_in_process_backends_never_pin_chunks_in_the_cache(self):
         """Serial and thread shards must honor the memory contract:
         chunk results never land in the process-wide default cache
-        (only the process backend memoizes, in its own workers)."""
+        (only the process backend memoizes, in its own workers) — and
+        neither does the merged result of a sharded spec."""
         matrix = _grid(60)
         reference = evaluate_matrix(matrix, cache=None)
+        spec = _knob_spec()
+        single = run_study(spec, cache=None)
         for backend in ("serial", "thread"):
             clear_default_cache()
             with ParallelExecutor(n_workers=2, backend=backend) as executor:
                 result = evaluate_matrix(
                     matrix, cache=None, executor=executor, chunk_rows=10
                 )
+                study = run_study(spec, executor=executor, chunk_rows=5)
             assert batch_results_equal(reference, result)
+            assert single.equals(study)
             assert len(DEFAULT_CACHE) == 0, backend
 
     def test_worker_shard_evaluation_uses_a_scoped_key(self):
@@ -623,15 +712,13 @@ class TestExecutorValidation:
 
     def test_bad_chunk_rows_names_the_knob(self):
         with pytest.raises(ConfigurationError, match="chunk_rows"):
-            evaluate_matrix_sharded(_grid(4), chunk_rows=0)
+            evaluate_matrix(_grid(4), cache=None, chunk_rows=0)
         with pytest.raises(ConfigurationError, match="chunk_rows"):
             list(iter_chunks(_grid(4), chunk_rows=-1))
 
     def test_iter_chunks_rejects_unknown_sources(self):
         with pytest.raises(ConfigurationError, match="DesignMatrix or a"):
             list(iter_chunks(object(), chunk_rows=4))
-        with pytest.raises(ConfigurationError, match="StudySpec"):
-            evaluate_spec_sharded(object())
         with pytest.raises(ConfigurationError, match="StudySpec"):
             top_k_sharded(object(), 3)
 
@@ -838,8 +925,8 @@ class TestExecutorObservability:
 
         matrix = _grid(40)
         tracer = Tracer()
-        result = evaluate_matrix_sharded(
-            matrix, chunk_rows=11, tracer=tracer
+        result = evaluate_matrix(
+            matrix, cache=None, chunk_rows=11, tracer=tracer
         )
         names = set(tracer.span_names())
         assert {
@@ -863,7 +950,7 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        evaluate_spec_sharded(_knob_spec(), chunk_rows=5, tracer=tracer)
+        run_study(_knob_spec(), cache=None, chunk_rows=5, tracer=tracer)
         compile_spans = [
             s for s in tracer.spans if s.name == "study.compile"
         ]
@@ -875,7 +962,7 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        evaluate_matrix_sharded(_grid(30), chunk_rows=10, tracer=tracer)
+        evaluate_matrix(_grid(30), cache=None, chunk_rows=10, tracer=tracer)
         worker_tids = {
             s.tid for s in tracer.spans if s.name == "shard.evaluate"
         }
@@ -891,8 +978,12 @@ class TestExecutorObservability:
         matrix = _grid(24)
         tracer = Tracer()
         with ParallelExecutor(n_workers=2, backend="process") as executor:
-            result = evaluate_matrix_sharded(
-                matrix, executor=executor, chunk_rows=12, tracer=tracer
+            result = evaluate_matrix(
+                matrix,
+                cache=None,
+                executor=executor,
+                chunk_rows=12,
+                tracer=tracer,
             )
         names = set(tracer.span_names())
         assert "shard.evaluate" in names  # absorbed from the workers
@@ -954,8 +1045,8 @@ class TestExecutorObservability:
 
         snapshots = []
         matrix = _grid(35)
-        evaluate_matrix_sharded(
-            matrix, chunk_rows=10, progress=snapshots.append
+        evaluate_matrix(
+            matrix, cache=None, chunk_rows=10, progress=snapshots.append
         )
         assert [p.done for p in snapshots] == [1, 2, 3, 4]
         assert all(isinstance(p, Progress) for p in snapshots)
@@ -967,11 +1058,12 @@ class TestExecutorObservability:
     def test_progress_counts_checkpoint_restored_shards(self, tmp_path):
         snapshots = []
         matrix = _grid(30)
-        evaluate_matrix_sharded(
-            matrix, chunk_rows=10, checkpoint_dir=tmp_path
+        evaluate_matrix(
+            matrix, cache=None, chunk_rows=10, checkpoint_dir=tmp_path
         )
-        evaluate_matrix_sharded(
+        evaluate_matrix(
             matrix,
+            cache=None,
             chunk_rows=10,
             checkpoint_dir=tmp_path,
             progress=snapshots.append,
@@ -985,12 +1077,16 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         matrix = _grid(30)
-        evaluate_matrix_sharded(
-            matrix, chunk_rows=10, checkpoint_dir=tmp_path
+        evaluate_matrix(
+            matrix, cache=None, chunk_rows=10, checkpoint_dir=tmp_path
         )
         tracer = Tracer()
-        evaluate_matrix_sharded(
-            matrix, chunk_rows=10, checkpoint_dir=tmp_path, tracer=tracer
+        evaluate_matrix(
+            matrix,
+            cache=None,
+            chunk_rows=10,
+            checkpoint_dir=tmp_path,
+            tracer=tracer,
         )
         assert tracer.counters_snapshot()["shards.resumed"] == 3
 
@@ -998,8 +1094,12 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        evaluate_matrix_sharded(
-            _grid(30), chunk_rows=10, checkpoint_dir=tmp_path, tracer=tracer
+        evaluate_matrix(
+            _grid(30),
+            cache=None,
+            chunk_rows=10,
+            checkpoint_dir=tmp_path,
+            tracer=tracer,
         )
         assert tracer.counters_snapshot()["checkpoint.writes"] == 3
         assert "checkpoint.write" in tracer.span_names()
@@ -1012,7 +1112,7 @@ class TestExecutorObservability:
             column, column, column, column, column
         )
         tracer = Tracer()
-        evaluate_matrix_sharded(matrix, chunk_rows=10, tracer=tracer)
+        evaluate_matrix(matrix, cache=None, chunk_rows=10, tracer=tracer)
         counters = tracer.counters_snapshot()
         assert counters["shards.completed"] == 1  # one unique chunk
         assert counters["shards.dedupe_hits"] == 2

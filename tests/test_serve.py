@@ -396,6 +396,33 @@ class TestSchedulerUnits:
         finally:
             scheduler.shutdown()
 
+    @pytest.mark.parametrize("root", ["checkpoint_root", "distrib_root"])
+    def test_restart_with_other_workers_resumes_the_study(
+        self, tmp_path, root
+    ):
+        # The first server derives 4-row shards for 16 rows and one
+        # worker; a restart with --workers 2 would derive 2-row shards.
+        # It must adopt the chunking on disk instead of failing.
+        spec = _spec(16, start=0.9)
+        for study_workers in (None, 2):
+            scheduler = StudyScheduler(
+                study_workers=study_workers,
+                backend="thread",
+                **{root: tmp_path},
+            )
+            scheduler.start()
+            try:
+                record, _ = scheduler.submit(spec)
+                assert record.wait_done(timeout_s=60)
+            finally:
+                scheduler.shutdown()
+            assert record.state == "done", record.error
+        work_dir = tmp_path / record.study_id
+        manifest = json.loads((work_dir / "manifest.json").read_text())
+        assert manifest["chunk_rows"] == 4
+        served = StudyResult.from_json(record.result_json())
+        assert served.equals(run_study(spec))
+
     def test_invalid_knobs_are_rejected(self):
         with pytest.raises(ConfigurationError, match="max_concurrent"):
             StudyScheduler(max_concurrent=0)
