@@ -1,6 +1,6 @@
 """Benchmark: sharded/parallel execution vs the single-process engine.
 
-Three comparisons, each asserting bitwise equivalence before timing:
+Four comparisons, each asserting bitwise equivalence before timing:
 
 * **executor-study** — a million-point knob-grid study through
   ``run_study`` single-process vs a warm 4-worker process pool
@@ -16,6 +16,10 @@ Three comparisons, each asserting bitwise equivalence before timing:
   top-k vs full materialization, asserting chunked mode's peak is
   bounded by the chunk size (it shrinks with ``chunk_rows`` and stays
   a small fraction of the full-grid peak).
+* **result-codec** — ``to_json`` + ``from_json`` of a 16k-row
+  ``StudyResult`` over the single-pass ``run_study`` that computed it
+  (minimum of 5 runs each, same size in smoke and full mode): the cost
+  of shipping a result, in units of computing it.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks every grid and disables the timing
 assertions (the equivalence assertions stay); ``REPRO_RECORD_BENCH=1``
@@ -39,7 +43,7 @@ from repro.batch import (
     default_chunk_rows,
     top_k_sharded,
 )
-from repro.study import DesignSpec, StudySpec, run_study, study_size
+from repro.study import DesignSpec, StudyResult, StudySpec, run_study, study_size
 
 N_WORKERS = 4
 TOP_K = 16
@@ -49,6 +53,9 @@ MIN_PARALLEL_SPEEDUP = 3.0
 
 #: Chunked streaming must stay under this fraction of the full peak.
 MAX_CHUNKED_PEAK_RATIO = 0.25
+
+#: Axis lengths of the result-codec study: 16 x 32 x 32 = 16k rows.
+CODEC_SHAPE = (16, 32, 32)
 
 if SMOKE:
     PER_AXIS = 10 if GATE else 8  # 1000 / 512 points
@@ -63,16 +70,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _spec(per_axis: int) -> StudySpec:
+def _spec(*points: int) -> StudySpec:
+    """A knob study with ``points`` per axis (one count, or one per axis)."""
+    tdp, runtime, payload = points * 3 if len(points) == 1 else points
     return StudySpec(
         design=DesignSpec.knob_axes(
             axes={
-                "compute_tdp_w": tuple(np.linspace(1.0, 30.0, per_axis)),
+                "compute_tdp_w": tuple(np.linspace(1.0, 30.0, tdp)),
                 "compute_runtime_s": tuple(
-                    np.geomspace(0.002, 0.5, per_axis)
+                    np.geomspace(0.002, 0.5, runtime)
                 ),
                 "payload_weight_g": tuple(
-                    np.linspace(0.0, 500.0, per_axis)
+                    np.linspace(0.0, 500.0, payload)
                 ),
             }
         )
@@ -257,3 +266,30 @@ def test_bench_executor_serial_streaming_overhead():
         # Streaming pays per-chunk assembly plus one concat copy;
         # anything past 2x the one-pass engine means a real regression.
         assert row["overhead"] < 1.0, row
+
+
+def test_bench_result_codec():
+    """Encoding and decoding a result costs a small multiple of
+    computing it (the column codec ships bytes, not float text)."""
+    spec = _spec(*CODEC_SHAPE)
+    points = study_size(spec)
+    result = run_study(spec, cache=None)
+    text = result.to_json()
+    assert StudyResult.from_json(text).equals(result)
+    run_s = _best_of(lambda: run_study(spec, cache=None), repeats=5)
+    codec_s = _best_of(
+        lambda: StudyResult.from_json(result.to_json()), repeats=5
+    )
+    row = {
+        "points": points,
+        "run_s": round(run_s, 6),
+        "codec_s": round(codec_s, 6),
+        "bytes_per_row": round(len(text) / points, 1),
+        "codec_ratio": round(codec_s / run_s, 4),
+    }
+    print(
+        f"[result-codec] {points:>8} points: run {run_s:.4f}s, "
+        f"to_json + from_json {codec_s:.4f}s "
+        f"({row['codec_ratio']}x, {row['bytes_per_row']} B/row)"
+    )
+    record("bench_executor.json", "result-codec", [row])

@@ -17,8 +17,9 @@ coordinate present in both the current run and the baseline, the
 
 Two deliberate choices keep the gate meaningful on shared runners:
 
-* Only **machine-normalized** metrics gate — speedups, overheads and
-  peak-memory ratios, each measured against a same-process,
+* Only **machine-normalized** metrics gate — speedups, overheads,
+  peak-memory ratios and the result codec's cost in units of the
+  study it encodes, each measured against a same-process,
   same-machine counterpart inside the bench itself.  Raw seconds are
   recorded and reported but never gated (a slow runner is not a
   regression).
@@ -49,6 +50,7 @@ METRICS = {
     "executor-topk": ("speedup", "higher", 10_000),
     "executor-serial": ("overhead", "lower", 10_000),
     "executor-memory": ("peak_ratio", "lower", 0),
+    "result-codec": ("codec_ratio", "lower", 0),
     "obs-overhead": ("amp_ratio", "lower", 0),
     "serve-coalesce": ("hit_rate", "higher", 0),
     "serve-saturate": ("reject_rate", "higher", 0),

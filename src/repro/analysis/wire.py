@@ -45,20 +45,38 @@ class WireBuilder:
     name: str
     #: Module-level version constant that must bump with the shape.
     version_const: str
-    #: Module-level constants folded into the fingerprint (field
-    #: tuples the builder iterates, so reordering/renaming them is a
-    #: structural change even though the function body is untouched).
+    #: Module-level constants and helper functions folded into the
+    #: fingerprint (field tuples the builder iterates, helpers it calls,
+    #: so editing them is a structural change even though the builder's
+    #: own body is untouched).
     includes: Tuple[str, ...] = ()
 
+
+#: The column codec the per-row builders call: its helpers and dtype
+#: tags.  Switching base64 for hex inside it moves no builder's own AST
+#: and no runtime shape (both stay ``str``), so each caller folds it in.
+_COLUMN_CODEC = (
+    "encode_column",
+    "_encode_codes",
+    "FLOAT_COLUMN",
+    "INDEX_COLUMN",
+    "CODE_COLUMN",
+)
 
 #: The guarded builders: manifest / shard-record (and the batch-result
 #: and design-matrix documents embedded in shard records), trace events
 #: and telemetry documents, and the serve HTTP envelopes.
 BUILDER_SPECS: Tuple[WireBuilder, ...] = (
     WireBuilder("shard_manifest_to_dict", "MANIFEST_VERSION", ("_MANIFEST_FIELDS",)),
-    WireBuilder("shard_record_to_dict", "MANIFEST_VERSION"),
-    WireBuilder("design_matrix_to_dict", "MANIFEST_VERSION", ("_MATRIX_COLUMNS",)),
-    WireBuilder("batch_result_to_dict", "MANIFEST_VERSION", ("_RESULT_COLUMNS",)),
+    WireBuilder("shard_record_to_dict", "MANIFEST_VERSION", _COLUMN_CODEC),
+    WireBuilder(
+        "design_matrix_to_dict", "MANIFEST_VERSION",
+        ("_MATRIX_COLUMNS", *_COLUMN_CODEC),
+    ),
+    WireBuilder(
+        "batch_result_to_dict", "MANIFEST_VERSION",
+        ("_RESULT_COLUMNS", *_COLUMN_CODEC),
+    ),
     WireBuilder(
         "lease_record_to_dict", "DISTRIB_PROTOCOL_VERSION",
         ("_LEASE_FIELDS",),
@@ -137,7 +155,7 @@ def function_fingerprint(
     Docstrings are stripped (prose edits never force version bumps) and
     ``ast.dump`` omits line/column attributes by default, so the hash
     moves only when the *structure* of the builder (or one of its
-    ``includes`` constants) changes.
+    ``includes`` constants or helpers) changes.
     """
     definition = _find_definition(tree, builder.name)
     if definition is None:
@@ -145,7 +163,9 @@ def function_fingerprint(
     parts = [ast.dump(_strip_docstring(definition))]
     for const in builder.includes:
         node = _find_definition(tree, const)
-        parts.append("<missing>" if node is None else ast.dump(node))
+        parts.append(
+            "<missing>" if node is None else ast.dump(_strip_docstring(node))
+        )
     digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
     return digest.hexdigest()
 

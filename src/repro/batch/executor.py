@@ -687,7 +687,7 @@ class CheckpointStore:
             return None
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
                 f"checkpoint manifest {path} is unreadable: {exc}"
             ) from exc
@@ -810,7 +810,10 @@ class CheckpointStore:
                     f"not match shard {result.index} of the manifest "
                     f"chunking ([{start}, {stop}))"
                 )
-        except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
+        except (
+            OSError, UnicodeDecodeError, json.JSONDecodeError,
+            ConfigurationError,
+        ) as exc:
             self.skipped.append(f"{path.name}: {exc}")
             return None
         return result

@@ -9,17 +9,24 @@ process boundaries, plus the shard-checkpoint wire format
 (:func:`shard_manifest_to_dict` / :func:`shard_record_to_dict`) the
 sharded executor uses to make interrupted studies resumable.
 
-Bound and verdict columns serialize as *names*, never raw ints: the
-integer codes are an in-process encoding the kernels are free to
-reorder, while :data:`BOUND_CODE_TO_NAME` / :data:`STATUS_CODE_TO_NAME`
-below are pinned for all serialized documents (a consistency test
-asserts they agree with the live kernel tables).
+Every per-row array travels as a *column object* — the base64 of its
+little-endian bytes under a pinned dtype tag (:func:`encode_column`) —
+so encoding costs a memory copy, not a float-to-text conversion, and
+every float64 bit pattern survives.  Bound and verdict columns are
+int8 codes that carry their names list, so a document never depends
+on the in-process integer encoding the kernels are free to reorder:
+:data:`BOUND_CODE_TO_NAME` / :data:`STATUS_CODE_TO_NAME` below are
+pinned for all serialized documents (a consistency test asserts they
+agree with the live kernel tables).
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..uav.components import (
@@ -177,42 +184,143 @@ def _result_error(field: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"result field {field!r}: {message}")
 
 
-def _float_list(field: str, data: Dict[str, Any], key: str) -> List[float]:
-    if key not in data:
-        raise _result_error(f"{field}.{key}", "missing")
-    values = data[key]
-    if not isinstance(values, list):
+# ---------------------------------------------------------------------------
+# The column codec: one per-row array as little-endian bytes in base64
+# ---------------------------------------------------------------------------
+#: Pinned dtype tags of the three column kinds: float64 values, int64
+#: row indices and int8 bound/verdict codes.
+FLOAT_COLUMN = "<f8"
+INDEX_COLUMN = "<i8"
+CODE_COLUMN = "<i1"
+
+#: In-process dtype each wire tag decodes to.
+_NATIVE_DTYPES = {
+    FLOAT_COLUMN: np.float64,
+    INDEX_COLUMN: np.intp,
+    CODE_COLUMN: np.int8,
+}
+
+
+def encode_column(values: Any, dtype: str) -> Dict[str, Any]:
+    """One per-row array as a ``{"dtype", "b64"}`` column object.
+
+    ``b64`` is the standard base64 of the array's little-endian bytes
+    under the pinned ``dtype`` tag, so every bit pattern — ``-0.0``,
+    subnormals, NaN payloads — round-trips exactly.
+    """
+    payload = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return {"dtype": dtype, "b64": base64.b64encode(payload).decode("ascii")}
+
+
+def decode_column(
+    field: str,
+    column: Any,
+    dtype: str,
+    rows: Optional[int] = None,
+    stop: Optional[int] = None,
+) -> np.ndarray:
+    """Rebuild a fresh native array from an :func:`encode_column` object.
+
+    The one validation point of every column: the tag must be the pinned
+    ``dtype`` for ``field``, ``b64`` strict base64 of a whole number of
+    items, the item count exactly ``rows`` (any count when ``None``) and,
+    for columns that index something, every item in ``[0, stop)``.
+    Every failure is a :class:`ConfigurationError` naming ``field``.
+    """
+    if column is None:
+        raise _result_error(field, "missing")
+    if not isinstance(column, dict):
         raise _result_error(
-            f"{field}.{key}", f"must be a list, got {type(values).__name__}"
+            field, f"must be a column object, got {type(column).__name__}"
         )
+    if column.get("dtype") != dtype:
+        raise _result_error(
+            field, f"dtype must be {dtype!r}, got {column.get('dtype')!r}"
+        )
+    payload = column.get("b64")
+    if not isinstance(payload, str):
+        raise _result_error(
+            field, f"b64 must be a string, got {type(payload).__name__}"
+        )
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise _result_error(field, f"invalid base64: {exc}") from exc
+    items, remainder = divmod(len(raw), np.dtype(dtype).itemsize)
+    if remainder:
+        raise _result_error(
+            field, f"{len(raw)} bytes is not a whole number of {dtype} items"
+        )
+    if rows is not None and items != rows:
+        raise _result_error(field, f"{items} items for {rows} rows")
+    values = np.frombuffer(raw, dtype=dtype).astype(_NATIVE_DTYPES[dtype])
+    if stop is not None:
+        outside = values[(values < 0) | (values >= stop)]
+        if outside.size:
+            raise _result_error(
+                field, f"{int(outside[0])} is outside [0, {stop})"
+            )
     return values
 
 
-def _decode_names(
-    field: str, names: List[str], mapping: Dict[str, int]
-) -> List[int]:
-    codes = []
+def _encode_codes(codes: Any, code_to_name: Mapping[int, str]) -> Dict[str, Any]:
+    """An int8 code column carrying its pinned names (code *i* is
+    ``names[i]``)."""
+    column = encode_column(codes, CODE_COLUMN)
+    column["names"] = [code_to_name[code] for code in sorted(code_to_name)]
+    return column
+
+
+def _decode_codes(
+    field: str, column: Any, name_to_code: Mapping[str, int], rows: int
+) -> np.ndarray:
+    """In-process codes from an :func:`_encode_codes` object.
+
+    Codes index the document's own ``names`` list, and every name must be
+    a pinned one, so a reader maps through names, never raw integers.
+    """
+    # A column that is not a mapping fails in decode_column below.
+    names = column.get("names") if isinstance(column, dict) else []
+    if not isinstance(names, list):
+        raise _result_error(
+            f"{field}.names",
+            f"must be a list of names, got {type(names).__name__}",
+        )
     for name in names:
-        if name not in mapping:
+        if not isinstance(name, str) or name not in name_to_code:
             raise _result_error(
-                field,
+                f"{field}.names",
                 f"unknown name {name!r}; known: "
-                f"{', '.join(sorted(mapping))}",
+                f"{', '.join(sorted(name_to_code))}",
             )
-        codes.append(mapping[name])
-    return codes
+    lookup = np.asarray([name_to_code[name] for name in names], dtype=np.int8)
+    return lookup[decode_column(field, column, CODE_COLUMN, rows, stop=len(names))]
+
+
+def _rows_of(field: str, data: Dict[str, Any]) -> int:
+    rows = data.get("rows")
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
+        raise _result_error(
+            f"{field}.rows", f"must be a non-negative integer, got {rows!r}"
+        )
+    return rows
+
+
+def _number(field: str, value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _result_error(field, f"must be a number, got {value!r}")
+    return value
 
 
 def design_matrix_to_dict(matrix: "DesignMatrix") -> Dict[str, Any]:
     """Serialize a design matrix to a JSON-compatible dict.
 
-    Floats survive JSON bit-exactly (``json`` emits shortest
-    round-tripping reprs), so a round-tripped matrix is numerically
-    identical to the original.
+    ``{"rows": n, <column>: {"dtype": "<f8", "b64": ...}, ...}`` plus
+    the optional ``labels`` list and ``knee_fraction``.
     """
-    data: Dict[str, Any] = {
-        name: getattr(matrix, name).tolist() for name in _MATRIX_COLUMNS
-    }
+    data: Dict[str, Any] = {"rows": len(matrix)}
+    for name in _MATRIX_COLUMNS:
+        data[name] = encode_column(getattr(matrix, name), FLOAT_COLUMN)
     if matrix.labels is not None:
         data["labels"] = list(matrix.labels)
     if matrix.knee_fraction is not None:
@@ -220,7 +328,7 @@ def design_matrix_to_dict(matrix: "DesignMatrix") -> Dict[str, Any]:
     return data
 
 
-def design_matrix_from_dict(data: Dict[str, Any]) -> "DesignMatrix":
+def design_matrix_from_dict(data: Any) -> "DesignMatrix":
     """Rebuild a matrix from :func:`design_matrix_to_dict` output."""
     from ..batch.matrix import DesignMatrix
 
@@ -228,10 +336,19 @@ def design_matrix_from_dict(data: Dict[str, Any]) -> "DesignMatrix":
         raise _result_error(
             "matrix", f"must be a mapping, got {type(data).__name__}"
         )
+    rows = _rows_of("matrix", data)
     columns = {
-        name: _float_list("matrix", data, name) for name in _MATRIX_COLUMNS
+        name: decode_column(
+            f"matrix.{name}", data.get(name), FLOAT_COLUMN, rows
+        )
+        for name in _MATRIX_COLUMNS
     }
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise _result_error(
+            "matrix.labels",
+            f"must be a list or null, got {type(labels).__name__}",
+        )
     return DesignMatrix.from_arrays(
         **columns,
         labels=tuple(labels) if labels is not None else None,
@@ -242,62 +359,52 @@ def design_matrix_from_dict(data: Dict[str, Any]) -> "DesignMatrix":
 def batch_result_to_dict(result: "BatchResult") -> Dict[str, Any]:
     """Serialize a batch result (and its matrix) to a plain dict.
 
-    Bound and verdict columns are written as names through the pinned
-    code↔name maps, keeping documents readable and stable even if the
-    in-process integer encoding ever changes.
+    Result columns are ``<f8`` column objects; ``bounds``/``statuses``
+    are ``<i1`` code columns carrying the pinned code↔name lists, keeping
+    documents stable even if the in-process encoding ever changes.
     """
     data: Dict[str, Any] = {
+        "rows": len(result),
         "matrix": design_matrix_to_dict(result.matrix),
     }
     for name in _RESULT_COLUMNS:
-        data[name] = getattr(result, name).tolist()
-    data["bounds"] = [
-        BOUND_CODE_TO_NAME[int(code)] for code in result.bound_codes
-    ]
-    data["statuses"] = [
-        STATUS_CODE_TO_NAME[int(code)] for code in result.status_codes
-    ]
+        data[name] = encode_column(getattr(result, name), FLOAT_COLUMN)
+    data["bounds"] = _encode_codes(result.bound_codes, BOUND_CODE_TO_NAME)
+    data["statuses"] = _encode_codes(result.status_codes, STATUS_CODE_TO_NAME)
     data["knee_fraction"] = result.knee_fraction
     data["tolerance"] = result.tolerance
     return data
 
 
-def batch_result_from_dict(data: Dict[str, Any]) -> "BatchResult":
+def batch_result_from_dict(data: Any) -> "BatchResult":
     """Rebuild a batch result from :func:`batch_result_to_dict` output."""
-    import numpy as np
-
     from ..batch.result import BatchResult
 
     if not isinstance(data, dict):
         raise _result_error(
             "<root>", f"must be a mapping, got {type(data).__name__}"
         )
-    if "matrix" not in data:
-        raise _result_error("matrix", "missing")
-    matrix = design_matrix_from_dict(data["matrix"])
-    columns = {
-        name: np.asarray(
-            _float_list("<root>", data, name), dtype=np.float64
-        )
-        for name in _RESULT_COLUMNS
-    }
-    for key in ("bounds", "statuses", "knee_fraction", "tolerance"):
+    for key in ("matrix", "bounds", "statuses", "knee_fraction", "tolerance"):
         if key not in data:
             raise _result_error(key, "missing")
-    bound_codes = np.asarray(
-        _decode_names("bounds", data["bounds"], BOUND_NAME_TO_CODE),
-        dtype=np.int8,
-    )
-    status_codes = np.asarray(
-        _decode_names("statuses", data["statuses"], STATUS_NAME_TO_CODE),
-        dtype=np.int8,
-    )
+    rows = _rows_of("batch", data)
+    matrix = design_matrix_from_dict(data["matrix"])
+    if len(matrix) != rows:
+        raise _result_error("matrix.rows", f"{len(matrix)} for {rows} rows")
+    columns = {
+        name: decode_column(name, data.get(name), FLOAT_COLUMN, rows)
+        for name in _RESULT_COLUMNS
+    }
     return BatchResult(
         matrix=matrix,
-        bound_codes=bound_codes,
-        status_codes=status_codes,
-        knee_fraction=data["knee_fraction"],
-        tolerance=data["tolerance"],
+        bound_codes=_decode_codes(
+            "bounds", data["bounds"], BOUND_NAME_TO_CODE, rows
+        ),
+        status_codes=_decode_codes(
+            "statuses", data["statuses"], STATUS_NAME_TO_CODE, rows
+        ),
+        knee_fraction=_number("knee_fraction", data["knee_fraction"]),
+        tolerance=_number("tolerance", data["tolerance"]),
         **columns,
     )
 
@@ -306,7 +413,7 @@ def batch_result_from_dict(data: Dict[str, Any]) -> "BatchResult":
 # Shard checkpoints (the wire format of the sharded executor)
 # ---------------------------------------------------------------------------
 #: Version stamped on every shard manifest document.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Manifest kinds a checkpoint directory may hold.
 MANIFEST_KINDS = ("study", "matrix")
@@ -329,7 +436,7 @@ def shard_manifest_to_dict(manifest: "ShardManifest") -> Dict[str, Any]:
     ``manifest.json`` pins a checkpoint directory to one sharded run::
 
         {
-          "version": 1,
+          "version": 2,
           "kind": "study",             // or "matrix"
           "digest": "9f2c...",         // content digest of the source
           "total_rows": 1000000,       // rows in the full grid
@@ -403,13 +510,13 @@ def shard_record_to_dict(result: "ShardResult") -> Dict[str, Any]:
     One object per shard file, on a single line::
 
         {"index": 3, "start": 196608, "stop": 262144,
-         "local_indices": null,          // or top-k row indices
-         "extras": {"total_mass_g": [...], ...},
+         "local_indices": null,          // or a "<i8" column object
+         "extras": {"total_mass_g": {"dtype": "<f8", "b64": ...}, ...},
          "batch": { ...batch_result_to_dict... }}
 
     ``local_indices`` is ``null`` for a full shard (its batch covers
     exactly ``[start, stop)``) and the shard-local winner indices for a
-    reduced (top-k) shard.
+    reduced (top-k) shard.  Every column holds exactly the batch's rows.
     """
     return {
         "index": result.index,
@@ -418,10 +525,10 @@ def shard_record_to_dict(result: "ShardResult") -> Dict[str, Any]:
         "local_indices": (
             None
             if result.local_indices is None
-            else [int(i) for i in result.local_indices]
+            else encode_column(result.local_indices, INDEX_COLUMN)
         ),
         "extras": {
-            name: column.tolist()
+            name: encode_column(column, FLOAT_COLUMN)
             for name, column in (result.extras or {}).items()
         },
         "batch": batch_result_to_dict(result.batch),
@@ -430,8 +537,6 @@ def shard_record_to_dict(result: "ShardResult") -> Dict[str, Any]:
 
 def shard_record_from_dict(data: Any) -> "ShardResult":
     """Rebuild a shard record from :func:`shard_record_to_dict` output."""
-    import numpy as np
-
     from ..batch.executor import ShardResult
 
     if not isinstance(data, dict):
@@ -448,19 +553,17 @@ def shard_record_from_dict(data: Any) -> "ShardResult":
                 f"must be an integer, got {data[key]!r}",
             )
     batch = batch_result_from_dict(data["batch"])
+    rows = len(batch)
     local_indices = data.get("local_indices")
     if local_indices is not None:
-        local_indices = np.asarray(local_indices, dtype=np.intp)
-        if local_indices.shape != (len(batch),):
-            raise _result_error(
-                "shard.local_indices",
-                f"{local_indices.size} indices for {len(batch)} rows",
-            )
-    elif len(batch) != data["stop"] - data["start"]:
+        local_indices = decode_column(
+            "shard.local_indices", local_indices, INDEX_COLUMN, rows,
+            stop=data["stop"] - data["start"],
+        )
+    elif rows != data["stop"] - data["start"]:
         raise _result_error(
             "shard.batch",
-            f"{len(batch)} rows for range "
-            f"[{data['start']}, {data['stop']})",
+            f"{rows} rows for range [{data['start']}, {data['stop']})",
         )
     extras = data["extras"]
     if not isinstance(extras, dict):
@@ -475,7 +578,9 @@ def shard_record_from_dict(data: Any) -> "ShardResult":
         batch=batch,
         local_indices=local_indices,
         extras={
-            name: np.asarray(column, dtype=np.float64)
+            name: decode_column(
+                f"shard.extras.{name}", column, FLOAT_COLUMN, rows
+            )
             for name, column in extras.items()
         },
     )
@@ -880,8 +985,6 @@ def serve_envelope_from_dict(data: Any) -> Dict[str, Any]:
 
 def design_matrices_equal(a: "DesignMatrix", b: "DesignMatrix") -> bool:
     """Bitwise column equality plus labels and knee rule."""
-    import numpy as np
-
     return (
         len(a) == len(b)
         and all(
@@ -895,8 +998,6 @@ def design_matrices_equal(a: "DesignMatrix", b: "DesignMatrix") -> bool:
 
 def batch_results_equal(a: "BatchResult", b: "BatchResult") -> bool:
     """Bitwise equality of two batch results, matrices included."""
-    import numpy as np
-
     return (
         design_matrices_equal(a.matrix, b.matrix)
         and all(

@@ -6,8 +6,9 @@ logical axes the evaluated points lie on (so any result column
 reshapes back onto the study's grid), the selection the spec's
 ``filters``/``rank`` clauses produced, and the assembly layer's
 mass/TDP accounting columns.  Like the spec, it is plain data:
-``to_dict``/``from_dict``/JSON round-trips are lossless, with bound
-and verdict columns carried as stable names.
+``to_dict``/``from_dict``/JSON round-trips are bitwise lossless, with
+every per-row array carried as base64 column bytes and bound and
+verdict codes carrying their stable names.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..io.serialization import (
     BOUND_CODE_TO_NAME,
+    FLOAT_COLUMN,
+    INDEX_COLUMN,
     STATUS_CODE_TO_NAME,
     batch_result_from_dict,
     batch_result_to_dict,
     batch_results_equal,
+    decode_column,
+    encode_column,
     telemetry_from_dict,
 )
 from ..batch.result import BatchResult
@@ -38,7 +43,31 @@ from .spec import (
 )
 
 #: Serialization format version stamped on every result dict.
-RESULT_VERSION = 1
+RESULT_VERSION = 2
+
+
+def _axes_from_list(entries: Any) -> Tuple[StudyAxis, ...]:
+    """Study axes from the result document's ``axes`` list."""
+    if not isinstance(entries, list):
+        raise ConfigurationError(
+            "result field 'axes': must be a list, got "
+            f"{type(entries).__name__}"
+        )
+    axes: List[StudyAxis] = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"result field 'axes[{i}]': must be a mapping, got "
+                f"{type(entry).__name__}"
+            )
+        for key, kind in (("name", str), ("values", list)):
+            if not isinstance(entry.get(key), kind):
+                raise ConfigurationError(
+                    f"result field 'axes[{i}].{key}': must be a "
+                    f"{kind.__name__}, got {entry.get(key)!r}"
+                )
+        axes.append(StudyAxis(name=entry["name"], values=tuple(entry["values"])))
+    return tuple(axes)
 
 
 # eq=False: ndarray fields; identity semantics — use :meth:`equals`.
@@ -187,6 +216,8 @@ class StudyResult:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
+        """The version-pinned result document; every per-row array is
+        an :func:`~repro.io.serialization.encode_column` object."""
         out = {
             "version": RESULT_VERSION,
             "spec": self.spec.to_dict(),
@@ -195,9 +226,11 @@ class StudyResult:
                 for axis in self.axes
             ],
             "batch": batch_result_to_dict(self.batch),
-            "selected_indices": self.selected_indices.tolist(),
-            "total_mass_g": self.total_mass_g.tolist(),
-            "compute_tdp_w": self.compute_tdp_w.tolist(),
+            "selected_indices": encode_column(
+                self.selected_indices, INDEX_COLUMN
+            ),
+            "total_mass_g": encode_column(self.total_mass_g, FLOAT_COLUMN),
+            "compute_tdp_w": encode_column(self.compute_tdp_w, FLOAT_COLUMN),
         }
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry
@@ -228,22 +261,21 @@ class StudyResult:
                 raise ConfigurationError(
                     f"result field {key!r}: missing"
                 )
-        axes = tuple(
-            StudyAxis(name=entry["name"], values=tuple(entry["values"]))
-            for entry in data["axes"]
-        )
+        batch = batch_result_from_dict(data["batch"])
+        rows = len(batch)
         return cls(
             spec=StudySpec.from_dict(data["spec"]),
-            axes=axes,
-            batch=batch_result_from_dict(data["batch"]),
-            selected_indices=np.asarray(
-                data["selected_indices"], dtype=np.intp
+            axes=_axes_from_list(data["axes"]),
+            batch=batch,
+            selected_indices=decode_column(
+                "selected_indices", data["selected_indices"], INDEX_COLUMN,
+                stop=rows,
             ),
-            total_mass_g=np.asarray(
-                data["total_mass_g"], dtype=np.float64
+            total_mass_g=decode_column(
+                "total_mass_g", data["total_mass_g"], FLOAT_COLUMN, rows
             ),
-            compute_tdp_w=np.asarray(
-                data["compute_tdp_w"], dtype=np.float64
+            compute_tdp_w=decode_column(
+                "compute_tdp_w", data["compute_tdp_w"], FLOAT_COLUMN, rows
             ),
             telemetry=telemetry_from_dict(data.get("telemetry")),
         )
@@ -268,7 +300,13 @@ class StudyResult:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StudyResult":
         """Read a result previously written by :meth:`save`."""
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"result field '<root>': not UTF-8 text: {exc}"
+            ) from exc
+        return cls.from_json(text)
 
     def equals(self, other: "StudyResult") -> bool:
         """Deep value equality (bitwise on every column).

@@ -198,6 +198,36 @@ class TestRPL003WireGuard:
         assert len(findings) == 1
         assert "missing from this module" in findings[0].message
 
+    def test_codec_helper_edit_without_bump_flagged(self, tmp_path):
+        """Switching base64 for hex inside the column codec moves no
+        builder's own AST and no runtime shape (both stay ``str``), so
+        every column builder folds the codec into its fingerprint."""
+        source = (SRC_REPRO / "io" / "serialization.py").read_text()
+        edited = source.replace("base64.b64encode(", "base64.b16encode(")
+        assert edited != source
+        snap = tmp_path / "snap.json"
+        snap.write_text(
+            json.dumps(
+                {
+                    "version": wire.SNAPSHOT_VERSION,
+                    "builders": wire.ast_snapshot_of_source(source),
+                    "shapes": {},
+                }
+            )
+        )
+        module = tmp_path / "serialization.py"
+        module.write_text(edited)
+        findings = Analyzer(
+            AnalyzerConfig(wire_modules=("serialization.py",), wire_snapshot=snap)
+        ).check_file(module)
+        flagged = [f for f in findings if f.rule == "RPL003"]
+        assert sorted(f.message.split("'")[1] for f in flagged) == [
+            "batch_result_to_dict",
+            "design_matrix_to_dict",
+            "shard_record_to_dict",
+        ]
+        assert all("is still" in f.message for f in flagged)
+
     def test_docstring_edit_does_not_move_fingerprint(self):
         source = (FIXTURES / "rpl003_serialization.py").read_text()
         reworded = source.replace(

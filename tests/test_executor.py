@@ -40,14 +40,18 @@ from repro.batch import (
 from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard, _init_worker
 from repro.errors import ConfigurationError
 from repro.io.serialization import (
+    MANIFEST_VERSION,
     batch_results_equal,
     design_matrices_equal,
     shard_manifest_from_dict,
+    shard_record_from_dict,
+    shard_record_to_dict,
 )
 from repro.skyline.cli import main as cli_main
 from repro.study import (
     DesignSpec,
     ScenarioSpec,
+    StudyResult,
     StudySpec,
     compile_chunk,
     compile_spec,
@@ -494,6 +498,13 @@ class TestShardedPipeline:
 # ---------------------------------------------------------------------------
 # Checkpoints and resume
 # ---------------------------------------------------------------------------
+def _short_extras(record: dict) -> bytes:
+    """A record whose accounting column is one row short of its batch."""
+    shard = shard_record_from_dict(record)
+    shard.extras["total_mass_g"] = shard.extras["total_mass_g"][:-1]
+    return json.dumps(shard_record_to_dict(shard)).encode()
+
+
 class TestCheckpoints:
     def test_checkpoint_writes_manifest_and_shards(self, tmp_path):
         spec = _knob_spec()
@@ -547,16 +558,31 @@ class TestCheckpoints:
         with pytest.raises(ConfigurationError, match="checkpoint directory"):
             run_study(_knob_spec(), cache=None, resume=True)
 
-    def test_corrupt_shard_is_recomputed_not_trusted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda record: b"{ definitely not json\n",
+            lambda record: b"\xff\xfe not utf-8\n",
+            lambda record: json.dumps(
+                {**record, "batch": {**record["batch"], "tolerance": "loose"}}
+            ).encode(),
+            _short_extras,
+        ],
+        ids=["text-garbage", "invalid-utf8", "str-tolerance", "short-extras"],
+    )
+    def test_corrupt_shard_is_recomputed_not_trusted(self, tmp_path, damage):
+        """A record that fails to parse or validate reads as absent: the
+        resume recomputes it instead of aborting or trusting it."""
         spec = _knob_spec()
         first = run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)
         shard = sorted(tmp_path.glob("shard-*.jsonl"))[2]
-        shard.write_text("{ definitely not json\n")
+        original = shard.read_bytes()
+        shard.write_bytes(damage(json.loads(original)))
         resumed = run_study(
             spec, cache=None, chunk_rows=5, checkpoint=tmp_path, resume=True
         )
         assert first.equals(resumed)
-        assert json.loads(shard.read_text())["index"] == 2  # rewritten
+        assert shard.read_bytes() == original  # rewritten
 
     def test_misfiled_shard_record_is_recomputed_not_trusted(self, tmp_path):
         """A record whose range disagrees with its index (hand-edited,
@@ -575,12 +601,15 @@ class TestCheckpoints:
     def test_corrupt_manifest_is_a_clean_error(self, tmp_path):
         spec = _knob_spec()
         run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)
-        (tmp_path / "manifest.json").write_text("{ nope")
-        with pytest.raises(ConfigurationError, match="manifest .* unreadable"):
-            run_study(
-                spec, cache=None, chunk_rows=5,
-                checkpoint=tmp_path, resume=True,
-            )
+        for damage in (b"{ nope", b"\xff\xfe{}"):  # bad JSON, bad UTF-8
+            (tmp_path / "manifest.json").write_bytes(damage)
+            with pytest.raises(
+                ConfigurationError, match="manifest .* unreadable"
+            ):
+                run_study(
+                    spec, cache=None, chunk_rows=5,
+                    checkpoint=tmp_path, resume=True,
+                )
 
     def test_mismatched_manifest_is_rejected(self, tmp_path):
         run_study(_knob_spec(), cache=None, chunk_rows=5, checkpoint=tmp_path)
@@ -610,12 +639,14 @@ class TestCheckpoints:
         assert batch_results_equal(expected, merged)
 
     def test_manifest_wire_format_validation(self):
-        with pytest.raises(ConfigurationError, match="'version'"):
-            shard_manifest_from_dict({"version": 99})
+        for version in (99, 1):  # a future and a retired generation
+            with pytest.raises(ConfigurationError, match="'version'"):
+                shard_manifest_from_dict({"version": version})
         with pytest.raises(ConfigurationError, match="'kind'"):
             shard_manifest_from_dict(
                 {
-                    "version": 1, "kind": "nonsense", "digest": "x",
+                    "version": MANIFEST_VERSION, "kind": "nonsense",
+                    "digest": "x",
                     "total_rows": 1, "chunk_rows": 1, "n_shards": 1,
                     "knee_fraction": None, "tolerance": 0.05,
                     "reduce": None,
@@ -751,7 +782,7 @@ class TestStudyCLIScaling:
         )
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert len(data["batch"]["safe_velocity"]) == 18
+        assert len(StudyResult.from_dict(data)) == 18
 
     def test_bad_workers_exits_2_naming_the_flag(self, capsys):
         code = cli_main(

@@ -168,12 +168,22 @@ class TestResultSerialization:
         assert rebuilt.bounds() == batch.bounds()
         assert rebuilt.statuses() == batch.statuses()
 
-    def test_bounds_serialize_as_names_not_ints(self, batch):
-        from repro.io.serialization import batch_result_to_dict
+    def test_codes_carry_the_pinned_names_list(self, batch):
+        from repro.io.serialization import (
+            BOUND_CODE_TO_NAME,
+            STATUS_CODE_TO_NAME,
+            batch_result_to_dict,
+        )
 
         data = batch_result_to_dict(batch)
-        assert all(isinstance(name, str) for name in data["bounds"])
-        assert all(isinstance(name, str) for name in data["statuses"])
+        for key, pinned in (
+            ("bounds", BOUND_CODE_TO_NAME),
+            ("statuses", STATUS_CODE_TO_NAME),
+        ):
+            assert data[key]["dtype"] == "<i1"
+            assert data[key]["names"] == [
+                pinned[code] for code in range(len(pinned))
+            ]
 
     def test_code_maps_pin_the_kernel_tables(self):
         """The wire mapping stays consistent with the live kernels: if
@@ -205,7 +215,7 @@ class TestResultSerialization:
         )
 
         data = batch_result_to_dict(batch)
-        data["bounds"][0] = "banana"
+        data["bounds"]["names"][0] = "banana"
         with pytest.raises(ConfigurationError, match="banana"):
             batch_result_from_dict(data)
 

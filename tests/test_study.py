@@ -491,6 +491,13 @@ class TestFiltersAndRank:
         assert rebuilt.equals(study)
 
 
+def _edited(study: StudyResult, edit) -> bytes:
+    """``study``'s JSON document after ``edit`` mutates it in place."""
+    data = study.to_dict()
+    edit(data)
+    return json.dumps(data).encode()
+
+
 class TestResultRoundTrip:
     def test_result_dict_roundtrip_all_kinds(self):
         specs = [
@@ -528,16 +535,38 @@ class TestResultRoundTrip:
         assert spec.scenarios is None
         assert StudySpec.from_json(spec.to_json()) == spec
 
-    # Regression: a result document missing the accounting columns
-    # used to fail with a shape error instead of naming the key.
-    def test_missing_result_extras_named(self):
-        study = run_study(knob_spec(compute_tdp_w=[1.0, 30.0]))
-        data = study.to_dict()
-        del data["total_mass_g"]
-        with pytest.raises(
-            ConfigurationError, match="'total_mass_g'.*missing"
-        ):
-            StudyResult.from_dict(data)
+    # Regression: a damaged result document (a missing accounting
+    # column, malformed axes, bytes that are not UTF-8, a selection
+    # outside the grid) used to leak a raw KeyError/TypeError/
+    # UnicodeDecodeError, or load and then fail on first use, instead
+    # of naming the field.  Version-1 (float text) documents are
+    # refused by version.
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda study: _edited(study, lambda d: d.pop("total_mass_g")),
+             "'total_mass_g'.*missing"),
+            (lambda study: _edited(study, lambda d: d["axes"][0].pop("name")),
+             r"'axes\[0\]\.name'"),
+            (lambda study: _edited(study, lambda d: d.update(axes=5)),
+             "'axes'"),
+            (lambda study: b"\xff" + study.to_json().encode(), "'<root>'"),
+            (lambda study: replace(
+                study, selected_indices=[1_000_000]
+            ).to_json().encode(), "'selected_indices'"),
+            (lambda study: _edited(study, lambda d: d.update(version=1)),
+             "'version'"),
+        ],
+        ids=[
+            "missing-extras", "axis-without-name", "axes-not-a-list",
+            "invalid-utf8", "selection-out-of-range", "retired-version",
+        ],
+    )
+    def test_missing_result_extras_named(self, tmp_path, damage, field):
+        path = tmp_path / "result.json"
+        path.write_bytes(damage(run_study(knob_spec(compute_tdp_w=[1.0, 30.0]))))
+        with pytest.raises(ConfigurationError, match=field):
+            StudyResult.load(path)
 
     def test_save_load_files(self, tmp_path):
         spec = knob_spec(compute_runtime_s=[0.01, 0.1])
