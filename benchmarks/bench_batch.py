@@ -1,6 +1,6 @@
 """Benchmark: scalar-loop vs. batch F-1 evaluation at fleet scale.
 
-Two end-to-end comparisons:
+Three end-to-end comparisons:
 
 * **engine** — the same design grids through the per-point
   :class:`~repro.core.model.F1Model` loop and the vectorized
@@ -9,10 +9,15 @@ Two end-to-end comparisons:
   ``Knobs.build_uav().f1(...)`` idiom and the columnar
   :class:`~repro.batch.assembly.KnobMatrix` chain (assembly *plus*
   evaluation), the regime `sweep_grid` multi-knob studies live in.
+* **fleet-assembly** — a preset x scenario study compiled through the
+  per-row expansion (one ``dataclasses.replace`` per row, then
+  ``assemble_configurations`` and a derated second matrix build) and
+  through ``compile_spec``'s column expansion, asserting the two
+  matrices are bitwise equal.
 
-Each runs at 1k / 10k / 100k points, asserting the batch path wins by
-the required margin at 10k and above.  A third comparison — **study**
-— runs the same knob grid through the declarative
+Each runs at 1k / 10k / 100k points; engine and assembly assert the
+batch path wins by the required margin at 10k and above.  A fourth
+comparison — **study** — runs the same knob grid through the declarative
 :mod:`repro.study` layer (spec construction + planner compile +
 dispatch) and asserts the abstraction costs < 5% over the raw
 ``KnobMatrix`` + ``evaluate_matrix`` path at 100k points, so the
@@ -29,6 +34,7 @@ smoke-speed run at small-but-stable sizes into ``<dir>`` for
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import replace
 
@@ -38,11 +44,14 @@ from _recording import GATE, SMOKE, record
 from repro.batch import (
     DesignMatrix,
     KnobMatrix,
+    assemble_configurations,
     cartesian_product,
     evaluate_matrix,
     scenario_grid,
 )
+from repro.dse import DesignSpace
 from repro.skyline.knobs import Knobs
+from repro.study import DesignSpec, ScenarioSpec, StudySpec, compile_spec
 
 if SMOKE:
     SIZES = (1_000,) if GATE else (64,)
@@ -161,6 +170,83 @@ def _measure_assembly(n_points: int) -> dict:
     }
 
 
+def _fleet_spec(n_points: int) -> StudySpec:
+    """8 preset designs x (payloads x 2 scales x 2 redundancies), with
+    the payload axis sized for at least ``n_points`` rows."""
+    payloads = -(-n_points // 32)
+    return StudySpec(
+        design=DesignSpec.presets(
+            ("dji-spark", "custom-s500-b"),
+            ("navion", "jetson-tx2"),
+            ("dronet", "trailnet"),
+        ),
+        scenarios=ScenarioSpec(
+            extra_payload_g=tuple(np.linspace(0.0, 250.0, payloads)),
+            a_max_scale=(0.6, 1.0),
+            compute_redundancy=(1, 2),
+        ),
+    )
+
+
+def _per_row_fleet_compile(spec: StudySpec) -> DesignMatrix:
+    """The per-row expansion: one validated configuration per row."""
+    design = spec.design
+    axes = spec.scenarios.axes()
+    candidates = list(
+        DesignSpace(
+            design.uav_names, design.compute_names, design.algorithm_names
+        ).candidates()
+    )
+    rows = [dict(zip(axes, row)) for row in itertools.product(*axes.values())]
+    uavs, labels = [], []
+    for c in candidates:
+        for values in rows:
+            uavs.append(
+                replace(
+                    c.uav,
+                    extra_payload_g=(
+                        c.uav.extra_payload_g + values["extra_payload_g"]
+                    ),
+                    compute_redundancy=int(values["compute_redundancy"]),
+                )
+            )
+            suffix = ",".join(f"{n}={v:g}" for n, v in values.items())
+            labels.append(
+                f"{c.uav_name}+{c.compute_name}+{c.algorithm_name} [{suffix}]"
+            )
+    rates = np.repeat([c.f_compute_hz for c in candidates], len(rows))
+    matrix = assemble_configurations(uavs, rates, labels=labels).matrix
+    scale = np.tile([v["a_max_scale"] for v in rows], len(candidates))
+    return DesignMatrix.from_arrays(
+        sensing_range_m=matrix.sensing_range_m,
+        a_max=matrix.a_max * scale,
+        f_sensor_hz=matrix.f_sensor_hz,
+        f_compute_hz=matrix.f_compute_hz,
+        f_control_hz=matrix.f_control_hz,
+        labels=matrix.labels,
+        knee_fraction=matrix.knee_fraction,
+    )
+
+
+def _measure_fleet_assembly(n_points: int) -> dict:
+    spec = _fleet_spec(n_points)
+    reference = _per_row_fleet_compile(spec)
+    columnar = compile_spec(spec).matrix
+    for name, got, want in zip(
+        columnar.column_names, columnar.columns(), reference.columns()
+    ):
+        assert got.tobytes() == want.tobytes(), name
+    assert columnar.labels == reference.labels
+    scalar_s = _best_of(_per_row_fleet_compile, spec)
+    batch_s = _best_of(compile_spec, spec)
+    return {
+        "points": len(columnar),
+        "scalar_s": round(scalar_s, 6),
+        "batch_s": round(batch_s, 6),
+        "speedup": round(scalar_s / batch_s, 1),
+    }
+
+
 def _record(benchmark: str, rows: list) -> None:
     record("bench_batch.json", benchmark, rows)
 
@@ -194,6 +280,12 @@ def test_bench_assembly_vs_scalar():
     for row in rows:
         if row["points"] >= 10_000:
             assert row["speedup"] >= MIN_ASSEMBLY_SPEEDUP, row
+
+
+def test_bench_fleet_assembly_vs_per_row():
+    rows = [_measure_fleet_assembly(n) for n in SIZES]
+    _print_rows("fleet-assembly", rows)
+    _record("fleet-assembly", rows)
 
 
 def test_bench_batch_100k_under_one_second():

@@ -26,8 +26,8 @@ Two deliberate choices keep the gate meaningful on shared runners:
 * Parallel-executor speedups only gate at *scale* (``points`` >=
   10k): below that, pool dispatch dominates and the ratio is noise.
   The smoke-speed gate rows are recorded at 1000 points for the
-  engine/assembly/study metrics, where the measured run-to-run spread
-  is comfortably inside the threshold.
+  engine/assembly/study metrics (1024 for fleet-assembly), where the
+  measured run-to-run spread is comfortably inside the threshold.
 
 Exit codes: 0 (no regressions), 1 (regression), 2 (bad invocation).
 """
@@ -45,6 +45,7 @@ from typing import Dict, List, Tuple
 METRICS = {
     "engine": ("speedup", "higher", 0),
     "assembly": ("speedup", "higher", 0),
+    "fleet-assembly": ("speedup", "higher", 0),
     "study": ("overhead", "lower", 0),
     "executor-study": ("speedup", "higher", 10_000),
     "executor-topk": ("speedup", "higher", 10_000),

@@ -15,7 +15,11 @@ This module columnizes the whole assembly chain:
 * :func:`assemble_configurations` — the same columnar accounting for
   arbitrary :class:`~repro.uav.configuration.UAVConfiguration` fleets
   (heterogeneous components, payload overrides, redundancy), used by
-  the design-space explorer.
+  the design-space explorer.  It is two steps a caller may also run
+  apart: :func:`configuration_columns` gathers the component figures
+  into columns, and :func:`assemble_columns` runs the chain over them,
+  so the study planner can cross N configurations with M scenarios by
+  editing columns instead of building N*M objects.
 
 Both paths share their arithmetic with the scalar properties through
 the plain functions in :mod:`repro.uav.budget`,
@@ -31,6 +35,7 @@ from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Iterable,
     Optional,
     Sequence,
@@ -337,83 +342,113 @@ class FleetAssembly:
         return len(self.matrix)
 
 
-def assemble_configurations(
+def configuration_columns(
     uavs: Sequence["UAVConfiguration"],
-    f_compute_hz: ArrayLike,
-    labels: Optional[Sequence[str]] = None,
-) -> FleetAssembly:
-    """Columnize whole UAV configurations into one design matrix.
+) -> Dict[str, np.ndarray]:
+    """Gather each configuration's component figures into columns.
 
-    Gathers each configuration's raw component figures into columns and
-    runs the heatsink / payload / mass / thrust / acceleration chain
-    vectorized — the same plain functions the scalar properties call —
-    honoring ``payload_override_g``, ``compute_redundancy``,
-    ``needs_heatsink`` and per-vehicle braking pitch.  Numerically
-    identical to reading ``uav.max_acceleration`` per vehicle.
+    The only per-configuration Python of fleet assembly: everything
+    after it is whole-column arithmetic, so callers may expand or edit
+    the columns (the study planner crosses them with scenario axes)
+    before :func:`assemble_columns` runs the chain.  ``name`` (which
+    error messages cite) is an object column and ``needs_heatsink`` a
+    bool one; the rest are float64, ``payload_override_g`` holding NaN
+    where no override is set and ``a_max_scale`` — the Eq. 5
+    acceleration's derating factor — 1 for a configuration as built.
     """
-    uavs = list(uavs)
-    if not uavs:
-        raise ConfigurationError("a fleet needs at least one configuration")
 
     def column(getter: Callable[["UAVConfiguration"], float]) -> np.ndarray:
         return np.asarray([getter(u) for u in uavs], dtype=np.float64)
 
-    tdp_w = column(lambda u: u.compute.tdp_w)
-    needs_heatsink = np.asarray(
-        [u.compute.needs_heatsink for u in uavs], dtype=bool
+    return {
+        "name": np.array([u.name for u in uavs], dtype=object),
+        "tdp_w": column(lambda u: u.compute.tdp_w),
+        "needs_heatsink": np.array(
+            [u.compute.needs_heatsink for u in uavs], dtype=bool
+        ),
+        "module_mass_g": column(lambda u: u.compute.mass_g),
+        "carrier_mass_g": column(lambda u: u.compute.carrier_mass_g),
+        "compute_redundancy": column(lambda u: u.compute_redundancy),
+        "battery_mass_g": column(lambda u: u.battery.mass_g),
+        "sensor_mass_g": column(lambda u: u.sensor.mass_g),
+        "extra_payload_g": column(lambda u: u.extra_payload_g),
+        "payload_override_g": column(
+            lambda u: np.nan
+            if u.payload_override_g is None
+            else u.payload_override_g
+        ),
+        "frame_mass_g": column(lambda u: u.frame.base_mass_g),
+        "flight_controller_mass_g": column(
+            lambda u: u.flight_controller.mass_g
+        ),
+        "rotor_pull_g": column(lambda u: u.motor.rated_pull_g),
+        "rotor_count": column(lambda u: u.frame.rotor_count),
+        "braking_pitch_deg": column(lambda u: u.braking_pitch_deg),
+        "sensing_range_m": column(lambda u: u.sensor.range_m),
+        "f_sensor_hz": column(lambda u: u.sensor.framerate_hz),
+        "f_control_hz": column(lambda u: u.flight_controller.loop_rate_hz),
+        "a_max_scale": np.ones(len(uavs)),
+    }
+
+
+def assemble_columns(
+    columns: Dict[str, np.ndarray],
+    f_compute_hz: ArrayLike,
+    labels: Optional[Sequence[str]] = None,
+) -> FleetAssembly:
+    """Run the accounting chain over :func:`configuration_columns` output.
+
+    The heatsink / payload / mass / thrust / acceleration chain,
+    vectorized through the same plain functions the scalar properties
+    call, honoring ``payload_override_g``, ``compute_redundancy``,
+    ``needs_heatsink`` and per-vehicle braking pitch; ``a_max`` is
+    derated by ``a_max_scale`` before the one design matrix is built.
+    """
+    tdp_w = columns["tdp_w"]
+    heatsink = np.where(
+        columns["needs_heatsink"], heatsink_mass_g_array(tdp_w), 0.0
     )
-    heatsink = np.where(needs_heatsink, heatsink_mass_g_array(tdp_w), 0.0)
     compute_payload = budget.compute_payload_mass_g(
         budget.compute_flight_mass_g(
-            column(lambda u: u.compute.mass_g),
-            column(lambda u: u.compute.carrier_mass_g),
-            heatsink,
+            columns["module_mass_g"], columns["carrier_mass_g"], heatsink
         ),
-        redundancy=column(lambda u: u.compute_redundancy),
+        redundancy=columns["compute_redundancy"],
     )
-    extra_payload = column(lambda u: u.extra_payload_g)
-    override = column(
-        lambda u: np.nan
-        if u.payload_override_g is None
-        else u.payload_override_g
-    )
+    extra_payload = columns["extra_payload_g"]
+    override = columns["payload_override_g"]
     payload = np.where(
         np.isnan(override),
         budget.component_payload_mass_g(
-            column(lambda u: u.battery.mass_g),
-            column(lambda u: u.sensor.mass_g),
+            columns["battery_mass_g"],
+            columns["sensor_mass_g"],
             compute_payload,
             extra_payload,
         ),
         override + extra_payload,
     )
     total_mass = budget.all_up_mass_g(
-        column(lambda u: u.frame.base_mass_g),
-        column(lambda u: u.flight_controller.mass_g),
-        payload,
+        columns["frame_mass_g"], columns["flight_controller_mass_g"], payload
     )
     total_thrust = budget.rated_thrust_g(
-        column(lambda u: u.motor.rated_pull_g),
-        column(lambda u: u.frame.rotor_count),
+        columns["rotor_pull_g"], columns["rotor_count"]
     )
     a_max = thrust_margin_acceleration(
-        total_thrust,
-        total_mass,
-        column(lambda u: u.braking_pitch_deg),
+        total_thrust, total_mass, columns["braking_pitch_deg"]
     )
     if np.any(a_max <= 0.0):
         index = int(np.argmax(a_max <= 0.0))
         raise InfeasibleDesignError(
             f"total thrust {total_thrust[index]:.0f} g cannot move an "
             f"all-up mass of {total_mass[index]:.0f} g and no braking "
-            f"floor is configured (configuration {uavs[index].name!r})"
+            f"floor is configured (configuration "
+            f"{columns['name'][index]!r})"
         )
     matrix = DesignMatrix.from_arrays(
-        sensing_range_m=column(lambda u: u.sensor.range_m),
-        a_max=a_max,
-        f_sensor_hz=column(lambda u: u.sensor.framerate_hz),
+        sensing_range_m=columns["sensing_range_m"],
+        a_max=a_max * columns["a_max_scale"],
+        f_sensor_hz=columns["f_sensor_hz"],
         f_compute_hz=f_compute_hz,
-        f_control_hz=column(lambda u: u.flight_controller.loop_rate_hz),
+        f_control_hz=columns["f_control_hz"],
         labels=labels,
         knee_fraction=DEFAULT_KNEE_FRACTION,
     )
@@ -423,3 +458,20 @@ def assemble_configurations(
         total_thrust_g=total_thrust,
         compute_tdp_w=tdp_w,
     )
+
+
+def assemble_configurations(
+    uavs: Sequence["UAVConfiguration"],
+    f_compute_hz: ArrayLike,
+    labels: Optional[Sequence[str]] = None,
+) -> FleetAssembly:
+    """Columnize whole UAV configurations into one design matrix.
+
+    :func:`configuration_columns` then :func:`assemble_columns`:
+    numerically identical to reading ``uav.max_acceleration`` per
+    vehicle.
+    """
+    uavs = list(uavs)
+    if not uavs:
+        raise ConfigurationError("a fleet needs at least one configuration")
+    return assemble_columns(configuration_columns(uavs), f_compute_hz, labels)

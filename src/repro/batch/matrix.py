@@ -104,7 +104,7 @@ class DesignMatrix:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.labels is not None:
-            labels = tuple(str(label) for label in self.labels)
+            labels = tuple(map(str, self.labels))
             if len(labels) != len(self):
                 raise ConfigurationError(
                     f"{len(labels)} labels for {len(self)} rows"

@@ -60,6 +60,12 @@ class LeaseRecord:
     heartbeats: int
 
 
+def _generation(stat: os.stat_result) -> Tuple[int, int]:
+    """A lease file's identity: every create, heartbeat and steal
+    publishes a new inode with a new mtime."""
+    return stat.st_ino, stat.st_mtime_ns
+
+
 class LeaseStore:
     """Claim, heartbeat, steal and release shard leases in a work dir.
 
@@ -120,34 +126,36 @@ class LeaseStore:
     # -- reading -------------------------------------------------------
     def _inspect(
         self, path: Path, now_s: Optional[float] = None
-    ) -> Tuple[str, Optional[LeaseRecord]]:
-        """(state, record) for one lease file.
+    ) -> Tuple[str, Optional[LeaseRecord], Optional[Tuple[int, int]]]:
+        """(state, record, generation) for one lease file.
 
         States: ``"missing"``, ``"held"`` (live), ``"expired"`` (no
         heartbeat within the holder's declared ttl), or ``"corrupt"``
         (unparseable, torn, or from a different study/protocol — always
-        claimable, never trusted).
+        claimable, never trusted).  ``generation`` identifies the file
+        inspected (see :func:`_generation`); ``None`` when missing.
         """
         try:
             raw = path.read_text(encoding="utf-8")
-            mtime_s = path.stat().st_mtime
+            stat = path.stat()
         except OSError:
-            return "missing", None
+            return "missing", None, None
+        generation = _generation(stat)
         try:
             record = lease_record_from_dict(json.loads(raw))
         except (json.JSONDecodeError, ConfigurationError):
-            return "corrupt", None
+            return "corrupt", None, generation
         if record.spec_digest != self.spec_digest:
-            return "corrupt", record
+            return "corrupt", record, generation
         if now_s is None:
             now_s = self.clock_s()
-        if now_s - mtime_s > record.lease_ttl_s:
-            return "expired", record
-        return "held", record
+        if now_s - stat.st_mtime > record.lease_ttl_s:
+            return "expired", record, generation
+        return "held", record, generation
 
     def holder(self, index: int) -> Optional[LeaseRecord]:
         """The live holder of a shard's lease, if any."""
-        state, record = self._inspect(self.lease_path(index))
+        state, record, _ = self._inspect(self.lease_path(index))
         return record if state == "held" else None
 
     def active(self) -> Dict[int, LeaseRecord]:
@@ -155,7 +163,7 @@ class LeaseStore:
         now_s = self.clock_s()
         live: Dict[int, LeaseRecord] = {}
         for path in sorted(self.directory.glob("shard-*.lease.json")):
-            state, record = self._inspect(path, now_s=now_s)
+            state, record, _ = self._inspect(path, now_s=now_s)
             if state == "held" and record is not None:
                 live[record.shard_index] = record
         return live
@@ -169,6 +177,9 @@ class LeaseStore:
         renamed aside to a per-owner tombstone — ``os.replace`` of a
         vanished source raises, so exactly one of N concurrent stealers
         gets to retire the old lease and contend for the fresh claim.
+        A stealer retires only the generation it inspected: a late one
+        whose lease was re-claimed meanwhile loses instead of retiring
+        the fresh lease.
         A corrupt (torn, truncated, foreign) lease is *warned about*
         and treated as expired; it must never wedge its shard.
         """
@@ -184,7 +195,7 @@ class LeaseStore:
         if self._create_exclusive(path, payload):
             self._count("distrib.leases.claimed")
             return record
-        state, existing = self._inspect(path)
+        state, existing, generation = self._inspect(path)
         if state == "held":
             return None
         if state == "missing":
@@ -204,10 +215,23 @@ class LeaseStore:
             self._count("distrib.leases.corrupt")
         tombstone = path.with_name(path.name + f".stale-{self.owner}")
         try:
+            if _generation(path.stat()) != generation:
+                return None  # a faster stealer re-claimed it since
             os.replace(path, tombstone)
         except OSError:
             return None  # another stealer retired it first
+        try:
+            retired = _generation(tombstone.stat()) == generation
+            if not retired:
+                # A fresh lease replaced the inspected one between the
+                # check and the rename: put it back (unless a claimant
+                # took the free name meanwhile) and lose.
+                os.link(tombstone, path)
+        except OSError:
+            retired = False
         tombstone.unlink(missing_ok=True)
+        if not retired:
+            return None
         if self._create_exclusive(path, payload):
             self._count("distrib.leases.claimed")
             if state == "expired":
@@ -253,7 +277,7 @@ class LeaseStore:
         byte-identical to the thief's, so nothing is lost).
         """
         path = self.lease_path(index)
-        state, record = self._inspect(path)
+        state, record, _ = self._inspect(path)
         if record is None or state == "missing":
             raise StaleLeaseError(
                 f"lease on shard {index} vanished (released or stolen "
@@ -290,7 +314,7 @@ class LeaseStore:
         third claim.
         """
         path = self.lease_path(index)
-        state, record = self._inspect(path)
+        state, record, _ = self._inspect(path)
         if state == "missing":
             return False
         if record is not None and record.owner != self.owner:

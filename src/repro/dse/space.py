@@ -10,7 +10,7 @@ floor, so nothing is silently dropped — but callers can filter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Dict, Iterator, Sequence, Tuple
 
 from ..autonomy.workloads import get_algorithm
 from ..compute.platforms import get_platform
@@ -56,18 +56,27 @@ class DesignSpace:
         )
 
     def candidates(self) -> Iterator[Candidate]:
-        """Yield every composed candidate in deterministic order."""
+        """Yield every composed candidate in deterministic order.
+
+        An algorithm's throughput depends on the platform, not the
+        airframe, so it is computed once per (compute, algorithm) pair
+        and reused for every UAV.
+        """
+        rates: Dict[Tuple[str, str], float] = {}
         for uav_name in self.uav_names:
             base = get_preset(uav_name)
             for compute_name in self.compute_names:
                 platform = get_platform(compute_name)
                 uav = base.with_compute(platform)
                 for algorithm_name in self.algorithm_names:
-                    algorithm = get_algorithm(algorithm_name)
+                    pair = (compute_name, algorithm_name)
+                    if pair not in rates:
+                        algorithm = get_algorithm(algorithm_name)
+                        rates[pair] = algorithm.throughput_on(platform)
                     yield Candidate(
                         uav_name=uav_name,
                         compute_name=compute_name,
                         algorithm_name=algorithm_name,
                         uav=uav,
-                        f_compute_hz=algorithm.throughput_on(platform),
+                        f_compute_hz=rates[pair],
                     )

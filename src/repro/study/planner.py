@@ -4,26 +4,33 @@ The planner turns a declarative spec into exactly the vectorized
 :mod:`repro.batch` execution the legacy entry points performed —
 knob-axes designs go through :class:`~repro.batch.assembly.KnobMatrix`
 (identical to ``sweep_knob``/``sweep_grid``), preset and fleet designs
-through :func:`~repro.batch.assembly.assemble_configurations`
-(identical to ``dse.explore``) — so studies are numerically
-indistinguishable from the call stacks they replace.  Scenario axes
-expand design rows design-major (scenario varies fastest) and stay
-columnar throughout.
+through the two halves of
+:func:`~repro.batch.assembly.assemble_configurations` (identical to
+``dse.explore``) — so studies are numerically indistinguishable from
+the call stacks they replace.  Scenario axes expand design rows
+design-major (scenario varies fastest) and stay columnar throughout:
+N designs are gathered once and crossed with M scenarios by index
+arithmetic, never as N*M configuration objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..batch.assembly import KnobMatrix, assemble_configurations
+from ..batch.assembly import (
+    KnobMatrix,
+    assemble_columns,
+    configuration_columns,
+)
 from ..batch.grid import cartesian_product
 from ..batch.matrix import DesignMatrix
 from ..errors import ConfigurationError
+from ..units import require_nonnegative
 from ..uav.configuration import UAVConfiguration
 from .spec import (
     DesignSpec,
@@ -240,67 +247,73 @@ def _materialize_designs(
     return uavs, rates, labels, (StudyAxis("design", tuple(names)),)
 
 
-def _apply_scenario(
-    uav: UAVConfiguration, values: Dict[str, float]
-) -> UAVConfiguration:
-    changes: Dict[str, Any] = {}
-    if "extra_payload_g" in values:
-        extra = uav.extra_payload_g + values["extra_payload_g"]
-        if extra < 0.0:
+def _scenario_labels(
+    labels: Optional[List[str]], scenario_axes: Dict[str, Tuple[float, ...]]
+) -> Optional[List[str]]:
+    """Design labels crossed with scenario suffixes, each formatted once."""
+    if labels is None or not scenario_axes:
+        return labels
+    names = list(scenario_axes)
+    prefixes = [f"{label} [" for label in labels]
+    suffixes = [
+        ",".join(f"{name}={value:g}" for name, value in zip(names, row)) + "]"
+        for row in itertools.product(*scenario_axes.values())
+    ]
+    return [prefix + suffix for prefix in prefixes for suffix in suffixes]
+
+
+def _shifted_payload(
+    columns: Dict[str, np.ndarray], deltas: np.ndarray
+) -> np.ndarray:
+    """The extra-payload column plus scenario deltas, checked per row.
+
+    The first offending row in row-major order decides the error, as
+    it did when every row was a validated ``UAVConfiguration``.
+    """
+    with np.errstate(over="ignore"):
+        extra = columns["extra_payload_g"] + deltas
+    bad = ~(np.isfinite(extra) & (extra >= 0.0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        value = float(extra[row])
+        if value < 0.0:
             raise spec_error(
                 "scenarios.extra_payload_g",
-                f"payload goes negative on configuration {uav.name!r} "
-                f"({extra:g} g)",
+                f"payload goes negative on configuration "
+                f"{columns['name'][row]!r} ({value:g} g)",
             )
-        changes["extra_payload_g"] = extra
-    if "compute_redundancy" in values:
-        changes["compute_redundancy"] = int(values["compute_redundancy"])
-    return replace(uav, **changes) if changes else uav
+        require_nonnegative("extra_payload_g", value)
+    return extra
 
 
 def _compile_fleet(spec: StudySpec) -> StudyPlan:
     uavs, rates, labels, design_axes = _materialize_designs(spec.design)
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
 
-    scale: Optional[np.ndarray] = None
-    if scenario_axes:
-        rows = list(itertools.product(*scenario_axes.values()))
-        names = list(scenario_axes)
-        expanded_uavs: List[UAVConfiguration] = []
-        expanded_labels: Optional[List[str]] = (
-            [] if labels is not None else None
-        )
-        for i, uav in enumerate(uavs):
-            for row in rows:
-                values = dict(zip(names, row))
-                expanded_uavs.append(_apply_scenario(uav, values))
-                if expanded_labels is not None:
-                    suffix = ",".join(
-                        f"{name}={value:g}"
-                        for name, value in values.items()
-                    )
-                    expanded_labels.append(f"{labels[i]} [{suffix}]")
-        rates = list(np.repeat(np.asarray(rates, dtype=np.float64),
-                               n_scenarios))
-        uavs, labels = expanded_uavs, expanded_labels
-        if "a_max_scale" in scenario_axes:
-            per_row = np.asarray(
-                [dict(zip(names, row))["a_max_scale"] for row in rows],
-                dtype=np.float64,
-            )
-            scale = np.tile(per_row, len(uavs) // n_scenarios)
-
-    fleet = assemble_configurations(uavs, rates, labels=labels)
-    matrix = fleet.matrix
-    if scale is not None:
-        matrix = _with_scaled_a_max(matrix, scale)
+    # N designs x M scenarios, scenario fastest: repeat each design's
+    # columns M times, tile each scenario column N times, then apply
+    # every scenario axis as a column edit.
+    columns = {
+        name: np.repeat(column, n_scenarios)
+        for name, column in configuration_columns(uavs).items()
+    }
+    for name, values in _scenario_columns(scenario_axes).items():
+        column = np.tile(values, len(uavs))
+        if name == "extra_payload_g":
+            column = _shifted_payload(columns, column)
+        columns[name] = column
+    fleet = assemble_columns(
+        columns,
+        np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios),
+        labels=_scenario_labels(labels, scenario_axes),
+    )
 
     study_axes = design_axes + tuple(
         StudyAxis(name, values) for name, values in scenario_axes.items()
     )
     return StudyPlan(
         spec=spec,
-        matrix=matrix,
+        matrix=fleet.matrix,
         axes=study_axes,
         total_mass_g=fleet.total_mass_g,
         compute_tdp_w=fleet.compute_tdp_w,
@@ -462,13 +475,14 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
 
 
 #: Per-process memo of fully compiled fleet/preset plans, keyed by the
-#: spec's canonical JSON.  Fleet designs enumerate Python objects, so a
-#: chunk cannot be built by index arithmetic; instead each worker
-#: compiles the (inherently small, configuration-bounded) full plan
-#: once and slices every subsequent chunk out of it.  The lock keeps
-#: thread-backend workers from compiling N copies of the full plan at
-#: once (or racing the eviction loop) — plans are immutable, so
-#: serializing the compile is the cheap, correct choice.
+#: spec's content digest.  Every chunk of a fleet/preset design needs
+#: the same N gathered configurations (and, for presets, the registry
+#: enumeration), so each worker compiles the configuration-bounded full
+#: plan once and slices every subsequent chunk out of it: N chunks of
+#: one spec cost one compile.  The lock keeps thread-backend workers
+#: from compiling N copies of the full plan at once (or racing the
+#: eviction loop) — plans are immutable, so serializing the compile is
+#: the cheap, correct choice.
 _FLEET_PLAN_MEMO: Dict[str, StudyPlan] = {}
 _FLEET_PLAN_MEMO_SIZE = 4
 _FLEET_PLAN_LOCK = threading.Lock()

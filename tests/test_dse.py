@@ -46,6 +46,43 @@ class TestDesignSpace:
         with pytest.raises(ConfigurationError):
             DesignSpace((), ("jetson-tx2",), ("dronet",))
 
+    def test_throughput_computed_once_per_compute_algorithm_pair(
+        self, small_space, monkeypatch
+    ):
+        import repro.dse.space as space_module
+        from repro.autonomy.workloads import get_algorithm
+        from repro.compute.platforms import get_platform
+
+        calls = []
+
+        class CountingAlgorithm:
+            def __init__(self, name):
+                self.name = name
+                self.algorithm = get_algorithm(name)
+
+            def throughput_on(self, platform):
+                calls.append((platform.name, self.name))
+                return self.algorithm.throughput_on(platform)
+
+        monkeypatch.setattr(space_module, "get_algorithm", CountingAlgorithm)
+        candidates = list(small_space.candidates())
+        pairs = [
+            (c, a)
+            for c in small_space.compute_names
+            for a in small_space.algorithm_names
+        ]
+        assert sorted(calls) == sorted(pairs)
+        assert [c.key for c in candidates] == [
+            (u, c, a)
+            for u in small_space.uav_names
+            for c, a in pairs
+        ]
+        assert [c.f_compute_hz for c in candidates] == [
+            get_algorithm(a).throughput_on(get_platform(c))
+            for _ in small_space.uav_names
+            for c, a in pairs
+        ]
+
 
 class TestExplorer:
     def test_sorted_by_velocity(self, results):

@@ -86,6 +86,22 @@ def _knob_spec(**kwargs) -> StudySpec:
     )
 
 
+def _preset_scenario_spec() -> StudySpec:
+    """A preset design crossed with all three scenario axes."""
+    return StudySpec(
+        design=DesignSpec.presets(
+            uav_names=("dji-spark", "custom-s500-b"),
+            compute_names=("navion", "jetson-tx2"),
+            algorithm_names=("dronet",),
+        ),
+        scenarios=ScenarioSpec(
+            extra_payload_g=(0.0, 40.0),
+            a_max_scale=(0.6, 1.0),
+            compute_redundancy=(1, 2),
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cartesian index arithmetic
 # ---------------------------------------------------------------------------
@@ -365,7 +381,7 @@ class TestShardedStudies:
             ),
             scenarios=ScenarioSpec(compute_redundancy=(1.0, 2.0)),
         )
-        for spec in (presets, fleet):
+        for spec in (presets, fleet, _preset_scenario_spec()):
             single = run_study(spec, cache=None)
             assert single.equals(run_study(spec, cache=None, chunk_rows=3))
 
@@ -389,6 +405,7 @@ class TestShardedStudies:
                     algorithm_names=("dronet", "trailnet"),
                 )
             ),
+            _preset_scenario_spec(),
         ):
             plan = compile_spec(spec)
             assert study_axes(spec) == plan.axes

@@ -3,6 +3,7 @@ legacy surfaces (sweep_knob / sweep_grid / dse.explore / CLI)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -11,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autonomy.workloads import ALGORITHMS
+from repro.batch import DesignMatrix, assemble_configurations
+from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError
 from repro.skyline.cli import main as cli_main
@@ -18,6 +22,7 @@ from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import SWEEPABLE_KNOBS, sweep_grid, sweep_knob
 from repro.skyline.tool import Skyline
 from repro.study import (
+    SCENARIO_AXES,
     DesignSpec,
     FilterClause,
     RankClause,
@@ -27,6 +32,8 @@ from repro.study import (
     compile_spec,
     run_study,
 )
+from repro.study.spec import spec_error
+from repro.uav.registry import UAV_PRESETS, get_preset
 
 
 def knob_spec(**axes) -> StudySpec:
@@ -411,6 +418,227 @@ class TestScenarios:
         f_c = study.batch.matrix.f_compute_hz
         # Design axis outermost: first 4 rows share the first runtime.
         assert np.allclose(f_c[:4], 100.0) and np.allclose(f_c[4:], 10.0)
+
+
+def per_row_compile(spec: StudySpec):
+    """The per-row preset/fleet expansion ``compile_spec`` replaced.
+
+    One ``dataclasses.replace`` per (design, scenario) row, each
+    re-validating its ``UAVConfiguration``, then one
+    ``assemble_configurations`` and, for ``a_max_scale``, a second
+    matrix build: the bitwise reference for the columnar planner.
+    Returns ``(matrix, total_mass_g, compute_tdp_w, axes)``.
+    """
+    design = spec.design
+    if design.kind == "presets":
+        candidates = list(
+            DesignSpace(
+                design.uav_names, design.compute_names, design.algorithm_names
+            ).candidates()
+        )
+        uavs = [c.uav for c in candidates]
+        rates = [c.f_compute_hz for c in candidates]
+        labels = [
+            f"{c.uav_name}+{c.compute_name}+{c.algorithm_name}"
+            for c in candidates
+        ]
+        axes = [
+            ("uav", design.uav_names),
+            ("compute", design.compute_names),
+            ("algorithm", design.algorithm_names),
+        ]
+    else:
+        uavs = list(design.uavs)
+        rates = list(design.f_compute_hz)
+        labels = list(design.labels) if design.labels is not None else None
+        names = design.labels or tuple(u.name for u in uavs)
+        axes = [("design", names)]
+    scenario_axes = spec.scenarios.axes() if spec.scenarios else {}
+    axes += list(scenario_axes.items())
+    scale = None
+    if scenario_axes:
+        rows = [
+            dict(zip(scenario_axes, row))
+            for row in itertools.product(*scenario_axes.values())
+        ]
+        expanded, expanded_labels = [], []
+        for i, uav in enumerate(uavs):
+            for values in rows:
+                changes = {}
+                if "extra_payload_g" in values:
+                    extra = uav.extra_payload_g + values["extra_payload_g"]
+                    if extra < 0.0:
+                        raise spec_error(
+                            "scenarios.extra_payload_g",
+                            f"payload goes negative on configuration "
+                            f"{uav.name!r} ({extra:g} g)",
+                        )
+                    changes["extra_payload_g"] = extra
+                if "compute_redundancy" in values:
+                    changes["compute_redundancy"] = int(
+                        values["compute_redundancy"]
+                    )
+                expanded.append(replace(uav, **changes))
+                if labels is not None:
+                    suffix = ",".join(
+                        f"{name}={value:g}" for name, value in values.items()
+                    )
+                    expanded_labels.append(f"{labels[i]} [{suffix}]")
+        if "a_max_scale" in scenario_axes:
+            scale = np.tile(
+                [values["a_max_scale"] for values in rows], len(uavs)
+            )
+        rates = list(np.repeat(rates, len(rows)))
+        uavs = expanded
+        labels = expanded_labels if labels is not None else None
+    fleet = assemble_configurations(uavs, rates, labels=labels)
+    matrix = fleet.matrix
+    if scale is not None:
+        matrix = DesignMatrix.from_arrays(
+            sensing_range_m=matrix.sensing_range_m,
+            a_max=matrix.a_max * scale,
+            f_sensor_hz=matrix.f_sensor_hz,
+            f_compute_hz=matrix.f_compute_hz,
+            f_control_hz=matrix.f_control_hz,
+            labels=matrix.labels,
+            knee_fraction=matrix.knee_fraction,
+        )
+    return matrix, fleet.total_mass_g, fleet.compute_tdp_w, axes
+
+
+def _outcome(compile_fn, spec):
+    """Bytes of every plan column, or the error's type and message."""
+    try:
+        matrix, total_mass_g, compute_tdp_w, axes = compile_fn(spec)
+    except ConfigurationError as exc:
+        return type(exc), str(exc)
+    return (
+        [column.tobytes() for column in matrix.columns()],
+        matrix.labels,
+        matrix.knee_fraction,
+        total_mass_g.tobytes(),
+        compute_tdp_w.tobytes(),
+        [(name, tuple(values)) for name, values in axes],
+    )
+
+
+def _planner(spec):
+    plan = compile_spec(spec)
+    axes = [(axis.name, axis.values) for axis in plan.axes]
+    return plan.matrix, plan.total_mass_g, plan.compute_tdp_w, axes
+
+
+def _names(draw, pool, max_size):
+    names = st.lists(
+        st.sampled_from(sorted(pool)),
+        min_size=1,
+        max_size=max_size,
+        unique=True,
+    )
+    return tuple(draw(names))
+
+
+@st.composite
+def preset_or_fleet_designs(draw):
+    """Preset subsets (payload-override airframes and heatsinkless
+    platforms included) or fleets, labelled or not, of presets with
+    another computer, extra payload or redundancy."""
+    if draw(st.booleans()):
+        return DesignSpec.presets(
+            _names(draw, UAV_PRESETS, 3),
+            _names(draw, PLATFORMS, 3),
+            _names(draw, ALGORITHMS, 2),
+        )
+    uavs = []
+    for name in _names(draw, UAV_PRESETS, 3):
+        uav = get_preset(name)
+        if draw(st.booleans()):
+            platform = draw(st.sampled_from(sorted(PLATFORMS)))
+            uav = uav.with_compute(get_platform(platform))
+        uav = replace(
+            uav,
+            extra_payload_g=draw(st.floats(0.0, 200.0)),
+            compute_redundancy=draw(st.integers(1, 2)),
+        )
+        uavs.append(uav)
+    rates = draw(
+        st.lists(
+            st.floats(0.5, 500.0), min_size=len(uavs), max_size=len(uavs)
+        )
+    )
+    labels = None
+    if draw(st.booleans()):
+        labels = [f"design-{i}" for i in range(len(uavs))]
+    return DesignSpec.fleet(uavs, rates, labels=labels)
+
+
+@st.composite
+def scenario_specs(draw):
+    """Every non-empty subset of the three scenario axes."""
+    axes = draw(st.sets(st.sampled_from(SCENARIO_AXES), min_size=1))
+    low = draw(st.sampled_from((0.0, -150.0)))
+    values = {
+        "extra_payload_g": st.floats(low, 400.0),
+        "a_max_scale": st.floats(0.05, 2.0),
+        "compute_redundancy": st.integers(1, 3),
+    }
+    return ScenarioSpec(
+        **{
+            name: tuple(draw(st.lists(values[name], min_size=1, max_size=3)))
+            for name in axes
+        }
+    )
+
+
+class TestColumnarFleetCompile:
+    """The planner's column expansion equals the per-row reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=preset_or_fleet_designs(), scenarios=scenario_specs())
+    def test_property_bitwise_equal_to_per_row_expansion(
+        self, design, scenarios
+    ):
+        spec = StudySpec(design=design, scenarios=scenarios)
+        assert _outcome(_planner, spec) == _outcome(per_row_compile, spec)
+
+    @pytest.mark.parametrize(
+        "extra_payload_g, deltas, message",
+        [
+            # Row-major: (uav-0, -20) fails before (uav-1, -5).
+            (
+                (10.0, 0.0),
+                (-5.0, -20.0),
+                "study spec field 'scenarios.extra_payload_g': payload "
+                "goes negative on configuration 'uav-0' (-10 g)",
+            ),
+            (
+                (0.0, 1.5e308),
+                (0.0, 1.5e308),
+                "extra_payload_g must be finite, got inf",
+            ),
+        ],
+        ids=["negative-payload", "overflowing-sum"],
+    )
+    def test_scenario_payload_errors_match_per_row_path(
+        self, extra_payload_g, deltas, message
+    ):
+        uavs = [
+            replace(
+                get_preset("dji-spark"), name=f"uav-{i}", extra_payload_g=extra
+            )
+            for i, extra in enumerate(extra_payload_g)
+        ]
+        spec = StudySpec(
+            design=DesignSpec.fleet(uavs, 30.0),
+            scenarios=ScenarioSpec(extra_payload_g=deltas),
+        )
+        with pytest.raises(ConfigurationError) as per_row:
+            per_row_compile(spec)
+        assert str(per_row.value) == message
+        with pytest.raises(ConfigurationError) as columnar:
+            compile_spec(spec)
+        assert type(columnar.value) is type(per_row.value)
+        assert str(columnar.value) == message
 
 
 class TestFiltersAndRank:
