@@ -184,6 +184,8 @@ def _update_snapshot(snapshot_arg: Optional[str]) -> int:
     )
     wire.write_snapshot(snapshot_path, snapshot)
     print(f"reprolint: wrote wire snapshot to {snapshot_path}")
+    for key, entry in sorted(snapshot["tables"].items()):
+        print(f"  {key:<16} {entry['version_const']} = {entry['version']}")
     return 0
 
 

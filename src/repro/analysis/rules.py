@@ -189,17 +189,20 @@ class ErrorTaxonomyRule(Rule):
 # ---------------------------------------------------------------------------
 @rule
 class WireFormatGuardRule(Rule):
-    """Wire dict builders must not drift from the committed snapshot."""
+    """Wire tables must not drift from the committed snapshot."""
 
     id = "RPL003"
     name = "wire-format-guard"
     rationale = (
-        "PR 4/5 version-pinned the checkpoint manifest, shard record, "
-        "trace event and telemetry wire formats (MANIFEST_VERSION, "
-        "TRACE_EVENT_VERSION, TELEMETRY_VERSION).  Changing a builder's "
-        "structure without bumping its version silently breaks resume "
-        "and replay across builds; the committed fingerprint snapshot "
-        "(tests/data/wire_fingerprints.json) makes the bump mandatory."
+        "Every wire document (checkpoint manifest, shard record, lease, "
+        "trace event and log header, telemetry, serve envelopes, saved "
+        "study result) is one WireTable in repro/io/serialization.py, "
+        "pinned to a *_VERSION constant.  Changing a table, a type "
+        "tag's predicate, the shared emitter and reader or the column "
+        "codec without bumping its version silently breaks resume, "
+        "replay and clients across builds; the committed fingerprint "
+        "snapshot (tests/data/wire_fingerprints.json) makes the bump "
+        "mandatory, and every table must have a snapshot entry."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -212,45 +215,47 @@ class WireFormatGuardRule(Rule):
             # No committed snapshot to guard against (e.g. a vendored
             # copy of the module outside the repo) — nothing to check.
             return
-        snapshot = wire.load_snapshot(snapshot_path)
-        builders = snapshot["builders"]
-        specs = {spec.name: spec for spec in wire.BUILDER_SPECS}
-        for name in sorted(builders):
-            entry = builders[name]
-            spec = specs.get(name) or wire.WireBuilder(
-                name, entry.get("version_const", "")
+        entries = wire.load_snapshot(snapshot_path)["tables"]
+        live = wire.table_fingerprints(module.tree)
+        hint = "regenerate with 'reprolint --update-wire-snapshot'"
+        for key in sorted(set(live) - set(entries)):
+            yield from self.finding(
+                module,
+                live[key].node,
+                f"wire table {key!r} has no snapshot entry; a new wire "
+                f"document needs its {live[key].version_const or '*_VERSION'} "
+                f"pinned in the snapshot: {hint}",
             )
-            fingerprint = wire.function_fingerprint(module.tree, spec)
-            if fingerprint is None:
+        for key in sorted(entries):
+            entry = entries[key]
+            table = live.get(key)
+            if table is None:
                 yield from self.finding(
                     module,
                     module.tree,
-                    f"wire builder {name!r} is in the snapshot but "
-                    f"missing from this module; if it was removed on "
-                    f"purpose, bump {entry['version_const']} and "
-                    f"regenerate with 'reprolint --update-wire-snapshot'",
+                    f"wire table {key!r} is in the snapshot but missing "
+                    f"from this module; if it was removed on purpose, "
+                    f"bump {entry['version_const']} and {hint}",
                 )
                 continue
-            if fingerprint == entry["ast_sha256"]:
+            if table.sha256 == entry["ast_sha256"]:
                 continue
-            node = wire._find_definition(module.tree, name) or module.tree
             version = wire.module_version_value(
                 module.tree, entry["version_const"]
             )
             if version == entry["version"]:
                 yield from self.finding(
                     module,
-                    node,
-                    f"structure of wire builder {name!r} changed but "
+                    table.node,
+                    f"structure of wire table {key!r} changed but "
                     f"{entry['version_const']} is still "
-                    f"{entry['version']}; bump the version and "
-                    f"regenerate with 'reprolint --update-wire-snapshot'",
+                    f"{entry['version']}; bump the version and {hint}",
                 )
             else:
                 yield from self.finding(
                     module,
-                    node,
-                    f"wire builder {name!r} changed and "
+                    table.node,
+                    f"wire table {key!r} changed and "
                     f"{entry['version_const']} was bumped to {version}; "
                     f"commit a fresh snapshot via "
                     f"'reprolint --update-wire-snapshot'",

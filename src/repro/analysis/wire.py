@@ -1,18 +1,25 @@
 """Wire-format fingerprints: the data behind RPL003 and its snapshot.
 
-The serialization layer pins every wire format to a version constant
+Every wire document is declared once, as a ``WireTable`` in
+:mod:`repro.io.serialization`, pinned to a version constant
 (:data:`repro.io.serialization.MANIFEST_VERSION` et al.).  The guard
 has two halves sharing one committed snapshot
 (``tests/data/wire_fingerprints.json``):
 
-* **static** (RPL003): a SHA-256 fingerprint of each dict-builder's
-  normalized AST (docstrings stripped, no line numbers), so *any*
-  structural edit to a builder is visible to the linter without
-  importing the code;
+* **static** (RPL003): a SHA-256 fingerprint of each table, found in
+  the module source without importing it.  It covers the table's AST
+  (without its doc column and ``build`` hook) and every module-level
+  definition the table reaches by name — the constants it names, the
+  tables it embeds and the ``WireTable`` class (the shared emitter and
+  reader) — plus,
+  for each type tag it uses, that tag's ``WIRE_TYPES`` entry: its
+  predicate, or the column codec.  Version constants and the registry
+  as a whole are never followed, so an edit is a finding for exactly
+  the tables that use the edited piece;
 * **runtime** (``tests/test_wire_schema.py``): the recursive key/type
-  *shape* of sample documents each builder actually produces, so edits
+  *shape* of sample documents each table actually produces, so edits
   that change the emitted JSON are caught even when routed around the
-  builder's own source.
+  tables.
 
 Either half failing means: bump the matching ``*_VERSION`` constant
 and regenerate the snapshot with ``reprolint --update-wire-snapshot``.
@@ -21,178 +28,207 @@ and regenerate the snapshot with ``reprolint --update-wire-snapshot``.
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..errors import ConfigurationError
 
 #: Version of the snapshot document itself.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Default snapshot location, relative to the repo root (the first
 #: ancestor directory of the analyzed file holding ``pyproject.toml``).
 DEFAULT_SNAPSHOT_RELPATH = Path("tests") / "data" / "wire_fingerprints.json"
 
+#: The class every wire table instantiates, and the type-tag registry.
+_TABLE_CLASS = "WireTable"
+_TYPE_REGISTRY = "WIRE_TYPES"
+_VERSION_CONST = re.compile(r"^[A-Z][A-Z0-9_]*_VERSION$")
+
 
 @dataclass(frozen=True)
-class WireBuilder:
-    """One guarded dict builder in :mod:`repro.io.serialization`."""
+class TableFingerprint:
+    """One wire table found in the module source."""
 
-    #: Function whose AST is fingerprinted.
-    name: str
-    #: Module-level version constant that must bump with the shape.
+    #: The ``*_VERSION`` constant its ``version`` argument names.
     version_const: str
-    #: Module-level constants and helper functions folded into the
-    #: fingerprint (field tuples the builder iterates, helpers it calls,
-    #: so editing them is a structural change even though the builder's
-    #: own body is untouched).
-    includes: Tuple[str, ...] = ()
+    sha256: str
+    node: ast.AST
 
 
-#: The column codec the per-row builders call: its helpers and dtype
-#: tags.  Switching base64 for hex inside it moves no builder's own AST
-#: and no runtime shape (both stay ``str``), so each caller folds it in.
-_COLUMN_CODEC = (
-    "encode_column",
-    "_encode_codes",
-    "FLOAT_COLUMN",
-    "INDEX_COLUMN",
-    "CODE_COLUMN",
-)
-
-#: The guarded builders: manifest / shard-record (and the batch-result
-#: and design-matrix documents embedded in shard records), trace events
-#: and telemetry documents, and the serve HTTP envelopes.
-BUILDER_SPECS: Tuple[WireBuilder, ...] = (
-    WireBuilder("shard_manifest_to_dict", "MANIFEST_VERSION", ("_MANIFEST_FIELDS",)),
-    WireBuilder("shard_record_to_dict", "MANIFEST_VERSION", _COLUMN_CODEC),
-    WireBuilder(
-        "design_matrix_to_dict", "MANIFEST_VERSION",
-        ("_MATRIX_COLUMNS", *_COLUMN_CODEC),
-    ),
-    WireBuilder(
-        "batch_result_to_dict", "MANIFEST_VERSION",
-        ("_RESULT_COLUMNS", *_COLUMN_CODEC),
-    ),
-    WireBuilder(
-        "lease_record_to_dict", "DISTRIB_PROTOCOL_VERSION",
-        ("_LEASE_FIELDS",),
-    ),
-    WireBuilder(
-        "lease_record_from_dict", "DISTRIB_PROTOCOL_VERSION",
-        ("_LEASE_FIELDS",),
-    ),
-    WireBuilder("trace_event_to_dict", "TRACE_EVENT_VERSION"),
-    WireBuilder("telemetry_from_dict", "TELEMETRY_VERSION"),
-    # Serve envelopes all share one generic emitter + field table, so
-    # each builder folds both into its fingerprint: reshaping any
-    # envelope is a structural change wherever it happens.
-    WireBuilder(
-        "serve_ack_to_dict", "SERVE_PROTOCOL_VERSION",
-        ("_serve_envelope", "_SERVE_ENVELOPE_FIELDS"),
-    ),
-    WireBuilder(
-        "serve_status_to_dict", "SERVE_PROTOCOL_VERSION",
-        ("_serve_envelope", "_SERVE_ENVELOPE_FIELDS"),
-    ),
-    WireBuilder(
-        "serve_progress_to_dict", "SERVE_PROTOCOL_VERSION",
-        ("_serve_envelope", "_SERVE_ENVELOPE_FIELDS"),
-    ),
-    WireBuilder(
-        "serve_error_to_dict", "SERVE_PROTOCOL_VERSION",
-        ("_serve_envelope", "_SERVE_ENVELOPE_FIELDS"),
-    ),
-    WireBuilder(
-        "serve_stats_to_dict", "SERVE_PROTOCOL_VERSION",
-        ("_serve_envelope", "_SERVE_ENVELOPE_FIELDS"),
-    ),
-    WireBuilder(
-        "serve_envelope_from_dict", "SERVE_PROTOCOL_VERSION",
-        ("_SERVE_ENVELOPE_FIELDS", "STUDY_STATES"),
-    ),
-)
+def snapshot_key(name: str) -> str:
+    """A table's snapshot key: ``SHARD_MANIFEST_TABLE`` -> ``shard_manifest``."""
+    return name[: -len("_TABLE")].lower() if name.endswith("_TABLE") else name.lower()
 
 
-def _strip_docstring(node: ast.AST) -> ast.AST:
-    body = getattr(node, "body", None)
-    if (
-        isinstance(body, list)
-        and body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        node.body = body[1:] or [ast.Pass()]  # type: ignore[attr-defined]
-    return node
-
-
-def _find_definition(tree: ast.Module, name: str) -> Optional[ast.AST]:
+def _definitions(tree: ast.Module) -> Dict[str, ast.AST]:
+    definitions: Dict[str, ast.AST] = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == name:
-                return node
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            definitions[node.name] = node
         elif isinstance(node, ast.Assign):
-            targets = [
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            ]
-            if name in targets:
-                return node
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                return node
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    definitions[target.id] = node
+        elif isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            definitions[node.target.id] = node
+    return definitions
+
+
+def _table_call(node: ast.AST) -> Optional[ast.Call]:
+    value = getattr(node, "value", None)
+    if (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == _TABLE_CLASS
+    ):
+        return value
     return None
 
 
-def function_fingerprint(
-    tree: ast.Module, builder: WireBuilder
-) -> Optional[str]:
-    """SHA-256 of the builder's normalized AST, or None if absent.
+def _argument(call: ast.Call, keyword: str, position: int) -> Optional[ast.AST]:
+    for item in call.keywords:
+        if item.arg == keyword:
+            return item.value
+    return call.args[position] if len(call.args) > position else None
 
-    Docstrings are stripped (prose edits never force version bumps) and
-    ``ast.dump`` omits line/column attributes by default, so the hash
-    moves only when the *structure* of the builder (or one of its
-    ``includes`` constants or helpers) changes.
+
+def _field_rows(call: ast.Call) -> List[ast.Tuple]:
+    fields = _argument(call, "fields", 2)
+    if not isinstance(fields, (ast.Tuple, ast.List)):
+        return []
+    return [
+        row
+        for row in fields.elts
+        if isinstance(row, ast.Tuple) and len(row.elts) == 4
+    ]
+
+
+def _normalized(node: ast.AST) -> ast.AST:
+    """A copy without docstrings, doc-column entries or build hooks.
+
+    Prose edits — a docstring anywhere in the node, or a table row's
+    doc — never move a fingerprint, and neither does how a reader
+    builds objects from a table's values.
     """
-    definition = _find_definition(tree, builder.name)
-    if definition is None:
-        return None
-    parts = [ast.dump(_strip_docstring(definition))]
-    for const in builder.includes:
-        node = _find_definition(tree, const)
-        parts.append(
-            "<missing>" if node is None else ast.dump(_strip_docstring(node))
+    node = copy.deepcopy(node)
+    for sub in ast.walk(node):
+        body = getattr(sub, "body", None)
+        if (
+            isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        ):
+            sub.body = body[1:] or [ast.Pass()]
+        call = _table_call(sub)
+        if call is not None:
+            for row in _field_rows(call):
+                row.elts[3] = ast.Constant(value=None)
+            call.keywords = [k for k in call.keywords if k.arg != "build"]
+    return node
+
+
+def _type_tags(node: ast.AST) -> Iterator[str]:
+    call = _table_call(node)
+    if call is None:
+        return
+    for row in _field_rows(call):
+        tag = row.elts[1]
+        if isinstance(tag, ast.Constant) and isinstance(tag.value, str):
+            yield tag.value
+
+
+def _registry(definitions: Dict[str, ast.AST]) -> Dict[str, ast.AST]:
+    """The ``WIRE_TYPES`` dict literal: type tag -> its entry."""
+    value = getattr(definitions.get(_TYPE_REGISTRY), "value", None)
+    if not isinstance(value, ast.Dict):
+        return {}
+    return {
+        key.value: entry
+        for key, entry in zip(value.keys, value.values)
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def _fingerprint(definitions: Dict[str, ast.AST], name: str) -> str:
+    """SHA-256 over everything table ``name`` reaches (see module doc)."""
+    registry = _registry(definitions)
+    parts: Dict[str, str] = {}
+    pending: List[str] = [name]
+    while pending:
+        current = pending.pop()
+        if current in parts:
+            continue
+        if current.startswith(f"{_TYPE_REGISTRY}["):
+            node = registry.get(current[len(_TYPE_REGISTRY) + 1 : -1])
+        else:
+            node = definitions.get(current)
+        if node is None:
+            parts[current] = "<missing>"
+            continue
+        normalized = _normalized(node)
+        parts[current] = ast.dump(normalized)
+        pending.extend(
+            f"{_TYPE_REGISTRY}[{tag}]" for tag in _type_tags(normalized)
         )
-    digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
-    return digest.hexdigest()
+        pending.extend(
+            sub.id
+            for sub in ast.walk(normalized)
+            if isinstance(sub, ast.Name)
+            and sub.id in definitions
+            and sub.id != _TYPE_REGISTRY
+            and not _VERSION_CONST.match(sub.id)
+        )
+    text = "\n".join(f"{key}: {parts[key]}" for key in sorted(parts))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def table_fingerprints(tree: ast.Module) -> Dict[str, TableFingerprint]:
+    """Every module-level wire table, by snapshot key."""
+    definitions = _definitions(tree)
+    tables: Dict[str, TableFingerprint] = {}
+    for name, node in definitions.items():
+        call = _table_call(node)
+        if call is not None:
+            version = _argument(call, "version", 1)
+            tables[snapshot_key(name)] = TableFingerprint(
+                version_const=version.id if isinstance(version, ast.Name) else "",
+                sha256=_fingerprint(definitions, name),
+                node=node,
+            )
+    return tables
 
 
 def module_version_value(tree: ast.Module, const: str) -> Optional[int]:
     """The integer value of a module-level ``X_VERSION = n`` constant."""
-    node = _find_definition(tree, const)
-    value = getattr(node, "value", None)
+    value = getattr(_definitions(tree).get(const), "value", None)
     if isinstance(value, ast.Constant) and isinstance(value.value, int):
         return value.value
     return None
 
 
 def ast_snapshot_of_source(source: str) -> Dict[str, Dict[str, Any]]:
-    """The ``builders`` section of the snapshot, from module source."""
+    """The ``tables`` section of the snapshot, from module source."""
     tree = ast.parse(source)
-    builders: Dict[str, Dict[str, Any]] = {}
-    for builder in BUILDER_SPECS:
-        fingerprint = function_fingerprint(tree, builder)
-        if fingerprint is None:
-            continue
-        builders[builder.name] = {
-            "version_const": builder.version_const,
-            "version": module_version_value(tree, builder.version_const),
-            "ast_sha256": fingerprint,
+    return {
+        key: {
+            "version_const": table.version_const,
+            "version": module_version_value(tree, table.version_const),
+            "ast_sha256": table.sha256,
         }
-    return builders
+        for key, table in table_fingerprints(tree).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +260,33 @@ def shape_of(value: Any) -> Any:
 
 
 def runtime_shapes() -> Dict[str, Any]:
-    """Shapes of sample documents from every live builder.
+    """Shapes of sample documents from every live emitter.
 
     Imports the serialization layer and builds one representative
-    document per wire format (manifest, shard record, trace event,
-    telemetry), shaping each with :func:`shape_of`.  Optional branches
-    are exercised (top-k ``local_indices``, extras columns, span
-    attributes) so the shapes cover the full key set.
+    document per wire format, shaping each with :func:`shape_of`.
+    Optional branches are exercised (top-k ``local_indices``, extras
+    columns, span attributes, a result's telemetry) so the shapes
+    cover the full key set.
     """
+    import tempfile
+
     import numpy as np
 
     from ..batch.engine import evaluate_matrix
     from ..batch.executor import ShardManifest, ShardResult
     from ..batch.matrix import DesignMatrix
+    from ..distrib.lease import LeaseRecord
     from ..io import serialization as ser
-    from ..obs.tracer import SpanRecord, Tracer
+    from ..obs.export import write_trace_jsonl
+    from ..obs.tracer import Tracer
+    from ..serve.protocol import (
+        ErrorEnvelope,
+        ProgressEvent,
+        ServeStats,
+        StudyAck,
+        StudyStatus,
+    )
+    from ..study import DesignSpec, StudyAxis, StudyResult, StudySpec
 
     matrix = DesignMatrix.from_arrays(
         sensing_range_m=(10.0, 12.0),
@@ -265,8 +313,6 @@ def runtime_shapes() -> Dict[str, Any]:
         local_indices=np.asarray([0, 1], dtype=np.intp),
         extras={"total_mass_g": np.asarray([100.0, 101.0])},
     )
-    from ..distrib.lease import LeaseRecord
-
     lease = LeaseRecord(
         spec_digest="0" * 32,
         shard_index=3,
@@ -274,28 +320,25 @@ def runtime_shapes() -> Dict[str, Any]:
         lease_ttl_s=30.0,
         heartbeats=7,
     )
-    span = SpanRecord(
-        name="study.execute",
-        start_s=0.0,
-        duration_s=0.25,
-        tid=1,
-        attributes={"rows": 2},
-    )
     tracer = Tracer()
     with tracer.span("sample", rows=2):
         pass
     tracer.counter("rows.evaluated").add(2)
     tracer.gauge("rows_per_s").set(8.0)
-
-    from ..serve.protocol import (
-        ErrorEnvelope,
-        ProgressEvent,
-        ServeStats,
-        StudyAck,
-        StudyStatus,
+    with tempfile.TemporaryDirectory() as scratch:
+        log = Path(scratch) / "trace.jsonl"
+        write_trace_jsonl(log, tracer)
+        header = json.loads(log.read_text(encoding="utf-8").splitlines()[0])
+    study = StudyResult(
+        spec=StudySpec(design=DesignSpec.knob_axes(axes={"compute_tdp_w": (1.0, 5.0)})),
+        axes=(StudyAxis(name="compute_tdp_w", values=(1.0, 5.0)),),
+        batch=batch,
+        selected_indices=np.asarray([1], dtype=np.intp),
+        total_mass_g=np.asarray([100.0, 101.0]),
+        compute_tdp_w=np.asarray([1.0, 5.0]),
+        telemetry=tracer.to_telemetry(),
     )
-
-    progress_doc = {
+    progress = {
         "done": 1,
         "total": 2,
         "rows_done": 1,
@@ -304,49 +347,47 @@ def runtime_shapes() -> Dict[str, Any]:
         "rows_per_s": 2.0,
         "eta_s": 0.5,
     }
-    ack = StudyAck(
-        study_id="study-" + "0" * 16,
-        state="queued",
-        coalesced=False,
-        queue_depth=1,
-    )
-    status = StudyStatus(
-        study_id="study-" + "0" * 16,
-        state="running",
-        spec_digest="0" * 64,
-        queue_position=0,
-        progress=progress_doc,
-        error=None,
-        result_ready=False,
-    )
-    event = ProgressEvent(
-        study_id="study-" + "0" * 16,
-        seq=1,
-        state="running",
-        progress=progress_doc,
-        final=False,
-    )
-    error = ErrorEnvelope(
-        status=429,
-        error="StudyQueueFullError",
-        message="study queue is full",
-        retry_after_s=2.0,
-    )
-    stats = ServeStats(
-        counters={"serve.studies.coalesced": 7},
-        gauges={"serve.queue_depth": 0.0},
-    )
+    study_id = "study-" + "0" * 16
+    envelopes = {
+        "serve_ack": StudyAck(
+            study_id=study_id, state="queued", coalesced=False, queue_depth=1
+        ),
+        "serve_status": StudyStatus(
+            study_id=study_id,
+            state="running",
+            spec_digest="0" * 64,
+            queue_position=0,
+            progress=progress,
+            error=None,
+            result_ready=False,
+        ),
+        "serve_progress": ProgressEvent(
+            study_id=study_id,
+            seq=1,
+            state="running",
+            progress=progress,
+            final=False,
+        ),
+        "serve_error": ErrorEnvelope(
+            status=429,
+            error="StudyQueueFullError",
+            message="study queue is full",
+            retry_after_s=2.0,
+        ),
+        "serve_stats": ServeStats(
+            counters={"serve.studies.coalesced": 7},
+            gauges={"serve.queue_depth": 0.0},
+        ),
+    }
     return {
         "shard_manifest": shape_of(ser.shard_manifest_to_dict(manifest)),
         "shard_record": shape_of(ser.shard_record_to_dict(record)),
         "lease_record": shape_of(ser.lease_record_to_dict(lease)),
-        "trace_event": shape_of(ser.trace_event_to_dict(span)),
+        "trace_event": shape_of(tracer.to_events()[0]),
+        "trace_header": shape_of(header),
         "telemetry": shape_of(tracer.to_telemetry()),
-        "serve_ack": shape_of(ser.serve_ack_to_dict(ack)),
-        "serve_status": shape_of(ser.serve_status_to_dict(status)),
-        "serve_progress": shape_of(ser.serve_progress_to_dict(event)),
-        "serve_error": shape_of(ser.serve_error_to_dict(error)),
-        "serve_stats": shape_of(ser.serve_stats_to_dict(stats)),
+        "study_result": shape_of(study.to_dict()),
+        **{key: shape_of(envelope.to_dict()) for key, envelope in envelopes.items()},
     }
 
 
@@ -389,7 +430,7 @@ def load_snapshot(path: Path) -> Dict[str, Any]:
             f"wire snapshot field 'version': unsupported version "
             f"{version!r}; this build reads version {SNAPSHOT_VERSION}"
         )
-    for key in ("builders", "shapes"):
+    for key in ("tables", "shapes"):
         if not isinstance(data.get(key), dict):
             raise ConfigurationError(
                 f"wire snapshot field {key!r}: must be a mapping, got "
@@ -402,7 +443,7 @@ def build_snapshot(serialization_source: str) -> Dict[str, Any]:
     """A fresh snapshot document from live code + given module source."""
     return {
         "version": SNAPSHOT_VERSION,
-        "builders": ast_snapshot_of_source(serialization_source),
+        "tables": ast_snapshot_of_source(serialization_source),
         "shapes": runtime_shapes(),
     }
 

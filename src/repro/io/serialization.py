@@ -2,12 +2,12 @@
 
 Round-trips every component dataclass through plain dicts so Skyline
 sessions and DSE sweeps can be saved, diffed and re-loaded, and
-round-trips the batch-engine result types
-(:class:`~repro.batch.matrix.DesignMatrix`,
-:class:`~repro.batch.result.BatchResult`) so whole studies can cross
-process boundaries, plus the shard-checkpoint wire format
-(:func:`shard_manifest_to_dict` / :func:`shard_record_to_dict`) the
-sharded executor uses to make interrupted studies resumable.
+declares every wire document the system writes — design matrices,
+batch results, shard records and manifests, leases, trace events and
+logs, telemetry, serve envelopes and saved study results — once, as a
+:class:`WireTable`.  A table's rows of ``(name, type, required, doc)``
+drive its emitter, its reader and the field-naming errors, the field
+tables in ``docs/`` and the RPL003 wire fingerprint.
 
 Every per-row array travels as a *column object* — the base64 of its
 little-endian bytes under a pinned dtype tag (:func:`encode_column`) —
@@ -18,13 +18,19 @@ on the in-process integer encoding the kernels are free to reorder:
 :data:`BOUND_CODE_TO_NAME` / :data:`STATUS_CODE_TO_NAME` below are
 pinned for all serialized documents (a consistency test asserts they
 agree with the live kernel tables).
+
+Editing a table, a type tag's predicate, the shared emitter and reader
+or the column codec changes a wire format: bump the family's
+``*_VERSION`` constant and regenerate the RPL003 snapshot.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,13 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..batch.result import BatchResult
     from ..distrib.lease import LeaseRecord
     from ..obs.tracer import SpanRecord
-    from ..serve.protocol import (
-        ErrorEnvelope,
-        ProgressEvent,
-        ServeStats,
-        StudyAck,
-        StudyStatus,
-    )
 
 #: Version-stable bound-code wire mapping (Sec. III-B classifications).
 BOUND_CODE_TO_NAME = {
@@ -162,29 +161,6 @@ def configuration_from_dict(data: Dict[str, Any]) -> UAVConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Batch result types (the wire format of the study layer)
-# ---------------------------------------------------------------------------
-_MATRIX_COLUMNS = (
-    "sensing_range_m",
-    "a_max",
-    "f_sensor_hz",
-    "f_compute_hz",
-    "f_control_hz",
-)
-_RESULT_COLUMNS = (
-    "roof_velocity",
-    "knee_hz",
-    "knee_velocity",
-    "action_throughput_hz",
-    "safe_velocity",
-)
-
-
-def _result_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"result field {field!r}: {message}")
-
-
-# ---------------------------------------------------------------------------
 # The column codec: one per-row array as little-endian bytes in base64
 # ---------------------------------------------------------------------------
 #: Pinned dtype tags of the three column kinds: float64 values, int64
@@ -201,6 +177,20 @@ _NATIVE_DTYPES = {
 }
 
 
+def _field_error(title: str, where: str, message: str) -> ConfigurationError:
+    """The one shape of every wire reader error."""
+    return ConfigurationError(f"{title} field {where!r}: {message}")
+
+
+def check_indices(title: str, where: str, values: np.ndarray, stop: int) -> None:
+    """Require every index in ``values`` to lie in ``[0, stop)``."""
+    outside = values[(values < 0) | (values >= stop)]
+    if outside.size:
+        raise _field_error(
+            title, where, f"{int(outside[0])} is outside [0, {stop})"
+        )
+
+
 def encode_column(values: Any, dtype: str) -> Dict[str, Any]:
     """One per-row array as a ``{"dtype", "b64"}`` column object.
 
@@ -213,6 +203,7 @@ def encode_column(values: Any, dtype: str) -> Dict[str, Any]:
 
 
 def decode_column(
+    title: str,
     field: str,
     column: Any,
     dtype: str,
@@ -225,414 +216,534 @@ def decode_column(
     ``dtype`` for ``field``, ``b64`` strict base64 of a whole number of
     items, the item count exactly ``rows`` (any count when ``None``) and,
     for columns that index something, every item in ``[0, stop)``.
-    Every failure is a :class:`ConfigurationError` naming ``field``.
+    Every failure is a :class:`ConfigurationError` naming ``field`` of
+    the ``title`` document.
     """
-    if column is None:
-        raise _result_error(field, "missing")
     if not isinstance(column, dict):
-        raise _result_error(
-            field, f"must be a column object, got {type(column).__name__}"
+        raise _field_error(
+            title, field,
+            f"must be a column object, got {type(column).__name__}",
         )
     if column.get("dtype") != dtype:
-        raise _result_error(
-            field, f"dtype must be {dtype!r}, got {column.get('dtype')!r}"
+        raise _field_error(
+            title, field,
+            f"dtype must be {dtype!r}, got {column.get('dtype')!r}",
         )
     payload = column.get("b64")
     if not isinstance(payload, str):
-        raise _result_error(
-            field, f"b64 must be a string, got {type(payload).__name__}"
+        raise _field_error(
+            title, field,
+            f"b64 must be a string, got {type(payload).__name__}",
         )
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise _result_error(field, f"invalid base64: {exc}") from exc
+        raise _field_error(title, field, f"invalid base64: {exc}") from exc
     items, remainder = divmod(len(raw), np.dtype(dtype).itemsize)
     if remainder:
-        raise _result_error(
-            field, f"{len(raw)} bytes is not a whole number of {dtype} items"
+        raise _field_error(
+            title, field,
+            f"{len(raw)} bytes is not a whole number of {dtype} items",
         )
     if rows is not None and items != rows:
-        raise _result_error(field, f"{items} items for {rows} rows")
+        raise _field_error(title, field, f"{items} items for {rows} rows")
     values = np.frombuffer(raw, dtype=dtype).astype(_NATIVE_DTYPES[dtype])
     if stop is not None:
-        outside = values[(values < 0) | (values >= stop)]
-        if outside.size:
-            raise _result_error(
-                field, f"{int(outside[0])} is outside [0, {stop})"
-            )
+        check_indices(title, field, values, stop)
     return values
 
 
-def _encode_codes(codes: Any, code_to_name: Mapping[int, str]) -> Dict[str, Any]:
-    """An int8 code column carrying its pinned names (code *i* is
-    ``names[i]``)."""
-    column = encode_column(codes, CODE_COLUMN)
-    column["names"] = [code_to_name[code] for code in sorted(code_to_name)]
-    return column
+class _Column:
+    """A column field type: an array as an :func:`encode_column` object.
 
-
-def _decode_codes(
-    field: str, column: Any, name_to_code: Mapping[str, int], rows: int
-) -> np.ndarray:
-    """In-process codes from an :func:`_encode_codes` object.
-
-    Codes index the document's own ``names`` list, and every name must be
-    a pinned one, so a reader maps through names, never raw integers.
+    ``codes`` makes it a code column that carries its code↔name table
+    as ``names`` (code *i* is ``names[i]``), so a reader maps through
+    names, never raw integers.  ``per_row=False`` lets it hold any
+    number of items, ``nullable`` lets the field be ``null``, and
+    ``mapped`` makes it a ``{name: column}`` object of such columns.
     """
-    # A column that is not a mapping fails in decode_column below.
-    names = column.get("names") if isinstance(column, dict) else []
-    if not isinstance(names, list):
-        raise _result_error(
-            f"{field}.names",
-            f"must be a list of names, got {type(names).__name__}",
-        )
-    for name in names:
-        if not isinstance(name, str) or name not in name_to_code:
-            raise _result_error(
-                f"{field}.names",
-                f"unknown name {name!r}; known: "
-                f"{', '.join(sorted(name_to_code))}",
+
+    def __init__(
+        self,
+        dtype: str,
+        codes: Optional[Mapping[int, str]] = None,
+        per_row: bool = True,
+        nullable: bool = False,
+        mapped: bool = False,
+    ) -> None:
+        self.dtype = dtype
+        self.codes = codes
+        self.per_row = per_row
+        self.nullable = nullable
+        self.mapped = mapped
+
+    def encode(self, values: Any) -> Any:
+        if self.mapped:
+            return {
+                name: encode_column(column, self.dtype)
+                for name, column in (values or {}).items()
+            }
+        if values is None:
+            return None
+        column = encode_column(values, self.dtype)
+        if self.codes is not None:
+            column["names"] = [self.codes[code] for code in sorted(self.codes)]
+        return column
+
+    def decode(self, title: str, where: str, column: Any, rows: Optional[int]) -> Any:
+        if self.mapped:
+            if not isinstance(column, dict):
+                raise _field_error(
+                    title, where, f"must be a mapping, got {type(column).__name__}"
+                )
+            return {
+                name: decode_column(title, f"{where}.{name}", item, self.dtype, rows)
+                for name, item in column.items()
+            }
+        if column is None and self.nullable:
+            return None
+        count = rows if self.per_row else None
+        if self.codes is None:
+            return decode_column(title, where, column, self.dtype, count)
+        name_to_code = {name: code for code, name in self.codes.items()}
+        # A column that is not a mapping fails in decode_column below.
+        names = column.get("names") if isinstance(column, dict) else []
+        if not isinstance(names, list):
+            raise _field_error(
+                title, f"{where}.names",
+                f"must be a list of names, got {type(names).__name__}",
             )
-    lookup = np.asarray([name_to_code[name] for name in names], dtype=np.int8)
-    return lookup[decode_column(field, column, CODE_COLUMN, rows, stop=len(names))]
+        for name in names:
+            if not isinstance(name, str) or name not in name_to_code:
+                raise _field_error(
+                    title, f"{where}.names",
+                    f"unknown name {name!r}; known: {', '.join(sorted(name_to_code))}",
+                )
+        lookup = np.asarray([name_to_code[name] for name in names], dtype=np.int8)
+        return lookup[decode_column(title, where, column, self.dtype, count, len(names))]
 
 
-def _rows_of(field: str, data: Dict[str, Any]) -> int:
-    rows = data.get("rows")
-    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
-        raise _result_error(
-            f"{field}.rows", f"must be a non-negative integer, got {rows!r}"
+# ---------------------------------------------------------------------------
+# Versions and enumerations of the wire documents
+# ---------------------------------------------------------------------------
+#: Version of the shard-checkpoint family: manifests, shard records and
+#: the batch-result and design-matrix documents embedded in them.
+MANIFEST_VERSION = 2
+
+#: Version of the saved :class:`~repro.study.result.StudyResult`
+#: document (and the study axes embedded in it).
+RESULT_VERSION = 2
+
+#: Version stamped on every lease document.  Workers refuse leases
+#: from a different protocol generation rather than guessing.
+DISTRIB_PROTOCOL_VERSION = 1
+
+#: Version of the trace-event wire format (JSONL log lines and their
+#: header, telemetry event lists).
+TRACE_EVENT_VERSION = 1
+
+#: Version stamped on :attr:`repro.study.result.StudyResult.telemetry`
+#: documents.
+TELEMETRY_VERSION = 1
+
+#: Version stamped on every HTTP envelope :mod:`repro.serve` emits
+#: (acks, statuses, progress events, errors, stats).
+SERVE_PROTOCOL_VERSION = 1
+
+#: Manifest kinds a checkpoint directory may hold.
+MANIFEST_KINDS = ("study", "matrix")
+
+#: Lifecycle states a served study moves through (in order; terminal
+#: states are the last two).
+STUDY_STATES = ("queued", "running", "done", "failed")
+
+
+# ---------------------------------------------------------------------------
+# Wire tables: each document's fields, declared once
+# ---------------------------------------------------------------------------
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The closed set of field types.  Each tag is the text the docs' type
+#: column shows; each maps to its one predicate, or to the column type
+#: that encodes and decodes it.  Integer tags reject ``bool``, and
+#: ``float > 0`` is a positive test, so NaN fails it.
+WIRE_TYPES: Dict[str, Any] = {
+    "int": _is_int,
+    "int >= 0": lambda value: _is_int(value) and value >= 0,
+    "int >= 1": lambda value: _is_int(value) and value >= 1,
+    "int >= 0 | null": lambda value: value is None or (_is_int(value) and value >= 0),
+    "float": _is_number,
+    "float > 0": lambda value: _is_number(value) and value > 0,
+    "float | null": lambda value: value is None or _is_number(value),
+    "str": lambda value: isinstance(value, str),
+    "str, non-empty": lambda value: isinstance(value, str) and value != "",
+    "str | null": lambda value: value is None or isinstance(value, str),
+    "bool": lambda value: isinstance(value, bool),
+    "object": lambda value: isinstance(value, dict),
+    "object | null": lambda value: value is None or isinstance(value, dict),
+    "list": lambda value: isinstance(value, list),
+    "manifest kind": lambda value: value in MANIFEST_KINDS,
+    "study state": lambda value: value in STUDY_STATES,
+    "<f8 column": _Column(FLOAT_COLUMN),
+    "<i8 column | null": _Column(INDEX_COLUMN, nullable=True),
+    "<i8 column, any length": _Column(INDEX_COLUMN, per_row=False),
+    "<i1 bound codes": _Column(CODE_COLUMN, codes=BOUND_CODE_TO_NAME),
+    "<i1 verdict codes": _Column(CODE_COLUMN, codes=STATUS_CODE_TO_NAME),
+    "{str: <f8 column}": _Column(FLOAT_COLUMN, mapped=True),
+}
+
+REQUIRED = True
+OPTIONAL = False
+
+
+def _shown(value: Any) -> str:
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return repr(value)
+    return type(value).__name__
+
+
+@dataclass(frozen=True, eq=False)
+class WireTable:
+    """One wire document, declared once.
+
+    Each of ``fields`` is ``(name, type, required, doc)``: ``type`` is a
+    :data:`WIRE_TYPES` tag, another table (an embedded document) or a
+    one-item list holding a table (a list of such documents).  The
+    emitter, the reader, the field-naming errors, the docs rows and the
+    RPL003 fingerprint all come from this table.
+
+    ``version`` is the document family's ``*_VERSION`` value.  A
+    ``versioned`` document carries it, and ``kind`` when set, as its
+    leading keys; an unversioned one rides inside a versioned document
+    or file.  Errors quote a field as ``path + name``, unless ``quote``
+    renames it.  ``build``, when set, turns an embedded document's field
+    values into its object as soon as they are read, so each decoded
+    column is copied while it is still in cache; it is not part of the
+    format.
+    """
+
+    title: str
+    version: int
+    fields: Tuple[Tuple[str, Any, bool, str], ...]
+    kind: Optional[str] = None
+    versioned: bool = True
+    path: str = ""
+    quote: Mapping[str, str] = dataclasses.field(default_factory=dict)
+    build: Optional[Callable[[Dict[str, Any]], Any]] = None
+
+    @staticmethod
+    def type_text(kind: Any) -> str:
+        """A field type as the docs' type column shows it."""
+        if isinstance(kind, list):
+            return f"[{kind[0].title}]"
+        return kind.title if isinstance(kind, WireTable) else str(kind)
+
+    @cached_property
+    def _plan(self) -> Tuple[Tuple[str, Any, bool, Any, bool], ...]:
+        """Per field: name, type, required, its :data:`WIRE_TYPES` entry
+        (None for embedded documents) and whether that is a column."""
+        plan = []
+        for name, kind, required, _doc in self.fields:
+            entry = WIRE_TYPES[kind] if isinstance(kind, str) else None
+            plan.append((name, kind, required, entry, hasattr(entry, "decode")))
+        return tuple(plan)
+
+    def where(self, name: str, prefix: Optional[str] = None) -> str:
+        """The name errors quote for field ``name``."""
+        return self.quote.get(name, (self.path if prefix is None else prefix) + name)
+
+    def error(self, where: str, message: str) -> ConfigurationError:
+        return _field_error(self.title, where, message)
+
+    def emit(self, source: Any, **computed: Any) -> Dict[str, Any]:
+        """The document for ``source``, keys in table order.
+
+        Each field's value is ``computed[name]`` when given, else the
+        ``name`` attribute of ``source``.  Optional fields are left out
+        when ``None``; column fields are encoded, and embedded documents
+        are passed in already emitted.
+        """
+        data: Dict[str, Any] = {}
+        if self.versioned:
+            data["version"] = self.version
+        if self.kind is not None:
+            data["kind"] = self.kind
+        for name, _kind, required, entry, column in self._plan:
+            value = computed[name] if name in computed else getattr(source, name)
+            if value is not None or required:
+                data[name] = entry.encode(value) if column else value
+        return data
+
+    def read(self, data: Any, prefix: Optional[str] = None) -> Dict[str, Any]:
+        """Validate ``data`` against the table; returns its field values.
+
+        Columns come back decoded, each holding the document's row
+        count: its own ``rows``, or the length of the ``batch`` it
+        embeds.  Embedded documents come back built, or as their own
+        value mappings when their table has no ``build``.
+        Every failure is a :class:`ConfigurationError` quoting the
+        field; ``prefix`` replaces :attr:`path` for list items.
+        """
+        prefix = self.path if prefix is None else prefix
+        if not isinstance(data, dict):
+            raise self.error(
+                prefix.rstrip(".") or "<root>",
+                f"must be a mapping, got {type(data).__name__}",
+            )
+        if self.versioned and data.get("version") != self.version:
+            raise self.error(
+                "version",
+                f"unsupported version {_shown(data.get('version'))}; "
+                f"this build reads version {self.version}",
+            )
+        if self.kind is not None and data.get("kind") != self.kind:
+            raise self.error("kind", f"must be {self.kind!r}, got {_shown(data.get('kind'))}")
+        values: Dict[str, Any] = {}
+        columns = []
+        for name, kind, required, entry, column in self._plan:
+            if name not in data:
+                if required:
+                    raise self.error(self.where(name, prefix), "missing")
+                continue
+            value = data[name]
+            if column:
+                columns.append((name, entry))
+            elif isinstance(kind, list) and isinstance(value, list):
+                where = self.where(name, prefix)
+                values[name] = [
+                    kind[0].read(item, f"{where}[{i}].") for i, item in enumerate(value)
+                ]
+            elif isinstance(kind, WireTable) and isinstance(value, dict):
+                embedded = kind.read(value)
+                values[name] = embedded if kind.build is None else kind.build(embedded)
+            elif entry is not None and entry(value):
+                values[name] = value
+            else:
+                raise self.error(
+                    self.where(name, prefix),
+                    f"expected {self.type_text(kind)}, got {_shown(value)}",
+                )
+        if columns:
+            rows = values["rows"] if "rows" in values else len(values["batch"])
+            for name, column_type in columns:
+                where = self.where(name, prefix)
+                values[name] = column_type.decode(self.title, where, data[name], rows)
+        return values
+
+
+# ---------------------------------------------------------------------------
+# Batch result types (the wire format of the study layer)
+# ---------------------------------------------------------------------------
+def _design_matrix(values: Dict[str, Any]) -> "DesignMatrix":
+    from ..batch.matrix import DesignMatrix
+
+    columns = {key: value for key, value in values.items() if key != "rows"}
+    if "labels" in columns:
+        columns["labels"] = tuple(columns["labels"])
+    return DesignMatrix.from_arrays(**columns)
+
+
+def _batch_result(values: Dict[str, Any]) -> "BatchResult":
+    from ..batch.result import BatchResult
+
+    matrix = values["matrix"]
+    if len(matrix) != values["rows"]:
+        raise BATCH_RESULT_TABLE.error(
+            "matrix.rows", f"{len(matrix)} for {values['rows']} rows"
         )
-    return rows
+    return BatchResult(
+        matrix=matrix,
+        bound_codes=values["bounds"],
+        status_codes=values["statuses"],
+        knee_fraction=values["knee_fraction"],
+        tolerance=values["tolerance"],
+        **{name: values[name] for name in _RESULT_COLUMNS},
+    )
 
 
-def _number(field: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _result_error(field, f"must be a number, got {value!r}")
-    return value
+DESIGN_MATRIX_TABLE = WireTable(
+    "design matrix", MANIFEST_VERSION, versioned=False, path="matrix.",
+    build=_design_matrix, fields=(
+        ("rows", "int >= 0", REQUIRED, "design rows; each column holds this many"),
+        ("sensing_range_m", "<f8 column", REQUIRED, "sensing range, m"),
+        ("a_max", "<f8 column", REQUIRED, "maximum braking deceleration, m/s²"),
+        ("f_sensor_hz", "<f8 column", REQUIRED, "sensor frame rate, Hz"),
+        ("f_compute_hz", "<f8 column", REQUIRED, "compute throughput, Hz"),
+        ("f_control_hz", "<f8 column", REQUIRED, "control-loop rate, Hz"),
+        ("labels", "list", OPTIONAL, "one name per row; absent when unlabelled"),
+        ("knee_fraction", "float", OPTIONAL, "the matrix's knee rule; absent for the default"),
+    ),
+)
+
+BATCH_RESULT_TABLE = WireTable(
+    # A batch embeds a matrix with a row count of its own.
+    "batch result", MANIFEST_VERSION, versioned=False, quote={"rows": "batch.rows"},
+    build=_batch_result, fields=(
+        ("rows", "int >= 0", REQUIRED, "evaluated rows; each column holds this many"),
+        ("matrix", DESIGN_MATRIX_TABLE, REQUIRED, "the evaluated rows; same `rows`"),
+        ("roof_velocity", "<f8 column", REQUIRED, "roofline velocity bound, m/s"),
+        ("knee_hz", "<f8 column", REQUIRED, "knee action throughput, Hz"),
+        ("knee_velocity", "<f8 column", REQUIRED, "velocity at the knee, m/s"),
+        ("action_throughput_hz", "<f8 column", REQUIRED, "the slowest stage's rate, Hz"),
+        ("safe_velocity", "<f8 column", REQUIRED, "safe velocity, m/s"),
+        ("bounds", "<i1 bound codes", REQUIRED, "which stage bounds the row"),
+        ("statuses", "<i1 verdict codes", REQUIRED, "the row's provisioning verdict"),
+        ("knee_fraction", "float", REQUIRED, "knee rule the rows were evaluated with"),
+        ("tolerance", "float", REQUIRED, "the optimal verdict's tolerance band"),
+    ),
+)
+
+_RESULT_COLUMNS = tuple(
+    name for name, kind, _required, _doc in BATCH_RESULT_TABLE.fields
+    if kind == "<f8 column"
+)
 
 
 def design_matrix_to_dict(matrix: "DesignMatrix") -> Dict[str, Any]:
-    """Serialize a design matrix to a JSON-compatible dict.
-
-    ``{"rows": n, <column>: {"dtype": "<f8", "b64": ...}, ...}`` plus
-    the optional ``labels`` list and ``knee_fraction``.
-    """
-    data: Dict[str, Any] = {"rows": len(matrix)}
-    for name in _MATRIX_COLUMNS:
-        data[name] = encode_column(getattr(matrix, name), FLOAT_COLUMN)
-    if matrix.labels is not None:
-        data["labels"] = list(matrix.labels)
-    if matrix.knee_fraction is not None:
-        data["knee_fraction"] = matrix.knee_fraction
-    return data
+    """Serialize a design matrix to a JSON-compatible dict."""
+    return DESIGN_MATRIX_TABLE.emit(
+        matrix,
+        rows=len(matrix),
+        labels=None if matrix.labels is None else list(matrix.labels),
+    )
 
 
 def design_matrix_from_dict(data: Any) -> "DesignMatrix":
     """Rebuild a matrix from :func:`design_matrix_to_dict` output."""
-    from ..batch.matrix import DesignMatrix
-
-    if not isinstance(data, dict):
-        raise _result_error(
-            "matrix", f"must be a mapping, got {type(data).__name__}"
-        )
-    rows = _rows_of("matrix", data)
-    columns = {
-        name: decode_column(
-            f"matrix.{name}", data.get(name), FLOAT_COLUMN, rows
-        )
-        for name in _MATRIX_COLUMNS
-    }
-    labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise _result_error(
-            "matrix.labels",
-            f"must be a list or null, got {type(labels).__name__}",
-        )
-    return DesignMatrix.from_arrays(
-        **columns,
-        labels=tuple(labels) if labels is not None else None,
-        knee_fraction=data.get("knee_fraction"),
-    )
+    return _design_matrix(DESIGN_MATRIX_TABLE.read(data))
 
 
 def batch_result_to_dict(result: "BatchResult") -> Dict[str, Any]:
     """Serialize a batch result (and its matrix) to a plain dict.
 
-    Result columns are ``<f8`` column objects; ``bounds``/``statuses``
-    are ``<i1`` code columns carrying the pinned code↔name lists, keeping
-    documents stable even if the in-process encoding ever changes.
+    ``bounds``/``statuses`` are code columns carrying the pinned
+    code↔name lists, keeping documents stable even if the in-process
+    encoding ever changes.
     """
-    data: Dict[str, Any] = {
-        "rows": len(result),
-        "matrix": design_matrix_to_dict(result.matrix),
-    }
-    for name in _RESULT_COLUMNS:
-        data[name] = encode_column(getattr(result, name), FLOAT_COLUMN)
-    data["bounds"] = _encode_codes(result.bound_codes, BOUND_CODE_TO_NAME)
-    data["statuses"] = _encode_codes(result.status_codes, STATUS_CODE_TO_NAME)
-    data["knee_fraction"] = result.knee_fraction
-    data["tolerance"] = result.tolerance
-    return data
+    return BATCH_RESULT_TABLE.emit(
+        result,
+        rows=len(result),
+        matrix=design_matrix_to_dict(result.matrix),
+        bounds=result.bound_codes,
+        statuses=result.status_codes,
+    )
 
 
 def batch_result_from_dict(data: Any) -> "BatchResult":
     """Rebuild a batch result from :func:`batch_result_to_dict` output."""
-    from ..batch.result import BatchResult
-
-    if not isinstance(data, dict):
-        raise _result_error(
-            "<root>", f"must be a mapping, got {type(data).__name__}"
-        )
-    for key in ("matrix", "bounds", "statuses", "knee_fraction", "tolerance"):
-        if key not in data:
-            raise _result_error(key, "missing")
-    rows = _rows_of("batch", data)
-    matrix = design_matrix_from_dict(data["matrix"])
-    if len(matrix) != rows:
-        raise _result_error("matrix.rows", f"{len(matrix)} for {rows} rows")
-    columns = {
-        name: decode_column(name, data.get(name), FLOAT_COLUMN, rows)
-        for name in _RESULT_COLUMNS
-    }
-    return BatchResult(
-        matrix=matrix,
-        bound_codes=_decode_codes(
-            "bounds", data["bounds"], BOUND_NAME_TO_CODE, rows
-        ),
-        status_codes=_decode_codes(
-            "statuses", data["statuses"], STATUS_NAME_TO_CODE, rows
-        ),
-        knee_fraction=_number("knee_fraction", data["knee_fraction"]),
-        tolerance=_number("tolerance", data["tolerance"]),
-        **columns,
-    )
+    return _batch_result(BATCH_RESULT_TABLE.read(data))
 
 
 # ---------------------------------------------------------------------------
 # Shard checkpoints (the wire format of the sharded executor)
 # ---------------------------------------------------------------------------
-#: Version stamped on every shard manifest document.
-MANIFEST_VERSION = 2
+SHARD_MANIFEST_TABLE = WireTable(
+    "shard manifest", MANIFEST_VERSION, fields=(
+        ("kind", "manifest kind", REQUIRED, '`"study"` or `"matrix"`'),
+        ("digest", "str, non-empty", REQUIRED, "content digest of the source"),
+        ("total_rows", "int >= 0", REQUIRED, "rows in the full design grid"),
+        ("chunk_rows", "int >= 1", REQUIRED, "rows per shard"),
+        ("n_shards", "int >= 0", REQUIRED, "`ceil(total_rows / chunk_rows)`"),
+        ("knee_fraction", "float | null", REQUIRED, "evaluation contract, fixed for the run"),
+        ("tolerance", "float", REQUIRED, "evaluation contract, fixed for the run"),
+        ("reduce", "object | null", REQUIRED, 'top-k `{"k", "by", "descending"}`, or null'),
+    ),
+)
 
-#: Manifest kinds a checkpoint directory may hold.
-MANIFEST_KINDS = ("study", "matrix")
-
-_MANIFEST_FIELDS = (
-    "kind",
-    "digest",
-    "total_rows",
-    "chunk_rows",
-    "n_shards",
-    "knee_fraction",
-    "tolerance",
-    "reduce",
+SHARD_RECORD_TABLE = WireTable(
+    "shard record", MANIFEST_VERSION, versioned=False, path="shard.", fields=(
+        ("index", "int >= 0", REQUIRED, "shard index, as in the file name"),
+        ("start", "int >= 0", REQUIRED, "first row of the shard"),
+        ("stop", "int >= 0", REQUIRED, "end of the shard's rows, exclusive"),
+        ("local_indices", "<i8 column | null", REQUIRED, "a top-k shard's winners; null if full"),
+        ("extras", "{str: <f8 column}", REQUIRED, "accounting columns, e.g. `total_mass_g`"),
+        ("batch", BATCH_RESULT_TABLE, REQUIRED, "the shard's evaluated rows"),
+    ),
 )
 
 
 def shard_manifest_to_dict(manifest: "ShardManifest") -> Dict[str, Any]:
-    """Serialize a shard manifest to its JSON wire format.
-
-    ``manifest.json`` pins a checkpoint directory to one sharded run::
-
-        {
-          "version": 2,
-          "kind": "study",             // or "matrix"
-          "digest": "9f2c...",         // content digest of the source
-          "total_rows": 1000000,       // rows in the full grid
-          "chunk_rows": 65536,         // rows per shard
-          "n_shards": 16,
-          "knee_fraction": null,       // evaluation contract ...
-          "tolerance": 0.05,
-          "reduce": null               // or {"k", "by", "descending"}
-        }
+    """Serialize a shard manifest: ``manifest.json`` pins a checkpoint
+    directory to one sharded run.
 
     Each completed shard sits next to it as ``shard-<index>.jsonl``,
     one :func:`shard_record_to_dict` object per (single-line) file.
     Resume compares every manifest field; any mismatch rejects the
     directory rather than mixing rows from different runs.
     """
-    data: Dict[str, Any] = {"version": MANIFEST_VERSION}
-    for name in _MANIFEST_FIELDS:
-        data[name] = getattr(manifest, name)
-    return data
-
-
-def _manifest_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"shard manifest field {field!r}: {message}")
+    return SHARD_MANIFEST_TABLE.emit(manifest)
 
 
 def shard_manifest_from_dict(data: Any) -> "ShardManifest":
     """Rebuild a manifest from :func:`shard_manifest_to_dict` output."""
     from ..batch.executor import ShardManifest
 
-    if not isinstance(data, dict):
-        raise _manifest_error(
-            "<root>", f"must be a mapping, got {type(data).__name__}"
-        )
-    version = data.get("version")
-    if version != MANIFEST_VERSION:
-        raise _manifest_error(
-            "version",
-            f"unsupported version {version!r}; this build reads "
-            f"version {MANIFEST_VERSION}",
-        )
-    missing = [name for name in _MANIFEST_FIELDS if name not in data]
-    if missing:
-        raise _manifest_error(missing[0], "missing")
-    if data["kind"] not in MANIFEST_KINDS:
-        raise _manifest_error(
-            "kind",
-            f"unknown kind {data['kind']!r}; known: "
-            f"{', '.join(MANIFEST_KINDS)}",
-        )
-    for name in ("total_rows", "chunk_rows", "n_shards"):
-        if not isinstance(data[name], int) or data[name] < 0:
-            raise _manifest_error(
-                name, f"must be a non-negative integer, got {data[name]!r}"
-            )
-    reduce = data["reduce"]
-    if reduce is not None and (
-        not isinstance(reduce, dict)
-        or set(reduce) != {"k", "by", "descending"}
-    ):
-        raise _manifest_error(
+    values = SHARD_MANIFEST_TABLE.read(data)
+    reduce = values["reduce"]
+    if reduce is not None and set(reduce) != {"k", "by", "descending"}:
+        raise SHARD_MANIFEST_TABLE.error(
             "reduce",
             "must be null or a {'k', 'by', 'descending'} mapping, got "
             f"{reduce!r}",
         )
-    return ShardManifest(**{name: data[name] for name in _MANIFEST_FIELDS})
+    return ShardManifest(**values)
 
 
 def shard_record_to_dict(result: "ShardResult") -> Dict[str, Any]:
-    """Serialize one completed shard to its JSONL wire format.
-
-    One object per shard file, on a single line::
-
-        {"index": 3, "start": 196608, "stop": 262144,
-         "local_indices": null,          // or a "<i8" column object
-         "extras": {"total_mass_g": {"dtype": "<f8", "b64": ...}, ...},
-         "batch": { ...batch_result_to_dict... }}
-
-    ``local_indices`` is ``null`` for a full shard (its batch covers
-    exactly ``[start, stop)``) and the shard-local winner indices for a
-    reduced (top-k) shard.  Every column holds exactly the batch's rows.
-    """
-    return {
-        "index": result.index,
-        "start": result.start,
-        "stop": result.stop,
-        "local_indices": (
-            None
-            if result.local_indices is None
-            else encode_column(result.local_indices, INDEX_COLUMN)
-        ),
-        "extras": {
-            name: encode_column(column, FLOAT_COLUMN)
-            for name, column in (result.extras or {}).items()
-        },
-        "batch": batch_result_to_dict(result.batch),
-    }
+    """Serialize one completed shard to its single-line JSONL record."""
+    return SHARD_RECORD_TABLE.emit(
+        result, batch=batch_result_to_dict(result.batch)
+    )
 
 
 def shard_record_from_dict(data: Any) -> "ShardResult":
     """Rebuild a shard record from :func:`shard_record_to_dict` output."""
     from ..batch.executor import ShardResult
 
-    if not isinstance(data, dict):
-        raise _result_error(
-            "shard", f"must be a mapping, got {type(data).__name__}"
+    values = SHARD_RECORD_TABLE.read(data)
+    batch = values["batch"]
+    span = values["stop"] - values["start"]
+    if values["local_indices"] is not None:
+        check_indices(
+            SHARD_RECORD_TABLE.title, "shard.local_indices",
+            values["local_indices"], span,
         )
-    for key in ("index", "start", "stop", "extras", "batch"):
-        if key not in data:
-            raise _result_error(f"shard.{key}", "missing")
-    for key in ("index", "start", "stop"):
-        if not isinstance(data[key], int):
-            raise _result_error(
-                f"shard.{key}",
-                f"must be an integer, got {data[key]!r}",
-            )
-    batch = batch_result_from_dict(data["batch"])
-    rows = len(batch)
-    local_indices = data.get("local_indices")
-    if local_indices is not None:
-        local_indices = decode_column(
-            "shard.local_indices", local_indices, INDEX_COLUMN, rows,
-            stop=data["stop"] - data["start"],
-        )
-    elif rows != data["stop"] - data["start"]:
-        raise _result_error(
+    elif len(batch) != span:
+        raise SHARD_RECORD_TABLE.error(
             "shard.batch",
-            f"{rows} rows for range [{data['start']}, {data['stop']})",
+            f"{len(batch)} rows for range [{values['start']}, "
+            f"{values['stop']})",
         )
-    extras = data["extras"]
-    if not isinstance(extras, dict):
-        raise _result_error(
-            "shard.extras",
-            f"must be a mapping, got {type(extras).__name__}",
-        )
-    return ShardResult(
-        index=data["index"],
-        start=data["start"],
-        stop=data["stop"],
-        batch=batch,
-        local_indices=local_indices,
-        extras={
-            name: decode_column(
-                f"shard.extras.{name}", column, FLOAT_COLUMN, rows
-            )
-            for name, column in extras.items()
-        },
-    )
+    return ShardResult(**values)
 
 
 # ---------------------------------------------------------------------------
 # Distributed lease files (the wire format of repro.distrib)
 # ---------------------------------------------------------------------------
-#: Version stamped on every lease document.  Bump on any shape change,
-#: exactly like :data:`MANIFEST_VERSION` above; workers refuse leases
-#: from a different protocol generation rather than guessing.
-DISTRIB_PROTOCOL_VERSION = 1
-
-_LEASE_FIELDS = (
-    "spec_digest",
-    "shard_index",
-    "owner",
-    "lease_ttl_s",
-    "heartbeats",
+LEASE_RECORD_TABLE = WireTable(
+    "lease record", DISTRIB_PROTOCOL_VERSION, kind="lease", fields=(
+        ("spec_digest", "str, non-empty", REQUIRED, "the manifest digest of the study"),
+        ("shard_index", "int >= 0", REQUIRED, "the claimed shard"),
+        ("owner", "str, non-empty", REQUIRED, "the claiming worker's id"),
+        ("lease_ttl_s", "float > 0", REQUIRED, "the *holder's* declared TTL"),
+        ("heartbeats", "int >= 0", REQUIRED, "refresh count; diagnostics only"),
+    ),
 )
 
 
-def _lease_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"lease record field {field!r}: {message}")
-
-
 def lease_record_to_dict(record: "LeaseRecord") -> Dict[str, Any]:
-    """Serialize one shard lease to its JSON wire format.
+    """Serialize one shard lease (``leases/shard-<index>.lease.json``).
 
-    ``leases/shard-<index>.lease.json`` marks a shard as claimed by one
-    worker; liveness is the *file's mtime* (refreshed atomically on
-    every heartbeat), never a wall-clock timestamp in the body::
-
-        {"version": 1, "kind": "lease",
-         "spec_digest": "9f2c...",    // study the shard belongs to
-         "shard_index": 3,
-         "owner": "host-a-12041",     // claiming worker's id
-         "lease_ttl_s": 30.0,         // holder's declared ttl
-         "heartbeats": 7}             // refresh count (diagnostics)
-
-    The file's presence is the claim, its creation (``O_EXCL``) is the
-    arbitration, and staleness is judged by comparing its mtime against
-    a freshly-written probe file on the *same* filesystem, so hosts
-    need no synchronized clocks.
+    Liveness is the *file's mtime*, refreshed atomically on every
+    heartbeat, never a wall-clock timestamp in the body.
     """
-    data: Dict[str, Any] = {
-        "version": DISTRIB_PROTOCOL_VERSION,
-        "kind": "lease",
-    }
-    for name in _LEASE_FIELDS:
-        data[name] = getattr(record, name)
-    return data
+    return LEASE_RECORD_TABLE.emit(record)
 
 
 def lease_record_from_dict(data: Any) -> "LeaseRecord":
@@ -645,342 +756,183 @@ def lease_record_from_dict(data: Any) -> "LeaseRecord":
     """
     from ..distrib.lease import LeaseRecord
 
-    if not isinstance(data, dict):
-        raise _lease_error(
-            "<root>", f"must be a mapping, got {type(data).__name__}"
-        )
-    version = data.get("version")
-    if version != DISTRIB_PROTOCOL_VERSION:
-        raise _lease_error(
-            "version",
-            f"unsupported version {version!r}; this build reads "
-            f"version {DISTRIB_PROTOCOL_VERSION}",
-        )
-    if data.get("kind") != "lease":
-        raise _lease_error(
-            "kind", f"must be 'lease', got {data.get('kind')!r}"
-        )
-    missing = [name for name in _LEASE_FIELDS if name not in data]
-    if missing:
-        raise _lease_error(missing[0], "missing")
-    if not isinstance(data["spec_digest"], str) or not data["spec_digest"]:
-        raise _lease_error(
-            "spec_digest",
-            f"must be a non-empty string, got {data['spec_digest']!r}",
-        )
-    if not isinstance(data["shard_index"], int) or data["shard_index"] < 0:
-        raise _lease_error(
-            "shard_index",
-            f"must be a non-negative integer, got {data['shard_index']!r}",
-        )
-    if not isinstance(data["owner"], str) or not data["owner"]:
-        raise _lease_error(
-            "owner", f"must be a non-empty string, got {data['owner']!r}"
-        )
-    ttl = data["lease_ttl_s"]
-    if isinstance(ttl, bool) or not isinstance(ttl, (int, float)) or ttl <= 0:
-        raise _lease_error(
-            "lease_ttl_s", f"must be a positive number, got {ttl!r}"
-        )
-    if not isinstance(data["heartbeats"], int) or data["heartbeats"] < 0:
-        raise _lease_error(
-            "heartbeats",
-            f"must be a non-negative integer, got {data['heartbeats']!r}",
-        )
-    return LeaseRecord(
-        spec_digest=data["spec_digest"],
-        shard_index=data["shard_index"],
-        owner=data["owner"],
-        lease_ttl_s=float(ttl),
-        heartbeats=data["heartbeats"],
-    )
+    values = LEASE_RECORD_TABLE.read(data)
+    return LeaseRecord(**dict(values, lease_ttl_s=float(values["lease_ttl_s"])))
 
 
 # ---------------------------------------------------------------------------
 # Trace events and telemetry (the wire format of repro.obs)
 # ---------------------------------------------------------------------------
-#: Version of the trace-event wire format (JSONL log lines, telemetry
-#: event lists).  Bump on any shape change, exactly like
-#: :data:`MANIFEST_VERSION` above.
-TRACE_EVENT_VERSION = 1
+TRACE_EVENT_TABLE = WireTable(
+    "trace event", TRACE_EVENT_VERSION, versioned=False, fields=(
+        ("name", "str, non-empty", REQUIRED, "span name, e.g. `shard.evaluate`"),
+        ("start_us", "int >= 0", REQUIRED, "start, µs since the tracer's monotonic epoch"),
+        ("dur_us", "int >= 0", REQUIRED, "span duration, µs"),
+        ("tid", "int >= 0", REQUIRED, "track: 0 is the driver, *i*+1 is shard *i*"),
+        ("args", "object", REQUIRED, "span attributes (JSON scalars)"),
+    ),
+)
 
-#: Version stamped on :attr:`repro.study.result.StudyResult.telemetry`
-#: documents (``{"version", "events", "counters", "gauges"}``).
-TELEMETRY_VERSION = 1
+TRACE_HEADER_TABLE = WireTable(
+    "trace-log header", TRACE_EVENT_VERSION, kind="trace", fields=(
+        ("counters", "object", OPTIONAL, "counter name to total; `{}` when absent"),
+        ("gauges", "object", OPTIONAL, "gauge name to last value; `{}` when absent"),
+    ),
+)
+
+TELEMETRY_TABLE = WireTable(
+    "telemetry", TELEMETRY_VERSION, fields=(
+        ("events", [TRACE_EVENT_TABLE], OPTIONAL, "every finished span; may be absent"),
+        ("counters", "object", OPTIONAL, "counter name to total; may be absent"),
+        ("gauges", "object", OPTIONAL, "gauge name to last value; may be absent"),
+    ),
+)
 
 
 def trace_event_to_dict(span: "SpanRecord") -> Dict[str, Any]:
     """Serialize one finished span to the trace-event wire format.
 
-    One object per span::
-
-        {"name": "shard.evaluate",   // span name
-         "start_us": 18234,          // microseconds since tracer epoch
-         "dur_us": 912,              // span duration, microseconds
-         "tid": 4,                   // track: 0 = driver, i+1 = shard i
-         "args": {"rows": 4096}}     // attributes (JSON scalars)
-
-    Times are integer microseconds on a *monotonic* clock
-    (:func:`time.perf_counter` relative to the recording tracer's
-    epoch) — never wall-clock dates, so events from one run always
-    order correctly and diff cleanly.  The same objects appear as the
-    body lines of the JSONL event log
-    (:func:`repro.obs.export.write_trace_jsonl`, behind a
-    ``{"version", "kind": "trace", "counters", "gauges"}`` header
-    line) and, converted to Chrome's ``ph``/``ts``/``dur`` spelling,
-    in the ``chrome://tracing`` export.
+    Times are integer microseconds on a *monotonic* clock — never
+    wall-clock dates, so events from one run always order correctly
+    and diff cleanly.
     """
-    return {
-        "name": span.name,
-        "start_us": round(span.start_s * 1e6),
-        "dur_us": round(span.duration_s * 1e6),
-        "tid": span.tid,
-        "args": dict(span.attributes),
-    }
-
-
-def _trace_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"trace event field {field!r}: {message}")
+    return TRACE_EVENT_TABLE.emit(
+        span,
+        start_us=round(span.start_s * 1e6),
+        dur_us=round(span.duration_s * 1e6),
+        args=dict(span.attributes),
+    )
 
 
 def trace_event_from_dict(data: Any) -> "SpanRecord":
     """Rebuild a span from :func:`trace_event_to_dict` output."""
     from ..obs.tracer import SpanRecord
 
-    if not isinstance(data, dict):
-        raise _trace_error(
-            "<root>", f"must be a mapping, got {type(data).__name__}"
-        )
-    for key in ("name", "start_us", "dur_us", "tid", "args"):
-        if key not in data:
-            raise _trace_error(key, "missing")
-    if not isinstance(data["name"], str) or not data["name"]:
-        raise _trace_error(
-            "name", f"must be a non-empty string, got {data['name']!r}"
-        )
-    for key in ("start_us", "dur_us"):
-        if not isinstance(data[key], int) or data[key] < 0:
-            raise _trace_error(
-                key,
-                f"must be a non-negative integer of microseconds, got "
-                f"{data[key]!r}",
-            )
-    if not isinstance(data["tid"], int) or data["tid"] < 0:
-        raise _trace_error(
-            "tid", f"must be a non-negative integer, got {data['tid']!r}"
-        )
-    if not isinstance(data["args"], dict):
-        raise _trace_error(
-            "args",
-            f"must be a mapping, got {type(data['args']).__name__}",
-        )
+    values = TRACE_EVENT_TABLE.read(data)
     return SpanRecord(
-        name=data["name"],
-        start_s=data["start_us"] / 1e6,
-        duration_s=data["dur_us"] / 1e6,
-        tid=data["tid"],
-        attributes=dict(data["args"]),
+        name=values["name"],
+        start_s=values["start_us"] / 1e6,
+        duration_s=values["dur_us"] / 1e6,
+        tid=values["tid"],
+        attributes=dict(values["args"]),
     )
 
 
-def telemetry_from_dict(data: Any) -> Dict[str, Any]:
+def telemetry_from_dict(data: Any) -> Optional[Dict[str, Any]]:
     """Validate a :meth:`repro.obs.Tracer.to_telemetry` document.
 
     Returns the document unchanged (telemetry stays plain data on the
-    result; spans rebuild on demand via :func:`trace_event_from_dict`),
-    after checking the version pin and the events' wire shape.
+    result; spans rebuild on demand via :func:`trace_event_from_dict`).
     """
-    if data is None:
-        return data
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            "telemetry field '<root>': must be a mapping or null, got "
-            f"{type(data).__name__}"
-        )
-    version = data.get("version")
-    if version != TELEMETRY_VERSION:
-        raise ConfigurationError(
-            f"telemetry field 'version': unsupported version {version!r}; "
-            f"this build reads version {TELEMETRY_VERSION}"
-        )
-    for event in data.get("events", ()):
-        trace_event_from_dict(event)
-    for key in ("counters", "gauges"):
-        if key in data and not isinstance(data[key], dict):
-            raise ConfigurationError(
-                f"telemetry field {key!r}: must be a mapping, got "
-                f"{type(data[key]).__name__}"
-            )
+    if data is not None:
+        TELEMETRY_TABLE.read(data)
     return data
 
 
 # ---------------------------------------------------------------------------
 # Serve envelopes (the wire format of repro.serve)
 # ---------------------------------------------------------------------------
-#: Version stamped on every HTTP envelope :mod:`repro.serve` emits
-#: (acks, statuses, progress events, errors, stats).  Bump on any
-#: shape change, exactly like :data:`MANIFEST_VERSION` above.
-SERVE_PROTOCOL_VERSION = 1
+_STUDY_ID_DOC = "digest-derived study id; same spec, same id"
 
-#: Envelope kinds a serve document may carry.
-SERVE_ENVELOPE_KINDS = ("ack", "status", "progress", "error", "stats")
-
-#: Lifecycle states a served study moves through (in order; terminal
-#: states are the last two).
-STUDY_STATES = ("queued", "running", "done", "failed")
-
-#: Required keys per envelope kind (beyond ``version``/``kind``),
-#: shared by the builders below and :func:`serve_envelope_from_dict`.
-_SERVE_ENVELOPE_FIELDS = {
-    "ack": ("study_id", "state", "coalesced", "queue_depth"),
-    "status": (
-        "study_id",
-        "state",
-        "spec_digest",
-        "queue_position",
-        "progress",
-        "error",
-        "result_ready",
+SERVE_ACK_TABLE = WireTable(
+    "serve ack", SERVE_PROTOCOL_VERSION, kind="ack", fields=(
+        ("study_id", "str, non-empty", REQUIRED, _STUDY_ID_DOC),
+        ("state", "study state", REQUIRED, "lifecycle state at submit"),
+        ("coalesced", "bool", REQUIRED, "true: joined an existing run"),
+        ("queue_depth", "int >= 0", REQUIRED, "queued studies after this one"),
     ),
-    "progress": ("study_id", "seq", "state", "progress", "final"),
-    "error": ("status", "error", "message", "retry_after_s"),
-    "stats": ("counters", "gauges"),
-}
+)
 
+SERVE_STATUS_TABLE = WireTable(
+    "serve status", SERVE_PROTOCOL_VERSION, kind="status", fields=(
+        ("study_id", "str, non-empty", REQUIRED, _STUDY_ID_DOC),
+        ("state", "study state", REQUIRED, "`queued`, `running`, `done` or `failed`"),
+        ("spec_digest", "str, non-empty", REQUIRED, "content digest of the study spec"),
+        ("queue_position", "int >= 0 | null", REQUIRED, "0-based while queued, else null"),
+        ("progress", "object | null", REQUIRED, "progress counters; null before start"),
+        ("error", "str | null", REQUIRED, "failure message when failed"),
+        ("result_ready", "bool", REQUIRED, "true once `GET ?result=1` succeeds"),
+    ),
+)
 
-def _serve_envelope(kind: str, obj: Any) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "version": SERVE_PROTOCOL_VERSION,
-        "kind": kind,
-    }
-    for name in _SERVE_ENVELOPE_FIELDS[kind]:
-        data[name] = getattr(obj, name)
-    return data
+SERVE_PROGRESS_TABLE = WireTable(
+    "serve progress event", SERVE_PROTOCOL_VERSION, kind="progress", fields=(
+        ("study_id", "str, non-empty", REQUIRED, _STUDY_ID_DOC),
+        ("seq", "int >= 0", REQUIRED, "event number, increasing"),
+        ("state", "study state", REQUIRED, "lifecycle state at this event"),
+        ("progress", "object | null", REQUIRED, "progress counters; null before start"),
+        ("final", "bool", REQUIRED, "true on the last event (terminal state)"),
+    ),
+)
 
+SERVE_ERROR_TABLE = WireTable(
+    "serve error", SERVE_PROTOCOL_VERSION, kind="error", fields=(
+        ("status", "int", REQUIRED, "the HTTP status code"),
+        ("error", "str, non-empty", REQUIRED, "the `repro.errors` class name"),
+        ("message", "str", REQUIRED, "what went wrong, naming the field"),
+        ("retry_after_s", "float | null", REQUIRED, "seconds to wait; null unless 429/503"),
+    ),
+)
 
-def serve_ack_to_dict(ack: "StudyAck") -> Dict[str, Any]:
-    """Serialize a study-submission ack to its JSON wire format.
+SERVE_STATS_TABLE = WireTable(
+    "serve stats", SERVE_PROTOCOL_VERSION, kind="stats", fields=(
+        ("counters", "object", REQUIRED, "serving counters"),
+        ("gauges", "object", REQUIRED, "serving gauges"),
+    ),
+)
 
-    The body of ``202 Accepted`` (and of the ``200 OK`` a coalesced
-    resubmission gets)::
-
-        {"version": 1, "kind": "ack",
-         "study_id": "study-9f2c...",   // digest-derived, idempotent
-         "state": "queued",             // lifecycle state at submit
-         "coalesced": false,            // true: joined an existing run
-         "queue_depth": 3}              // queued studies after this one
-    """
-    return _serve_envelope("ack", ack)
-
-
-def serve_status_to_dict(status: "StudyStatus") -> Dict[str, Any]:
-    """Serialize a study status to its JSON wire format.
-
-    The body of ``GET /v1/studies/{id}``::
-
-        {"version": 1, "kind": "status",
-         "study_id": "study-9f2c...",
-         "state": "running",            // queued|running|done|failed
-         "spec_digest": "9f2c...",
-         "queue_position": null,        // 0-based while queued
-         "progress": { ... },           // Progress.to_dict(), or null
-         "error": null,                 // failure message when failed
-         "result_ready": false}         // GET ?result=1 will succeed
-
-    The finished :class:`~repro.study.result.StudyResult` document
-    itself is *not* re-pinned here — it already carries its own
-    ``RESULT_VERSION``.
-    """
-    return _serve_envelope("status", status)
-
-
-def serve_progress_to_dict(event: "ProgressEvent") -> Dict[str, Any]:
-    """Serialize one progress-stream event to its JSON wire format.
-
-    ``GET /v1/studies/{id}/progress`` streams one such object per
-    line; ``seq`` increases monotonically and the ``final`` event
-    carries the terminal state::
-
-        {"version": 1, "kind": "progress",
-         "study_id": "study-9f2c...",
-         "seq": 4,
-         "state": "running",
-         "progress": {"rows_done": 4096, ...},   // or null pre-start
-         "final": false}
-    """
-    return _serve_envelope("progress", event)
-
-
-def serve_error_to_dict(error: "ErrorEnvelope") -> Dict[str, Any]:
-    """Serialize an error envelope to its JSON wire format.
-
-    Every non-2xx serve response carries one, mapping the
-    :mod:`repro.errors` taxonomy onto HTTP::
-
-        {"version": 1, "kind": "error",
-         "status": 429,                       // HTTP status code
-         "error": "StudyQueueFullError",      // taxonomy class name
-         "message": "study queue is full ...",
-         "retry_after_s": 2.0}                // null unless 429/503
-    """
-    return _serve_envelope("error", error)
-
-
-def serve_stats_to_dict(stats: "ServeStats") -> Dict[str, Any]:
-    """Serialize a server stats snapshot to its JSON wire format.
-
-    The body of ``GET /v1/stats``: the serving layer's observability
-    counters and gauges (:mod:`repro.obs` snapshots)::
-
-        {"version": 1, "kind": "stats",
-         "counters": {"serve.studies.coalesced": 7, ...},
-         "gauges": {"serve.queue_depth": 0.0, ...}}
-    """
-    return _serve_envelope("stats", stats)
-
-
-def _serve_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"serve envelope field {field!r}: {message}")
+#: Every serve envelope table, one per ``kind``.
+SERVE_ENVELOPES = (
+    SERVE_ACK_TABLE,
+    SERVE_STATUS_TABLE,
+    SERVE_PROGRESS_TABLE,
+    SERVE_ERROR_TABLE,
+    SERVE_STATS_TABLE,
+)
 
 
 def serve_envelope_from_dict(data: Any) -> Dict[str, Any]:
     """Validate any serve envelope; returns the document unchanged.
 
-    The client-side guard: checks the version pin, the ``kind``
-    discriminator, and the kind's required keys, then hands the plain
-    dict back (envelopes stay data end to end; no dataclass rebuild is
-    needed to act on them).
+    The client-side guard: the ``kind`` discriminator picks the table,
+    which checks the version pin and every field, then the plain dict
+    is handed back (envelopes stay data end to end).
     """
     if not isinstance(data, dict):
-        raise _serve_error(
-            "<root>", f"must be a mapping, got {type(data).__name__}"
+        raise _field_error(
+            "serve envelope", "<root>", f"must be a mapping, got {type(data).__name__}"
         )
-    version = data.get("version")
-    if version != SERVE_PROTOCOL_VERSION:
-        raise _serve_error(
-            "version",
-            f"unsupported version {version!r}; this build reads "
-            f"version {SERVE_PROTOCOL_VERSION}",
-        )
-    kind = data.get("kind")
-    if kind not in _SERVE_ENVELOPE_FIELDS:
-        raise _serve_error(
-            "kind",
-            f"unknown kind {kind!r}; known: "
-            f"{', '.join(SERVE_ENVELOPE_KINDS)}",
-        )
-    missing = [
-        name for name in _SERVE_ENVELOPE_FIELDS[kind] if name not in data
-    ]
-    if missing:
-        raise _serve_error(missing[0], "missing")
-    if "state" in data and data["state"] not in STUDY_STATES:
-        raise _serve_error(
-            "state",
-            f"unknown study state {data['state']!r}; known: "
-            f"{', '.join(STUDY_STATES)}",
-        )
-    return data
+    for table in SERVE_ENVELOPES:
+        if table.kind == data.get("kind"):
+            table.read(data)
+            return data
+    known = ", ".join(str(table.kind) for table in SERVE_ENVELOPES)
+    raise _field_error(
+        "serve envelope", "kind", f"unknown kind {_shown(data.get('kind'))}; known: {known}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Saved study results (the wire format of repro.study and serve results)
+# ---------------------------------------------------------------------------
+STUDY_AXIS_TABLE = WireTable(
+    "study axis", RESULT_VERSION, versioned=False, fields=(
+        ("name", "str", REQUIRED, "axis name, e.g. a knob or `scenario`"),
+        ("values", "list", REQUIRED, "the axis points, in order"),
+    ),
+)
+
+STUDY_RESULT_TABLE = WireTable(
+    "study result", RESULT_VERSION, fields=(
+        ("spec", "object", REQUIRED, "the `StudySpec` document that ran"),
+        ("axes", [STUDY_AXIS_TABLE], REQUIRED, "the grid's axes, row-major"),
+        ("batch", BATCH_RESULT_TABLE, REQUIRED, "every evaluated row, before filters"),
+        ("selected_indices", "<i8 column, any length", REQUIRED, "chosen rows, in rank order"),
+        ("total_mass_g", "<f8 column", REQUIRED, "total vehicle mass, g"),
+        ("compute_tdp_w", "<f8 column", REQUIRED, "compute platform TDP, W"),
+        ("telemetry", TELEMETRY_TABLE, OPTIONAL, "absent for an untraced run"),
+    ),
+)
 
 
 def design_matrices_equal(a: "DesignMatrix", b: "DesignMatrix") -> bool:

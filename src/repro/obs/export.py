@@ -4,8 +4,9 @@ Three views of one :class:`~repro.obs.tracer.Tracer`:
 
 * :func:`write_trace_jsonl` / :func:`read_trace_jsonl` — the versioned
   JSONL event log (one trace event per line behind a header line; see
-  :func:`repro.io.serialization.trace_event_to_dict` for the event
-  wire format).  The machine-first format: greppable, appendable,
+  :data:`repro.io.serialization.TRACE_EVENT_TABLE` and
+  :data:`~repro.io.serialization.TRACE_HEADER_TABLE` for the wire
+  format).  The machine-first format: greppable, appendable,
   streamable.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON consumed by ``chrome://tracing`` / Perfetto.  Every
@@ -42,18 +43,18 @@ __all__ = [
 def write_trace_jsonl(path: Union[str, Path], tracer: Tracer) -> None:
     """Write the tracer's spans and metrics as a JSONL event log.
 
-    Line 1 is a header ``{"version", "kind": "trace", "counters",
-    "gauges"}``; every following line is one trace event
+    Line 1 is the header
+    (:data:`repro.io.serialization.TRACE_HEADER_TABLE`); every following
+    line is one trace event
     (:func:`repro.io.serialization.trace_event_to_dict`).
     """
-    from ..io.serialization import TRACE_EVENT_VERSION
+    from ..io.serialization import TRACE_HEADER_TABLE
 
-    header = {
-        "version": TRACE_EVENT_VERSION,
-        "kind": "trace",
-        "counters": tracer.counters_snapshot(),
-        "gauges": tracer.gauges_snapshot(),
-    }
+    header = TRACE_HEADER_TABLE.emit(
+        tracer,
+        counters=tracer.counters_snapshot(),
+        gauges=tracer.gauges_snapshot(),
+    )
     lines = [json.dumps(header)]
     lines.extend(json.dumps(event) for event in tracer.to_events())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -65,39 +66,25 @@ def read_trace_jsonl(
     """Read a :func:`write_trace_jsonl` log back.
 
     Returns ``(spans, metrics)`` where ``metrics`` is the header's
-    ``{"counters", "gauges"}`` mapping.  Version mismatches and
-    malformed lines are :class:`~repro.errors.ConfigurationError`\\ s.
+    ``{"counters", "gauges"}`` mapping.  A damaged header or line is a
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
-    from ..io.serialization import TRACE_EVENT_VERSION, trace_event_from_dict
+    from ..io.serialization import TRACE_HEADER_TABLE, trace_event_from_dict
 
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ConfigurationError(f"trace log {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"trace log {path} has an unreadable header: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("kind") != "trace":
-        raise ConfigurationError(
-            f"trace log {path} does not start with a trace header line"
-        )
-    version = header.get("version")
-    if version != TRACE_EVENT_VERSION:
-        raise ConfigurationError(
-            f"trace log {path} is version {version!r}; this build reads "
-            f"version {TRACE_EVENT_VERSION}"
-        )
-    spans = []
-    for number, line in enumerate(lines[1:], start=2):
+    records = []
+    for number, line in enumerate(lines, start=1):
         try:
-            spans.append(trace_event_from_dict(json.loads(line)))
+            records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"trace log {path} line {number} is not valid JSON: {exc}"
             ) from exc
+    header = TRACE_HEADER_TABLE.read(records[0])
+    spans = [trace_event_from_dict(record) for record in records[1:]]
     metrics = {
         "counters": header.get("counters", {}),
         "gauges": header.get("gauges", {}),

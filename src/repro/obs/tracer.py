@@ -388,13 +388,13 @@ class Tracer:
         """The run's full telemetry as one JSON-compatible document.
 
         The format :attr:`repro.study.result.StudyResult.telemetry`
-        round-trips (see :data:`repro.io.serialization.TELEMETRY_VERSION`).
+        round-trips (:data:`repro.io.serialization.TELEMETRY_TABLE`).
         """
-        from ..io.serialization import TELEMETRY_VERSION
+        from ..io.serialization import TELEMETRY_TABLE
 
-        return {
-            "version": TELEMETRY_VERSION,
-            "events": self.to_events(),
-            "counters": self.counters_snapshot(),
-            "gauges": self.gauges_snapshot(),
-        }
+        return TELEMETRY_TABLE.emit(
+            self,
+            events=self.to_events(),
+            counters=self.counters_snapshot(),
+            gauges=self.gauges_snapshot(),
+        )

@@ -4,9 +4,9 @@ Every HTTP body :mod:`repro.serve` emits is one of five envelope
 kinds — ``ack``, ``status``, ``progress``, ``error``, ``stats`` —
 version-pinned through :mod:`repro.io.serialization` exactly like the
 shard-checkpoint and telemetry formats
-(:data:`~repro.io.serialization.SERVE_PROTOCOL_VERSION`); the dict
-builders live there so the RPL003 wire-fingerprint guard watches them.
-This module holds the dataclasses behind those builders, the mapping
+(:data:`~repro.io.serialization.SERVE_PROTOCOL_VERSION`); their field
+tables live there so the RPL003 wire-fingerprint guard watches them.
+This module holds the dataclasses those tables emit, the mapping
 from the :mod:`repro.errors` taxonomy onto HTTP status codes, and the
 request-side parsers (which reject malformed bodies with
 :class:`~repro.errors.ConfigurationError` messages naming the
@@ -28,11 +28,11 @@ from ..errors import (
 from ..io.serialization import (
     SERVE_PROTOCOL_VERSION,
     STUDY_STATES,
-    serve_ack_to_dict,
-    serve_error_to_dict,
-    serve_progress_to_dict,
-    serve_stats_to_dict,
-    serve_status_to_dict,
+    SERVE_ACK_TABLE,
+    SERVE_ERROR_TABLE,
+    SERVE_PROGRESS_TABLE,
+    SERVE_STATS_TABLE,
+    SERVE_STATUS_TABLE,
 )
 
 __all__ = [
@@ -69,7 +69,7 @@ class StudyAck:
     queue_depth: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return serve_ack_to_dict(self)
+        return SERVE_ACK_TABLE.emit(self)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class StudyStatus:
     result_ready: bool
 
     def to_dict(self) -> Dict[str, Any]:
-        return serve_status_to_dict(self)
+        return SERVE_STATUS_TABLE.emit(self)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class ProgressEvent:
     final: bool
 
     def to_dict(self) -> Dict[str, Any]:
-        return serve_progress_to_dict(self)
+        return SERVE_PROGRESS_TABLE.emit(self)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ErrorEnvelope:
     retry_after_s: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return serve_error_to_dict(self)
+        return SERVE_ERROR_TABLE.emit(self)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class ServeStats:
     gauges: Dict[str, float]
 
     def to_dict(self) -> Dict[str, Any]:
-        return serve_stats_to_dict(self)
+        return SERVE_STATS_TABLE.emit(self)
 
 
 def envelope_for_exception(exc: BaseException) -> ErrorEnvelope:

@@ -43,7 +43,8 @@ from .planner import (
     study_axes,
     study_size,
 )
-from .result import RESULT_VERSION, StudyResult
+from ..io.serialization import RESULT_VERSION
+from .result import StudyResult
 from .runner import run_study
 from .spec import (
     ALL_COLUMNS,

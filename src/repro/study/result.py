@@ -8,7 +8,8 @@ reshapes back onto the study's grid), the selection the spec's
 mass/TDP accounting columns.  Like the spec, it is plain data:
 ``to_dict``/``from_dict``/JSON round-trips are bitwise lossless, with
 every per-row array carried as base64 column bytes and bound and
-verdict codes carrying their stable names.
+verdict codes carrying their stable names.  The document's fields are
+declared once, in :data:`repro.io.serialization.STUDY_RESULT_TABLE`.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..io.serialization import (
     BOUND_CODE_TO_NAME,
-    FLOAT_COLUMN,
-    INDEX_COLUMN,
     STATUS_CODE_TO_NAME,
-    batch_result_from_dict,
+    STUDY_AXIS_TABLE,
+    STUDY_RESULT_TABLE,
     batch_result_to_dict,
     batch_results_equal,
-    decode_column,
-    encode_column,
-    telemetry_from_dict,
+    check_indices,
 )
 from ..batch.result import BatchResult
 from .planner import StudyAxis
@@ -41,34 +39,6 @@ from .spec import (
     NUMERIC_RESULT_COLUMNS,
     StudySpec,
 )
-
-#: Serialization format version stamped on every result dict.
-RESULT_VERSION = 2
-
-
-def _axes_from_list(entries: Any) -> Tuple[StudyAxis, ...]:
-    """Study axes from the result document's ``axes`` list."""
-    if not isinstance(entries, list):
-        raise ConfigurationError(
-            "result field 'axes': must be a list, got "
-            f"{type(entries).__name__}"
-        )
-    axes: List[StudyAxis] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"result field 'axes[{i}]': must be a mapping, got "
-                f"{type(entry).__name__}"
-            )
-        for key, kind in (("name", str), ("values", list)):
-            if not isinstance(entry.get(key), kind):
-                raise ConfigurationError(
-                    f"result field 'axes[{i}].{key}': must be a "
-                    f"{kind.__name__}, got {entry.get(key)!r}"
-                )
-        axes.append(StudyAxis(name=entry["name"], values=tuple(entry["values"])))
-    return tuple(axes)
-
 
 # eq=False: ndarray fields; identity semantics — use :meth:`equals`.
 @dataclass(frozen=True, eq=False)
@@ -216,68 +186,37 @@ class StudyResult:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """The version-pinned result document; every per-row array is
-        an :func:`~repro.io.serialization.encode_column` object."""
-        out = {
-            "version": RESULT_VERSION,
-            "spec": self.spec.to_dict(),
-            "axes": [
-                {"name": axis.name, "values": list(axis.values)}
+        """The version-pinned result document
+        (:data:`~repro.io.serialization.STUDY_RESULT_TABLE`)."""
+        return STUDY_RESULT_TABLE.emit(
+            self,
+            spec=self.spec.to_dict(),
+            axes=[
+                STUDY_AXIS_TABLE.emit(axis, values=list(axis.values))
                 for axis in self.axes
             ],
-            "batch": batch_result_to_dict(self.batch),
-            "selected_indices": encode_column(
-                self.selected_indices, INDEX_COLUMN
-            ),
-            "total_mass_g": encode_column(self.total_mass_g, FLOAT_COLUMN),
-            "compute_tdp_w": encode_column(self.compute_tdp_w, FLOAT_COLUMN),
-        }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry
-        return out
+            batch=batch_result_to_dict(self.batch),
+        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "StudyResult":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                "result field '<root>': must be a mapping, got "
-                f"{type(data).__name__}"
-            )
-        version = data.get("version", RESULT_VERSION)
-        if version != RESULT_VERSION:
-            raise ConfigurationError(
-                f"result field 'version': unsupported version {version!r}; "
-                f"this build reads version {RESULT_VERSION}"
-            )
-        for key in (
-            "spec",
-            "axes",
-            "batch",
-            "selected_indices",
-            "total_mass_g",
-            "compute_tdp_w",
-        ):
-            if key not in data:
-                raise ConfigurationError(
-                    f"result field {key!r}: missing"
-                )
-        batch = batch_result_from_dict(data["batch"])
-        rows = len(batch)
+        values = STUDY_RESULT_TABLE.read(data)
+        batch = values["batch"]
+        check_indices(
+            STUDY_RESULT_TABLE.title, "selected_indices",
+            values["selected_indices"], len(batch),
+        )
         return cls(
-            spec=StudySpec.from_dict(data["spec"]),
-            axes=_axes_from_list(data["axes"]),
+            spec=StudySpec.from_dict(values["spec"]),
+            axes=tuple(
+                StudyAxis(name=axis["name"], values=tuple(axis["values"]))
+                for axis in values["axes"]
+            ),
             batch=batch,
-            selected_indices=decode_column(
-                "selected_indices", data["selected_indices"], INDEX_COLUMN,
-                stop=rows,
-            ),
-            total_mass_g=decode_column(
-                "total_mass_g", data["total_mass_g"], FLOAT_COLUMN, rows
-            ),
-            compute_tdp_w=decode_column(
-                "compute_tdp_w", data["compute_tdp_w"], FLOAT_COLUMN, rows
-            ),
-            telemetry=telemetry_from_dict(data.get("telemetry")),
+            selected_indices=values["selected_indices"],
+            total_mass_g=values["total_mass_g"],
+            compute_tdp_w=values["compute_tdp_w"],
+            telemetry=data.get("telemetry"),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -288,8 +227,8 @@ class StudyResult:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"result field '<root>': invalid JSON: {exc}"
+            raise STUDY_RESULT_TABLE.error(
+                "<root>", f"invalid JSON: {exc}"
             ) from exc
         return cls.from_dict(data)
 
@@ -303,8 +242,8 @@ class StudyResult:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise ConfigurationError(
-                f"result field '<root>': not UTF-8 text: {exc}"
+            raise STUDY_RESULT_TABLE.error(
+                "<root>", f"not UTF-8 text: {exc}"
             ) from exc
         return cls.from_json(text)
 

@@ -527,9 +527,19 @@ class RankClause:
     top_k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is not None and (
+            isinstance(self.top_k, bool)
+            or not isinstance(self.top_k, int)
+            or self.top_k < 1
+        ):
             raise spec_error(
-                "rank.top_k", f"must be >= 1, got {self.top_k}"
+                "rank.top_k",
+                f"must be null or an integer >= 1, got {self.top_k!r}",
+            )
+        if not isinstance(self.descending, bool):
+            raise spec_error(
+                "rank.descending",
+                f"must be true or false, got {self.descending!r}",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -555,7 +565,7 @@ class RankClause:
             )
         return cls(
             by=str(data.get("by", "safe_velocity")),
-            descending=bool(data.get("descending", True)),
+            descending=data.get("descending", True),
             top_k=data.get("top_k"),
         )
 
@@ -731,12 +741,12 @@ class StudySpec:
             )
         if "design" not in data:
             raise spec_error("design", "missing")
-        filters = data.get("filters", [])
-        if not isinstance(filters, list):
-            raise spec_error(
-                "filters",
-                f"must be a list, got {type(filters).__name__}",
-            )
+        for key in ("metrics", "filters"):
+            if not isinstance(data.get(key, []), list):
+                raise spec_error(
+                    key,
+                    f"must be a list, got {type(data[key]).__name__}",
+                )
         return cls(
             design=DesignSpec.from_dict(data["design"]),
             scenarios=(
@@ -745,7 +755,9 @@ class StudySpec:
                 else None
             ),
             metrics=tuple(data.get("metrics", ())),
-            filters=tuple(FilterClause.from_dict(f) for f in filters),
+            filters=tuple(
+                FilterClause.from_dict(f) for f in data.get("filters", [])
+            ),
             rank=(
                 RankClause.from_dict(data["rank"])
                 if data.get("rank") is not None

@@ -1,13 +1,28 @@
-"""RPL003 clean fixture: a miniature versioned wire builder."""
+"""RPL003 clean fixture: a miniature versioned wire table."""
 
 MANIFEST_VERSION = 1
 
-_MANIFEST_FIELDS = ("kind", "digest", "total_rows")
+
+class WireTable:
+    """Stand-in for the real table class; the fixture is only parsed."""
+
+    def __init__(self, title, version, fields):
+        self.title = title
+        self.version = version
+        self.fields = fields
 
 
-def shard_manifest_to_dict(manifest):
-    """Serialize a manifest (fixture twin of the real builder)."""
-    data = {"version": MANIFEST_VERSION}
-    for name in _MANIFEST_FIELDS:
-        data[name] = getattr(manifest, name)
-    return data
+WIRE_TYPES = {
+    "str": lambda value: isinstance(value, str),
+    "int >= 0": lambda value: isinstance(value, int) and value >= 0,
+}
+
+SHARD_MANIFEST_TABLE = WireTable(
+    "shard manifest",
+    version=MANIFEST_VERSION,
+    fields=(
+        ("kind", "str", True, "fixture twin of the real table"),
+        ("digest", "str", True, "content digest of the source"),
+        ("total_rows", "int >= 0", True, "rows in the full grid"),
+    ),
+)

@@ -157,7 +157,7 @@ class TestRPL003WireGuard:
         source = (FIXTURES / fixture).read_text()
         snapshot = {
             "version": wire.SNAPSHOT_VERSION,
-            "builders": wire.ast_snapshot_of_source(source),
+            "tables": wire.ast_snapshot_of_source(source),
             "shapes": {},
         }
         path = tmp_path / "snap.json"
@@ -198,19 +198,19 @@ class TestRPL003WireGuard:
         assert len(findings) == 1
         assert "missing from this module" in findings[0].message
 
-    def test_codec_helper_edit_without_bump_flagged(self, tmp_path):
-        """Switching base64 for hex inside the column codec moves no
-        builder's own AST and no runtime shape (both stay ``str``), so
-        every column builder folds the codec into its fingerprint."""
+    def _flagged_by_edit(self, tmp_path, old: str, new: str) -> list:
+        """RPL003 findings for the live serialization module after
+        replacing ``old`` with ``new``, against a snapshot of the
+        unedited module."""
         source = (SRC_REPRO / "io" / "serialization.py").read_text()
-        edited = source.replace("base64.b64encode(", "base64.b16encode(")
+        edited = source.replace(old, new)
         assert edited != source
         snap = tmp_path / "snap.json"
         snap.write_text(
             json.dumps(
                 {
                     "version": wire.SNAPSHOT_VERSION,
-                    "builders": wire.ast_snapshot_of_source(source),
+                    "tables": wire.ast_snapshot_of_source(source),
                     "shapes": {},
                 }
             )
@@ -220,18 +220,77 @@ class TestRPL003WireGuard:
         findings = Analyzer(
             AnalyzerConfig(wire_modules=("serialization.py",), wire_snapshot=snap)
         ).check_file(module)
-        flagged = [f for f in findings if f.rule == "RPL003"]
+        return [f for f in findings if f.rule == "RPL003"]
+
+    def test_codec_helper_edit_without_bump_flagged(self, tmp_path):
+        """Switching base64 for hex inside the column codec moves no
+        table's own AST and no runtime shape (both stay ``str``), so
+        every column-carrying table folds the codec into its
+        fingerprint."""
+        flagged = self._flagged_by_edit(
+            tmp_path, "base64.b64encode(", "base64.b16encode("
+        )
         assert sorted(f.message.split("'")[1] for f in flagged) == [
-            "batch_result_to_dict",
-            "design_matrix_to_dict",
-            "shard_record_to_dict",
+            "batch_result",
+            "design_matrix",
+            "shard_record",
+            "study_result",
         ]
         assert all("is still" in f.message for f in flagged)
+
+    def test_embedded_table_edit_flags_its_embedders(self, tmp_path):
+        flagged = self._flagged_by_edit(
+            tmp_path,
+            '("tolerance", "float", REQUIRED, "the optimal',
+            '("tolerance", "float > 0", REQUIRED, "the optimal',
+        )
+        assert sorted(f.message.split("'")[1] for f in flagged) == [
+            "batch_result",
+            "shard_record",
+            "study_result",
+        ]
+
+    def test_type_predicate_edit_flags_exactly_its_users(self, tmp_path):
+        flagged = self._flagged_by_edit(
+            tmp_path,
+            '"float > 0": lambda value: _is_number(value) and value > 0,',
+            '"float > 0": lambda value: _is_number(value) and value >= 0,',
+        )
+        assert [f.message.split("'")[1] for f in flagged] == ["lease_record"]
+
+    def test_doc_column_edit_does_not_move_fingerprint(self):
+        """Prose (docstrings, the doc column) and the ``build`` hook,
+        which turns values into objects, are not part of a format."""
+        source = (SRC_REPRO / "io" / "serialization.py").read_text()
+        reworded = source.replace(
+            '"rows in the full design grid"', '"every row of the grid"'
+        ).replace(
+            '"""The name errors quote for field ``name``."""',
+            '"""How errors spell field ``name``."""',
+        ).replace("    build=_batch_result, fields=(", "    fields=(")
+        assert reworded.count("every row of the grid") == 1
+        assert "How errors spell" in reworded
+        assert "build=_batch_result" not in reworded
+        assert wire.ast_snapshot_of_source(
+            source
+        ) == wire.ast_snapshot_of_source(reworded)
+
+    def test_table_without_snapshot_entry_flagged(self, tmp_path):
+        snap = tmp_path / "snap.json"
+        snap.write_text(
+            json.dumps(
+                {"version": wire.SNAPSHOT_VERSION, "tables": {}, "shapes": {}}
+            )
+        )
+        config = self._config("rpl003_serialization.py", snap)
+        findings = run_fixture("rpl003_serialization.py", **vars(config))
+        assert len(findings) == 1
+        assert "'shard_manifest' has no snapshot entry" in findings[0].message
 
     def test_docstring_edit_does_not_move_fingerprint(self):
         source = (FIXTURES / "rpl003_serialization.py").read_text()
         reworded = source.replace(
-            "fixture twin of the real builder", "same builder, new prose"
+            "fixture twin of the real table", "same table, new prose"
         )
         assert reworded != source
         assert wire.ast_snapshot_of_source(
@@ -249,7 +308,7 @@ class TestRPL003WireGuard:
         live = wire.ast_snapshot_of_source(
             (SRC_REPRO / "io" / "serialization.py").read_text()
         )
-        assert committed["builders"] == live
+        assert committed["tables"] == live
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         bad = tmp_path / "snap.json"

@@ -194,6 +194,35 @@ class TestLeaseClaim:
         assert holder is not None
         assert holder.owner == f"w{winners[0]}"
 
+    def test_stale_nan_ttl_lease_is_claimed_not_wedged(self, tmp_path):
+        # json.loads accepts the NaN token and ``age > nan`` is never
+        # true, so a NaN-TTL lease read as valid stayed "held" forever.
+        # The reader's positive TTL test makes it corrupt instead.
+        tracer = Tracer()
+        store = _store(tmp_path, tracer=tracer)
+        path = store.lease_path(0)
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "kind": "lease",
+                    "spec_digest": DIGEST,
+                    "shard_index": 0,
+                    "owner": "ghost",
+                    "lease_ttl_s": float("nan"),
+                    "heartbeats": 0,
+                }
+            ),
+            encoding="utf-8",
+        )
+        hour_ago = path.stat().st_mtime - 3600.0
+        os.utime(path, (hour_ago, hour_ago))
+        with pytest.warns(RuntimeWarning, match="corrupt or torn"):
+            record = store.try_claim(0)
+        assert record is not None and record.owner == "w1"
+        assert tracer.counters_snapshot()["distrib.leases.corrupt"] == 1
+        assert store.holder(0) == record
+
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ConfigurationError, match="digest"):
             LeaseStore(tmp_path, "", "w1")

@@ -517,6 +517,51 @@ class TestProtocolUnits:
             serve_envelope_from_dict({**good, "state": "paused"})
 
 
+    # Regression: an envelope whose kind is a list raised "TypeError:
+    # unhashable type" past the client's (ValueError, ReproError) guard.
+    def test_list_kind_envelope_is_a_clean_error(self):
+        from repro.io.serialization import serve_envelope_from_dict
+
+        doc = {"version": 1, "kind": ["error"], "status": 400}
+        with pytest.raises(ConfigurationError, match="'kind'"):
+            serve_envelope_from_dict(doc)
+        with pytest.raises(ServiceUnavailableError, match="unparseable"):
+            ServeClient()._raise_for_envelope(400, json.dumps(doc).encode())
+
+    # Regression: "soon" passed validation, then float("soon") raised
+    # ValueError outside the client's guard.
+    def test_non_numeric_retry_after_is_a_clean_error(self):
+        doc = {
+            "version": 1, "kind": "error", "status": 429,
+            "error": "StudyQueueFullError", "message": "study queue is full",
+            "retry_after_s": "soon",
+        }
+        with pytest.raises(ServiceUnavailableError, match="unparseable"):
+            ServeClient()._raise_for_envelope(429, json.dumps(doc).encode())
+
+    # Regression: these bodies gave a 500 (TypeError), a 202 for a study
+    # that then failed, or a silent descending ranking of "false".
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"metrics": 5}, "'metrics'"),
+            ({"rank": {"top_k": "3"}}, "'rank.top_k'"),
+            ({"rank": {"top_k": 2.5}}, "'rank.top_k'"),
+            ({"rank": {"descending": "false"}}, "'rank.descending'"),
+        ],
+        ids=["metrics-number", "top-k-str", "top-k-float", "descending-str"],
+    )
+    def test_malformed_study_body_is_a_400_naming_the_field(self, edit, field):
+        from repro.serve.protocol import parse_study_request
+
+        body = dict(_spec(4).to_dict(), **edit)
+        with pytest.raises(ConfigurationError, match=field) as exc:
+            parse_study_request(body)
+        envelope = envelope_for_exception(exc.value)
+        assert envelope.status == 400
+        assert field in envelope.message
+
+
 # ---------------------------------------------------------------------
 # CLI flag validation + the CI smoke path
 # ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Runtime wire-schema guard: shapes of live documents vs the snapshot.
 
-RPL003 watches the *source* of the dict builders in
+RPL003 watches the *source* of the wire tables in
 ``repro.io.serialization``; this suite watches what they *emit*.  Both
 halves share the committed snapshot at
 ``tests/data/wire_fingerprints.json``.  A failure here means the wire
@@ -47,9 +47,19 @@ def live_shapes():
     return wire.runtime_shapes()
 
 
+def _live_tables():
+    """Every wire table the serialization module declares, by snapshot
+    key, so a new document cannot go unguarded."""
+    return {
+        wire.snapshot_key(name): table
+        for name, table in vars(ser).items()
+        if isinstance(table, ser.WireTable)
+    }
+
+
 def test_snapshot_exists_and_loads(snapshot):
     assert snapshot["version"] == wire.SNAPSHOT_VERSION
-    assert set(snapshot["builders"]) == {b.name for b in wire.BUILDER_SPECS}
+    assert set(snapshot["tables"]) == set(_live_tables())
 
 
 def test_runtime_shapes_match_snapshot(snapshot, live_shapes):
@@ -63,26 +73,21 @@ def test_runtime_shapes_match_snapshot(snapshot, live_shapes):
 def test_builder_fingerprints_match_snapshot(snapshot):
     source = Path(ser.__file__).read_text(encoding="utf-8")
     live = wire.ast_snapshot_of_source(source)
-    for name, entry in snapshot["builders"].items():
-        assert name in live, f"builder {name!r} removed; {BUMP_HINT}"
+    for name, entry in snapshot["tables"].items():
+        assert name in live, f"wire table {name!r} removed; {BUMP_HINT}"
         assert live[name]["ast_sha256"] == entry["ast_sha256"], (
-            f"builder {name!r} edited; {BUMP_HINT}"
+            f"wire table {name!r} edited; {BUMP_HINT}"
         )
 
 
 def test_snapshot_versions_match_live_constants(snapshot):
-    live_versions = {
-        "MANIFEST_VERSION": ser.MANIFEST_VERSION,
-        "DISTRIB_PROTOCOL_VERSION": ser.DISTRIB_PROTOCOL_VERSION,
-        "TRACE_EVENT_VERSION": ser.TRACE_EVENT_VERSION,
-        "TELEMETRY_VERSION": ser.TELEMETRY_VERSION,
-        "SERVE_PROTOCOL_VERSION": ser.SERVE_PROTOCOL_VERSION,
-    }
-    for entry in snapshot["builders"].values():
-        const = entry["version_const"]
-        assert entry["version"] == live_versions[const], (
-            f"snapshot records {const}={entry['version']!r} but the live "
-            f"constant is {live_versions[const]!r}; {BUMP_HINT}"
+    for key, table in _live_tables().items():
+        entry = snapshot["tables"][key]
+        live = getattr(ser, entry["version_const"])
+        assert entry["version"] == live == table.version, (
+            f"snapshot records {entry['version_const']}={entry['version']!r} "
+            f"but the live constant is {live!r} and table {key!r} says "
+            f"{table.version!r}; {BUMP_HINT}"
         )
 
 
@@ -117,12 +122,13 @@ def _lease_doc(**overrides):
         _lease_doc(lease_ttl_s="30"),
         _lease_doc(heartbeats=-1),
         _lease_doc(heartbeats=...),
+        _lease_doc(lease_ttl_s=float("nan")),
     ],
     ids=[
         "non-mapping", "future-version", "wrong-kind", "missing-digest",
         "empty-digest", "non-str-digest", "empty-owner", "negative-index",
         "float-index", "zero-ttl", "bool-ttl", "str-ttl",
-        "negative-heartbeats", "missing-heartbeats",
+        "negative-heartbeats", "missing-heartbeats", "nan-ttl",
     ],
 )
 def test_lease_record_from_dict_rejects_damage(doc):
@@ -134,6 +140,25 @@ def test_lease_record_from_dict_rejects_damage(doc):
 
     with pytest.raises(ConfigurationError, match="lease"):
         ser.lease_record_from_dict(doc)
+
+
+# Regression: null or numeric telemetry events raised TypeError from
+# telemetry_from_dict, and so from StudyResult.from_dict/from_json/load.
+@pytest.mark.parametrize("events", [None, 5], ids=["null", "number"])
+def test_damaged_telemetry_events_are_named(tmp_path, events):
+    telemetry = {"version": ser.TELEMETRY_VERSION, "events": events}
+    with pytest.raises(ConfigurationError, match="telemetry field 'events'"):
+        ser.telemetry_from_dict(telemetry)
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(dict(_BASE.to_dict(), telemetry=telemetry)))
+    with pytest.raises(ConfigurationError, match="'events'"):
+        StudyResult.load(path)
+
+
+def test_lease_record_accepts_an_infinite_ttl():
+    # Writers accept ``--lease-ttl inf``: a lease that never expires.
+    record = ser.lease_record_from_dict(_lease_doc(lease_ttl_s=float("inf")))
+    assert record.lease_ttl_s == float("inf")
 
 
 def test_lease_record_round_trips():
@@ -337,3 +362,108 @@ def test_shard_record_round_trips_every_bit_pattern(batch, top_k, data):
         _assert_bitwise(record.local_indices, rebuilt.local_indices)
     else:
         assert rebuilt.local_indices is None
+
+
+# ---------------------------------------------------------------------------
+# Table-driven checks: every field of every table
+# ---------------------------------------------------------------------------
+GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "wire_golden"
+DOCS_DIR = REPO_ROOT / "docs"
+
+
+def _golden(name):
+    return json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+
+
+def _samples():
+    """One valid document per wire table, taken from the golden files."""
+    record = _golden("shard-full.jsonl")
+    result = _golden("result.json")
+    header, event = (
+        json.loads(line)
+        for line in (GOLDEN_DIR / "trace.jsonl").read_text().splitlines()[:2]
+    )
+    samples = {
+        "design_matrix": record["batch"]["matrix"],
+        "batch_result": record["batch"],
+        "shard_record": record,
+        "shard_manifest": _golden("manifest.json"),
+        "lease_record": _golden("lease.json"),
+        "trace_header": header,
+        "trace_event": event,
+        "telemetry": result["telemetry"],
+        "study_result": result,
+        "study_axis": result["axes"][0],
+    }
+    for kind in ("ack", "status", "progress", "error", "stats"):
+        samples[f"serve_{kind}"] = _golden(f"serve-{kind}.json")
+    return samples
+
+
+#: A value of the wrong type for each type tag (``true`` for ints);
+#: columns, embedded documents and lists get ``true`` as well.
+_WRONG = {
+    "int": True,
+    "int >= 0": True,
+    "int >= 1": True,
+    "int >= 0 | null": True,
+    "float": True,
+    "float > 0": True,
+    "float | null": True,
+    "str": 7,
+    "str, non-empty": 7,
+    "str | null": 7,
+    "bool": 0,
+    "object": [],
+    "object | null": [],
+    "list": {},
+    "manifest kind": "nonsense",
+    "study state": "paused",
+}
+
+
+def _damage_cases():
+    for key, table in sorted(_live_tables().items()):
+        for name, kind, required, _doc in table.fields:
+            if required:
+                yield pytest.param(key, name, ..., id=f"{key}.{name}-missing")
+            wrong = _WRONG.get(kind, True) if isinstance(kind, str) else True
+            yield pytest.param(key, name, wrong, id=f"{key}.{name}-wrong-type")
+
+
+def test_every_table_has_a_sample():
+    assert set(_samples()) == set(_live_tables())
+
+
+@pytest.mark.parametrize("key, name, value", _damage_cases())
+def test_table_reader_names_the_damaged_field(key, name, value):
+    table = _live_tables()[key]
+    doc = json.loads(json.dumps(_samples()[key]))
+    table.read(doc)  # the undamaged sample is valid
+    if value is ...:
+        del doc[name]
+    else:
+        doc[name] = value
+    with pytest.raises(ConfigurationError) as exc:
+        table.read(doc)
+    prefix = f"{table.title} field {table.where(name)!r}: "
+    assert str(exc.value).startswith(prefix), str(exc.value)
+
+
+def _docs_row(table, name, kind, doc):
+    """A table row as the docs render it: the type as code, and ``|``
+    escaped in every cell."""
+    cells = (f"`{table.type_text(kind)}`", doc)
+    type_text, doc_text = (cell.replace("|", "\\|") for cell in cells)
+    return f"| `{name}` | {type_text} | {doc_text} |"
+
+
+@pytest.mark.parametrize("key", sorted(_live_tables()))
+def test_every_table_row_is_on_a_docs_page(key):
+    pages = "\n".join(
+        page.read_text(encoding="utf-8") for page in DOCS_DIR.glob("*.md")
+    )
+    table = _live_tables()[key]
+    for name, kind, _required, doc in table.fields:
+        row = _docs_row(table, name, kind, doc)
+        assert row in pages, f"docs are missing the {key!r} row: {row}"
