@@ -8,8 +8,6 @@ discipline today and must keep holding as the codebase grows:
   that keeps the F-1 roofline chain dimensionally consistent (RPL001),
 * the :mod:`repro.errors` taxonomy and its field-naming messages
   (RPL002),
-* version-pinned wire formats in :mod:`repro.io.serialization`
-  (RPL003),
 * kernel purity in the :mod:`repro.batch` hot paths (RPL004),
 * the opt-in ``tracer is not None`` observability idiom (RPL005),
 * picklability of everything submitted to process pools (RPL006),
@@ -31,8 +29,10 @@ files under ``tests/data/reprolint_fixtures/``.  The ``reprolint``
 console script (see :mod:`repro.analysis.cli`) runs the suite over a
 tree — incrementally, via a content-hash cache with graph-aware
 invalidation (:mod:`repro.analysis.cache`) — and is wired into CI next
-to ruff, with a committed baseline (:mod:`repro.analysis.baseline`)
-and SARIF export (:mod:`repro.analysis.sarif`).
+to ruff, with SARIF export (:mod:`repro.analysis.sarif`).  The tree
+must be clean: there is no baseline of accepted findings.  RPL003 (the
+old wire-format guard) is retired; the wire formats are pinned by
+golden documents in ``tests/test_wire_golden.py``.
 """
 
 from __future__ import annotations

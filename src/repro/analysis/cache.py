@@ -19,8 +19,9 @@ interprocedural findings never go stale.
 
 The whole cache is invalidated when the analyzer itself changes: the
 ``config_key`` folds in the source hashes of ``repro.analysis``, the
-registered rule ids, the analyzer configuration and the wire-snapshot
-content (RPL003 findings depend on it).
+registered rule ids and the analyzer configuration.  A cache that is
+missing or corrupt starts cold, and so does each entry that does not
+read back: its file is analyzed again.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import REGISTRY, AnalyzerConfig, Finding
 from .graph import ModuleSummary, ProjectGraph, module_name_for
-from . import wire
 
 #: Wire-shape version of the cache file; bumping drops every entry.
 CACHE_VERSION = 1
@@ -47,9 +47,8 @@ def compute_config_key(config: AnalyzerConfig) -> str:
     """A hash that changes whenever cached results could change.
 
     Folds in the analyzer's own source code (any edit to the analysis
-    package invalidates everything), the registered rule ids, the
-    relevant config fields, and the wire-snapshot content RPL003
-    findings derive from.
+    package invalidates everything), the registered rule ids and the
+    relevant config fields.
     """
     digest = hashlib.sha256()
     package_dir = Path(__file__).parent
@@ -62,38 +61,16 @@ def compute_config_key(config: AnalyzerConfig) -> str:
     digest.update(",".join(sorted(REGISTRY)).encode("utf-8"))
     fields = {
         "purity_modules": list(config.purity_modules),
-        "wire_modules": list(config.wire_modules),
         "select": None if config.select is None else sorted(config.select),
         "exclude": list(config.exclude),
         "doc_files": list(config.doc_files),
     }
     digest.update(json.dumps(fields, sort_keys=True).encode("utf-8"))
-    snapshot_path = (
-        config.wire_snapshot
-        if config.wire_snapshot is not None
-        else _default_snapshot_path()
-    )
-    if snapshot_path is not None:
-        try:
-            digest.update(Path(snapshot_path).read_bytes())
-        except OSError:
-            pass  # absent snapshot: RPL003 skips itself, key stays stable
     return digest.hexdigest()
 
 
-def _default_snapshot_path() -> Optional[Path]:
-    root = wire.find_repo_root(Path.cwd())
-    if root is None:
-        return None
-    return root / wire.DEFAULT_SNAPSHOT_RELPATH
-
-
-def default_cache_path() -> Optional[Path]:
-    """``.reprolint_cache.json`` under the repo root (None outside one)."""
-    root = wire.find_repo_root(Path.cwd())
-    if root is None:
-        return None
-    return root / DEFAULT_CACHE_NAME
+#: One reusable entry, read back: its module-rule findings and summary.
+_Entry = Tuple[List[Finding], Optional[ModuleSummary]]
 
 
 class AnalysisCache:
@@ -102,7 +79,8 @@ class AnalysisCache:
     def __init__(self, path: Path, config_key: str) -> None:
         self.path = Path(path)
         self.config_key = config_key
-        self._entries: Dict[str, Dict[str, Any]] = {}
+        self._entries: Dict[str, Any] = {}
+        self._reusable: Dict[Path, _Entry] = {}
         self._dirty = False
         self._load()
 
@@ -155,6 +133,29 @@ class AnalysisCache:
         except OSError:  # pragma: no cover - unresolvable path
             return path.as_posix()
 
+    @staticmethod
+    def _read_entry(entry: Any) -> Optional[_Entry]:
+        """An entry's findings and summary; None when it does not read
+        back (damaged, or written under an older ``SUMMARY_VERSION``)."""
+        try:
+            findings = [
+                Finding(
+                    path=str(f["path"]),
+                    line=int(f["line"]),
+                    col=int(f["col"]),
+                    rule=str(f["rule"]),
+                    message=str(f["message"]),
+                )
+                for f in entry["findings"]
+            ]
+            raw_summary = entry["summary"]
+            if raw_summary is None:
+                return findings, None
+            summary = ModuleSummary.from_dict(raw_summary)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
+        return None if summary is None else (findings, summary)
+
     # -- planning --------------------------------------------------------
     def plan(
         self,
@@ -165,28 +166,24 @@ class AnalysisCache:
         """The subset of ``files`` whose cached results are reusable.
 
         A file must be content-unchanged *and* import (transitively,
-        within ``files``) only content-unchanged modules.
+        within ``files``) only content-unchanged modules; an entry that
+        does not read back counts as changed.
         """
         names: Dict[Path, str] = {
             path: module_name_for(path) for path in files
         }
-        summaries: Dict[Path, Optional[ModuleSummary]] = {}
+        self._reusable = {}
         changed: Set[Path] = set()
         for path in files:
             entry = self._entries.get(self._key(path))
-            if entry is None or entry.get("sha256") != digests.get(path):
-                changed.add(path)
-                continue
-            raw_summary = entry.get("summary")
-            summary = (
-                ModuleSummary.from_dict(raw_summary)
-                if raw_summary is not None
-                else None
+            unchanged = (
+                isinstance(entry, dict) and entry.get("sha256") == digests.get(path)
             )
-            if raw_summary is not None and summary is None:
-                changed.add(path)  # serialized with an older SUMMARY_VERSION
-                continue
-            summaries[path] = summary
+            read = self._read_entry(entry) if unchanged else None
+            if read is None:
+                changed.add(path)
+            else:
+                self._reusable[path] = read
         changed_names = {names[path] for path in changed}
         # Fixpoint over reverse import edges: an unchanged module whose
         # (cached, hence accurate) imports name a changed module is
@@ -197,7 +194,7 @@ class AnalysisCache:
             for path in files:
                 if path in changed:
                     continue
-                summary = summaries.get(path)
+                summary = self._reusable[path][1]
                 if summary is None:
                     continue  # unparsable file: nothing depends on it
                 if self._imported_names(summary) & changed_names:
@@ -226,28 +223,9 @@ class AnalysisCache:
         return imported
 
     # -- entries ---------------------------------------------------------
-    def load_entry(
-        self, path: Path
-    ) -> Tuple[List[Finding], Optional[ModuleSummary]]:
+    def load_entry(self, path: Path) -> _Entry:
         """The cached findings + summary of one planned-reusable file."""
-        entry = self._entries[self._key(path)]
-        findings = [
-            Finding(
-                path=f["path"],
-                line=f["line"],
-                col=f["col"],
-                rule=f["rule"],
-                message=f["message"],
-            )
-            for f in entry.get("findings", ())
-        ]
-        raw_summary = entry.get("summary")
-        summary = (
-            ModuleSummary.from_dict(raw_summary)
-            if raw_summary is not None
-            else None
-        )
-        return findings, summary
+        return self._reusable[path]
 
     def store(
         self,
@@ -269,5 +247,4 @@ __all__ = [
     "CACHE_VERSION",
     "DEFAULT_CACHE_NAME",
     "compute_config_key",
-    "default_cache_path",
 ]

@@ -6,9 +6,6 @@ Usage::
     reprolint --json src/repro        # machine-readable report
     reprolint --select RPL001,RPL004  # run a subset of rules
     reprolint --list-rules            # the catalog, one rule per block
-    reprolint --update-wire-snapshot  # regenerate the RPL003 snapshot
-    reprolint --baseline FILE PATHS   # ratchet: fail only on NEW findings
-    reprolint --update-baseline       # accept the current findings
     reprolint --sarif out.sarif PATHS # also write a SARIF 2.1.0 report
     reprolint --no-cache PATHS        # force a cold run
     reprolint --stats PATHS           # print analyzed/cached counts
@@ -16,8 +13,9 @@ Usage::
 The incremental cache is on by default (``.reprolint_cache.json`` at
 the repo root, gitignored): a file re-analyzes only when its content —
 or the content of anything it imports — changed.  Exit status: 0 when
-clean (or all findings baselined), 1 when any new finding is reported,
-2 on usage errors (argparse) or unreadable inputs.
+clean, 1 when any finding is reported, 2 on usage errors (argparse),
+unreadable inputs, a ``--docs`` file that does not exist or a
+``--sarif`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -33,13 +31,10 @@ from .core import (
     REGISTRY,
     Analyzer,
     AnalyzerConfig,
-    Finding,
     report_to_dict,
 )
-from . import baseline as baselinelib
 from . import cache as cachelib
 from . import sarif as sariflib
-from . import wire
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "Repo-specific static analysis for the repro package: "
-            "units-suffix consistency, error taxonomy, wire-format "
-            "versioning, kernel purity, tracer opt-in discipline, "
-            "process-pool picklability, and the whole-program rules "
-            "(worker-state safety, units-flow, export drift)."
+            "units-suffix consistency, error taxonomy, kernel purity, "
+            "tracer opt-in discipline, process-pool picklability, and "
+            "the whole-program rules (worker-state safety, units-flow, "
+            "export drift)."
         ),
     )
     parser.add_argument(
@@ -83,37 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "posix-path substring to skip when walking directories "
             "(repeatable; e.g. --exclude tests/data)"
         ),
-    )
-    parser.add_argument(
-        "--wire-snapshot",
-        metavar="PATH",
-        help=(
-            "wire-fingerprint snapshot for RPL003 (default: "
-            "tests/data/wire_fingerprints.json under the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--update-wire-snapshot",
-        action="store_true",
-        help=(
-            "regenerate the wire-fingerprint snapshot from the live "
-            "serialization module and exit"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "apply a committed baseline: known findings are accepted, "
-            "only new ones fail the run "
-            f"(default path: {baselinelib.DEFAULT_BASELINE_NAME} at the "
-            f"repo root when --update-baseline is used)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--sarif",
@@ -161,32 +125,13 @@ def _list_rules() -> str:
     return "\n\n".join(blocks)
 
 
-def _update_snapshot(snapshot_arg: Optional[str]) -> int:
-    from ..io import serialization
-
-    source_path = Path(serialization.__file__)
-    if snapshot_arg is not None:
-        snapshot_path = Path(snapshot_arg)
-    else:
-        root = wire.find_repo_root(Path.cwd()) or wire.find_repo_root(
-            source_path
-        )
-        if root is None:
-            print(
-                "reprolint: cannot locate the repo root (pyproject.toml); "
-                "pass --wire-snapshot PATH explicitly",
-                file=sys.stderr,
-            )
-            return 2
-        snapshot_path = root / wire.DEFAULT_SNAPSHOT_RELPATH
-    snapshot = wire.build_snapshot(
-        source_path.read_text(encoding="utf-8")
-    )
-    wire.write_snapshot(snapshot_path, snapshot)
-    print(f"reprolint: wrote wire snapshot to {snapshot_path}")
-    for key, entry in sorted(snapshot["tables"].items()):
-        print(f"  {key:<16} {entry['version_const']} = {entry['version']}")
-    return 0
+def find_repo_root(start: Path) -> Optional[Path]:
+    """The first ancestor of ``start`` containing ``pyproject.toml``."""
+    current = start if start.is_dir() else start.parent
+    for candidate in (current, *current.parents):
+        if (candidate / "pyproject.toml").is_file():
+            return candidate
+    return None
 
 
 def _parse_select(
@@ -218,6 +163,20 @@ def _default_doc_files(root: Optional[Path]) -> Tuple[str, ...]:
     return tuple(docs)
 
 
+def _path_error(args: argparse.Namespace) -> Optional[str]:
+    """Why a ``--docs`` or ``--sarif`` path is unusable, or None."""
+    for doc in args.docs or ():
+        if not Path(doc).is_file():
+            return f"--docs {doc!r}: no such file"
+    if args.sarif is not None:
+        sarif = Path(args.sarif)
+        if not sarif.parent.is_dir():
+            return f"--sarif {args.sarif!r}: no such directory {str(sarif.parent)!r}"
+        if sarif.is_dir():
+            return f"--sarif {args.sarif!r}: is a directory"
+    return None
+
+
 def _open_cache(
     args: argparse.Namespace, config: AnalyzerConfig
 ) -> Optional[cachelib.AnalysisCache]:
@@ -226,10 +185,10 @@ def _open_cache(
     if args.cache is not None:
         cache_path = Path(args.cache)
     else:
-        default = cachelib.default_cache_path()
-        if default is None:
+        root = find_repo_root(Path.cwd())
+        if root is None:
             return None  # outside a repo: nowhere sensible to put it
-        cache_path = default
+        cache_path = root / cachelib.DEFAULT_CACHE_NAME
     return cachelib.AnalysisCache(
         cache_path, cachelib.compute_config_key(config)
     )
@@ -242,8 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.update_wire_snapshot:
-        return _update_snapshot(args.wire_snapshot)
 
     paths: List[str] = list(args.paths or [])
     if not paths:
@@ -254,20 +211,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "(run from the repo root or name the tree to lint)"
             )
         paths = [str(default)]
+    path_error = _path_error(args)
+    if path_error is not None:
+        print(f"reprolint: {path_error}", file=sys.stderr)
+        return 2
 
-    root = wire.find_repo_root(Path.cwd())
+    root = find_repo_root(Path.cwd())
     doc_files = (
         tuple(args.docs) if args.docs is not None else _default_doc_files(root)
     )
     config = AnalyzerConfig(
         select=_parse_select(parser, args.select),
-        wire_snapshot=(
-            Path(args.wire_snapshot) if args.wire_snapshot else None
-        ),
         exclude=tuple(args.exclude),
         doc_files=doc_files,
     )
-    baseline_root = root if root is not None else Path.cwd()
     try:
         analyzer = Analyzer(config)
         analysis_cache = _open_cache(args, config)
@@ -276,35 +233,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline
-            else baseline_root / baselinelib.DEFAULT_BASELINE_NAME
-        )
-        baselinelib.write_baseline(baseline_path, findings, baseline_root)
-        print(
-            f"reprolint: wrote baseline accepting {len(findings)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baselined: List[Finding] = []
-    if args.baseline:
-        try:
-            entries = baselinelib.load_baseline(Path(args.baseline))
-        except ReproError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        findings, baselined, stale = baselinelib.apply_baseline(
-            findings, entries, baseline_root
-        )
-        for warning in stale:
-            print(f"reprolint: warning: {warning}", file=sys.stderr)
-
     if args.sarif:
         sariflib.write_sarif(
-            Path(args.sarif), findings, baseline_root, baselined
+            Path(args.sarif), findings, root if root is not None else Path.cwd()
         )
 
     stats = analyzer.last_stats
@@ -318,26 +249,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.json:
         report = report_to_dict(findings, files_checked)
-        if args.baseline:
-            report["baseline"] = {
-                "path": args.baseline,
-                "suppressed": len(baselined),
-            }
         if stats is not None:
             report["stats"] = stats.to_dict()
         print(json.dumps(report, indent=2))
     else:
         for finding in findings:
             print(finding.format())
-        suppressed_note = (
-            f", {len(baselined)} baselined" if baselined else ""
-        )
         summary = (
             f"reprolint: {len(findings)} finding(s) in "
-            f"{files_checked} file(s){suppressed_note}"
+            f"{files_checked} file(s)"
             if findings
             else f"reprolint: clean ({files_checked} file(s), "
-            f"{len(analyzer.rules)} rule(s){suppressed_note})"
+            f"{len(analyzer.rules)} rule(s))"
         )
         print(summary, file=sys.stderr if findings else sys.stdout)
     return 1 if findings else 0

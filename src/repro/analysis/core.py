@@ -82,11 +82,8 @@ class Finding:
 class AnalyzerConfig:
     """Knobs rules read; defaults match the shipped ``src/repro`` tree.
 
-    ``purity_modules`` / ``wire_modules`` are posix-path substrings
-    selecting which files the scoped rules (RPL004, RPL003) apply to;
-    ``wire_snapshot`` overrides discovery of the committed
-    wire-fingerprint snapshot (``tests/data/wire_fingerprints.json``
-    next to ``pyproject.toml`` by default).
+    ``purity_modules`` are posix-path substrings selecting which files
+    the scoped rule (RPL004) applies to.
     """
 
     #: Files RPL004 (kernel purity) applies to.
@@ -94,10 +91,6 @@ class AnalyzerConfig:
         "repro/batch/kernels.py",
         "repro/batch/assembly.py",
     )
-    #: Files RPL003 (wire-format guard) applies to.
-    wire_modules: Tuple[str, ...] = ("repro/io/serialization.py",)
-    #: Explicit wire-fingerprint snapshot path (None = discover).
-    wire_snapshot: Optional[Path] = None
     #: Rule ids to run (None = all registered).
     select: Optional[Tuple[str, ...]] = None
     #: Posix-path substrings excluded from directory walks (fixtures,

@@ -12,7 +12,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import Finding, ModuleContext, Rule, rule
-from . import wire
 
 # ---------------------------------------------------------------------------
 # RPL001 — units-suffix dimensional consistency
@@ -181,84 +180,6 @@ class ErrorTaxonomyRule(Rule):
                     f"raises bare {exc.id}; use a repro.errors type "
                     f"(e.g. ConfigurationError) with a message naming "
                     f"the offending field",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RPL003 — wire-format guard
-# ---------------------------------------------------------------------------
-@rule
-class WireFormatGuardRule(Rule):
-    """Wire tables must not drift from the committed snapshot."""
-
-    id = "RPL003"
-    name = "wire-format-guard"
-    rationale = (
-        "Every wire document (checkpoint manifest, shard record, lease, "
-        "trace event and log header, telemetry, serve envelopes, saved "
-        "study result) is one WireTable in repro/io/serialization.py, "
-        "pinned to a *_VERSION constant.  Changing a table, a type "
-        "tag's predicate, the shared emitter and reader or the column "
-        "codec without bumping its version silently breaks resume, "
-        "replay and clients across builds; the committed fingerprint "
-        "snapshot (tests/data/wire_fingerprints.json) makes the bump "
-        "mandatory, and every table must have a snapshot entry."
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.matches(module.config.wire_modules):
-            return
-        snapshot_path = module.config.wire_snapshot
-        if snapshot_path is None:
-            snapshot_path = wire.default_snapshot_path(module.path)
-        if snapshot_path is None:
-            # No committed snapshot to guard against (e.g. a vendored
-            # copy of the module outside the repo) — nothing to check.
-            return
-        entries = wire.load_snapshot(snapshot_path)["tables"]
-        live = wire.table_fingerprints(module.tree)
-        hint = "regenerate with 'reprolint --update-wire-snapshot'"
-        for key in sorted(set(live) - set(entries)):
-            yield from self.finding(
-                module,
-                live[key].node,
-                f"wire table {key!r} has no snapshot entry; a new wire "
-                f"document needs its {live[key].version_const or '*_VERSION'} "
-                f"pinned in the snapshot: {hint}",
-            )
-        for key in sorted(entries):
-            entry = entries[key]
-            table = live.get(key)
-            if table is None:
-                yield from self.finding(
-                    module,
-                    module.tree,
-                    f"wire table {key!r} is in the snapshot but missing "
-                    f"from this module; if it was removed on purpose, "
-                    f"bump {entry['version_const']} and {hint}",
-                )
-                continue
-            if table.sha256 == entry["ast_sha256"]:
-                continue
-            version = wire.module_version_value(
-                module.tree, entry["version_const"]
-            )
-            if version == entry["version"]:
-                yield from self.finding(
-                    module,
-                    table.node,
-                    f"structure of wire table {key!r} changed but "
-                    f"{entry['version_const']} is still "
-                    f"{entry['version']}; bump the version and {hint}",
-                )
-            else:
-                yield from self.finding(
-                    module,
-                    table.node,
-                    f"wire table {key!r} changed and "
-                    f"{entry['version_const']} was bumped to {version}; "
-                    f"commit a fresh snapshot via "
-                    f"'reprolint --update-wire-snapshot'",
                 )
 
 

@@ -1,19 +1,16 @@
 """SARIF 2.1.0 export, so CI can annotate PRs with reprolint findings.
 
-One run, one tool (``reprolint``), one result per finding.  Baselined
-findings are still exported — reviewers can see the accepted debt —
-but carry a ``suppressions`` entry so SARIF consumers (GitHub code
-scanning included) hide them by default.
+One run, one tool (``reprolint``), one result per finding, each located
+by its root-relative posix path.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .core import REGISTRY, Finding
-from .baseline import normalize_path
 
 #: The SARIF spec version the exporter emits.
 SARIF_VERSION = "2.1.0"
@@ -50,10 +47,21 @@ def _rule_descriptors() -> List[Dict[str, Any]]:
     return descriptors
 
 
-def _result(
-    finding: Finding, root: Path, suppressed: bool
-) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
+def _relative_posix(path: str, root: Path) -> str:
+    """A finding path as SARIF locates it: root-relative posix when it
+    lies under ``root``."""
+    candidate = Path(path)
+    try:
+        if candidate.is_absolute():
+            return candidate.relative_to(root).as_posix()
+        resolved = (Path.cwd() / candidate).resolve()
+        return resolved.relative_to(root.resolve()).as_posix()
+    except (OSError, ValueError):
+        return candidate.as_posix()
+
+
+def _result(finding: Finding, root: Path) -> Dict[str, Any]:
+    return {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": finding.message},
@@ -61,7 +69,7 @@ def _result(
             {
                 "physicalLocation": {
                     "artifactLocation": {
-                        "uri": normalize_path(finding.path, root)
+                        "uri": _relative_posix(finding.path, root)
                     },
                     "region": {
                         "startLine": finding.line,
@@ -71,22 +79,11 @@ def _result(
             }
         ],
     }
-    if suppressed:
-        result["suppressions"] = [{"kind": "external"}]
-    return result
 
 
-def to_sarif(
-    findings: Sequence[Finding],
-    root: Path,
-    baselined: Iterable[Finding] = (),
-) -> Dict[str, Any]:
-    """The SARIF document for one run (``baselined`` ⊆ suppressed)."""
-    suppressed = set(baselined)
-    results = [
-        _result(finding, root, finding in suppressed)
-        for finding in sorted((*findings, *suppressed))
-    ]
+def to_sarif(findings: Sequence[Finding], root: Path) -> Dict[str, Any]:
+    """The SARIF document for one run."""
+    results = [_result(finding, root) for finding in sorted(findings)]
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -104,13 +101,8 @@ def to_sarif(
     }
 
 
-def write_sarif(
-    path: Path,
-    findings: Sequence[Finding],
-    root: Path,
-    baselined: Iterable[Finding] = (),
-) -> None:
-    document = to_sarif(findings, root, baselined)
+def write_sarif(path: Path, findings: Sequence[Finding], root: Path) -> None:
+    document = to_sarif(findings, root)
     Path(path).write_text(
         json.dumps(document, indent=2) + "\n", encoding="utf-8"
     )

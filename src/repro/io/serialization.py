@@ -7,7 +7,8 @@ batch results, shard records and manifests, leases, trace events and
 logs, telemetry, serve envelopes and saved study results — once, as a
 :class:`WireTable`.  A table's rows of ``(name, type, required, doc)``
 drive its emitter, its reader and the field-naming errors, the field
-tables in ``docs/`` and the RPL003 wire fingerprint.
+tables in ``docs/`` and the table digest pinned beside the golden
+documents in ``tests/data/wire_golden/``.
 
 Every per-row array travels as a *column object* — the base64 of its
 little-endian bytes under a pinned dtype tag (:func:`encode_column`) —
@@ -21,7 +22,8 @@ agree with the live kernel tables).
 
 Editing a table, a type tag's predicate, the shared emitter and reader
 or the column codec changes a wire format: bump the family's
-``*_VERSION`` constant and regenerate the RPL003 snapshot.
+``*_VERSION`` constant, then write the new version's golden documents
+and table digests with ``PYTHONPATH=src python tests/test_wire_golden.py``.
 """
 
 from __future__ import annotations
@@ -416,7 +418,7 @@ class WireTable:
     :data:`WIRE_TYPES` tag, another table (an embedded document) or a
     one-item list holding a table (a list of such documents).  The
     emitter, the reader, the field-naming errors, the docs rows and the
-    RPL003 fingerprint all come from this table.
+    table digest the wire guard pins all come from this table.
 
     ``version`` is the document family's ``*_VERSION`` value.  A
     ``versioned`` document carries it, and ``kind`` when set, as its

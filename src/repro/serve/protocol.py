@@ -5,7 +5,8 @@ kinds — ``ack``, ``status``, ``progress``, ``error``, ``stats`` —
 version-pinned through :mod:`repro.io.serialization` exactly like the
 shard-checkpoint and telemetry formats
 (:data:`~repro.io.serialization.SERVE_PROTOCOL_VERSION`); their field
-tables live there so the RPL003 wire-fingerprint guard watches them.
+tables live there, pinned by the same golden documents and table
+digests as every other wire format.
 This module holds the dataclasses those tables emit, the mapping
 from the :mod:`repro.errors` taxonomy onto HTTP status codes, and the
 request-side parsers (which reject malformed bodies with

@@ -16,14 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Analyzer, AnalyzerConfig, REGISTRY
-from repro.analysis import cli, wire
+from repro.analysis import cli
 from repro.analysis.rules import UNIT_DIMENSIONS, unit_dimension
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-SNAPSHOT = REPO_ROOT / "tests" / "data" / "wire_fingerprints.json"
 
 
 def run_fixture(name: str, **config) -> list:
@@ -32,11 +31,11 @@ def run_fixture(name: str, **config) -> list:
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_eight_rules_registered(self):
+        # RPL003, the retired wire-format guard, keeps its id unused.
         assert sorted(REGISTRY) == [
             "RPL001",
             "RPL002",
-            "RPL003",
             "RPL004",
             "RPL005",
             "RPL006",
@@ -152,171 +151,6 @@ class TestRPL002Errors:
         assert run_fixture("suppression_file.py") == []
 
 
-class TestRPL003WireGuard:
-    def _snapshot_for(self, fixture: str, tmp_path: Path) -> Path:
-        source = (FIXTURES / fixture).read_text()
-        snapshot = {
-            "version": wire.SNAPSHOT_VERSION,
-            "tables": wire.ast_snapshot_of_source(source),
-            "shapes": {},
-        }
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(snapshot))
-        return path
-
-    def _config(self, module: str, snapshot: Path) -> AnalyzerConfig:
-        return AnalyzerConfig(
-            wire_modules=(module,), wire_snapshot=snapshot
-        )
-
-    def test_unchanged_builder_is_clean(self, tmp_path):
-        snap = self._snapshot_for("rpl003_serialization.py", tmp_path)
-        config = self._config("rpl003_serialization.py", snap)
-        assert run_fixture("rpl003_serialization.py", **vars(config)) == []
-
-    def test_drift_without_bump_flagged(self, tmp_path):
-        snap = self._snapshot_for("rpl003_serialization.py", tmp_path)
-        config = self._config("rpl003_drifted.py", snap)
-        findings = run_fixture("rpl003_drifted.py", **vars(config))
-        assert len(findings) == 1
-        assert findings[0].rule == "RPL003"
-        assert "MANIFEST_VERSION is still 1" in findings[0].message
-        assert "bump the version" in findings[0].message
-
-    def test_bump_with_stale_snapshot_flagged(self, tmp_path):
-        snap = self._snapshot_for("rpl003_serialization.py", tmp_path)
-        config = self._config("rpl003_bumped.py", snap)
-        findings = run_fixture("rpl003_bumped.py", **vars(config))
-        assert len(findings) == 1
-        assert "bumped to 2" in findings[0].message
-        assert "--update-wire-snapshot" in findings[0].message
-
-    def test_removed_builder_flagged(self, tmp_path):
-        snap = self._snapshot_for("rpl003_serialization.py", tmp_path)
-        config = self._config("rpl002_clean.py", snap)
-        findings = run_fixture("rpl002_clean.py", **vars(config))
-        assert len(findings) == 1
-        assert "missing from this module" in findings[0].message
-
-    def _flagged_by_edit(self, tmp_path, old: str, new: str) -> list:
-        """RPL003 findings for the live serialization module after
-        replacing ``old`` with ``new``, against a snapshot of the
-        unedited module."""
-        source = (SRC_REPRO / "io" / "serialization.py").read_text()
-        edited = source.replace(old, new)
-        assert edited != source
-        snap = tmp_path / "snap.json"
-        snap.write_text(
-            json.dumps(
-                {
-                    "version": wire.SNAPSHOT_VERSION,
-                    "tables": wire.ast_snapshot_of_source(source),
-                    "shapes": {},
-                }
-            )
-        )
-        module = tmp_path / "serialization.py"
-        module.write_text(edited)
-        findings = Analyzer(
-            AnalyzerConfig(wire_modules=("serialization.py",), wire_snapshot=snap)
-        ).check_file(module)
-        return [f for f in findings if f.rule == "RPL003"]
-
-    def test_codec_helper_edit_without_bump_flagged(self, tmp_path):
-        """Switching base64 for hex inside the column codec moves no
-        table's own AST and no runtime shape (both stay ``str``), so
-        every column-carrying table folds the codec into its
-        fingerprint."""
-        flagged = self._flagged_by_edit(
-            tmp_path, "base64.b64encode(", "base64.b16encode("
-        )
-        assert sorted(f.message.split("'")[1] for f in flagged) == [
-            "batch_result",
-            "design_matrix",
-            "shard_record",
-            "study_result",
-        ]
-        assert all("is still" in f.message for f in flagged)
-
-    def test_embedded_table_edit_flags_its_embedders(self, tmp_path):
-        flagged = self._flagged_by_edit(
-            tmp_path,
-            '("tolerance", "float", REQUIRED, "the optimal',
-            '("tolerance", "float > 0", REQUIRED, "the optimal',
-        )
-        assert sorted(f.message.split("'")[1] for f in flagged) == [
-            "batch_result",
-            "shard_record",
-            "study_result",
-        ]
-
-    def test_type_predicate_edit_flags_exactly_its_users(self, tmp_path):
-        flagged = self._flagged_by_edit(
-            tmp_path,
-            '"float > 0": lambda value: _is_number(value) and value > 0,',
-            '"float > 0": lambda value: _is_number(value) and value >= 0,',
-        )
-        assert [f.message.split("'")[1] for f in flagged] == ["lease_record"]
-
-    def test_doc_column_edit_does_not_move_fingerprint(self):
-        """Prose (docstrings, the doc column) and the ``build`` hook,
-        which turns values into objects, are not part of a format."""
-        source = (SRC_REPRO / "io" / "serialization.py").read_text()
-        reworded = source.replace(
-            '"rows in the full design grid"', '"every row of the grid"'
-        ).replace(
-            '"""The name errors quote for field ``name``."""',
-            '"""How errors spell field ``name``."""',
-        ).replace("    build=_batch_result, fields=(", "    fields=(")
-        assert reworded.count("every row of the grid") == 1
-        assert "How errors spell" in reworded
-        assert "build=_batch_result" not in reworded
-        assert wire.ast_snapshot_of_source(
-            source
-        ) == wire.ast_snapshot_of_source(reworded)
-
-    def test_table_without_snapshot_entry_flagged(self, tmp_path):
-        snap = tmp_path / "snap.json"
-        snap.write_text(
-            json.dumps(
-                {"version": wire.SNAPSHOT_VERSION, "tables": {}, "shapes": {}}
-            )
-        )
-        config = self._config("rpl003_serialization.py", snap)
-        findings = run_fixture("rpl003_serialization.py", **vars(config))
-        assert len(findings) == 1
-        assert "'shard_manifest' has no snapshot entry" in findings[0].message
-
-    def test_docstring_edit_does_not_move_fingerprint(self):
-        source = (FIXTURES / "rpl003_serialization.py").read_text()
-        reworded = source.replace(
-            "fixture twin of the real table", "same table, new prose"
-        )
-        assert reworded != source
-        assert wire.ast_snapshot_of_source(
-            source
-        ) == wire.ast_snapshot_of_source(reworded)
-
-    def test_committed_snapshot_is_fresh(self):
-        """The committed snapshot matches the live serialization module.
-
-        Failing here means io/serialization.py changed: bump the
-        affected ``*_VERSION`` constant if the wire shape moved, then
-        run ``reprolint --update-wire-snapshot`` and commit the result.
-        """
-        committed = wire.load_snapshot(SNAPSHOT)
-        live = wire.ast_snapshot_of_source(
-            (SRC_REPRO / "io" / "serialization.py").read_text()
-        )
-        assert committed["tables"] == live
-
-    def test_malformed_snapshot_rejected(self, tmp_path):
-        bad = tmp_path / "snap.json"
-        bad.write_text('{"version": 99}')
-        with pytest.raises(ConfigurationError, match="version"):
-            wire.load_snapshot(bad)
-
-
 class TestRPL004Purity:
     CONFIG = {"purity_modules": ("rpl004_violations.py",)}
 
@@ -412,11 +246,21 @@ class TestEngine:
 
 class TestEndToEnd:
     def test_src_repro_is_clean_at_head(self):
-        """The acceptance criterion: all nine rules pass on the tree."""
+        """The acceptance criterion: all eight rules pass on the tree."""
         analyzer = Analyzer()
         findings = analyzer.check_paths([SRC_REPRO])
         assert findings == [], "\n".join(f.format() for f in findings)
-        assert len(analyzer.rules) == 9
+        assert len(analyzer.rules) == 8
+
+    def test_src_tests_and_benchmarks_are_clean(self):
+        """The CI contract for the wider tree: no findings, no baseline."""
+        analyzer = Analyzer(
+            AnalyzerConfig(exclude=("tests/data/reprolint_fixtures",))
+        )
+        findings = analyzer.check_paths(
+            [SRC_REPRO, REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
+        )
+        assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_cli_exit_codes(self, capsys):
         assert cli.main([str(FIXTURES / "rpl001_clean.py")]) == 0
@@ -455,17 +299,3 @@ class TestEndToEnd:
         exit_code = cli.main(["--select", "RPL999", str(FIXTURES)])
         assert exit_code == 2
         assert "unknown rule" in capsys.readouterr().err
-
-    def test_update_wire_snapshot_round_trips(self, tmp_path, capsys):
-        target = tmp_path / "snap.json"
-        exit_code = cli.main(
-            ["--update-wire-snapshot", "--wire-snapshot", str(target)]
-        )
-        capsys.readouterr()
-        assert exit_code == 0
-        regenerated = wire.load_snapshot(target)
-        committed = wire.load_snapshot(SNAPSHOT)
-        assert regenerated == committed, (
-            "committed wire snapshot is stale; run "
-            "'reprolint --update-wire-snapshot' and commit the result"
-        )

@@ -1,4 +1,4 @@
-"""Tests for reprolint v2: ProjectGraph, RPL007-009, cache, baseline, SARIF.
+"""Tests for reprolint v2: ProjectGraph, RPL007-009, cache, SARIF.
 
 Covers the whole-program layer added on top of the per-file engine:
 
@@ -8,9 +8,10 @@ Covers the whole-program layer added on top of the per-file engine:
 * the three interprocedural rules against their fixture mini-projects,
   including the PR-4 ``DEFAULT_CACHE`` fork-inheritance reproduction;
 * the incremental cache — warm runs analyze nothing, a leaf edit
-  re-analyzes exactly the leaf plus its dependents, and a cached rerun
-  on an unchanged tree is at least 5x faster than a cold run;
-* the baseline/ratchet workflow and the SARIF exporter;
+  re-analyzes exactly the leaf plus its dependents, a cached rerun
+  on an unchanged tree is at least 5x faster than a cold run, and a
+  damaged entry is a miss;
+* the SARIF exporter;
 * analyzer edge inputs: syntax errors, empty files, non-UTF-8 source;
 * the new CLI flags.
 """
@@ -32,12 +33,11 @@ from repro.analysis import (
     ProjectGraph,
     extract_summary,
 )
-from repro.analysis import baseline as baselinelib
 from repro.analysis import cli
 from repro.analysis import sarif as sariflib
 from repro.analysis.cache import compute_config_key
 from repro.analysis.core import Finding
-from repro.analysis.graph import ModuleSummary, module_name_for
+from repro.analysis.graph import SUMMARY_VERSION, ModuleSummary, module_name_for
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint_fixtures"
@@ -723,6 +723,30 @@ class TestIncrementalCache:
         # and the bad file was replaced by a valid one
         assert json.loads(cache_path.read_text(encoding="utf-8"))
 
+    def _rerun_with_damaged_entry(self, tmp_path, damage) -> None:
+        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
+        cache_path = tmp_path / "cache.json"
+        document = json.loads(cache_path.read_text(encoding="utf-8"))
+        key = (target / "m.py").resolve().as_posix()
+        document["entries"][key] = damage(document["entries"][key])
+        cache_path.write_text(json.dumps(document), encoding="utf-8")
+        warm = analyzer.check_paths([target], cache=self._cache(tmp_path))
+        assert warm == cold
+        assert analyzer.last_stats.analyzed == 1  # only the damaged entry
+
+    def test_entry_with_a_truncated_summary_is_a_miss(self, tmp_path):
+        # Regression: raised KeyError 'all_names' out of the CLI.
+        self._rerun_with_damaged_entry(
+            tmp_path, lambda entry: dict(entry, summary={"version": SUMMARY_VERSION})
+        )
+
+    def test_entry_that_is_not_a_mapping_is_a_miss(self, tmp_path):
+        # Regression: raised AttributeError ('str' has no 'get').
+        self._rerun_with_damaged_entry(tmp_path, lambda entry: "not an entry")
+
     def test_compute_config_key_tracks_select(self):
         base = compute_config_key(AnalyzerConfig())
         assert base == compute_config_key(AnalyzerConfig())
@@ -732,83 +756,19 @@ class TestIncrementalCache:
 
 
 # ---------------------------------------------------------------------------
-# baseline / ratchet
+# SARIF export
 # ---------------------------------------------------------------------------
 def _finding(path: str, rule: str, line: int = 1) -> Finding:
     return Finding(path=path, line=line, col=1, rule=rule, message="msg")
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [
-            _finding(str(tmp_path / "a.py"), "RPL002"),
-            _finding(str(tmp_path / "a.py"), "RPL002", line=9),
-            _finding(str(tmp_path / "b.py"), "RPL005"),
-        ]
-        target = tmp_path / "base.json"
-        baselinelib.write_baseline(target, findings, tmp_path)
-        entries = baselinelib.load_baseline(target)
-        assert entries == {"a.py": {"RPL002": 2}, "b.py": {"RPL005": 1}}
-
-    def test_apply_suppresses_known_and_reports_exceeded(self, tmp_path):
-        entries = {"a.py": {"RPL002": 1}}
-        within = [_finding(str(tmp_path / "a.py"), "RPL002")]
-        new, baselined, stale = baselinelib.apply_baseline(
-            within, entries, tmp_path
-        )
-        assert new == [] and len(baselined) == 1 and stale == []
-        exceeded = [
-            _finding(str(tmp_path / "a.py"), "RPL002", line=1),
-            _finding(str(tmp_path / "a.py"), "RPL002", line=2),
-        ]
-        new, baselined, stale = baselinelib.apply_baseline(
-            exceeded, entries, tmp_path
-        )
-        assert len(new) == 2 and baselined == []
-
-    def test_apply_warns_on_stale_entries(self, tmp_path):
-        entries = {"a.py": {"RPL002": 3}, "gone.py": {"RPL001": 1}}
-        findings = [_finding(str(tmp_path / "a.py"), "RPL002")]
-        new, baselined, stale = baselinelib.apply_baseline(
-            findings, entries, tmp_path
-        )
-        assert new == [] and len(baselined) == 1
-        assert len(stale) == 2
-        assert any("gone.py" in warning for warning in stale)
-
-    def test_invalid_baseline_is_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            baselinelib.load_baseline(bad)
-        with pytest.raises(ConfigurationError):
-            baselinelib.load_baseline(tmp_path / "missing.json")
-
-    def test_committed_baseline_covers_tests_and_benchmarks(self):
-        """The CI ratchet contract: no NEW findings beyond the baseline."""
-        baseline_path = REPO_ROOT / ".reprolint-baseline.json"
-        assert baseline_path.is_file(), "commit .reprolint-baseline.json"
-        entries = baselinelib.load_baseline(baseline_path)
-        analyzer = Analyzer(
-            AnalyzerConfig(exclude=("tests/data/reprolint_fixtures",))
-        )
-        findings = analyzer.check_paths(
-            [SRC_REPRO, REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
-        )
-        new, _baselined, _stale = baselinelib.apply_baseline(
-            findings, entries, REPO_ROOT
-        )
-        assert new == [], "\n".join(f.format() for f in new)
-
-
-# ---------------------------------------------------------------------------
-# SARIF export
-# ---------------------------------------------------------------------------
 class TestSarif:
     def test_document_structure(self, tmp_path):
-        findings = [_finding(str(tmp_path / "a.py"), "RPL002", line=4)]
-        baselined = [_finding(str(tmp_path / "b.py"), "RPL001", line=7)]
-        document = sariflib.to_sarif(findings, tmp_path, baselined)
+        findings = [
+            _finding(str(tmp_path / "a.py"), "RPL002", line=4),
+            _finding(str(tmp_path / "b.py"), "RPL001", line=7),
+        ]
+        document = sariflib.to_sarif(findings, tmp_path)
         assert document["version"] == "2.1.0"
         run = document["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
@@ -818,8 +778,7 @@ class TestSarif:
         results = run["results"]
         assert len(results) == 2
         by_rule = {r["ruleId"]: r for r in results}
-        assert "suppressions" not in by_rule["RPL002"]
-        assert by_rule["RPL001"]["suppressions"] == [{"kind": "external"}]
+        assert all("suppressions" not in result for result in results)
         location = by_rule["RPL002"]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "a.py"
         assert location["region"]["startLine"] == 4
@@ -863,33 +822,6 @@ class TestProjectCli:
         cli.main(argv)
         assert "2 file(s) analyzed, 0 from cache" in capsys.readouterr().err
 
-    def test_baseline_workflow_end_to_end(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(
-            "def f():\n    raise ValueError('nope')\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        argv_common = [str(dirty), "--no-cache"]
-        # Without a baseline the finding fails the run.
-        assert cli.main(argv_common) == 1
-        capsys.readouterr()
-        # Accept it, then the same run is clean.
-        assert (
-            cli.main([*argv_common, "--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        assert cli.main([*argv_common, "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # A second violation exceeds the accepted count and fails again.
-        dirty.write_text(
-            "def f():\n    raise ValueError('a')\n"
-            "def g():\n    raise ValueError('b')\n",
-            encoding="utf-8",
-        )
-        assert cli.main([*argv_common, "--baseline", str(baseline)]) == 1
-
     def test_sarif_flag_writes_report(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
@@ -903,26 +835,29 @@ class TestProjectCli:
         document = json.loads(out.read_text(encoding="utf-8"))
         assert document["runs"][0]["results"][0]["ruleId"] == "RPL002"
 
-    def test_json_report_includes_stats_and_baseline(self, tmp_path, capsys):
+    def test_json_report_includes_stats(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("X = 1\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        baselinelib.write_baseline(baseline, [], tmp_path)
-        assert (
-            cli.main(
-                [
-                    str(clean),
-                    "--no-cache",
-                    "--json",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
+        assert cli.main([str(clean), "--no-cache", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["stats"]["files_checked"] == 1
-        assert report["baseline"]["suppressed"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--sarif", "no-such-dir/x.sarif"), ("--sarif", "."), ("--docs", "missing.md")],
+        ids=["sarif-into-missing-dir", "sarif-is-a-directory", "missing-docs-file"],
+    )
+    def test_unusable_path_is_usage_error(self, tmp_path, capsys, flag, name):
+        # Regression: an unwritable --sarif path raised with a traceback
+        # (exit 1), and a missing --docs file was skipped, turning off
+        # RPL009's docs checks while the run reported clean.
+        clean = tmp_path / "clean.py"
+        clean.write_text("X = 1\n", encoding="utf-8")
+        path = str(tmp_path / name)
+        assert cli.main([str(clean), "--no-cache", flag, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and path in captured.err
 
     def test_exclude_flag(self, tmp_path, capsys):
         write_tree(

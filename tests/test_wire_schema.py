@@ -1,12 +1,11 @@
-"""Runtime wire-schema guard: shapes of live documents vs the snapshot.
+"""Wire readers against damage, and the column codec's round trips.
 
-RPL003 watches the *source* of the wire tables in
-``repro.io.serialization``; this suite watches what they *emit*.  Both
-halves share the committed snapshot at
-``tests/data/wire_fingerprints.json``.  A failure here means the wire
-format moved: bump the matching ``*_VERSION`` constant in
-``repro/io/serialization.py`` (or ``repro/obs``), then regenerate the
-snapshot with ``reprolint --update-wire-snapshot`` and commit it.
+Every wire document is one ``WireTable`` in ``repro/io/serialization.py``;
+its bytes and its table digest are pinned in ``tests/test_wire_golden.py``.
+This suite checks what the readers refuse: a damage matrix per lease and
+shard record, one generated from every field of every table, bitwise
+round trips of every float64 bit pattern, and the docs rows of each
+table.
 """
 
 from __future__ import annotations
@@ -21,74 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import wire
 from repro.batch import DesignMatrix, evaluate_matrix
 from repro.batch.executor import ShardResult
 from repro.errors import ConfigurationError
 from repro.io import serialization as ser
 from repro.study import DesignSpec, StudyResult, StudySpec, run_study
+from test_wire_golden import DOCUMENTS, golden_path, live_tables
 
 REPO_ROOT = Path(__file__).parent.parent
-SNAPSHOT_PATH = REPO_ROOT / "tests" / "data" / "wire_fingerprints.json"
-
-BUMP_HINT = (
-    "wire format changed without a snapshot refresh: bump the matching "
-    "*_VERSION constant and run 'reprolint --update-wire-snapshot'"
-)
-
-
-@pytest.fixture(scope="module")
-def snapshot():
-    return wire.load_snapshot(SNAPSHOT_PATH)
-
-
-@pytest.fixture(scope="module")
-def live_shapes():
-    return wire.runtime_shapes()
-
-
-def _live_tables():
-    """Every wire table the serialization module declares, by snapshot
-    key, so a new document cannot go unguarded."""
-    return {
-        wire.snapshot_key(name): table
-        for name, table in vars(ser).items()
-        if isinstance(table, ser.WireTable)
-    }
-
-
-def test_snapshot_exists_and_loads(snapshot):
-    assert snapshot["version"] == wire.SNAPSHOT_VERSION
-    assert set(snapshot["tables"]) == set(_live_tables())
-
-
-def test_runtime_shapes_match_snapshot(snapshot, live_shapes):
-    assert set(live_shapes) == set(snapshot["shapes"]), BUMP_HINT
-    for document, shape in live_shapes.items():
-        assert shape == snapshot["shapes"][document], (
-            f"wire document {document!r} changed shape; {BUMP_HINT}"
-        )
-
-
-def test_builder_fingerprints_match_snapshot(snapshot):
-    source = Path(ser.__file__).read_text(encoding="utf-8")
-    live = wire.ast_snapshot_of_source(source)
-    for name, entry in snapshot["tables"].items():
-        assert name in live, f"wire table {name!r} removed; {BUMP_HINT}"
-        assert live[name]["ast_sha256"] == entry["ast_sha256"], (
-            f"wire table {name!r} edited; {BUMP_HINT}"
-        )
-
-
-def test_snapshot_versions_match_live_constants(snapshot):
-    for key, table in _live_tables().items():
-        entry = snapshot["tables"][key]
-        live = getattr(ser, entry["version_const"])
-        assert entry["version"] == live == table.version, (
-            f"snapshot records {entry['version_const']}={entry['version']!r} "
-            f"but the live constant is {live!r} and table {key!r} says "
-            f"{table.version!r}; {BUMP_HINT}"
-        )
 
 
 def _lease_doc(**overrides):
@@ -166,16 +105,28 @@ def test_lease_record_round_trips():
     assert ser.lease_record_to_dict(record) == _lease_doc()
 
 
-def test_versioned_documents_carry_their_version(live_shapes):
+def _carried_versions(table, doc):
+    """(table, its version and kind as ``doc`` carries them) for each
+    versioned table in a document, embedded ones included."""
+    if table.versioned:
+        yield table, doc.get("version"), doc.get("kind")
+    for name, kind, _required, _doc in table.fields:
+        if isinstance(kind, ser.WireTable) and isinstance(doc.get(name), dict):
+            yield from _carried_versions(kind, doc[name])
+
+
+def test_versioned_documents_carry_their_version():
     # The top-level wire envelopes state their version on the wire;
     # trace events ride inside a versioned trace file instead.
-    assert live_shapes["shard_manifest"]["version"] == "int"
-    assert live_shapes["telemetry"]["version"] == "int"
-    assert live_shapes["lease_record"]["version"] == "int"
-    assert live_shapes["lease_record"]["kind"] == "str"
-    for kind in ("ack", "status", "progress", "error", "stats"):
-        assert live_shapes[f"serve_{kind}"]["version"] == "int"
-        assert live_shapes[f"serve_{kind}"]["kind"] == "str"
+    seen = set()
+    for document, table in DOCUMENTS.items():
+        text = golden_path(document).read_text(encoding="utf-8")
+        first, _end = json.JSONDecoder().raw_decode(text)  # a .jsonl's first line
+        for carried, version, kind in _carried_versions(table, first):
+            assert version == carried.version, document
+            assert carried.kind in (None, kind), document
+            seen.add(carried.title)
+    assert seen == {t.title for t in live_tables().values() if t.versioned}
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +161,8 @@ def _record_doc():
     [
         (("batch", "safe_velocity", "b64"), "AAAA*AAAAAAAAAAAAAAAAA==",
          "safe_velocity"),
+        (("batch", "safe_velocity", "b64"), "AAAA*" + _b64(1.0, 2.0)[4:],
+         "safe_velocity"),
         (("batch", "safe_velocity", "b64"), _b64(1, 2, 3, dtype="<i4"),
          "safe_velocity"),
         (("batch", "safe_velocity", "b64"), _b64(1.0, 2.0, 3.0),
@@ -224,6 +177,7 @@ def _record_doc():
         (("local_indices", "dtype"), "<f8", "shard.local_indices"),
         (("local_indices", "b64"), _b64(0, 4, dtype="<i8"),
          "shard.local_indices"),
+        (("local_indices",), None, "shard.batch"),
         (("batch", "safe_velocity"), [1.0, 2.0], "safe_velocity"),
         (("batch", "bounds"), ["physics", "sensor"], "bounds"),
         (("batch", "bounds", "b64"), _b64(0, 4, dtype="<i1"), "bounds"),
@@ -236,10 +190,11 @@ def _record_doc():
         (("batch", "tolerance"), "loose", "tolerance"),
     ],
     ids=[
-        "invalid-base64-char", "partial-item", "wrong-row-count",
+        "invalid-base64-char", "star-in-valid-base64", "partial-item",
+        "wrong-row-count",
         "short-matrix-column", "short-extras", "long-local-indices",
         "big-endian-tag", "float32-tag", "float-indices",
-        "index-outside-shard", "float-list", "name-list",
+        "index-outside-shard", "full-shard-row-mismatch", "float-list", "name-list",
         "code-past-names", "negative-code", "unknown-name",
         "names-not-a-list", "negative-rows", "bool-rows", "float-rows",
         "str-tolerance",
@@ -367,12 +322,11 @@ def test_shard_record_round_trips_every_bit_pattern(batch, top_k, data):
 # ---------------------------------------------------------------------------
 # Table-driven checks: every field of every table
 # ---------------------------------------------------------------------------
-GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "wire_golden"
 DOCS_DIR = REPO_ROOT / "docs"
 
 
 def _golden(name):
-    return json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+    return json.loads(golden_path(name).read_text(encoding="utf-8"))
 
 
 def _samples():
@@ -381,7 +335,7 @@ def _samples():
     result = _golden("result.json")
     header, event = (
         json.loads(line)
-        for line in (GOLDEN_DIR / "trace.jsonl").read_text().splitlines()[:2]
+        for line in golden_path("trace.jsonl").read_text().splitlines()[:2]
     )
     samples = {
         "design_matrix": record["batch"]["matrix"],
@@ -423,21 +377,25 @@ _WRONG = {
 
 
 def _damage_cases():
-    for key, table in sorted(_live_tables().items()):
+    """Per field: missing (when required), the wrong type, and ``null``
+    unless its type text allows it."""
+    for key, table in sorted(live_tables().items()):
         for name, kind, required, _doc in table.fields:
             if required:
                 yield pytest.param(key, name, ..., id=f"{key}.{name}-missing")
             wrong = _WRONG.get(kind, True) if isinstance(kind, str) else True
             yield pytest.param(key, name, wrong, id=f"{key}.{name}-wrong-type")
+            if "null" not in table.type_text(kind):
+                yield pytest.param(key, name, None, id=f"{key}.{name}-null")
 
 
 def test_every_table_has_a_sample():
-    assert set(_samples()) == set(_live_tables())
+    assert set(_samples()) == set(live_tables())
 
 
 @pytest.mark.parametrize("key, name, value", _damage_cases())
 def test_table_reader_names_the_damaged_field(key, name, value):
-    table = _live_tables()[key]
+    table = live_tables()[key]
     doc = json.loads(json.dumps(_samples()[key]))
     table.read(doc)  # the undamaged sample is valid
     if value is ...:
@@ -458,12 +416,12 @@ def _docs_row(table, name, kind, doc):
     return f"| `{name}` | {type_text} | {doc_text} |"
 
 
-@pytest.mark.parametrize("key", sorted(_live_tables()))
+@pytest.mark.parametrize("key", sorted(live_tables()))
 def test_every_table_row_is_on_a_docs_page(key):
     pages = "\n".join(
         page.read_text(encoding="utf-8") for page in DOCS_DIR.glob("*.md")
     )
-    table = _live_tables()[key]
+    table = live_tables()[key]
     for name, kind, _required, doc in table.fields:
         row = _docs_row(table, name, kind, doc)
         assert row in pages, f"docs are missing the {key!r} row: {row}"
