@@ -5,8 +5,7 @@ Builds the sweep as a declarative ``StudySpec`` — the (UAV x compute x
 algorithm) cross product, filtered and ranked as data — runs it
 through ``run_study``, and shows the spec surviving a JSON round trip
 bit-exactly.  The Pareto frontier and constrained selection then reuse
-``dse.explore``, which compiles to the *same* plan (the shared batch
-cache makes the second pass free).
+``dse.explore``, which compiles to the *same* plan.
 
 Run:  python examples/full_system_dse.py
 """
@@ -43,7 +42,7 @@ def main() -> None:
     print("\nspec -> JSON -> spec replay: identical result "
           f"({len(spec.to_json())} bytes of JSON)\n")
 
-    # The legacy surface compiles to the same plan (cache hit).
+    # The legacy surface compiles to the same plan.
     results = explore(space)
     print(results_table(results[:10]))
     print(f"... ({len(results)} total)\n")

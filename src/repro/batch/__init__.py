@@ -7,10 +7,12 @@ and pipeline parameters of N design points as structure-of-arrays NumPy
 columns, :func:`evaluate_matrix` runs the closed-form F-1 kernels over
 all of them at once (numerically identical to the scalar path), and the
 resulting :class:`BatchResult` supports selection, sorting, top-k and
-table rendering.  A content-hash :class:`BatchCache` makes repeated
-sweeps free, and :func:`scenario_grid` expands Cartesian parameter axes
-(wind-derated accelerations, payloads, sensing ranges, DVFS points)
-into one matrix.
+table rendering.  Each column is validated once, when the package
+allocates it, and never copied again; a content-hash
+:class:`BatchCache` memoizes results only for callers that pass one.
+:func:`scenario_grid` expands Cartesian parameter axes (wind-derated
+accelerations, payloads, sensing ranges, DVFS points) into one
+matrix.
 
 The assembly layer (:mod:`repro.batch.assembly`) columnizes the
 Knobs->UAV accounting chain itself: a :class:`KnobMatrix` holds Table

@@ -54,7 +54,13 @@ from ..core.physics import (
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError, InfeasibleDesignError
 from ..uav import budget
-from .matrix import DesignMatrix
+from .matrix import (
+    DesignMatrix,
+    SealedColumns,
+    broadcast_rows,
+    checked_labels,
+    sealed_column,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..skyline.knobs import Knobs
@@ -81,20 +87,10 @@ KNOB_COLUMNS = (
 _NONNEGATIVE_COLUMNS = frozenset({"payload_weight_g"})
 
 
-def _as_column(name: str, values: ArrayLike) -> np.ndarray:
-    column = np.atleast_1d(np.ascontiguousarray(values, dtype=np.float64))
-    if column.ndim != 1:
-        raise ConfigurationError(
-            f"{name} must be a scalar or 1-D sequence, got shape "
-            f"{column.shape}"
-        )
-    return column
-
-
 # eq=False: dataclass-generated __eq__/__hash__ choke on ndarray fields
 # (ambiguous truth value / unhashable); identity semantics apply instead.
 @dataclass(frozen=True, eq=False)
-class KnobMatrix:
+class KnobMatrix(SealedColumns):
     """N Table II knob sets, one NumPy column per knob.
 
     Columns may be passed as scalars or 1-D sequences; scalars (and
@@ -115,49 +111,25 @@ class KnobMatrix:
     rotor_count: int = 4
     labels: Optional[Tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
+    def _seal(self, copy: bool) -> None:
         if int(self.rotor_count) != self.rotor_count or self.rotor_count < 3:
             raise ConfigurationError(
                 f"rotor_count must be an integer >= 3, got {self.rotor_count}"
             )
         object.__setattr__(self, "rotor_count", int(self.rotor_count))
-        columns = {
-            name: _as_column(name, getattr(self, name))
-            for name in KNOB_COLUMNS
-        }
-        try:
-            broadcast = np.broadcast_arrays(*columns.values())
-        except ValueError as exc:
-            shapes = {n: c.shape for n, c in columns.items()}
-            raise ConfigurationError(
-                f"knob column lengths are incompatible: {shapes}"
-            ) from exc
-        if broadcast[0].size == 0:
+        columns, rows = broadcast_rows(
+            KNOB_COLUMNS, [getattr(self, name) for name in KNOB_COLUMNS], "knob column"
+        )
+        if rows == 0:
             raise ConfigurationError("a knob matrix needs at least one row")
         # Per-column, not per-row: bounded by the 8 Table II knobs.
         # reprolint: disable=RPL004
-        for name, column in zip(KNOB_COLUMNS, broadcast):
-            # Own a fresh contiguous copy: broadcast views may alias the
-            # caller's arrays, which must not be frozen behind their back.
-            column = np.array(column, dtype=np.float64, copy=True)
-            if not np.all(np.isfinite(column)):
-                raise ConfigurationError(f"{name} must be finite")
-            if name in _NONNEGATIVE_COLUMNS:
-                if np.any(column < 0.0):
-                    raise ConfigurationError(
-                        f"{name} must be >= 0 everywhere"
-                    )
-            elif np.any(column <= 0.0):
-                raise ConfigurationError(f"{name} must be > 0 everywhere")
-            column.flags.writeable = False
+        for name, column in zip(KNOB_COLUMNS, columns):
+            column = sealed_column(
+                name, column, rows, copy, allow_zero=name in _NONNEGATIVE_COLUMNS
+            )
             object.__setattr__(self, name, column)
-        if self.labels is not None:
-            labels = tuple(str(label) for label in self.labels)
-            if len(labels) != len(self):
-                raise ConfigurationError(
-                    f"{len(labels)} labels for {len(self)} rows"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", checked_labels(self.labels, rows))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -310,7 +282,7 @@ class KnobMatrix:
         ``Knobs.build_uav().f1(knobs.f_compute_hz)`` per row, with the
         default fraction-of-roof knee rule recorded on the matrix.
         """
-        return DesignMatrix.from_arrays(
+        return DesignMatrix._adopt(
             sensing_range_m=self.sensor_range_m,
             a_max=self.max_acceleration,
             f_sensor_hz=self.sensor_framerate_hz,
@@ -403,6 +375,9 @@ def assemble_columns(
     call, honoring ``payload_override_g``, ``compute_redundancy``,
     ``needs_heatsink`` and per-vehicle braking pitch; ``a_max`` is
     derated by ``a_max_scale`` before the one design matrix is built.
+    The matrix adopts the stage-rate and sensing-range columns and
+    ``f_compute_hz`` without a copy (and freezes them), so pass arrays
+    nothing else writes to.
     """
     tdp_w = columns["tdp_w"]
     heatsink = np.where(
@@ -443,7 +418,7 @@ def assemble_columns(
             f"floor is configured (configuration "
             f"{columns['name'][index]!r})"
         )
-    matrix = DesignMatrix.from_arrays(
+    matrix = DesignMatrix._adopt(
         sensing_range_m=columns["sensing_range_m"],
         a_max=a_max * columns["a_max_scale"],
         f_sensor_hz=columns["f_sensor_hz"],
@@ -474,4 +449,10 @@ def assemble_configurations(
     uavs = list(uavs)
     if not uavs:
         raise ConfigurationError("a fleet needs at least one configuration")
-    return assemble_columns(configuration_columns(uavs), f_compute_hz, labels)
+    # The matrix adopts f_compute_hz: copy it, so the caller's array is
+    # never frozen or aliased.
+    return assemble_columns(
+        configuration_columns(uavs),
+        np.array(f_compute_hz, dtype=np.float64),
+        labels,
+    )

@@ -1,11 +1,14 @@
-"""Content-addressed cache for batch evaluation results.
+"""Content-addressed cache for batch evaluation results, opt-in.
 
-Sweeps are frequently re-run with identical inputs (sliders wiggled
-back, CI re-executions, Monte-Carlo studies sharing a grid), so
-:func:`~repro.batch.engine.evaluate_matrix` keys each result by the
+A caller that passes a :class:`BatchCache` as ``cache=`` to
+:func:`~repro.batch.engine.evaluate_matrix` or
+:func:`~repro.study.runner.run_study` gets each result keyed by the
 :meth:`~repro.batch.matrix.DesignMatrix.content_hash` of its input plus
-the kernel parameters.  The cache is a bounded LRU and thread-safe;
-results are immutable so sharing them between callers is sound.
+the kernel parameters.  No path uses one by default: the hash reads
+every matrix column, which costs about as much as the kernels, so a
+memo only pays off for callers that know their inputs repeat.  The
+cache is a bounded LRU and thread-safe; results are immutable so
+sharing them between callers is sound.
 """
 
 from __future__ import annotations
@@ -76,14 +79,12 @@ class BatchCache:
     columns once each — a deliberate overestimate that errs toward
     evicting early rather than pinning more memory than budgeted.
 
-    Lifecycle contract (load-bearing for the sharded executor): a
-    cache is safe to share between *threads* (every operation takes
-    the instance lock) but must never be shared between *processes* —
-    a fork copies the entries and the counters, silently pinning the
-    parent's memory in every child and making :attr:`stats`
-    meaningless.  Anything that inherits a cache across a fork must
-    call :meth:`clear` before first use (worker initializers do; see
-    :func:`repro.batch.engine.clear_default_cache`).  :meth:`clear`,
+    Lifecycle contract: a cache is safe to share between *threads*
+    (every operation takes the instance lock) but must never be shared
+    between *processes* — a fork copies the entries and the counters,
+    silently pinning the parent's memory in every child and making
+    :attr:`stats` meaningless.  Anything that inherits a cache across
+    a fork must call :meth:`clear` before first use.  :meth:`clear`,
     :meth:`reset_stats` and :attr:`stats`/:meth:`stats_snapshot` are
     the public reset/observability API — code attributing hits to one
     run should diff two :meth:`stats_snapshot` calls

@@ -2,9 +2,11 @@
 
 :func:`evaluate_matrix` runs every vectorized F-1 kernel over the
 columns of a :class:`~repro.batch.matrix.DesignMatrix` and assembles a
-:class:`~repro.batch.result.BatchResult`.  Results are memoized in a
-content-addressed :class:`~repro.batch.cache.BatchCache` (pass
-``cache=None`` to opt out, or your own instance to scope one).
+:class:`~repro.batch.result.BatchResult` that adopts the kernel
+outputs without a copy.  Nothing is memoized unless the caller passes
+a content-addressed :class:`~repro.batch.cache.BatchCache` as
+``cache=``: keying one hashes every matrix column, which costs about
+as much as the kernels it would save.
 
 Passing ``executor=`` or ``chunk_rows=`` routes the evaluation through
 the sharded layer (:mod:`repro.batch.executor`): the matrix is split
@@ -30,25 +32,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.tracer import Tracer
     from .executor import ParallelExecutor
 
-#: Process-wide cache used when callers do not bring their own.
-#:
-#: This is deliberately module-global *mutable* state, so two rules keep
-#: it sound: results are immutable and content-addressed (a hit can
-#: never be stale — equal key means equal input), and worker processes
-#: must never trust a copy inherited across a fork (a forked child
-#: starts with the parent's entries *and* the parent's hit/miss
-#: counters).  :func:`clear_default_cache` is the reset hook; the
-#: sharded executor installs it as every worker's initializer.
+#: A process-wide cache for callers that opt in with
+#: ``cache=DEFAULT_CACHE``.  No evaluation path in the package passes
+#: it, so by default it stays empty and its counters stay at zero.
+#: Results are immutable and content-addressed, so a hit can never be
+#: stale; a forked child inherits a snapshot, so a caller sharing it
+#: across processes resets it with :func:`clear_default_cache`.
 DEFAULT_CACHE = BatchCache(maxsize=64)
 
 
 def clear_default_cache() -> None:
-    """Drop every entry (and the counters) of :data:`DEFAULT_CACHE`.
-
-    Called by worker-process initializers so forked workers start from
-    a fresh cache instead of a snapshot of the parent's, and by tests
-    that assert on cache statistics.
-    """
+    """Drop every entry (and the counters) of :data:`DEFAULT_CACHE`."""
     DEFAULT_CACHE.clear()
 
 
@@ -65,7 +59,7 @@ def evaluate_matrix(
     matrix: DesignMatrix,
     knee_fraction: Optional[float] = None,
     tolerance: float = 0.05,
-    cache: Optional[BatchCache] = DEFAULT_CACHE,
+    cache: Optional[BatchCache] = None,
     executor: Optional["ParallelExecutor"] = None,
     chunk_rows: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
@@ -88,14 +82,19 @@ def evaluate_matrix(
     workers (or evaluated serially, chunk by chunk, when only
     ``chunk_rows`` is given), with one JSONL checkpoint record per
     completed shard when ``checkpoint_dir`` is set.  The merged result
-    is bitwise identical to the one-pass path, is served from
-    ``cache`` when already known, and lands there under the same key.
+    is bitwise identical to the one-pass path.
+
+    ``cache`` opts into memoization: a result already in that cache is
+    served from it, and a new one lands there, keyed by the matrix's
+    :meth:`~repro.batch.matrix.DesignMatrix.content_hash` and the
+    kernel parameters.  The default, ``None``, hashes and pins nothing.
 
     ``tracer`` opts into observability (see :mod:`repro.obs`): the
     evaluation records an ``engine.evaluate`` span (with a
-    ``cache_hit`` attribute) plus ``cache.hits``/``cache.misses``
-    counters attributed via :meth:`~repro.batch.cache.BatchCache.stats_snapshot`
-    deltas and a ``rows.evaluated`` counter.  ``progress`` only fires
+    ``cache_hit`` attribute) plus, with a ``cache``,
+    ``cache.hits``/``cache.misses`` counters attributed via
+    :meth:`~repro.batch.cache.BatchCache.stats_snapshot` deltas, and a
+    ``rows.evaluated`` counter.  ``progress`` only fires
     on the sharded path (per completed shard).  Both default to
     ``None`` — uninstrumented calls pay a null-check, nothing more.
     """
@@ -145,7 +144,7 @@ def evaluate_matrix(
             matrix.f_sensor_hz, matrix.f_compute_hz, matrix.f_control_hz
         )
         knee_hz = kernels.knee_throughput(d, a, knee_fraction)
-        result = BatchResult(
+        result = BatchResult._adopt(
             matrix=matrix,
             roof_velocity=kernels.roof_velocity(d, a),
             knee_hz=knee_hz,

@@ -34,10 +34,10 @@ only its ``[start, stop)`` rows by Cartesian index arithmetic
 
 There are two scheduling policies.  :class:`ParallelExecutor` fans
 shards out over :mod:`concurrent.futures` workers —
-``backend="process"`` (true parallelism, fresh per-worker caches),
-``"thread"`` (shared cache, no pickling) or ``"serial"`` (chunked
-streaming in-process) — and dispatches identical chunks (by content
-hash) once, fanning them back out on join.
+``backend="process"`` (true parallelism), ``"thread"`` (no pickling)
+or ``"serial"`` (chunked streaming in-process) — and dispatches
+identical chunks (by content hash) once, fanning them back out on
+join.
 :class:`~repro.distrib.DistributedExecutor` pulls shards from a shared
 work directory under the lease protocol.  Both persist every shard
 they complete to the store as one JSONL record
@@ -46,10 +46,8 @@ they complete to the store as one JSONL record
 format), so an interrupted million-point study resumes from its
 completed shards instead of restarting.
 
-Every worker process starts with a *fresh*
-:data:`~repro.batch.engine.DEFAULT_CACHE` — a forked snapshot of the
-parent's cache is cleared by the worker initializer, so cross-spec
-state can never leak between runs.
+No shard memoizes its result: workers keep no state between shards,
+so nothing a worker inherits across a fork can leak between runs.
 """
 
 from __future__ import annotations
@@ -84,12 +82,7 @@ from ..io.serialization import (
 )
 from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
-from .engine import (
-    DEFAULT_CACHE,
-    _knee_of,
-    clear_default_cache,
-    evaluate_matrix,
-)
+from .engine import _knee_of, evaluate_matrix
 from .matrix import DesignMatrix
 from .result import BatchResult, concat_results, merge_top_k
 
@@ -186,21 +179,27 @@ def default_chunk_rows(total_rows: int, n_workers: int) -> int:
 
 
 def _matrix_digest(
-    matrix: DesignMatrix, knee_fraction: float, tolerance: float
+    matrix: DesignMatrix,
+    knee_fraction: float,
+    tolerance: float,
+    rows: slice = slice(None),
 ) -> str:
     """A cross-process-stable content digest of a matrix evaluation.
 
-    Unlike :meth:`DesignMatrix.content_hash` (whose label component
-    uses Python's per-process string hashing), labels are digested
+    Digests ``rows`` of ``matrix`` (all of them by default) straight
+    from the column buffers, without copying them.  Unlike
+    :meth:`DesignMatrix.content_hash` (whose label component uses
+    Python's per-process string hashing), labels are digested
     byte-wise here: checkpoint manifests must survive interpreter
     restarts.
     """
+    columns = [column[rows] for column in matrix.columns()]
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(len(matrix).to_bytes(8, "little"))
-    for column in matrix.columns():
-        digest.update(column.tobytes())
+    digest.update(columns[0].size.to_bytes(8, "little"))
+    for column in columns:
+        digest.update(column)
     if matrix.labels is not None:
-        for label in matrix.labels:
+        for label in matrix.labels[rows]:
             digest.update(label.encode("utf-8"))
             digest.update(b"\x00")
     digest.update(repr((knee_fraction, tolerance)).encode("ascii"))
@@ -216,9 +215,10 @@ def iter_chunks(
 ) -> Iterator[Shard]:
     """Stream the row-range shards of a matrix or a study spec.
 
-    For a :class:`DesignMatrix`, each shard's task carries a copy of
-    its rows' columns (``O(chunk_rows)`` pickled bytes per shard) plus
-    a content hash so identical chunks dispatch once.  For a
+    For a :class:`DesignMatrix`, each shard's task carries read-only
+    row-range views of the columns — no copy until a process pool
+    pickles them (``O(chunk_rows)`` bytes per shard) — plus a content
+    hash of those rows so identical chunks dispatch once.  For a
     :class:`~repro.study.spec.StudySpec`, the task carries only the
     spec and the ``[start, stop)`` range — the worker rebuilds its rows
     by index arithmetic, so the full grid never exists in the parent;
@@ -235,7 +235,7 @@ def iter_chunks(
         for index, (start, stop) in enumerate(
             shard_ranges(len(source), chunk_rows)
         ):
-            chunk = source.take(np.arange(start, stop))
+            rows = slice(start, stop)
             yield Shard(
                 index=index,
                 start=start,
@@ -246,16 +246,18 @@ def iter_chunks(
                     "start": start,
                     "stop": stop,
                     "columns": {
-                        name: getattr(chunk, name)
-                        for name in chunk.column_names
+                        name: getattr(source, name)[rows]
+                        for name in source.column_names
                     },
-                    "labels": chunk.labels,
-                    "matrix_knee_fraction": chunk.knee_fraction,
+                    "labels": (
+                        None if source.labels is None else source.labels[rows]
+                    ),
+                    "matrix_knee_fraction": source.knee_fraction,
                     "knee_fraction": resolved,
                     "tolerance": tolerance,
                     "reduce": reduce,
                 },
-                key=_matrix_digest(chunk, resolved, tolerance),
+                key=_matrix_digest(source, resolved, tolerance, rows),
             )
         return
     if isinstance(source, StudySpec):
@@ -291,19 +293,6 @@ def iter_chunks(
 # ---------------------------------------------------------------------------
 # The worker side
 # ---------------------------------------------------------------------------
-def _init_worker() -> None:
-    """Worker-process initializer: start from a fresh default cache.
-
-    A forked worker inherits a snapshot of the parent's
-    :data:`~repro.batch.engine.DEFAULT_CACHE` — entries *and*
-    hit/miss counters.  Content addressing makes inherited hits
-    technically correct, but a snapshot pins the parent's memory in
-    every worker and makes cache statistics meaningless, so workers
-    always begin empty.
-    """
-    clear_default_cache()
-
-
 def _evaluate_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one shard task (runs in a worker, or inline).
 
@@ -347,7 +336,9 @@ def _evaluate_shard_task(task: Dict[str, Any]) -> Dict[str, Any]:
     shard_started = perf_counter() if tracer is not None else 0.0
     with maybe_span(tracer, "shard.compile"):
         if task["kind"] == "matrix":
-            matrix = DesignMatrix.from_arrays(
+            # The columns are views of a validated, frozen matrix (or a
+            # worker's unpickled copies of them): adopt, never copy.
+            matrix = DesignMatrix._adopt(
                 **task["columns"],
                 labels=task["labels"],
                 knee_fraction=task["matrix_knee_fraction"],
@@ -362,16 +353,11 @@ def _evaluate_shard_task(task: Dict[str, Any]) -> Dict[str, Any]:
                 "total_mass_g": plan.total_mass_g,
                 "compute_tdp_w": plan.compute_tdp_w,
             }
-    # In-process (serial) streaming exists to bound memory by the chunk
-    # size; memoizing every chunk in the shared default cache would
-    # quietly pin the whole grid again, so streaming shards opt out.
-    # Worker processes keep the (fresh, bounded) per-worker cache.
     with maybe_span(tracer, "shard.evaluate", rows=len(matrix)):
         result = evaluate_matrix(
             matrix,
             knee_fraction=task["knee_fraction"],
             tolerance=task["tolerance"],
-            cache=None if task.get("streaming") else DEFAULT_CACHE,
             tracer=tracer,
         )
     local_indices: Optional[np.ndarray] = None
@@ -409,20 +395,16 @@ def _worker_task(
 ) -> Dict[str, Any]:
     """The task a worker evaluates for ``shard``.
 
-    In-process workers share the caller's default cache, and memoizing
-    every chunk there would pin (up to) the whole grid against the
-    caller's wishes, so they stream; traced, they record spans straight
-    onto the shard's track of ``tracer`` (same process, same epoch).
-    Process workers keep their own fresh, bounded caches and ship their
-    spans home as wire dicts.
+    Traced, in-process workers record spans straight onto the shard's
+    track of ``tracer`` (same process, same epoch); process workers
+    ship their spans home as wire dicts.
     """
     task = dict(shard.task)
-    if in_process:
-        task["streaming"] = True
-        if tracer is not None:
+    if tracer is not None:
+        if in_process:
             task["tracer"] = tracer.track(shard.index + 1)
-    elif tracer is not None:
-        task["trace"] = True
+        else:
+            task["trace"] = True
     return task
 
 
@@ -542,9 +524,7 @@ class ParallelExecutor:
             if self.backend == "process":
                 from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers, initializer=_init_worker
-                )
+                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
             else:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -579,7 +559,7 @@ class ParallelExecutor:
         contributes a parent-side ``shard.task`` span and its
         worker-side spans (``shard.compile``/``shard.evaluate``/…)
         under ``tid = shard_index + 1``, plus ``shards.completed`` and
-        worker cache counters.  In-process workers (serial and thread
+        worker counters.  In-process workers (serial and thread
         backends) record those spans directly into ``tracer`` via
         :meth:`~repro.obs.tracer.Tracer.track`; process workers ship
         them home as wire dicts (rebased on absorption, and also

@@ -132,7 +132,8 @@ def scenario_grid(
     values; the resulting matrix has ``prod(len(axis))`` rows in
     row-major order over :data:`GRID_AXES` (the control-rate axis
     varies fastest).  Validation of the values themselves happens in
-    the :class:`DesignMatrix` constructor.
+    the :class:`DesignMatrix` constructor, which adopts the freshly
+    expanded columns without a copy.
     """
     columns = cartesian_product(
         dict(
@@ -148,4 +149,4 @@ def scenario_grid(
             )
         )
     )
-    return DesignMatrix.from_arrays(*columns.values())
+    return DesignMatrix._adopt(**columns)

@@ -4,8 +4,8 @@ A :class:`DesignMatrix` holds N design points as five float64 columns —
 sensing range, maximum acceleration and the three pipeline stage rates
 — plus optional per-row labels.  Columns are validated once at
 construction (finite, strictly positive, equal length) so the kernels
-can skip per-element checks, and are frozen read-only so the
-content hash that keys the result cache stays trustworthy.
+can skip per-element checks, and are frozen read-only so a matrix can
+be shared and sliced without a defensive copy (:class:`SealedColumns`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
@@ -46,10 +57,106 @@ def _as_column(name: str, values: ArrayLike) -> np.ndarray:
     return column
 
 
+def broadcast_rows(
+    names: Sequence[str], values: Sequence[ArrayLike], what: str
+) -> Tuple[List[np.ndarray], int]:
+    """``values`` as 1-D float64 columns, plus the rows they broadcast to.
+
+    Scalars (and length-1 columns) broadcast against the longest
+    column.
+    """
+    columns = [_as_column(name, value) for name, value in zip(names, values)]
+    try:
+        (rows,) = np.broadcast_shapes(*(column.shape for column in columns))
+    except ValueError as exc:
+        shapes = {name: column.shape for name, column in zip(names, columns)}
+        raise ConfigurationError(
+            f"{what} lengths are incompatible: {shapes}"
+        ) from exc
+    return columns, rows
+
+
+def sealed_column(
+    name: str,
+    column: np.ndarray,
+    rows: int,
+    copy: bool,
+    allow_zero: bool = False,
+) -> np.ndarray:
+    """``column`` checked, broadcast to ``rows`` entries and made read-only.
+
+    Every value must be finite and > 0 (>= 0 with ``allow_zero``); a
+    scalar is checked before it is broadcast.  ``copy=True`` gives a
+    full-length column a fresh buffer, so freezing it never freezes or
+    aliases a caller's array; ``copy=False`` adopts it.
+    """
+    values = column[:rows]  # the column, or a scalar's one value
+    low = values.min(initial=np.inf)
+    high = values.max(initial=-np.inf)
+    if not (high < np.inf and (low >= 0.0 if allow_zero else low > 0.0)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(f"{name} must be finite")
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ConfigurationError(f"{name} must be {bound} everywhere")
+    if column.size != rows:
+        column = np.full(rows, column[0])
+    elif copy:
+        column = column.copy()
+    column.flags.writeable = False
+    return column
+
+
+def checked_labels(
+    labels: Optional[Sequence[str]], rows: int
+) -> Optional[Tuple[str, ...]]:
+    """Per-row labels as a tuple of strings, one per row (or ``None``)."""
+    if labels is None:
+        return None
+    checked = tuple(map(str, labels))
+    if len(checked) != rows:
+        raise ConfigurationError(f"{len(checked)} labels for {rows} rows")
+    return checked
+
+
+_Sealed = TypeVar("_Sealed", bound="SealedColumns")
+
+
+class SealedColumns:
+    """Construction shared by the package's frozen column containers.
+
+    The public (dataclass) constructor copies every column before
+    :meth:`_seal` checks and freezes it, so a caller's array is never
+    frozen or aliased.  :meth:`_adopt` is the one internal constructor,
+    for arrays the package has just allocated — planner and assembler
+    columns, kernel outputs, ``take``/``concat``/merge results: the
+    same checks with the same error text, minus the copy.
+    """
+
+    def _seal(self, copy: bool) -> None:
+        """Check, (copy,) and freeze every field: each check, once."""
+        raise NotImplementedError
+
+    def __post_init__(self) -> None:
+        self._seal(copy=True)
+
+    @classmethod
+    def _adopt(cls: Type[_Sealed], **values: Any) -> _Sealed:
+        """An instance over arrays the caller hands over (no copy).
+
+        ``values`` are the dataclass fields (omitted ones keep their
+        class defaults).  The columns are frozen in place, so the
+        caller must hold no other writeable reference to them.
+        """
+        instance = cls.__new__(cls)
+        vars(instance).update(values)
+        instance._seal(copy=False)
+        return instance
+
+
 # eq=False: dataclass-generated __eq__/__hash__ choke on ndarray fields
 # (ambiguous truth value / unhashable); identity semantics apply instead.
 @dataclass(frozen=True, eq=False)
-class DesignMatrix:
+class DesignMatrix(SealedColumns):
     """N design points, one NumPy column per F-1 parameter.
 
     Matrices compare by identity; use :meth:`content_hash` to test two
@@ -79,37 +186,16 @@ class DesignMatrix:
     #: caller passes an explicit ``knee_fraction``.
     knee_fraction: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _seal(self, copy: bool) -> None:
         if self.knee_fraction is not None:
             require_fraction("knee_fraction", self.knee_fraction)
-        columns = {
-            name: _as_column(name, getattr(self, name))
-            for name in _COLUMN_NAMES
-        }
-        try:
-            broadcast = np.broadcast_arrays(*columns.values())
-        except ValueError as exc:
-            shapes = {n: c.shape for n, c in columns.items()}
-            raise ConfigurationError(
-                f"column lengths are incompatible: {shapes}"
-            ) from exc
-        for name, column in zip(_COLUMN_NAMES, broadcast):
-            # Own a fresh contiguous copy: broadcast views may alias the
-            # caller's arrays, which must not be frozen behind their back.
-            column = np.array(column, dtype=np.float64, copy=True)
-            if not np.all(np.isfinite(column)):
-                raise ConfigurationError(f"{name} must be finite")
-            if np.any(column <= 0.0):
-                raise ConfigurationError(f"{name} must be > 0 everywhere")
-            column.flags.writeable = False
+        columns, rows = broadcast_rows(
+            _COLUMN_NAMES, [getattr(self, name) for name in _COLUMN_NAMES], "column"
+        )
+        for name, column in zip(_COLUMN_NAMES, columns):
+            column = sealed_column(name, column, rows, copy)
             object.__setattr__(self, name, column)
-        if self.labels is not None:
-            labels = tuple(map(str, self.labels))
-            if len(labels) != len(self):
-                raise ConfigurationError(
-                    f"{len(labels)} labels for {len(self)} rows"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", checked_labels(self.labels, rows))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -269,7 +355,7 @@ class DesignMatrix:
         return digest.hexdigest()
 
     def content_hash(self) -> str:
-        """A digest of the full matrix content, keying the result cache.
+        """A digest of the full matrix content, keying an opt-in cache.
 
         Computed once per (immutable) matrix.  Stable within a process;
         for labelled matrices it is *not* stable across processes (the
@@ -284,8 +370,8 @@ class DesignMatrix:
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[i] for i in index_array)
-        return DesignMatrix.from_arrays(
-            *(column[index_array] for column in self.columns()),
+        return DesignMatrix._adopt(
+            **{name: getattr(self, name)[index_array] for name in _COLUMN_NAMES},
             labels=labels,
             knee_fraction=self.knee_fraction,
         )
@@ -320,10 +406,11 @@ class DesignMatrix:
             labels = tuple(
                 label for m in parts for label in m.labels  # type: ignore[union-attr]
             )
-        columns = (
-            np.concatenate([getattr(m, name) for m in parts])
-            for name in _COLUMN_NAMES
-        )
-        return cls.from_arrays(
-            *columns, labels=labels, knee_fraction=fractions.pop()
+        return cls._adopt(
+            **{
+                name: np.concatenate([getattr(m, name) for m in parts])
+                for name in _COLUMN_NAMES
+            },
+            labels=labels,
+            knee_fraction=fractions.pop(),
         )

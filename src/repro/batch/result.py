@@ -20,7 +20,18 @@ from ..core.optimality import DesignStatus
 from ..errors import ConfigurationError
 from ..io.tables import format_table
 from .kernels import BOUND_KINDS, DESIGN_STATUSES
-from .matrix import DesignMatrix
+from .matrix import DesignMatrix, SealedColumns
+
+#: The per-row columns of a result, aligned with its matrix.
+_RESULT_COLUMN_NAMES = (
+    "roof_velocity",
+    "knee_hz",
+    "knee_velocity",
+    "action_throughput_hz",
+    "safe_velocity",
+    "bound_codes",
+    "status_codes",
+)
 
 #: Result columns that may be used as sort keys.
 SORTABLE_COLUMNS = (
@@ -31,6 +42,33 @@ SORTABLE_COLUMNS = (
     "action_throughput_hz",
     "provisioning_factor",
 )
+
+
+def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]``, in O(n + k log k).
+
+    The one ranking primitive: study selection, ``top_k`` and shard
+    merges all rank through it.  An O(n) partition finds the k-th
+    smallest key; membership then resolves the way the stable full
+    sort does — strictly smaller keys, then boundary ties in index
+    order — and only that shortlist is sorted.  NaN keys sort last,
+    as in the full sort.
+    """
+    if k >= keys.size:
+        return np.argsort(keys, kind="stable")
+    boundary = np.partition(keys, k - 1)[k - 1]
+    if np.isnan(boundary):
+        # Fewer than k ordered keys: all of them, then the first NaNs.
+        tied = np.isnan(keys)
+        before = ~tied
+    else:
+        before = keys < boundary
+        tied = keys == boundary
+    definite = np.flatnonzero(before)
+    shortlist = np.concatenate(
+        [definite, np.flatnonzero(tied)[: k - definite.size]]
+    )
+    return shortlist[np.argsort(keys[shortlist], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -61,10 +99,10 @@ class BatchRow:
 # eq=False: dataclass-generated __eq__/__hash__ choke on ndarray fields
 # (ambiguous truth value / unhashable); identity semantics apply instead.
 @dataclass(frozen=True, eq=False)
-class BatchResult:
+class BatchResult(SealedColumns):
     """All derived F-1 columns for one evaluated design matrix.
 
-    Results compare by identity (the cache hands back the same object
+    Results compare by identity (a cache hands back the same object
     for equal inputs).
     """
 
@@ -79,20 +117,11 @@ class BatchResult:
     knee_fraction: float
     tolerance: float
 
-    def __post_init__(self) -> None:
+    def _seal(self, copy: bool) -> None:
         n = len(self.matrix)
-        for name in (
-            "roof_velocity",
-            "knee_hz",
-            "knee_velocity",
-            "action_throughput_hz",
-            "safe_velocity",
-            "bound_codes",
-            "status_codes",
-        ):
-            # Own a fresh copy before freezing: ascontiguousarray can
-            # return the caller's array, which must stay writable.
-            column = np.array(getattr(self, name), copy=True)
+        for name in _RESULT_COLUMN_NAMES:
+            column = getattr(self, name)
+            column = np.array(column) if copy else np.asarray(column)
             if column.shape != (n,):
                 raise ConfigurationError(
                     f"{name} has shape {column.shape}, expected ({n},)"
@@ -109,18 +138,7 @@ class BatchResult:
     @cached_property
     def nbytes(self) -> int:
         """Memory pinned by this result's columns (incl. its matrix)."""
-        own = sum(
-            getattr(self, name).nbytes
-            for name in (
-                "roof_velocity",
-                "knee_hz",
-                "knee_velocity",
-                "action_throughput_hz",
-                "safe_velocity",
-                "bound_codes",
-                "status_codes",
-            )
-        )
+        own = sum(getattr(self, name).nbytes for name in _RESULT_COLUMN_NAMES)
         return own + self.matrix.nbytes
 
     @property
@@ -197,17 +215,14 @@ class BatchResult:
     def take(self, indices: Union[Sequence[int], np.ndarray]) -> "BatchResult":
         """A new result holding the selected rows, in the given order."""
         index_array = np.asarray(indices, dtype=np.intp)
-        return BatchResult(
+        return BatchResult._adopt(
             matrix=self.matrix.take(index_array),
-            roof_velocity=self.roof_velocity[index_array],
-            knee_hz=self.knee_hz[index_array],
-            knee_velocity=self.knee_velocity[index_array],
-            action_throughput_hz=self.action_throughput_hz[index_array],
-            safe_velocity=self.safe_velocity[index_array],
-            bound_codes=self.bound_codes[index_array],
-            status_codes=self.status_codes[index_array],
             knee_fraction=self.knee_fraction,
             tolerance=self.tolerance,
+            **{
+                name: getattr(self, name)[index_array]
+                for name in _RESULT_COLUMN_NAMES
+            },
         )
 
     def where(self, mask: np.ndarray) -> "BatchResult":
@@ -230,32 +245,17 @@ class BatchResult:
     ) -> np.ndarray:
         """Row indices of the ``k`` best rows by one column, best first.
 
-        Uses an O(n) partition before the O(k log k) sort, so taking a
-        handful of winners from a million-point grid stays cheap.  The
+        Exactly ``argsort(by, descending)[:k]``, through
+        :func:`stable_top_k`'s O(n) partition, so taking a handful of
+        winners from a million-point grid stays cheap.  The
         indices are what shard merges need: offset by a shard's global
         start row, they stay meaningful after
         :func:`merge_top_k` combines shards.
         """
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        n = len(self)
-        k = min(k, n)
-        keys = -self._column(by) if descending else self._column(by)
-        if k < n:
-            # argpartition alone would pick an *arbitrary* subset of the
-            # rows tied at the k boundary; resolve membership the way the
-            # stable full sort does — strictly-better rows, then boundary
-            # ties in original order — so top_k(k) == sort_by()[:k].
-            boundary = np.partition(keys, k - 1)[k - 1]
-            definite = np.flatnonzero(keys < boundary)
-            tied = np.flatnonzero(keys == boundary)
-            shortlist = np.concatenate(
-                [definite, tied[: k - definite.size]]
-            )
-        else:
-            shortlist = np.arange(n)
-        order = np.argsort(keys[shortlist], kind="stable")
-        return shortlist[order]
+        column = self._column(by)
+        return stable_top_k(-column if descending else column, k)
 
     def top_k(
         self, k: int, by: str = "safe_velocity", descending: bool = True
@@ -316,17 +316,6 @@ class BatchResult:
 # ---------------------------------------------------------------------------
 # Shard merging (the reduce side of repro.batch.executor)
 # ---------------------------------------------------------------------------
-_RESULT_COLUMN_NAMES = (
-    "roof_velocity",
-    "knee_hz",
-    "knee_velocity",
-    "action_throughput_hz",
-    "safe_velocity",
-    "bound_codes",
-    "status_codes",
-)
-
-
 def concat_results(
     results: Sequence[BatchResult],
     matrix: Optional[DesignMatrix] = None,
@@ -365,15 +354,14 @@ def concat_results(
             raise ConfigurationError(
                 f"{total} shard rows for a {len(matrix)}-row matrix"
             )
-    columns = {
-        name: np.concatenate([getattr(r, name) for r in parts])
-        for name in _RESULT_COLUMN_NAMES
-    }
-    return BatchResult(
+    return BatchResult._adopt(
         matrix=matrix,
         knee_fraction=knee_fraction,
         tolerance=tolerance,
-        **columns,
+        **{
+            name: np.concatenate([getattr(r, name) for r in parts])
+            for name in _RESULT_COLUMN_NAMES
+        },
     )
 
 
@@ -409,10 +397,9 @@ def merge_top_k(
         raise ConfigurationError(
             f"{indices.size} global indices for {len(merged)} candidate rows"
         )
-    keys = merged._column(by)
-    if descending:
-        keys = -keys
-    # Primary key: the ranked column; secondary: global row index, so
-    # boundary ties resolve exactly as the stable full-grid sort does.
-    order = np.lexsort((indices, keys))[: min(k, len(merged))]
+    # Candidates in global row order, so the stable ranking breaks
+    # ties exactly as the stable full-grid sort does.
+    by_row = np.argsort(indices, kind="stable")
+    keys = merged._column(by)[by_row]
+    order = by_row[stable_top_k(-keys if descending else keys, k)]
     return indices[order], merged.take(order)

@@ -7,7 +7,7 @@ declarative study engine into a long-lived service:
   answered inline;
 * ``POST /v1/studies`` — enqueue a
   :class:`~repro.study.spec.StudySpec`; identical specs coalesce onto
-  one execution (content-digest keyed, like the batch cache);
+  one execution (keyed by the spec's content digest);
 * ``GET /v1/studies/{id}`` / ``.../result`` / ``.../progress`` —
   status, the finished result (bitwise-identical for every waiter),
   and a streaming progress feed backed by :mod:`repro.obs`;

@@ -18,9 +18,7 @@ synchronous PR-4 execution stack.  A :class:`StudyScheduler` owns
 * **request coalescing** — studies are registered by spec content
   digest (:class:`~repro.serve.state.StudyStore`), so identical specs
   submitted while one is queued, running, or already finished all
-  resolve to the same record and exactly one execution; the batch
-  cache already keys results this way, the scheduler extends the same
-  idea across HTTP clients.
+  resolve to the same record and exactly one execution.
 
 Everything observable is counted on the scheduler's
 :class:`~repro.obs.tracer.Tracer` (``serve.studies.*`` counters,

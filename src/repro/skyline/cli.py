@@ -300,8 +300,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     from .sweep import sweep_knob
 
     if args.json:
-        # The same sweep, expressed as a study; the shared batch cache
-        # means a --plot render below re-evaluates nothing.
+        # The same sweep, expressed as a study.
         from ..study import DesignSpec, StudySpec, run_study
 
         spec = StudySpec(

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..batch.assembly import (
+    KNOB_COLUMNS,
     KnobMatrix,
     assemble_columns,
     configuration_columns,
@@ -38,6 +39,9 @@ from .spec import (
     StudySpec,
     spec_error,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..skyline.knobs import Knobs
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,24 @@ def _scenario_columns(
     )
 
 
+def _knob_matrix(
+    base: Knobs,
+    columns: Dict[str, np.ndarray],
+    labels: Optional[List[str]] = None,
+) -> KnobMatrix:
+    """A knob matrix adopting fresh columns; other knobs from ``base``."""
+    return KnobMatrix._adopt(
+        rotor_count=base.rotor_count,
+        labels=labels,
+        **{name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS},
+    )
+
+
 def _with_scaled_a_max(
     matrix: DesignMatrix, scale: np.ndarray
 ) -> DesignMatrix:
-    """A copy of ``matrix`` with its acceleration column derated."""
-    return DesignMatrix.from_arrays(
+    """``matrix`` with its acceleration column derated (others shared)."""
+    return DesignMatrix._adopt(
         sensing_range_m=matrix.sensing_range_m,
         a_max=matrix.a_max * scale,
         f_sensor_hz=matrix.f_sensor_hz,
@@ -146,7 +163,7 @@ def _compile_knobs(spec: StudySpec) -> StudyPlan:
         if len(design.axes) == 1:
             knob, values = design.axes[0]
             labels = [f"{knob}={value:g}" for value in values]
-        knob_matrix = KnobMatrix.from_base(base, labels=labels, **columns)
+        knob_matrix = _knob_matrix(base, columns, labels)
         matrix = knob_matrix.assemble()
         scale = None
     else:
@@ -174,7 +191,7 @@ def _compile_knobs(spec: StudySpec) -> StudyPlan:
                     "shed more than the payload knob carries",
                 )
             expanded["payload_weight_g"] = payload
-        knob_matrix = KnobMatrix.from_base(base, **expanded)
+        knob_matrix = _knob_matrix(base, expanded)
         matrix = knob_matrix.assemble()
         scale = None
         if "a_max_scale" in scenario_columns:
@@ -461,7 +478,7 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
                 "shed more than the payload knob carries",
             )
         knob_columns["payload_weight_g"] = payload
-    knob_matrix = KnobMatrix.from_base(base, labels=labels, **knob_columns)
+    knob_matrix = _knob_matrix(base, knob_columns, labels)
     matrix = knob_matrix.assemble()
     if "a_max_scale" in columns:
         matrix = _with_scaled_a_max(matrix, columns["a_max_scale"])

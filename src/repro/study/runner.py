@@ -2,11 +2,11 @@
 
 :func:`run_study` is the single execution path every analysis surface
 now funnels through: it evaluates the plan's design matrix with
-:func:`~repro.batch.engine.evaluate_matrix` (sharing the process-wide
-:data:`~repro.batch.engine.DEFAULT_CACHE` unless the caller scopes
-their own), applies the spec's ``filters`` and ``rank`` clauses, and
-wraps everything in a serializable
-:class:`~repro.study.result.StudyResult`.
+:func:`~repro.batch.engine.evaluate_matrix` (memoized only in a
+:class:`~repro.batch.cache.BatchCache` the caller passes), applies the
+spec's ``filters`` and ``rank`` clauses — ranking through the O(n)
+:func:`~repro.batch.result.stable_top_k` — and wraps everything in a
+serializable :class:`~repro.study.result.StudyResult`.
 
 Passing ``executor=`` / ``chunk_rows=`` / ``checkpoint=`` runs the
 study through the sharded layer instead
@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 import numpy as np
 
 from ..batch.cache import BatchCache
-from ..batch.engine import DEFAULT_CACHE, evaluate_matrix
-from ..batch.result import BatchResult
+from ..batch.engine import evaluate_matrix
+from ..batch.result import BatchResult, stable_top_k
 from ..io.serialization import BOUND_NAME_TO_CODE, STATUS_NAME_TO_CODE
 from ..obs.tracer import maybe_span
 from .planner import StudyPlan, compile_spec, study_axes
@@ -109,15 +109,14 @@ def _select(
             keys = -keys
         # Stable, like BatchResult.argsort: tied rows keep their
         # original (enumeration) order in both directions.
-        indices = indices[np.argsort(keys, kind="stable")]
-        if spec.rank.top_k is not None:
-            indices = indices[: spec.rank.top_k]
+        top_k = len(indices) if spec.rank.top_k is None else spec.rank.top_k
+        indices = indices[stable_top_k(keys, top_k)]
     return indices
 
 
 def run_study(
     study: Union[StudySpec, StudyPlan],
-    cache: Optional[BatchCache] = DEFAULT_CACHE,
+    cache: Optional[BatchCache] = None,
     executor: Optional["ParallelExecutor"] = None,
     chunk_rows: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -127,13 +126,13 @@ def run_study(
 ) -> StudyResult:
     """Compile (if needed) and execute a study.
 
-    ``cache`` scopes result memoization exactly as in
-    :func:`~repro.batch.engine.evaluate_matrix`: the process-wide
-    default is shared with every other analysis surface, so a study
-    re-covering a grid a sweep already evaluated is free.  A sharded
-    spec never touches it: its full matrix never exists in this
-    process, and pinning the merged result would undo the memory
-    bound that chunked streaming is for.
+    ``cache`` opts into result memoization exactly as in
+    :func:`~repro.batch.engine.evaluate_matrix`; by default nothing is
+    hashed or pinned, because recompiling and re-evaluating a study
+    costs less than hashing its matrix.  A sharded spec never touches
+    a cache: its full matrix never exists in this process, and pinning
+    the merged result would undo the memory bound that chunked
+    streaming is for.
 
     ``executor`` / ``chunk_rows`` opt into sharded execution (see the
     module docstring); ``checkpoint`` names a directory that receives

@@ -680,12 +680,10 @@ class StudySpec:
 
         return compile_spec(self)
 
-    def run(self, cache: Optional["BatchCache"] = ...) -> "StudyResult":
+    def run(self, cache: Optional["BatchCache"] = None) -> "StudyResult":
         """Compile and execute this spec in one call."""
         from .runner import run_study
 
-        if cache is ...:
-            return run_study(self)
         return run_study(self, cache=cache)
 
     # ------------------------------------------------------------------

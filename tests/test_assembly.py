@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import (
+    DesignMatrix,
     KnobMatrix,
     assemble_configurations,
     evaluate_matrix,
@@ -206,6 +207,40 @@ class TestKnobMatrixConstruction:
         assert recovered == Knobs(
             rotor_count=6, payload_weight_g=123.0, compute_tdp_w=10.0
         )
+
+
+class TestCallerArrays:
+    """Public constructors copy; only package-allocated arrays are
+    adopted without one."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda mine: DesignMatrix.from_arrays(mine, mine, mine, mine, mine),
+            lambda mine: KnobMatrix.from_base(
+                Knobs(), compute_tdp_w=mine, sensor_range_m=mine
+            ),
+            lambda mine: KnobMatrix.from_base(
+                Knobs(), sensor_range_m=mine
+            ).assemble(),
+            lambda mine: assemble_configurations(
+                [dji_spark(), dji_spark()], f_compute_hz=mine
+            ).matrix,
+        ],
+        ids=["from_arrays", "from_base", "assemble", "configurations"],
+    )
+    def test_never_frozen_or_aliased(self, build):
+        mine = np.array([10.0, 20.0])
+        built = build(mine)
+        columns = [
+            value for value in vars(built).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert columns
+        assert not any(np.shares_memory(mine, c) for c in columns)
+        assert mine.flags.writeable
+        mine[0] = 11.0
+        assert 11.0 not in np.concatenate(columns)
 
 
 class TestFleetAssembly:

@@ -3,6 +3,8 @@ result, cache, scenario grids — and scalar/batch equivalence."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.batch import (
     scenario_grid,
 )
 from repro.batch.grid import grid_shape
+from repro.batch.result import stable_top_k
 from repro.core.bounds import BoundKind
 from repro.core.model import F1Model
 from repro.dse.explorer import evaluate as scalar_evaluate
@@ -325,6 +328,46 @@ class TestBatchResult:
     def test_describe_summarizes(self, result):
         text = result.describe()
         assert f"{len(result)} designs" in text
+
+
+#: Rank keys that stress the top-k selection: ties, signed zeros,
+#: infinities and NaN, mixed with arbitrary doubles.
+rank_key = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _with_safe_velocity(values: np.ndarray):
+    """A result whose ``safe_velocity`` column is ``values``."""
+    matrix = DesignMatrix.from_arrays(10.0, 50.0, 60.0, np.ones(len(values)))
+    return replace(evaluate_matrix(matrix), safe_velocity=values)
+
+
+class TestStableTopK:
+    """The one ranking primitive equals the stable full sort, always."""
+
+    @given(
+        values=st.lists(rank_key, min_size=1, max_size=40),
+        k=st.integers(1, 45),
+        descending=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_equals_the_stable_full_sort(self, values, k, descending):
+        result = _with_safe_velocity(np.array(values))
+        np.testing.assert_array_equal(
+            result.top_k_indices(k, descending=descending),
+            result.argsort(descending=descending)[:k],
+        )
+        keys = -result.safe_velocity if descending else result.safe_velocity
+        np.testing.assert_array_equal(
+            stable_top_k(keys, k), np.argsort(keys, kind="stable")[:k]
+        )
+
+    def test_nan_at_the_boundary_keeps_k_rows(self):
+        result = _with_safe_velocity(np.array([3.0, np.nan, np.nan, 1.0]))
+        assert result.top_k_indices(3).tolist() == [0, 3, 1]
+        assert result.top_k_indices(3, descending=False).tolist() == [3, 0, 1]
 
 
 class TestBatchCache:

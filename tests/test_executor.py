@@ -12,6 +12,7 @@ spawn on CI — while the property suites run on the serial backend.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from repro.batch import (
     shard_ranges,
     top_k_sharded,
 )
-from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard, _init_worker
+from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard
+from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError
 from repro.io.serialization import (
     MANIFEST_VERSION,
@@ -48,6 +50,8 @@ from repro.io.serialization import (
     shard_record_to_dict,
 )
 from repro.skyline.cli import main as cli_main
+from repro.skyline.knobs import Knobs
+from repro.skyline.sweep import sweep_knob
 from repro.study import (
     DesignSpec,
     ScenarioSpec,
@@ -316,6 +320,21 @@ class TestTopKMerge:
         np.testing.assert_array_equal(
             indices, full.top_k_indices(k, by=by, descending=descending)
         )
+
+    def test_matrix_top_k_holds_one_chunk_not_the_matrix(self):
+        # Shards are row-range views of the matrix: peak memory is one
+        # chunk's evaluation plus O(k), never a copy of the matrix.
+        n_rows = 200_000
+        matrix = _grid(n_rows)
+        full = evaluate_matrix(matrix).top_k_indices(16)
+        tracemalloc.start()
+        try:
+            indices, _ = top_k_sharded(matrix, 16, chunk_rows=n_rows // 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(indices, full)
+        assert peak < matrix.nbytes / 4, (peak, matrix.nbytes)
 
     def test_top_k_over_a_spec_never_materializes(self):
         spec = _knob_spec()
@@ -677,13 +696,21 @@ class TestCheckpoints:
 # Cache hygiene (the DEFAULT_CACHE satellite bugfix)
 # ---------------------------------------------------------------------------
 class TestCacheHygiene:
-    def test_worker_initializer_starts_from_an_empty_cache(self):
-        matrix = _grid(8)
-        evaluate_matrix(matrix)  # populate DEFAULT_CACHE
-        assert len(DEFAULT_CACHE) >= 1
-        _init_worker()  # what every worker process runs on start-up
-        assert len(DEFAULT_CACHE) == 0
-        assert DEFAULT_CACHE.stats.hits == 0
+    def test_no_default_path_touches_the_default_cache(self):
+        """Only a caller passing ``cache=`` memoizes: studies, matrix
+        evaluations, sweeps, the DSE explorer and process-pool shards
+        all leave DEFAULT_CACHE's counters and entries at zero."""
+        clear_default_cache()
+        spec = _knob_spec()
+        run_study(spec)
+        evaluate_matrix(_grid(8))
+        sweep_knob(Knobs(), "sensor_range_m", [2.0, 4.0, 8.0])
+        explore(DesignSpace(("dji-spark",), ("intel-ncs",), ("dronet",)))
+        with ParallelExecutor(n_workers=2, backend="process") as executor:
+            run_study(spec, executor=executor, chunk_rows=5)
+            evaluate_matrix(_grid(20), executor=executor, chunk_rows=10)
+        stats = DEFAULT_CACHE.stats_snapshot()
+        assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
     def test_clear_default_cache_is_the_public_reset(self):
         evaluate_matrix(_grid(6))

@@ -29,8 +29,10 @@ from repro.study import (
     ScenarioSpec,
     StudyResult,
     StudySpec,
+    compile_chunk,
     compile_spec,
     run_study,
+    study_size,
 )
 from repro.study.spec import spec_error
 from repro.uav.registry import UAV_PRESETS, get_preset
@@ -693,6 +695,26 @@ class TestFiltersAndRank:
             study.selected.safe_velocity, expected.safe_velocity
         )
 
+    @pytest.mark.parametrize("top_k", [None, 1, 7, 22, 40])
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_selection_is_the_stable_full_sort(self, spec, top_k, descending):
+        # Ranking by TDP ties the five runtime rows of every TDP value.
+        study = run_study(
+            StudySpec(
+                design=spec.design,
+                filters=(FilterClause("safe_velocity", ">", 5.0),),
+                rank=RankClause(
+                    by="compute_tdp_w", descending=descending, top_k=top_k
+                ),
+            )
+        )
+        kept = np.flatnonzero(study.batch.safe_velocity > 5.0)
+        keys = study.compute_tdp_w[kept]
+        order = np.argsort(-keys if descending else keys, kind="stable")
+        np.testing.assert_array_equal(
+            study.selected_indices, kept[order][:top_k]
+        )
+
     def test_metrics_clause_controls_reporting(self, spec):
         study = run_study(
             StudySpec(
@@ -902,22 +924,25 @@ class TestStudyCli:
         assert "written" in captured.err
 
 
-class TestCacheSharing:
-    def test_study_and_sweep_share_the_default_cache(self):
-        from repro.batch.engine import DEFAULT_CACHE
-
-        values = [2.0, 4.0, 8.0]
-        sweep_knob(Knobs(), "sensor_range_m", values)
-        hits_before = DEFAULT_CACHE.stats.hits
-        run_study(
-            StudySpec(
-                design=DesignSpec.knob_axes(
-                    Knobs(), {"sensor_range_m": values}
-                )
-            )
+class TestValidateOnce:
+    def test_nonpositive_derived_a_max_keeps_its_error(self):
+        # The scale underflows the braking-floor acceleration of the
+        # 5 kg payload row to 0.0; the planner's internal (copy-free)
+        # construction must still reject it, with the public text.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(
+                Knobs(), {"payload_weight_g": [0.0, 5000.0]}
+            ),
+            scenarios=ScenarioSpec(a_max_scale=(1.0, 5e-324)),
         )
-        assert DEFAULT_CACHE.stats.hits == hits_before + 1
+        message = r"^a_max must be > 0 everywhere$"
+        with pytest.raises(ConfigurationError, match=message):
+            compile_spec(spec)
+        with pytest.raises(ConfigurationError, match=message):
+            compile_chunk(spec, 0, study_size(spec))
 
+
+class TestCacheSharing:
     def test_plan_reuse_skips_recompilation(self):
         spec = knob_spec(compute_tdp_w=[1.0, 30.0])
         plan = compile_spec(spec)
