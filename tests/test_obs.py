@@ -145,10 +145,14 @@ class TestMetrics:
 
 class TestAbsorb:
     def test_rebases_worker_events_onto_parent_timeline(self):
+        # The parent exists before the worker span starts, as it does
+        # when it dispatches a shard; a parent epoch inside the span
+        # would leave less time before the anchor than the span lasted,
+        # and absorb clamps such a span's start to 0.
+        parent = Tracer()
         worker = Tracer()
         with worker.span("shard.evaluate", rows=7):
             pass
-        parent = Tracer()
         anchor = perf_counter()
         parent.absorb(worker.to_events(), tid=3, end_clock=anchor, shard=2)
         (span,) = parent.spans
