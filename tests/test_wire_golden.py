@@ -302,6 +302,71 @@ def _envelopes():
     }
 
 
+def _specs():
+    """One study spec per design kind; together they use every
+    optional field of the spec document."""
+    from repro.skyline.knobs import Knobs
+    from repro.study import (
+        DesignSpec,
+        FilterClause,
+        RankClause,
+        ScenarioSpec,
+        StudySpec,
+    )
+    from repro.uav.registry import get_preset
+
+    pelican = get_preset("asctec-pelican").with_redundancy(2).with_extra_payload(25.0)
+    return {
+        "spec-knobs.json": StudySpec(
+            design=DesignSpec.knob_axes(
+                Knobs(compute_tdp_w=15.0, payload_weight_g=100.0),
+                {"compute_runtime_s": (0.005, 0.05, 0.5), "sensor_range_m": (5.0, 10.0)},
+            ),
+            scenarios=ScenarioSpec(extra_payload_g=(0.0, 50.0), a_max_scale=(1.0, 0.8)),
+            metrics=("safe_velocity", "bound", "total_mass_g"),
+            filters=(
+                FilterClause("safe_velocity", ">=", 1.5),
+                FilterClause("bound", "!=", "physics"),
+            ),
+            rank=RankClause(by="safe_velocity", descending=False, top_k=3),
+            knee_fraction=0.9,
+            tolerance=0.1,
+        ),
+        "spec-presets.json": StudySpec(
+            design=DesignSpec.presets(
+                ("dji-spark", "asctec-pelican"),
+                ("intel-ncs", "jetson-tx2"),
+                ("dronet", "trailnet"),
+            ),
+            scenarios=ScenarioSpec(compute_redundancy=(1, 2)),
+            rank=RankClause(by="compute_tdp_w"),
+        ),
+        "spec-fleet.json": StudySpec(
+            design=DesignSpec.fleet(
+                (get_preset("dji-spark"), pelican),
+                (30.0, 178.0),
+                labels=("spark", "pelican-dmr"),
+            ),
+            scenarios=ScenarioSpec(
+                extra_payload_g=(0.0, 10.0), a_max_scale=(0.9,), compute_redundancy=(1, 3)
+            ),
+            filters=(FilterClause("status", "==", "optimal"),),
+        ),
+    }
+
+
+#: ``content_digest()`` of each golden spec: its study id, checkpoint
+#: key and serve coalescing key, so it must never move.
+SPEC_DIGESTS = {
+    "spec-knobs.json": "a7fb4cdaae8bfbd33259a6706884898a",
+    "spec-presets.json": "81717b6a0d9c069013712dc6f493c831",
+    "spec-fleet.json": "36f759e3ef0fa656c43ba838b43feaf1",
+}
+
+#: The spec goldens, written by ``StudySpec.save`` at spec version 1.
+SPEC_GOLDENS = {name: name.replace(".json", "-v1.json") for name in SPEC_DIGESTS}
+
+
 def _line(document) -> str:
     return json.dumps(document) + "\n"
 
@@ -433,6 +498,7 @@ def test_golden_set_is_complete():
     # other file is an older version of one of them.
     live = {golden_path(document).name for document in DOCUMENTS}
     present = {path.name for path in GOLDEN_DIR.iterdir()} - {DIGESTS_NAME}
+    present -= set(SPEC_GOLDENS.values())
     assert live <= present, f"missing {sorted(live - present)}; run '{GENERATE}'"
     for name in sorted(present - live):
         match = re.fullmatch(r"(.+)-v(\d+)\.(\w+)", name)
@@ -455,6 +521,17 @@ def test_live_emitter_rebuilds_golden_bytes(name, live_documents):
         f"{golden_path(name).name} changed on the wire; "
         f"{_bump_hint(DOCUMENTS[name])}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_DIGESTS))
+def test_golden_spec_keeps_its_bytes_and_study_id(name, tmp_path):
+    from repro.study import StudySpec
+
+    spec, path = _specs()[name], GOLDEN_DIR / SPEC_GOLDENS[name]
+    spec.save(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+    assert StudySpec.load(path) == spec
+    assert spec.content_digest() == SPEC_DIGESTS[name]
 
 
 @pytest.mark.parametrize("key", sorted(live_tables()))
