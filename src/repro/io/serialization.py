@@ -2,13 +2,16 @@
 
 Round-trips every component dataclass through plain dicts so Skyline
 sessions and DSE sweeps can be saved, diffed and re-loaded, and
-declares every wire document the system writes — design matrices,
-batch results, shard records and manifests, leases, trace events and
-logs, telemetry, serve envelopes and saved study results — once, as a
-:class:`WireTable`.  A table's rows of ``(name, type, required, doc)``
-drive its emitter, its reader and the field-naming errors, the field
-tables in ``docs/`` and the table digest pinned beside the golden
-documents in ``tests/data/wire_golden/``.
+declares every wire document the system reads or writes — study specs,
+design matrices, batch results, shard records and manifests, leases,
+trace events and logs, telemetry, serve envelopes and saved study
+results — once, as a :class:`WireTable`.  A table's rows of ``(name,
+type, required, doc)`` drive its emitter, its reader and the
+field-naming errors, the field tables in ``docs/`` and the table digest
+pinned beside the golden documents in ``tests/data/wire_golden/``.
+Readers refuse a missing required field, a value outside its type
+(``null`` included, unless the type allows it) and any key the table
+does not declare.
 
 Every per-row array travels as a *column object* — the base64 of its
 little-endian bytes under a pinned dtype tag (:func:`encode_column`) —
@@ -32,7 +35,7 @@ import base64
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -82,13 +85,15 @@ _COMPONENT_TYPES = {
     "flight_controller": FlightControllerBoard,
 }
 
-_SCALAR_FIELDS = (
-    "name",
-    "compute_redundancy",
-    "extra_payload_g",
-    "payload_override_g",
-    "braking_pitch_deg",
-)
+#: A configuration's scalar fields and the :data:`WIRE_TYPES` tag each
+#: value must pass; ``name`` is required.
+_SCALAR_FIELDS = {
+    "name": "str",
+    "compute_redundancy": "int >= 1",
+    "extra_payload_g": "float",
+    "payload_override_g": "float | null",
+    "braking_pitch_deg": "float",
+}
 
 
 def _dataclass_to_dict(obj: Any) -> Dict[str, Any]:
@@ -150,15 +155,38 @@ def _component_from_section(key: str, cls: type, section: Any) -> Any:
 
 
 def configuration_from_dict(data: Dict[str, Any]) -> UAVConfiguration:
-    """Rebuild a configuration from :func:`configuration_to_dict` output."""
+    """Rebuild a configuration from :func:`configuration_to_dict` output.
+
+    Every malformed document is a :class:`ConfigurationError` naming the
+    key: a missing section or ``name``, an unknown key, or a scalar
+    outside its type.
+    """
+    if not isinstance(data, dict):
+        raise _field_error(
+            "configuration", "<root>", f"must be a mapping, got {type(data).__name__}"
+        )
+    known = [*_COMPONENT_TYPES, *_SCALAR_FIELDS]
+    unknown = sorted(map(repr, set(data) - set(known)))
+    if unknown:
+        raise _field_error(
+            "configuration", "<root>",
+            f"unknown key(s) {', '.join(unknown)}; known: {', '.join(known)}",
+        )
     kwargs: Dict[str, Any] = {}
     for key, cls in _COMPONENT_TYPES.items():
         if key not in data:
             raise ConfigurationError(f"missing component section {key!r}")
         kwargs[key] = _component_from_section(key, cls, data[key])
-    for field_name in _SCALAR_FIELDS:
+    if "name" not in data:
+        raise _field_error("configuration", "name", "missing")
+    for field_name, tag in _SCALAR_FIELDS.items():
         if field_name in data:
-            kwargs[field_name] = data[field_name]
+            value = data[field_name]
+            if not WIRE_TYPES[tag](value):
+                raise _field_error(
+                    "configuration", field_name, f"expected {tag}, got {_shown(value)}"
+                )
+            kwargs[field_name] = value
     return UAVConfiguration(**kwargs)
 
 
@@ -352,12 +380,22 @@ TELEMETRY_VERSION = 1
 #: (acks, statuses, progress events, errors, stats).
 SERVE_PROTOCOL_VERSION = 1
 
+#: Version of the study spec document: the body of ``POST /v1/studies``,
+#: ``repro-skyline study --spec`` files and a work dir's ``spec.json``.
+SPEC_VERSION = 1
+
 #: Manifest kinds a checkpoint directory may hold.
 MANIFEST_KINDS = ("study", "matrix")
 
 #: Lifecycle states a served study moves through (in order; terminal
 #: states are the last two).
 STUDY_STATES = ("queued", "running", "done", "failed")
+
+#: Design kinds a study spec's ``design`` may declare.
+DESIGN_KINDS = ("knobs", "presets", "fleet")
+
+#: Comparison operators a study spec's filter clause accepts.
+FILTER_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +409,10 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, list) and all(map(item, value))
+
+
 #: The closed set of field types.  Each tag is the text the docs' type
 #: column shows; each maps to its one predicate, or to the column type
 #: that encodes and decodes it.  Integer tags reject ``bool``, and
@@ -380,9 +422,11 @@ WIRE_TYPES: Dict[str, Any] = {
     "int >= 0": lambda value: _is_int(value) and value >= 0,
     "int >= 1": lambda value: _is_int(value) and value >= 1,
     "int >= 0 | null": lambda value: value is None or (_is_int(value) and value >= 0),
+    "int >= 1 | null": lambda value: value is None or (_is_int(value) and value >= 1),
     "float": _is_number,
     "float > 0": lambda value: _is_number(value) and value > 0,
     "float | null": lambda value: value is None or _is_number(value),
+    "float | str": lambda value: _is_number(value) or isinstance(value, str),
     "str": lambda value: isinstance(value, str),
     "str, non-empty": lambda value: isinstance(value, str) and value != "",
     "str | null": lambda value: value is None or isinstance(value, str),
@@ -390,8 +434,14 @@ WIRE_TYPES: Dict[str, Any] = {
     "object": lambda value: isinstance(value, dict),
     "object | null": lambda value: value is None or isinstance(value, dict),
     "list": lambda value: isinstance(value, list),
+    "[str]": _list_of(lambda value: isinstance(value, str)),
+    "[float]": _list_of(_is_number),
+    "[int >= 1]": _list_of(lambda value: _is_int(value) and value >= 1),
+    "[object]": _list_of(lambda value: isinstance(value, dict)),
     "manifest kind": lambda value: value in MANIFEST_KINDS,
     "study state": lambda value: value in STUDY_STATES,
+    "design kind": lambda value: value in DESIGN_KINDS,
+    "filter op": lambda value: value in FILTER_OPS,
     "<f8 column": _Column(FLOAT_COLUMN),
     "<i8 column | null": _Column(INDEX_COLUMN, nullable=True),
     "<i8 column, any length": _Column(INDEX_COLUMN, per_row=False),
@@ -405,9 +455,12 @@ OPTIONAL = False
 
 
 def _shown(value: Any) -> str:
+    """A value as errors quote it: scalars and short lists or mappings
+    in full, anything else by its type."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
-    return type(value).__name__
+    text = repr(value) if isinstance(value, (list, dict)) else ""
+    return text if 0 < len(text) <= 40 else type(value).__name__
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,6 +509,17 @@ class WireTable:
             plan.append((name, kind, required, entry, hasattr(entry, "decode")))
         return tuple(plan)
 
+    @cached_property
+    def _keys(self) -> FrozenSet[str]:
+        """Every key the document may hold: its rows, plus ``version``
+        and ``kind`` when it carries them."""
+        keys = {name for name, _kind, _required, _doc in self.fields}
+        if self.versioned:
+            keys.add("version")
+        if self.kind is not None:
+            keys.add("kind")
+        return frozenset(keys)
+
     def where(self, name: str, prefix: Optional[str] = None) -> str:
         """The name errors quote for field ``name``."""
         return self.quote.get(name, (self.path if prefix is None else prefix) + name)
@@ -490,14 +554,13 @@ class WireTable:
         embeds.  Embedded documents come back built, or as their own
         value mappings when their table has no ``build``.
         Every failure is a :class:`ConfigurationError` quoting the
-        field; ``prefix`` replaces :attr:`path` for list items.
+        field, or the document for a key the table does not declare;
+        ``prefix`` replaces :attr:`path` for list items.
         """
         prefix = self.path if prefix is None else prefix
+        document = prefix.rstrip(".") or "<root>"
         if not isinstance(data, dict):
-            raise self.error(
-                prefix.rstrip(".") or "<root>",
-                f"must be a mapping, got {type(data).__name__}",
-            )
+            raise self.error(document, f"must be a mapping, got {type(data).__name__}")
         if self.versioned and data.get("version") != self.version:
             raise self.error(
                 "version",
@@ -506,6 +569,13 @@ class WireTable:
             )
         if self.kind is not None and data.get("kind") != self.kind:
             raise self.error("kind", f"must be {self.kind!r}, got {_shown(data.get('kind'))}")
+        unknown = data.keys() - self._keys
+        if unknown:
+            raise self.error(
+                document,
+                f"unknown key(s) {', '.join(sorted(map(repr, unknown)))}; "
+                f"known: {', '.join(sorted(self._keys))}",
+            )
         values: Dict[str, Any] = {}
         columns = []
         for name, kind, required, entry, column in self._plan:
@@ -912,6 +982,62 @@ def serve_envelope_from_dict(data: Any) -> Dict[str, Any]:
     raise _field_error(
         "serve envelope", "kind", f"unknown kind {_shown(data.get('kind'))}; known: {known}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Study specs (the request document of repro.study, serve and distrib)
+# ---------------------------------------------------------------------------
+DESIGN_SPEC_TABLE = WireTable(
+    # Every kind's fields are optional rows; the spec checks which of
+    # them its kind uses.
+    "design spec", SPEC_VERSION, versioned=False, path="design.", fields=(
+        ("kind", "design kind", REQUIRED, '`"knobs"`, `"presets"` or `"fleet"`'),
+        ("base", "object", OPTIONAL, "knobs: `Knobs` field values; absent for the defaults"),
+        ("axes", "object", OPTIONAL, "knobs: knob name to the values it sweeps"),
+        ("uav_names", "[str]", OPTIONAL, "presets: registered UAV preset names"),
+        ("compute_names", "[str]", OPTIONAL, "presets: registered compute platform names"),
+        ("algorithm_names", "[str]", OPTIONAL, "presets: registered autonomy algorithm names"),
+        ("uavs", "[object]", OPTIONAL, "fleet: one `UAVConfiguration` document each"),
+        ("f_compute_hz", "[float]", OPTIONAL, "fleet: compute rate per configuration (or one), Hz"),
+        ("labels", "[str]", OPTIONAL, "fleet: one name per configuration"),
+    ),
+)
+
+SCENARIO_SPEC_TABLE = WireTable(
+    "scenario spec", SPEC_VERSION, versioned=False, path="scenarios.", fields=(
+        ("extra_payload_g", "[float]", OPTIONAL, "payload deltas, g"),
+        ("a_max_scale", "[float]", OPTIONAL, "acceleration derating factors, each > 0"),
+        ("compute_redundancy", "[int >= 1]", OPTIONAL, "onboard-computer counts; not for knobs"),
+    ),
+)
+
+FILTER_CLAUSE_TABLE = WireTable(
+    "filter clause", SPEC_VERSION, versioned=False, fields=(
+        ("column", "str", REQUIRED, "a result column; `bound` and `status` hold names"),
+        ("op", "filter op", REQUIRED, "`<`, `<=`, `>`, `>=`, `==` or `!=`"),
+        ("value", "float | str", REQUIRED, "a number, or a bound or verdict name"),
+    ),
+)
+
+RANK_CLAUSE_TABLE = WireTable(
+    "rank clause", SPEC_VERSION, versioned=False, path="rank.", fields=(
+        ("by", "str", OPTIONAL, "a numeric column; `safe_velocity` when absent"),
+        ("descending", "bool", OPTIONAL, "`true` when absent"),
+        ("top_k", "int >= 1 | null", OPTIONAL, "rows to keep; absent or null keeps all"),
+    ),
+)
+
+STUDY_SPEC_TABLE = WireTable(
+    "study spec", SPEC_VERSION, fields=(
+        ("design", DESIGN_SPEC_TABLE, REQUIRED, "the design points to evaluate"),
+        ("scenarios", SCENARIO_SPEC_TABLE, OPTIONAL, "axes crossed with every design"),
+        ("metrics", "[str]", OPTIONAL, "columns to report; absent reports every numeric one"),
+        ("filters", [FILTER_CLAUSE_TABLE], OPTIONAL, "row filters; a row must pass all"),
+        ("rank", RANK_CLAUSE_TABLE, OPTIONAL, "order and truncation of the kept rows"),
+        ("knee_fraction", "float | null", OPTIONAL, "knee rule in (0, 1); absent or null: default"),
+        ("tolerance", "float", OPTIONAL, "the optimal verdict's tolerance band; 0.05 when absent"),
+    ),
+)
 
 
 # ---------------------------------------------------------------------------

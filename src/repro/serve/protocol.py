@@ -11,7 +11,12 @@ This module holds the dataclasses those tables emit, the mapping
 from the :mod:`repro.errors` taxonomy onto HTTP status codes, and the
 request-side parsers (which reject malformed bodies with
 :class:`~repro.errors.ConfigurationError` messages naming the
-offending field, so a 400 always says *what* was wrong).
+offending field, so a 400 always says *what* was wrong).  A study
+body is the study spec document, read through its own field tables
+(:data:`~repro.io.serialization.STUDY_SPEC_TABLE`) and checked once,
+when the spec is built: a missing field, a wrong type, ``null``, an
+undeclared key or an unknown preset name is refused before the study
+is acknowledged.
 """
 
 from __future__ import annotations
@@ -267,14 +272,11 @@ def parse_study_request(body: Any) -> "Any":
     """Validate a ``POST /v1/studies`` body into a ``StudySpec``.
 
     The body is the :class:`~repro.study.spec.StudySpec` document
-    itself (the exact JSON ``StudySpec.to_dict`` emits); spec-level
-    validation errors pass through with their field-naming messages.
+    itself (the exact JSON ``StudySpec.to_dict`` emits), read through
+    its field tables and checked once, when the spec is built: every
+    malformed body is a :class:`ConfigurationError` naming the field,
+    so the study is refused with a 400 before it is acknowledged.
     """
     from ..study.spec import StudySpec
 
-    if not isinstance(body, dict):
-        raise _request_error(
-            "<root>",
-            f"must be a StudySpec JSON object, got {type(body).__name__}",
-        )
     return StudySpec.from_dict(body)

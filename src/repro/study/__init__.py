@@ -43,7 +43,7 @@ from .planner import (
     study_axes,
     study_size,
 )
-from ..io.serialization import RESULT_VERSION
+from ..io.serialization import RESULT_VERSION, SPEC_VERSION
 from .result import StudyResult
 from .runner import run_study
 from .spec import (
@@ -53,7 +53,6 @@ from .spec import (
     FILTER_OPS,
     NUMERIC_RESULT_COLUMNS,
     SCENARIO_AXES,
-    SPEC_VERSION,
     DesignSpec,
     FilterClause,
     RankClause,

@@ -150,13 +150,6 @@ def _compile_knobs(spec: StudySpec) -> StudyPlan:
                     for name, values in design.axes}
     columns = cartesian_product(axes_mapping)
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
-    if "compute_redundancy" in scenario_axes:
-        raise spec_error(
-            "scenarios.compute_redundancy",
-            "not applicable to a knobs design (knob-built UAVs fly one "
-            "compute module); use a presets or fleet design",
-        )
-
     if not scenario_axes:
         # The exact legacy path: same KnobMatrix call, same labels.
         labels = None
@@ -200,19 +193,10 @@ def _compile_knobs(spec: StudySpec) -> StudyPlan:
     if scale is not None:
         matrix = _with_scaled_a_max(matrix, scale)
 
-    study_axes = tuple(
-        itertools.chain(
-            (StudyAxis(name, values) for name, values in design.axes),
-            (
-                StudyAxis(name, values)
-                for name, values in scenario_axes.items()
-            ),
-        )
-    )
     return StudyPlan(
         spec=spec,
         matrix=matrix,
-        axes=study_axes,
+        axes=study_axes(spec),
         total_mass_g=knob_matrix.total_mass_g,
         compute_tdp_w=knob_matrix.compute_tdp_w,
     )
@@ -223,12 +207,7 @@ def _compile_knobs(spec: StudySpec) -> StudyPlan:
 # ---------------------------------------------------------------------------
 def _materialize_designs(
     design: DesignSpec,
-) -> Tuple[
-    List[UAVConfiguration],
-    List[float],
-    Optional[List[str]],
-    Tuple[StudyAxis, ...],
-]:
+) -> Tuple[List[UAVConfiguration], List[float], Optional[List[str]]]:
     if design.kind == "presets":
         # Enumerate through DesignSpace so ordering and labels match
         # dse.explore exactly.  Imported lazily: repro.dse imports this
@@ -247,21 +226,9 @@ def _materialize_designs(
             f"{c.uav_name}+{c.compute_name}+{c.algorithm_name}"
             for c in candidates
         ]
-        axes = (
-            StudyAxis("uav", design.uav_names),
-            StudyAxis("compute", design.compute_names),
-            StudyAxis("algorithm", design.algorithm_names),
-        )
-        return uavs, rates, labels, axes
-    uavs = list(design.uavs)
-    rates = list(design.f_compute_hz)
+        return uavs, rates, labels
     labels = list(design.labels) if design.labels is not None else None
-    names = (
-        design.labels
-        if design.labels is not None
-        else tuple(u.name for u in uavs)
-    )
-    return uavs, rates, labels, (StudyAxis("design", tuple(names)),)
+    return list(design.uavs), list(design.f_compute_hz), labels
 
 
 def _scenario_labels(
@@ -304,7 +271,7 @@ def _shifted_payload(
 
 
 def _compile_fleet(spec: StudySpec) -> StudyPlan:
-    uavs, rates, labels, design_axes = _materialize_designs(spec.design)
+    uavs, rates, labels = _materialize_designs(spec.design)
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
 
     # N designs x M scenarios, scenario fastest: repeat each design's
@@ -325,13 +292,10 @@ def _compile_fleet(spec: StudySpec) -> StudyPlan:
         labels=_scenario_labels(labels, scenario_axes),
     )
 
-    study_axes = design_axes + tuple(
-        StudyAxis(name, values) for name, values in scenario_axes.items()
-    )
     return StudyPlan(
         spec=spec,
         matrix=fleet.matrix,
-        axes=study_axes,
+        axes=study_axes(spec),
         total_mass_g=fleet.total_mass_g,
         compute_tdp_w=fleet.compute_tdp_w,
     )
@@ -361,23 +325,12 @@ def compile_spec(spec: StudySpec) -> StudyPlan:
 # ---------------------------------------------------------------------------
 # Chunked planning (the worker side of the sharded executor)
 # ---------------------------------------------------------------------------
-def _check_knob_scenarios(
-    spec: StudySpec, scenario_axes: Dict[str, Tuple[float, ...]]
-) -> None:
-    if spec.design.kind == "knobs" and "compute_redundancy" in scenario_axes:
-        raise spec_error(
-            "scenarios.compute_redundancy",
-            "not applicable to a knobs design (knob-built UAVs fly one "
-            "compute module); use a presets or fleet design",
-        )
-
-
 def study_axes(spec: StudySpec) -> Tuple[StudyAxis, ...]:
     """The spec's logical axes, without materializing any design rows.
 
-    Identical to ``compile_spec(spec).axes`` (by construction and by
-    test), but O(axes) instead of O(grid): the sharded executor uses it
-    to shape results for grids it never holds in one piece.
+    The axes of ``compile_spec(spec)``, which builds them here, in
+    O(axes) instead of O(grid): the sharded executor uses it to shape
+    results for grids it never holds in one piece.
     """
     if not isinstance(spec, StudySpec):
         raise ConfigurationError(
@@ -385,7 +338,6 @@ def study_axes(spec: StudySpec) -> Tuple[StudyAxis, ...]:
         )
     design = spec.design
     scenario_axes, _ = _scenario_rows(spec.scenarios)
-    _check_knob_scenarios(spec, scenario_axes)
     if design.kind == "knobs":
         design_axes: Tuple[StudyAxis, ...] = tuple(
             StudyAxis(name, values) for name, values in design.axes
@@ -451,7 +403,6 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
     design = spec.design
     base = design.base
     scenario_axes, _ = _scenario_rows(spec.scenarios)
-    _check_knob_scenarios(spec, scenario_axes)
     combined: Dict[str, Any] = {
         name: np.asarray(values, dtype=np.float64)
         for name, values in design.axes

@@ -39,7 +39,6 @@ from .spec import (
     FilterClause,
     NUMERIC_RESULT_COLUMNS,
     StudySpec,
-    spec_error,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,28 +68,17 @@ def _numeric_column(
 def _filter_mask(
     extras: Dict[str, np.ndarray],
     batch: BatchResult,
-    index: int,
     clause: FilterClause,
 ) -> np.ndarray:
     op = _OPS[clause.op]
+    # Spec validation guarantees category values are known names.
     if clause.column == "bound":
-        codes = BOUND_NAME_TO_CODE
-        column: np.ndarray = batch.bound_codes
-    elif clause.column == "status":
-        codes = STATUS_NAME_TO_CODE
-        column = batch.status_codes
-    else:
-        return op(
-            _numeric_column(extras, batch, clause.column),
-            float(clause.value),
-        )
-    if clause.value not in codes:
-        raise spec_error(
-            f"filters[{index}].value",
-            f"unknown {clause.column} name {clause.value!r}; known: "
-            f"{', '.join(sorted(codes))}",
-        )
-    return op(column, codes[clause.value])
+        return op(batch.bound_codes, BOUND_NAME_TO_CODE[clause.value])
+    if clause.column == "status":
+        return op(batch.status_codes, STATUS_NAME_TO_CODE[clause.value])
+    return op(
+        _numeric_column(extras, batch, clause.column), float(clause.value)
+    )
 
 
 def _select(
@@ -100,8 +88,8 @@ def _select(
 ) -> np.ndarray:
     """Apply the spec's filters and rank; indices in final order."""
     mask = np.ones(len(batch), dtype=bool)
-    for i, clause in enumerate(spec.filters):
-        mask &= _filter_mask(extras, batch, i, clause)
+    for clause in spec.filters:
+        mask &= _filter_mask(extras, batch, clause)
     indices = np.flatnonzero(mask)
     if spec.rank is not None:
         keys = _numeric_column(extras, batch, spec.rank.by)[indices]

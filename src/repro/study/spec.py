@@ -11,34 +11,62 @@ execution plan and executed by :func:`repro.study.runner.run_study`;
 because a study is data rather than a call stack, it can be queued,
 cached across processes, diffed and served.
 
-Field-level validation errors always name the offending spec field
-(``study spec field 'design.axes': ...``), mirroring the
-:class:`~repro.errors.ConfigurationError` style of
-:func:`repro.io.serialization.configuration_from_dict`.
+The document is declared once, as the five field tables of
+:mod:`repro.io.serialization` (``STUDY_SPEC_TABLE`` and the design,
+scenario, filter and rank tables it embeds): ``to_dict`` emits through
+them and ``from_dict`` reads through them, so a missing field, a value
+outside its type or an undeclared key is refused by the one shared
+reader.  The rules that relate fields — which fields a design kind
+uses, registered preset names, sweepable knobs, column names, filter
+values and the scenario axes a design kind supports — run once, when a
+spec object is built, on the wire and the Python path alike, so the
+planner and runner do not check them again.  Every error names the
+offending field (``study spec field 'design.axes': ...``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
-    Mapping,
+    List,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
+from ..autonomy.workloads import ALGORITHMS
 from ..batch.assembly import KNOB_COLUMNS
 from ..batch.result import SORTABLE_COLUMNS
+from ..compute.platforms import PLATFORMS
 from ..errors import ConfigurationError
-from ..io.serialization import configuration_from_dict, configuration_to_dict
+from ..io.serialization import (
+    BOUND_NAME_TO_CODE,
+    DESIGN_KINDS,
+    DESIGN_SPEC_TABLE,
+    FILTER_CLAUSE_TABLE,
+    FILTER_OPS,
+    RANK_CLAUSE_TABLE,
+    SCENARIO_SPEC_TABLE,
+    SPEC_VERSION,
+    STATUS_NAME_TO_CODE,
+    STUDY_SPEC_TABLE,
+    WIRE_TYPES,
+    configuration_from_dict,
+    configuration_to_dict,
+)
 from ..uav.configuration import UAVConfiguration
+from ..uav.registry import UAV_PRESETS
 from ..units import require_fraction, require_nonnegative
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,31 +75,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .planner import StudyPlan
     from .result import StudyResult
 
-#: Serialization format version stamped on every spec dict.
-SPEC_VERSION = 1
-
-#: Recognized design kinds.
-DESIGN_KINDS = ("knobs", "presets", "fleet")
-
 #: Numeric result columns every study provides (per evaluated point).
 NUMERIC_RESULT_COLUMNS = SORTABLE_COLUMNS
 
 #: Numeric accounting columns the assembly layer contributes.
 EXTRA_NUMERIC_COLUMNS = ("total_mass_g", "compute_tdp_w")
 
-#: Categorical columns (filter with ``==`` / ``!=`` on the name).
-CATEGORY_COLUMNS = ("bound", "status")
+#: Categorical columns (filter with ``==`` / ``!=`` on the name), and
+#: the names each may hold.
+CATEGORY_NAMES = {"bound": BOUND_NAME_TO_CODE, "status": STATUS_NAME_TO_CODE}
+CATEGORY_COLUMNS = tuple(CATEGORY_NAMES)
 
 #: Every column a metrics / filter / rank clause may reference.
 ALL_COLUMNS = (
     NUMERIC_RESULT_COLUMNS + EXTRA_NUMERIC_COLUMNS + CATEGORY_COLUMNS
 )
 
-#: Comparison operators a :class:`FilterClause` accepts.
-FILTER_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
 #: Scenario axes, in their fixed expansion order (last varies fastest).
 SCENARIO_AXES = ("extra_payload_g", "a_max_scale", "compute_redundancy")
+
+#: The design fields each kind uses, beside ``kind``.
+_KIND_FIELDS = {
+    "knobs": ("base", "axes"),
+    "presets": ("uav_names", "compute_names", "algorithm_names"),
+    "fleet": ("uavs", "f_compute_hz", "labels"),
+}
+_DESIGN_FIELDS = tuple(name for names in _KIND_FIELDS.values() for name in names)
+
+#: The registry a presets design draws each of its name fields from.
+_REGISTRIES = {
+    "uav_names": ("UAV preset", UAV_PRESETS),
+    "compute_names": ("compute platform", PLATFORMS),
+    "algorithm_names": ("autonomy algorithm", ALGORITHMS),
+}
 
 
 def spec_error(field: str, message: str) -> ConfigurationError:
@@ -79,51 +115,73 @@ def spec_error(field: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"study spec field {field!r}: {message}")
 
 
-def _float_axis(field: str, values: Any) -> Tuple[float, ...]:
-    """Normalize one axis of values to a tuple of finite floats."""
-    try:
-        axis = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise spec_error(field, f"not a sequence of numbers: {exc}") from exc
+def _is_real(value: Any) -> bool:
+    # Builtin numbers first: the ABC check is slow enough to dominate
+    # reading a long axis.
+    return not isinstance(value, bool) and (
+        isinstance(value, (int, float)) or isinstance(value, numbers.Real)
+    )
+
+
+def _is_count(value: Any) -> bool:
+    return _is_real(value) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    )
+
+
+def _axis(
+    field: str, values: Any, what: str, accepts: Callable[[Any], bool]
+) -> Tuple[Any, ...]:
+    """One non-empty axis of values that ``accepts`` takes."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(
+        values, Iterable
+    ):
+        raise spec_error(
+            field, f"needs a sequence of {what}, got {type(values).__name__}"
+        )
+    axis = tuple(values)
+    for v in axis:
+        if not accepts(v):
+            raise spec_error(field, f"needs a sequence of {what}, got {v!r}")
     if not axis:
         raise spec_error(field, "axis needs at least one value")
+    return axis
+
+
+def _float_axis(field: str, values: Any) -> Tuple[float, ...]:
+    """Normalize one axis of values to a tuple of finite floats."""
+    axis = tuple(float(v) for v in _axis(field, values, "numbers", _is_real))
     for v in axis:
-        if v != v or v in (float("inf"), float("-inf")):
+        if not math.isfinite(v):
             raise spec_error(field, f"values must be finite, got {v!r}")
     return axis
 
 
-def _name_tuple(field: str, values: Any) -> Tuple[str, ...]:
-    if values is None or isinstance(values, str):
-        raise spec_error(field, "needs a sequence of names")
-    names = tuple(str(v) for v in values)
-    if not names:
-        raise spec_error(field, "needs at least one entry")
-    return names
+def _listed(values: Optional[Sequence[Any]]) -> Optional[List[Any]]:
+    return None if values is None else list(values)
 
 
-def _knobs_to_dict(base: "Knobs") -> Dict[str, Any]:
-    return {
-        f.name: getattr(base, f.name) for f in dataclasses.fields(base)
-    }
-
-
-def _knobs_from_dict(field: str, data: Any) -> "Knobs":
+def _knobs_from_dict(data: Dict[str, Any]) -> "Knobs":
     from ..skyline.knobs import Knobs
 
-    if not isinstance(data, dict):
-        raise spec_error(
-            field, f"must be a mapping, got {type(data).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(Knobs)}
-    unknown = sorted(set(data) - known)
+    known = [f.name for f in dataclasses.fields(Knobs)]
+    unknown = sorted(map(repr, set(data) - set(known)))
     if unknown:
         raise spec_error(
-            field,
-            f"unknown knob(s) {', '.join(map(repr, unknown))}; known: "
+            "design.base",
+            f"unknown knob(s) {', '.join(unknown)}; known: "
             f"{', '.join(sorted(known))}",
         )
-    return Knobs(**data)
+    for name, value in data.items():
+        tag = "int" if name == "rotor_count" else "float"
+        if not WIRE_TYPES[tag](value):
+            raise spec_error(
+                f"design.base.{name}", f"expected {tag}, got {value!r}"
+            )
+    try:
+        return Knobs(**data)
+    except ConfigurationError as exc:
+        raise spec_error("design.base", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +201,19 @@ class DesignSpec:
     * ``"fleet"`` — explicit :class:`UAVConfiguration` objects with
       per-vehicle compute throughputs; arbitrary heterogeneous fleets.
 
-    Use the :meth:`knob_axes` / :meth:`presets` / :meth:`fleet`
-    constructors rather than filling the union of fields by hand.
+    A kind uses only its own fields; the others stay ``None``.  Use the
+    :meth:`knob_axes` / :meth:`presets` / :meth:`fleet` constructors
+    rather than filling fields by hand.
     """
 
     kind: str
     base: Optional["Knobs"] = None
-    axes: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-    uav_names: Tuple[str, ...] = ()
-    compute_names: Tuple[str, ...] = ()
-    algorithm_names: Tuple[str, ...] = ()
-    uavs: Tuple[UAVConfiguration, ...] = ()
-    f_compute_hz: Tuple[float, ...] = ()
+    axes: Optional[Tuple[Tuple[str, Tuple[float, ...]], ...]] = None
+    uav_names: Optional[Tuple[str, ...]] = None
+    compute_names: Optional[Tuple[str, ...]] = None
+    algorithm_names: Optional[Tuple[str, ...]] = None
+    uavs: Optional[Tuple[UAVConfiguration, ...]] = None
+    f_compute_hz: Optional[Tuple[float, ...]] = None
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
@@ -164,6 +223,14 @@ class DesignSpec:
                 f"unknown kind {self.kind!r}; one of "
                 f"{', '.join(DESIGN_KINDS)}",
             )
+        own = _KIND_FIELDS[self.kind]
+        for name in _DESIGN_FIELDS:
+            if name not in own and getattr(self, name) is not None:
+                raise spec_error(
+                    f"design.{name}",
+                    f"not a field of a {self.kind} design; its fields: "
+                    f"{', '.join(own)}",
+                )
         getattr(self, f"_validate_{self.kind}")()
 
     def _validate_knobs(self) -> None:
@@ -202,12 +269,18 @@ class DesignSpec:
         object.__setattr__(self, "axes", tuple(normalized))
 
     def _validate_presets(self) -> None:
-        for field in ("uav_names", "compute_names", "algorithm_names"):
-            object.__setattr__(
-                self,
-                field,
-                _name_tuple(f"design.{field}", getattr(self, field)),
+        for field, (what, registry) in _REGISTRIES.items():
+            names = _axis(
+                f"design.{field}", getattr(self, field), "names", WIRE_TYPES["str"]
             )
+            for name in names:
+                if name not in registry:
+                    raise spec_error(
+                        f"design.{field}",
+                        f"unknown {what} {name!r}; known: "
+                        f"{', '.join(sorted(registry))}",
+                    )
+            object.__setattr__(self, field, names)
 
     def _validate_fleet(self) -> None:
         if not self.uavs:
@@ -229,14 +302,13 @@ class DesignSpec:
                 "design.f_compute_hz",
                 f"{len(rates)} rates for {len(self.uavs)} configurations",
             )
-        for v in rates:
-            if v <= 0.0:
-                raise spec_error(
-                    "design.f_compute_hz", f"rates must be > 0, got {v!r}"
-                )
+        if min(rates) <= 0.0:
+            raise spec_error(
+                "design.f_compute_hz", f"rates must be > 0, got {min(rates)!r}"
+            )
         object.__setattr__(self, "f_compute_hz", rates)
         if self.labels is not None:
-            labels = tuple(str(v) for v in self.labels)
+            labels = _axis("design.labels", self.labels, "names", WIRE_TYPES["str"])
             if len(labels) != len(self.uavs):
                 raise spec_error(
                     "design.labels",
@@ -302,73 +374,45 @@ class DesignSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.kind == "knobs":
-            data["base"] = _knobs_to_dict(self.base)
-            data["axes"] = {name: list(values) for name, values in self.axes}
-        elif self.kind == "presets":
-            data["uav_names"] = list(self.uav_names)
-            data["compute_names"] = list(self.compute_names)
-            data["algorithm_names"] = list(self.algorithm_names)
-        else:
-            data["uavs"] = [configuration_to_dict(u) for u in self.uavs]
-            data["f_compute_hz"] = list(self.f_compute_hz)
-            if self.labels is not None:
-                data["labels"] = list(self.labels)
-        return data
+        return DESIGN_SPEC_TABLE.emit(
+            self,
+            base=None if self.base is None else {
+                f.name: getattr(self.base, f.name)
+                for f in dataclasses.fields(self.base)
+            },
+            axes=None if self.axes is None else {
+                name: list(values) for name, values in self.axes
+            },
+            uav_names=_listed(self.uav_names),
+            compute_names=_listed(self.compute_names),
+            algorithm_names=_listed(self.algorithm_names),
+            uavs=None if self.uavs is None else [
+                configuration_to_dict(uav) for uav in self.uavs
+            ],
+            f_compute_hz=_listed(self.f_compute_hz),
+            labels=_listed(self.labels),
+        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "DesignSpec":
-        if not isinstance(data, dict):
-            raise spec_error(
-                "design", f"must be a mapping, got {type(data).__name__}"
-            )
-        kind = data.get("kind")
-        if kind not in DESIGN_KINDS:
-            raise spec_error(
-                "design.kind",
-                f"unknown kind {kind!r}; one of {', '.join(DESIGN_KINDS)}",
-            )
-        if kind == "knobs":
-            axes = data.get("axes")
-            if not isinstance(axes, dict):
-                raise spec_error(
-                    "design.axes",
-                    f"must be a mapping of knob -> values, got "
-                    f"{type(axes).__name__}",
-                )
-            return cls(
-                kind="knobs",
-                base=_knobs_from_dict(
-                    "design.base", data.get("base", {})
-                ),
-                axes=tuple(axes.items()),
-            )
-        if kind == "presets":
-            return cls(
-                kind="presets",
-                uav_names=_name_tuple(
-                    "design.uav_names", data.get("uav_names")
-                ),
-                compute_names=_name_tuple(
-                    "design.compute_names", data.get("compute_names")
-                ),
-                algorithm_names=_name_tuple(
-                    "design.algorithm_names", data.get("algorithm_names")
-                ),
-            )
-        raw_uavs = data.get("uavs")
-        if not isinstance(raw_uavs, list) or not raw_uavs:
-            raise spec_error(
-                "design.uavs", "needs a non-empty list of configurations"
-            )
-        labels = data.get("labels")
-        return cls(
-            kind="fleet",
-            uavs=tuple(configuration_from_dict(u) for u in raw_uavs),
-            f_compute_hz=tuple(data.get("f_compute_hz", ())),
-            labels=tuple(labels) if labels is not None else None,
-        )
+        return cls._from_values(DESIGN_SPEC_TABLE.read(data))
+
+    @classmethod
+    def _from_values(cls, values: Dict[str, Any]) -> "DesignSpec":
+        """A design from the field values its table read."""
+        if values["kind"] == "knobs":
+            values["base"] = _knobs_from_dict(values.get("base", {}))
+            if "axes" in values:
+                values["axes"] = tuple(values["axes"].items())
+        elif values["kind"] == "fleet" and "uavs" in values:
+            uavs = []
+            for i, doc in enumerate(values["uavs"]):
+                try:
+                    uavs.append(configuration_from_dict(doc))
+                except ConfigurationError as exc:
+                    raise spec_error(f"design.uavs[{i}]", str(exc)) from exc
+            values["uavs"] = tuple(uavs)
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +448,23 @@ class ScenarioSpec:
                 ),
             )
         if self.a_max_scale is not None:
-            scales = _float_axis(
-                "scenarios.a_max_scale", self.a_max_scale
-            )
-            for v in scales:
-                if v <= 0.0:
-                    raise spec_error(
-                        "scenarios.a_max_scale",
-                        f"scale factors must be > 0, got {v!r}",
-                    )
+            scales = _float_axis("scenarios.a_max_scale", self.a_max_scale)
+            if min(scales) <= 0.0:
+                raise spec_error(
+                    "scenarios.a_max_scale",
+                    f"scale factors must be > 0, got {min(scales)!r}",
+                )
             object.__setattr__(self, "a_max_scale", scales)
         if self.compute_redundancy is not None:
-            try:
-                counts = tuple(int(v) for v in self.compute_redundancy)
-            except (TypeError, ValueError) as exc:
+            field = "scenarios.compute_redundancy"
+            counts = _axis(field, self.compute_redundancy, "integers", _is_count)
+            if min(counts) < 1:
                 raise spec_error(
-                    "scenarios.compute_redundancy",
-                    f"not a sequence of integers: {exc}",
-                ) from exc
-            if not counts:
-                raise spec_error(
-                    "scenarios.compute_redundancy",
-                    "axis needs at least one value",
+                    field, f"replica counts must be >= 1, got {min(counts)}"
                 )
-            for v in counts:
-                if v < 1:
-                    raise spec_error(
-                        "scenarios.compute_redundancy",
-                        f"replica counts must be >= 1, got {v}",
-                    )
-            object.__setattr__(self, "compute_redundancy", counts)
+            object.__setattr__(
+                self, "compute_redundancy", tuple(int(v) for v in counts)
+            )
 
     def axes(self) -> Dict[str, Tuple[float, ...]]:
         """The provided axes, in :data:`SCENARIO_AXES` order."""
@@ -449,25 +480,14 @@ class ScenarioSpec:
         return not self.axes()
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            name: list(values) for name, values in self.axes().items()
-        }
+        return SCENARIO_SPEC_TABLE.emit(
+            self,
+            **{name: list(values) for name, values in self.axes().items()},
+        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "ScenarioSpec":
-        if not isinstance(data, dict):
-            raise spec_error(
-                "scenarios",
-                f"must be a mapping, got {type(data).__name__}",
-            )
-        unknown = sorted(set(data) - set(SCENARIO_AXES))
-        if unknown:
-            raise spec_error(
-                "scenarios",
-                f"unknown axis(es) {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(SCENARIO_AXES)}",
-            )
-        return cls(**data)
+        return cls(**SCENARIO_SPEC_TABLE.read(data))
 
 
 # ---------------------------------------------------------------------------
@@ -490,32 +510,11 @@ class FilterClause:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"column": self.column, "op": self.op, "value": self.value}
+        return FILTER_CLAUSE_TABLE.emit(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "FilterClause":
-        if not isinstance(data, dict):
-            raise spec_error(
-                "filters",
-                f"each filter must be a mapping, got {type(data).__name__}",
-            )
-        unknown = sorted(set(data) - {"column", "op", "value"})
-        if unknown:
-            raise spec_error(
-                "filters",
-                f"unknown filter key(s) {', '.join(map(repr, unknown))}",
-            )
-        missing = sorted({"column", "op", "value"} - set(data))
-        if missing:
-            raise spec_error(
-                "filters",
-                f"missing filter key(s) {', '.join(map(repr, missing))}",
-            )
-        return cls(
-            column=str(data["column"]),
-            op=str(data["op"]),
-            value=data["value"],
-        )
+        return cls(**FILTER_CLAUSE_TABLE.read(data))
 
 
 @dataclass(frozen=True)
@@ -527,11 +526,7 @@ class RankClause:
     top_k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.top_k is not None and (
-            isinstance(self.top_k, bool)
-            or not isinstance(self.top_k, int)
-            or self.top_k < 1
-        ):
+        if not WIRE_TYPES["int >= 1 | null"](self.top_k):
             raise spec_error(
                 "rank.top_k",
                 f"must be null or an integer >= 1, got {self.top_k!r}",
@@ -543,31 +538,11 @@ class RankClause:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "by": self.by,
-            "descending": self.descending,
-        }
-        if self.top_k is not None:
-            data["top_k"] = self.top_k
-        return data
+        return RANK_CLAUSE_TABLE.emit(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "RankClause":
-        if not isinstance(data, dict):
-            raise spec_error(
-                "rank", f"must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"by", "descending", "top_k"})
-        if unknown:
-            raise spec_error(
-                "rank",
-                f"unknown rank key(s) {', '.join(map(repr, unknown))}",
-            )
-        return cls(
-            by=str(data.get("by", "safe_velocity")),
-            descending=data.get("descending", True),
-            top_k=data.get("top_k"),
-        )
+        return cls(**RANK_CLAUSE_TABLE.read(data))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +585,16 @@ class StudySpec:
             # keeping spec -> JSON -> spec equality exact (to_dict
             # omits trivial scenarios).
             object.__setattr__(self, "scenarios", None)
+        if (
+            self.design.kind == "knobs"
+            and self.scenarios is not None
+            and self.scenarios.compute_redundancy is not None
+        ):
+            raise spec_error(
+                "scenarios.compute_redundancy",
+                "not applicable to a knobs design (knob-built UAVs fly one "
+                "compute module); use a presets or fleet design",
+            )
         metrics = tuple(str(m) for m in self.metrics)
         for name in metrics:
             if name not in ALL_COLUMNS:
@@ -632,6 +617,10 @@ class StudySpec:
                 )
         if self.knee_fraction is not None:
             require_fraction("knee_fraction", self.knee_fraction)
+        if isinstance(self.tolerance, bool):
+            raise spec_error(
+                "tolerance", f"must be a number, got {self.tolerance!r}"
+            )
         require_nonnegative("tolerance", self.tolerance)
 
     @staticmethod
@@ -648,7 +637,7 @@ class StudySpec:
                 f"unknown column {clause.column!r}; filterable columns: "
                 f"{', '.join(ALL_COLUMNS)}",
             )
-        if clause.column in CATEGORY_COLUMNS:
+        if clause.column in CATEGORY_NAMES:
             if clause.op not in ("==", "!="):
                 raise spec_error(
                     f"{field}.op",
@@ -661,15 +650,19 @@ class StudySpec:
                     f"{clause.column!r} filters compare against a name, "
                     f"got {type(clause.value).__name__}",
                 )
-        else:
-            if isinstance(clause.value, bool) or not isinstance(
-                clause.value, (int, float)
-            ):
+            names = CATEGORY_NAMES[clause.column]
+            if clause.value not in names:
                 raise spec_error(
                     f"{field}.value",
-                    f"{clause.column!r} filters compare against a number, "
-                    f"got {clause.value!r}",
+                    f"unknown {clause.column} name {clause.value!r}; "
+                    f"known: {', '.join(sorted(names))}",
                 )
+        elif not WIRE_TYPES["float"](clause.value):
+            raise spec_error(
+                f"{field}.value",
+                f"{clause.column!r} filters compare against a number, "
+                f"got {clause.value!r}",
+            )
 
     # ------------------------------------------------------------------
     # Execution conveniences (lazy imports: planner/runner import spec)
@@ -690,79 +683,31 @@ class StudySpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "version": SPEC_VERSION,
-            "design": self.design.to_dict(),
-        }
-        if self.scenarios is not None and not self.scenarios.is_trivial:
-            data["scenarios"] = self.scenarios.to_dict()
-        if self.metrics:
-            data["metrics"] = list(self.metrics)
-        if self.filters:
-            data["filters"] = [f.to_dict() for f in self.filters]
-        if self.rank is not None:
-            data["rank"] = self.rank.to_dict()
-        if self.knee_fraction is not None:
-            data["knee_fraction"] = self.knee_fraction
-        data["tolerance"] = self.tolerance
-        return data
+        return STUDY_SPEC_TABLE.emit(
+            self,
+            design=self.design.to_dict(),
+            scenarios=None if self.scenarios is None else self.scenarios.to_dict(),
+            metrics=list(self.metrics) or None,
+            filters=[clause.to_dict() for clause in self.filters] or None,
+            rank=None if self.rank is None else self.rank.to_dict(),
+        )
 
     @classmethod
     def from_dict(cls, data: Any) -> "StudySpec":
-        if not isinstance(data, dict):
-            raise spec_error(
-                "<root>", f"must be a mapping, got {type(data).__name__}"
-            )
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise spec_error(
-                "version",
-                f"unsupported spec version {version!r}; this build reads "
-                f"version {SPEC_VERSION}",
-            )
-        known = {
-            "version",
-            "design",
-            "scenarios",
-            "metrics",
-            "filters",
-            "rank",
-            "knee_fraction",
-            "tolerance",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise spec_error(
-                "<root>",
-                f"unknown key(s) {', '.join(map(repr, unknown))}; known: "
-                f"{', '.join(sorted(known))}",
-            )
-        if "design" not in data:
-            raise spec_error("design", "missing")
-        for key in ("metrics", "filters"):
-            if not isinstance(data.get(key, []), list):
-                raise spec_error(
-                    key,
-                    f"must be a list, got {type(data[key]).__name__}",
-                )
+        if isinstance(data, dict) and "version" not in data:
+            data = {"version": SPEC_VERSION, **data}  # read as version 1
+        values = STUDY_SPEC_TABLE.read(data)
+        scenarios, rank = values.get("scenarios"), values.get("rank")
         return cls(
-            design=DesignSpec.from_dict(data["design"]),
-            scenarios=(
-                ScenarioSpec.from_dict(data["scenarios"])
-                if "scenarios" in data
-                else None
-            ),
-            metrics=tuple(data.get("metrics", ())),
+            design=DesignSpec._from_values(values["design"]),
+            scenarios=None if scenarios is None else ScenarioSpec(**scenarios),
+            metrics=tuple(values.get("metrics", ())),
             filters=tuple(
-                FilterClause.from_dict(f) for f in data.get("filters", [])
+                FilterClause(**clause) for clause in values.get("filters", ())
             ),
-            rank=(
-                RankClause.from_dict(data["rank"])
-                if data.get("rank") is not None
-                else None
-            ),
-            knee_fraction=data.get("knee_fraction"),
-            tolerance=data.get("tolerance", 0.05),
+            rank=None if rank is None else RankClause(**rank),
+            knee_fraction=values.get("knee_fraction"),
+            tolerance=values.get("tolerance", 0.05),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

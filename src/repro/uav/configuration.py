@@ -8,6 +8,7 @@ compute throughput is known.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -59,10 +60,14 @@ class UAVConfiguration:
 
     def __post_init__(self) -> None:
         require_nonnegative("extra_payload_g", self.extra_payload_g)
-        if self.compute_redundancy < 1:
+        redundancy = self.compute_redundancy
+        if (
+            isinstance(redundancy, bool)
+            or not isinstance(redundancy, numbers.Integral)
+            or redundancy < 1
+        ):
             raise ConfigurationError(
-                "compute_redundancy must be >= 1, got "
-                f"{self.compute_redundancy}"
+                f"compute_redundancy must be an integer >= 1, got {redundancy!r}"
             )
         if self.payload_override_g is not None:
             require_nonnegative("payload_override_g", self.payload_override_g)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -122,6 +123,39 @@ class TestSerialization:
         data["frame"] = ["not", "a", "mapping"]
         with pytest.raises(ConfigurationError, match="'frame'.*mapping"):
             configuration_from_dict(data)
+
+    # Regression: "x" raised TypeError from UAVConfiguration, 1.5 and a
+    # numeric name were accepted, an unknown key was dropped silently
+    # and a missing name raised TypeError.
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("compute_redundancy", "x", "'compute_redundancy'"),
+            ("compute_redundancy", 1.5, "'compute_redundancy'"),
+            ("compute_redundancy", True, "'compute_redundancy'"),
+            ("name", 5, "'name'"),
+            ("name", ..., "'name': missing"),
+            ("braking_pitch_deg", "x", "'braking_pitch_deg'"),
+            ("bogus", 1, "unknown key.*'bogus'"),
+        ],
+        ids=[
+            "redundancy-str", "redundancy-fraction", "redundancy-bool",
+            "name-number", "name-missing", "pitch-str", "unknown-key",
+        ],
+    )
+    def test_malformed_scalar_named(self, key, value, field):
+        data = configuration_to_dict(dji_spark())
+        if value is ...:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ConfigurationError, match=field):
+            configuration_from_dict(data)
+
+    @pytest.mark.parametrize("redundancy", ["x", 1.5, 2.0, True, 0])
+    def test_redundancy_is_an_integer_on_the_python_path(self, redundancy):
+        with pytest.raises(ConfigurationError, match="compute_redundancy"):
+            replace(dji_spark(), compute_redundancy=redundancy)
 
 
 class TestResultSerialization:

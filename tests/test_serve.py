@@ -35,9 +35,12 @@ from repro.serve import (
     parse_analyze_request,
     study_id_for_digest,
 )
+from repro.serve.protocol import parse_study_request
 from repro.serve.state import StudyRecord
 from repro.study import DesignSpec, StudySpec, run_study
 from repro.study.result import StudyResult
+from test_wire_golden import golden_path, live_tables
+from test_wire_schema import SPEC_SITES, _damage_cases, _quoted, spec_site
 
 
 def _spec(n_rows: int = 64, start: float = 0.01) -> StudySpec:
@@ -552,14 +555,128 @@ class TestProtocolUnits:
         ids=["metrics-number", "top-k-str", "top-k-float", "descending-str"],
     )
     def test_malformed_study_body_is_a_400_naming_the_field(self, edit, field):
-        from repro.serve.protocol import parse_study_request
-
         body = dict(_spec(4).to_dict(), **edit)
         with pytest.raises(ConfigurationError, match=field) as exc:
             parse_study_request(body)
         envelope = envelope_for_exception(exc.value)
         assert envelope.status == 400
         assert field in envelope.message
+
+
+def _spec_body(document, edit):
+    """The golden spec ``document`` after ``edit`` mutates it in place."""
+    body = json.loads(golden_path(document).read_text(encoding="utf-8"))
+    edit(body)
+    return body
+
+
+def _set(path, value):
+    """An edit that sets the key at the end of ``path``."""
+    def edit(body):
+        spec_site(body, path[:-1])[path[-1]] = value
+    return edit
+
+
+class TestStudyRequestBoundary:
+    """Every malformed ``POST /v1/studies`` body is a 400 that names its
+    field, refused before the study is acknowledged."""
+
+    @pytest.mark.parametrize(
+        "key, name, value",
+        [case for case in _damage_cases() if case.values[0] in SPEC_SITES],
+    )
+    def test_every_spec_table_damage_is_a_400_naming_the_field(
+        self, key, name, value
+    ):
+        document, path = SPEC_SITES[key]
+
+        def damage(body):
+            target = spec_site(body, path)
+            if value is ...:
+                del target[name]
+            else:
+                target[name] = value
+
+        with pytest.raises(ConfigurationError) as exc:
+            parse_study_request(_spec_body(document, damage))
+        envelope = envelope_for_exception(exc.value)
+        assert envelope.status == 400
+        prefix = f"filters[{path[1]}]." if key == "filter_clause" else None
+        quoted = _quoted(live_tables()[key], name, prefix)
+        assert repr(quoted) in envelope.message and name in envelope.message
+
+    # Regression: each body below was a 500, was read as something else,
+    # or was acknowledged with a 202 and then failed the study.
+    @pytest.mark.parametrize(
+        "document, edit, field",
+        [
+            ("spec-fleet.json", _set(("design", "f_compute_hz"), 100.0),
+             "'design.f_compute_hz'"),
+            ("spec-fleet.json", _set(("design", "labels"), 5), "'design.labels'"),
+            ("spec-fleet.json", _set(("design", "uavs"), [5]), "'design.uavs'"),
+            ("spec-fleet.json", _set(("design", "uavs", 0, "compute_redundancy"), "x"),
+             "'compute_redundancy'"),
+            ("spec-knobs.json", _set(("design", "axes", "compute_tdp_w"), "123"),
+             r"'design.axes\[compute_tdp_w\]'"),
+            ("spec-knobs.json", _set(("scenarios", "extra_payload_g"), "12"),
+             "'scenarios.extra_payload_g'"),
+            ("spec-presets.json", _set(("scenarios", "compute_redundancy"), [1.7]),
+             "'scenarios.compute_redundancy'"),
+            ("spec-presets.json", _set(("scenarios", "compute_redundancy"), [True]),
+             "'scenarios.compute_redundancy'"),
+            ("spec-presets.json", _set(("scenarios", "compute_redundancy"), "12"),
+             "'scenarios.compute_redundancy'"),
+            ("spec-presets.json", _set(("design", "uav_names"), {"dji-spark": 1}),
+             "'design.uav_names'"),
+            ("spec-fleet.json", _set(("design", "labels"), [5, 6]), "'design.labels'"),
+            ("spec-knobs.json", _set(("tolerance",), True), "'tolerance'"),
+            ("spec-knobs.json", _set(("design", "base", "compute_tdp_w"), True),
+             "'design.base.compute_tdp_w'"),
+            ("spec-knobs.json", _set(("design", "grid"), [1]),
+             "'design': unknown key.*'grid'"),
+            ("spec-knobs.json", _set(("design", "uav_names"), ["dji-spark"]),
+             "'design.uav_names': not a field of a knobs design"),
+            ("spec-knobs.json",
+             _set(("filters",), [{"column": "bound", "op": "==", "value": "banana"}]),
+             r"'filters\[0\].value': unknown bound name 'banana'"),
+            ("spec-knobs.json", _set(("scenarios", "compute_redundancy"), [1, 2]),
+             "'scenarios.compute_redundancy'.*knobs design"),
+            ("spec-presets.json", _set(("design", "uav_names"), ["nope"]),
+             "'design.uav_names': unknown UAV preset 'nope'"),
+            ("spec-presets.json", _set(("design", "compute_names"), ["nope"]),
+             "'design.compute_names': unknown compute platform 'nope'"),
+            ("spec-presets.json", _set(("design", "algorithm_names"), ["nope"]),
+             "'design.algorithm_names': unknown autonomy algorithm 'nope'"),
+        ],
+        ids=[
+            "fleet-scalar-rates", "fleet-labels-number", "fleet-uav-number",
+            "fleet-redundancy-str", "knob-axis-str", "payload-axis-str",
+            "redundancy-fraction", "redundancy-bool", "redundancy-str",
+            "names-mapping", "fleet-label-numbers", "tolerance-bool", "knob-base-bool",
+            "design-unknown-key", "design-foreign-field", "unknown-bound-name",
+            "redundancy-on-knobs", "unknown-preset", "unknown-platform",
+            "unknown-algorithm",
+        ],
+    )
+    def test_spec_defect_is_a_400_naming_the_field(self, document, edit, field):
+        with pytest.raises(ConfigurationError, match=field) as exc:
+            parse_study_request(_spec_body(document, edit))
+        assert envelope_for_exception(exc.value).status == 400
+
+    def test_unknown_preset_is_refused_before_the_ack(self, server):
+        body = _spec_body(
+            "spec-presets.json", _set(("design", "uav_names"), ["nope"])
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.request("POST", "/v1/studies", body=json.dumps(body))
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert doc["kind"] == "error"
+        assert "'design.uav_names'" in doc["message"]
 
 
 # ---------------------------------------------------------------------

@@ -96,15 +96,14 @@ class TestSpecValidation:
                 filters=(FilterClause("bound", "==", 3),),
             )
 
-    def test_unknown_bound_name_fails_at_run(self):
-        spec = StudySpec(
-            design=DesignSpec.knob_axes(axes={"compute_tdp_w": [1.0]}),
-            filters=(FilterClause("bound", "==", "banana"),),
-        )
+    def test_unknown_bound_name_fails_at_build(self):
         with pytest.raises(
             ConfigurationError, match=r"'filters\[0\]\.value'"
         ):
-            run_study(spec)
+            StudySpec(
+                design=DesignSpec.knob_axes(axes={"compute_tdp_w": [1.0]}),
+                filters=(FilterClause("bound", "==", "banana"),),
+            )
 
     def test_rank_unknown_column(self):
         with pytest.raises(ConfigurationError, match=r"'rank\.by'"):
@@ -127,15 +126,14 @@ class TestSpecValidation:
             DesignSpec.presets(("dji-spark",), (), ("dronet",))
 
     def test_redundancy_on_knobs_design_named(self):
-        spec = StudySpec(
-            design=DesignSpec.knob_axes(axes={"compute_tdp_w": [1.0]}),
-            scenarios=ScenarioSpec(compute_redundancy=(1, 2)),
-        )
         with pytest.raises(
             ConfigurationError,
             match=r"'scenarios\.compute_redundancy'.*knobs design",
         ):
-            compile_spec(spec)
+            StudySpec(
+                design=DesignSpec.knob_axes(axes={"compute_tdp_w": [1.0]}),
+                scenarios=ScenarioSpec(compute_redundancy=(1, 2)),
+            )
 
     def test_scenario_axis_validation(self):
         with pytest.raises(
@@ -176,6 +174,68 @@ class TestSpecValidation:
             ConfigurationError, match=r"'design\.f_compute_hz'"
         ):
             DesignSpec.fleet((uav, uav, uav), (1.0, 2.0))
+
+    # Regression: the Python path read "123" as three values, 1.7
+    # replicas as one, True tolerance as 1 under another digest, and let
+    # unknown preset names and foreign design fields through.
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: knob_spec(compute_tdp_w="123"),
+             r"'design\.axes\[compute_tdp_w\]'"),
+            (lambda: ScenarioSpec(extra_payload_g="12"),
+             r"'scenarios\.extra_payload_g'"),
+            (lambda: ScenarioSpec(compute_redundancy=(1.7,)),
+             r"'scenarios\.compute_redundancy'.*integer"),
+            (lambda: ScenarioSpec(compute_redundancy=(True,)),
+             r"'scenarios\.compute_redundancy'.*integer"),
+            (lambda: ScenarioSpec(compute_redundancy="12"),
+             r"'scenarios\.compute_redundancy'"),
+            (lambda: DesignSpec.presets(("dji-spark", "nope"), ("intel-ncs",), ("dronet",)),
+             r"'design\.uav_names': unknown UAV preset 'nope'"),
+            (lambda: DesignSpec.fleet((Knobs().build_uav(),), 30.0, labels=(5,)),
+             r"'design\.labels'"),
+            (lambda: DesignSpec(
+                kind="knobs", base=Knobs(), axes={"compute_tdp_w": (1.0,)},
+                uav_names=("dji-spark",),
+            ), r"'design\.uav_names': not a field of a knobs design"),
+            (lambda: StudySpec(
+                design=DesignSpec.knob_axes(axes={"compute_tdp_w": [1.0]}),
+                tolerance=True,
+            ), "'tolerance'"),
+        ],
+        ids=[
+            "knob-axis-str", "payload-axis-str", "redundancy-fraction",
+            "redundancy-bool", "redundancy-str", "unknown-preset",
+            "label-number", "foreign-field", "tolerance-bool",
+        ],
+    )
+    def test_spec_only_checks_run_at_build(self, build, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build()
+
+    def test_integral_redundancy_values_read_as_counts(self):
+        assert ScenarioSpec(compute_redundancy=(1.0, np.int64(2))).compute_redundancy == (1, 2)
+
+    def test_spec_without_version_reads_as_version_one(self):
+        spec = knob_spec(compute_tdp_w=[1.0, 30.0])
+        document = spec.to_dict()
+        del document["version"]
+        assert StudySpec.from_dict(document) == spec
+
+    # ``rank: null`` and a null scenario axis used to read as absent.
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"rank": None}, "'rank'"),
+            ({"scenarios": {"a_max_scale": None}}, r"'scenarios\.a_max_scale'"),
+        ],
+        ids=["rank", "scenario-axis"],
+    )
+    def test_null_clause_is_refused(self, edit, field):
+        document = dict(knob_spec(compute_tdp_w=[1.0]).to_dict(), **edit)
+        with pytest.raises(ConfigurationError, match=field):
+            StudySpec.from_dict(document)
 
 
 class TestLegacyEquivalence:

@@ -13,6 +13,8 @@ both times under the version it was written at:
   :func:`table_digest` of each table: its version, kind and rows, with
   every type standing for what it accepts.  Prose, error wording and
   the ``build`` hook are left out, so a refactor moves no digest.
+* :data:`SPEC_DIGESTS` pins the ``content_digest()`` of each golden
+  study spec: its study id, checkpoint key and serve coalescing key.
 
 A failure means a wire format moved: bump the ``*_VERSION`` constant the
 message names, then write the new version's files with::
@@ -56,6 +58,7 @@ DOCUMENTS: Dict[str, ser.WireTable] = {
     "trace.jsonl": ser.TRACE_HEADER_TABLE,
     "result.json": ser.STUDY_RESULT_TABLE,
     **{f"serve-{table.kind}.json": table for table in ser.SERVE_ENVELOPES},
+    **{f"spec-{kind}.json": ser.STUDY_SPEC_TABLE for kind in ser.DESIGN_KINDS},
 }
 
 
@@ -363,9 +366,6 @@ SPEC_DIGESTS = {
     "spec-fleet.json": "36f759e3ef0fa656c43ba838b43feaf1",
 }
 
-#: The spec goldens, written by ``StudySpec.save`` at spec version 1.
-SPEC_GOLDENS = {name: name.replace(".json", "-v1.json") for name in SPEC_DIGESTS}
-
 
 def _line(document) -> str:
     return json.dumps(document) + "\n"
@@ -376,8 +376,9 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
 
     Each text is produced the way the owning layer writes it: one
     ``json.dumps`` line for manifests, records, leases and envelopes,
-    :func:`repro.obs.export.write_trace_jsonl` for the trace log and
-    :meth:`StudyResult.save` for the result (both through ``scratch``).
+    :func:`repro.obs.export.write_trace_jsonl` for the trace log,
+    :meth:`StudyResult.save` for the result and :meth:`StudySpec.save`
+    for the specs (all through ``scratch``).
     """
     from repro.obs.export import write_trace_jsonl
 
@@ -396,6 +397,9 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
     result_path = scratch / "result.json"
     _study().save(result_path)
     documents["result.json"] = result_path.read_text(encoding="utf-8")
+    for name, spec in _specs().items():
+        spec.save(scratch / name)
+        documents[name] = (scratch / name).read_text(encoding="utf-8")
     return documents
 
 
@@ -403,7 +407,7 @@ def _read_back(name: str, path: Path) -> None:
     """Parse one golden file with its live reader and check the values."""
     from repro.io.serialization import batch_results_equal
     from repro.obs.export import read_trace_jsonl
-    from repro.study import StudyResult
+    from repro.study import StudyResult, StudySpec
 
     text = path.read_text(encoding="utf-8")
     if name == "manifest.json":
@@ -431,6 +435,8 @@ def _read_back(name: str, path: Path) -> None:
         loaded, study = StudyResult.load(path), _study()
         assert loaded.equals(study)
         assert loaded.telemetry == study.telemetry
+    elif name.startswith("spec-"):
+        assert StudySpec.load(path) == _specs()[name]
     else:
         doc = json.loads(text)
         assert ser.serve_envelope_from_dict(doc) == _envelopes()[name].to_dict()
@@ -498,7 +504,6 @@ def test_golden_set_is_complete():
     # other file is an older version of one of them.
     live = {golden_path(document).name for document in DOCUMENTS}
     present = {path.name for path in GOLDEN_DIR.iterdir()} - {DIGESTS_NAME}
-    present -= set(SPEC_GOLDENS.values())
     assert live <= present, f"missing {sorted(live - present)}; run '{GENERATE}'"
     for name in sorted(present - live):
         match = re.fullmatch(r"(.+)-v(\d+)\.(\w+)", name)
@@ -524,14 +529,11 @@ def test_live_emitter_rebuilds_golden_bytes(name, live_documents):
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_DIGESTS))
-def test_golden_spec_keeps_its_bytes_and_study_id(name, tmp_path):
+def test_golden_spec_keeps_its_study_id(name):
     from repro.study import StudySpec
 
-    spec, path = _specs()[name], GOLDEN_DIR / SPEC_GOLDENS[name]
-    spec.save(tmp_path / name)
-    assert (tmp_path / name).read_bytes() == path.read_bytes()
-    assert StudySpec.load(path) == spec
-    assert spec.content_digest() == SPEC_DIGESTS[name]
+    assert _specs()[name].content_digest() == SPEC_DIGESTS[name]
+    assert StudySpec.load(golden_path(name)).content_digest() == SPEC_DIGESTS[name]
 
 
 @pytest.mark.parametrize("key", sorted(live_tables()))

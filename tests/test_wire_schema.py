@@ -329,6 +329,24 @@ def _golden(name):
     return json.loads(golden_path(name).read_text(encoding="utf-8"))
 
 
+#: Where each spec table's sample sits: its golden spec, and the path of
+#: keys from that document's root.
+SPEC_SITES = {
+    "study_spec": ("spec-knobs.json", ()),
+    "design_spec": ("spec-fleet.json", ("design",)),
+    "scenario_spec": ("spec-fleet.json", ("scenarios",)),
+    "filter_clause": ("spec-knobs.json", ("filters", 1)),
+    "rank_clause": ("spec-presets.json", ("rank",)),
+}
+
+
+def spec_site(document, path):
+    """The sub-document of ``document`` at ``path``."""
+    for step in path:
+        document = document[step]
+    return document
+
+
 def _samples():
     """One valid document per wire table, taken from the golden files."""
     record = _golden("shard-full.jsonl")
@@ -351,6 +369,8 @@ def _samples():
     }
     for kind in ("ack", "status", "progress", "error", "stats"):
         samples[f"serve_{kind}"] = _golden(f"serve-{kind}.json")
+    for key, (document, path) in SPEC_SITES.items():
+        samples[key] = spec_site(_golden(document), path)
     return samples
 
 
@@ -373,12 +393,18 @@ _WRONG = {
     "list": {},
     "manifest kind": "nonsense",
     "study state": "paused",
+    "[str]": ["dji-spark", 5],
+    "[float]": [1.0, "2"],
+    "[int >= 1]": [1, 1.5],
+    "[object]": [{}, 5],
+    "design kind": "grid",
+    "filter op": "=~",
 }
 
 
 def _damage_cases():
     """Per field: missing (when required), the wrong type, and ``null``
-    unless its type text allows it."""
+    unless its type text allows it; per table, one undeclared key."""
     for key, table in sorted(live_tables().items()):
         for name, kind, required, _doc in table.fields:
             if required:
@@ -387,6 +413,15 @@ def _damage_cases():
             yield pytest.param(key, name, wrong, id=f"{key}.{name}-wrong-type")
             if "null" not in table.type_text(kind):
                 yield pytest.param(key, name, None, id=f"{key}.{name}-null")
+        yield pytest.param(key, "bogus", 1, id=f"{key}.bogus-unknown")
+
+
+def _quoted(table, name, prefix=None):
+    """The name a reader's error quotes for damage to field ``name``:
+    the field, or the document for a key the table does not declare."""
+    if any(name == row[0] for row in table.fields):
+        return table.where(name, prefix)
+    return (table.path if prefix is None else prefix).rstrip(".") or "<root>"
 
 
 def test_every_table_has_a_sample():
@@ -404,8 +439,9 @@ def test_table_reader_names_the_damaged_field(key, name, value):
         doc[name] = value
     with pytest.raises(ConfigurationError) as exc:
         table.read(doc)
-    prefix = f"{table.title} field {table.where(name)!r}: "
-    assert str(exc.value).startswith(prefix), str(exc.value)
+    message = str(exc.value)
+    assert message.startswith(f"{table.title} field {_quoted(table, name)!r}: "), message
+    assert name in message
 
 
 def _docs_row(table, name, kind, doc):
