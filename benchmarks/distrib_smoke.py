@@ -17,7 +17,8 @@ script with an exit code, like ``repro.serve.client``'s smoke mode):
    workers total, counting the corpse);
 4. assert the initiator's merged result is **bitwise identical** to an
    in-process single-host run of the same spec, and that the finished
-   work dir holds zero lease files.
+   work dir's ``leases/`` holds nothing but ``.clock-*`` probes: no
+   lease generation and no temporary.
 
 Everything the run produced (spec, work dir contents, worker outputs,
 a summary verdict) is left in ``--artifact-dir`` for the workflow
@@ -160,18 +161,18 @@ def main(argv=None) -> int:
 
     merged = StudyResult.from_dict(json.loads(initiator.stdout))
     identical = merged.equals(expected)
-    leases_left = sorted(
-        p.name for p in (work_dir / "leases").glob("*.lease.json")
-    )
+    leases_dir = sorted(p.name for p in (work_dir / "leases").iterdir())
+    litter = [name for name in leases_dir if not name.startswith(".clock-")]
     records = len(list(work_dir.glob("shard-*.jsonl")))
     summary.update(
         {
             "bitwise_identical": identical,
-            "orphaned_leases": leases_left,
+            "leases_dir": leases_dir,
+            "orphaned_leases": litter,
             "shard_records": records,
             "ok": bool(
                 identical
-                and not leases_left
+                and not litter
                 and records == n_shards
                 and joiner_rc == 0
             ),
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
         return 1
     print(
         "distrib smoke OK: crash mid-shard recovered, merge bitwise "
-        "identical, zero leases left"
+        "identical, only clock probes left in leases/"
     )
     return 0
 

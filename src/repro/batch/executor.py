@@ -56,6 +56,7 @@ import hashlib
 import json
 import math
 import os
+import uuid
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -800,9 +801,23 @@ class CheckpointStore:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Publish ``text`` at ``path`` by write-then-rename.
+
+    Every write has its own temporary in the target's directory, so two
+    writers of one file (a shard computed twice, two initiators stamping
+    one work dir) never rename each other's temporary away.  It is
+    created exclusively with the default file mode, which other users'
+    workers can read (``tempfile.mkstemp`` would make it owner-only),
+    and its dotted name matches no record or lease glob.
+    """
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ resumes from the record check.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
@@ -94,9 +95,10 @@ def _compute(
     """Evaluate and publish one claimed shard, heartbeating its lease.
 
     A daemon thread refreshes the lease while the shard computes, so a
-    slow shard is not mistaken for a dead worker.  A heartbeat that
-    finds the lease taken over just stops: the record settles the
-    shard either way, and the release learns the same thing.
+    slow shard is not mistaken for a dead worker; a lease with an
+    infinite TTL never expires and gets none.  A heartbeat that finds
+    the lease taken over just stops: the record settles the shard
+    either way, and the release deletes only this worker's own file.
     """
     stop = threading.Event()
 
@@ -114,7 +116,8 @@ def _compute(
     thread = threading.Thread(
         target=heartbeat, name="distrib-heartbeat", daemon=True
     )
-    thread.start()
+    if math.isfinite(heartbeat_interval_s):
+        thread.start()
     try:
         delay_s = _injected_delay_s()
         if delay_s > 0:
@@ -124,7 +127,8 @@ def _compute(
         return result
     finally:
         stop.set()
-        thread.join()
+        if thread.is_alive():
+            thread.join()
 
 
 def publish_spec(work_dir: Union[str, Path], spec: Any) -> None:
@@ -281,11 +285,7 @@ class DistributedExecutor:
                                 self.heartbeat_interval_s, tracer,
                             )
                     finally:
-                        try:
-                            leases.release(index)
-                        except StaleLeaseError:  # the record settles it
-                            if tracer is not None:
-                                tracer.counter("distrib.leases.stale").add()
+                        leases.release(index)
                 del pending[index]
                 progressed = True
                 if tracer is not None:

@@ -3,10 +3,13 @@
 The PR-4 checkpoint protocol already makes a directory of atomic
 ``shard-<index>.jsonl`` records a coordination-free description of
 *what is done*; this module adds the complementary claim layer for
-*who is working on what*.  A lease is a small JSON file under
-``<work-dir>/leases/`` whose **creation** (``O_CREAT | O_EXCL``) is the
-claim arbitration, whose **mtime** is the liveness signal (refreshed
-atomically by heartbeats), and whose **deletion** is the release.
+*who is working on what*.  A shard's lease is the highest-numbered of
+its generation files, ``<work-dir>/leases/`` entries named
+``shard-<index>.<generation>.lease.json``.
+A claim is the exclusive **creation** of the next generation, so each
+generation has exactly one winner and no lease file is ever moved; the
+file's **mtime** is the liveness signal (bumped by heartbeats), and
+its **deletion** is the release.
 
 Correctness never depends on leases: shard evaluation is deterministic
 and records are published with write-then-rename, so two workers
@@ -26,12 +29,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Container, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..errors import ConfigurationError, LeaseConflictError, StaleLeaseError
+from ..errors import ConfigurationError, StaleLeaseError
 from ..io.serialization import lease_record_from_dict, lease_record_to_dict
 from ..obs.tracer import Tracer
 
@@ -44,26 +48,23 @@ LEASE_DIR_NAME = "leases"
 #: this long is presumed dead and its shard becomes claimable.
 DEFAULT_LEASE_TTL_S = 30.0
 
+#: ``shard-<index>.<generation>.lease.json``; temporaries never match.
+_LEASE_NAME = re.compile(r"shard-(\d+)\.(\d+)\.lease\.json")
+
 
 @dataclass(frozen=True)
 class LeaseRecord:
     """The body of one lease file (see :mod:`repro.io.serialization`).
 
     The body is identity and diagnostics only — liveness lives in the
-    file's mtime, never in these fields.
+    file's mtime and precedence in its generation, never in these
+    fields.
     """
 
     spec_digest: str
     shard_index: int
     owner: str
     lease_ttl_s: float
-    heartbeats: int
-
-
-def _generation(stat: os.stat_result) -> Tuple[int, int]:
-    """A lease file's identity: every create, heartbeat and steal
-    publishes a new inode with a new mtime."""
-    return stat.st_ino, stat.st_mtime_ns
 
 
 class LeaseStore:
@@ -72,12 +73,15 @@ class LeaseStore:
     One instance per (worker, study): ``owner`` names this worker in
     every lease it takes, ``spec_digest`` pins the store to one study
     so a lease from a different study in the same directory is treated
-    as foreign (corrupt) rather than honored.
+    as foreign (corrupt) rather than honored.  The instance remembers
+    the generation of each lease it wins; its heartbeats and releases
+    touch that file and no other.
 
-    All mutating operations are single-syscall-atomic (``O_EXCL``
-    create, ``os.replace`` rewrite, ``os.replace`` steal-rename,
-    unlink), so any interleaving with other workers — or a crash at any
-    point — leaves the directory in a state the protocol recovers from.
+    Every mutation is one syscall: the exclusive create of a new
+    generation, an ``os.utime`` of the holder's own file, or the unlink
+    of a released, superseded or finished lease.  So any interleaving
+    with other workers — or a crash at any point — leaves the directory
+    in a state the protocol recovers from.
     """
 
     def __init__(
@@ -104,11 +108,12 @@ class LeaseStore:
         self.owner = owner
         self.lease_ttl_s = float(lease_ttl_s)
         self._tracer = tracer
+        self._held: Dict[int, int] = {}
         self.directory.mkdir(parents=True, exist_ok=True)
 
     # -- paths and the filesystem clock --------------------------------
-    def lease_path(self, index: int) -> Path:
-        return self.directory / f"shard-{index:06d}.lease.json"
+    def lease_path(self, index: int, generation: int) -> Path:
+        return self.directory / f"shard-{index:06d}.{generation}.lease.json"
 
     def clock_s(self) -> float:
         """Now, according to the work dir's filesystem.
@@ -124,231 +129,169 @@ class LeaseStore:
         return probe.stat().st_mtime
 
     # -- reading -------------------------------------------------------
-    def _inspect(
-        self, path: Path, now_s: Optional[float] = None
-    ) -> Tuple[str, Optional[LeaseRecord], Optional[Tuple[int, int]]]:
-        """(state, record, generation) for one lease file.
+    def _files(self, indices: Container[int]) -> List[Tuple[int, Path]]:
+        """(generation, path) of every lease file of the shards
+        ``indices``, highest generation first."""
+        found: List[Tuple[int, Path]] = []
+        for path in self.directory.iterdir():
+            match = _LEASE_NAME.fullmatch(path.name)
+            if match and int(match[1]) in indices:
+                found.append((int(match[2]), path))
+        return sorted(found, reverse=True)
 
-        States: ``"missing"``, ``"held"`` (live), ``"expired"`` (no
-        heartbeat within the holder's declared ttl), or ``"corrupt"``
-        (unparseable, torn, or from a different study/protocol — always
-        claimable, never trusted).  ``generation`` identifies the file
-        inspected (see :func:`_generation`); ``None`` when missing.
+    def _inspect(self, index: int) -> Tuple[str, int, Optional[LeaseRecord]]:
+        """(state, generation, record) of a shard's top generation file.
+
+        States: ``"free"`` (no lease file, or the top one vanished as it
+        was read), ``"held"`` (live), ``"expired"`` (no heartbeat within
+        the holder's declared ttl), or ``"corrupt"`` (unparseable, torn,
+        or from a different study/protocol — always claimable, never
+        trusted).  ``generation`` is the top one, 0 when there is none;
+        a claim creates the next.
         """
+        files = self._files((index,))
+        if not files:
+            return "free", 0, None
+        generation, path = files[0]
         try:
-            raw = path.read_text(encoding="utf-8")
-            stat = path.stat()
+            raw = path.read_bytes()
+            mtime = path.stat().st_mtime
         except OSError:
-            return "missing", None, None
-        generation = _generation(stat)
+            return "free", generation, None
         try:
             record = lease_record_from_dict(json.loads(raw))
-        except (json.JSONDecodeError, ConfigurationError):
-            return "corrupt", None, generation
+        except (ValueError, ConfigurationError):  # not UTF-8 JSON, or invalid
+            return "corrupt", generation, None
         if record.spec_digest != self.spec_digest:
-            return "corrupt", record, generation
-        if now_s is None:
-            now_s = self.clock_s()
-        if now_s - stat.st_mtime > record.lease_ttl_s:
-            return "expired", record, generation
-        return "held", record, generation
+            return "corrupt", generation, record
+        if self.clock_s() - mtime > record.lease_ttl_s:
+            return "expired", generation, record
+        return "held", generation, record
 
     def holder(self, index: int) -> Optional[LeaseRecord]:
         """The live holder of a shard's lease, if any."""
-        state, record, _ = self._inspect(self.lease_path(index))
+        state, _, record = self._inspect(index)
         return record if state == "held" else None
-
-    def active(self) -> Dict[int, LeaseRecord]:
-        """Every live lease in the directory, keyed by shard index."""
-        now_s = self.clock_s()
-        live: Dict[int, LeaseRecord] = {}
-        for path in sorted(self.directory.glob("shard-*.lease.json")):
-            state, record, _ = self._inspect(path, now_s=now_s)
-            if state == "held" and record is not None:
-                live[record.shard_index] = record
-        return live
 
     # -- claiming ------------------------------------------------------
     def try_claim(self, index: int) -> Optional[LeaseRecord]:
-        """Claim a shard's lease; ``None`` if a live worker holds it.
+        """Claim a shard's lease; ``None`` if a live worker holds it or
+        another claimant wins.
 
-        Free shard: a single ``O_EXCL`` create wins or loses the race
-        outright.  Expired or corrupt lease: the old file is first
-        renamed aside to a per-owner tombstone — ``os.replace`` of a
-        vanished source raises, so exactly one of N concurrent stealers
-        gets to retire the old lease and contend for the fresh claim.
-        A stealer retires only the generation it inspected: a late one
-        whose lease was re-claimed meanwhile loses instead of retiring
-        the fresh lease.
+        Free, expired and corrupt leases are claimed alike: by one
+        exclusive create of the generation above the one inspected.
+        Exactly one of N concurrent claimants wins each generation, and
+        a claimant whose inspected generation was superseded meanwhile
+        loses, so no claim can retire a fresh lease.  The winner then
+        deletes the lower generations.
         A corrupt (torn, truncated, foreign) lease is *warned about*
         and treated as expired; it must never wedge its shard.
         """
-        path = self.lease_path(index)
+        state, top, existing = self._inspect(index)
+        if state == "held":
+            return None
+        if state == "corrupt":
+            warnings.warn(
+                f"lease file {self.lease_path(index, top).name} is corrupt "
+                f"or torn; treating shard {index} as unclaimed",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self._count("distrib.leases.corrupt")
         record = LeaseRecord(
             spec_digest=self.spec_digest,
             shard_index=index,
             owner=self.owner,
             lease_ttl_s=self.lease_ttl_s,
-            heartbeats=0,
         )
         payload = json.dumps(lease_record_to_dict(record)) + "\n"
-        if self._create_exclusive(path, payload):
-            self._count("distrib.leases.claimed")
-            return record
-        state, existing, generation = self._inspect(path)
-        if state == "held":
+        if not self._create_exclusive(self.lease_path(index, top + 1), payload):
             return None
-        if state == "missing":
-            # Released between our failed create and the inspect; one
-            # immediate retry, then defer to the next claim pass.
-            if self._create_exclusive(path, payload):
-                self._count("distrib.leases.claimed")
-                return record
-            return None
-        if state == "corrupt":
+        self._held[index] = top + 1
+        for generation, path in self._files((index,)):
+            if generation <= top:
+                path.unlink(missing_ok=True)
+        self._count("distrib.leases.claimed")
+        if state == "expired" and existing is not None:
+            self._count("distrib.leases.stolen")
             warnings.warn(
-                f"lease file {path.name} is corrupt or torn; treating "
-                f"shard {index} as unclaimed",
+                f"lease on shard {index} held by {existing.owner!r} "
+                f"expired (no heartbeat within "
+                f"{existing.lease_ttl_s:g}s); re-claiming",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            self._count("distrib.leases.corrupt")
-        tombstone = path.with_name(path.name + f".stale-{self.owner}")
-        try:
-            if _generation(path.stat()) != generation:
-                return None  # a faster stealer re-claimed it since
-            os.replace(path, tombstone)
-        except OSError:
-            return None  # another stealer retired it first
-        try:
-            retired = _generation(tombstone.stat()) == generation
-            if not retired:
-                # A fresh lease replaced the inspected one between the
-                # check and the rename: put it back (unless a claimant
-                # took the free name meanwhile) and lose.
-                os.link(tombstone, path)
-        except OSError:
-            retired = False
-        tombstone.unlink(missing_ok=True)
-        if not retired:
-            return None
-        if self._create_exclusive(path, payload):
-            self._count("distrib.leases.claimed")
-            if state == "expired":
-                self._count("distrib.leases.stolen")
-                if existing is not None:
-                    warnings.warn(
-                        f"lease on shard {index} held by "
-                        f"{existing.owner!r} expired (no heartbeat "
-                        f"within {existing.lease_ttl_s:g}s); re-claiming",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            return record
-        return None
-
-    def claim(self, index: int) -> LeaseRecord:
-        """Like :meth:`try_claim`, but a refusal raises.
-
-        Raises :class:`~repro.errors.LeaseConflictError` naming the
-        live holder when the shard is taken.
-        """
-        record = self.try_claim(index)
-        if record is not None:
-            return record
-        holder = self.holder(index)
-        owner = holder.owner if holder is not None else None
-        held_by = f" by {owner!r}" if owner is not None else ""
-        raise LeaseConflictError(
-            f"shard {index} is already leased{held_by}; it becomes "
-            f"claimable if its holder misses heartbeats for "
-            f"{self.lease_ttl_s:g}s",
-            shard_index=index,
-            owner=owner,
-        )
+        return record
 
     # -- holding -------------------------------------------------------
-    def heartbeat(self, index: int) -> LeaseRecord:
-        """Refresh a held lease's liveness (atomic rewrite, mtime bump).
+    def heartbeat(self, index: int) -> None:
+        """Refresh this worker's lease on a shard (an mtime bump).
 
-        Raises :class:`~repro.errors.StaleLeaseError` if the lease has
-        vanished or was re-claimed by another worker — the signal to
-        abandon the shard (its record, if we still publish one, is
-        byte-identical to the thief's, so nothing is lost).
+        Raises :class:`~repro.errors.StaleLeaseError` once a higher
+        generation exists, naming its holder, or when the lease file
+        has vanished — the signal to abandon the shard (its record, if
+        we still publish one, is byte-identical to the thief's, so
+        nothing is lost).
         """
-        path = self.lease_path(index)
-        state, record, _ = self._inspect(path)
-        if record is None or state == "missing":
+        mine = self._held.get(index, 0)
+        _, top, record = self._inspect(index)
+        if top > mine:
+            owner = record.owner if record is not None else None
+            holder = repr(owner) if owner is not None else "a newer claimant"
+            raise StaleLeaseError(
+                f"lease on shard {index} now belongs to {holder} (this "
+                f"worker {self.owner!r} was presumed dead and its lease "
+                f"re-claimed)",
+                shard_index=index,
+                owner=owner,
+            )
+        try:
+            os.utime(self.lease_path(index, mine))
+        except FileNotFoundError:
             raise StaleLeaseError(
                 f"lease on shard {index} vanished (released or stolen "
                 f"after missed heartbeats)",
                 shard_index=index,
                 owner=self.owner,
-            )
-        if record.owner != self.owner:
-            raise StaleLeaseError(
-                f"lease on shard {index} now belongs to "
-                f"{record.owner!r} (this worker {self.owner!r} was "
-                f"presumed dead and its lease re-claimed)",
-                shard_index=index,
-                owner=record.owner,
-            )
-        refreshed = replace(record, heartbeats=record.heartbeats + 1)
-        tmp = path.with_name(path.name + f".hb-{self.owner}")
-        tmp.write_text(
-            json.dumps(lease_record_to_dict(refreshed)) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+            ) from None
         self._count("distrib.heartbeats")
-        return refreshed
 
     def release(self, index: int) -> bool:
-        """Drop this worker's lease on a shard.
+        """Delete this worker's own lease file on a shard.
 
-        Returns ``False`` if the lease is already gone (releases are
+        Returns ``False`` if that file is already gone (releases are
         idempotent; a completed shard's lease may be swept by whichever
-        worker observes the record first).  Raises
-        :class:`~repro.errors.StaleLeaseError` if another live worker
-        holds the shard now — deleting *their* lease would invite a
-        third claim.
+        worker observes the record first, and a newer generation's
+        winner deletes the older ones).  A newer generation, another
+        worker's lease, is never touched.
         """
-        path = self.lease_path(index)
-        state, record, _ = self._inspect(path)
-        if state == "missing":
+        generation = self._held.pop(index, None)
+        if generation is None:
             return False
-        if record is not None and record.owner != self.owner:
-            if state == "held":
-                raise StaleLeaseError(
-                    f"cannot release shard {index}: its lease now "
-                    f"belongs to {record.owner!r} (this worker "
-                    f"{self.owner!r} was presumed dead)",
-                    shard_index=index,
-                    owner=record.owner,
-                )
-            return False  # expired foreign lease; leave it to a stealer
-        path.unlink(missing_ok=True)
+        try:
+            self.lease_path(index, generation).unlink()
+        except FileNotFoundError:
+            return False
         self._count("distrib.leases.released")
         return True
 
     def sweep(self, indices: Iterable[int]) -> int:
-        """Remove leases (any owner's) for shards known to be complete.
+        """Remove every lease generation (any owner's) of shards known
+        to be complete.
 
-        Once a shard's record is on disk its lease is pure litter —
-        including a crashed worker's, which would otherwise linger for
-        a ttl.  Also clears abandoned steal-tombstones.  Returns the
-        number of lease files removed.
+        Once a shard's record is on disk its lease files are pure
+        litter — including a crashed worker's, which would otherwise
+        linger for a ttl, and the older generations a claimant left
+        when it died before deleting them.  Returns the number of lease
+        files removed.
         """
         removed = 0
-        for index in indices:
-            path = self.lease_path(index)
+        for _generation, path in self._files(set(indices)):
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-            for tombstone in self.directory.glob(f"{path.name}.stale-*"):
-                tombstone.unlink(missing_ok=True)
         if removed:
             self._count("distrib.leases.swept", removed)
         return removed

@@ -58,34 +58,11 @@ class ServiceUnavailableError(ReproError):
     """The serving layer is not (or no longer) accepting requests."""
 
 
-class LeaseConflictError(ReproError):
-    """A distributed shard lease is already held by a live worker.
-
-    Carries the competing ``owner`` id and the claimed ``shard_index``
-    so operators can see *who* holds the shard when a claim is refused.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        shard_index: "int | None" = None,
-        owner: "str | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.shard_index = shard_index
-        self.owner = owner
-
-    def __reduce__(
-        self,
-    ) -> "tuple[type, tuple[object, ...]]":  # picklable across pools
-        return (type(self), (self.args[0], self.shard_index, self.owner))
-
-
 class StaleLeaseError(ReproError):
     """A lease this worker believed it held was expired and taken over.
 
-    Raised on heartbeat/release when the lease file has vanished or now
-    names a different owner: another worker judged this one dead (no
+    Raised on heartbeat when the lease file has vanished or a newer
+    lease generation exists: another worker judged this one dead (no
     heartbeat within ``lease_ttl_s``) and re-claimed the shard.  The
     shard itself is still safe — records are deterministic and
     published atomically — so callers treat this as "stop working on

@@ -366,7 +366,7 @@ RESULT_VERSION = 2
 
 #: Version stamped on every lease document.  Workers refuse leases
 #: from a different protocol generation rather than guessing.
-DISTRIB_PROTOCOL_VERSION = 1
+DISTRIB_PROTOCOL_VERSION = 2
 
 #: Version of the trace-event wire format (JSONL log lines and their
 #: header, telemetry event lists).
@@ -804,16 +804,16 @@ LEASE_RECORD_TABLE = WireTable(
         ("shard_index", "int >= 0", REQUIRED, "the claimed shard"),
         ("owner", "str, non-empty", REQUIRED, "the claiming worker's id"),
         ("lease_ttl_s", "float > 0", REQUIRED, "the *holder's* declared TTL"),
-        ("heartbeats", "int >= 0", REQUIRED, "refresh count; diagnostics only"),
     ),
 )
 
 
 def lease_record_to_dict(record: "LeaseRecord") -> Dict[str, Any]:
-    """Serialize one shard lease (``leases/shard-<index>.lease.json``).
+    """Serialize one shard lease
+    (``leases/shard-<index>.<generation>.lease.json``).
 
-    Liveness is the *file's mtime*, refreshed atomically on every
-    heartbeat, never a wall-clock timestamp in the body.
+    Liveness is the *file's mtime*, bumped by every heartbeat, never a
+    wall-clock timestamp in the body.
     """
     return LEASE_RECORD_TABLE.emit(record)
 

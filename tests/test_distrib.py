@@ -32,12 +32,9 @@ from repro.distrib import (
     run_worker,
 )
 from repro.distrib.executor import INJECT_DELAY_ENV
-from repro.errors import (
-    ConfigurationError,
-    LeaseConflictError,
-    StaleLeaseError,
-)
+from repro.errors import ConfigurationError, StaleLeaseError
 from repro.io.serialization import (
+    DISTRIB_PROTOCOL_VERSION,
     batch_results_equal,
     lease_record_from_dict,
     lease_record_to_dict,
@@ -62,11 +59,16 @@ def _store(tmp_path, owner="w1", ttl=30.0, digest=DIGEST, tracer=None):
     )
 
 
+def _lease_files(store: LeaseStore, index: int):
+    """Every generation file of a shard's lease, sorted by name."""
+    return sorted(store.directory.glob(f"shard-{index:06d}.*.lease.json"))
+
+
 def _expire(store: LeaseStore, index: int) -> None:
     """Backdate a lease's mtime past its ttl (a silent worker)."""
-    path = store.lease_path(index)
-    past = path.stat().st_mtime - store.lease_ttl_s - 60.0
-    os.utime(path, (past, past))
+    for path in _lease_files(store, index):
+        past = path.stat().st_mtime - store.lease_ttl_s - 60.0
+        os.utime(path, (past, past))
 
 
 def _initiate(work_dir, spec: StudySpec, chunk_rows: int, **kwargs):
@@ -85,15 +87,14 @@ class TestLeaseRecordWire:
             shard_index=3,
             owner="host-a-12041",
             lease_ttl_s=30.0,
-            heartbeats=7,
         )
         data = lease_record_to_dict(record)
-        assert data["version"] == 1
+        assert data["version"] == DISTRIB_PROTOCOL_VERSION
         assert data["kind"] == "lease"
         assert lease_record_from_dict(data) == record
 
     def test_round_trips_through_json(self):
-        record = LeaseRecord(DIGEST, 0, "w", 2.5, 0)
+        record = LeaseRecord(DIGEST, 0, "w", 2.5)
         text = json.dumps(lease_record_to_dict(record))
         assert lease_record_from_dict(json.loads(text)) == record
 
@@ -107,21 +108,17 @@ class TestLeaseClaim:
         record = store.try_claim(4)
         assert record is not None
         assert record.owner == "w1" and record.shard_index == 4
-        assert store.lease_path(4).exists()
+        assert _lease_files(store, 4) == [store.lease_path(4, 1)]
         assert store.holder(4) == record
-        assert store.active() == {4: record}
         assert store.release(4) is True
-        assert not store.lease_path(4).exists()
+        assert _lease_files(store, 4) == []
         assert store.release(4) is False  # idempotent
 
     def test_live_lease_blocks_other_workers(self, tmp_path):
         _store(tmp_path, owner="w1").try_claim(0)
         other = _store(tmp_path, owner="w2")
         assert other.try_claim(0) is None
-        with pytest.raises(LeaseConflictError, match="'w1'") as exc:
-            other.claim(0)
-        assert exc.value.shard_index == 0
-        assert exc.value.owner == "w1"
+        assert other.holder(0).owner == "w1"
 
     def test_expired_lease_is_stolen_with_a_warning(self, tmp_path):
         dead = _store(tmp_path, owner="dead", ttl=5.0)
@@ -135,6 +132,21 @@ class TestLeaseClaim:
         counters = tracer.counters_snapshot()
         assert counters["distrib.leases.stolen"] == 1
         assert counters["distrib.leases.claimed"] == 1
+        # The steal is generation 2, and it deleted generation 1.
+        assert _lease_files(thief, 2) == [thief.lease_path(2, 2)]
+
+    def test_steal_deletes_every_older_generation(self, tmp_path):
+        # A claimant died between creating generation 2 and deleting
+        # generation 1; the next steal supersedes both.
+        dead = _store(tmp_path, owner="dead", ttl=1.0)
+        dead.try_claim(0)
+        dead.lease_path(0, 2).write_bytes(dead.lease_path(0, 1).read_bytes())
+        _expire(dead, 0)
+        thief = _store(tmp_path, owner="thief")
+        with pytest.warns(RuntimeWarning, match="'dead'"):
+            assert thief.try_claim(0) is not None
+        assert _lease_files(thief, 0) == [thief.lease_path(0, 3)]
+        thief.heartbeat(0)
 
     def test_steal_honors_the_holders_ttl_not_the_stealers(self, tmp_path):
         # Holder declared a long ttl; an impatient stealer with a short
@@ -186,13 +198,72 @@ class TestLeaseClaim:
             t.start()
         for t in threads:
             t.join()
-        # One thread retires the expired lease and wins; late stealers
-        # lose the tombstone rename or the fresh create.  Either way
-        # exactly one lease file remains and it names one owner.
+        # Every stealer creates generation 2 or, having seen it, stops:
+        # exactly one wins, and its lease file is the only one left.
         assert len(winners) == 1
-        holder = _store(tmp_path, owner="observer").holder(0)
+        observer = _store(tmp_path, owner="observer")
+        holder = observer.holder(0)
         assert holder is not None
         assert holder.owner == f"w{winners[0]}"
+        assert _lease_files(observer, 0) == [observer.lease_path(0, 2)]
+
+    @pytest.mark.parametrize(
+        "b_slot, c_slot", [(0, 0), (0, 1), (1, 1)], ids=["b0-c0", "b0-c1", "b1-c1"]
+    )
+    def test_interleaved_steal_and_claim_one_winner(
+        self, tmp_path, monkeypatch, b_slot, c_slot
+    ):
+        # Stealer A has inspected the expired lease.  B's steal and then
+        # C's claim each run in full at a slot of A's claim: slot n is
+        # just before A's (n+1)-th link or rename of a lease file after
+        # its inspection, or after A returns when A makes no more.  So
+        # b0-c0 runs both before A's commit, and b0-c1 lets C claim
+        # after A's first syscall on a lease file.
+        dead = _store(tmp_path, owner="dead", ttl=1.0)
+        dead.try_claim(0)
+        _expire(dead, 0)
+        stores = {name: _store(tmp_path, owner=name) for name in "abc"}
+        records = {}
+        moves = sorted([(b_slot, "b"), (c_slot, "c")])
+        state = {"armed": False, "slot": 0, "busy": False}
+
+        def run_moves_at(slot: int) -> None:
+            state["busy"] = True
+            while moves and moves[0][0] <= slot:
+                name = moves.pop(0)[1]
+                records[name] = stores[name].try_claim(0)
+            state["busy"] = False
+
+        real_inspect = LeaseStore._inspect
+
+        def inspect(store, *args, **kwargs):
+            found = real_inspect(store, *args, **kwargs)
+            state["armed"] |= store is stores["a"] and not state["busy"]
+            return found
+
+        def interleaved(syscall):
+            def call(src, dst, *args, **kwargs):
+                if state["armed"] and not state["busy"]:
+                    if ".clock-" not in str(dst):
+                        run_moves_at(state["slot"])
+                        state["slot"] += 1
+                return syscall(src, dst, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(LeaseStore, "_inspect", inspect)
+        monkeypatch.setattr(os, "link", interleaved(os.link))
+        monkeypatch.setattr(os, "replace", interleaved(os.replace))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records["a"] = stores["a"].try_claim(0)
+            run_moves_at(max(b_slot, c_slot))
+        monkeypatch.undo()
+        winners = [name for name, got in records.items() if got is not None]
+        assert sorted(records) == ["a", "b", "c"]
+        assert len(winners) == 1, records
+        stores[winners[0]].heartbeat(0)
+        assert stores["a"].holder(0).owner == winners[0]
 
     def test_stale_nan_ttl_lease_is_claimed_not_wedged(self, tmp_path):
         # json.loads accepts the NaN token and ``age > nan`` is never
@@ -200,17 +271,16 @@ class TestLeaseClaim:
         # The reader's positive TTL test makes it corrupt instead.
         tracer = Tracer()
         store = _store(tmp_path, tracer=tracer)
-        path = store.lease_path(0)
+        path = store.lease_path(0, 1)
         path.write_text(
             json.dumps(
                 {
-                    "version": 1,
+                    "version": DISTRIB_PROTOCOL_VERSION,
                     "kind": "lease",
                     "spec_digest": DIGEST,
                     "shard_index": 0,
                     "owner": "ghost",
                     "lease_ttl_s": float("nan"),
-                    "heartbeats": 0,
                 }
             ),
             encoding="utf-8",
@@ -240,28 +310,32 @@ class TestLeaseCorruption:
     @pytest.mark.parametrize(
         "payload",
         [
-            "",  # truncated to nothing
-            "{\"version\": 1, \"kind\": \"lea",  # torn mid-write
-            "not json at all\n",
-            "[1, 2, 3]\n",  # wrong shape
-            json.dumps({"version": 99, "kind": "lease"}),  # future version
+            b"",  # truncated to nothing
+            b"{\"version\": 2, \"kind\": \"lea",  # torn mid-write
+            b"not json at all\n",
+            b"\xff\xfe not utf-8\n",
+            b"[1, 2, 3]\n",  # wrong shape
+            json.dumps({"version": 99, "kind": "lease"}).encode(),  # future
             json.dumps(
                 {
-                    "version": 1,
+                    "version": DISTRIB_PROTOCOL_VERSION,
                     "kind": "lease",
                     "spec_digest": DIGEST,
                     "shard_index": 0,
                     "owner": "w9",
-                    # lease_ttl_s missing, heartbeats missing
+                    # lease_ttl_s missing
                 }
-            ),
+            ).encode(),
         ],
-        ids=["empty", "torn", "garbage", "non-mapping", "future", "missing"],
+        ids=[
+            "empty", "torn", "garbage", "invalid-utf8", "non-mapping",
+            "future", "missing",
+        ],
     )
     def test_corrupt_lease_is_claimed_with_a_warning(self, tmp_path, payload):
         tracer = Tracer()
         store = _store(tmp_path, tracer=tracer)
-        store.lease_path(0).write_text(payload, encoding="utf-8")
+        store.lease_path(0, 1).write_bytes(payload)
         with pytest.warns(RuntimeWarning, match="corrupt or torn"):
             record = store.try_claim(0)
         assert record is not None and record.owner == "w1"
@@ -277,30 +351,29 @@ class TestLeaseCorruption:
 
     def test_corrupt_lease_never_crashes_reads(self, tmp_path):
         store = _store(tmp_path)
-        store.lease_path(1).write_text("\x00\x01garbage", encoding="utf-8")
+        store.lease_path(1, 1).write_text("\x00\x01garbage", encoding="utf-8")
         assert store.holder(1) is None
-        assert store.active() == {}
 
 
 class TestHeartbeatAndRelease:
-    def test_heartbeat_bumps_count_and_mtime(self, tmp_path):
-        store = _store(tmp_path)
+    def test_heartbeat_bumps_mtime_only(self, tmp_path):
+        tracer = Tracer()
+        store = _store(tmp_path, tracer=tracer)
         store.try_claim(0)
-        path = store.lease_path(0)
+        path = store.lease_path(0, 1)
+        body = path.read_bytes()
         before = path.stat().st_mtime
         os.utime(path, (before - 10.0, before - 10.0))
-        refreshed = store.heartbeat(0)
-        assert refreshed.heartbeats == 1
+        store.heartbeat(0)
         assert path.stat().st_mtime > before - 10.0
-        body = lease_record_from_dict(
-            json.loads(path.read_text(encoding="utf-8"))
-        )
-        assert body.heartbeats == 1
+        assert path.read_bytes() == body
+        assert _lease_files(store, 0) == [path]
+        assert tracer.counters_snapshot()["distrib.heartbeats"] == 1
 
     def test_heartbeat_after_vanish_is_stale(self, tmp_path):
         store = _store(tmp_path)
         store.try_claim(0)
-        store.lease_path(0).unlink()
+        store.lease_path(0, 1).unlink()
         with pytest.raises(StaleLeaseError, match="vanished"):
             store.heartbeat(0)
 
@@ -314,10 +387,20 @@ class TestHeartbeatAndRelease:
             victim.heartbeat(0)
         assert exc.value.owner == "thief"
 
-    def test_release_of_live_foreign_lease_refuses(self, tmp_path):
+    def test_release_never_deletes_another_workers_lease(self, tmp_path):
         _store(tmp_path, owner="w1").try_claim(0)
-        with pytest.raises(StaleLeaseError, match="'w1'"):
-            _store(tmp_path, owner="w2").release(0)
+        assert _store(tmp_path, owner="w2").release(0) is False
+        # A holder whose lease was stolen releases nothing either.
+        victim = _store(tmp_path, owner="victim", ttl=1.0)
+        victim.try_claim(1)
+        _expire(victim, 1)
+        thief = _store(tmp_path, owner="thief")
+        with pytest.warns(RuntimeWarning):
+            thief.try_claim(1)
+        assert victim.release(1) is False
+        observer = _store(tmp_path, owner="observer")
+        assert observer.holder(0).owner == "w1"
+        assert observer.holder(1).owner == "thief"
 
     def test_release_of_expired_foreign_lease_is_a_noop(self, tmp_path):
         dead = _store(tmp_path, owner="dead", ttl=1.0)
@@ -325,21 +408,23 @@ class TestHeartbeatAndRelease:
         _expire(dead, 0)
         other = _store(tmp_path, owner="w2")
         assert other.release(0) is False
-        assert dead.lease_path(0).exists()  # left for a proper steal
+        assert _lease_files(dead, 0) == [dead.lease_path(0, 1)]
 
-    def test_sweep_removes_any_owners_lease_and_tombstones(self, tmp_path):
+    def test_sweep_removes_every_generation_of_any_owner(self, tmp_path):
         a = _store(tmp_path, owner="a")
         b = _store(tmp_path, owner="b")
         a.try_claim(0)
         b.try_claim(1)
-        orphan = a.lease_path(0)
-        tombstone = orphan.with_name(orphan.name + ".stale-dead")
-        tombstone.write_text("{}", encoding="utf-8")
+        b.try_claim(3)
+        # A claimant died between creating generation 2 of shard 0 and
+        # deleting generation 1.
+        a.lease_path(0, 2).write_bytes(a.lease_path(0, 1).read_bytes())
         tracer = Tracer()
         sweeper = _store(tmp_path, owner="c", tracer=tracer)
-        assert sweeper.sweep([0, 1, 2]) == 2
-        assert list(sweeper.directory.glob("shard-*.lease.json*")) == []
-        assert tracer.counters_snapshot()["distrib.leases.swept"] == 2
+        assert sweeper.sweep([0, 1, 2]) == 3
+        left = sorted(path.name for path in sweeper.directory.iterdir())
+        assert left == [b.lease_path(3, 1).name]
+        assert tracer.counters_snapshot()["distrib.leases.swept"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +656,23 @@ class TestDistributedExecutor:
         assert counters["distrib.shards.resumed"] == 2
         assert counters["distrib.shards.computed"] == 2
         assert list((tmp_path / "leases").glob("*.lease.json")) == []
+
+    def test_infinite_ttl_starts_no_heartbeat_thread(
+        self, tmp_path, monkeypatch
+    ):
+        # The default heartbeat interval is ttl / 3, and waiting an
+        # infinite interval raised OverflowError in every shard's
+        # heartbeat thread.  A lease that never expires needs none.
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        monkeypatch.setenv(INJECT_DELAY_ENV, "0.05")
+        spec = _spec(8)
+        with DistributedExecutor(
+            tmp_path, worker_id="w1", lease_ttl_s=float("inf")
+        ) as ex:
+            dist = run_study(spec, executor=ex, chunk_rows=4)
+        assert [hook.exc_type for hook in uncaught] == []
+        assert batch_results_equal(run_study(spec).batch, dist.batch)
 
     def test_chunking_mismatch_is_refused(self, tmp_path):
         spec = _spec(12)

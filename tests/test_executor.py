@@ -12,6 +12,7 @@ spawn on CI — while the property suites run on the serial backend.
 from __future__ import annotations
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -664,6 +665,34 @@ class TestCheckpoints:
                 _knob_spec(), cache=None, chunk_rows=6,
                 checkpoint=tmp_path, resume=True,
             )
+
+    def test_second_writer_of_a_record_inside_the_first_rename(
+        self, tmp_path, monkeypatch
+    ):
+        # A stolen shard that finishes twice writes one record twice.
+        # With one shared temporary name, the second writer renamed the
+        # first writer's temporary away and the first rename raised.
+        run_study(_knob_spec(), cache=None, chunk_rows=5, checkpoint=tmp_path)
+        store = CheckpointStore.open(
+            tmp_path, CheckpointStore.peek_manifest(tmp_path)
+        )
+        result = store.load_shard(1)
+        record = store.shard_path(1).read_bytes()
+        before = sorted(path.name for path in tmp_path.iterdir())
+        real_replace, writes = os.replace, []
+
+        def replace(src, dst):
+            if not writes:  # the first rename: the second writer first
+                writes.append(dst)
+                store.write(result)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        store.write(result)
+        monkeypatch.undo()
+        assert writes == [store.shard_path(1)]
+        assert store.shard_path(1).read_bytes() == record
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
 
     def test_checkpointed_top_k_resumes(self, tmp_path):
         matrix = _grid(40)

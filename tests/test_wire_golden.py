@@ -247,7 +247,6 @@ def _lease():
         shard_index=3,
         owner="host-a-12041",
         lease_ttl_s=30.0,
-        heartbeats=7,
     )
 
 
@@ -596,7 +595,8 @@ def test_generator_adds_missing_files_and_refuses_changed_ones(tmp_path):
     missing.unlink()
     changed.write_bytes(changed.read_bytes() + b" ")
     digests = json.loads((tmp_path / DIGESTS_NAME).read_text(encoding="utf-8"))
-    digests["lease_record-v1"] = "0" * 64
+    lease_key = f"lease_record-v{ser.DISTRIB_PROTOCOL_VERSION}"
+    digests[lease_key] = "0" * 64
     del digests["telemetry-v1"]
     (tmp_path / DIGESTS_NAME).write_text(json.dumps(digests), encoding="utf-8")
 
@@ -606,12 +606,15 @@ def test_generator_adds_missing_files_and_refuses_changed_ones(tmp_path):
     assert changed.read_bytes().endswith(b" ")
     after = json.loads((tmp_path / DIGESTS_NAME).read_text(encoding="utf-8"))
     assert after["telemetry-v1"] == _committed_digests()["telemetry-v1"]
-    assert after["lease_record-v1"] == "0" * 64
+    assert after[lease_key] == "0" * 64
     assert [line.split(":")[0] for line in refused] == [
-        "manifest-v2.json", f"{DIGESTS_NAME} key lease_record-v1",
+        "manifest-v2.json", f"{DIGESTS_NAME} key {lease_key}",
     ]
     assert "bump MANIFEST_VERSION (now 2)" in refused[0]
-    assert "bump DISTRIB_PROTOCOL_VERSION (now 1)" in refused[1]
+    assert (
+        f"bump DISTRIB_PROTOCOL_VERSION (now {ser.DISTRIB_PROTOCOL_VERSION})"
+        in refused[1]
+    )
 
 
 def _main() -> int:

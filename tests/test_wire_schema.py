@@ -38,7 +38,6 @@ def _lease_doc(**overrides):
         "owner": "host-a-12041",
         "shard_index": 3,
         "lease_ttl_s": 30.0,
-        "heartbeats": 7,
     }
     doc.update(overrides)
     return {k: v for k, v in doc.items() if v is not ...}
@@ -59,15 +58,15 @@ def _lease_doc(**overrides):
         _lease_doc(lease_ttl_s=0),
         _lease_doc(lease_ttl_s=True),
         _lease_doc(lease_ttl_s="30"),
-        _lease_doc(heartbeats=-1),
-        _lease_doc(heartbeats=...),
+        _lease_doc(heartbeats=7),
+        _lease_doc(version=1, heartbeats=7),
         _lease_doc(lease_ttl_s=float("nan")),
     ],
     ids=[
         "non-mapping", "future-version", "wrong-kind", "missing-digest",
         "empty-digest", "non-str-digest", "empty-owner", "negative-index",
         "float-index", "zero-ttl", "bool-ttl", "str-ttl",
-        "negative-heartbeats", "missing-heartbeats", "nan-ttl",
+        "heartbeats-field", "version-1-lease", "nan-ttl",
     ],
 )
 def test_lease_record_from_dict_rejects_damage(doc):
