@@ -27,10 +27,14 @@ three-step pipeline:
 A source is a :class:`~repro.batch.matrix.DesignMatrix` or a
 declarative :class:`~repro.study.spec.StudySpec` (:func:`iter_chunks`).
 Spec shards are never materialized in the parent: each worker rebuilds
-only its ``[start, stop)`` rows by Cartesian index arithmetic
-(:func:`~repro.batch.grid.cartesian_slice` via
-:func:`~repro.study.planner.compile_chunk`), so a 10M-point grid needs
-``O(chunk_rows)`` memory per worker, not ``O(N)``.
+only its ``[start, stop)`` rows with
+:func:`~repro.study.planner.compile_chunk`, the planner's one
+row-range path.  A knob shard is a
+:func:`~repro.batch.grid.cartesian_slice`, and a preset or fleet shard
+gathers only the designs its rows touch, so for every design kind a
+shard holds at most ``chunk_rows + 2·M`` rows (M scenario rows per
+design, 1 without scenarios): a 10M-point grid needs
+``O(chunk_rows + M)`` memory per worker, not ``O(N)``.
 
 There are two scheduling policies.  :class:`ParallelExecutor` fans
 shards out over :mod:`concurrent.futures` workers —

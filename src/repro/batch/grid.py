@@ -49,13 +49,10 @@ def cartesian_product(axes: Mapping[str, AxisLike]) -> Dict[str, np.ndarray]:
     ``prod(len(axis))`` entries, in row-major order over the mapping's
     insertion order (the *last* axis varies fastest).  This is the one
     expansion shared by :func:`scenario_grid` (F-1 parameter axes) and
-    :func:`repro.skyline.sweep.sweep_grid` (Table II knob axes).
+    :func:`repro.skyline.sweep.sweep_grid` (Table II knob axes): the
+    :func:`cartesian_slice` of every row.
     """
-    if not axes:
-        raise ConfigurationError("a grid needs at least one axis")
-    arrays = [_axis(name, values) for name, values in axes.items()]
-    meshes = np.meshgrid(*arrays, indexing="ij")
-    return {name: mesh.ravel() for name, mesh in zip(axes, meshes)}
+    return cartesian_slice(axes, 0, cartesian_row_count(axes))
 
 
 def cartesian_row_count(axes: Mapping[str, AxisLike]) -> int:
@@ -72,16 +69,16 @@ def cartesian_row_count(axes: Mapping[str, AxisLike]) -> int:
 def cartesian_slice(
     axes: Mapping[str, AxisLike], start: int, stop: int
 ) -> Dict[str, np.ndarray]:
-    """Rows ``[start, stop)`` of :func:`cartesian_product`, by index
-    arithmetic.
+    """Rows ``[start, stop)`` of the row-major Cartesian product, by
+    stride arithmetic.
 
-    Bitwise identical to ``{k: v[start:stop] for k, v in
-    cartesian_product(axes).items()}`` but needs ``O(stop - start)``
-    memory instead of the full ``prod(len(axis))`` expansion: the flat
-    row indices are unraveled onto the axes
-    (:func:`numpy.unravel_index`) and each axis is fancy-indexed.  This
-    is what lets the sharded executor stream a multi-million-point grid
-    chunk by chunk.
+    Axis ``j`` holds each value for a run of ``prod(len(faster axes))``
+    rows, so the slice touches a contiguous (wrapping) range of its
+    values: those values are tiled and each repeated by its run length,
+    clipped to ``[start, stop)``.  Memory is ``O(stop - start)`` however
+    large the grid, which is what lets the sharded executor stream a
+    multi-million-point grid chunk by chunk.  Every column is a fresh
+    array, never a view of the caller's axes.
     """
     if not axes:
         raise ConfigurationError("a grid needs at least one axis")
@@ -93,13 +90,23 @@ def cartesian_slice(
         raise ConfigurationError(
             f"slice [{start}, {stop}) out of range for a {total}-row grid"
         )
-    flat = np.arange(start, stop, dtype=np.int64)
-    shape = tuple(array.size for array in arrays.values())
-    unraveled = np.unravel_index(flat, shape)
-    return {
-        name: array[indices]
-        for (name, array), indices in zip(arrays.items(), unraveled)
-    }
+    columns: Dict[str, np.ndarray] = {}
+    run = 1  # rows per value of the axis: the product of faster axes
+    for name, array in reversed(arrays.items()):
+        first = start // run
+        count = -(-stop // run) - first  # runs the slice touches
+        offset = first % array.size
+        reps = -(-(offset + count) // array.size)
+        column = np.tile(array, reps)[offset:offset + count]
+        if run > 1:
+            lengths = np.full(count, run)
+            if count:
+                lengths[0] -= start - first * run
+                lengths[-1] -= (first + count) * run - stop
+            column = np.repeat(column, lengths)
+        columns[name] = column
+        run *= array.size
+    return {name: columns[name] for name in arrays}
 
 
 def grid_shape(

@@ -7,16 +7,23 @@ knob-axes designs go through :class:`~repro.batch.assembly.KnobMatrix`
 through the two halves of
 :func:`~repro.batch.assembly.assemble_configurations` (identical to
 ``dse.explore``) — so studies are numerically indistinguishable from
-the call stacks they replace.  Scenario axes expand design rows
-design-major (scenario varies fastest) and stay columnar throughout:
-N designs are gathered once and crossed with M scenarios by index
-arithmetic, never as N*M configuration objects.
+the call stacks they replace.
+
+Each design kind has one planner path, and it compiles a row range:
+:func:`compile_chunk` runs it over a shard's ``[start, stop)`` rows and
+:func:`compile_spec` over every row.  Scenario axes expand design rows
+design-major (scenario varies fastest) and stay columnar throughout.
+Knob rows are a :func:`~repro.batch.grid.cartesian_slice` of the
+design and scenario axes; preset and fleet rows gather only the
+designs the range touches and cross them with the M scenario rows by
+index arithmetic, never as one configuration object per row.  A range
+holds at most ``stop - start + 2·M`` rows, and nothing is kept between
+calls.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -28,7 +35,7 @@ from ..batch.assembly import (
     assemble_columns,
     configuration_columns,
 )
-from ..batch.grid import cartesian_product
+from ..batch.grid import cartesian_product, cartesian_slice
 from ..batch.matrix import DesignMatrix
 from ..errors import ConfigurationError
 from ..units import require_nonnegative
@@ -101,17 +108,6 @@ def _scenario_rows(
     return axes, count
 
 
-def _scenario_columns(
-    axes: Dict[str, Tuple[float, ...]]
-) -> Dict[str, np.ndarray]:
-    """Row-major Cartesian columns of the scenario axes (last fastest)."""
-    if not axes:
-        return {}
-    return cartesian_product(
-        {name: np.asarray(values, dtype=np.float64) for name, values in axes.items()}
-    )
-
-
 def _knob_matrix(
     base: Knobs,
     columns: Dict[str, np.ndarray],
@@ -141,73 +137,12 @@ def _with_scaled_a_max(
 
 
 # ---------------------------------------------------------------------------
-# Knob-axes designs (the sweep_knob / sweep_grid shape)
-# ---------------------------------------------------------------------------
-def _compile_knobs(spec: StudySpec) -> StudyPlan:
-    design = spec.design
-    base = design.base
-    axes_mapping = {name: np.asarray(values, dtype=np.float64)
-                    for name, values in design.axes}
-    columns = cartesian_product(axes_mapping)
-    scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
-    if not scenario_axes:
-        # The exact legacy path: same KnobMatrix call, same labels.
-        labels = None
-        if len(design.axes) == 1:
-            knob, values = design.axes[0]
-            labels = [f"{knob}={value:g}" for value in values]
-        knob_matrix = _knob_matrix(base, columns, labels)
-        matrix = knob_matrix.assemble()
-        scale = None
-    else:
-        n_designs = len(next(iter(columns.values())))
-        scenario_columns = _scenario_columns(scenario_axes)
-        expanded = {
-            name: np.repeat(column, n_scenarios)
-            for name, column in columns.items()
-        }
-        if "extra_payload_g" in scenario_columns:
-            delta = np.tile(
-                scenario_columns["extra_payload_g"], n_designs
-            )
-            payload = expanded.get("payload_weight_g")
-            if payload is None:
-                payload = np.full(
-                    n_designs * n_scenarios, base.payload_weight_g
-                )
-            payload = payload + delta
-            if np.any(payload < 0.0):
-                worst = float(payload.min())
-                raise spec_error(
-                    "scenarios.extra_payload_g",
-                    f"payload goes negative ({worst:g} g); deltas cannot "
-                    "shed more than the payload knob carries",
-                )
-            expanded["payload_weight_g"] = payload
-        knob_matrix = _knob_matrix(base, expanded)
-        matrix = knob_matrix.assemble()
-        scale = None
-        if "a_max_scale" in scenario_columns:
-            scale = np.tile(scenario_columns["a_max_scale"], n_designs)
-
-    if scale is not None:
-        matrix = _with_scaled_a_max(matrix, scale)
-
-    return StudyPlan(
-        spec=spec,
-        matrix=matrix,
-        axes=study_axes(spec),
-        total_mass_g=knob_matrix.total_mass_g,
-        compute_tdp_w=knob_matrix.compute_tdp_w,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Preset / fleet designs (the dse.explore shape)
 # ---------------------------------------------------------------------------
 def _materialize_designs(
-    design: DesignSpec,
+    design: DesignSpec, first: int, stop: int
 ) -> Tuple[List[UAVConfiguration], List[float], Optional[List[str]]]:
+    """Designs ``[first, stop)``: configurations, rates and labels."""
     if design.kind == "presets":
         # Enumerate through DesignSpace so ordering and labels match
         # dse.explore exactly.  Imported lazily: repro.dse imports this
@@ -219,7 +154,7 @@ def _materialize_designs(
             compute_names=design.compute_names,
             algorithm_names=design.algorithm_names,
         )
-        candidates = list(space.candidates())
+        candidates = list(itertools.islice(space.candidates(), first, stop))
         uavs = [c.uav for c in candidates]
         rates = [c.f_compute_hz for c in candidates]
         labels = [
@@ -227,22 +162,32 @@ def _materialize_designs(
             for c in candidates
         ]
         return uavs, rates, labels
-    labels = list(design.labels) if design.labels is not None else None
-    return list(design.uavs), list(design.f_compute_hz), labels
+    labels = (
+        list(design.labels[first:stop]) if design.labels is not None else None
+    )
+    return (
+        list(design.uavs[first:stop]),
+        list(design.f_compute_hz[first:stop]),
+        labels,
+    )
 
 
 def _scenario_labels(
     labels: Optional[List[str]], scenario_axes: Dict[str, Tuple[float, ...]]
 ) -> Optional[List[str]]:
-    """Design labels crossed with scenario suffixes, each formatted once."""
+    """Design labels crossed with scenario suffixes.
+
+    Each axis's ``name=value`` strings are formatted once and joined
+    per scenario row.
+    """
     if labels is None or not scenario_axes:
         return labels
-    names = list(scenario_axes)
-    prefixes = [f"{label} [" for label in labels]
-    suffixes = [
-        ",".join(f"{name}={value:g}" for name, value in zip(names, row)) + "]"
-        for row in itertools.product(*scenario_axes.values())
+    parts = [
+        [f"{name}={value:g}" for value in values]
+        for name, values in scenario_axes.items()
     ]
+    prefixes = [f"{label} [" for label in labels]
+    suffixes = [",".join(row) + "]" for row in itertools.product(*parts)]
     return [prefix + suffix for prefix in prefixes for suffix in suffixes]
 
 
@@ -270,60 +215,72 @@ def _shifted_payload(
     return extra
 
 
-def _compile_fleet(spec: StudySpec) -> StudyPlan:
-    uavs, rates, labels = _materialize_designs(spec.design)
+def _compile_fleet(spec: StudySpec, start: int, stop: int) -> ShardPlan:
+    """Rows ``[start, stop)`` of a preset or fleet design.
+
+    With M scenario rows per design, only designs ``start // M``
+    through ``(stop - 1) // M`` are gathered, so at most
+    ``stop - start + 2·M`` rows are expanded before the range is cut.
+    """
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
+    first = start // n_scenarios
+    uavs, rates, labels = _materialize_designs(
+        spec.design, first, (stop - 1) // n_scenarios + 1
+    )
+    rows = slice(start - first * n_scenarios, stop - first * n_scenarios)
 
     # N designs x M scenarios, scenario fastest: repeat each design's
-    # columns M times, tile each scenario column N times, then apply
-    # every scenario axis as a column edit.
+    # columns M times, tile each scenario column N times, cut the
+    # range's rows, then apply every scenario axis as a column edit.
     columns = {
-        name: np.repeat(column, n_scenarios)
+        name: np.repeat(column, n_scenarios)[rows]
         for name, column in configuration_columns(uavs).items()
     }
-    for name, values in _scenario_columns(scenario_axes).items():
-        column = np.tile(values, len(uavs))
+    scenario_columns = (
+        cartesian_product(scenario_axes) if scenario_axes else {}
+    )
+    for name, values in scenario_columns.items():
+        column = np.tile(values, len(uavs))[rows]
         if name == "extra_payload_g":
             column = _shifted_payload(columns, column)
         columns[name] = column
+    labels = _scenario_labels(labels, scenario_axes)
+    if labels is not None:
+        # Cut in place (the list is ours), so a full range copies none.
+        del labels[rows.stop:], labels[:rows.start]
     fleet = assemble_columns(
         columns,
-        np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios),
-        labels=_scenario_labels(labels, scenario_axes),
+        np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios)[rows],
+        labels=labels,
     )
-
-    return StudyPlan(
-        spec=spec,
+    return ShardPlan(
+        start=start,
+        stop=stop,
         matrix=fleet.matrix,
-        axes=study_axes(spec),
         total_mass_g=fleet.total_mass_g,
         compute_tdp_w=fleet.compute_tdp_w,
     )
 
 
 def compile_spec(spec: StudySpec) -> StudyPlan:
-    """Compile a spec into the vectorized plan that will execute it."""
+    """Compile a spec into the vectorized plan that will execute it:
+    :func:`compile_chunk` over every row, plus :func:`study_axes`."""
     if not isinstance(spec, StudySpec):
         raise ConfigurationError(
             f"compile_spec takes a StudySpec, got {type(spec).__name__}"
         )
-    if spec.design.kind == "knobs":
-        plan = _compile_knobs(spec)
-    else:
-        plan = _compile_fleet(spec)
-    expected = 1
-    for axis in plan.axes:
-        expected *= axis.size
-    if expected != len(plan):  # pragma: no cover - internal invariant
-        raise ConfigurationError(
-            f"planner produced {len(plan)} rows for axes shape "
-            f"{plan.shape}"
-        )
-    return plan
+    rows = compile_chunk(spec, 0, study_size(spec))
+    return StudyPlan(
+        spec=spec,
+        matrix=rows.matrix,
+        axes=study_axes(spec),
+        total_mass_g=rows.total_mass_g,
+        compute_tdp_w=rows.compute_tdp_w,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Chunked planning (the worker side of the sharded executor)
+# Row ranges: the one compile path, for a shard or for every row
 # ---------------------------------------------------------------------------
 def study_axes(spec: StudySpec) -> Tuple[StudyAxis, ...]:
     """The spec's logical axes, without materializing any design rows.
@@ -391,25 +348,17 @@ class ShardPlan:
 def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
     """Rows ``[start, stop)`` of a knobs design, by index arithmetic.
 
-    The full planner expands ``cartesian_product(design axes)`` and
-    repeats/tiles scenario columns; because the combined expansion is
-    exactly the row-major Cartesian product of design axes followed by
-    scenario axes (scenario varies fastest), a chunk is just
+    The design axes followed by the scenario axes (scenario varies
+    fastest) are one row-major Cartesian grid, so the rows are
     :func:`~repro.batch.grid.cartesian_slice` of the combined axes —
-    O(chunk) memory however large the grid.
+    O(stop - start) memory however large the grid.
     """
-    from ..batch.grid import cartesian_slice
-
     design = spec.design
     base = design.base
     scenario_axes, _ = _scenario_rows(spec.scenarios)
-    combined: Dict[str, Any] = {
-        name: np.asarray(values, dtype=np.float64)
-        for name, values in design.axes
-    }
-    for name, values in scenario_axes.items():
-        combined[name] = np.asarray(values, dtype=np.float64)
-    columns = cartesian_slice(combined, start, stop)
+    columns = cartesian_slice(
+        {**dict(design.axes), **scenario_axes}, start, stop
+    )
 
     knob_columns = {name: columns[name] for name, _ in design.axes}
     labels = None
@@ -417,16 +366,22 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
         knob = design.axes[0][0]
         labels = [f"{knob}={value:g}" for value in knob_columns[knob]]
     if "extra_payload_g" in columns:
-        payload = knob_columns.get("payload_weight_g")
-        if payload is None:
-            payload = np.full(stop - start, base.payload_weight_g)
-        payload = payload + columns["extra_payload_g"]
-        if np.any(payload < 0.0):
-            worst = float(payload.min())
+        carried = knob_columns.get("payload_weight_g")
+        if carried is None:
+            carried = np.full(stop - start, base.payload_weight_g)
+        delta = columns["extra_payload_g"]
+        payload = carried + delta
+        negative = payload < 0.0
+        if negative.any():
+            # The first offending row in row-major order, so every
+            # chunking of the study names the same row.
+            row = int(np.argmax(negative))
             raise spec_error(
                 "scenarios.extra_payload_g",
-                f"payload goes negative ({worst:g} g); deltas cannot "
-                "shed more than the payload knob carries",
+                f"payload goes negative at payload_weight_g="
+                f"{carried[row]:g}, extra_payload_g={delta[row]:g} "
+                f"({payload[row]:g} g); deltas cannot shed more than "
+                "the payload knob carries",
             )
         knob_columns["payload_weight_g"] = payload
     knob_matrix = _knob_matrix(base, knob_columns, labels)
@@ -442,39 +397,15 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
     )
 
 
-#: Per-process memo of fully compiled fleet/preset plans, keyed by the
-#: spec's content digest.  Every chunk of a fleet/preset design needs
-#: the same N gathered configurations (and, for presets, the registry
-#: enumeration), so each worker compiles the configuration-bounded full
-#: plan once and slices every subsequent chunk out of it: N chunks of
-#: one spec cost one compile.  The lock keeps thread-backend workers
-#: from compiling N copies of the full plan at once (or racing the
-#: eviction loop) — plans are immutable, so serializing the compile is
-#: the cheap, correct choice.
-_FLEET_PLAN_MEMO: Dict[str, StudyPlan] = {}
-_FLEET_PLAN_MEMO_SIZE = 4
-_FLEET_PLAN_LOCK = threading.Lock()
-
-
-def _fleet_plan(spec: StudySpec) -> StudyPlan:
-    key = spec.content_digest()
-    with _FLEET_PLAN_LOCK:
-        plan = _FLEET_PLAN_MEMO.get(key)
-        if plan is None:
-            plan = compile_spec(spec)
-            while len(_FLEET_PLAN_MEMO) >= _FLEET_PLAN_MEMO_SIZE:
-                _FLEET_PLAN_MEMO.pop(next(iter(_FLEET_PLAN_MEMO)))
-            _FLEET_PLAN_MEMO[key] = plan
-    return plan
-
-
 def compile_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
     """Compile only rows ``[start, stop)`` of a spec.
 
-    Knob-axes designs are rebuilt by Cartesian index arithmetic (O(chunk)
-    memory); preset/fleet designs slice a per-process memoized full plan
-    (their size is bounded by real configuration counts).  Chunks
-    concatenate bitwise-identically to ``compile_spec(spec)``.
+    The one planner path of each design kind: knob rows are a
+    Cartesian slice, and preset/fleet rows gather only the designs the
+    range touches, so a chunk holds at most ``stop - start + 2·M``
+    rows (M scenario rows per design) and nothing is memoized.  Chunks
+    concatenate bitwise-identically to ``compile_spec(spec)``, which
+    is this compile over every row.
     """
     if not isinstance(spec, StudySpec):
         raise ConfigurationError(
@@ -487,12 +418,4 @@ def compile_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
         )
     if spec.design.kind == "knobs":
         return _compile_knob_chunk(spec, start, stop)
-    plan = _fleet_plan(spec)
-    rows = np.arange(start, stop)
-    return ShardPlan(
-        start=start,
-        stop=stop,
-        matrix=plan.matrix.take(rows),
-        total_mass_g=plan.total_mass_g[rows],
-        compute_tdp_w=plan.compute_tdp_w[rows],
-    )
+    return _compile_fleet(spec, start, stop)

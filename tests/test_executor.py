@@ -11,7 +11,9 @@ spawn on CI — while the property suites run on the serial backend.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tracemalloc
 
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autonomy.workloads import ALGORITHMS
 from repro.batch import (
     BatchCache,
     DEFAULT_CACHE,
@@ -40,8 +43,9 @@ from repro.batch import (
     top_k_sharded,
 )
 from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard
+from repro.compute.platforms import PLATFORMS
 from repro.dse import DesignSpace, explore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShardExecutionError
 from repro.io.serialization import (
     MANIFEST_VERSION,
     batch_results_equal,
@@ -64,7 +68,7 @@ from repro.study import (
     study_axes,
     study_size,
 )
-from repro.uav.registry import get_preset
+from repro.uav.registry import UAV_PRESETS, get_preset
 
 
 def _grid(n_rows: int = 120) -> DesignMatrix:
@@ -107,9 +111,56 @@ def _preset_scenario_spec() -> StudySpec:
     )
 
 
+def _fleet_scenario_spec() -> StudySpec:
+    """A labelled fleet crossed with all three scenario axes."""
+    return StudySpec(
+        design=DesignSpec.fleet(
+            uavs=(
+                get_preset("dji-spark"),
+                get_preset("asctec-pelican"),
+                get_preset("custom-s500-b"),
+            ),
+            f_compute_hz=(5.0, 50.0, 20.0),
+            labels=("spark", "pelican", "s500"),
+        ),
+        scenarios=ScenarioSpec(
+            extra_payload_g=(0.0, 25.0, 60.0),
+            a_max_scale=(0.7, 1.0),
+            compute_redundancy=(1, 2),
+        ),
+    )
+
+
+def _huge_preset_spec() -> StudySpec:
+    """Every preset, platform and algorithm x 2,000 scenario rows:
+    756,000 rows, 378 designs."""
+    return StudySpec(
+        design=DesignSpec.presets(
+            uav_names=tuple(UAV_PRESETS),
+            compute_names=tuple(PLATFORMS),
+            algorithm_names=tuple(ALGORITHMS),
+        ),
+        scenarios=ScenarioSpec(
+            extra_payload_g=tuple(np.linspace(0.0, 200.0, 50)),
+            a_max_scale=tuple(np.linspace(0.5, 1.0, 20)),
+            compute_redundancy=(1, 2),
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cartesian index arithmetic
 # ---------------------------------------------------------------------------
+def _reference_columns(axes) -> dict:
+    """Row-major Cartesian columns by ``itertools.product`` (last axis
+    fastest): a reference independent of :mod:`repro.batch.grid`."""
+    rows = list(itertools.product(*axes.values()))
+    return {
+        name: np.array([row[i] for row in rows], dtype=np.float64)
+        for i, name in enumerate(axes)
+    }
+
+
 class TestCartesianSlice:
     @given(
         sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
@@ -124,16 +175,50 @@ class TestCartesianSlice:
         total = cartesian_row_count(axes)
         start = data.draw(st.integers(0, total))
         stop = data.draw(st.integers(start, total))
-        full = cartesian_product(axes)
+        expected = _reference_columns(axes)
         part = cartesian_slice(axes, start, stop)
+        full = cartesian_product(axes)
         for name in axes:
             np.testing.assert_array_equal(
-                part[name], full[name][start:stop]
+                part[name], expected[name][start:stop]
             )
+            np.testing.assert_array_equal(full[name], expected[name])
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (4,), (1, 1), (1, 3), (3, 1), (2, 3), (3, 1, 2), (2, 2, 3),
+         (2, 1, 3, 2)],
+        ids=str,
+    )
+    def test_every_range_of_small_shapes(self, shape):
+        # Every [start, stop), so slices start and end mid-run of
+        # every slower axis; the columns are fresh arrays, because
+        # KnobMatrix._adopt and DesignMatrix._adopt freeze them
+        # without copying.
+        axes = {
+            f"axis{i}": np.arange(n, dtype=np.float64) + 10.0 * i
+            for i, n in enumerate(shape)
+        }
+        expected = _reference_columns(axes)
+        total = cartesian_row_count(axes)
+        for start in range(total + 1):
+            for stop in range(start, total + 1):
+                part = cartesian_slice(axes, start, stop)
+                assert list(part) == list(axes)
+                for name, axis in axes.items():
+                    assert part[name].dtype == np.float64
+                    assert (
+                        part[name].tobytes()
+                        == expected[name][start:stop].tobytes()
+                    )
+                    assert not np.shares_memory(part[name], axis)
+        for name, column in cartesian_product(axes).items():
+            assert column.tobytes() == expected[name].tobytes()
+            assert not np.shares_memory(column, axes[name])
 
     def test_chunks_reassemble_the_grid(self):
         axes = {"a": (1.0, 2.0, 3.0), "b": (4.0, 5.0), "c": (6.0, 7.0)}
-        full = cartesian_product(axes)
+        expected = _reference_columns(axes)
         for chunk in (1, 2, 5, 12, 100):
             parts = [
                 cartesian_slice(axes, start, stop)
@@ -143,7 +228,7 @@ class TestCartesianSlice:
             ]
             for name in axes:
                 np.testing.assert_array_equal(
-                    np.concatenate([p[name] for p in parts]), full[name]
+                    np.concatenate([p[name] for p in parts]), expected[name]
                 )
 
     def test_out_of_range_slice_is_an_error(self):
@@ -385,6 +470,40 @@ class TestShardedStudies:
         sharded = run_study(spec, cache=None, chunk_rows=3)
         assert single.equals(sharded)
         assert sharded.batch.matrix.labels == single.batch.matrix.labels
+
+    def test_knob_payload_error_is_independent_of_chunking(self):
+        # Rows (0, -5), (0, -20) and (10, -20) go negative; every
+        # chunking names the first of them, in row-major order.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(
+                axes={"payload_weight_g": (0.0, 10.0, 50.0)}
+            ),
+            scenarios=ScenarioSpec(extra_payload_g=(-5.0, -20.0)),
+        )
+        with pytest.raises(ConfigurationError) as single:
+            run_study(spec, cache=None)
+        message = str(single.value)
+        assert "payload_weight_g=0, extra_payload_g=-5 (-5 g)" in message
+        for chunk in (1, 2, 4):
+            with pytest.raises(ShardExecutionError) as sharded:
+                run_study(spec, cache=None, chunk_rows=chunk)
+            assert str(sharded.value.__cause__) == message
+
+    def test_preset_shard_memory_is_bounded_by_its_rows(self):
+        # A shard of a preset x scenario study gathers only the
+        # designs its rows touch (at most chunk + 2·M rows), never
+        # the whole 756,000-row plan.
+        spec = _huge_preset_spec()
+        assert study_size(spec) == 756_000
+        start = 500_000 - 1_000  # mid-design, like most shards
+        tracemalloc.start()
+        try:
+            shard = compile_chunk(spec, start, start + 4_096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(shard) == 4_096
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_presets_and_fleet_identical(self):
         presets = StudySpec(
@@ -834,6 +953,24 @@ class TestExecutorValidation:
         ]
         merged = DesignMatrix.concat([c.matrix for c in chunks])
         assert design_matrices_equal(compile_spec(spec).matrix, merged)
+        # Preset and fleet designs, at chunk sizes that split a
+        # design's block of M scenario rows.
+        for spec in (_preset_scenario_spec(), _fleet_scenario_spec()):
+            plan = compile_spec(spec)
+            m = math.prod(map(len, spec.scenarios.axes().values()))
+            assert m > 2
+            for chunk_rows in (1, 3, m - 1, m + 1):
+                chunks = [
+                    compile_chunk(spec, start, stop)
+                    for start, stop in shard_ranges(len(plan), chunk_rows)
+                ]
+                merged = DesignMatrix.concat([c.matrix for c in chunks])
+                for got, want in zip(merged.columns(), plan.matrix.columns()):
+                    assert got.tobytes() == want.tobytes()
+                assert merged.labels == plan.matrix.labels
+                for name in ("total_mass_g", "compute_tdp_w"):
+                    got = np.concatenate([getattr(c, name) for c in chunks])
+                    assert got.tobytes() == getattr(plan, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +1100,6 @@ class TestShardFailureContext:
         )
 
     def test_serial_failure_names_shard_and_row_range(self):
-        from repro.errors import ShardExecutionError
-
         executor = ParallelExecutor(n_workers=1, backend="serial")
         with pytest.raises(ShardExecutionError) as excinfo:
             list(executor.map_shards([self._failing_shard()]))
@@ -979,8 +1114,6 @@ class TestShardFailureContext:
     def test_process_pool_failure_keeps_shard_context(self):
         # Regression: a worker-process traceback used to surface as a
         # bare ConfigurationError with no hint of which rows died.
-        from repro.errors import ShardExecutionError
-
         with ParallelExecutor(n_workers=1, backend="process") as executor:
             with pytest.raises(ShardExecutionError) as excinfo:
                 list(executor.map_shards([self._failing_shard(index=7)]))
@@ -991,8 +1124,6 @@ class TestShardFailureContext:
 
     def test_shard_error_is_picklable_with_fields(self):
         import pickle
-
-        from repro.errors import ShardExecutionError
 
         err = ShardExecutionError(
             "shard 2 (rows [4, 8)) failed", shard_index=2, start=4, stop=8
@@ -1005,7 +1136,6 @@ class TestShardFailureContext:
 
     def test_wrapper_does_not_double_wrap(self, monkeypatch):
         import repro.batch.executor as executor_module
-        from repro.errors import ShardExecutionError
 
         inner = ShardExecutionError("already wrapped", shard_index=1)
 

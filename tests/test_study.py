@@ -16,7 +16,7 @@ from repro.autonomy.workloads import ALGORITHMS
 from repro.batch import DesignMatrix, assemble_configurations
 from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShardExecutionError
 from repro.skyline.cli import main as cli_main
 from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import SWEEPABLE_KNOBS, sweep_grid, sweep_knob
@@ -701,6 +701,15 @@ class TestColumnarFleetCompile:
             compile_spec(spec)
         assert type(columnar.value) is type(per_row.value)
         assert str(columnar.value) == message
+        # Each shard checks only its own rows; in row order the first
+        # failing shard holds the first offending row.  (The
+        # overflowing case's earlier shards assemble 1.5e308 g rows,
+        # which overflow the thrust margin to the braking floor.)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ShardExecutionError) as sharded:
+                run_study(spec, chunk_rows=1)
+        assert type(sharded.value.__cause__) is type(per_row.value)
+        assert str(sharded.value.__cause__) == message
 
 
 class TestFiltersAndRank:
