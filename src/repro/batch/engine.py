@@ -8,11 +8,11 @@ a content-addressed :class:`~repro.batch.cache.BatchCache` as
 ``cache=``: keying one hashes every matrix column, which costs about
 as much as the kernels it would save.
 
-Passing ``executor=`` or ``chunk_rows=`` routes the evaluation through
-the sharded layer (:mod:`repro.batch.executor`): the matrix is split
-into row-range chunks and evaluated serially, across threads, or
-across worker processes, with a result bitwise identical to the
-one-pass path.
+Sharded execution lives one layer up: :mod:`repro.batch.executor`
+splits a :class:`~repro.study.spec.StudySpec` into row ranges, and
+each shard compiles its own rows and runs this same pass over them,
+so the merged result is bitwise identical to one pass over the whole
+grid.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .matrix import DesignMatrix
 from .result import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.progress import ProgressCallback
     from ..obs.tracer import Tracer
-    from .executor import ParallelExecutor
 
 #: A process-wide cache for callers that opt in with
 #: ``cache=DEFAULT_CACHE``.  No evaluation path in the package passes
@@ -46,26 +44,12 @@ def clear_default_cache() -> None:
     DEFAULT_CACHE.clear()
 
 
-def _knee_of(matrix: DesignMatrix, knee_fraction: Optional[float]) -> float:
-    """``knee_fraction``, else the matrix's own, else the default rule."""
-    if knee_fraction is not None:
-        return knee_fraction
-    if matrix.knee_fraction is not None:
-        return matrix.knee_fraction
-    return DEFAULT_KNEE_FRACTION
-
-
 def evaluate_matrix(
     matrix: DesignMatrix,
     knee_fraction: Optional[float] = None,
     tolerance: float = 0.05,
     cache: Optional[BatchCache] = None,
-    executor: Optional["ParallelExecutor"] = None,
-    chunk_rows: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     tracer: Optional["Tracer"] = None,
-    progress: Optional["ProgressCallback"] = None,
 ) -> BatchResult:
     """Evaluate every design point of ``matrix`` in one vectorized pass.
 
@@ -75,14 +59,6 @@ def evaluate_matrix(
     back to the calibrated default.  ``tolerance`` is the optimality
     band around the knee.  The result is numerically identical to
     building an :class:`~repro.core.model.F1Model` per row.
-
-    ``executor`` / ``chunk_rows`` / ``checkpoint_dir`` / ``resume``
-    opt into sharded evaluation: the matrix is chunked into row ranges
-    of at most ``chunk_rows`` and fanned out over the executor's
-    workers (or evaluated serially, chunk by chunk, when only
-    ``chunk_rows`` is given), with one JSONL checkpoint record per
-    completed shard when ``checkpoint_dir`` is set.  The merged result
-    is bitwise identical to the one-pass path.
 
     ``cache`` opts into memoization: a result already in that cache is
     served from it, and a new one lands there, keyed by the matrix's
@@ -94,11 +70,15 @@ def evaluate_matrix(
     ``cache_hit`` attribute) plus, with a ``cache``,
     ``cache.hits``/``cache.misses`` counters attributed via
     :meth:`~repro.batch.cache.BatchCache.stats_snapshot` deltas, and a
-    ``rows.evaluated`` counter.  ``progress`` only fires
-    on the sharded path (per completed shard).  Both default to
-    ``None`` — uninstrumented calls pay a null-check, nothing more.
+    ``rows.evaluated`` counter.  It defaults to ``None`` —
+    uninstrumented calls pay a null-check, nothing more.
     """
-    knee_fraction = _knee_of(matrix, knee_fraction)
+    if knee_fraction is None:
+        knee_fraction = (
+            matrix.knee_fraction
+            if matrix.knee_fraction is not None
+            else DEFAULT_KNEE_FRACTION
+        )
     require_fraction("knee_fraction", knee_fraction)
     require_nonnegative("tolerance", tolerance)
 
@@ -120,53 +100,32 @@ def evaluate_matrix(
                 )
             return cached
 
-    if (
-        executor is not None or chunk_rows is not None
-        or checkpoint_dir is not None or resume
-    ):
-        from .executor import _run_sharded
-
-        result, _, _ = _run_sharded(
-            matrix,
-            knee_fraction=knee_fraction,
-            tolerance=tolerance,
-            executor=executor,
-            chunk_rows=chunk_rows,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            tracer=tracer,
-            progress=progress,
-        )
-    else:
-        d = matrix.sensing_range_m
-        a = matrix.a_max
-        f_action = kernels.action_throughput(
-            matrix.f_sensor_hz, matrix.f_compute_hz, matrix.f_control_hz
-        )
-        knee_hz = kernels.knee_throughput(d, a, knee_fraction)
-        result = BatchResult._adopt(
-            matrix=matrix,
-            roof_velocity=kernels.roof_velocity(d, a),
-            knee_hz=knee_hz,
-            knee_velocity=kernels.knee_velocity(d, a, knee_fraction),
-            action_throughput_hz=f_action,
-            safe_velocity=kernels.safe_velocity_at_rate(f_action, d, a),
-            bound_codes=kernels.classify_bounds(
-                matrix.f_sensor_hz,
-                matrix.f_compute_hz,
-                matrix.f_control_hz,
-                f_action,
-                knee_hz,
-            ),
-            status_codes=kernels.optimality_status(
-                f_action, knee_hz, tolerance
-            ),
-            knee_fraction=knee_fraction,
-            tolerance=tolerance,
-        )
-        if tracer is not None:
-            # Sharded rows are counted once, by each shard's own pass.
-            tracer.counter("rows.evaluated").add(len(matrix))
+    d = matrix.sensing_range_m
+    a = matrix.a_max
+    f_action = kernels.action_throughput(
+        matrix.f_sensor_hz, matrix.f_compute_hz, matrix.f_control_hz
+    )
+    knee_hz = kernels.knee_throughput(d, a, knee_fraction)
+    result = BatchResult._adopt(
+        matrix=matrix,
+        roof_velocity=kernels.roof_velocity(d, a),
+        knee_hz=knee_hz,
+        knee_velocity=kernels.knee_velocity(d, a, knee_fraction),
+        action_throughput_hz=f_action,
+        safe_velocity=kernels.safe_velocity_at_rate(f_action, d, a),
+        bound_codes=kernels.classify_bounds(
+            matrix.f_sensor_hz,
+            matrix.f_compute_hz,
+            matrix.f_control_hz,
+            f_action,
+            knee_hz,
+        ),
+        status_codes=kernels.optimality_status(f_action, knee_hz, tolerance),
+        knee_fraction=knee_fraction,
+        tolerance=tolerance,
+    )
+    if tracer is not None:
+        tracer.counter("rows.evaluated").add(len(matrix))
     if cache is not None:
         cache.put(key, result)
     if tracer is not None:

@@ -1,14 +1,14 @@
-"""Sharded, parallel execution of batch evaluations.
+"""Sharded, parallel execution of study specs.
 
 :func:`~repro.batch.engine.evaluate_matrix` is a single vectorized
 pass: one process, one allocation the size of the whole grid.  This
-module scales that pass out without changing a single bit of the
-result.  Every sharded entry point — ``evaluate_matrix(executor=...)``,
-``run_study(executor=...)`` and :func:`top_k_sharded` — runs the same
-three-step pipeline:
+module scales a :class:`~repro.study.spec.StudySpec` out over shards
+without changing a single bit of the result.  Both sharded entry
+points — ``run_study(executor=...)`` and :func:`top_k_sharded` — run
+the same three-step pipeline:
 
-* **plan** resolves the evaluation contract (knee, tolerance), the
-  source digest and the chunking into one :class:`ShardManifest`, and
+* **plan** resolves the spec's digest, its evaluation contract (knee,
+  tolerance) and the chunking into one :class:`ShardManifest`, and
   binds the run's store: a checkpoint directory, the work directory of
   a :class:`~repro.distrib.DistributedExecutor`, or none.  An
   unspecified ``chunk_rows`` adopts the chunking of a manifest already
@@ -24,10 +24,9 @@ three-step pipeline:
   (:func:`~repro.batch.result.merge_top_k`), keeping ``O(k)`` state so
   fleet-scale winners never require fleet-scale memory.
 
-A source is a :class:`~repro.batch.matrix.DesignMatrix` or a
-declarative :class:`~repro.study.spec.StudySpec` (:func:`iter_chunks`).
-Spec shards are never materialized in the parent: each worker rebuilds
-only its ``[start, stop)`` rows with
+A :class:`Shard` is only a row range ``[start, stop)`` of the spec,
+streamed lazily by :func:`iter_chunks`.  Shards are never materialized
+in the parent: each worker rebuilds only its rows with
 :func:`~repro.study.planner.compile_chunk`, the planner's one
 row-range path.  A knob shard is a
 :func:`~repro.batch.grid.cartesian_slice`, and a preset or fleet shard
@@ -39,9 +38,7 @@ design, 1 without scenarios): a 10M-point grid needs
 There are two scheduling policies.  :class:`ParallelExecutor` fans
 shards out over :mod:`concurrent.futures` workers —
 ``backend="process"`` (true parallelism), ``"thread"`` (no pickling)
-or ``"serial"`` (chunked streaming in-process) — and dispatches
-identical chunks (by content hash) once, fanning them back out on
-join.
+or ``"serial"`` (chunked streaming in-process).
 :class:`~repro.distrib.DistributedExecutor` pulls shards from a shared
 work directory under the lease protocol.  Both persist every shard
 they complete to the store as one JSONL record
@@ -56,23 +53,22 @@ so nothing a worker inherits across a fork can leak between runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import uuid
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -87,9 +83,11 @@ from ..io.serialization import (
 )
 from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
-from .engine import _knee_of, evaluate_matrix
-from .matrix import DesignMatrix
-from .result import BatchResult, concat_results, merge_top_k
+from .engine import evaluate_matrix
+from .result import SORTABLE_COLUMNS, BatchResult, concat_results, merge_top_k
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..study.spec import StudySpec
 
 #: Execution backends a :class:`ParallelExecutor` accepts.
 BACKENDS = ("process", "thread", "serial")
@@ -108,17 +106,11 @@ _MANIFEST_NAME = "manifest.json"
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Shard:
-    """One row-range unit of work.
-
-    ``task`` is the picklable worker payload; ``key`` (when set) is a
-    content hash used to dispatch identical chunks only once.
-    """
+    """Rows ``[start, stop)`` of a study: shard ``index`` of its run."""
 
     index: int
     start: int
     stop: int
-    task: Dict[str, Any]
-    key: Optional[str] = None
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -143,10 +135,10 @@ class ShardResult:
     extras: Optional[Dict[str, np.ndarray]] = None
     #: The worker's shipped observability payload (``{"events",
     #: "counters", "elapsed_s"}``) when a traced shard ran in a worker
-    #: *process*; ``None`` otherwise — untraced runs, dedupe copies,
-    #: and in-process (serial/thread) shards, whose spans land directly
-    #: in the parent tracer.  Not part of the checkpoint wire format —
-    #: timings of a past run are not needed to resume it.
+    #: *process*; ``None`` otherwise — untraced runs and in-process
+    #: (serial/thread) shards, whose spans land directly in the parent
+    #: tracer.  Not part of the checkpoint wire format — timings of a
+    #: past run are not needed to resume it.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -183,123 +175,51 @@ def default_chunk_rows(total_rows: int, n_workers: int) -> int:
     return max(1, min(DEFAULT_CHUNK_ROWS, target))
 
 
-def _matrix_digest(
-    matrix: DesignMatrix,
-    knee_fraction: float,
-    tolerance: float,
-    rows: slice = slice(None),
-) -> str:
-    """A cross-process-stable content digest of a matrix evaluation.
+def _require_spec(source: Any, what: str) -> None:
+    from ..study.spec import StudySpec
 
-    Digests ``rows`` of ``matrix`` (all of them by default) straight
-    from the column buffers, without copying them.  Unlike
-    :meth:`DesignMatrix.content_hash` (whose label component uses
-    Python's per-process string hashing), labels are digested
-    byte-wise here: checkpoint manifests must survive interpreter
-    restarts.
-    """
-    columns = [column[rows] for column in matrix.columns()]
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(columns[0].size.to_bytes(8, "little"))
-    for column in columns:
-        digest.update(column)
-    if matrix.labels is not None:
-        for label in matrix.labels[rows]:
-            digest.update(label.encode("utf-8"))
-            digest.update(b"\x00")
-    digest.update(repr((knee_fraction, tolerance)).encode("ascii"))
-    return digest.hexdigest()
+    if not isinstance(source, StudySpec):
+        raise ConfigurationError(
+            f"{what} takes a StudySpec, got {type(source).__name__}"
+        )
 
 
 def iter_chunks(
-    source: Union[DesignMatrix, "Any"],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    knee_fraction: Optional[float] = None,
-    tolerance: float = 0.05,
-    reduce: Optional[Dict[str, Any]] = None,
+    spec: "StudySpec", chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Iterator[Shard]:
-    """Stream the row-range shards of a matrix or a study spec.
+    """Stream the row-range shards of a study spec.
 
-    For a :class:`DesignMatrix`, each shard's task carries read-only
-    row-range views of the columns — no copy until a process pool
-    pickles them (``O(chunk_rows)`` bytes per shard) — plus a content
-    hash of those rows so identical chunks dispatch once.  For a
-    :class:`~repro.study.spec.StudySpec`, the task carries only the
-    spec and the ``[start, stop)`` range — the worker rebuilds its rows
-    by index arithmetic, so the full grid never exists in the parent;
-    the spec's own ``knee_fraction``/``tolerance`` apply.
-
-    ``reduce`` (``{"k", "by", "descending"}``) asks each worker to
-    return only its shard-local top-k rows, the streaming-reduction
-    mode :func:`top_k_sharded` builds on.
+    A shard carries no rows: its worker rebuilds rows ``[start,
+    stop)`` from the spec by index arithmetic, so the full grid never
+    exists in the parent.
     """
-    from ..study.spec import StudySpec
+    from ..study.planner import study_size
 
-    if isinstance(source, DesignMatrix):
-        resolved = _knee_of(source, knee_fraction)
-        for index, (start, stop) in enumerate(
-            shard_ranges(len(source), chunk_rows)
-        ):
-            rows = slice(start, stop)
-            yield Shard(
-                index=index,
-                start=start,
-                stop=stop,
-                task={
-                    "kind": "matrix",
-                    "index": index,
-                    "start": start,
-                    "stop": stop,
-                    "columns": {
-                        name: getattr(source, name)[rows]
-                        for name in source.column_names
-                    },
-                    "labels": (
-                        None if source.labels is None else source.labels[rows]
-                    ),
-                    "matrix_knee_fraction": source.knee_fraction,
-                    "knee_fraction": resolved,
-                    "tolerance": tolerance,
-                    "reduce": reduce,
-                },
-                key=_matrix_digest(source, resolved, tolerance, rows),
-            )
-        return
-    if isinstance(source, StudySpec):
-        from ..study.planner import study_size
-
-        digest = source.content_digest()
-        for index, (start, stop) in enumerate(
-            shard_ranges(study_size(source), chunk_rows)
-        ):
-            yield Shard(
-                index=index,
-                start=start,
-                stop=stop,
-                task={
-                    "kind": "study",
-                    "index": index,
-                    "spec": source,
-                    "start": start,
-                    "stop": stop,
-                    "knee_fraction": source.knee_fraction,
-                    "tolerance": source.tolerance,
-                    "reduce": reduce,
-                },
-                key=f"{digest}:{start}:{stop}:{reduce!r}",
-            )
-        return
-    raise ConfigurationError(
-        "iter_chunks takes a DesignMatrix or a StudySpec, got "
-        f"{type(source).__name__}"
-    )
+    _require_spec(spec, "iter_chunks")
+    for index, (start, stop) in enumerate(
+        shard_ranges(study_size(spec), chunk_rows)
+    ):
+        yield Shard(index, start, stop)
 
 
 # ---------------------------------------------------------------------------
 # The worker side
 # ---------------------------------------------------------------------------
-def _evaluate_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate one shard task (runs in a worker, or inline).
+def _evaluate_shard(
+    spec: "StudySpec",
+    shard: Shard,
+    reduce: Optional[Dict[str, Any]] = None,
+    trace: Any = None,
+) -> Dict[str, Any]:
+    """Evaluate one shard of ``spec`` (runs in a worker, or inline).
+
+    ``reduce`` (``{"k", "by", "descending"}``) keeps only the shard's
+    local top-k rows.  ``trace`` opts into span recording: in-process
+    workers (serial/thread) get a :meth:`~repro.obs.tracer.Tracer.track`
+    view of the parent's tracer and record directly — same process,
+    same epoch — while process workers get ``True``, build their own
+    tracer and ship its spans home as wire dicts for the parent to
+    absorb.
 
     Any failure re-raises as a
     :class:`~repro.errors.ShardExecutionError` carrying the shard
@@ -309,64 +229,40 @@ def _evaluate_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     just that range is the first debugging step.
     """
     try:
-        return _evaluate_shard_task(task)
+        return _evaluate_shard_task(spec, shard, reduce, trace)
     except ShardExecutionError:
         raise
     except Exception as exc:
-        index = task.get("index")
-        start, stop = task.get("start"), task.get("stop")
-        where = (
-            f" (rows [{start}, {stop}))"
-            if start is not None and stop is not None
-            else ""
-        )
         raise ShardExecutionError(
-            f"shard {index}{where} failed: "
-            f"{type(exc).__name__}: {exc}",
-            shard_index=index,
-            start=start,
-            stop=stop,
+            f"shard {shard.index} (rows [{shard.start}, {shard.stop})) "
+            f"failed: {type(exc).__name__}: {exc}",
+            shard_index=shard.index,
+            start=shard.start,
+            stop=shard.stop,
         ) from exc
 
 
-def _evaluate_shard_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    # In-process workers (serial/thread) get a ``tracer`` view of the
-    # parent's tracer and record directly — same process, same epoch.
-    # Process workers only see ``trace``: they build their own tracer
-    # and ship its spans home as wire dicts for the parent to absorb.
-    tracer = task.get("tracer")
-    local = None
-    if tracer is None and task.get("trace"):
-        tracer = local = Tracer()
+def _evaluate_shard_task(
+    spec: "StudySpec",
+    shard: Shard,
+    reduce: Optional[Dict[str, Any]],
+    trace: Any,
+) -> Dict[str, Any]:
+    from ..study.planner import compile_chunk
+
+    tracer = Tracer() if trace is True else trace
     shard_started = perf_counter() if tracer is not None else 0.0
     with maybe_span(tracer, "shard.compile"):
-        if task["kind"] == "matrix":
-            # The columns are views of a validated, frozen matrix (or a
-            # worker's unpickled copies of them): adopt, never copy.
-            matrix = DesignMatrix._adopt(
-                **task["columns"],
-                labels=task["labels"],
-                knee_fraction=task["matrix_knee_fraction"],
-            )
-            extras: Dict[str, np.ndarray] = {}
-        else:
-            from ..study.planner import compile_chunk
-
-            plan = compile_chunk(task["spec"], task["start"], task["stop"])
-            matrix = plan.matrix
-            extras = {
-                "total_mass_g": plan.total_mass_g,
-                "compute_tdp_w": plan.compute_tdp_w,
-            }
-    with maybe_span(tracer, "shard.evaluate", rows=len(matrix)):
+        plan = compile_chunk(spec, shard.start, shard.stop)
+    extras = {name: getattr(plan, name) for name in EXTRA_COLUMNS}
+    with maybe_span(tracer, "shard.evaluate", rows=len(plan)):
         result = evaluate_matrix(
-            matrix,
-            knee_fraction=task["knee_fraction"],
-            tolerance=task["tolerance"],
+            plan.matrix,
+            knee_fraction=spec.knee_fraction,
+            tolerance=spec.tolerance,
             tracer=tracer,
         )
     local_indices: Optional[np.ndarray] = None
-    reduce = task.get("reduce")
     if reduce is not None:
         with maybe_span(tracer, "shard.reduce", k=reduce["k"]):
             local_indices = result.top_k_indices(
@@ -384,33 +280,29 @@ def _evaluate_shard_task(task: Dict[str, Any]) -> Dict[str, Any]:
     }
     if tracer is not None:
         elapsed = perf_counter() - shard_started
-        if local is None:
-            outcome["elapsed_s"] = elapsed
-        else:
+        if trace is True:
             outcome["telemetry"] = {
-                "events": local.to_events(),
-                "counters": local.counters_snapshot(),
+                "events": tracer.to_events(),
+                "counters": tracer.counters_snapshot(),
                 "elapsed_s": elapsed,
             }
+        else:
+            outcome["elapsed_s"] = elapsed
     return outcome
 
 
-def _worker_task(
+def _worker_trace(
     shard: Shard, tracer: Optional[Tracer], in_process: bool
-) -> Dict[str, Any]:
-    """The task a worker evaluates for ``shard``.
+) -> Any:
+    """The ``trace`` argument a worker evaluates ``shard`` with.
 
     Traced, in-process workers record spans straight onto the shard's
     track of ``tracer`` (same process, same epoch); process workers
     ship their spans home as wire dicts.
     """
-    task = dict(shard.task)
-    if tracer is not None:
-        if in_process:
-            task["tracer"] = tracer.track(shard.index + 1)
-        else:
-            task["trace"] = True
-    return task
+    if tracer is None:
+        return None
+    return tracer.track(shard.index + 1) if in_process else True
 
 
 def _finish(
@@ -462,7 +354,10 @@ def _finish(
 
 
 def _evaluate_in_process(
-    shard: Shard, tracer: Optional[Tracer]
+    spec: "StudySpec",
+    shard: Shard,
+    reduce: Optional[Dict[str, Any]],
+    tracer: Optional[Tracer],
 ) -> ShardResult:
     """Evaluate one shard inline, as the serial backend does.
 
@@ -470,7 +365,9 @@ def _evaluate_in_process(
     in-process under exactly the same memory and tracing contract.
     """
     dispatched = perf_counter()
-    outcome = _evaluate_shard(_worker_task(shard, tracer, in_process=True))
+    outcome = _evaluate_shard(
+        spec, shard, reduce, _worker_trace(shard, tracer, in_process=True)
+    )
     return _finish(shard, outcome, dispatched, tracer)
 
 
@@ -485,7 +382,7 @@ class ParallelExecutor:
     :meth:`close` — or use the instance as a context manager — to shut
     it down.  ``backend="serial"`` evaluates shards inline, one at a
     time, which is the chunked *streaming* mode: peak memory is one
-    chunk, not one grid.
+    chunk, not one grid.  Every shard is evaluated exactly once.
     """
 
     #: A local pool keeps no shared work directory: it persists shards
@@ -547,20 +444,21 @@ class ParallelExecutor:
 
     def map_shards(
         self,
+        spec: "StudySpec",
         shards: Iterable[Shard],
+        reduce: Optional[Dict[str, Any]] = None,
         tracer: Optional[Tracer] = None,
         store: Optional["CheckpointStore"] = None,
     ) -> Iterator[ShardResult]:
-        """Evaluate shards, yielding results as they complete.
+        """Evaluate the ``shards`` of ``spec``, yielding as they complete.
 
-        Identical shards (same content ``key``) are evaluated once and
-        fanned back out to every duplicate, each copy counted as a
-        ``shards.dedupe_hits`` tick.  Completion order is arbitrary
-        for parallel backends; consumers that need global order collect
-        by :attr:`ShardResult.index`.  ``store`` persists every result
+        Completion order is arbitrary for parallel backends; consumers
+        that need global order collect by :attr:`ShardResult.index`.
+        ``reduce`` keeps each shard's local top-k (see
+        :func:`_evaluate_shard`), and ``store`` persists every result
         before it is yielded.
 
-        ``tracer`` opts workers into span recording: each unique shard
+        ``tracer`` opts workers into span recording: each shard
         contributes a parent-side ``shard.task`` span and its
         worker-side spans (``shard.compile``/``shard.evaluate``/…)
         under ``tid = shard_index + 1``, plus ``shards.completed`` and
@@ -570,45 +468,29 @@ class ParallelExecutor:
         them home as wire dicts (rebased on absorption, and also
         exposed as :attr:`ShardResult.telemetry`).
         """
-        groups: Dict[Any, List[Shard]] = {}
-        for shard in shards:
-            groups.setdefault(shard.key or shard.index, []).append(shard)
-        followers = {group[0].index: group[1:] for group in groups.values()}
-        unique = [group[0] for group in groups.values()]
-        for result in self._evaluate(unique, tracer):
-            copies = [
-                replace(
-                    result,
-                    index=follower.index,
-                    start=follower.start,
-                    stop=follower.stop,
-                    telemetry=None,
-                )
-                for follower in followers[result.index]
-            ]
-            if copies and tracer is not None:
-                tracer.counter("shards.dedupe_hits").add(len(copies))
-            for each in (result, *copies):
-                if store is not None:
-                    store.write(each, tracer)
-                yield each
+        for result in self._evaluate(spec, shards, reduce, tracer):
+            if store is not None:
+                store.write(result, tracer)
+            yield result
 
     def _evaluate(
-        self, unique: List[Shard], tracer: Optional[Tracer]
+        self,
+        spec: "StudySpec",
+        shards: Iterable[Shard],
+        reduce: Optional[Dict[str, Any]],
+        tracer: Optional[Tracer],
     ) -> Iterator[ShardResult]:
-        """Evaluate each shard once, yielding in completion order."""
+        """Evaluate each shard, yielding in completion order."""
         if self.backend == "serial":
-            for shard in unique:
-                yield _evaluate_in_process(shard, tracer)
+            for shard in shards:
+                yield _evaluate_in_process(spec, shard, reduce, tracer)
             return
-        if not unique:
-            return
-        pool = self._ensure_pool()
         in_process = self.backend == "thread"
         dispatched: Dict[Future, Tuple[Shard, float]] = {}
-        for shard in unique:
-            future = pool.submit(
-                _evaluate_shard, _worker_task(shard, tracer, in_process)
+        for shard in shards:  # the pool starts with the first shard
+            future = self._ensure_pool().submit(
+                _evaluate_shard, spec, shard, reduce,
+                _worker_trace(shard, tracer, in_process),
             )
             dispatched[future] = (shard, perf_counter())
         pending = set(dispatched)
@@ -627,13 +509,16 @@ class ShardManifest:
     """The identity of one sharded run, pinned to its checkpoint dir.
 
     Resume only reuses shard files whose manifest matches the incoming
-    run field-for-field — same source digest, chunking and evaluation
+    run field-for-field — same spec digest, chunking and evaluation
     contract — so a checkpoint directory can never silently feed rows
     from a different study.  Serialized by
     :func:`repro.io.serialization.shard_manifest_to_dict`.
     """
 
-    kind: str  # "study" | "matrix"
+    #: Always ``"study"`` when written; a ``"matrix"`` manifest still
+    #: reads (and is refused by the field-for-field match) until the
+    #: next ``MANIFEST_VERSION``.
+    kind: str
     digest: str
     total_rows: int
     chunk_rows: int
@@ -746,8 +631,9 @@ class CheckpointStore:
         """Every reusable shard record, keyed by shard index.
 
         Records that fail to parse or validate (a partial write from a
-        hard kill predating the atomic rename, manual edits) are noted
-        in :attr:`skipped` and recomputed rather than trusted.
+        hard kill predating the atomic rename, manual edits, a record
+        of another reduction) are noted in :attr:`skipped` and
+        recomputed rather than trusted.
         """
         completed: Dict[int, ShardResult] = {}
         for path in sorted(self.directory.glob("shard-*.jsonl")):
@@ -795,6 +681,23 @@ class CheckpointStore:
                     f"not match shard {result.index} of the manifest "
                     f"chunking ([{start}, {stop}))"
                 )
+            # Likewise its shape must be the manifest's reduction: a
+            # top-k record merged as a full shard would drop rows, and
+            # a k=1 record in a k=5 run would drop winners.
+            reduce = self.manifest.reduce
+            expected = (
+                None if reduce is None else min(reduce["k"], stop - start)
+            )
+            held = (
+                None
+                if result.local_indices is None
+                else len(result.local_indices)
+            )
+            if held != expected:
+                raise ConfigurationError(
+                    f"record does not match the manifest's reduce "
+                    f"{reduce!r}: {held} local indices, expected {expected}"
+                )
         except (
             OSError, UnicodeDecodeError, json.JSONDecodeError,
             ConfigurationError,
@@ -828,16 +731,14 @@ def _atomic_write(path: Path, text: str) -> None:
 # The pipeline: plan -> drive -> reduce
 # ---------------------------------------------------------------------------
 def _plan(
-    source: Any,
-    knee_fraction: Optional[float],
-    tolerance: float,
+    spec: "StudySpec",
     reduce: Optional[Dict[str, Any]],
     executor: Optional[ParallelExecutor],
     chunk_rows: Optional[int],
     checkpoint_dir: Optional[Union[str, Path]],
     resume: bool,
-) -> Tuple[ShardManifest, Optional[CheckpointStore], List[Shard]]:
-    """Resolve one run's manifest, store (if it has one) and shards.
+) -> Tuple[ShardManifest, Optional[CheckpointStore]]:
+    """Resolve one run's manifest and its store, if it has one.
 
     The store is the checkpoint directory, or the executor's own work
     directory for a distributed run.  An unspecified ``chunk_rows``
@@ -846,23 +747,9 @@ def _plan(
     checks every manifest field against the one on disk, so a
     directory never feeds rows from a different run.
     """
-    from ..study.spec import StudySpec
+    from ..study.planner import study_size
 
-    if isinstance(source, DesignMatrix):
-        knee_fraction = _knee_of(source, knee_fraction)
-        kind, total_rows = "matrix", len(source)
-        digest = _matrix_digest(source, knee_fraction, tolerance)
-    elif isinstance(source, StudySpec):
-        from ..study.planner import study_size
-
-        kind, total_rows = "study", study_size(source)
-        digest = source.content_digest()
-        knee_fraction, tolerance = source.knee_fraction, source.tolerance
-    else:
-        raise ConfigurationError(
-            "sharded execution takes a DesignMatrix or a StudySpec, got "
-            f"{type(source).__name__}"
-        )
+    _require_spec(spec, "sharded execution")
     directory = checkpoint_dir
     if executor is not None and executor.work_dir is not None:
         if checkpoint_dir is not None:
@@ -870,15 +757,10 @@ def _plan(
                 "a distributed work dir already checkpoints every shard; "
                 "do not also pass a checkpoint directory"
             )
-        if kind != "study":
-            raise ConfigurationError(
-                "distributed execution requires a StudySpec (joining "
-                "workers rebuild their shards from the published spec); "
-                "got a DesignMatrix — run the study via a StudySpec instead"
-            )
         directory = executor.work_dir
     if resume and directory is None:
         raise ConfigurationError("resume requires a checkpoint directory")
+    total_rows = study_size(spec)
     if chunk_rows is None:
         existing = (
             CheckpointStore.peek_manifest(directory)
@@ -893,13 +775,13 @@ def _plan(
             )
         )
     manifest = ShardManifest(
-        kind=kind,
-        digest=digest,
+        kind="study",
+        digest=spec.content_digest(),
         total_rows=total_rows,
         chunk_rows=chunk_rows,
         n_shards=len(shard_ranges(total_rows, chunk_rows)),
-        knee_fraction=knee_fraction,
-        tolerance=tolerance,
+        knee_fraction=spec.knee_fraction,
+        tolerance=spec.tolerance,
         reduce=reduce,
     )
     store = (
@@ -907,12 +789,12 @@ def _plan(
         if directory is not None
         else None
     )
-    shards = iter_chunks(source, chunk_rows, knee_fraction, tolerance, reduce)
-    return manifest, store, list(shards)
+    return manifest, store
 
 
 def _resume_and_map(
-    shards: Sequence[Shard],
+    spec: "StudySpec",
+    manifest: ShardManifest,
     store: Optional[CheckpointStore],
     executor: Optional[ParallelExecutor],
     tracer: Optional[Tracer],
@@ -925,7 +807,6 @@ def _resume_and_map(
     ``rows_per_s`` gauge) as the ones computed now.
     """
     completed = store.load_completed() if store is not None else {}
-    total, rows_total = len(shards), sum(len(s) for s in shards)
     done = rows_done = 0
     started = perf_counter()
     rate_gauge = tracer.gauge("rows_per_s") if tracer is not None else None
@@ -941,9 +822,9 @@ def _resume_and_map(
             progress(
                 Progress(
                     done=done,
-                    total=total,
+                    total=manifest.n_shards,
                     rows_done=rows_done,
-                    rows_total=rows_total,
+                    rows_total=manifest.total_rows,
                     elapsed_s=elapsed,
                 )
             )
@@ -953,18 +834,22 @@ def _resume_and_map(
         tracer.counter("shards.resumed").add(len(completed))
     for index in sorted(completed):
         yield advance(completed[index])
-    remaining = [s for s in shards if s.index not in completed]
+    remaining = (
+        shard
+        for shard in iter_chunks(spec, manifest.chunk_rows)
+        if shard.index not in completed
+    )
     # Without an executor the run streams in-process (a serial executor
     # owns no pool, so there is nothing to close).
     policy = executor or ParallelExecutor(backend="serial")
-    for result in policy.map_shards(remaining, tracer=tracer, store=store):
+    for result in policy.map_shards(
+        spec, remaining, manifest.reduce, tracer=tracer, store=store
+    ):
         yield advance(result)
 
 
 def _run_sharded(
-    source: Any,
-    knee_fraction: Optional[float] = None,
-    tolerance: float = 0.05,
+    spec: "StudySpec",
     reduce: Optional[Dict[str, Any]] = None,
     executor: Optional[ParallelExecutor] = None,
     chunk_rows: Optional[int] = None,
@@ -977,25 +862,21 @@ def _run_sharded(
 
     Without ``reduce`` the shards concatenate in row order — bitwise
     identical to the one-pass engine, since every kernel is elementwise
-    — and ``indices`` is ``None``; a spec source also returns the
-    study's accounting columns (:data:`EXTRA_COLUMNS`) as ``extras``.
-    With ``reduce`` (``{"k", "by", "descending"}``) every worker returns
-    only its shard-local winners, which fold into a running global
-    top-k as shards complete; ``indices`` are the winners' global rows
-    and ``extras`` is empty.
+    — with the study's accounting columns (:data:`EXTRA_COLUMNS`) as
+    ``extras``, and ``indices`` is ``None``.  With ``reduce`` (``{"k",
+    "by", "descending"}``) every worker returns only its shard-local
+    winners, which fold into a running global top-k as shards
+    complete; ``indices`` are the winners' global rows and ``extras``
+    is empty.
     """
-    from ..study.spec import StudySpec
-
-    is_spec = isinstance(source, StudySpec)
-    # Sizing and planning the grid is a spec's whole compile step in
-    # this process: each shard compiles its own rows.
-    with maybe_span(tracer if is_spec else None, "study.compile") as span:
-        manifest, store, shards = _plan(
-            source, knee_fraction, tolerance, reduce, executor,
-            chunk_rows, checkpoint_dir, resume,
+    # Sizing and planning the grid is the whole compile step in this
+    # process: each shard compiles its own rows.
+    with maybe_span(tracer, "study.compile") as span:
+        manifest, store = _plan(
+            spec, reduce, executor, chunk_rows, checkpoint_dir, resume
         )
         span.set(rows=manifest.total_rows, shards=manifest.n_shards)
-    results = _resume_and_map(shards, store, executor, tracer, progress)
+    results = _resume_and_map(spec, manifest, store, executor, tracer, progress)
     if reduce is not None:
         running: Optional[Tuple[np.ndarray, BatchResult]] = None
         for result in results:
@@ -1014,25 +895,19 @@ def _run_sharded(
         return running[1], {}, running[0]
     ordered = sorted(results, key=lambda result: result.index)
     with maybe_span(tracer, "study.merge", shards=len(ordered)):
-        # A matrix source reuses the caller's matrix rather than
-        # reassembling a second full-size copy from the chunks.
-        batch = concat_results(
-            [r.batch for r in ordered], matrix=None if is_spec else source
-        )
+        batch = concat_results([r.batch for r in ordered])
         extras = {
             name: np.concatenate([r.extras[name] for r in ordered])
-            for name in (EXTRA_COLUMNS if is_spec else ())
+            for name in EXTRA_COLUMNS
         }
     return batch, extras, None
 
 
 def top_k_sharded(
-    source: Union[DesignMatrix, Any],
+    spec: "StudySpec",
     k: int,
     by: str = "safe_velocity",
     descending: bool = True,
-    knee_fraction: Optional[float] = None,
-    tolerance: float = 0.05,
     executor: Optional[ParallelExecutor] = None,
     chunk_rows: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -1040,22 +915,26 @@ def top_k_sharded(
     tracer: Optional[Tracer] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> Tuple[np.ndarray, BatchResult]:
-    """The global top-k of a grid, streamed shard by shard.
+    """The global top-k of a study's grid, streamed shard by shard.
 
     Each worker returns only its shard-local winners, and completed
     shards fold into a running candidate set of at most ``k`` rows
     (:func:`~repro.batch.result.merge_top_k`), so peak memory is one
     chunk plus ``O(k)`` — never the full grid — and per-shard IPC is
     ``O(k)`` instead of ``O(chunk_rows)``.  Returns
-    ``(global_row_indices, result)``, identical to evaluating the full
-    grid and calling ``top_k(k, by, descending)``.
+    ``(global_row_indices, result)``, identical to running the study
+    in one pass and calling ``result.batch.top_k(k, by, descending)``;
+    the spec's own ``knee_fraction`` and ``tolerance`` apply.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
+    if by not in SORTABLE_COLUMNS:
+        known = ", ".join(SORTABLE_COLUMNS)
+        raise ConfigurationError(
+            f"cannot order by {by!r}; sortable columns: {known}"
+        )
     batch, _, indices = _run_sharded(
-        source,
-        knee_fraction=knee_fraction,
-        tolerance=tolerance,
+        spec,
         reduce={"k": int(k), "by": by, "descending": bool(descending)},
         executor=executor,
         chunk_rows=chunk_rows,

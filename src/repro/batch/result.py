@@ -316,10 +316,7 @@ class BatchResult(SealedColumns):
 # ---------------------------------------------------------------------------
 # Shard merging (the reduce side of repro.batch.executor)
 # ---------------------------------------------------------------------------
-def concat_results(
-    results: Sequence[BatchResult],
-    matrix: Optional[DesignMatrix] = None,
-) -> BatchResult:
+def concat_results(results: Sequence[BatchResult]) -> BatchResult:
     """Stack per-shard results row-wise into one result, in order.
 
     Because every kernel is elementwise, concatenating the results of
@@ -328,16 +325,11 @@ def concat_results(
     executor's equivalence suite pins down.  All parts must share one
     ``knee_fraction`` and ``tolerance`` (one evaluation contract per
     merged result).  A single part is returned as-is (no copy).
-
-    When the caller still holds the matrix the shards were cut from,
-    passing it as ``matrix`` reuses it instead of reassembling a
-    second full-size copy from the chunk matrices (the parts' row
-    count must match it).
     """
     parts = list(results)
     if not parts:
         raise ConfigurationError("concat needs at least one result")
-    if len(parts) == 1 and matrix is None:
+    if len(parts) == 1:
         return parts[0]
     contracts = {(r.knee_fraction, r.tolerance) for r in parts}
     if len(contracts) > 1:
@@ -346,16 +338,8 @@ def concat_results(
             f"{sorted(contracts)}"
         )
     knee_fraction, tolerance = contracts.pop()
-    if matrix is None:
-        matrix = DesignMatrix.concat([r.matrix for r in parts])
-    else:
-        total = sum(len(r) for r in parts)
-        if total != len(matrix):
-            raise ConfigurationError(
-                f"{total} shard rows for a {len(matrix)}-row matrix"
-            )
     return BatchResult._adopt(
-        matrix=matrix,
+        matrix=DesignMatrix.concat([r.matrix for r in parts]),
         knee_fraction=knee_fraction,
         tolerance=tolerance,
         **{

@@ -34,7 +34,17 @@ import threading
 import zlib
 from pathlib import Path
 from time import sleep
-from typing import Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..batch.executor import (
     CheckpointStore,
@@ -46,6 +56,9 @@ from ..batch.executor import (
 from ..errors import ConfigurationError, StaleLeaseError
 from ..obs.tracer import Tracer, maybe_span
 from .lease import DEFAULT_LEASE_TTL_S, LeaseStore
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..study.spec import StudySpec
 
 #: Name of the published spec file next to ``manifest.json`` — joining
 #: workers rebuild their shard list from it.
@@ -86,7 +99,9 @@ def _rotated(indices: List[int], owner: str) -> List[int]:
 
 
 def _compute(
+    spec: "StudySpec",
     shard: Shard,
+    reduce: Optional[Dict[str, Any]],
     store: CheckpointStore,
     leases: LeaseStore,
     heartbeat_interval_s: float,
@@ -122,7 +137,7 @@ def _compute(
         delay_s = _injected_delay_s()
         if delay_s > 0:
             sleep(delay_s)
-        result = _evaluate_in_process(shard, tracer)
+        result = _evaluate_in_process(spec, shard, reduce, tracer)
         store.write(result, tracer)
         return result
     finally:
@@ -131,7 +146,7 @@ def _compute(
             thread.join()
 
 
-def publish_spec(work_dir: Union[str, Path], spec: Any) -> None:
+def publish_spec(work_dir: Union[str, Path], spec: "StudySpec") -> None:
     """Write ``spec.json`` next to the manifest (idempotent, atomic).
 
     Joining workers rebuild the shard list from it; an existing file is
@@ -143,7 +158,9 @@ def publish_spec(work_dir: Union[str, Path], spec: Any) -> None:
         from ..study.spec import StudySpec
 
         found = StudySpec.from_json(path.read_text(encoding="utf-8"))
-        if found.content_digest() != spec.content_digest():
+        # Equal canonical JSON is equal digests; only a refusal, which
+        # names both digests, hashes the spec again.
+        if found.canonical_json() != spec.canonical_json():
             raise ConfigurationError(
                 f"work dir {Path(work_dir)} already publishes a "
                 f"different spec: {SPEC_FILE_NAME} digest is "
@@ -214,11 +231,14 @@ class DistributedExecutor:
 
     def map_shards(
         self,
+        spec: "StudySpec",
         shards: Iterable[Shard],
+        reduce: Optional[Dict[str, Any]] = None,
         tracer: Optional[Tracer] = None,
         store: Optional[CheckpointStore] = None,
     ) -> Iterator[ShardResult]:
-        """Yield every requested shard's result via the lease protocol.
+        """Yield the result of each requested shard of ``spec`` via the
+        lease protocol.
 
         ``store`` is the work dir's checkpoint store, which the
         pipeline's plan step binds; every shard of its manifest that is
@@ -228,12 +248,16 @@ class DistributedExecutor:
         blocks until *all* requested shards have records, re-claiming
         stragglers whose leases expire along the way.
         """
-        for _event, result in self._pull(list(shards), store, tracer):
+        for _event, result in self._pull(
+            spec, list(shards), reduce, store, tracer
+        ):
             yield result
 
     def _pull(
         self,
+        spec: "StudySpec",
         shards: List[Shard],
+        reduce: Optional[Dict[str, Any]],
         store: Optional[CheckpointStore],
         tracer: Optional[Tracer],
     ) -> Iterator[Tuple[str, ShardResult]]:
@@ -246,11 +270,11 @@ class DistributedExecutor:
         if store is None:
             raise ConfigurationError(
                 "DistributedExecutor schedules shards over its work "
-                "dir's records; run it through run_study, top_k_sharded "
-                "or evaluate_matrix(executor=...), which bind that store"
+                "dir's records; run it through run_study or "
+                "top_k_sharded, which bind that store"
             )
         if shards:  # joiners rebuild the shards still to do from it
-            publish_spec(self.work_dir, shards[0].task["spec"])
+            publish_spec(self.work_dir, spec)
         manifest = store.manifest
         resumed = manifest.n_shards - len(shards)
         if tracer is not None and resumed:
@@ -281,8 +305,8 @@ class DistributedExecutor:
                         if result is None:
                             event = "computed"
                             result = _compute(
-                                pending[index], store, leases,
-                                self.heartbeat_interval_s, tracer,
+                                spec, pending[index], reduce, store,
+                                leases, self.heartbeat_interval_s, tracer,
                             )
                     finally:
                         leases.release(index)

@@ -17,13 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, sleep
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..batch.executor import CheckpointStore, ShardManifest, iter_chunks
 from ..errors import ConfigurationError
 from ..obs.tracer import Tracer
 from .executor import SPEC_FILE_NAME, DistributedExecutor
 from .lease import DEFAULT_LEASE_TTL_S
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..study.spec import StudySpec
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ def open_study(
     work_dir: Union[str, Path],
     wait_s: float = 0.0,
     poll_interval_s: float = 0.25,
-) -> Tuple["ShardManifest", object]:
+) -> Tuple[ShardManifest, "StudySpec"]:
     """The (manifest, spec) published in a distributed work dir.
 
     Waits up to ``wait_s`` for both files to appear (workers routinely
@@ -70,12 +73,6 @@ def open_study(
                 "still starting"
             )
         sleep(poll_interval_s)
-    if manifest.kind != "study":
-        raise ConfigurationError(
-            f"work dir {directory} holds a {manifest.kind!r} "
-            "checkpoint; distributed workers can only join 'study' "
-            "runs (their shards rebuild from the published spec)"
-        )
     from ..study.spec import StudySpec
 
     spec = StudySpec.from_json(spec_path.read_text(encoding="utf-8"))
@@ -120,15 +117,15 @@ def run_worker(
     done = store.load_completed()
     shards = [
         shard
-        for shard in iter_chunks(
-            spec, chunk_rows=manifest.chunk_rows, reduce=manifest.reduce
-        )
+        for shard in iter_chunks(spec, manifest.chunk_rows)
         if shard.index not in done
     ]
     events = {"computed": 0, "loaded": 0}
     rows_computed = 0
     started = perf_counter()
-    for event, result in executor._pull(shards, store, tracer):
+    for event, result in executor._pull(
+        spec, shards, manifest.reduce, store, tracer
+    ):
         events[event] += 1
         if event == "computed":
             rows_computed += result.stop - result.start

@@ -384,7 +384,9 @@ SERVE_PROTOCOL_VERSION = 1
 #: ``repro-skyline study --spec`` files and a work dir's ``spec.json``.
 SPEC_VERSION = 1
 
-#: Manifest kinds a checkpoint directory may hold.
+#: Manifest kinds a checkpoint directory may hold.  The package writes
+#: only ``"study"``; ``"matrix"``, the retired design-matrix source,
+#: still reads until the next ``MANIFEST_VERSION``.
 MANIFEST_KINDS = ("study", "matrix")
 
 #: Lifecycle states a served study moves through (in order; terminal
@@ -717,7 +719,7 @@ def batch_result_from_dict(data: Any) -> "BatchResult":
 # ---------------------------------------------------------------------------
 SHARD_MANIFEST_TABLE = WireTable(
     "shard manifest", MANIFEST_VERSION, fields=(
-        ("kind", "manifest kind", REQUIRED, '`"study"` or `"matrix"`'),
+        ("kind", "manifest kind", REQUIRED, 'always `"study"`; `"matrix"` still reads until the next `MANIFEST_VERSION`'),
         ("digest", "str, non-empty", REQUIRED, "content digest of the source"),
         ("total_rows", "int >= 0", REQUIRED, "rows in the full design grid"),
         ("chunk_rows", "int >= 1", REQUIRED, "rows per shard"),

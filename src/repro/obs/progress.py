@@ -1,8 +1,8 @@
 """Progress reporting for sharded studies.
 
 :class:`Progress` is the immutable snapshot the sharded pipeline
-(:mod:`repro.batch.executor`, behind ``run_study``,
-``evaluate_matrix`` and ``top_k_sharded``) hands to a
+(:mod:`repro.batch.executor`, behind a sharded ``run_study`` and
+``top_k_sharded``) hands to a
 :data:`ProgressCallback` each time a shard completes or resumes:
 shards done/total, rows done/total, elapsed seconds, and
 the derived rows/sec throughput and ETA.  :class:`ProgressPrinter` is

@@ -9,7 +9,7 @@ spec's ``filters`` and ``rank`` clauses — ranking through the O(n)
 serializable :class:`~repro.study.result.StudyResult`.
 
 Passing ``executor=`` / ``chunk_rows=`` / ``checkpoint=`` runs the
-study through the sharded layer instead
+study's spec through the sharded layer instead
 (:mod:`repro.batch.executor`): the grid is evaluated in row-range
 chunks — serially, across threads, or across worker processes that
 rebuild only their own rows — and merged back into a result that is
@@ -117,13 +117,15 @@ def run_study(
     ``cache`` opts into result memoization exactly as in
     :func:`~repro.batch.engine.evaluate_matrix`; by default nothing is
     hashed or pinned, because recompiling and re-evaluating a study
-    costs less than hashing its matrix.  A sharded spec never touches
+    costs less than hashing its matrix.  A sharded run never touches
     a cache: its full matrix never exists in this process, and pinning
     the merged result would undo the memory bound that chunked
     streaming is for.
 
     ``executor`` / ``chunk_rows`` opt into sharded execution (see the
-    module docstring); ``checkpoint`` names a directory that receives
+    module docstring) of the spec, which for a :class:`StudyPlan` is
+    ``plan.spec``: the shards compile their own rows, bitwise equal to
+    the plan's.  ``checkpoint`` names a directory that receives
     one JSONL record per completed shard, and ``resume=True``
     additionally *requires* that directory to hold a matching run's
     manifest (the ``--resume`` contract: resuming a checkpoint that
@@ -142,12 +144,12 @@ def run_study(
         executor is not None or chunk_rows is not None
         or checkpoint is not None or resume
     )
-    if sharded and isinstance(study, StudySpec):
+    if sharded:
         # Each shard compiles its own rows: the full grid is never
         # built here, so there is nothing to compile or cache up front.
         from ..batch.executor import _run_sharded
 
-        spec, axes = study, study_axes(study)
+        spec = study.spec if isinstance(study, StudyPlan) else study
         batch, extras, _ = _run_sharded(
             spec,
             executor=executor,
@@ -157,6 +159,7 @@ def run_study(
             tracer=tracer,
             progress=progress,
         )
+        axes = study_axes(spec)
     else:
         if isinstance(study, StudyPlan):
             plan = study
@@ -170,12 +173,7 @@ def run_study(
             knee_fraction=spec.knee_fraction,
             tolerance=spec.tolerance,
             cache=cache,
-            executor=executor,
-            chunk_rows=chunk_rows,
-            checkpoint_dir=checkpoint,
-            resume=resume,
             tracer=tracer,
-            progress=progress,
         )
         extras = {
             "total_mass_g": plan.total_mass_g,

@@ -14,6 +14,7 @@ from repro.batch import (
     BatchCache,
     DesignMatrix,
     evaluate_matrix,
+    merge_top_k,
     scenario_grid,
 )
 from repro.batch.grid import grid_shape
@@ -368,6 +369,44 @@ class TestStableTopK:
         result = _with_safe_velocity(np.array([3.0, np.nan, np.nan, 1.0]))
         assert result.top_k_indices(3).tolist() == [0, 3, 1]
         assert result.top_k_indices(3, descending=False).tolist() == [3, 0, 1]
+
+
+class TestMergeTopK:
+    """Folding per-part top-k sets equals the whole result's top-k."""
+
+    @given(
+        values=st.lists(rank_key, min_size=1, max_size=40),
+        k=st.integers(1, 45),
+        descending=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_folded_parts_equal_the_whole_top_k(
+        self, values, k, descending, data
+    ):
+        result = _with_safe_velocity(np.array(values))
+        cuts = data.draw(
+            st.sets(st.integers(1, len(values)), max_size=6), label="cuts"
+        )
+        bounds = sorted({0, len(values), *cuts})
+        # Fold one part at a time, as the sharded top-k reduction does.
+        running = None
+        for start, stop in zip(bounds, bounds[1:]):
+            part = result.take(np.arange(start, stop))
+            local = part.top_k_indices(k, descending=descending)
+            candidate = (start + local, part.take(local))
+            running = merge_top_k(
+                [candidate] if running is None else [running, candidate],
+                k,
+                descending=descending,
+            )
+        indices, merged = running
+        expected = result.top_k_indices(k, descending=descending)
+        np.testing.assert_array_equal(indices, expected)
+        assert (
+            merged.safe_velocity.tobytes()
+            == result.safe_velocity[expected].tobytes()
+        )
 
 
 class TestBatchCache:

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.batch import evaluate_matrix, top_k_sharded
+from repro.batch import top_k_sharded
 from repro.batch.executor import CheckpointStore
 from repro.distrib import (
     DEFAULT_LEASE_TTL_S,
@@ -473,9 +473,8 @@ class TestStudyPublication:
             f_control_hz=np.array([100.0, 100.0, 100.0]),
         )
         with pytest.raises(ConfigurationError, match="StudySpec"):
-            evaluate_matrix(
+            run_study(
                 matrix,
-                cache=None,
                 executor=DistributedExecutor(tmp_path),
                 chunk_rows=2,
             )
@@ -634,11 +633,11 @@ class TestDistributedExecutor:
 
         real = executor_mod._evaluate_shard
 
-        def dying(task):
+        def dying(*args):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise KeyboardInterrupt  # what SIGINT looks like inside
-            return real(task)
+            return real(*args)
 
         monkeypatch.setattr(executor_mod, "_evaluate_shard", dying)
         with pytest.raises(KeyboardInterrupt):

@@ -1,10 +1,10 @@
 """Sharded executor suite: chunking, parallel fan-out, merges,
 checkpoints, cache hygiene and the study CLI's scaling flags.
 
-The load-bearing property throughout: every sharded/parallel path is
-*bitwise* identical to the single-process ``evaluate_matrix`` /
-``run_study`` it replaces (the kernels are elementwise, so chunk
-boundaries cannot change a double).  Process-backed tests are kept
+The load-bearing property throughout: every sharded/parallel run of a
+study spec is *bitwise* identical to the single-pass ``run_study`` it
+replaces (the kernels are elementwise, so chunk boundaries cannot
+change a double).  Process-backed tests are kept
 small and few — they exercise real worker processes, which are slow to
 spawn on CI — while the property suites run on the serial backend.
 """
@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 
 from repro.autonomy.workloads import ALGORITHMS
 from repro.batch import (
-    BatchCache,
     DEFAULT_CACHE,
     CheckpointStore,
     DesignMatrix,
     ParallelExecutor,
+    Shard,
     cartesian_product,
     cartesian_row_count,
     cartesian_slice,
@@ -43,6 +43,7 @@ from repro.batch import (
     top_k_sharded,
 )
 from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard
+from repro.batch.result import SORTABLE_COLUMNS
 from repro.compute.platforms import PLATFORMS
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError, ShardExecutionError
@@ -79,6 +80,17 @@ def _grid(n_rows: int = 120) -> DesignMatrix:
         f_sensor_hz=rng.uniform(15.0, 90.0, n_rows),
         f_compute_hz=rng.uniform(0.5, 500.0, n_rows),
         f_control_hz=rng.uniform(50.0, 400.0, n_rows),
+    )
+
+
+def _line_spec(n_rows: int) -> StudySpec:
+    """A one-axis knob study of exactly ``n_rows`` rows."""
+    return StudySpec(
+        design=DesignSpec.knob_axes(
+            axes={
+                "compute_runtime_s": tuple(np.geomspace(0.002, 0.5, n_rows))
+            }
+        )
     )
 
 
@@ -264,25 +276,18 @@ class TestShardRanges:
 
 
 # ---------------------------------------------------------------------------
-# Matrix chunking and merging
+# Chunking and merging
 # ---------------------------------------------------------------------------
 class TestMatrixChunks:
     def test_chunks_concat_back_bitwise(self):
-        matrix = _grid(57)
-        shards = list(iter_chunks(matrix, chunk_rows=13))
+        spec = _line_spec(57)
+        shards = list(iter_chunks(spec, chunk_rows=13))
         assert [s.index for s in shards] == list(range(len(shards)))
-        assert shards[-1].stop == len(matrix)
+        assert shards[-1].stop == study_size(spec)
         rebuilt = DesignMatrix.concat(
-            [
-                DesignMatrix.from_arrays(
-                    **s.task["columns"],
-                    labels=s.task["labels"],
-                    knee_fraction=s.task["matrix_knee_fraction"],
-                )
-                for s in shards
-            ]
+            [compile_chunk(spec, s.start, s.stop).matrix for s in shards]
         )
-        assert design_matrices_equal(matrix, rebuilt)
+        assert design_matrices_equal(compile_spec(spec).matrix, rebuilt)
 
     def test_concat_rejects_mixed_labels_and_knees(self):
         plain = _grid(4)
@@ -306,69 +311,88 @@ class TestMatrixChunks:
         assert concat_results([a]) is a
 
 
+#: Study specs of every design kind, without and with scenario axes.
+_PROPERTY_SPECS = {
+    ("knobs", False): _knob_spec(),
+    ("knobs", True): _knob_spec(
+        scenarios=ScenarioSpec(
+            extra_payload_g=(0.0, 75.0), a_max_scale=(1.0, 0.8)
+        )
+    ),
+    ("presets", False): StudySpec(
+        design=DesignSpec.presets(
+            uav_names=("dji-spark", "asctec-pelican"),
+            compute_names=("intel-ncs", "jetson-tx2"),
+            algorithm_names=("dronet", "trailnet"),
+        )
+    ),
+    ("presets", True): _preset_scenario_spec(),
+    ("fleet", False): StudySpec(
+        design=DesignSpec.fleet(
+            uavs=(get_preset("dji-spark"), get_preset("custom-s500-b")),
+            f_compute_hz=(5.0, 50.0),
+        )
+    ),
+    ("fleet", True): _fleet_scenario_spec(),
+}
+
+
 class TestShardedEvaluate:
     @given(
-        n_rows=st.integers(1, 60),
-        chunk=st.integers(1, 70),
+        key=st.sampled_from(sorted(_PROPERTY_SPECS)),
+        data=st.data(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_serial_sharding_is_bitwise_identical(self, n_rows, chunk):
-        matrix = _grid(n_rows)
-        reference = evaluate_matrix(matrix, cache=None)
-        sharded = evaluate_matrix(matrix, cache=None, chunk_rows=chunk)
-        assert batch_results_equal(reference, sharded)
+    @settings(max_examples=80, deadline=None)
+    def test_serial_sharding_is_bitwise_identical(self, key, data):
+        """Sharded equals the single pass, bitwise, for every design
+        kind, chunking and reduction, on the serial backend."""
+        spec = _PROPERTY_SPECS[key]
+        n_rows = study_size(spec)
+        chunk = data.draw(st.integers(1, n_rows + 1), label="chunk_rows")
+        single = run_study(spec, cache=None)
+        if data.draw(st.booleans(), label="top_k"):
+            k = data.draw(st.integers(1, n_rows + 2), label="k")
+            by = data.draw(st.sampled_from(SORTABLE_COLUMNS), label="by")
+            descending = data.draw(st.booleans(), label="descending")
+            indices, merged = top_k_sharded(
+                spec, k, by=by, descending=descending, chunk_rows=chunk
+            )
+            assert batch_results_equal(
+                single.batch.top_k(k, by=by, descending=descending), merged
+            )
+            np.testing.assert_array_equal(
+                indices,
+                single.batch.top_k_indices(k, by=by, descending=descending),
+            )
+        else:
+            sharded = run_study(spec, cache=None, chunk_rows=chunk)
+            assert sharded.to_json() == single.to_json()
 
     def test_thread_backend_identical(self):
-        matrix = _grid(90)
-        reference = evaluate_matrix(matrix, cache=None)
+        spec = _line_spec(90)
+        reference = run_study(spec, cache=None)
         with ParallelExecutor(n_workers=3, backend="thread") as executor:
-            sharded = evaluate_matrix(
-                matrix, cache=None, executor=executor, chunk_rows=17
+            sharded = run_study(
+                spec, cache=None, executor=executor, chunk_rows=17
             )
-        assert batch_results_equal(reference, sharded)
+        assert batch_results_equal(reference.batch, sharded.batch)
 
     def test_process_backend_identical(self):
-        matrix = _grid(80)
-        reference = evaluate_matrix(matrix, cache=None)
+        # A fleet x scenario study: labelled rows, and shards that cut
+        # through a design's block of scenario rows.
+        spec = _fleet_scenario_spec()
+        reference = run_study(spec, cache=None)
         with ParallelExecutor(n_workers=2, backend="process") as executor:
-            sharded = evaluate_matrix(
-                matrix, cache=None, executor=executor, chunk_rows=23
+            sharded = run_study(
+                spec, cache=None, executor=executor, chunk_rows=5
             )
-        assert batch_results_equal(reference, sharded)
+        assert sharded.to_json() == reference.to_json()
 
     def test_labels_survive_sharding(self):
-        plain = _grid(20)
-        matrix = DesignMatrix.from_arrays(
-            *plain.columns(), labels=[f"design-{i}" for i in range(20)]
-        )
-        sharded = evaluate_matrix(matrix, cache=None, chunk_rows=7)
-        assert sharded.matrix.labels == matrix.labels
-
-    def test_identical_chunks_dispatch_once(self, monkeypatch):
-        column = np.full(30, 10.0)
-        matrix = DesignMatrix.from_arrays(
-            column, column, column, column, column
-        )
-        calls = []
-        import repro.batch.executor as executor_module
-
-        original = executor_module._evaluate_shard
-        monkeypatch.setattr(
-            executor_module,
-            "_evaluate_shard",
-            lambda task: calls.append(1) or original(task),
-        )
-        result = evaluate_matrix(matrix, cache=None, chunk_rows=10)
-        assert len(calls) == 1  # three identical chunks, one evaluation
-        reference = evaluate_matrix(matrix, cache=None)
-        assert batch_results_equal(reference, result)
-
-    def test_sharded_result_lands_in_the_cache(self):
-        matrix = _grid(40)
-        cache = BatchCache()
-        sharded = evaluate_matrix(matrix, cache=cache, chunk_rows=11)
-        again = evaluate_matrix(matrix, cache=cache)
-        assert again is sharded  # cache hit on the single-pass path
+        spec = _fleet_scenario_spec()
+        single = run_study(spec, cache=None)
+        sharded = run_study(spec, cache=None, chunk_rows=7)
+        assert sharded.batch.matrix.labels == single.batch.matrix.labels
 
 
 # ---------------------------------------------------------------------------
@@ -376,51 +400,45 @@ class TestShardedEvaluate:
 # ---------------------------------------------------------------------------
 class TestTopKMerge:
     def test_merge_equals_full_top_k_with_ties(self):
-        # Duplicate every row so ties straddle shard boundaries.
-        base = _grid(30)
-        matrix = base.take(np.repeat(np.arange(30), 2))
-        full = evaluate_matrix(matrix, cache=None)
+        # knee_hz ignores compute_runtime_s, so rows tie across that
+        # axis, and at 7-row chunks the ties straddle shard boundaries.
+        spec = _knob_spec()
+        full = run_study(spec, cache=None).batch
         for k in (1, 5, 17, 60, 200):
-            expected = full.top_k(k)
-            indices, merged = top_k_sharded(matrix, k, chunk_rows=7)
+            expected = full.top_k(k, by="knee_hz")
+            indices, merged = top_k_sharded(
+                spec, k, by="knee_hz", chunk_rows=7
+            )
             assert batch_results_equal(expected, merged)
             np.testing.assert_array_equal(
-                indices, full.top_k_indices(k)
+                indices, full.top_k_indices(k, by="knee_hz")
             )
 
-    @given(
-        k=st.integers(1, 25),
-        chunk=st.integers(1, 40),
-        by=st.sampled_from(("safe_velocity", "knee_hz")),
-        descending=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_streamed_top_k_property(self, k, chunk, by, descending):
-        matrix = _grid(33)
-        full = evaluate_matrix(matrix, cache=None)
-        expected = full.top_k(k, by=by, descending=descending)
-        indices, merged = top_k_sharded(
-            matrix, k, by=by, descending=descending, chunk_rows=chunk
+    def test_top_k_holds_one_chunk_not_the_grid(self):
+        # Peak memory is one chunk's compile and evaluation plus O(k),
+        # never the full grid.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(
+                axes={
+                    "compute_tdp_w": tuple(np.linspace(1.0, 30.0, 20)),
+                    "compute_runtime_s": tuple(
+                        np.geomspace(0.002, 0.5, 100)
+                    ),
+                    "payload_weight_g": tuple(np.linspace(0.0, 500.0, 100)),
+                }
+            )
         )
-        assert batch_results_equal(expected, merged)
-        np.testing.assert_array_equal(
-            indices, full.top_k_indices(k, by=by, descending=descending)
-        )
-
-    def test_matrix_top_k_holds_one_chunk_not_the_matrix(self):
-        # Shards are row-range views of the matrix: peak memory is one
-        # chunk's evaluation plus O(k), never a copy of the matrix.
-        n_rows = 200_000
-        matrix = _grid(n_rows)
-        full = evaluate_matrix(matrix).top_k_indices(16)
+        n_rows = study_size(spec)
+        full = run_study(spec, cache=None).batch
+        expected = full.top_k_indices(16)
         tracemalloc.start()
         try:
-            indices, _ = top_k_sharded(matrix, 16, chunk_rows=n_rows // 16)
+            indices, _ = top_k_sharded(spec, 16, chunk_rows=n_rows // 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(indices, full)
-        assert peak < matrix.nbytes / 4, (peak, matrix.nbytes)
+        np.testing.assert_array_equal(indices, expected)
+        assert peak < full.nbytes / 4, (peak, full.nbytes)
 
     def test_top_k_over_a_spec_never_materializes(self):
         spec = _knob_spec()
@@ -564,42 +582,56 @@ class TestShardedStudies:
         sharded = run_study(plan, cache=None, chunk_rows=4)
         assert single.equals(sharded)
 
+    def test_a_sharded_run_digests_its_spec_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.distrib import DistributedExecutor
+
+        calls = []
+        digest = StudySpec.content_digest
+        monkeypatch.setattr(
+            StudySpec,
+            "content_digest",
+            lambda spec: calls.append(spec) or digest(spec),
+        )
+        spec = _knob_spec()
+        run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path / "a")
+        assert len(calls) == 1
+        top_k_sharded(spec, 3, chunk_rows=5, checkpoint_dir=tmp_path / "b")
+        assert len(calls) == 2
+        for _ in range(2):  # a fresh work dir, then a full resume
+            with DistributedExecutor(tmp_path / "c") as executor:
+                run_study(spec, cache=None, executor=executor, chunk_rows=5)
+        assert len(calls) == 4
+
 
 # ---------------------------------------------------------------------------
-# The one pipeline: source x reducer x store x backend
+# The one pipeline: reducer x store x backend
 # ---------------------------------------------------------------------------
 _PIPELINE_CASES = [
-    (source, reducer, store, backend)
-    for source in ("matrix", "spec")
+    (reducer, store, backend)
     for reducer in ("concat", "top-k")
     for store in ("none", "checkpoint", "leased")
     for backend in ("serial", "thread")
-    if not (store == "leased" and source == "matrix")
 ]
 
 
 class TestShardedPipeline:
     """Every combination the pipeline runs is bitwise identical to the
-    one-pass result.  A leased store is a distributed work dir (spec
-    sources only); its "thread" backend adds a joining worker thread."""
+    one-pass result.  A leased store is a distributed work dir; its
+    "thread" backend adds a joining worker thread."""
 
-    @pytest.mark.parametrize(
-        "source,reducer,store,backend", _PIPELINE_CASES
-    )
+    @pytest.mark.parametrize("reducer,store,backend", _PIPELINE_CASES)
     def test_bitwise_identical_to_one_pass(
-        self, tmp_path, source, reducer, store, backend
+        self, tmp_path, reducer, store, backend
     ):
         import threading
 
         from repro.distrib import DistributedExecutor, run_worker
 
         spec = _knob_spec()
-        matrix = _grid(45)
-        if source == "matrix":
-            full = evaluate_matrix(matrix, cache=None)
-        else:
-            one_pass = run_study(spec, cache=None)
-            full = one_pass.batch
+        one_pass = run_study(spec, cache=None)
+        full = one_pass.batch
         joiner = None
         if store == "leased":
             executor = DistributedExecutor(
@@ -623,14 +655,8 @@ class TestShardedPipeline:
             with executor:
                 if reducer == "top-k":
                     indices, got = top_k_sharded(
-                        matrix if source == "matrix" else spec, 7,
-                        executor=executor, chunk_rows=4,
+                        spec, 7, executor=executor, chunk_rows=4,
                         checkpoint_dir=checkpoint,
-                    )
-                elif source == "matrix":
-                    got = evaluate_matrix(
-                        matrix, cache=None, executor=executor,
-                        chunk_rows=4, checkpoint_dir=checkpoint,
                     )
                 else:
                     result = run_study(
@@ -644,8 +670,6 @@ class TestShardedPipeline:
         if reducer == "top-k":
             assert batch_results_equal(full.top_k(7), got)
             np.testing.assert_array_equal(indices, full.top_k_indices(7))
-        elif source == "matrix":
-            assert batch_results_equal(full, got)
         else:
             assert one_pass.equals(result)
             assert result.to_json() == one_pass.to_json()
@@ -687,7 +711,7 @@ class TestCheckpoints:
         monkeypatch.setattr(
             executor_module,
             "_evaluate_shard",
-            lambda task: calls.append(task) or original(task),
+            lambda *args: calls.append(args) or original(*args),
         )
         resumed = run_study(
             spec, cache=None, chunk_rows=5, checkpoint=tmp_path, resume=True
@@ -814,12 +838,48 @@ class TestCheckpoints:
         assert sorted(path.name for path in tmp_path.iterdir()) == before
 
     def test_checkpointed_top_k_resumes(self, tmp_path):
-        matrix = _grid(40)
-        expected = evaluate_matrix(matrix, cache=None).top_k(5)
-        top_k_sharded(matrix, 5, chunk_rows=10, checkpoint_dir=tmp_path)
+        spec = _line_spec(40)
+        expected = run_study(spec, cache=None).batch.top_k(5)
+        top_k_sharded(spec, 5, chunk_rows=10, checkpoint_dir=tmp_path)
         indices, merged = top_k_sharded(
-            matrix, 5, chunk_rows=10, checkpoint_dir=tmp_path, resume=True
+            spec, 5, chunk_rows=10, checkpoint_dir=tmp_path, resume=True
         )
+        assert batch_results_equal(expected, merged)
+
+    def test_top_k_record_in_a_full_run_is_recomputed(self, tmp_path):
+        """A record shaped for another reduction reads as absent: a
+        top-k record merged as a full shard would drop rows."""
+        spec = _knob_spec()
+        top_k_sharded(spec, 2, chunk_rows=5, checkpoint_dir=tmp_path / "k2")
+        full = tmp_path / "full"
+        first = run_study(spec, cache=None, chunk_rows=5, checkpoint=full)
+        (full / "shard-000001.jsonl").write_bytes(
+            (tmp_path / "k2" / "shard-000001.jsonl").read_bytes()
+        )
+        store = CheckpointStore.open(full, CheckpointStore.peek_manifest(full))
+        assert store.load_shard(1) is None
+        assert sorted(store.load_completed()) == [0, 2, 3]
+        assert [entry.split(":")[0] for entry in store.skipped] == [
+            "shard-000001.jsonl", "shard-000001.jsonl",
+        ]
+        resumed = run_study(
+            spec, cache=None, chunk_rows=5, checkpoint=full, resume=True
+        )
+        assert len(resumed) == 18
+        assert first.equals(resumed)
+
+    def test_top_k_records_of_another_k_are_recomputed(self, tmp_path):
+        spec = _knob_spec()
+        expected = run_study(spec, cache=None).batch.top_k(5)
+        top_k_sharded(spec, 1, chunk_rows=9, checkpoint_dir=tmp_path / "k1")
+        k5 = tmp_path / "k5"
+        top_k_sharded(spec, 5, chunk_rows=9, checkpoint_dir=k5)
+        for name in ("shard-000000.jsonl", "shard-000001.jsonl"):
+            (k5 / name).write_bytes((tmp_path / "k1" / name).read_bytes())
+        indices, merged = top_k_sharded(
+            spec, 5, chunk_rows=9, checkpoint_dir=k5, resume=True
+        )
+        assert len(merged) == 5
         assert batch_results_equal(expected, merged)
 
     def test_manifest_wire_format_validation(self):
@@ -856,7 +916,7 @@ class TestCacheHygiene:
         explore(DesignSpace(("dji-spark",), ("intel-ncs",), ("dronet",)))
         with ParallelExecutor(n_workers=2, backend="process") as executor:
             run_study(spec, executor=executor, chunk_rows=5)
-            evaluate_matrix(_grid(20), executor=executor, chunk_rows=10)
+            top_k_sharded(spec, 3, executor=executor, chunk_rows=10)
         stats = DEFAULT_CACHE.stats_snapshot()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
@@ -892,18 +952,16 @@ class TestCacheHygiene:
 
     def test_in_process_backends_never_pin_chunks_in_the_cache(self):
         """Serial and thread shards must honor the memory contract:
-        chunk results never land in the process-wide default cache
-        (only the process backend memoizes, in its own workers) — and
-        neither does the merged result of a sharded spec."""
-        matrix = _grid(60)
-        reference = evaluate_matrix(matrix, cache=None)
+        chunk results never land in the process-wide default cache,
+        and neither does the merged result of a sharded spec."""
         spec = _knob_spec()
         single = run_study(spec, cache=None)
+        reference = single.batch.top_k(4)
         for backend in ("serial", "thread"):
             clear_default_cache()
             with ParallelExecutor(n_workers=2, backend=backend) as executor:
-                result = evaluate_matrix(
-                    matrix, cache=None, executor=executor, chunk_rows=10
+                _, result = top_k_sharded(
+                    spec, 4, executor=executor, chunk_rows=10
                 )
                 study = run_study(spec, executor=executor, chunk_rows=5)
             assert batch_results_equal(reference, result)
@@ -912,12 +970,12 @@ class TestCacheHygiene:
 
     def test_worker_shard_evaluation_uses_a_scoped_key(self):
         """Two shards with identical row *shapes* but different values
-        must never collide in the worker cache."""
+        evaluate to different results."""
         clear_default_cache()
         spec = _knob_spec()
         shards = list(iter_chunks(spec, chunk_rows=6))
-        first = _evaluate_shard(shards[0].task)
-        second = _evaluate_shard(shards[1].task)
+        first = _evaluate_shard(spec, shards[0])
+        second = _evaluate_shard(spec, shards[1])
         assert not batch_results_equal(first["batch"], second["batch"])
 
 
@@ -935,15 +993,44 @@ class TestExecutorValidation:
 
     def test_bad_chunk_rows_names_the_knob(self):
         with pytest.raises(ConfigurationError, match="chunk_rows"):
-            evaluate_matrix(_grid(4), cache=None, chunk_rows=0)
+            run_study(_knob_spec(), cache=None, chunk_rows=0)
         with pytest.raises(ConfigurationError, match="chunk_rows"):
-            list(iter_chunks(_grid(4), chunk_rows=-1))
+            list(iter_chunks(_knob_spec(), chunk_rows=-1))
 
     def test_iter_chunks_rejects_unknown_sources(self):
-        with pytest.raises(ConfigurationError, match="DesignMatrix or a"):
+        with pytest.raises(ConfigurationError, match="StudySpec"):
             list(iter_chunks(object(), chunk_rows=4))
         with pytest.raises(ConfigurationError, match="StudySpec"):
             top_k_sharded(object(), 3)
+
+    def test_only_a_study_spec_shards(self, tmp_path):
+        matrix = _grid(12)
+        for shard in (
+            lambda: run_study(matrix, chunk_rows=4, checkpoint=tmp_path),
+            lambda: top_k_sharded(matrix, 3, checkpoint_dir=tmp_path),
+            lambda: list(iter_chunks(matrix, chunk_rows=4)),
+        ):
+            with pytest.raises(
+                ConfigurationError, match="takes a StudySpec, got DesignMatrix"
+            ):
+                shard()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_top_k_checks_by_before_writing_a_manifest(self, tmp_path):
+        # An unknown column is refused before the manifest is stamped,
+        # so the corrected call can still use the same directory.
+        spec = _knob_spec()
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            top_k_sharded(
+                spec, 2, by="bogus", chunk_rows=2, checkpoint_dir=tmp_path
+            )
+        assert list(tmp_path.iterdir()) == []
+        indices, _ = top_k_sharded(
+            spec, 2, chunk_rows=2, checkpoint_dir=tmp_path
+        )
+        np.testing.assert_array_equal(
+            indices, run_study(spec, cache=None).batch.top_k_indices(2)
+        )
 
     def test_scenario_grid_roundtrip_through_spec_chunks(self):
         spec = _knob_spec()
@@ -1070,39 +1157,16 @@ class TestStudyCLIScaling:
 # Shard failure context (ShardExecutionError)
 # ---------------------------------------------------------------------------
 class TestShardFailureContext:
-    def _failing_shard(self, index: int = 3) -> "Shard":
-        # Mismatched column lengths make DesignMatrix.from_arrays raise
-        # inside the worker — a genuine in-shard failure that survives
-        # pickling to a process pool.
-        from repro.batch import Shard
-
-        return Shard(
-            index=index,
-            start=10,
-            stop=20,
-            task={
-                "kind": "matrix",
-                "index": index,
-                "start": 10,
-                "stop": 20,
-                "columns": {
-                    "sensing_range_m": np.full(10, 10.0),
-                    "a_max": np.full(10, 50.0),
-                    "f_sensor_hz": np.full(10, 60.0),
-                    "f_compute_hz": np.full(3, 100.0),  # wrong length
-                    "f_control_hz": np.full(10, 200.0),
-                },
-                "labels": None,
-                "matrix_knee_fraction": None,
-                "knee_fraction": 0.85,
-                "tolerance": 0.05,
-            },
-        )
+    def _failing_shard(self, index: int = 3) -> Shard:
+        # Rows [10, 20) of the 18-row knob study do not exist, so
+        # compile_chunk raises inside the worker — a genuine in-shard
+        # failure that survives pickling to a process pool.
+        return Shard(index=index, start=10, stop=20)
 
     def test_serial_failure_names_shard_and_row_range(self):
         executor = ParallelExecutor(n_workers=1, backend="serial")
         with pytest.raises(ShardExecutionError) as excinfo:
-            list(executor.map_shards([self._failing_shard()]))
+            list(executor.map_shards(_knob_spec(), [self._failing_shard()]))
         err = excinfo.value
         assert err.shard_index == 3
         assert (err.start, err.stop) == (10, 20)
@@ -1116,7 +1180,11 @@ class TestShardFailureContext:
         # bare ConfigurationError with no hint of which rows died.
         with ParallelExecutor(n_workers=1, backend="process") as executor:
             with pytest.raises(ShardExecutionError) as excinfo:
-                list(executor.map_shards([self._failing_shard(index=7)]))
+                list(
+                    executor.map_shards(
+                        _knob_spec(), [self._failing_shard(index=7)]
+                    )
+                )
         err = excinfo.value
         assert err.shard_index == 7
         assert (err.start, err.stop) == (10, 20)
@@ -1139,14 +1207,14 @@ class TestShardFailureContext:
 
         inner = ShardExecutionError("already wrapped", shard_index=1)
 
-        def explode(task):
+        def explode(*args):
             raise inner
 
         monkeypatch.setattr(
             executor_module, "_evaluate_shard_task", explode
         )
         with pytest.raises(ShardExecutionError) as excinfo:
-            executor_module._evaluate_shard({"index": 0})
+            executor_module._evaluate_shard(_knob_spec(), Shard(0, 0, 1))
         assert excinfo.value is inner
 
 
@@ -1154,14 +1222,12 @@ class TestShardFailureContext:
 # Observability: tracer + progress through the executor stack
 # ---------------------------------------------------------------------------
 class TestExecutorObservability:
-    def test_sharded_matrix_records_phase_spans(self):
+    def test_sharded_study_records_phase_spans(self):
         from repro.obs import Tracer
 
-        matrix = _grid(40)
+        spec = _line_spec(40)
         tracer = Tracer()
-        result = evaluate_matrix(
-            matrix, cache=None, chunk_rows=11, tracer=tracer
-        )
+        result = run_study(spec, cache=None, chunk_rows=11, tracer=tracer)
         names = set(tracer.span_names())
         assert {
             "shard.compile", "shard.evaluate", "shard.task",
@@ -1173,11 +1239,11 @@ class TestExecutorObservability:
             for s in tracer.spans
             if s.name == "shard.evaluate"
         )
-        assert rows == len(matrix)
+        assert rows == len(result)
         assert tracer.counters_snapshot()["shards.completed"] == 4
         # Tracing never perturbs the numbers.
         assert batch_results_equal(
-            result, evaluate_matrix(matrix, cache=None)
+            result.batch, run_study(spec, cache=None).batch
         )
 
     def test_spec_sharded_records_compile_span_with_totals(self):
@@ -1196,7 +1262,7 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        evaluate_matrix(_grid(30), cache=None, chunk_rows=10, tracer=tracer)
+        run_study(_line_spec(30), cache=None, chunk_rows=10, tracer=tracer)
         worker_tids = {
             s.tid for s in tracer.spans if s.name == "shard.evaluate"
         }
@@ -1209,11 +1275,11 @@ class TestExecutorObservability:
     def test_process_workers_ship_telemetry_home(self):
         from repro.obs import Tracer
 
-        matrix = _grid(24)
+        spec = _line_spec(24)
         tracer = Tracer()
         with ParallelExecutor(n_workers=2, backend="process") as executor:
-            result = evaluate_matrix(
-                matrix,
+            result = run_study(
+                spec,
                 cache=None,
                 executor=executor,
                 chunk_rows=12,
@@ -1227,18 +1293,20 @@ class TestExecutorObservability:
             assert span.attributes["compute_s"] >= 0.0
             assert span.attributes["queue_wait_s"] >= 0.0
         counters = tracer.counters_snapshot()
-        assert counters["rows.evaluated"] == len(matrix)
+        assert counters["rows.evaluated"] == len(result)
         assert batch_results_equal(
-            result, evaluate_matrix(matrix, cache=None)
+            result.batch, run_study(spec, cache=None).batch
         )
 
     def test_shard_results_carry_worker_telemetry(self):
-        from repro.batch import iter_chunks
         from repro.obs import Tracer
 
-        shards = list(iter_chunks(_grid(20), chunk_rows=10))
+        spec = _line_spec(20)
+        shards = list(iter_chunks(spec, chunk_rows=10))
         with ParallelExecutor(n_workers=2, backend="process") as executor:
-            results = list(executor.map_shards(shards, tracer=Tracer()))
+            results = list(
+                executor.map_shards(spec, shards, tracer=Tracer())
+            )
         for result in results:
             assert result.telemetry is not None
             assert result.telemetry["elapsed_s"] >= 0.0
@@ -1251,13 +1319,13 @@ class TestExecutorObservability:
         # Serial/thread workers share the parent's process and epoch:
         # their spans land straight in the tracer (exact times, shard
         # tracks), and the ShardResult ships no wire payload at all.
-        from repro.batch import iter_chunks
         from repro.obs import Tracer
 
         executor = ParallelExecutor(n_workers=1, backend="serial")
-        shards = list(iter_chunks(_grid(20), chunk_rows=10))
+        spec = _line_spec(20)
+        shards = list(iter_chunks(spec, chunk_rows=10))
         tracer = Tracer()
-        results = list(executor.map_shards(shards, tracer=tracer))
+        results = list(executor.map_shards(spec, shards, tracer=tracer))
         for result in results:
             assert result.telemetry is None
         evaluate_tids = {
@@ -1271,55 +1339,51 @@ class TestExecutorObservability:
             assert span.attributes["queue_wait_s"] >= 0.0
         assert tracer.counters_snapshot()["rows.evaluated"] == 20
         # Untraced runs carry none either.
-        for result in executor.map_shards(shards):
+        for result in executor.map_shards(spec, shards):
             assert result.telemetry is None
 
     def test_progress_fires_per_shard_with_row_totals(self):
         from repro.obs import Progress
 
         snapshots = []
-        matrix = _grid(35)
-        evaluate_matrix(
-            matrix, cache=None, chunk_rows=10, progress=snapshots.append
+        spec = _line_spec(35)
+        run_study(
+            spec, cache=None, chunk_rows=10, progress=snapshots.append
         )
         assert [p.done for p in snapshots] == [1, 2, 3, 4]
         assert all(isinstance(p, Progress) for p in snapshots)
         assert all(p.total == 4 for p in snapshots)
-        assert all(p.rows_total == len(matrix) for p in snapshots)
-        assert snapshots[-1].rows_done == len(matrix)
+        assert all(p.rows_total == 35 for p in snapshots)
+        assert snapshots[-1].rows_done == 35
         assert snapshots[-1].fraction == 1.0
 
     def test_progress_counts_checkpoint_restored_shards(self, tmp_path):
         snapshots = []
-        matrix = _grid(30)
-        evaluate_matrix(
-            matrix, cache=None, chunk_rows=10, checkpoint_dir=tmp_path
-        )
-        evaluate_matrix(
-            matrix,
+        spec = _line_spec(30)
+        run_study(spec, cache=None, chunk_rows=10, checkpoint=tmp_path)
+        run_study(
+            spec,
             cache=None,
             chunk_rows=10,
-            checkpoint_dir=tmp_path,
+            checkpoint=tmp_path,
             progress=snapshots.append,
         )
         # Every shard resumes from the checkpoint, yet progress still
         # walks to completion.
         assert [p.done for p in snapshots] == [1, 2, 3]
-        assert snapshots[-1].rows_done == len(matrix)
+        assert snapshots[-1].rows_done == 30
 
     def test_resumed_shards_counted_in_tracer(self, tmp_path):
         from repro.obs import Tracer
 
-        matrix = _grid(30)
-        evaluate_matrix(
-            matrix, cache=None, chunk_rows=10, checkpoint_dir=tmp_path
-        )
+        spec = _line_spec(30)
+        run_study(spec, cache=None, chunk_rows=10, checkpoint=tmp_path)
         tracer = Tracer()
-        evaluate_matrix(
-            matrix,
+        run_study(
+            spec,
             cache=None,
             chunk_rows=10,
-            checkpoint_dir=tmp_path,
+            checkpoint=tmp_path,
             tracer=tracer,
         )
         assert tracer.counters_snapshot()["shards.resumed"] == 3
@@ -1328,42 +1392,29 @@ class TestExecutorObservability:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        evaluate_matrix(
-            _grid(30),
+        run_study(
+            _line_spec(30),
             cache=None,
             chunk_rows=10,
-            checkpoint_dir=tmp_path,
+            checkpoint=tmp_path,
             tracer=tracer,
         )
         assert tracer.counters_snapshot()["checkpoint.writes"] == 3
         assert "checkpoint.write" in tracer.span_names()
 
-    def test_dedupe_hits_counted(self):
-        from repro.obs import Tracer
-
-        column = np.full(30, 10.0)
-        matrix = DesignMatrix.from_arrays(
-            column, column, column, column, column
-        )
-        tracer = Tracer()
-        evaluate_matrix(matrix, cache=None, chunk_rows=10, tracer=tracer)
-        counters = tracer.counters_snapshot()
-        assert counters["shards.completed"] == 1  # one unique chunk
-        assert counters["shards.dedupe_hits"] == 2
-
     def test_top_k_sharded_traced(self):
         from repro.obs import Tracer
 
-        matrix = _grid(40)
+        spec = _line_spec(40)
         tracer = Tracer()
         indices, batch = top_k_sharded(
-            matrix, k=5, chunk_rows=10, tracer=tracer
+            spec, k=5, chunk_rows=10, tracer=tracer
         )
         names = set(tracer.span_names())
         assert "shard.reduce" in names
         assert "study.merge" in names
         reference_indices, reference = top_k_sharded(
-            matrix, k=5, chunk_rows=10
+            spec, k=5, chunk_rows=10
         )
         np.testing.assert_array_equal(indices, reference_indices)
         assert batch_results_equal(batch, reference)
