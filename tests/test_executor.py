@@ -609,7 +609,8 @@ class TestShardedStudies:
 # The one pipeline: reducer x store x backend
 # ---------------------------------------------------------------------------
 _PIPELINE_CASES = [
-    (reducer, store, backend)
+    (source, reducer, store, backend)
+    for source in ("spec", "fleet")
     for reducer in ("concat", "top-k")
     for store in ("none", "checkpoint", "leased")
     for backend in ("serial", "thread")
@@ -618,18 +619,22 @@ _PIPELINE_CASES = [
 
 class TestShardedPipeline:
     """Every combination the pipeline runs is bitwise identical to the
-    one-pass result.  A leased store is a distributed work dir; its
-    "thread" backend adds a joining worker thread."""
+    one-pass result.  The "spec" source is the knob study, "fleet" a
+    labelled fleet crossed with scenario axes.  A leased store is a
+    distributed work dir; its "thread" backend adds a joining worker
+    thread."""
 
-    @pytest.mark.parametrize("reducer,store,backend", _PIPELINE_CASES)
+    @pytest.mark.parametrize(
+        "source,reducer,store,backend", _PIPELINE_CASES
+    )
     def test_bitwise_identical_to_one_pass(
-        self, tmp_path, reducer, store, backend
+        self, tmp_path, source, reducer, store, backend
     ):
         import threading
 
         from repro.distrib import DistributedExecutor, run_worker
 
-        spec = _knob_spec()
+        spec = _knob_spec() if source == "spec" else _fleet_scenario_spec()
         one_pass = run_study(spec, cache=None)
         full = one_pass.batch
         joiner = None
