@@ -84,7 +84,7 @@ from ..io.serialization import (
 from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
 from .engine import evaluate_matrix
-from .result import SORTABLE_COLUMNS, BatchResult, concat_results, merge_top_k
+from .result import BatchResult, concat_results, merge_top_k, require_sortable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..study.spec import StudySpec
@@ -928,11 +928,7 @@ def top_k_sharded(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if by not in SORTABLE_COLUMNS:
-        known = ", ".join(SORTABLE_COLUMNS)
-        raise ConfigurationError(
-            f"cannot order by {by!r}; sortable columns: {known}"
-        )
+    require_sortable(by)
     batch, _, indices = _run_sharded(
         spec,
         reduce={"k": int(k), "by": by, "descending": bool(descending)},

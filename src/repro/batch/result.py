@@ -44,6 +44,15 @@ SORTABLE_COLUMNS = (
 )
 
 
+def require_sortable(by: str) -> None:
+    """Refuse a sort key that is not one of :data:`SORTABLE_COLUMNS`."""
+    if by not in SORTABLE_COLUMNS:
+        known = ", ".join(SORTABLE_COLUMNS)
+        raise ConfigurationError(
+            f"cannot order by {by!r}; sortable columns: {known}"
+        )
+
+
 def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")[:k]``, in O(n + k log k).
 
@@ -193,11 +202,7 @@ class BatchResult(SealedColumns):
     # Selection and ordering
     # ------------------------------------------------------------------
     def _column(self, by: str) -> np.ndarray:
-        if by not in SORTABLE_COLUMNS:
-            known = ", ".join(SORTABLE_COLUMNS)
-            raise ConfigurationError(
-                f"cannot order by {by!r}; sortable columns: {known}"
-            )
+        require_sortable(by)
         return getattr(self, by)
 
     def argsort(

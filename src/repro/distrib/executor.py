@@ -246,18 +246,17 @@ class DistributedExecutor:
         over exactly the shards it did not resume).  Results arrive in
         completion order, like ``ParallelExecutor.map_shards``; the call
         blocks until *all* requested shards have records, re-claiming
-        stragglers whose leases expire along the way.
+        stragglers whose leases expire along the way.  ``reduce`` is
+        there to match ``ParallelExecutor.map_shards``: shards reduce
+        as the store's manifest says, so records always fit it.
         """
-        for _event, result in self._pull(
-            spec, list(shards), reduce, store, tracer
-        ):
+        for _event, result in self._pull(spec, list(shards), store, tracer):
             yield result
 
     def _pull(
         self,
         spec: "StudySpec",
         shards: List[Shard],
-        reduce: Optional[Dict[str, Any]],
         store: Optional[CheckpointStore],
         tracer: Optional[Tracer],
     ) -> Iterator[Tuple[str, ShardResult]]:
@@ -305,7 +304,7 @@ class DistributedExecutor:
                         if result is None:
                             event = "computed"
                             result = _compute(
-                                spec, pending[index], reduce, store,
+                                spec, pending[index], manifest.reduce, store,
                                 leases, self.heartbeat_interval_s, tracer,
                             )
                     finally:

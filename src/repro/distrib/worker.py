@@ -123,9 +123,7 @@ def run_worker(
     events = {"computed": 0, "loaded": 0}
     rows_computed = 0
     started = perf_counter()
-    for event, result in executor._pull(
-        spec, shards, manifest.reduce, store, tracer
-    ):
+    for event, result in executor._pull(spec, shards, store, tracer):
         events[event] += 1
         if event == "computed":
             rows_computed += result.stop - result.start

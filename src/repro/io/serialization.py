@@ -757,14 +757,21 @@ def shard_manifest_to_dict(manifest: "ShardManifest") -> Dict[str, Any]:
 def shard_manifest_from_dict(data: Any) -> "ShardManifest":
     """Rebuild a manifest from :func:`shard_manifest_to_dict` output."""
     from ..batch.executor import ShardManifest
+    from ..batch.result import SORTABLE_COLUMNS
 
     values = SHARD_MANIFEST_TABLE.read(data)
     reduce = values["reduce"]
-    if reduce is not None and set(reduce) != {"k", "by", "descending"}:
+    if reduce is not None and not (
+        set(reduce) == {"k", "by", "descending"}
+        and _is_int(reduce["k"])
+        and reduce["k"] >= 1
+        and reduce["by"] in SORTABLE_COLUMNS
+        and isinstance(reduce["descending"], bool)
+    ):
         raise SHARD_MANIFEST_TABLE.error(
             "reduce",
-            "must be null or a {'k', 'by', 'descending'} mapping, got "
-            f"{reduce!r}",
+            "must be null or a {'k': int >= 1, 'by': sortable column, "
+            f"'descending': bool}} mapping, got {reduce!r}",
         )
     return ShardManifest(**values)
 

@@ -438,7 +438,7 @@ class TestTopKMerge:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(indices, expected)
-        assert peak < full.nbytes / 4, (peak, full.nbytes)
+        assert peak < full.matrix.nbytes / 4, (peak, full.matrix.nbytes)
 
     def test_top_k_over_a_spec_never_materializes(self):
         spec = _knob_spec()

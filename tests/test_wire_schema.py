@@ -213,6 +213,25 @@ def test_shard_record_from_dict_rejects_damage(path, value, field):
         ser.shard_record_from_dict(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", 0), ("k", True), ("k", 2.0), ("k", "2"), ("k", None),
+        ("by", "bogus"), ("by", 7), ("by", ["safe_velocity"]),
+        ("descending", 1), ("descending", "yes"), ("descending", None),
+    ],
+)
+def test_shard_manifest_from_dict_rejects_a_damaged_reduce(key, value):
+    # A joining worker reads its manifest from disk; a damaged reduce
+    # must be a ConfigurationError naming the field, not a TypeError
+    # from the record shape check that reads it later.
+    doc = _golden("manifest.json")
+    ser.shard_manifest_from_dict(doc)  # the undamaged manifest is valid
+    doc["reduce"][key] = value
+    with pytest.raises(ConfigurationError, match="field 'reduce'"):
+        ser.shard_manifest_from_dict(doc)
+
+
 #: Arbitrary float64 bit patterns, biased toward the ones float text
 #: mangles or drops: -0.0, +-inf, subnormals and NaN payloads.
 _SPECIAL_BITS = (
