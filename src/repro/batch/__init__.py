@@ -15,10 +15,12 @@ accelerations, payloads, sensing ranges, DVFS points) into one
 matrix.
 
 The assembly layer (:mod:`repro.batch.assembly`) columnizes the
-Knobs->UAV accounting chain itself: a :class:`KnobMatrix` holds Table
-II knob columns and assembles payload mass, TDP-derived heatsinks,
-thrust budgets and accelerations vectorized, so whole-knob sweeps
-never touch per-point Python either.
+Table II accounting chain itself — payload mass, TDP-derived
+heatsinks, thrust budgets and accelerations — once for every design
+kind: Table II knob columns (a :class:`KnobMatrix`, or a knob study's
+rows) and whole UAV configurations (:func:`assemble_configurations`,
+preset and fleet studies) run through the same vectorized chain, so
+neither sweeps nor fleets touch per-point Python.
 
 Quickstart::
 

@@ -1,27 +1,28 @@
-"""Vectorized Knobs->UAV->F1 assembly: columnar Table II accounting.
+"""Vectorized Table II accounting: one columnar Knobs/UAV->F1 chain.
 
 The :mod:`repro.batch` engine evaluates F-1 design points by the
 column, but consumers used to *assemble* each point one at a time —
 ``Knobs.build_uav().f1(...)`` per value — making the Python-side
 mass/thrust/heatsink accounting the dominant cost of every sweep.
-This module columnizes the whole assembly chain:
+This module columnizes the assembly chain, once for every design kind:
 
-* :class:`KnobMatrix` — a structure-of-arrays set of Table II knobs
-  (one NumPy column per knob, scalars broadcasting against swept
-  columns) whose :meth:`~KnobMatrix.assemble` runs the payload /
-  heatsink / thrust / acceleration accounting vectorized and returns a
-  :class:`~repro.batch.matrix.DesignMatrix` numerically identical to
-  looping ``Knobs.build_uav().f1(knobs.f_compute_hz)``.
-* :func:`assemble_configurations` — the same columnar accounting for
-  arbitrary :class:`~repro.uav.configuration.UAVConfiguration` fleets
-  (heterogeneous components, payload overrides, redundancy), used by
-  the design-space explorer.  It is two steps a caller may also run
-  apart: :func:`configuration_columns` gathers the component figures
-  into columns, and :func:`assemble_columns` runs the chain over them,
-  so the study planner can cross N configurations with M scenarios by
-  editing columns instead of building N*M objects.
+* :func:`assemble_columns` runs the heatsink / payload / mass / thrust
+  / acceleration accounting over columns of component figures and
+  returns a :class:`FleetAssembly`: the
+  :class:`~repro.batch.matrix.DesignMatrix` plus the mass, thrust and
+  TDP columns.
+* Two functions gather those columns.  :func:`configuration_columns`
+  reads them off :class:`~repro.uav.configuration.UAVConfiguration`
+  fleets (heterogeneous components, payload overrides, redundancy);
+  :func:`knob_columns` maps Table II knob values, scalars or columns,
+  onto the UAV that ``Knobs.build_uav`` assembles.  Callers may edit
+  the columns in between: the study planner crosses designs with
+  scenario axes that way instead of building one object per row.
+* :func:`assemble_configurations` and :class:`KnobMatrix` (a
+  structure-of-arrays set of Table II knobs) are the two public
+  entry points over the chain.
 
-Both paths share their arithmetic with the scalar properties through
+The chain shares its arithmetic with the scalar properties through
 the plain functions in :mod:`repro.uav.budget`,
 :mod:`repro.core.heatsink` and :mod:`repro.core.physics`, so scalar
 and columnar results are pinned together by construction (and by the
@@ -31,12 +32,12 @@ and columnar results are pinned together by construction (and by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -54,6 +55,7 @@ from ..core.physics import (
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError, InfeasibleDesignError
 from ..uav import budget
+from ..units import require_rotor_count
 from .matrix import (
     DesignMatrix,
     SealedColumns,
@@ -83,8 +85,9 @@ KNOB_COLUMNS = (
 )
 
 #: Knob columns allowed to be zero (everything else must be > 0,
-#: mirroring ``Knobs.__post_init__``).
-_NONNEGATIVE_COLUMNS = frozenset({"payload_weight_g"})
+#: mirroring ``Knobs.__post_init__``): the rule a knob matrix seals
+#: with and a knobs study spec checks its axes against.
+NONNEGATIVE_KNOBS = frozenset({"payload_weight_g"})
 
 
 # eq=False: dataclass-generated __eq__/__hash__ choke on ndarray fields
@@ -112,11 +115,9 @@ class KnobMatrix(SealedColumns):
     labels: Optional[Tuple[str, ...]] = None
 
     def _seal(self, copy: bool) -> None:
-        if int(self.rotor_count) != self.rotor_count or self.rotor_count < 3:
-            raise ConfigurationError(
-                f"rotor_count must be an integer >= 3, got {self.rotor_count}"
-            )
-        object.__setattr__(self, "rotor_count", int(self.rotor_count))
+        object.__setattr__(
+            self, "rotor_count", require_rotor_count(self.rotor_count)
+        )
         columns, rows = broadcast_rows(
             KNOB_COLUMNS, [getattr(self, name) for name in KNOB_COLUMNS], "knob column"
         )
@@ -126,7 +127,7 @@ class KnobMatrix(SealedColumns):
         # reprolint: disable=RPL004
         for name, column in zip(KNOB_COLUMNS, columns):
             column = sealed_column(
-                name, column, rows, copy, allow_zero=name in _NONNEGATIVE_COLUMNS
+                name, column, rows, copy, allow_zero=name in NONNEGATIVE_KNOBS
             )
             object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", checked_labels(self.labels, rows))
@@ -219,88 +220,32 @@ class KnobMatrix(SealedColumns):
             return self.labels[index]
         return f"#{index}"
 
-    # ------------------------------------------------------------------
-    # The vectorized accounting chain (Knobs.build_uav, by the column)
-    # ------------------------------------------------------------------
-    @cached_property
-    def heatsink_mass_g(self) -> np.ndarray:
-        """TDP-derived heatsink mass per design (g), Fig. 12 law."""
-        return heatsink_mass_g_array(self.compute_tdp_w)
-
-    @cached_property
-    def compute_payload_g(self) -> np.ndarray:
-        """Onboard-computer flight mass per design (g).
-
-        Knob-built UAVs carry one compute replica and fold the carrier
-        board into the module mass, exactly as ``Knobs.build_uav``
-        does.
-        """
-        return budget.compute_payload_mass_g(
-            budget.compute_flight_mass_g(
-                self.compute_mass_g, 0.0, self.heatsink_mass_g
-            ),
-            redundancy=1,
-        )
-
-    @cached_property
-    def total_mass_g(self) -> np.ndarray:
-        """All-up takeoff mass per design (g).
-
-        Battery and sensor masses are folded into the payload knob and
-        the flight controller is massless, mirroring the component set
-        ``Knobs.build_uav`` assembles.
-        """
-        return budget.all_up_mass_g(
-            self.drone_weight_g,
-            0.0,
-            budget.component_payload_mass_g(
-                0.0, 0.0, self.compute_payload_g, self.payload_weight_g
-            ),
-        )
-
-    @cached_property
-    def total_thrust_g(self) -> np.ndarray:
-        """Summed rated rotor pull per design (gram-force)."""
-        return budget.rated_thrust_g(self.rotor_pull_g, self.rotor_count)
-
-    @cached_property
-    def max_acceleration(self) -> np.ndarray:
-        """Eq. 5 maximum commandable acceleration per design (m/s^2)."""
-        return thrust_margin_acceleration(
-            self.total_thrust_g, self.total_mass_g, DEFAULT_BRAKING_PITCH_DEG
-        )
-
-    @cached_property
-    def f_compute_hz(self) -> np.ndarray:
-        """Compute throughput implied by the runtime knob (Hz)."""
-        return 1.0 / self.compute_runtime_s
-
     def assemble(self) -> DesignMatrix:
         """Run the accounting chain and columnize the F-1 parameters.
 
-        The result is numerically identical to building
-        ``Knobs.build_uav().f1(knobs.f_compute_hz)`` per row, with the
-        default fraction-of-roof knee rule recorded on the matrix.
+        :func:`knob_columns` then :func:`assemble_columns`: numerically
+        identical to building ``Knobs.build_uav().f1(knobs.f_compute_hz)``
+        per row, with the default fraction-of-roof knee rule recorded
+        on the matrix.
         """
-        return DesignMatrix._adopt(
-            sensing_range_m=self.sensor_range_m,
-            a_max=self.max_acceleration,
-            f_sensor_hz=self.sensor_framerate_hz,
-            f_compute_hz=self.f_compute_hz,
-            f_control_hz=DEFAULT_CONTROL_RATE_HZ,
-            labels=self.labels,
-            knee_fraction=DEFAULT_KNEE_FRACTION,
-        )
+        knobs = {name: getattr(self, name) for name in KNOB_COLUMNS}
+        return assemble_columns(
+            knob_columns(knobs, self.rotor_count),
+            1.0 / self.compute_runtime_s,
+            self.labels,
+        ).matrix
 
 
 # ---------------------------------------------------------------------------
-# Columnar assembly of heterogeneous UAVConfiguration fleets
+# The one accounting chain, over columns of component figures
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class FleetAssembly:
-    """A fleet's F-1 design matrix plus its mass/thrust accounting.
+    """Assembled design rows: the F-1 matrix plus its mass accounting.
 
-    The extra columns let consumers (e.g. the DSE explorer) report
+    What every design kind compiles to — knob grids, preset cross
+    products and fleets alike.  The extra columns, one entry per row,
+    let consumers (e.g. the DSE explorer and study filters) report
     all-up mass and TDP without touching the per-vehicle scalar
     properties again.
     """
@@ -363,26 +308,72 @@ def configuration_columns(
     }
 
 
+def knob_columns(
+    knobs: Mapping[str, ArrayLike], rotor_count: int
+) -> Dict[str, ArrayLike]:
+    """Table II knob values as the columns of the UAV they build.
+
+    ``knobs`` maps every name in :data:`KNOB_COLUMNS` to a scalar or a
+    column.  The result is :func:`configuration_columns` of the UAV
+    ``Knobs.build_uav`` assembles, with ``rotor_count`` rotors: one
+    heatsinked compute replica whose carrier board is folded into its
+    module mass, battery and sensor masses folded into the payload
+    knob, a massless flight controller at the default loop rate and
+    the default braking pitch.  Figures the knobs do not set stay
+    scalars, which :func:`assemble_columns` broadcasts.
+    """
+    return {
+        "name": np.array("custom-knobs", dtype=object),
+        "tdp_w": knobs["compute_tdp_w"],
+        "needs_heatsink": True,
+        "module_mass_g": knobs["compute_mass_g"],
+        "carrier_mass_g": 0.0,
+        "compute_redundancy": 1.0,
+        "battery_mass_g": 0.0,
+        "sensor_mass_g": 0.0,
+        "extra_payload_g": knobs["payload_weight_g"],
+        "payload_override_g": np.nan,
+        "frame_mass_g": knobs["drone_weight_g"],
+        "flight_controller_mass_g": 0.0,
+        "rotor_pull_g": knobs["rotor_pull_g"],
+        "rotor_count": float(rotor_count),
+        "braking_pitch_deg": DEFAULT_BRAKING_PITCH_DEG,
+        "sensing_range_m": knobs["sensor_range_m"],
+        "f_sensor_hz": knobs["sensor_framerate_hz"],
+        "f_control_hz": DEFAULT_CONTROL_RATE_HZ,
+        "a_max_scale": 1.0,
+    }
+
+
+def _per_row(column: ArrayLike, rows: int) -> np.ndarray:
+    """``column`` with one entry per row; a full column is not copied."""
+    values = np.asarray(column, dtype=np.float64)
+    return values if values.shape == (rows,) else np.full(rows, values)
+
+
 def assemble_columns(
-    columns: Dict[str, np.ndarray],
+    columns: Mapping[str, ArrayLike],
     f_compute_hz: ArrayLike,
     labels: Optional[Sequence[str]] = None,
 ) -> FleetAssembly:
-    """Run the accounting chain over :func:`configuration_columns` output.
+    """Run the accounting chain over :func:`configuration_columns` or
+    :func:`knob_columns` output.
 
     The heatsink / payload / mass / thrust / acceleration chain,
     vectorized through the same plain functions the scalar properties
     call, honoring ``payload_override_g``, ``compute_redundancy``,
     ``needs_heatsink`` and per-vehicle braking pitch; ``a_max`` is
     derated by ``a_max_scale`` before the one design matrix is built.
-    The matrix adopts the stage-rate and sensing-range columns and
+    A column may be a scalar that holds for every row.  The matrix
+    adopts the stage-rate and sensing-range columns and
     ``f_compute_hz`` without a copy (and freezes them), so pass arrays
     nothing else writes to.
     """
-    tdp_w = columns["tdp_w"]
-    heatsink = np.where(
-        columns["needs_heatsink"], heatsink_mass_g_array(tdp_w), 0.0
-    )
+    tdp_w = np.asarray(columns["tdp_w"], dtype=np.float64)
+    heatsink = heatsink_mass_g_array(tdp_w)
+    needs_heatsink = np.asarray(columns["needs_heatsink"])
+    if not needs_heatsink.all():
+        heatsink = np.where(needs_heatsink, heatsink, 0.0)
     compute_payload = budget.compute_payload_mass_g(
         budget.compute_flight_mass_g(
             columns["module_mass_g"], columns["carrier_mass_g"], heatsink
@@ -390,17 +381,16 @@ def assemble_columns(
         redundancy=columns["compute_redundancy"],
     )
     extra_payload = columns["extra_payload_g"]
-    override = columns["payload_override_g"]
-    payload = np.where(
-        np.isnan(override),
-        budget.component_payload_mass_g(
-            columns["battery_mass_g"],
-            columns["sensor_mass_g"],
-            compute_payload,
-            extra_payload,
-        ),
-        override + extra_payload,
+    payload = budget.component_payload_mass_g(
+        columns["battery_mass_g"],
+        columns["sensor_mass_g"],
+        compute_payload,
+        extra_payload,
     )
+    override = np.asarray(columns["payload_override_g"], dtype=np.float64)
+    unset = np.isnan(override)
+    if not unset.all():
+        payload = np.where(unset, payload, override + extra_payload)
     total_mass = budget.all_up_mass_g(
         columns["frame_mass_g"], columns["flight_controller_mass_g"], payload
     )
@@ -411,12 +401,14 @@ def assemble_columns(
         total_thrust, total_mass, columns["braking_pitch_deg"]
     )
     if np.any(a_max <= 0.0):
+        # Only a zero braking pitch gets here, which knob columns never
+        # set, so these are configuration columns: one entry per row.
         index = int(np.argmax(a_max <= 0.0))
         raise InfeasibleDesignError(
             f"total thrust {total_thrust[index]:.0f} g cannot move an "
             f"all-up mass of {total_mass[index]:.0f} g and no braking "
             f"floor is configured (configuration "
-            f"{columns['name'][index]!r})"
+            f"{np.asarray(columns['name'])[index]!r})"
         )
     matrix = DesignMatrix._adopt(
         sensing_range_m=columns["sensing_range_m"],
@@ -427,11 +419,12 @@ def assemble_columns(
         labels=labels,
         knee_fraction=DEFAULT_KNEE_FRACTION,
     )
+    rows = len(matrix)
     return FleetAssembly(
         matrix=matrix,
-        total_mass_g=total_mass,
-        total_thrust_g=total_thrust,
-        compute_tdp_w=tdp_w,
+        total_mass_g=_per_row(total_mass, rows),
+        total_thrust_g=_per_row(total_thrust, rows),
+        compute_tdp_w=_per_row(tdp_w, rows),
     )
 
 

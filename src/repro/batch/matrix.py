@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING,
     Any,
     Iterable,
     List,
@@ -32,9 +31,6 @@ from ..core.model import F1Model
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError
 from ..units import require_fraction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..dse.space import Candidate
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -170,9 +166,9 @@ class DesignMatrix(SealedColumns):
     Zero-row matrices are legal: they arise naturally from empty
     :meth:`~repro.batch.result.BatchResult.where` /:meth:`take`
     selections and evaluate to empty results.  Only the named
-    constructors (:meth:`from_models`, :meth:`from_candidates`) insist
-    on at least one row, since an empty *input collection* there is
-    almost certainly a caller bug.
+    constructor :meth:`from_models` insists on at least one row, since
+    an empty *input collection* there is almost certainly a caller
+    bug.
     """
 
     sensing_range_m: np.ndarray
@@ -268,29 +264,6 @@ class DesignMatrix(SealedColumns):
         return cls.from_arrays(
             *columns, labels=labels, knee_fraction=fractions.pop()
         )
-
-    @classmethod
-    def from_candidates(
-        cls, candidates: Iterable["Candidate"]
-    ) -> "DesignMatrix":
-        """Columnize DSE candidates, labelled ``uav+compute+algorithm``."""
-        rows = []
-        labels = []
-        for c in candidates:
-            rows.append(
-                (
-                    c.uav.sensor.range_m,
-                    c.uav.max_acceleration,
-                    c.uav.sensor.framerate_hz,
-                    c.f_compute_hz,
-                    c.uav.flight_controller.loop_rate_hz,
-                )
-            )
-            labels.append(f"{c.uav_name}+{c.compute_name}+{c.algorithm_name}")
-        if not rows:
-            raise ConfigurationError("a design matrix needs at least one row")
-        columns = np.asarray(rows, dtype=np.float64).T
-        return cls.from_arrays(*columns, labels=labels)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -104,18 +104,19 @@ def _compute(
     reduce: Optional[Dict[str, Any]],
     store: CheckpointStore,
     leases: LeaseStore,
-    heartbeat_interval_s: float,
     tracer: Optional[Tracer],
 ) -> ShardResult:
     """Evaluate and publish one claimed shard, heartbeating its lease.
 
-    A daemon thread refreshes the lease while the shard computes, so a
-    slow shard is not mistaken for a dead worker; a lease with an
-    infinite TTL never expires and gets none.  A heartbeat that finds
-    the lease taken over just stops: the record settles the shard
-    either way, and the release deletes only this worker's own file.
+    A daemon thread refreshes the lease every ``lease_ttl_s / 3``
+    while the shard computes, so a slow shard is not mistaken for a
+    dead worker; a lease with an infinite TTL never expires and gets
+    none.  A heartbeat that finds the lease taken over just stops: the
+    record settles the shard either way, and the release deletes only
+    this worker's own file.
     """
     stop = threading.Event()
+    heartbeat_interval_s = leases.lease_ttl_s / 3.0
 
     def heartbeat() -> None:
         while not stop.wait(heartbeat_interval_s):
@@ -189,7 +190,6 @@ class DistributedExecutor:
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         n_workers: int = 1,
         poll_interval_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
     ) -> None:
         if not lease_ttl_s > 0:
             raise ConfigurationError(
@@ -205,20 +205,11 @@ class DistributedExecutor:
             raise ConfigurationError(
                 f"poll_interval_s must be > 0, got {poll_interval_s}"
             )
-        if heartbeat_interval_s is None:
-            heartbeat_interval_s = lease_ttl_s / 3.0
-        if not 0 < heartbeat_interval_s <= lease_ttl_s / 2.0:
-            raise ConfigurationError(
-                f"heartbeat_interval_s must be in (0, lease_ttl_s/2] "
-                f"so a live worker can never look dead, got "
-                f"{heartbeat_interval_s} against ttl {lease_ttl_s}"
-            )
         self.work_dir = Path(work_dir)
         self.worker_id = worker_id or default_worker_id()
         self.lease_ttl_s = float(lease_ttl_s)
         self.n_workers = int(n_workers)
         self.poll_interval_s = float(poll_interval_s)
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
 
     def __enter__(self) -> "DistributedExecutor":
         return self
@@ -305,7 +296,7 @@ class DistributedExecutor:
                             event = "computed"
                             result = _compute(
                                 spec, pending[index], manifest.reduce, store,
-                                leases, self.heartbeat_interval_s, tracer,
+                                leases, tracer,
                             )
                     finally:
                         leases.release(index)

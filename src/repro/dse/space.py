@@ -10,7 +10,7 @@ floor, so nothing is silently dropped — but callers can filter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..autonomy.workloads import get_algorithm
 from ..compute.platforms import get_platform
@@ -55,28 +55,45 @@ class DesignSpace:
             * len(self.algorithm_names)
         )
 
-    def candidates(self) -> Iterator[Candidate]:
-        """Yield every composed candidate in deterministic order.
+    def candidates(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[Candidate]:
+        """Yield candidates ``[start, stop)`` in deterministic order.
 
-        An algorithm's throughput depends on the platform, not the
-        airframe, so it is computed once per (compute, algorithm) pair
-        and reused for every UAV.
+        Candidate ``i`` pairs UAV ``i // (C*A)`` with compute platform
+        ``(i // A) % C`` and algorithm ``i % A`` (C platforms, A
+        algorithms; the algorithm varies fastest), so a range is
+        composed by index arithmetic, without the candidates before
+        it.  Each UAV is composed with each platform once, and an
+        algorithm's throughput, which depends on the platform and not
+        the airframe, once per (compute, algorithm) pair.
         """
+        n_algorithms = len(self.algorithm_names)
+        per_uav = len(self.compute_names) * n_algorithms
+        stop = len(self) if stop is None else min(stop, len(self))
         rates: Dict[Tuple[str, str], float] = {}
-        for uav_name in self.uav_names:
-            base = get_preset(uav_name)
-            for compute_name in self.compute_names:
+        uav_index = compute_index = -1
+        for index in range(start, stop):
+            u, rest = divmod(index, per_uav)
+            c, a = divmod(rest, n_algorithms)
+            if u != uav_index:
+                uav_index, compute_index = u, -1
+                uav_name = self.uav_names[u]
+                base = get_preset(uav_name)
+            if c != compute_index:
+                compute_index = c
+                compute_name = self.compute_names[c]
                 platform = get_platform(compute_name)
                 uav = base.with_compute(platform)
-                for algorithm_name in self.algorithm_names:
-                    pair = (compute_name, algorithm_name)
-                    if pair not in rates:
-                        algorithm = get_algorithm(algorithm_name)
-                        rates[pair] = algorithm.throughput_on(platform)
-                    yield Candidate(
-                        uav_name=uav_name,
-                        compute_name=compute_name,
-                        algorithm_name=algorithm_name,
-                        uav=uav,
-                        f_compute_hz=rates[pair],
-                    )
+            algorithm_name = self.algorithm_names[a]
+            pair = (compute_name, algorithm_name)
+            if pair not in rates:
+                algorithm = get_algorithm(algorithm_name)
+                rates[pair] = algorithm.throughput_on(platform)
+            yield Candidate(
+                uav_name=uav_name,
+                compute_name=compute_name,
+                algorithm_name=algorithm_name,
+                uav=uav,
+                f_compute_hz=rates[pair],
+            )

@@ -18,7 +18,7 @@ from ..uav.components import (
     Sensor,
 )
 from ..uav.configuration import UAVConfiguration
-from ..units import require_nonnegative, require_positive
+from ..units import require_nonnegative, require_positive, require_rotor_count
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class Knobs:
         require_positive("rotor_pull_g", self.rotor_pull_g)
         require_nonnegative("payload_weight_g", self.payload_weight_g)
         require_positive("compute_mass_g", self.compute_mass_g)
+        require_rotor_count(self.rotor_count)
 
     @property
     def f_compute_hz(self) -> float:

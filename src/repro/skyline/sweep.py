@@ -8,11 +8,12 @@ exploration Sec. V demonstrates interactively.
 Both :func:`sweep_knob` and :func:`sweep_grid` are thin builders over
 the declarative :mod:`repro.study` layer: they assemble a
 :class:`~repro.study.spec.StudySpec` and hand it to
-:func:`~repro.study.runner.run_study`, which compiles the same
-columnar :class:`~repro.batch.assembly.KnobMatrix` chain and one-pass
-:mod:`repro.batch` evaluation these functions used to wire by hand —
-public signatures and numerics unchanged, but every sweep is now also
-expressible (and serializable) as a spec.
+:func:`~repro.study.runner.run_study`, which compiles the knob rows
+through the one columnar accounting chain
+(:func:`~repro.batch.assembly.assemble_columns`) and evaluates them
+in one :mod:`repro.batch` pass — public signatures and numerics
+unchanged, but every sweep is now also expressible (and serializable)
+as a spec.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..batch.assembly import KnobMatrix
 from ..batch.grid import AxisLike
 from ..batch.kernels import BOUND_KINDS
 from ..batch.matrix import DesignMatrix
@@ -120,26 +120,6 @@ class SweepResult:
             if previous.bound is not current.bound:
                 crossovers.append(current.value)
         return crossovers
-
-
-def sweep_matrix(
-    base: Knobs, knob: str, values: Sequence[float]
-) -> DesignMatrix:
-    """Columnize a knob sweep into one design matrix.
-
-    The whole Knobs->UAV accounting chain (mass, heatsink, thrust,
-    acceleration) runs vectorized through
-    :class:`~repro.batch.assembly.KnobMatrix` — no per-value
-    ``build_uav`` loop — and is numerically identical to one.
-    """
-    _require_sweepable(knob)
-    if len(values) == 0:  # len, not truthiness: values may be a numpy array
-        raise ConfigurationError("sweep needs at least one value")
-    return KnobMatrix.from_base(
-        base,
-        labels=[f"{knob}={value:g}" for value in values],
-        **{knob: values},
-    ).assemble()
 
 
 def _sweep_points(
@@ -386,7 +366,7 @@ def sweep_grid(
     Cartesian product is expanded row-major (last knob fastest) through
     the :mod:`repro.study` planner — a thin builder over
     ``StudySpec(design=DesignSpec.knob_axes(base, axes))`` — assembled
-    columnar by :class:`~repro.batch.assembly.KnobMatrix` and
+    columnar by :func:`~repro.batch.assembly.assemble_columns` and
     evaluated in one batch pass.
     """
     if not axes:

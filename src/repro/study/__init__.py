@@ -35,7 +35,6 @@ Quickstart::
 """
 
 from .planner import (
-    ShardPlan,
     StudyAxis,
     StudyPlan,
     compile_chunk,
@@ -61,7 +60,6 @@ from .spec import (
 )
 
 __all__ = [
-    "ShardPlan",
     "StudyAxis",
     "StudyPlan",
     "compile_chunk",

@@ -1,13 +1,14 @@
 """Compile a :class:`~repro.study.spec.StudySpec` into a batch plan.
 
 The planner turns a declarative spec into exactly the vectorized
-:mod:`repro.batch` execution the legacy entry points performed —
-knob-axes designs go through :class:`~repro.batch.assembly.KnobMatrix`
-(identical to ``sweep_knob``/``sweep_grid``), preset and fleet designs
-through the two halves of
-:func:`~repro.batch.assembly.assemble_configurations` (identical to
-``dse.explore``) — so studies are numerically indistinguishable from
-the call stacks they replace.
+:mod:`repro.batch` execution the legacy entry points performed, so
+studies are numerically indistinguishable from the call stacks they
+replace (``sweep_knob``/``sweep_grid`` for knob axes, ``dse.explore``
+for presets).  Every design kind ends in the one accounting chain,
+:func:`~repro.batch.assembly.assemble_columns`: knob rows enter it
+through :func:`~repro.batch.assembly.knob_columns`, preset and fleet
+rows through :func:`~repro.batch.assembly.configuration_columns`, and
+each compile returns its :class:`~repro.batch.assembly.FleetAssembly`.
 
 Each design kind has one planner path, and it compiles a row range:
 :func:`compile_chunk` runs it over a shard's ``[start, stop)`` rows and
@@ -18,22 +19,26 @@ design and scenario axes; preset and fleet rows gather only the
 designs the range touches and cross them with the M scenario rows by
 index arithmetic, never as one configuration object per row.  A range
 holds at most ``stop - start + 2·M`` rows, and nothing is kept between
-calls.
+calls.  The spec checked every field value when it was built, so the
+planner checks only what crossing rows can produce: a scenario payload
+that goes negative or overflows, and the derived columns the design
+matrix seals.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..batch.assembly import (
     KNOB_COLUMNS,
-    KnobMatrix,
+    FleetAssembly,
     assemble_columns,
     configuration_columns,
+    knob_columns,
 )
 from ..batch.grid import cartesian_product, cartesian_slice
 from ..batch.matrix import DesignMatrix
@@ -46,9 +51,6 @@ from .spec import (
     StudySpec,
     spec_error,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..skyline.knobs import Knobs
 
 
 @dataclass(frozen=True)
@@ -108,34 +110,6 @@ def _scenario_rows(
     return axes, count
 
 
-def _knob_matrix(
-    base: Knobs,
-    columns: Dict[str, np.ndarray],
-    labels: Optional[List[str]] = None,
-) -> KnobMatrix:
-    """A knob matrix adopting fresh columns; other knobs from ``base``."""
-    return KnobMatrix._adopt(
-        rotor_count=base.rotor_count,
-        labels=labels,
-        **{name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS},
-    )
-
-
-def _with_scaled_a_max(
-    matrix: DesignMatrix, scale: np.ndarray
-) -> DesignMatrix:
-    """``matrix`` with its acceleration column derated (others shared)."""
-    return DesignMatrix._adopt(
-        sensing_range_m=matrix.sensing_range_m,
-        a_max=matrix.a_max * scale,
-        f_sensor_hz=matrix.f_sensor_hz,
-        f_compute_hz=matrix.f_compute_hz,
-        f_control_hz=matrix.f_control_hz,
-        labels=matrix.labels,
-        knee_fraction=matrix.knee_fraction,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Preset / fleet designs (the dse.explore shape)
 # ---------------------------------------------------------------------------
@@ -154,7 +128,7 @@ def _materialize_designs(
             compute_names=design.compute_names,
             algorithm_names=design.algorithm_names,
         )
-        candidates = list(itertools.islice(space.candidates(), first, stop))
+        candidates = list(space.candidates(first, stop))
         uavs = [c.uav for c in candidates]
         rates = [c.f_compute_hz for c in candidates]
         labels = [
@@ -215,7 +189,7 @@ def _shifted_payload(
     return extra
 
 
-def _compile_fleet(spec: StudySpec, start: int, stop: int) -> ShardPlan:
+def _compile_fleet(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
     """Rows ``[start, stop)`` of a preset or fleet design.
 
     With M scenario rows per design, only designs ``start // M``
@@ -248,17 +222,10 @@ def _compile_fleet(spec: StudySpec, start: int, stop: int) -> ShardPlan:
     if labels is not None:
         # Cut in place (the list is ours), so a full range copies none.
         del labels[rows.stop:], labels[:rows.start]
-    fleet = assemble_columns(
+    return assemble_columns(
         columns,
         np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios)[rows],
         labels=labels,
-    )
-    return ShardPlan(
-        start=start,
-        stop=stop,
-        matrix=fleet.matrix,
-        total_mass_g=fleet.total_mass_g,
-        compute_tdp_w=fleet.compute_tdp_w,
     )
 
 
@@ -325,33 +292,17 @@ def study_size(spec: StudySpec) -> int:
     return size
 
 
-# eq=False: ndarray fields; identity semantics, like the batch types.
-@dataclass(frozen=True, eq=False)
-class ShardPlan:
-    """The ``[start, stop)`` rows of a compiled study.
-
-    Concatenating shard plans in row order reproduces the full
-    :class:`StudyPlan`'s matrix and accounting columns bitwise — the
-    invariant the executor equivalence suite pins.
-    """
-
-    start: int
-    stop: int
-    matrix: DesignMatrix
-    total_mass_g: np.ndarray
-    compute_tdp_w: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-
-def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
+def _compile_knob_chunk(
+    spec: StudySpec, start: int, stop: int
+) -> FleetAssembly:
     """Rows ``[start, stop)`` of a knobs design, by index arithmetic.
 
     The design axes followed by the scenario axes (scenario varies
     fastest) are one row-major Cartesian grid, so the rows are
     :func:`~repro.batch.grid.cartesian_slice` of the combined axes —
-    O(stop - start) memory however large the grid.
+    O(stop - start) memory however large the grid.  Knobs no axis
+    sweeps stay the base's scalars, and an ``a_max_scale`` axis is a
+    column edit, as for fleets.
     """
     design = spec.design
     base = design.base
@@ -360,16 +311,14 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
         {**dict(design.axes), **scenario_axes}, start, stop
     )
 
-    knob_columns = {name: columns[name] for name, _ in design.axes}
+    knobs = {name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS}
     labels = None
     if len(design.axes) == 1 and not scenario_axes:
         knob = design.axes[0][0]
-        labels = [f"{knob}={value:g}" for value in knob_columns[knob]]
+        labels = [f"{knob}={value:g}" for value in knobs[knob]]
     if "extra_payload_g" in columns:
-        carried = knob_columns.get("payload_weight_g")
-        if carried is None:
-            carried = np.full(stop - start, base.payload_weight_g)
         delta = columns["extra_payload_g"]
+        carried = np.broadcast_to(knobs["payload_weight_g"], delta.shape)
         payload = carried + delta
         negative = payload < 0.0
         if negative.any():
@@ -383,21 +332,18 @@ def _compile_knob_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
                 f"({payload[row]:g} g); deltas cannot shed more than "
                 "the payload knob carries",
             )
-        knob_columns["payload_weight_g"] = payload
-    knob_matrix = _knob_matrix(base, knob_columns, labels)
-    matrix = knob_matrix.assemble()
+        if not np.isfinite(payload).all():
+            raise ConfigurationError("payload_weight_g must be finite")
+        knobs["payload_weight_g"] = payload
+    design_columns = knob_columns(knobs, base.rotor_count)
     if "a_max_scale" in columns:
-        matrix = _with_scaled_a_max(matrix, columns["a_max_scale"])
-    return ShardPlan(
-        start=start,
-        stop=stop,
-        matrix=matrix,
-        total_mass_g=knob_matrix.total_mass_g,
-        compute_tdp_w=knob_matrix.compute_tdp_w,
+        design_columns["a_max_scale"] = columns["a_max_scale"]
+    return assemble_columns(
+        design_columns, 1.0 / knobs["compute_runtime_s"], labels
     )
 
 
-def compile_chunk(spec: StudySpec, start: int, stop: int) -> ShardPlan:
+def compile_chunk(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
     """Compile only rows ``[start, stop)`` of a spec.
 
     The one planner path of each design kind: knob rows are a

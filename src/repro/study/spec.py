@@ -17,11 +17,12 @@ scenario, filter and rank tables it embeds): ``to_dict`` emits through
 them and ``from_dict`` reads through them, so a missing field, a value
 outside its type or an undeclared key is refused by the one shared
 reader.  The rules that relate fields — which fields a design kind
-uses, registered preset names, sweepable knobs, column names, filter
-values and the scenario axes a design kind supports — run once, when a
-spec object is built, on the wire and the Python path alike, so the
-planner and runner do not check them again.  Every error names the
-offending field (``study spec field 'design.axes': ...``).
+uses, registered preset names, sweepable knobs and the values each
+knob accepts, column names, filter values and the scenario axes a
+design kind supports — run once, when a spec object is built, on the
+wire and the Python path alike, so the planner and runner do not
+check them again.  Every error names the offending field
+(``study spec field 'design.axes': ...``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import (
 )
 
 from ..autonomy.workloads import ALGORITHMS
-from ..batch.assembly import KNOB_COLUMNS
+from ..batch.assembly import KNOB_COLUMNS, NONNEGATIVE_KNOBS
 from ..batch.result import SORTABLE_COLUMNS
 from ..compute.platforms import PLATFORMS
 from ..errors import ConfigurationError
@@ -67,7 +68,7 @@ from ..io.serialization import (
 )
 from ..uav.configuration import UAVConfiguration
 from ..uav.registry import UAV_PRESETS
-from ..units import require_fraction, require_nonnegative
+from ..units import require_fraction, require_nonnegative, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..batch.cache import BatchCache
@@ -263,9 +264,20 @@ class DesignSpec:
                     "design.axes", f"duplicate knob axis {name!r}"
                 )
             seen.add(name)
-            normalized.append(
-                (name, _float_axis(f"design.axes[{name}]", values))
+            field = f"design.axes[{name}]"
+            axis = _float_axis(field, values)
+            # The scalar Knobs rule, so every grid row is a valid knob set.
+            check = (
+                require_nonnegative
+                if name in NONNEGATIVE_KNOBS
+                else require_positive
             )
+            try:
+                for v in axis:
+                    check(name, v)
+            except ConfigurationError as exc:
+                raise spec_error(field, str(exc)) from exc
+            normalized.append((name, axis))
         object.__setattr__(self, "axes", tuple(normalized))
 
     def _validate_presets(self) -> None:

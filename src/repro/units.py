@@ -124,6 +124,15 @@ def require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def require_rotor_count(value: float) -> int:
+    """Validate a multirotor's rotor count, an integer >= 3, as an int."""
+    if not (value >= 3 and float(value).is_integer()):
+        raise ConfigurationError(
+            f"rotor_count must be an integer >= 3, got {value}"
+        )
+    return int(value)
+
+
 def require_fraction(name: str, value: float) -> float:
     """Validate that ``value`` lies strictly in (0, 1), returning it."""
     _require_finite(name, value)

@@ -19,7 +19,12 @@ from repro.batch import (
     assemble_configurations,
     evaluate_matrix,
 )
-from repro.batch.assembly import KNOB_COLUMNS
+from repro.batch.assembly import (
+    KNOB_COLUMNS,
+    assemble_columns,
+    configuration_columns,
+    knob_columns,
+)
 from repro.core.knee import DEFAULT_KNEE_FRACTION
 from repro.core.model import F1Model
 from repro.dse.space import DesignSpace
@@ -108,23 +113,41 @@ class TestKnobMatrixEquivalence:
             Knobs(compute_tdp_w=30.0, payload_weight_g=750.0),
         ]
         km = KnobMatrix.from_knobs(sets)
+        fleet = assemble_columns(
+            knob_columns(
+                {name: getattr(km, name) for name in KNOB_COLUMNS},
+                km.rotor_count,
+            ),
+            1.0 / km.compute_runtime_s,
+        )
         for i, knobs in enumerate(sets):
             uav = knobs.build_uav()
-            assert km.heatsink_mass_g[i] == pytest.approx(
-                uav.compute.heatsink_mass_g, abs=EQ_TOL
-            )
-            assert km.compute_payload_g[i] == pytest.approx(
-                uav.compute_payload_g, abs=EQ_TOL
-            )
-            assert km.total_mass_g[i] == pytest.approx(
+            assert fleet.total_mass_g[i] == pytest.approx(
                 uav.total_mass_g, abs=EQ_TOL
             )
-            assert km.total_thrust_g[i] == pytest.approx(
+            assert fleet.total_thrust_g[i] == pytest.approx(
                 uav.total_thrust_g, abs=EQ_TOL
             )
-            assert km.max_acceleration[i] == pytest.approx(
+            assert fleet.matrix.a_max[i] == pytest.approx(
                 uav.max_acceleration, abs=EQ_TOL
             )
+
+    @given(knobs=knob_sets)
+    @settings(max_examples=40, deadline=None)
+    def test_knob_columns_are_the_built_uavs_columns(self, knobs):
+        # Pins knob_columns' constants to the UAV Knobs.build_uav
+        # assembles: every column, scalar or not, equals its one row.
+        values = {name: getattr(knobs, name) for name in KNOB_COLUMNS}
+        mine = knob_columns(values, knobs.rotor_count)
+        built = configuration_columns([knobs.build_uav()])
+        assert mine.keys() == built.keys()
+        for name, column in built.items():
+            got = np.atleast_1d(np.asarray(mine[name]))
+            assert got.dtype == column.dtype, name
+            assert got.shape == (1,) and (
+                got[0] == column[0]
+                or (np.isnan(got[0]) and np.isnan(column[0]))
+            ), (name, got, column)
 
     def test_assemble_records_default_knee_rule(self):
         matrix = KnobMatrix.from_base(Knobs()).assemble()

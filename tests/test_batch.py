@@ -559,11 +559,6 @@ class TestConsumerEquivalence:
             )
             assert batched.bound is scalar.bound
 
-    def test_from_candidates_labels_match_explorer(self):
-        space = DesignSpace(("dji-spark",), ("intel-ncs",), ("dronet",))
-        matrix = DesignMatrix.from_candidates(space.candidates())
-        assert matrix.labels == ("dji-spark+intel-ncs+dronet",)
-
     def test_sweep_accepts_numpy_values(self):
         from repro.skyline.knobs import Knobs
         from repro.skyline.sweep import sweep_knob

@@ -533,10 +533,6 @@ class TestDistributedExecutor:
             DistributedExecutor(tmp_path, n_workers=0)
         with pytest.raises(ConfigurationError, match="poll_interval_s"):
             DistributedExecutor(tmp_path, poll_interval_s=-1.0)
-        with pytest.raises(ConfigurationError, match="heartbeat"):
-            DistributedExecutor(
-                tmp_path, lease_ttl_s=10.0, heartbeat_interval_s=6.0
-            )
 
     def test_single_worker_matches_serial(self, tmp_path):
         spec = _spec(10)

@@ -42,6 +42,19 @@ class TestDesignSpace:
         assert candidate.uav.compute.name == candidate.compute_name
         assert candidate.f_compute_hz > 0
 
+    def test_a_range_is_that_cut_of_the_whole_enumeration(
+        self, small_space
+    ):
+        everything = list(small_space.candidates())
+        n = len(everything)
+        for start in range(n):
+            for stop in range(start + 1, n + 2):
+                assert (
+                    list(small_space.candidates(start, stop))
+                    == everything[start:stop]
+                ), (start, stop)
+        assert list(small_space.candidates(5)) == everything[5:]
+
     def test_empty_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             DesignSpace((), ("jetson-tx2",), ("dronet",))

@@ -69,6 +69,7 @@ from repro.study import (
     study_axes,
     study_size,
 )
+from repro.uav.configuration import UAVConfiguration
 from repro.uav.registry import UAV_PRESETS, get_preset
 
 
@@ -522,6 +523,34 @@ class TestShardedStudies:
             tracemalloc.stop()
         assert len(shard) == 4_096
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_preset_shard_composes_only_its_own_designs(self, monkeypatch):
+        # The last 4-row shard of 3 UAVs x 3 platforms x 2 algorithms
+        # x 4 scenario rows holds one design: one (UAV, compute) pair.
+        spec = StudySpec(
+            design=DesignSpec.presets(
+                uav_names=("dji-spark", "asctec-pelican", "nano-uav"),
+                compute_names=("intel-ncs", "jetson-tx2", "raspi4"),
+                algorithm_names=("dronet", "trailnet"),
+            ),
+            scenarios=ScenarioSpec(extra_payload_g=(0.0, 10.0, 20.0, 30.0)),
+        )
+        composed = []
+        with_compute = UAVConfiguration.with_compute
+
+        def counting(uav, compute, name=None):
+            composed.append(compute.name)
+            return with_compute(uav, compute, name)
+
+        monkeypatch.setattr(UAVConfiguration, "with_compute", counting)
+        total = study_size(spec)
+        compile_chunk(spec, total - 4, total)
+        assert composed == ["raspi4"]
+        composed.clear()
+        # Rows [20, 60) are designs 5 through 14: UAV 0's last
+        # platform, all three of UAV 1's and UAV 2's first two.
+        compile_chunk(spec, 20, 60)
+        assert composed == ["raspi4", "intel-ncs", "jetson-tx2"] * 2
 
     def test_presets_and_fleet_identical(self):
         presets = StudySpec(

@@ -647,6 +647,14 @@ class TestStudyRequestBoundary:
              "'design.compute_names': unknown compute platform 'nope'"),
             ("spec-presets.json", _set(("design", "algorithm_names"), ["nope"]),
              "'design.algorithm_names': unknown autonomy algorithm 'nope'"),
+            ("spec-knobs.json", _set(("design", "axes", "sensor_range_m"), [5.0, 0.0]),
+             r"'design.axes\[sensor_range_m\]'"),
+            ("spec-knobs.json", _set(("design", "axes", "compute_runtime_s"), [-0.01]),
+             r"'design.axes\[compute_runtime_s\]'"),
+            ("spec-knobs.json", _set(("design", "axes", "payload_weight_g"), [-1.0]),
+             r"'design.axes\[payload_weight_g\]'"),
+            ("spec-knobs.json", _set(("design", "base", "rotor_count"), 2),
+             "'design.base': rotor_count must be an integer >= 3"),
         ],
         ids=[
             "fleet-scalar-rates", "fleet-labels-number", "fleet-uav-number",
@@ -655,7 +663,8 @@ class TestStudyRequestBoundary:
             "names-mapping", "fleet-label-numbers", "tolerance-bool", "knob-base-bool",
             "design-unknown-key", "design-foreign-field", "unknown-bound-name",
             "redundancy-on-knobs", "unknown-preset", "unknown-platform",
-            "unknown-algorithm",
+            "unknown-algorithm", "knob-axis-zero", "knob-axis-negative",
+            "payload-axis-negative", "knob-base-two-rotors",
         ],
     )
     def test_spec_defect_is_a_400_naming_the_field(self, document, edit, field):
@@ -663,20 +672,36 @@ class TestStudyRequestBoundary:
             parse_study_request(_spec_body(document, edit))
         assert envelope_for_exception(exc.value).status == 400
 
-    def test_unknown_preset_is_refused_before_the_ack(self, server):
-        body = _spec_body(
-            "spec-presets.json", _set(("design", "uav_names"), ["nope"])
-        )
+    @staticmethod
+    def _post(server, body):
         conn = http.client.HTTPConnection("127.0.0.1", server.port)
         try:
             conn.request("POST", "/v1/studies", body=json.dumps(body))
             response = conn.getresponse()
-            doc = json.loads(response.read())
+            return response.status, json.loads(response.read())
         finally:
             conn.close()
-        assert response.status == 400
+
+    def test_unknown_preset_is_refused_before_the_ack(self, server):
+        body = _spec_body(
+            "spec-presets.json", _set(("design", "uav_names"), ["nope"])
+        )
+        status, doc = self._post(server, body)
+        assert status == 400
         assert doc["kind"] == "error"
         assert "'design.uav_names'" in doc["message"]
+
+    def test_negative_knob_value_is_refused_before_the_ack(self, server):
+        # Refused at the request boundary, not inside the study after
+        # an ack: the store registers no record for it.
+        body = {"design": {"kind": "knobs", "axes": {"compute_tdp_w": [-1.0, 5.0]}}}
+        store = server.server.scheduler.store
+        records = len(store)
+        status, doc = self._post(server, body)
+        assert status == 400
+        assert doc["kind"] == "error"
+        assert "'design.axes[compute_tdp_w]'" in doc["message"]
+        assert len(store) == records
 
 
 # ---------------------------------------------------------------------

@@ -70,6 +70,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="finite"):
             knob_spec(compute_tdp_w=[1.0, float("nan")])
 
+    def test_axis_values_follow_their_knobs_rule(self):
+        knob_spec(payload_weight_g=[0.0, 10.0])  # payload may be zero
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^study spec field 'design\.axes\[payload_weight_g\]': "
+            r"payload_weight_g must be >= 0, got -1\.0$",
+        ):
+            knob_spec(payload_weight_g=[0.0, -1.0])
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'design\.axes\[compute_tdp_w\]': "
+            r"compute_tdp_w must be > 0, got 0\.0$",
+        ):
+            knob_spec(compute_tdp_w=[5.0, 0.0])
+
     def test_filter_on_unknown_column_named(self):
         with pytest.raises(
             ConfigurationError,
@@ -712,6 +727,68 @@ class TestColumnarFleetCompile:
         assert str(sharded.value.__cause__) == message
 
 
+#: Drawn Table II knob values, each inside its knob's valid range.
+KNOB_VALUES = {
+    "sensor_framerate_hz": st.floats(1.0, 240.0),
+    "compute_tdp_w": st.floats(0.2, 60.0),
+    "compute_runtime_s": st.floats(1e-3, 2.0),
+    "sensor_range_m": st.floats(0.5, 50.0),
+    "drone_weight_g": st.floats(100.0, 5000.0),
+    "rotor_pull_g": st.floats(50.0, 2000.0),
+    "payload_weight_g": st.floats(0.0, 1000.0),
+    "compute_mass_g": st.floats(1.0, 500.0),
+}
+
+
+@st.composite
+def knob_designs(draw):
+    """A drawn base knob set crossed with one or two drawn axes."""
+    base = Knobs(**{name: draw(values) for name, values in KNOB_VALUES.items()})
+    names = draw(
+        st.lists(st.sampled_from(sorted(KNOB_VALUES)), min_size=1, max_size=2, unique=True)
+    )
+    return DesignSpec.knob_axes(
+        base,
+        {name: draw(st.lists(KNOB_VALUES[name], min_size=1, max_size=3)) for name in names},
+    )
+
+
+class TestOneAccountingChain:
+    """A knob study compiles exactly like the fleet of the UAVs its
+    knobs build: both kinds run the one accounting chain."""
+
+    @pytest.mark.parametrize(
+        "scenarios",
+        [
+            None,
+            ScenarioSpec(extra_payload_g=(0.0, 75.0)),
+            ScenarioSpec(extra_payload_g=(0.0, 75.0), a_max_scale=(1.0, 0.8)),
+        ],
+        ids=["no-scenarios", "payload", "payload-and-scale"],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(design=knob_designs())
+    def test_knob_study_compiles_like_its_knob_built_fleet(
+        self, scenarios, design
+    ):
+        names = [name for name, _ in design.axes]
+        rows = [
+            replace(design.base, **dict(zip(names, values)))
+            for values in itertools.product(*(axis for _, axis in design.axes))
+        ]
+        fleet = DesignSpec.fleet(
+            [knobs.build_uav() for knobs in rows],
+            [1.0 / knobs.compute_runtime_s for knobs in rows],
+        )
+        knob_plan = compile_spec(StudySpec(design=design, scenarios=scenarios))
+        fleet_plan = compile_spec(StudySpec(design=fleet, scenarios=scenarios))
+        assert [column.tobytes() for column in knob_plan.matrix.columns()] == [
+            column.tobytes() for column in fleet_plan.matrix.columns()
+        ]
+        assert knob_plan.total_mass_g.tobytes() == fleet_plan.total_mass_g.tobytes()
+        assert knob_plan.compute_tdp_w.tobytes() == fleet_plan.compute_tdp_w.tobytes()
+
+
 class TestFiltersAndRank:
     @pytest.fixture()
     def spec(self):
@@ -1009,6 +1086,18 @@ class TestValidateOnce:
             compile_spec(spec)
         with pytest.raises(ConfigurationError, match=message):
             compile_chunk(spec, 0, study_size(spec))
+
+    def test_overflowing_knob_payload_keeps_its_error(self):
+        # Each value is valid; only their sum overflows, inside the study.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(Knobs(), {"payload_weight_g": [1e308]}),
+            scenarios=ScenarioSpec(extra_payload_g=(1e308,)),
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                ConfigurationError, match=r"^payload_weight_g must be finite$"
+            ):
+                compile_spec(spec)
 
 
 class TestCacheSharing:
