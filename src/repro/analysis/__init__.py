@@ -19,20 +19,23 @@ and, via the whole-program :class:`~repro.analysis.graph.ProjectGraph`
   workers (RPL007),
 * unit-suffix flow through function parameters and returns across
   module boundaries (RPL008),
-* export/reachability drift — ``__all__`` lists, ``from``-imports,
-  dead private functions and documented symbols (RPL009).
+* top-level private functions nothing references any more (RPL009).
 
-Every rule is AST-based (no imports of the analyzed code), registered
-in :data:`repro.analysis.core.REGISTRY`, suppressible per line with
-``# reprolint: disable=RPL00x`` comments, and exercised by fixture
-files under ``tests/data/reprolint_fixtures/``.  The ``reprolint``
-console script (see :mod:`repro.analysis.cli`) runs the suite over a
-tree — incrementally, via a content-hash cache with graph-aware
-invalidation (:mod:`repro.analysis.cache`) — and is wired into CI next
-to ruff, with SARIF export (:mod:`repro.analysis.sarif`).  The tree
-must be clean: there is no baseline of accepted findings.  RPL003 (the
-old wire-format guard) is retired; the wire formats are pinned by
-golden documents in ``tests/test_wire_golden.py``.
+Every rule is AST-based (the rules never import the code they
+analyze), registered in :data:`repro.analysis.core.REGISTRY`,
+suppressible per line with ``# reprolint: disable=RPL00x`` comments,
+and exercised by fixture files under ``tests/data/reprolint_fixtures/``.
+The ``reprolint`` console script (see :mod:`repro.analysis.cli`) runs
+the suite over a tree — incrementally, via a cache that re-analyzes
+only the files whose content or module name changed
+(:mod:`repro.analysis.cache`) — and is wired into CI next to ruff,
+with SARIF export (:mod:`repro.analysis.sarif`).  The tree must be
+clean: there is no baseline of accepted findings.  What an import
+already checks is left to tier-1's ``tests/test_drift.py``: every
+module imports, every ``__all__`` entry exists, and the docs name only
+symbols that exist.  RPL003 (the old wire-format guard) is retired;
+the wire formats are pinned by golden documents in
+``tests/test_wire_golden.py``.
 """
 
 from __future__ import annotations

@@ -1,21 +1,19 @@
-"""The incremental analysis cache: skip files nothing relevant touched.
+"""The incremental analysis cache: re-analyze only the files that changed.
 
 One JSON file (``.reprolint_cache.json`` at the repo root by default,
 gitignored) maps each analyzed file to its content hash, its
 module-rule findings and its serialized
 :class:`~repro.analysis.graph.ModuleSummary`.  On the next run a file
-is *reused* — not re-parsed, not re-linted — when
+is *reused* — not re-parsed, not re-linted — when its content hash and
+its dotted module name both match the entry's.
 
-* its own content hash is unchanged, **and**
-* every project module it imports (transitively) is unchanged too.
-
-The second condition is the graph-aware part: module-rule findings are
-per-file, but the *summary* feeds the interprocedural rules, and a
-changed import can change what a dependent's references resolve to —
-so editing one leaf module re-analyzes exactly that module plus its
-dependents.  Project rules themselves always re-run, over the full
-summary graph (summaries are small; parsing is the expensive part), so
-interprocedural findings never go stale.
+A file's summary and its module-rule findings depend only on that file
+and on the module name it imports as, which a new or deleted
+``__init__.py`` above it can change.  Everything that crosses modules
+is resolved later: the project rules re-run on every run, over the
+full summary graph (summaries are small; parsing is the expensive
+part), so an edit to one module still reaches the findings of another
+and interprocedural findings never go stale.
 
 The whole cache is invalidated when the analyzer itself changes: the
 ``config_key`` folds in the source hashes of ``repro.analysis``, the
@@ -34,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import REGISTRY, AnalyzerConfig, Finding
-from .graph import ModuleSummary, ProjectGraph, module_name_for
+from .graph import ModuleSummary, module_name_for
 
 #: Wire-shape version of the cache file; bumping drops every entry.
 CACHE_VERSION = 1
@@ -63,7 +61,6 @@ def compute_config_key(config: AnalyzerConfig) -> str:
         "purity_modules": list(config.purity_modules),
         "select": None if config.select is None else sorted(config.select),
         "exclude": list(config.exclude),
-        "doc_files": list(config.doc_files),
     }
     digest.update(json.dumps(fields, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
@@ -157,23 +154,15 @@ class AnalysisCache:
         return None if summary is None else (findings, summary)
 
     # -- planning --------------------------------------------------------
-    def plan(
-        self,
-        files: List[Path],
-        digests: Dict[Path, str],
-        config: AnalyzerConfig,
-    ) -> Set[Path]:
+    def plan(self, files: List[Path], digests: Dict[Path, str]) -> Set[Path]:
         """The subset of ``files`` whose cached results are reusable.
 
-        A file must be content-unchanged *and* import (transitively,
-        within ``files``) only content-unchanged modules; an entry that
-        does not read back counts as changed.
+        A file is reusable when its entry's content hash matches
+        ``digests`` and its cached summary still carries the module
+        name the file imports as; an entry that does not read back
+        counts as changed.
         """
-        names: Dict[Path, str] = {
-            path: module_name_for(path) for path in files
-        }
         self._reusable = {}
-        changed: Set[Path] = set()
         for path in files:
             entry = self._entries.get(self._key(path))
             unchanged = (
@@ -181,46 +170,11 @@ class AnalysisCache:
             )
             read = self._read_entry(entry) if unchanged else None
             if read is None:
-                changed.add(path)
-            else:
+                continue
+            summary = read[1]
+            if summary is None or summary.module == module_name_for(path):
                 self._reusable[path] = read
-        changed_names = {names[path] for path in changed}
-        # Fixpoint over reverse import edges: an unchanged module whose
-        # (cached, hence accurate) imports name a changed module is
-        # itself invalid, and transitively so.
-        progress = True
-        while progress:
-            progress = False
-            for path in files:
-                if path in changed:
-                    continue
-                summary = self._reusable[path][1]
-                if summary is None:
-                    continue  # unparsable file: nothing depends on it
-                if self._imported_names(summary) & changed_names:
-                    changed.add(path)
-                    changed_names.add(names[path])
-                    progress = True
-        return set(files) - changed
-
-    @staticmethod
-    def _imported_names(summary: ModuleSummary) -> Set[str]:
-        """Absolute module names a summary's imports could refer to."""
-        imported: Set[str] = set()
-        for record in summary.imports:
-            if record.kind == "import":
-                imported.update(target for target, _bound in record.names)
-                continue
-            source = ProjectGraph.absolute_import(summary, record)
-            if source is None:
-                continue
-            imported.add(source)
-            imported.update(
-                f"{source}.{name}"
-                for name, _bound in record.names
-                if name != "*"
-            )
-        return imported
+        return set(self._reusable)
 
     # -- entries ---------------------------------------------------------
     def load_entry(self, path: Path) -> _Entry:

@@ -11,11 +11,10 @@ Usage::
     reprolint --stats PATHS           # print analyzed/cached counts
 
 The incremental cache is on by default (``.reprolint_cache.json`` at
-the repo root, gitignored): a file re-analyzes only when its content —
-or the content of anything it imports — changed.  Exit status: 0 when
-clean, 1 when any finding is reported, 2 on usage errors (argparse),
-unreadable inputs, a ``--docs`` file that does not exist or a
-``--sarif`` path that cannot be written.
+the repo root, gitignored): a file re-analyzes only when its own
+content or its module name changed.  Exit status: 0 when clean, 1 when
+any finding is reported, 2 on usage errors (argparse), unreadable
+inputs or a ``--sarif`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "units-suffix consistency, error taxonomy, kernel purity, "
             "tracer opt-in discipline, process-pool picklability, and "
             "the whole-program rules (worker-state safety, units-flow, "
-            "export drift)."
+            "dead private functions)."
         ),
     )
     parser.add_argument(
@@ -103,17 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print analyzed/cached file counts to stderr",
     )
-    parser.add_argument(
-        "--docs",
-        action="append",
-        metavar="PATH",
-        default=None,
-        help=(
-            "markdown files RPL009 checks for documented-symbol drift "
-            "(repeatable; default: README.md and docs/*.md at the repo "
-            "root)"
-        ),
-    )
     return parser
 
 
@@ -150,24 +138,8 @@ def _parse_select(
     return select
 
 
-def _default_doc_files(root: Optional[Path]) -> Tuple[str, ...]:
-    if root is None:
-        return ()
-    docs: List[str] = []
-    readme = root / "README.md"
-    if readme.is_file():
-        docs.append(str(readme))
-    docs_dir = root / "docs"
-    if docs_dir.is_dir():
-        docs.extend(str(path) for path in sorted(docs_dir.glob("*.md")))
-    return tuple(docs)
-
-
 def _path_error(args: argparse.Namespace) -> Optional[str]:
-    """Why a ``--docs`` or ``--sarif`` path is unusable, or None."""
-    for doc in args.docs or ():
-        if not Path(doc).is_file():
-            return f"--docs {doc!r}: no such file"
+    """Why the ``--sarif`` path is unusable, or None."""
     if args.sarif is not None:
         sarif = Path(args.sarif)
         if not sarif.parent.is_dir():
@@ -217,13 +189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     root = find_repo_root(Path.cwd())
-    doc_files = (
-        tuple(args.docs) if args.docs is not None else _default_doc_files(root)
-    )
     config = AnalyzerConfig(
         select=_parse_select(parser, args.select),
         exclude=tuple(args.exclude),
-        doc_files=doc_files,
     )
     try:
         analyzer = Analyzer(config)

@@ -14,8 +14,12 @@ comments:
 * ``disable`` / ``disable-file`` with no ``=RPL...`` list suppresses
   every rule.
 
-Rules register through the :func:`rule` decorator; the analyzed code is
-never imported, so ``reprolint`` can run on broken or partial trees.
+Rules register through the :func:`rule` decorator.  The rules never
+import the code they analyze, so a broken file is an RPL000 finding,
+not a crash.  ``reprolint`` itself lives in ``repro``, though: a run
+imports the ``repro`` package it is installed from, and when that is
+the tree under analysis, a module ``repro/__init__.py`` imports must
+itself import.
 """
 
 from __future__ import annotations
@@ -96,9 +100,6 @@ class AnalyzerConfig:
     #: Posix-path substrings excluded from directory walks (fixtures,
     #: vendored trees).  Matched against each file's posix path.
     exclude: Tuple[str, ...] = ()
-    #: Markdown files RPL009 checks for documented-symbol drift
-    #: (empty = skip the docs pass).
-    doc_files: Tuple[str, ...] = ()
 
 
 class ModuleContext:
@@ -318,7 +319,7 @@ class Analyzer:
     :class:`~repro.analysis.graph.ProjectGraph` built from every
     analyzed module's summary.  :meth:`check_paths` optionally consults
     an :class:`~repro.analysis.cache.AnalysisCache`, re-analyzing only
-    files whose content (or whose imports' content) changed.
+    files whose content or module name changed.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None) -> None:
@@ -392,20 +393,14 @@ class Analyzer:
         """Analyze files and (recursively) directories of ``*.py``.
 
         With a ``cache`` (an :class:`~repro.analysis.cache.AnalysisCache`),
-        files whose content hash — and every imported module's content
-        hash — is unchanged reuse their cached module-rule findings and
-        summary; the project rules always run, over the full summary
-        graph, so interprocedural findings never go stale.
+        files whose content hash and module name are unchanged reuse
+        their cached module-rule findings and summary; the project
+        rules always run, over the full summary graph, so
+        interprocedural findings never go stale.
         """
-        from . import graph as graphlib
-
         files = self._collect_files(paths)
         digests = {file: _sha256_path(file) for file in files}
-        reusable = (
-            cache.plan(files, digests, self.config)
-            if cache is not None
-            else set()
-        )
+        reusable = cache.plan(files, digests) if cache is not None else set()
         findings: List[Finding] = []
         summaries: List[Any] = []
         analyzed = 0
@@ -495,7 +490,7 @@ class Analyzer:
             return []
         from .graph import ProjectGraph
 
-        graph = ProjectGraph(summaries, self.config)
+        graph = ProjectGraph(summaries)
         findings: List[Finding] = []
         for active in self.project_rules:
             findings.extend(active.check_project(graph))  # type: ignore[attr-defined]

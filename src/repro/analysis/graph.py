@@ -43,11 +43,11 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from .core import AnalyzerConfig, ModuleContext
+    from .core import ModuleContext
 
 #: Version of the serialized :class:`ModuleSummary` wire shape; bumping
 #: it invalidates every cached summary.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Marker comment declaring a module-level mutable global fork-safe on
 #: purpose (content-addressed, import-time-populated, ...).  Applies to
@@ -341,15 +341,11 @@ class ModuleSummary:
     is_package: bool  # file is an ``__init__.py``
     imports: Tuple[ImportRecord, ...]
     symbols: Dict[str, str]  # top-level name -> "function"|"class"|"const"
-    symbol_lines: Dict[str, int]
-    all_names: Optional[Tuple[str, ...]]  # literal ``__all__`` if present
-    all_lineno: int
     functions: Tuple[FunctionSummary, ...]
     module_globals: Tuple[GlobalVar, ...]
     worker_entries: Tuple[WorkerEntry, ...]
     locks: Tuple[str, ...]  # module-level threading.Lock()/RLock() names
-    dynamic_exports: bool  # module defines ``__getattr__``
-    all_refs: Tuple[str, ...]  # every identifier referenced anywhere
+    all_refs: Tuple[str, ...]  # every identifier referenced, and ``__all__``
     suppressed_lines: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     file_suppressed: Tuple[str, ...] = ()
 
@@ -362,14 +358,10 @@ class ModuleSummary:
             "is_package": self.is_package,
             "imports": [imp.to_dict() for imp in self.imports],
             "symbols": dict(self.symbols),
-            "symbol_lines": dict(self.symbol_lines),
-            "all_names": None if self.all_names is None else list(self.all_names),
-            "all_lineno": self.all_lineno,
             "functions": [fn.to_dict() for fn in self.functions],
             "module_globals": [g.to_dict() for g in self.module_globals],
             "worker_entries": [w.to_dict() for w in self.worker_entries],
             "locks": list(self.locks),
-            "dynamic_exports": self.dynamic_exports,
             "all_refs": list(self.all_refs),
             "suppressed_lines": [
                 [line, sorted(rules)]
@@ -383,7 +375,6 @@ class ModuleSummary:
         """Rebuild a summary; None when the serialized version is stale."""
         if data.get("version") != SUMMARY_VERSION:
             return None
-        all_names = data["all_names"]
         return ModuleSummary(
             module=data["module"],
             path=data["path"],
@@ -391,14 +382,10 @@ class ModuleSummary:
             is_package=data["is_package"],
             imports=tuple(ImportRecord.from_dict(i) for i in data["imports"]),
             symbols=dict(data["symbols"]),
-            symbol_lines={k: int(v) for k, v in data["symbol_lines"].items()},
-            all_names=None if all_names is None else tuple(all_names),
-            all_lineno=data["all_lineno"],
             functions=tuple(FunctionSummary.from_dict(f) for f in data["functions"]),
             module_globals=tuple(GlobalVar.from_dict(g) for g in data["module_globals"]),
             worker_entries=tuple(WorkerEntry.from_dict(w) for w in data["worker_entries"]),
             locks=tuple(data["locks"]),
-            dynamic_exports=data["dynamic_exports"],
             all_refs=tuple(data["all_refs"]),
             suppressed_lines={
                 int(line): tuple(rules) for line, rules in data["suppressed_lines"]
@@ -524,13 +511,10 @@ class _SummaryVisitor(ast.NodeVisitor):
         self.functions: List[_FuncAcc] = []
         self.imports: List[ImportRecord] = []
         self.symbols: Dict[str, str] = {}
-        self.symbol_lines: Dict[str, int] = {}
-        self.all_names: Optional[Tuple[str, ...]] = None
-        self.all_lineno = 0
+        self.exported: Set[str] = set()  # string literals in ``__all__``
         self.module_globals: List[Dict[str, Any]] = []
         self.worker_entries: List[WorkerEntry] = []
         self.locks: List[str] = []
-        self.dynamic_exports = False
         self._current = self.module_acc
         self._class: Optional[str] = None
         self._with_guards: List[str] = []
@@ -599,9 +583,6 @@ class _SummaryVisitor(ast.NodeVisitor):
             return
         if self._at_module_level():
             self.symbols[node.name] = "function"
-            self.symbol_lines[node.name] = node.lineno
-            if node.name == "__getattr__":
-                self.dynamic_exports = True
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         params = [a.arg for a in positional] + [a.arg for a in args.kwonlyargs]
@@ -651,7 +632,6 @@ class _SummaryVisitor(ast.NodeVisitor):
                 self.visit(stmt)
             return
         self.symbols[node.name] = "class"
-        self.symbol_lines[node.name] = node.lineno
         for decorator in node.decorator_list:
             self.visit(decorator)
         for base in (*node.bases, *node.keywords):
@@ -733,19 +713,15 @@ class _SummaryVisitor(ast.NodeVisitor):
             target = node.targets[0]
             if isinstance(target, ast.Name):
                 self.symbols.setdefault(target.id, "const")
-                self.symbol_lines.setdefault(target.id, node.lineno)
                 self._record_module_global(target.id, node.value, node.lineno)
                 if target.id == "__all__" and isinstance(
                     node.value, (ast.List, ast.Tuple)
                 ):
-                    literal = [
+                    self.exported.update(
                         el.value
                         for el in node.value.elts
                         if isinstance(el, ast.Constant) and isinstance(el.value, str)
-                    ]
-                    if len(literal) == len(node.value.elts):
-                        self.all_names = tuple(literal)
-                        self.all_lineno = node.lineno
+                    )
         for target in node.targets:
             self._handle_assign_target(target, node.lineno)
         self.visit(node.value)
@@ -758,7 +734,6 @@ class _SummaryVisitor(ast.NodeVisitor):
             and node.value is not None
         ):
             self.symbols.setdefault(node.target.id, "const")
-            self.symbol_lines.setdefault(node.target.id, node.lineno)
             self._record_module_global(node.target.id, node.value, node.lineno)
         self._handle_assign_target(node.target, node.lineno)
         if node.value is not None:
@@ -968,14 +943,12 @@ def extract_summary(
         )
         for g in visitor.module_globals
     )
-    all_refs: Set[str] = set()
+    all_refs = set(visitor.exported)
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Name):
             all_refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             all_refs.add(node.attr)
-    if visitor.all_names:
-        all_refs.update(visitor.all_names)
     return ModuleSummary(
         module=module_name,
         path=module.path.as_posix(),
@@ -983,14 +956,10 @@ def extract_summary(
         is_package=module.path.stem == "__init__",
         imports=tuple(visitor.imports),
         symbols=visitor.symbols,
-        symbol_lines=visitor.symbol_lines,
-        all_names=visitor.all_names,
-        all_lineno=visitor.all_lineno,
         functions=tuple(acc.finalize() for acc in visitor.functions),
         module_globals=module_globals,
         worker_entries=tuple(visitor.worker_entries),
         locks=tuple(visitor.locks),
-        dynamic_exports=visitor.dynamic_exports,
         all_refs=tuple(sorted(all_refs)),
         suppressed_lines={
             line: tuple(sorted(rules))
@@ -1010,14 +979,7 @@ Resolved = Tuple[str, str, str]
 class ProjectGraph:
     """Modules, symbols, imports and calls over one set of summaries."""
 
-    def __init__(
-        self,
-        summaries: Iterable[ModuleSummary],
-        config: Optional["AnalyzerConfig"] = None,
-    ) -> None:
-        from .core import AnalyzerConfig as _Config  # deferred: no cycle at import
-
-        self.config = config if config is not None else _Config()
+    def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
         self.by_path: Dict[str, ModuleSummary] = {}
         self.modules: Dict[str, ModuleSummary] = {}
         for summary in summaries:
@@ -1060,35 +1022,6 @@ class ProjectGraph:
         if record.module:
             base.extend(record.module.split("."))
         return ".".join(base) or None
-
-    def project_imports(self, summary: ModuleSummary) -> Set[str]:
-        """Project modules this module directly imports (named edges)."""
-        found: Set[str] = set()
-        for record in summary.imports:
-            if record.kind == "import":
-                for target, _bound in record.names:
-                    if target in self.modules:
-                        found.add(target)
-            else:
-                source = self.absolute_import(summary, record)
-                if source is None:
-                    continue
-                if source in self.modules:
-                    found.add(source)
-                for name, _bound in record.names:
-                    submodule = f"{source}.{name}"
-                    if submodule in self.modules:
-                        found.add(submodule)
-        found.discard(summary.module)
-        return found
-
-    def dependents_map(self) -> Dict[str, Set[str]]:
-        """Reverse import edges: module -> modules importing it."""
-        reverse: Dict[str, Set[str]] = {}
-        for summary in self.by_path.values():
-            for imported in self.project_imports(summary):
-                reverse.setdefault(imported, set()).add(summary.module)
-        return reverse
 
     # -- name resolution -------------------------------------------------
     def bindings(self, module: str) -> Dict[str, Resolved]:

@@ -12,15 +12,12 @@ encodes a bug class the per-file rules structurally cannot see:
 * **RPL008** — unit-suffix values flowing into parameters or out of
   returns with a different suffix, across call sites the graph can
   resolve (RPL001 only sees arithmetic inside one expression);
-* **RPL009** — export/reachability drift: ``__all__`` entries and
-  ``from``-imports naming symbols that no longer exist, dead private
-  functions, and documented ``repro.*`` symbols missing from the code.
+* **RPL009** — top-level private functions that nothing in the
+  analyzed tree references any more.
 """
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import Finding, ProjectRule, rule
@@ -34,20 +31,6 @@ from .graph import (
     ProjectGraph,
 )
 from .rules import UNIT_DIMENSIONS, unit_suffix
-
-#: Backticked dotted repro.* names in markdown docs (RPL009 part d).
-_DOC_SYMBOL_RE = re.compile(r"``?(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)``?")
-
-#: Markdown inline links (RPL009 part e): ``[text](target)``.
-_DOC_LINK_RE = re.compile(r"\[[^\]\n]*\]\(([^)\s]+)\)")
-
-#: Module-level wire version constants (RPL009 part f): every
-#: ``*_VERSION`` constant of the serialization layer must be pinned to
-#: exactly one docs page, so the normative spec cannot fork.
-_WIRE_CONST_RE = re.compile(r"\A[A-Z][A-Z0-9_]*_VERSION\Z")
-
-#: The module whose version constants part (f) audits.
-_WIRE_MODULE = "repro.io.serialization"
 
 
 # ---------------------------------------------------------------------------
@@ -278,92 +261,28 @@ class UnitsFlowRule(ProjectRule):
         )
 
 
+
+
 # ---------------------------------------------------------------------------
-# RPL009 — export/reachability drift
+# RPL009 — dead private functions
 # ---------------------------------------------------------------------------
 @rule
-class ExportDriftRule(ProjectRule):
-    """Exports, imports, docs and private helpers must stay reachable."""
+class DeadPrivateRule(ProjectRule):
+    """Top-level private functions must be referenced somewhere."""
 
     id = "RPL009"
-    name = "export-drift"
+    name = "dead-private"
     rationale = (
-        "As the package grew package-by-package (PRs 1-6), __init__ "
-        "re-export lists, private helpers and documented symbol names "
-        "each drifted at least once.  The project graph makes the "
-        "checks exact: every __all__ entry and from-import must "
-        "resolve to a real symbol, every top-level private function "
-        "must be referenced somewhere, and every backticked repro.* "
-        "symbol in the docs must still exist.  The docs pages are "
-        "contract surface too: their relative cross-links must "
-        "resolve, and every wire *_VERSION constant must be "
-        "documented on exactly one docs page (a version constant "
-        "described in two places is a spec fork waiting to happen)."
+        "A top-level _private function that nothing references any "
+        "more is dead code that still reads as a contract: nothing "
+        "imports it, so no test or type check fails on it.  Only the "
+        "whole analyzed tree can show that no module, test or "
+        "benchmark names it.  A name listed in __all__ counts as "
+        "referenced, and decorated functions are skipped (registries "
+        "reach them)."
     )
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        docs = self._read_doc_files(graph)
-        yield from self._check_all_exports(graph)
-        yield from self._check_import_targets(graph)
-        yield from self._check_dead_privates(graph)
-        yield from self._check_docs(graph, docs)
-        yield from self._check_doc_links(docs)
-        yield from self._check_wire_constants(graph, docs)
-
-    # -- (a) __all__ entries that no longer resolve ----------------------
-    def _check_all_exports(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for module_name in sorted(graph.modules):
-            summary = graph.modules[module_name]
-            if summary.all_names is None or summary.dynamic_exports:
-                continue
-            if graph.star_sources(module_name):
-                continue  # star imports can satisfy anything
-            bindings = graph.bindings(module_name)
-            for name in summary.all_names:
-                if name in bindings:
-                    continue
-                if f"{module_name}.{name}" in graph.modules:
-                    continue  # a submodule export
-                yield from self.project_finding(
-                    graph,
-                    summary.path,
-                    summary.all_lineno,
-                    1,
-                    f"__all__ lists {name!r} but the module neither "
-                    f"defines nor imports it; remove the entry or "
-                    f"restore the symbol",
-                )
-
-    # -- (b) from-imports naming missing symbols -------------------------
-    def _check_import_targets(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for path in sorted(graph.by_path):
-            summary = graph.by_path[path]
-            for record in summary.imports:
-                if record.kind != "from":
-                    continue
-                source = graph.absolute_import(summary, record)
-                if source is None or source not in graph.modules:
-                    continue
-                if graph.modules[source].dynamic_exports:
-                    continue
-                for name, _bound in record.names:
-                    if name == "*":
-                        continue
-                    if graph.resolve_name(source, name) is not None:
-                        continue
-                    if f"{source}.{name}" in graph.modules:
-                        continue
-                    yield from self.project_finding(
-                        graph,
-                        summary.path,
-                        record.lineno,
-                        1,
-                        f"imports {name!r} from {source}, which neither "
-                        f"defines nor re-exports it (export drift)",
-                    )
-
-    # -- (c) dead private functions --------------------------------------
-    def _check_dead_privates(self, graph: ProjectGraph) -> Iterator[Finding]:
         referenced: Set[str] = set()
         for summary in graph.by_path.values():
             referenced.update(summary.all_refs)
@@ -382,163 +301,9 @@ class ExportDriftRule(ProjectRule):
                 yield from self.project_finding(
                     graph,
                     summary.path,
-                    summary.symbol_lines.get(name, function.lineno),
+                    function.lineno,
                     1,
                     f"private function {name!r} is never referenced "
                     f"anywhere in the analyzed tree; delete it or wire "
                     f"it back in",
                 )
-
-    @staticmethod
-    def _read_doc_files(graph: ProjectGraph) -> List[Tuple[Path, str]]:
-        """Each configured doc file with its text (unreadable skipped)."""
-        docs: List[Tuple[Path, str]] = []
-        for doc in graph.config.doc_files:
-            doc_path = Path(doc)
-            try:
-                text = doc_path.read_text(encoding="utf-8")
-            except OSError:
-                continue  # a missing doc file is not this rule's problem
-            docs.append((doc_path, text))
-        return docs
-
-    # -- (d) documented symbols that no longer exist ---------------------
-    def _check_docs(
-        self, graph: ProjectGraph, docs: List[Tuple[Path, str]]
-    ) -> Iterator[Finding]:
-        for doc_path, text in docs:
-            for match in _DOC_SYMBOL_RE.finditer(text):
-                dotted = match.group(1)
-                missing = self._doc_symbol_missing(graph, dotted)
-                if not missing:
-                    continue
-                line = text.count("\n", 0, match.start()) + 1
-                yield Finding(
-                    path=doc_path.as_posix(),
-                    line=line,
-                    col=match.start() - (text.rfind("\n", 0, match.start()) + 1) + 1,
-                    rule=self.id,
-                    message=(
-                        f"documents {dotted!r} but the symbol no longer "
-                        f"exists in the analyzed tree; update the doc or "
-                        f"restore the symbol"
-                    ),
-                )
-
-    @staticmethod
-    def _doc_symbol_missing(graph: ProjectGraph, dotted: str) -> bool:
-        """True when a documented repro.* name resolves to nothing."""
-        parts = dotted.split(".")
-        prefix_len = 0
-        for k in range(len(parts), 0, -1):
-            if ".".join(parts[:k]) in graph.modules:
-                prefix_len = k
-                break
-        if prefix_len == 0:
-            return False  # module not analyzed; cannot judge
-        if prefix_len == len(parts):
-            return False  # the doc names a module that exists
-        module_name = ".".join(parts[:prefix_len])
-        symbol = parts[prefix_len]
-        summary = graph.modules[module_name]
-        if summary.dynamic_exports or graph.star_sources(module_name):
-            return False
-        if symbol in graph.bindings(module_name):
-            return False
-        return True
-
-    # -- (e) doc cross-links that do not resolve -------------------------
-    def _check_doc_links(
-        self, docs: List[Tuple[Path, str]]
-    ) -> Iterator[Finding]:
-        """Relative markdown links between doc pages must resolve.
-
-        Only filesystem-relative targets are judged (external URLs and
-        ``#fragment`` anchors are skipped): a broken ``(operations.md)``
-        link strands readers of the normative spec pages.
-        """
-        for doc_path, text in docs:
-            for match in _DOC_LINK_RE.finditer(text):
-                target = match.group(1)
-                if target.startswith(
-                    ("http://", "https://", "mailto:", "#")
-                ):
-                    continue
-                relative = target.split("#", 1)[0]
-                if not relative:
-                    continue
-                if (doc_path.parent / relative).exists():
-                    continue
-                line = text.count("\n", 0, match.start()) + 1
-                col = (
-                    match.start()
-                    - (text.rfind("\n", 0, match.start()) + 1)
-                    + 1
-                )
-                yield Finding(
-                    path=doc_path.as_posix(),
-                    line=line,
-                    col=col,
-                    rule=self.id,
-                    message=(
-                        f"cross-link target {target!r} does not resolve "
-                        f"({relative} is missing next to this page); "
-                        f"fix the link or restore the file"
-                    ),
-                )
-
-    # -- (f) wire version constants pinned to exactly one docs page ------
-    def _check_wire_constants(
-        self, graph: ProjectGraph, docs: List[Tuple[Path, str]]
-    ) -> Iterator[Finding]:
-        """Every ``*_VERSION`` wire constant on exactly one docs page.
-
-        The serialization layer's version constants are the handles of
-        the normative wire specs; a constant documented nowhere has no
-        spec, and one documented on two pages will drift apart.  Only
-        pages under a ``docs/`` directory count (the README may mention
-        formats generically); the check is skipped entirely when no
-        such pages are configured or the serialization module is not in
-        the analyzed tree, so partial-tree runs stay quiet.
-        """
-        module = graph.modules.get(_WIRE_MODULE)
-        if module is None:
-            return
-        pages = [
-            (path, text)
-            for path, text in docs
-            if path.parent.name == "docs"
-        ]
-        if not pages:
-            return
-        for name in sorted(module.symbols):
-            if module.symbols[name] != "const":
-                continue
-            if not _WIRE_CONST_RE.match(name):
-                continue
-            mention = re.compile(rf"\b{re.escape(name)}\b")
-            hits = [
-                path.name for path, text in pages if mention.search(text)
-            ]
-            if len(hits) == 1:
-                continue
-            if not hits:
-                message = (
-                    f"wire version constant {name!r} is not documented "
-                    f"on any docs page; give its format a normative "
-                    f"home (see docs/distributed-protocol.md for the "
-                    f"pattern)"
-                )
-            else:
-                message = (
-                    f"wire version constant {name!r} is documented on "
-                    f"{len(hits)} docs pages ({', '.join(sorted(hits))}); "
-                    f"pin it to exactly one page so the spec cannot fork"
-                )
-            yield from self.project_finding(
-                graph,
-                module.path,
-                module.symbol_lines.get(name, 1),
-                1,
-                message,
-            )

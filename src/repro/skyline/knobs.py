@@ -18,7 +18,12 @@ from ..uav.components import (
     Sensor,
 )
 from ..uav.configuration import UAVConfiguration
-from ..units import require_nonnegative, require_positive, require_rotor_count
+from ..units import (
+    require_finite_reciprocal,
+    require_nonnegative,
+    require_positive,
+    require_rotor_count,
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class Knobs:
     def __post_init__(self) -> None:
         require_positive("sensor_framerate_hz", self.sensor_framerate_hz)
         require_positive("compute_tdp_w", self.compute_tdp_w)
-        require_positive("compute_runtime_s", self.compute_runtime_s)
+        require_finite_reciprocal("compute_runtime_s", self.compute_runtime_s)
         require_positive("sensor_range_m", self.sensor_range_m)
         require_positive("drone_weight_g", self.drone_weight_g)
         require_positive("rotor_pull_g", self.rotor_pull_g)
@@ -79,6 +84,7 @@ class Knobs:
                 name="knob-frame",
                 base_mass_g=self.drone_weight_g,
                 size_mm=450.0,
+                rotor_count=self.rotor_count,
             ),
             motor=Motor(name="knob-motor", rated_pull_g=self.rotor_pull_g),
             battery=Battery(

@@ -19,10 +19,11 @@ design and scenario axes; preset and fleet rows gather only the
 designs the range touches and cross them with the M scenario rows by
 index arithmetic, never as one configuration object per row.  A range
 holds at most ``stop - start + 2·M`` rows, and nothing is kept between
-calls.  The spec checked every field value when it was built, so the
-planner checks only what crossing rows can produce: a scenario payload
-that goes negative or overflows, and the derived columns the design
-matrix seals.
+calls.  The spec checked every field value, and whether a knob grid's
+payload overflows, when it was built, so the planner checks only what
+crossing rows can produce: a scenario payload that goes negative (or,
+for a fleet, overflows), and the derived columns the design matrix
+seals.
 """
 
 from __future__ import annotations
@@ -332,8 +333,6 @@ def _compile_knob_chunk(
                 f"({payload[row]:g} g); deltas cannot shed more than "
                 "the payload knob carries",
             )
-        if not np.isfinite(payload).all():
-            raise ConfigurationError("payload_weight_g must be finite")
         knobs["payload_weight_g"] = payload
     design_columns = knob_columns(knobs, base.rotor_count)
     if "a_max_scale" in columns:

@@ -68,7 +68,12 @@ from ..io.serialization import (
 )
 from ..uav.configuration import UAVConfiguration
 from ..uav.registry import UAV_PRESETS
-from ..units import require_fraction, require_nonnegative, require_positive
+from ..units import (
+    require_finite_reciprocal,
+    require_fraction,
+    require_nonnegative,
+    require_positive,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..batch.cache import BatchCache
@@ -267,11 +272,12 @@ class DesignSpec:
             field = f"design.axes[{name}]"
             axis = _float_axis(field, values)
             # The scalar Knobs rule, so every grid row is a valid knob set.
-            check = (
-                require_nonnegative
-                if name in NONNEGATIVE_KNOBS
-                else require_positive
-            )
+            if name in NONNEGATIVE_KNOBS:
+                check = require_nonnegative
+            elif name == "compute_runtime_s":  # its rate is 1 / value
+                check = require_finite_reciprocal
+            else:
+                check = require_positive
             try:
                 for v in axis:
                     check(name, v)
@@ -607,6 +613,7 @@ class StudySpec:
                 "not applicable to a knobs design (knob-built UAVs fly one "
                 "compute module); use a presets or fleet design",
             )
+        self._validate_knob_payload()
         metrics = tuple(str(m) for m in self.metrics)
         for name in metrics:
             if name not in ALL_COLUMNS:
@@ -634,6 +641,27 @@ class StudySpec:
                 "tolerance", f"must be a number, got {self.tolerance!r}"
             )
         require_nonnegative("tolerance", self.tolerance)
+
+    def _validate_knob_payload(self) -> None:
+        """Refuse payload deltas that overflow a knob row's payload.
+
+        A knob grid crosses every payload value with every delta, so
+        the largest pair decides exactly whether any row overflows.
+        """
+        base = self.design.base
+        deltas = None if self.scenarios is None else self.scenarios.extra_payload_g
+        if base is None or deltas is None:
+            return
+        payloads = dict(self.design.axes or ()).get(
+            "payload_weight_g", (base.payload_weight_g,)
+        )
+        payload, delta = float(max(payloads)), max(deltas)
+        if not math.isfinite(payload + delta):
+            raise spec_error(
+                "scenarios.extra_payload_g",
+                f"payload overflows at payload_weight_g={payload:g}, "
+                f"extra_payload_g={delta:g}; a row's payload must be finite",
+            )
 
     @staticmethod
     def _validate_filter(index: int, clause: FilterClause) -> None:

@@ -124,6 +124,20 @@ def require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def require_finite_reciprocal(name: str, value: float) -> float:
+    """Validate that ``value`` is > 0 and ``1 / value`` is finite.
+
+    A period below about 5.6e-309 s is a positive float whose rate
+    overflows to infinity; returns ``value``.
+    """
+    require_positive(name, value)
+    if not math.isfinite(1.0 / float(value)):
+        raise ConfigurationError(
+            f"{name} must have a finite reciprocal, got {value!r}"
+        )
+    return value
+
+
 def require_rotor_count(value: float) -> int:
     """Validate a multirotor's rotor count, an integer >= 3, as an int."""
     if not (value >= 3 and float(value).is_integer()):

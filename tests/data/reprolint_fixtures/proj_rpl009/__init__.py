@@ -1,9 +1,5 @@
-"""Mini-project for RPL009: every drift variant in one package.
+"""Mini-project for RPL009: ``core`` keeps a dead private helper."""
 
-The ``__init__`` re-exports a symbol ``core`` no longer defines, its
-``__all__`` lists a ghost, and ``core`` keeps a dead private helper.
-"""
+from .core import compute_area_m2
 
-from .core import compute_area_m2, removed_long_ago
-
-__all__ = ["compute_area_m2", "ghost_export"]
+__all__ = ["compute_area_m2"]

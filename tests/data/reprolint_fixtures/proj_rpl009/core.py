@@ -1,4 +1,4 @@
-"""The drifted module: exports shrank, a private helper went dead."""
+"""The drifted module: a private helper went dead."""
 
 
 def compute_area_m2(width_m, height_m):

@@ -1,6 +1,6 @@
-"""RPL009 violating fixture: export drift and a dead private helper."""
+"""RPL009 violating fixture: a dead private helper."""
 
-__all__ = ["compute_span", "vanished_symbol"]
+__all__ = ["compute_span"]
 
 
 def compute_span(width_m, height_m):

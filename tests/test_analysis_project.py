@@ -7,10 +7,10 @@ Covers the whole-program layer added on top of the per-file engine:
   JSON round-trip, worker-entry resolution and call-graph reachability;
 * the three interprocedural rules against their fixture mini-projects,
   including the PR-4 ``DEFAULT_CACHE`` fork-inheritance reproduction;
-* the incremental cache — warm runs analyze nothing, a leaf edit
-  re-analyzes exactly the leaf plus its dependents, a cached rerun
-  on an unchanged tree is at least 5x faster than a cold run, and a
-  damaged entry is a miss;
+* the incremental cache — warm runs analyze nothing, an edit
+  re-analyzes only the edited file (and a file whose module name
+  changed), a cached rerun on an unchanged tree is at least 5x faster
+  than a cold run, and a damaged entry is a miss;
 * the SARIF exporter;
 * analyzer edge inputs: syntax errors, empty files, non-UTF-8 source;
 * the new CLI flags.
@@ -65,7 +65,7 @@ def build_graph(root: Path, files: Dict[str, str]) -> ProjectGraph:
         summaries.append(
             extract_summary(module, module_name_for(path), "deadbeef")
         )
-    return ProjectGraph(summaries, AnalyzerConfig())
+    return ProjectGraph(summaries)
 
 
 def rules_of(findings) -> List[str]:
@@ -173,18 +173,6 @@ class TestProjectGraph:
         assert ("pkg.work", "leaf") in reached
         chain = graph.witness_chain(reached, ("pkg.work", "leaf"))
         assert chain == ["entry", "leaf"]
-
-    def test_dependents_map_reverses_import_edges(self, tmp_path):
-        graph = build_graph(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/base.py": "X = 1\n",
-                "pkg/mid.py": "from .base import X\n",
-            },
-        )
-        dependents = graph.dependents_map()
-        assert dependents["pkg.base"] == {"pkg.mid"}
 
     def test_summary_json_round_trip(self):
         source = (FIXTURES / "rpl007_violations.py").read_text(
@@ -361,177 +349,32 @@ class TestRPL008:
 
 
 # ---------------------------------------------------------------------------
-# RPL009 — export/reachability drift
+# RPL009 — dead private functions
 # ---------------------------------------------------------------------------
 class TestRPL009:
-    def test_project_fixture_flags_every_variant(self):
+    def test_project_fixture_flags_the_dead_private(self):
         findings = Analyzer().check_paths([FIXTURES / "proj_rpl009"])
         assert rules_of(findings) == ["RPL009"]
-        messages = "\n".join(f.message for f in findings)
-        assert "removed_long_ago" in messages  # from-import drift
-        assert "ghost_export" in messages  # __all__ ghost
-        assert "_stale_normalizer" in messages  # dead private
-        assert len(findings) == 3
+        (finding,) = findings
+        assert "_stale_normalizer" in finding.message
+        assert finding.path.endswith("core.py")
 
     def test_single_file_fixture(self):
         findings = Analyzer().check_file(FIXTURES / "rpl009_violations.py")
         assert rules_of(findings) == ["RPL009"]
-        assert len(findings) == 2
-
-    def test_cyclic_imports_terminate_and_flag_missing_name(self):
-        findings = Analyzer().check_paths([FIXTURES / "proj_cycle"])
-        assert rules_of(findings) == ["RPL009"]
         (finding,) = findings
-        assert "never_defined" in finding.message
+        assert "_forgotten_helper" in finding.message
+        assert finding.line == 10
 
-    def test_dynamic_getattr_module_is_exempt(self, tmp_path):
-        findings = Analyzer().check_paths(
-            [
-                write_tree(
-                    tmp_path,
-                    {
-                        "pkg/__init__.py": "from .lazy import anything\n",
-                        "pkg/lazy.py": (
-                            "__all__ = ['whatever']\n\n\n"
-                            "def __getattr__(name):\n"
-                            "    return name\n"
-                        ),
-                    },
-                )[0].parent
-            ]
-        )
-        assert findings == []
-
-    def test_docs_drift(self, tmp_path):
-        doc = tmp_path / "guide.md"
-        doc.write_text(
-            "Use `repro.units.ms_to_s` for conversion.\n"
-            "Avoid `repro.units.vanished_converter` (gone).\n"
-            "`repro.units` itself is fine, as is `repro.missing_module.x`.\n",
+    def test_private_listed_in_all_counts_as_referenced(self, tmp_path):
+        # Literal entries count even when __all__ also splices names in.
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "__all__ = ['_exported', *EXTRA]\n\n\n"
+            "def _exported():\n    return 1\n",
             encoding="utf-8",
         )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=(str(doc),)))
-        findings = analyzer.check_paths([SRC_REPRO / "units.py"])
-        assert rules_of(findings) == ["RPL009"]
-        (finding,) = findings
-        assert "vanished_converter" in finding.message
-        assert finding.path == doc.as_posix()
-        assert finding.line == 2
-
-    def test_doc_cross_links_must_resolve(self, tmp_path):
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        page = docs / "guide.md"
-        page.write_text(
-            "[fine](other.md) [web](https://example.com/x.md) "
-            "[anchor](#section) [mail](mailto:a@b.c)\n"
-            "See [the spec](vanished.md#fields) for details.\n",
-            encoding="utf-8",
-        )
-        (docs / "other.md").write_text("present\n", encoding="utf-8")
-        analyzer = Analyzer(
-            AnalyzerConfig(
-                doc_files=(str(page), str(docs / "other.md"))
-            )
-        )
-        findings = analyzer.check_paths([SRC_REPRO / "units.py"])
-        assert rules_of(findings) == ["RPL009"]
-        (finding,) = findings
-        assert "vanished.md" in finding.message
-        assert finding.path == page.as_posix()
-        assert finding.line == 2
-
-    @staticmethod
-    def _wire_tree(tmp_path, pages: Dict[str, str]) -> List[str]:
-        write_tree(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/io/__init__.py": "",
-                "repro/io/serialization.py": (
-                    "FOO_VERSION = 1\n"
-                    "BAR_VERSION = 2\n"
-                    "NOT_A_WIRE_CONST = 3\n"
-                ),
-            },
-        )
-        doc_files = []
-        for name, text in pages.items():
-            path = tmp_path / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-            doc_files.append(str(path))
-        return doc_files
-
-    def test_wire_constant_on_exactly_one_docs_page_is_clean(
-        self, tmp_path
-    ):
-        doc_files = self._wire_tree(
-            tmp_path,
-            {
-                "docs/proto.md": "`FOO_VERSION` pins the foo format.\n",
-                "docs/ops.md": "`BAR_VERSION` pins the bar format.\n",
-            },
-        )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=tuple(doc_files)))
-        assert analyzer.check_paths([tmp_path / "repro"]) == []
-
-    def test_undocumented_wire_constant_is_flagged(self, tmp_path):
-        doc_files = self._wire_tree(
-            tmp_path,
-            {"docs/proto.md": "`FOO_VERSION` pins the foo format.\n"},
-        )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=tuple(doc_files)))
-        findings = analyzer.check_paths([tmp_path / "repro"])
-        assert rules_of(findings) == ["RPL009"]
-        (finding,) = findings
-        assert "'BAR_VERSION'" in finding.message
-        assert "not documented" in finding.message
-
-    def test_doubly_documented_wire_constant_is_flagged(self, tmp_path):
-        doc_files = self._wire_tree(
-            tmp_path,
-            {
-                "docs/proto.md": "`FOO_VERSION` and `BAR_VERSION`.\n",
-                "docs/ops.md": "BAR_VERSION again, forked.\n",
-            },
-        )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=tuple(doc_files)))
-        findings = analyzer.check_paths([tmp_path / "repro"])
-        assert rules_of(findings) == ["RPL009"]
-        (finding,) = findings
-        assert "'BAR_VERSION'" in finding.message
-        assert "2 docs pages" in finding.message
-        assert "ops.md" in finding.message and "proto.md" in finding.message
-
-    def test_readme_mentions_do_not_count_as_docs_pages(self, tmp_path):
-        # Only pages under a docs/ directory are normative homes: a
-        # README mention neither satisfies nor forks the requirement.
-        doc_files = self._wire_tree(
-            tmp_path,
-            {
-                "README.md": "FOO_VERSION and BAR_VERSION live here.\n",
-                "docs/proto.md": "`FOO_VERSION` pins foo.\n",
-            },
-        )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=tuple(doc_files)))
-        findings = analyzer.check_paths([tmp_path / "repro"])
-        assert [f.message for f in findings if "BAR_VERSION" in f.message]
-
-    def test_wire_constant_check_skips_partial_trees(self, tmp_path):
-        # No docs/ pages configured -> quiet; serialization module not
-        # analyzed -> quiet.  Partial runs must not demand docs.
-        doc_files = self._wire_tree(
-            tmp_path, {"README.md": "no docs pages configured\n"}
-        )
-        analyzer = Analyzer(AnalyzerConfig(doc_files=tuple(doc_files)))
-        assert analyzer.check_paths([tmp_path / "repro"]) == []
-        docs_only = Analyzer(
-            AnalyzerConfig(
-                doc_files=(str(tmp_path / "docs" / "none.md"),)
-            )
-        )
-        assert docs_only.check_paths([SRC_REPRO / "units.py"]) == []
+        assert Analyzer().check_paths([path]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -629,38 +472,57 @@ class TestIncrementalCache:
         assert analyzer.last_stats.cached == 7
         assert warm == cold
 
-    def test_leaf_edit_reanalyzes_leaf_plus_dependents_only(self, tmp_path):
+    def test_edit_reanalyzes_only_the_edited_file(self, tmp_path):
         write_tree(
             tmp_path,
             {
                 "pkg/__init__.py": "",
-                "pkg/c.py": "def f_c():\n    return 1\n",
-                "pkg/b.py": "from .c import f_c\n\n\ndef f_b():\n    return f_c()\n",
-                "pkg/a.py": "from .b import f_b\n\n\ndef f_a():\n    return f_b()\n",
+                "pkg/c.py": "def hold(wait_s):\n    return wait_s\n",
+                "pkg/b.py": "from .c import hold\n\n\ndef f_b(dt_s):\n    return hold(dt_s)\n",
+                "pkg/a.py": "from .b import f_b\n\n\ndef f_a():\n    return f_b(1)\n",
                 "pkg/island.py": "def lonely():\n    return 0\n",
             },
         )
         target = tmp_path / "pkg"
         analyzer = Analyzer()
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
-        # Edit the chain's leaf: c, its importer b, and b's importer a
-        # re-analyze; __init__ and the unrelated island stay cached.
+        assert analyzer.check_paths([target], cache=self._cache(tmp_path)) == []
+        # Edit the chain's leaf: only c re-analyzes, yet the project
+        # rules still see the new signature from b's cached summary.
         leaf = tmp_path / "pkg" / "c.py"
         leaf.write_text(
-            leaf.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
+            "def hold(wait_ms):\n    return wait_ms\n", encoding="utf-8"
         )
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 3
-        assert analyzer.last_stats.cached == 2
-        # Edit the top of the chain: nothing imports a, so only a runs.
-        top = tmp_path / "pkg" / "a.py"
-        top.write_text(
-            top.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
+        findings = analyzer.check_paths([target], cache=self._cache(tmp_path))
         assert analyzer.last_stats.analyzed == 1
+        assert analyzer.last_stats.cached == 4
+        (finding,) = findings
+        assert finding.rule == "RPL008" and finding.path.endswith("b.py")
+        assert findings == analyzer.check_paths([target])
+
+    def test_module_rename_reanalyzes_the_renamed_files(self, tmp_path):
+        # A new __init__.py above a file renames its module (lib.util
+        # -> pkg.lib.util) without touching its bytes, so its cached
+        # summary is stale; reusing it would misname the callee below.
+        write_tree(
+            tmp_path,
+            {
+                "pkg/lib/__init__.py": "",
+                "pkg/lib/util.py": "def hold(wait_s):\n    return wait_s\n",
+                "pkg/user.py": (
+                    "from .lib.util import hold\n\n\n"
+                    "def use(dt_ms):\n    return hold(dt_ms)\n"
+                ),
+            },
+        )
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        (before,) = analyzer.check_paths([target], cache=self._cache(tmp_path))
+        assert "of lib.util.hold()" in before.message
+        (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+        (after,) = analyzer.check_paths([target], cache=self._cache(tmp_path))
+        assert analyzer.last_stats.analyzed == 4  # three renamed, one new
+        assert "of pkg.lib.util.hold()" in after.message
+        assert [after] == analyzer.check_paths([target])
 
     def test_unchanged_tree_rerun_is_5x_faster(self, tmp_path):
         write_tree(tmp_path, _chain_tree(40))
@@ -738,7 +600,8 @@ class TestIncrementalCache:
         assert analyzer.last_stats.analyzed == 1  # only the damaged entry
 
     def test_entry_with_a_truncated_summary_is_a_miss(self, tmp_path):
-        # Regression: raised KeyError 'all_names' out of the CLI.
+        # Regression: a summary missing its fields raised KeyError out of
+        # the CLI.
         self._rerun_with_damaged_entry(
             tmp_path, lambda entry: dict(entry, summary={"version": SUMMARY_VERSION})
         )
@@ -843,18 +706,17 @@ class TestProjectCli:
         assert report["stats"]["files_checked"] == 1
 
     @pytest.mark.parametrize(
-        "flag, name",
-        [("--sarif", "no-such-dir/x.sarif"), ("--sarif", "."), ("--docs", "missing.md")],
-        ids=["sarif-into-missing-dir", "sarif-is-a-directory", "missing-docs-file"],
+        "name",
+        ["no-such-dir/x.sarif", "."],
+        ids=["sarif-into-missing-dir", "sarif-is-a-directory"],
     )
-    def test_unusable_path_is_usage_error(self, tmp_path, capsys, flag, name):
+    def test_unusable_path_is_usage_error(self, tmp_path, capsys, name):
         # Regression: an unwritable --sarif path raised with a traceback
-        # (exit 1), and a missing --docs file was skipped, turning off
-        # RPL009's docs checks while the run reported clean.
+        # (exit 1).
         clean = tmp_path / "clean.py"
         clean.write_text("X = 1\n", encoding="utf-8")
         path = str(tmp_path / name)
-        assert cli.main([str(clean), "--no-cache", flag, path]) == 2
+        assert cli.main([str(clean), "--no-cache", "--sarif", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and path in captured.err

@@ -8,6 +8,8 @@ reading per-vehicle scalar properties.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError, InfeasibleDesignError
 from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import SWEEPABLE_KNOBS
+from repro.study import DesignSpec, StudySpec, compile_spec
 from repro.uav.presets import custom_s500, dji_spark
 
 EQ_TOL = 1e-9
@@ -46,6 +49,9 @@ knob_sets = st.builds(
     payload_weight_g=st.floats(min_value=0.0, max_value=1000.0),
     compute_mass_g=st.floats(min_value=1.0, max_value=500.0),
 )
+
+#: Airframe rotor counts; one knob matrix holds one count.
+rotor_counts = st.sampled_from((3, 4, 6, 8))
 
 
 def scalar_model(knobs: Knobs) -> F1Model:
@@ -85,9 +91,13 @@ def assert_matches_scalar_chain(matrix, result, knob_sets_list) -> None:
 
 
 class TestKnobMatrixEquivalence:
-    @given(sets=st.lists(knob_sets, min_size=1, max_size=16))
+    @given(
+        sets=st.lists(knob_sets, min_size=1, max_size=16),
+        rotor_count=rotor_counts,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_random_knob_sets_match_scalar_assembly(self, sets):
+    def test_random_knob_sets_match_scalar_assembly(self, sets, rotor_count):
+        sets = [replace(knobs, rotor_count=rotor_count) for knobs in sets]
         km = KnobMatrix.from_knobs(sets)
         matrix = km.assemble()
         result = evaluate_matrix(matrix, cache=None)
@@ -98,8 +108,6 @@ class TestKnobMatrixEquivalence:
     ))
     @settings(max_examples=40, deadline=None)
     def test_from_base_single_knob_sweep_matches_loop(self, base, tdps):
-        from dataclasses import replace
-
         km = KnobMatrix.from_base(base, compute_tdp_w=tdps)
         matrix = km.assemble()
         result = evaluate_matrix(matrix, cache=None)
@@ -132,11 +140,12 @@ class TestKnobMatrixEquivalence:
                 uav.max_acceleration, abs=EQ_TOL
             )
 
-    @given(knobs=knob_sets)
+    @given(knobs=knob_sets, rotor_count=rotor_counts)
     @settings(max_examples=40, deadline=None)
-    def test_knob_columns_are_the_built_uavs_columns(self, knobs):
+    def test_knob_columns_are_the_built_uavs_columns(self, knobs, rotor_count):
         # Pins knob_columns' constants to the UAV Knobs.build_uav
         # assembles: every column, scalar or not, equals its one row.
+        knobs = replace(knobs, rotor_count=rotor_count)
         values = {name: getattr(knobs, name) for name in KNOB_COLUMNS}
         mine = knob_columns(values, knobs.rotor_count)
         built = configuration_columns([knobs.build_uav()])
@@ -148,6 +157,17 @@ class TestKnobMatrixEquivalence:
                 got[0] == column[0]
                 or (np.isnan(got[0]) and np.isnan(column[0]))
             ), (name, got, column)
+
+    def test_six_rotor_uav_equals_its_knob_study(self):
+        knobs = Knobs(rotor_count=6, rotor_pull_g=200.0)
+        uav = knobs.build_uav()
+        plan = compile_spec(
+            StudySpec(design=DesignSpec.knob_axes(knobs, {"rotor_pull_g": [200.0]}))
+        )
+        assert uav.total_thrust_g == 1200.0
+        assert plan.matrix.a_max[0] == pytest.approx(
+            uav.max_acceleration, abs=EQ_TOL
+        )
 
     def test_assemble_records_default_knee_rule(self):
         matrix = KnobMatrix.from_base(Knobs()).assemble()
@@ -321,7 +341,6 @@ class TestFleetAssembly:
 
     def test_infeasible_vehicle_raises_like_scalar_path(self):
         import re
-        from dataclasses import replace
 
         overloaded = replace(
             dji_spark().with_extra_payload(50_000.0),

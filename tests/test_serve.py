@@ -651,6 +651,8 @@ class TestStudyRequestBoundary:
              r"'design.axes\[sensor_range_m\]'"),
             ("spec-knobs.json", _set(("design", "axes", "compute_runtime_s"), [-0.01]),
              r"'design.axes\[compute_runtime_s\]'"),
+            ("spec-knobs.json", _set(("design", "axes", "compute_runtime_s"), [1e-309]),
+             r"'design.axes\[compute_runtime_s\]': .*finite reciprocal"),
             ("spec-knobs.json", _set(("design", "axes", "payload_weight_g"), [-1.0]),
              r"'design.axes\[payload_weight_g\]'"),
             ("spec-knobs.json", _set(("design", "base", "rotor_count"), 2),
@@ -664,7 +666,7 @@ class TestStudyRequestBoundary:
             "design-unknown-key", "design-foreign-field", "unknown-bound-name",
             "redundancy-on-knobs", "unknown-preset", "unknown-platform",
             "unknown-algorithm", "knob-axis-zero", "knob-axis-negative",
-            "payload-axis-negative", "knob-base-two-rotors",
+            "knob-runtime-overflows", "payload-axis-negative", "knob-base-two-rotors",
         ],
     )
     def test_spec_defect_is_a_400_naming_the_field(self, document, edit, field):

@@ -44,6 +44,8 @@ class TestKnobs:
             Knobs(sensor_framerate_hz=0.0)
         with pytest.raises(ConfigurationError):
             Knobs(compute_runtime_s=-1.0)
+        with pytest.raises(ConfigurationError, match="finite reciprocal"):
+            Knobs(compute_runtime_s=1e-309)  # 1 / 1e-309 overflows
 
 
 class TestAnalysis:

@@ -1087,17 +1087,24 @@ class TestValidateOnce:
         with pytest.raises(ConfigurationError, match=message):
             compile_chunk(spec, 0, study_size(spec))
 
-    def test_overflowing_knob_payload_keeps_its_error(self):
-        # Each value is valid; only their sum overflows, inside the study.
-        spec = StudySpec(
-            design=DesignSpec.knob_axes(Knobs(), {"payload_weight_g": [1e308]}),
-            scenarios=ScenarioSpec(extra_payload_g=(1e308,)),
-        )
-        with np.errstate(over="ignore"):
-            with pytest.raises(
-                ConfigurationError, match=r"^payload_weight_g must be finite$"
-            ):
-                compile_spec(spec)
+    def test_overflowing_knob_payload_is_refused_when_built(self):
+        # Each value is valid alone; the largest payload plus the
+        # largest delta overflows, and the spec refuses the pair.
+        design = DesignSpec.knob_axes(Knobs(), {"payload_weight_g": [0.0, 1e308]})
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'scenarios.extra_payload_g': payload overflows at "
+            r"payload_weight_g=1e\+308, extra_payload_g=1e\+308",
+        ):
+            StudySpec(design=design, scenarios=ScenarioSpec(extra_payload_g=(-1.0, 1e308)))
+        base = Knobs(payload_weight_g=1e308)
+        with pytest.raises(ConfigurationError, match="payload overflows"):
+            StudySpec(
+                design=DesignSpec.knob_axes(base, {"compute_tdp_w": [5.0]}),
+                scenarios=ScenarioSpec(extra_payload_g=(1e308,)),
+            )
+        # A pair whose sum stays finite still builds.
+        StudySpec(design=design, scenarios=ScenarioSpec(extra_payload_g=(-1.0, 7e307)))
 
 
 class TestCacheSharing:
