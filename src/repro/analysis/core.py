@@ -29,7 +29,7 @@ import hashlib
 import io
 import re
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -407,7 +407,13 @@ class Analyzer:
         for file in files:
             if file in reusable and cache is not None:
                 cached_findings, summary = cache.load_entry(file)
-                findings.extend(cached_findings)
+                # The entry keeps the path spelling of the run that
+                # stored it; report this run's.
+                findings.extend(
+                    replace(finding, path=str(file)) for finding in cached_findings
+                )
+                if summary is not None:
+                    summary = replace(summary, path=file.as_posix())
             else:
                 file_findings, summary = self._analyze_file(
                     file, digests[file]

@@ -55,7 +55,7 @@ from ..core.physics import (
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError, InfeasibleDesignError
 from ..uav import budget
-from ..units import require_rotor_count
+from ..units import require_finite_reciprocal, require_rotor_count
 from .matrix import (
     DesignMatrix,
     SealedColumns,
@@ -83,6 +83,10 @@ KNOB_COLUMNS = (
     "payload_weight_g",
     "compute_mass_g",
 )
+
+#: The accounting columns a :class:`FleetAssembly` carries beside its
+#: matrix, one entry per row; study shards and results carry them too.
+EXTRA_COLUMNS = ("total_mass_g", "compute_tdp_w")
 
 #: Knob columns allowed to be zero (everything else must be > 0,
 #: mirroring ``Knobs.__post_init__``): the rule a knob matrix seals
@@ -130,6 +134,11 @@ class KnobMatrix(SealedColumns):
                 name, column, rows, copy, allow_zero=name in NONNEGATIVE_KNOBS
             )
             object.__setattr__(self, name, column)
+        # The compute rate is 1 / runtime, so the smallest runtime must
+        # keep it finite (the scalar Knobs rule).
+        require_finite_reciprocal(
+            "compute_runtime_s", float(self.compute_runtime_s.min())
+        )
         object.__setattr__(self, "labels", checked_labels(self.labels, rows))
 
     # ------------------------------------------------------------------
@@ -244,15 +253,14 @@ class FleetAssembly:
     """Assembled design rows: the F-1 matrix plus its mass accounting.
 
     What every design kind compiles to — knob grids, preset cross
-    products and fleets alike.  The extra columns, one entry per row,
-    let consumers (e.g. the DSE explorer and study filters) report
-    all-up mass and TDP without touching the per-vehicle scalar
+    products and fleets alike.  The :data:`EXTRA_COLUMNS`, one entry
+    per row, let consumers (e.g. the DSE explorer and study filters)
+    report all-up mass and TDP without touching the per-vehicle scalar
     properties again.
     """
 
     matrix: DesignMatrix
     total_mass_g: np.ndarray
-    total_thrust_g: np.ndarray
     compute_tdp_w: np.ndarray
 
     def __len__(self) -> int:
@@ -397,9 +405,12 @@ def assemble_columns(
     total_thrust = budget.rated_thrust_g(
         columns["rotor_pull_g"], columns["rotor_count"]
     )
-    a_max = thrust_margin_acceleration(
-        total_thrust, total_mass, columns["braking_pitch_deg"]
-    )
+    with np.errstate(over="ignore"):
+        # A finite mass near the float limit overflows the margin to
+        # -inf, which the braking floor replaces, as in the scalar path.
+        a_max = thrust_margin_acceleration(
+            total_thrust, total_mass, columns["braking_pitch_deg"]
+        )
     if np.any(a_max <= 0.0):
         # Only a zero braking pitch gets here, which knob columns never
         # set, so these are configuration columns: one entry per row.
@@ -423,7 +434,6 @@ def assemble_columns(
     return FleetAssembly(
         matrix=matrix,
         total_mass_g=_per_row(total_mass, rows),
-        total_thrust_g=_per_row(total_thrust, rows),
         compute_tdp_w=_per_row(tdp_w, rows),
     )
 

@@ -83,6 +83,7 @@ from ..io.serialization import (
 )
 from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
+from .assembly import EXTRA_COLUMNS
 from .engine import evaluate_matrix
 from .result import BatchResult, concat_results, merge_top_k, require_sortable
 
@@ -94,9 +95,6 @@ BACKENDS = ("process", "thread", "serial")
 
 #: Hard ceiling on rows per shard (bounds peak memory per worker).
 DEFAULT_CHUNK_ROWS = 65536
-
-#: Extra accounting columns study shards carry alongside the result.
-EXTRA_COLUMNS = ("total_mass_g", "compute_tdp_w")
 
 _MANIFEST_NAME = "manifest.json"
 

@@ -3,7 +3,6 @@
 from .serialization import (
     BOUND_CODE_TO_NAME,
     TELEMETRY_VERSION,
-    TRACE_EVENT_VERSION,
     BOUND_NAME_TO_CODE,
     STATUS_CODE_TO_NAME,
     STATUS_NAME_TO_CODE,
@@ -24,7 +23,6 @@ from .tables import format_table
 __all__ = [
     "BOUND_CODE_TO_NAME",
     "TELEMETRY_VERSION",
-    "TRACE_EVENT_VERSION",
     "BOUND_NAME_TO_CODE",
     "STATUS_CODE_TO_NAME",
     "STATUS_NAME_TO_CODE",

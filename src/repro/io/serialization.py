@@ -4,7 +4,7 @@ Round-trips every component dataclass through plain dicts so Skyline
 sessions and DSE sweeps can be saved, diffed and re-loaded, and
 declares every wire document the system reads or writes — study specs,
 design matrices, batch results, shard records and manifests, leases,
-trace events and logs, telemetry, serve envelopes and saved study
+telemetry and its trace events, serve envelopes and saved study
 results — once, as a :class:`WireTable`.  A table's rows of ``(name,
 type, required, doc)`` drive its emitter, its reader and the
 field-naming errors, the field tables in ``docs/`` and the table digest
@@ -368,12 +368,8 @@ RESULT_VERSION = 2
 #: from a different protocol generation rather than guessing.
 DISTRIB_PROTOCOL_VERSION = 2
 
-#: Version of the trace-event wire format (JSONL log lines and their
-#: header, telemetry event lists).
-TRACE_EVENT_VERSION = 1
-
 #: Version stamped on :attr:`repro.study.result.StudyResult.telemetry`
-#: documents.
+#: documents, and of the trace events they list.
 TELEMETRY_VERSION = 1
 
 #: Version stamped on every HTTP envelope :mod:`repro.serve` emits
@@ -845,19 +841,12 @@ def lease_record_from_dict(data: Any) -> "LeaseRecord":
 # Trace events and telemetry (the wire format of repro.obs)
 # ---------------------------------------------------------------------------
 TRACE_EVENT_TABLE = WireTable(
-    "trace event", TRACE_EVENT_VERSION, versioned=False, fields=(
+    "trace event", TELEMETRY_VERSION, versioned=False, fields=(
         ("name", "str, non-empty", REQUIRED, "span name, e.g. `shard.evaluate`"),
         ("start_us", "int >= 0", REQUIRED, "start, µs since the tracer's monotonic epoch"),
         ("dur_us", "int >= 0", REQUIRED, "span duration, µs"),
         ("tid", "int >= 0", REQUIRED, "track: 0 is the driver, *i*+1 is shard *i*"),
         ("args", "object", REQUIRED, "span attributes (JSON scalars)"),
-    ),
-)
-
-TRACE_HEADER_TABLE = WireTable(
-    "trace-log header", TRACE_EVENT_VERSION, kind="trace", fields=(
-        ("counters", "object", OPTIONAL, "counter name to total; `{}` when absent"),
-        ("gauges", "object", OPTIONAL, "gauge name to last value; `{}` when absent"),
     ),
 )
 
@@ -932,7 +921,7 @@ SERVE_STATUS_TABLE = WireTable(
         ("queue_position", "int >= 0 | null", REQUIRED, "0-based while queued, else null"),
         ("progress", "object | null", REQUIRED, "progress counters; null before start"),
         ("error", "str | null", REQUIRED, "failure message when failed"),
-        ("result_ready", "bool", REQUIRED, "true once `GET ?result=1` succeeds"),
+        ("result_ready", "bool", REQUIRED, "true once `GET /v1/studies/{id}/result` succeeds"),
     ),
 )
 

@@ -9,11 +9,11 @@ the sharded executor, and the study runner all take an optional
 ``tracer=`` (and the executor layer a ``progress=`` callback) and pay
 only a null-check when neither is given.
 
-Exporters turn one traced run into a JSONL event log
-(:func:`write_trace_jsonl`), a ``chrome://tracing`` /-Perfetto-ready
-trace (:func:`write_chrome_trace`), or a human metrics table
-(:func:`metrics_report`); the wire formats are version-pinned in
-:mod:`repro.io.serialization`.
+Exporters turn one traced run into a ``chrome://tracing``
+/-Perfetto-ready trace (:func:`write_chrome_trace`) or a human metrics
+table (:func:`metrics_report`); a study result carries the same spans
+and metrics as its telemetry document, whose wire format is
+version-pinned in :mod:`repro.io.serialization`.
 
 Quickstart::
 
@@ -30,9 +30,7 @@ Quickstart::
 from .export import (
     chrome_trace,
     metrics_report,
-    read_trace_jsonl,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from .progress import Progress, ProgressCallback, ProgressPrinter
 from .tracer import Counter, Gauge, SpanRecord, Tracer, maybe_span
@@ -48,7 +46,5 @@ __all__ = [
     "chrome_trace",
     "maybe_span",
     "metrics_report",
-    "read_trace_jsonl",
     "write_chrome_trace",
-    "write_trace_jsonl",
 ]

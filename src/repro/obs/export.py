@@ -1,13 +1,9 @@
-"""Exporters: JSONL event logs, Chrome traces, metrics summaries.
+"""Exporters: Chrome traces and metrics summaries.
 
-Three views of one :class:`~repro.obs.tracer.Tracer`:
+Two views of one :class:`~repro.obs.tracer.Tracer` (the third, the
+telemetry document a :class:`~repro.study.StudyResult` carries, is
+:data:`repro.io.serialization.TELEMETRY_TABLE`):
 
-* :func:`write_trace_jsonl` / :func:`read_trace_jsonl` — the versioned
-  JSONL event log (one trace event per line behind a header line; see
-  :data:`repro.io.serialization.TRACE_EVENT_TABLE` and
-  :data:`~repro.io.serialization.TRACE_HEADER_TABLE` for the wire
-  format).  The machine-first format: greppable, appendable,
-  streamable.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON consumed by ``chrome://tracing`` / Perfetto.  Every
   span becomes a complete ("ph": "X") event; worker spans sit on their
@@ -22,74 +18,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Union
 
-from ..errors import ConfigurationError
 from ..io.tables import format_table
 from .tracer import SpanRecord, Tracer
 
 __all__ = [
     "chrome_trace",
     "metrics_report",
-    "read_trace_jsonl",
     "write_chrome_trace",
-    "write_trace_jsonl",
 ]
-
-
-# ---------------------------------------------------------------------------
-# JSONL event log
-# ---------------------------------------------------------------------------
-def write_trace_jsonl(path: Union[str, Path], tracer: Tracer) -> None:
-    """Write the tracer's spans and metrics as a JSONL event log.
-
-    Line 1 is the header
-    (:data:`repro.io.serialization.TRACE_HEADER_TABLE`); every following
-    line is one trace event
-    (:func:`repro.io.serialization.trace_event_to_dict`).
-    """
-    from ..io.serialization import TRACE_HEADER_TABLE
-
-    header = TRACE_HEADER_TABLE.emit(
-        tracer,
-        counters=tracer.counters_snapshot(),
-        gauges=tracer.gauges_snapshot(),
-    )
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(event) for event in tracer.to_events())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_trace_jsonl(
-    path: Union[str, Path],
-) -> Tuple[List[SpanRecord], Dict[str, Any]]:
-    """Read a :func:`write_trace_jsonl` log back.
-
-    Returns ``(spans, metrics)`` where ``metrics`` is the header's
-    ``{"counters", "gauges"}`` mapping.  A damaged header or line is a
-    :class:`~repro.errors.ConfigurationError` naming it.
-    """
-    from ..io.serialization import TRACE_HEADER_TABLE, trace_event_from_dict
-
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ConfigurationError(f"trace log {path} is empty")
-    records = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"trace log {path} line {number} is not valid JSON: {exc}"
-            ) from exc
-    header = TRACE_HEADER_TABLE.read(records[0])
-    spans = [trace_event_from_dict(record) for record in records[1:]]
-    metrics = {
-        "counters": header.get("counters", {}),
-        "gauges": header.get("gauges", {}),
-    }
-    return spans, metrics
 
 
 # ---------------------------------------------------------------------------

@@ -625,10 +625,6 @@ class ServerHandle:
             raise self._startup_error
         return self
 
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
     def stop(self, timeout_s: float = 10.0) -> None:
         if self._loop is not None and self._stop_event is not None:
             stop_event = self._stop_event

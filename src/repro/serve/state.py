@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import UnknownStudyError
 from ..io.serialization import STUDY_STATES
@@ -67,11 +67,6 @@ class StudyRecord:
             return self._state
 
     @property
-    def seq(self) -> int:
-        with self._condition:
-            return self._seq
-
-    @property
     def progress(self) -> Optional[Dict[str, Any]]:
         with self._condition:
             return dict(self._progress) if self._progress else None
@@ -80,11 +75,6 @@ class StudyRecord:
     def error(self) -> Optional[str]:
         with self._condition:
             return self._error
-
-    @property
-    def done(self) -> bool:
-        with self._condition:
-            return self._state in ("done", "failed")
 
     def result_json(self) -> Optional[str]:
         """The finished result's JSON text; every waiter gets this
@@ -231,10 +221,6 @@ class StudyStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._by_id)
-
-    def records(self) -> List[StudyRecord]:
-        with self._lock:
-            return list(self._by_id.values())
 
 
 # STUDY_STATES is re-exported for callers that enumerate lifecycle

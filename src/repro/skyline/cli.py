@@ -80,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="sweep one Table II knob over a value range"
     )
-    from .sweep import SWEEPABLE_KNOBS
+    from ..batch.assembly import KNOB_COLUMNS
 
     sweep.add_argument(
-        "--knob", required=True, choices=sorted(SWEEPABLE_KNOBS)
+        "--knob", required=True, choices=sorted(KNOB_COLUMNS)
     )
     sweep.add_argument(
         "--values", required=True, type=float, nargs="+",
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spec", help="path to a StudySpec JSON document ('-' = stdin)"
     )
     source.add_argument(
-        "--knob", choices=sorted(SWEEPABLE_KNOBS),
+        "--knob", choices=sorted(KNOB_COLUMNS),
         help="quick mode: sweep one knob of the default Knobs",
     )
     study.add_argument(

@@ -18,7 +18,7 @@ as a spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,40 +26,13 @@ import numpy as np
 from ..batch.grid import AxisLike
 from ..batch.kernels import BOUND_KINDS
 from ..batch.matrix import DesignMatrix
-from ..batch.result import BatchResult
+from ..batch.result import SORTABLE_COLUMNS, BatchResult
 from ..core.bounds import BoundKind
 from ..errors import ConfigurationError
 from ..io.tables import format_table
 from ..study import DesignSpec, StudySpec, run_study
 from ..viz.lineplot import LinePlot
 from .knobs import Knobs
-
-#: Knobs that may be swept: every *float* field of :class:`Knobs`.
-#: ``rotor_count`` is excluded deliberately — it is the one integer
-#: knob (a quadcopter does not fly with 4.5 rotors), and sweeping the
-#: airframe topology is a different study than wiggling a Table II
-#: slider; change it by constructing a new :class:`Knobs` instead.
-SWEEPABLE_KNOBS = tuple(
-    f.name for f in fields(Knobs) if f.name != "rotor_count"
-)
-
-#: Result columns a :class:`GridResult` can reshape onto the grid.
-GRID_VALUE_COLUMNS = (
-    "safe_velocity",
-    "roof_velocity",
-    "knee_hz",
-    "knee_velocity",
-    "action_throughput_hz",
-    "provisioning_factor",
-)
-
-
-def _require_sweepable(knob: str) -> None:
-    if knob not in SWEEPABLE_KNOBS:
-        known = ", ".join(SWEEPABLE_KNOBS)
-        raise ConfigurationError(
-            f"cannot sweep {knob!r}; sweepable knobs: {known}"
-        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +120,6 @@ def sweep_knob(
     A thin builder over :mod:`repro.study`: equivalent to running
     ``StudySpec(design=DesignSpec.knob_axes(base, {knob: values}))``.
     """
-    _require_sweepable(knob)
     spec = StudySpec(design=DesignSpec.knob_axes(base, {knob: values}))
     study = run_study(spec)
     points = _sweep_points(
@@ -219,8 +191,8 @@ class GridResult:
     # ------------------------------------------------------------------
     def values(self, column: str = "safe_velocity") -> np.ndarray:
         """One result column reshaped onto the grid."""
-        if column not in GRID_VALUE_COLUMNS:
-            known = ", ".join(GRID_VALUE_COLUMNS)
+        if column not in SORTABLE_COLUMNS:
+            known = ", ".join(SORTABLE_COLUMNS)
             raise ConfigurationError(
                 f"unknown grid column {column!r}; known columns: {known}"
             )
@@ -369,20 +341,16 @@ def sweep_grid(
     columnar by :func:`~repro.batch.assembly.assemble_columns` and
     evaluated in one batch pass.
     """
-    if not axes:
-        raise ConfigurationError("sweep_grid needs at least one knob axis")
-    for knob in axes:
-        _require_sweepable(knob)
-    normalized = {
-        knob: np.atleast_1d(np.asarray(values, dtype=np.float64))
-        for knob, values in axes.items()
-    }
-    spec = StudySpec(design=DesignSpec.knob_axes(base, normalized))
+    spec = StudySpec(
+        design=DesignSpec.knob_axes(
+            base, {knob: np.atleast_1d(values) for knob, values in axes.items()}
+        )
+    )
     study = run_study(spec)
     return GridResult(
         base=base,
         knobs=tuple(axes),
-        axes=tuple(normalized.values()),
+        axes=tuple(np.asarray(values) for _knob, values in spec.design.axes),
         matrix=study.batch.matrix,
         batch=study.batch,
     )

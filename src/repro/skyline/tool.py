@@ -13,7 +13,7 @@ The web tool's three panes (Sec. V-A) map to:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..autonomy.workloads import get_algorithm
 from ..compute.platforms import get_platform
@@ -28,12 +28,6 @@ from .analysis import AnalysisResult, analyze_design
 from .knobs import Knobs
 from .plotting import roofline_figure
 from .report import render_report
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..batch.executor import ParallelExecutor
-    from ..obs.progress import ProgressCallback
-    from ..obs.tracer import Tracer
-    from ..study import StudyResult, StudySpec
 
 
 @dataclass(frozen=True)
@@ -118,45 +112,6 @@ class Skyline:
     def from_knobs(cls, knobs: Knobs) -> "Skyline":
         """Start a session from a fully custom Table II knob set."""
         return cls(knobs.build_uav())
-
-    # ------------------------------------------------------------------
-    # Declarative studies
-    # ------------------------------------------------------------------
-    @staticmethod
-    def study(
-        spec: "StudySpec",
-        executor: Optional["ParallelExecutor"] = None,
-        chunk_rows: Optional[int] = None,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
-        tracer: Optional["Tracer"] = None,
-        progress: Optional["ProgressCallback"] = None,
-    ) -> "StudyResult":
-        """Execute a declarative :class:`~repro.study.spec.StudySpec`.
-
-        The spec-first face of the session API: anything a sweep or a
-        DSE exploration can do is expressible (and JSON-serializable)
-        as a spec, and runs through the shared vectorized planner.
-
-        ``executor`` / ``chunk_rows`` / ``checkpoint`` / ``resume``
-        opt into sharded (optionally parallel, optionally resumable)
-        execution, exactly as in :func:`repro.study.run_study` — the
-        result is bitwise identical to the single-pass path.
-        ``tracer`` / ``progress`` opt into :mod:`repro.obs`
-        instrumentation (phase spans, metrics, per-shard progress),
-        again exactly as in :func:`repro.study.run_study`.
-        """
-        from ..study import run_study
-
-        return run_study(
-            spec,
-            executor=executor,
-            chunk_rows=chunk_rows,
-            checkpoint=checkpoint,
-            resume=resume,
-            tracer=tracer,
-            progress=progress,
-        )
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -7,11 +7,10 @@ characterization.  This package makes that request a *value*: a
 that fully serializes to JSON, compiles into a vectorized
 :mod:`repro.batch` plan (:func:`compile_spec`), and executes into a
 uniform, equally serializable :class:`StudyResult`
-(:func:`run_study`).  Every legacy analysis entry point —
-``skyline.sweep_knob``/``sweep_grid``, ``dse.explore``,
-``Skyline.study`` and the CLI — is a thin builder over this layer, so
-any analysis the repo can run can also be queued, cached across
-processes, diffed and served.
+(:func:`run_study`).  Every analysis entry point —
+``skyline.sweep_knob``/``sweep_grid``, ``dse.explore`` and the CLI —
+is a thin builder over this layer, so any analysis the repo can run
+can also be queued, cached across processes, diffed and served.
 
 Quickstart::
 

@@ -67,7 +67,7 @@ class StudyResult:
     def __post_init__(self) -> None:
         indices = np.asarray(self.selected_indices, dtype=np.intp)
         object.__setattr__(self, "selected_indices", indices)
-        for name in ("total_mass_g", "compute_tdp_w"):
+        for name in EXTRA_NUMERIC_COLUMNS:
             column = np.asarray(getattr(self, name), dtype=np.float64)
             if column.shape != (len(self.batch),):
                 raise ConfigurationError(

@@ -175,10 +175,7 @@ def run_study(
             cache=cache,
             tracer=tracer,
         )
-        extras = {
-            "total_mass_g": plan.total_mass_g,
-            "compute_tdp_w": plan.compute_tdp_w,
-        }
+        extras = {name: getattr(plan, name) for name in EXTRA_NUMERIC_COLUMNS}
         axes = plan.axes
     with maybe_span(tracer, "study.select", rows=len(batch)) as span:
         selected = _select(spec, batch, extras)
@@ -188,7 +185,6 @@ def run_study(
         axes=axes,
         batch=batch,
         selected_indices=selected,
-        total_mass_g=extras["total_mass_g"],
-        compute_tdp_w=extras["compute_tdp_w"],
         telemetry=tracer.to_telemetry() if tracer is not None else None,
+        **extras,
     )

@@ -47,7 +47,7 @@ from typing import (
 )
 
 from ..autonomy.workloads import ALGORITHMS
-from ..batch.assembly import KNOB_COLUMNS, NONNEGATIVE_KNOBS
+from ..batch.assembly import EXTRA_COLUMNS, KNOB_COLUMNS, NONNEGATIVE_KNOBS
 from ..batch.result import SORTABLE_COLUMNS
 from ..compute.platforms import PLATFORMS
 from ..errors import ConfigurationError
@@ -78,14 +78,14 @@ from ..units import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..batch.cache import BatchCache
     from ..skyline.knobs import Knobs
-    from .planner import StudyPlan
     from .result import StudyResult
 
 #: Numeric result columns every study provides (per evaluated point).
 NUMERIC_RESULT_COLUMNS = SORTABLE_COLUMNS
 
-#: Numeric accounting columns the assembly layer contributes.
-EXTRA_NUMERIC_COLUMNS = ("total_mass_g", "compute_tdp_w")
+#: Numeric accounting columns the assembly layer contributes
+#: (:data:`repro.batch.assembly.EXTRA_COLUMNS`).
+EXTRA_NUMERIC_COLUMNS = EXTRA_COLUMNS
 
 #: Categorical columns (filter with ``==`` / ``!=`` on the name), and
 #: the names each may hold.
@@ -705,14 +705,8 @@ class StudySpec:
             )
 
     # ------------------------------------------------------------------
-    # Execution conveniences (lazy imports: planner/runner import spec)
+    # Execution convenience (lazy import: the runner imports spec)
     # ------------------------------------------------------------------
-    def plan(self) -> "StudyPlan":
-        """Compile this spec into a batch execution plan."""
-        from .planner import compile_spec
-
-        return compile_spec(self)
-
     def run(self, cache: Optional["BatchCache"] = None) -> "StudyResult":
         """Compile and execute this spec in one call."""
         from .runner import run_study

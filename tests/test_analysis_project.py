@@ -561,6 +561,30 @@ class TestIncrementalCache:
         assert warm == cold
         assert rules_of(warm) == ["RPL001"]
 
+    def test_cached_run_names_files_as_this_run_spells_them(
+        self, tmp_path, monkeypatch
+    ):
+        # Entries are keyed on the resolved path, so a run given the
+        # absolute path reuses what a relative-path run stored; its
+        # module and project findings must still name the absolute path.
+        write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/m.py": (
+                "def _unused():\n    return 1\n\n\n"
+                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
+            ),
+        })
+        monkeypatch.chdir(tmp_path)
+        analyzer = Analyzer()
+        relative = analyzer.check_paths([Path("pkg")], cache=self._cache(tmp_path))
+        absolute = analyzer.check_paths(
+            [tmp_path / "pkg"], cache=self._cache(tmp_path)
+        )
+        assert analyzer.last_stats.analyzed == 0
+        assert {finding.path for finding in relative} == {"pkg/m.py"}
+        assert rules_of(absolute) == ["RPL001", "RPL009"]
+        assert absolute == Analyzer().check_paths([tmp_path / "pkg"])
+
     def test_config_key_mismatch_drops_entries(self, tmp_path):
         write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
         target = tmp_path / "pkg"
@@ -697,6 +721,48 @@ class TestProjectCli:
         capsys.readouterr()
         document = json.loads(out.read_text(encoding="utf-8"))
         assert document["runs"][0]["results"][0]["ruleId"] == "RPL002"
+
+    @pytest.mark.parametrize("first", ["relative", "absolute"])
+    @pytest.mark.parametrize("output", ["text", "json", "sarif"])
+    def test_cached_report_names_files_as_this_run_spells_them(
+        self, tmp_path, monkeypatch, capsys, output, first
+    ):
+        # A warm run given the other spelling of the tree reports what
+        # a cold run with that spelling reports, in every output format.
+        write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/m.py": (
+                "def _unused():\n    return 1\n\n\n"
+                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
+            ),
+        })
+        monkeypatch.chdir(tmp_path)
+        spelling = {"relative": "pkg", "absolute": str(tmp_path / "pkg")}
+        second = "absolute" if first == "relative" else "relative"
+        sarif = tmp_path / "report.sarif"
+        flags = {
+            "text": [],
+            "json": ["--json"],
+            "sarif": ["--sarif", str(sarif)],
+        }[output]
+
+        def report(*argv):
+            assert cli.main([*argv, *flags, "--stats"]) == 1
+            captured = capsys.readouterr()
+            if output == "json":
+                body = json.loads(captured.out)["findings"]
+            elif output == "sarif":
+                body = json.loads(sarif.read_text(encoding="utf-8"))
+            else:
+                body = captured.out
+            return body, captured.err
+
+        cache = ("--cache", str(tmp_path / "cache.json"))
+        report(spelling[first], *cache)
+        warm, err = report(spelling[second], *cache)
+        assert "0 file(s) analyzed, 2 from cache" in err
+        cold, _ = report(spelling[second], "--no-cache")
+        assert warm == cold
 
     def test_json_report_includes_stats(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.batch.assembly import KNOB_COLUMNS
 from repro.core.bounds import BoundKind
 from repro.errors import ConfigurationError
 from repro.sim.obstacle_stop import ObstacleStopConfig, run_obstacle_stop
 from repro.sim.planar_validation import run_planar_obstacle_stop
 from repro.skyline.knobs import Knobs
-from repro.skyline.sweep import SWEEPABLE_KNOBS, sweep_knob
+from repro.skyline.sweep import sweep_knob
 from repro.uav.budget import mass_budget
 from repro.uav.presets import custom_s500, dji_spark
 from repro.compute.platforms import get_platform
@@ -92,7 +93,7 @@ class TestKnobSweep:
             sweep_knob(Knobs(), "compute_tdp_w", [])
 
     def test_all_declared_knobs_sweep(self):
-        for knob in SWEEPABLE_KNOBS:
+        for knob in KNOB_COLUMNS:
             base_value = getattr(Knobs(), knob)
             result = sweep_knob(Knobs(), knob, [base_value])
             assert len(result.points) == 1

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import (
     Progress,
     ProgressPrinter,
@@ -17,9 +17,7 @@ from repro.obs import (
     chrome_trace,
     maybe_span,
     metrics_report,
-    read_trace_jsonl,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from repro.obs.tracer import _NULL_SPAN
 
@@ -193,62 +191,6 @@ class TestTelemetryDocument:
         assert doc["counters"] == {"rows": 2}
         assert doc["gauges"] == {"rate": 1.5}
         json.dumps(doc)  # JSON-compatible throughout
-
-
-class TestJsonlExport:
-    def _traced(self) -> Tracer:
-        tracer = Tracer()
-        with tracer.span("a", rows=4):
-            pass
-        with tracer.span("b", tid=2):
-            pass
-        tracer.counter("rows").add(4)
-        tracer.gauge("rate").set(8.0)
-        return tracer
-
-    def test_roundtrip(self, tmp_path):
-        tracer = self._traced()
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, tracer)
-        spans, metrics = read_trace_jsonl(path)
-        assert [s.name for s in spans] == ["a", "b"]
-        assert spans[0].attributes == {"rows": 4}
-        assert spans[1].tid == 2
-        assert metrics["counters"] == {"rows": 4}
-        assert metrics["gauges"] == {"rate": 8.0}
-
-    def test_header_is_first_line(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, self._traced())
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["kind"] == "trace"
-        assert header["version"] == 1
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ConfigurationError, match="empty"):
-            read_trace_jsonl(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"name": "a", "start_us": 0, "dur_us": 1}\n')
-        with pytest.raises(ConfigurationError, match="header"):
-            read_trace_jsonl(path)
-
-    def test_version_pinned(self, tmp_path):
-        path = tmp_path / "future.jsonl"
-        path.write_text('{"kind": "trace", "version": 99}\n')
-        with pytest.raises(ConfigurationError, match="version"):
-            read_trace_jsonl(path)
-
-    def test_malformed_line_named(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        path.write_text(
-            '{"kind": "trace", "version": 1}\n{"name": "a", tor\n'
-        )
-        with pytest.raises(ConfigurationError, match="line 2"):
-            read_trace_jsonl(path)
 
 
 class TestChromeTrace:

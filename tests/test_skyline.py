@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.batch.result import SORTABLE_COLUMNS
 from repro.core.bounds import BoundKind
 from repro.errors import ConfigurationError
 from repro.skyline.analysis import analyze_design
@@ -214,6 +215,31 @@ class TestSweepGrid:
             assert grid.bound_at(i, j_before + 1, k) is crossover.to_bound
         assert len(grid.crossovers()) >= len(flips)
 
+    @pytest.mark.parametrize("column", SORTABLE_COLUMNS)
+    def test_every_result_column_reshapes_onto_the_grid(self, grid, column):
+        index = (2, 1, 1)
+        knobs = replace(
+            Knobs(),
+            **{
+                name: float(grid.axis(name)[i])
+                for name, i in zip(grid.knobs, index)
+            },
+        )
+        model = knobs.build_uav().f1(knobs.f_compute_hz)
+        scalar = {
+            "safe_velocity": model.safe_velocity,
+            "roof_velocity": model.roof_velocity,
+            "knee_hz": model.knee.throughput_hz,
+            "knee_velocity": model.knee.velocity,
+            "action_throughput_hz": model.action_throughput_hz,
+            "provisioning_factor": (
+                model.action_throughput_hz / model.knee.throughput_hz
+            ),
+        }
+        values = grid.values(column)
+        assert values.shape == grid.shape
+        assert values[index] == pytest.approx(scalar[column], rel=1e-9, abs=1e-9)
+
     def test_unknown_value_column_rejected(self, grid):
         with pytest.raises(ConfigurationError, match="unknown grid column"):
             grid.values("mass")
@@ -223,6 +249,25 @@ class TestSweepGrid:
             sweep_grid(Knobs(), {"rotor_count": (4, 6)})
         with pytest.raises(ConfigurationError, match="at least one"):
             sweep_grid(Knobs(), {})
+        with pytest.raises(
+            ConfigurationError, match=r"design\.axes\[compute_tdp_w\]"
+        ):
+            sweep_grid(Knobs(), {"compute_tdp_w": ["fast"]})
+
+    @pytest.mark.parametrize(
+        "knob, values, field",
+        [
+            ("rotor_count", [4], r"design\.axes': cannot sweep"),
+            ("compute_tdp_w", [], r"design\.axes\[compute_tdp_w\]'"),
+            ("sensor_range_m", [float("nan")], r"design\.axes\[sensor_range_m\]'"),
+            ("compute_runtime_s", [1e-309], r"design\.axes\[compute_runtime_s\]'"),
+        ],
+        ids=["unsweepable", "empty", "non-finite", "overflowing-rate"],
+    )
+    def test_knob_sweep_refusals_name_the_spec_field(self, knob, values, field):
+        # The sweep builds a knob spec, and the spec makes every refusal.
+        with pytest.raises(ConfigurationError, match=field):
+            sweep_knob(Knobs(), knob, values)
 
 
 class TestRooflineFigure:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 from repro.autonomy.workloads import ALGORITHMS
 from repro.batch import DesignMatrix, assemble_configurations
+from repro.batch.assembly import KNOB_COLUMNS
 from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.skyline.cli import main as cli_main
 from repro.skyline.knobs import Knobs
-from repro.skyline.sweep import SWEEPABLE_KNOBS, sweep_grid, sweep_knob
+from repro.skyline.sweep import sweep_grid, sweep_knob
 from repro.skyline.tool import Skyline
 from repro.study import (
     SCENARIO_AXES,
@@ -356,7 +358,7 @@ class TestLegacyEquivalence:
         }
         knobs = data.draw(
             st.lists(
-                st.sampled_from(sorted(SWEEPABLE_KNOBS)),
+                st.sampled_from(sorted(KNOB_COLUMNS)),
                 min_size=n_axes,
                 max_size=n_axes,
                 unique=True,
@@ -719,10 +721,9 @@ class TestColumnarFleetCompile:
         # Each shard checks only its own rows; in row order the first
         # failing shard holds the first offending row.  (The
         # overflowing case's earlier shards assemble 1.5e308 g rows,
-        # which overflow the thrust margin to the braking floor.)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ShardExecutionError) as sharded:
-                run_study(spec, chunk_rows=1)
+        # which take the braking floor.)
+        with pytest.raises(ShardExecutionError) as sharded:
+            run_study(spec, chunk_rows=1)
         assert type(sharded.value.__cause__) is type(per_row.value)
         assert str(sharded.value.__cause__) == message
 
@@ -974,11 +975,6 @@ class TestResultRoundTrip:
         study.save(result_path)
         assert StudyResult.load(result_path).equals(study)
 
-    def test_skyline_study_entry_point(self):
-        spec = knob_spec(compute_tdp_w=[1.0, 30.0])
-        study = Skyline.study(spec)
-        assert study.equals(run_study(spec))
-
 
 class TestStudyCli:
     def test_study_from_spec_file(self, capsys, tmp_path):
@@ -1105,6 +1101,20 @@ class TestValidateOnce:
             )
         # A pair whose sum stays finite still builds.
         StudySpec(design=design, scenarios=ScenarioSpec(extra_payload_g=(-1.0, 7e307)))
+
+    def test_near_limit_knob_payload_takes_the_braking_floor_quietly(self):
+        # 1e308 + 7e307 g is finite, but the Eq. 5 margin g(T - W) / W
+        # overflows to -inf, so the braking floor holds, as it does,
+        # without a warning, for the scalar Knobs of the same mass.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(Knobs(), {"payload_weight_g": [1e308]}),
+            scenarios=ScenarioSpec(extra_payload_g=(7e307,)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a_max = run_study(spec).batch.matrix.a_max
+        scalar = Knobs(payload_weight_g=1.7e308).build_uav().max_acceleration
+        assert a_max.tolist() == [scalar]
 
 
 class TestCacheSharing:

@@ -55,7 +55,6 @@ DOCUMENTS: Dict[str, ser.WireTable] = {
     "shard-full.jsonl": ser.SHARD_RECORD_TABLE,
     "shard-topk.jsonl": ser.SHARD_RECORD_TABLE,
     "lease.json": ser.LEASE_RECORD_TABLE,
-    "trace.jsonl": ser.TRACE_HEADER_TABLE,
     "result.json": ser.STUDY_RESULT_TABLE,
     **{f"serve-{table.kind}.json": table for table in ser.SERVE_ENVELOPES},
     **{f"spec-{kind}.json": ser.STUDY_SPEC_TABLE for kind in ser.DESIGN_KINDS},
@@ -375,12 +374,9 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
 
     Each text is produced the way the owning layer writes it: one
     ``json.dumps`` line for manifests, records, leases and envelopes,
-    :func:`repro.obs.export.write_trace_jsonl` for the trace log,
     :meth:`StudyResult.save` for the result and :meth:`StudySpec.save`
-    for the specs (all through ``scratch``).
+    for the specs (both through ``scratch``).
     """
-    from repro.obs.export import write_trace_jsonl
-
     full, top_k = _records()
     documents = {
         "manifest.json": _line(ser.shard_manifest_to_dict(_manifest())),
@@ -390,9 +386,6 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
     }
     for name, envelope in _envelopes().items():
         documents[name] = _line(envelope.to_dict())
-    trace_path = scratch / "trace.jsonl"
-    write_trace_jsonl(trace_path, _tracer())
-    documents["trace.jsonl"] = trace_path.read_text(encoding="utf-8")
     result_path = scratch / "result.json"
     _study().save(result_path)
     documents["result.json"] = result_path.read_text(encoding="utf-8")
@@ -405,7 +398,6 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
 def _read_back(name: str, path: Path) -> None:
     """Parse one golden file with its live reader and check the values."""
     from repro.io.serialization import batch_results_equal
-    from repro.obs.export import read_trace_jsonl
     from repro.study import StudyResult, StudySpec
 
     text = path.read_text(encoding="utf-8")
@@ -426,10 +418,6 @@ def _read_back(name: str, path: Path) -> None:
             assert rebuilt.local_indices is None
         else:
             assert np.array_equal(rebuilt.local_indices, want.local_indices)
-    elif name == "trace.jsonl":
-        spans, metrics = read_trace_jsonl(path)
-        assert [span.name for span in spans] == ["study.compile", "shard.evaluate"]
-        assert metrics["counters"] == {"rows.evaluated": 4}
     elif name == "result.json":
         loaded, study = StudyResult.load(path), _study()
         assert loaded.equals(study)

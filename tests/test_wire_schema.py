@@ -116,7 +116,7 @@ def _carried_versions(table, doc):
 
 def test_versioned_documents_carry_their_version():
     # The top-level wire envelopes state their version on the wire;
-    # trace events ride inside a versioned trace file instead.
+    # trace events ride inside a versioned telemetry document instead.
     seen = set()
     for document, table in DOCUMENTS.items():
         text = golden_path(document).read_text(encoding="utf-8")
@@ -369,18 +369,13 @@ def _samples():
     """One valid document per wire table, taken from the golden files."""
     record = _golden("shard-full.jsonl")
     result = _golden("result.json")
-    header, event = (
-        json.loads(line)
-        for line in golden_path("trace.jsonl").read_text().splitlines()[:2]
-    )
     samples = {
         "design_matrix": record["batch"]["matrix"],
         "batch_result": record["batch"],
         "shard_record": record,
         "shard_manifest": _golden("manifest.json"),
         "lease_record": _golden("lease.json"),
-        "trace_header": header,
-        "trace_event": event,
+        "trace_event": result["telemetry"]["events"][0],
         "telemetry": result["telemetry"],
         "study_result": result,
         "study_axis": result["axes"][0],
