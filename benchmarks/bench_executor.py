@@ -114,7 +114,7 @@ def test_bench_executor_full_merge():
     points = study_size(spec)
     chunk = default_chunk_rows(points, N_WORKERS)
     single = run_study(spec, cache=None)
-    with ParallelExecutor(n_workers=N_WORKERS, backend="process") as ex:
+    with ParallelExecutor(n_workers=N_WORKERS) as ex:
         ex.warm_up()
         parallel = run_study(
             spec, cache=None, executor=ex, chunk_rows=chunk
@@ -143,7 +143,7 @@ def test_bench_executor_topk_speedup():
     def single_run():
         return run_study(spec, cache=None).batch.top_k(TOP_K)
 
-    with ParallelExecutor(n_workers=N_WORKERS, backend="process") as ex:
+    with ParallelExecutor(n_workers=N_WORKERS) as ex:
         ex.warm_up()
 
         def parallel_run():
@@ -169,9 +169,7 @@ def test_bench_executor_topk_speedup():
     if row["speedup"] < MIN_PARALLEL_SPEEDUP:
         # Shared runners jitter; re-measure once (fresh pool) before
         # declaring the bar missed.  A genuine regression fails twice.
-        with ParallelExecutor(
-            n_workers=N_WORKERS, backend="process"
-        ) as retry_ex:
+        with ParallelExecutor(n_workers=N_WORKERS) as retry_ex:
             retry_ex.warm_up()
             parallel_s = min(
                 parallel_s,

@@ -13,7 +13,7 @@ script with an exit code, like ``repro.serve.client``'s smoke mode):
    until it holds a lease, and SIGKILL it — a real mid-shard crash,
    lease on disk, no release, no heartbeats to come;
 3. start a healthy joiner ``repro-skyline worker`` process and the
-   initiator ``repro-skyline study --distributed`` process (three
+   initiator ``repro-skyline study --work-dir`` process (three
    workers total, counting the corpse);
 4. assert the initiator's merged result is **bitwise identical** to an
    in-process single-host run of the same spec, and that the finished
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
             [
                 sys.executable, "-m", "repro.skyline.cli", "study",
                 "--spec", str(artifacts / "spec.json"),
-                "--distributed", "--work-dir", str(work_dir),
+                "--work-dir", str(work_dir),
                 "--worker-id", "initiator",
                 "--lease-ttl", str(LEASE_TTL_S), "--json",
             ],

@@ -555,8 +555,8 @@ class PicklabilityRule(Rule):
         "PR 4's ParallelExecutor ships work to process pools, which "
         "pickle every callable and argument.  Lambdas and nested "
         "(closure) functions are unpicklable — they fail only at "
-        "runtime, only on the process backend, which the thread/serial "
-        "test matrix can miss.  Submit module-level functions and "
+        "runtime, only in a process pool, which tests that run shards "
+        "inline can miss.  Submit module-level functions and "
         "plain-data tasks."
     )
 

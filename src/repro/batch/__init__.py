@@ -43,7 +43,6 @@ from .cache import BatchCache, CacheStats
 from .engine import DEFAULT_CACHE, clear_default_cache, evaluate_matrix
 from ..errors import ShardExecutionError
 from .executor import (
-    BACKENDS,
     CheckpointStore,
     ParallelExecutor,
     Shard,
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_CACHE",
     "clear_default_cache",
     "evaluate_matrix",
-    "BACKENDS",
     "CheckpointStore",
     "ParallelExecutor",
     "Shard",

@@ -35,10 +35,9 @@ shard holds at most ``chunk_rows + 2·M`` rows (M scenario rows per
 design, 1 without scenarios): a 10M-point grid needs
 ``O(chunk_rows + M)`` memory per worker, not ``O(N)``.
 
-There are two scheduling policies.  :class:`ParallelExecutor` fans
-shards out over :mod:`concurrent.futures` workers —
-``backend="process"`` (true parallelism), ``"thread"`` (no pickling)
-or ``"serial"`` (chunked streaming in-process).
+There are two scheduling policies.  :class:`ParallelExecutor`
+evaluates shards inline with one worker (chunked streaming in-process)
+and in a process pool with more.
 :class:`~repro.distrib.DistributedExecutor` pulls shards from a shared
 work directory under the lease protocol.  Both persist every shard
 they complete to the store as one JSONL record
@@ -90,9 +89,6 @@ from .result import BatchResult, concat_results, merge_top_k, require_sortable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..study.spec import StudySpec
 
-#: Execution backends a :class:`ParallelExecutor` accepts.
-BACKENDS = ("process", "thread", "serial")
-
 #: Hard ceiling on rows per shard (bounds peak memory per worker).
 DEFAULT_CHUNK_ROWS = 65536
 
@@ -133,10 +129,10 @@ class ShardResult:
     extras: Optional[Dict[str, np.ndarray]] = None
     #: The worker's shipped observability payload (``{"events",
     #: "counters", "elapsed_s"}``) when a traced shard ran in a worker
-    #: *process*; ``None`` otherwise — untraced runs and in-process
-    #: (serial/thread) shards, whose spans land directly in the parent
-    #: tracer.  Not part of the checkpoint wire format — timings of a
-    #: past run are not needed to resume it.
+    #: *process*; ``None`` otherwise — untraced runs and inline shards,
+    #: whose spans land directly in the parent tracer.  Not part of the
+    #: checkpoint wire format — timings of a past run are not needed to
+    #: resume it.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -212,12 +208,11 @@ def _evaluate_shard(
     """Evaluate one shard of ``spec`` (runs in a worker, or inline).
 
     ``reduce`` (``{"k", "by", "descending"}``) keeps only the shard's
-    local top-k rows.  ``trace`` opts into span recording: in-process
-    workers (serial/thread) get a :meth:`~repro.obs.tracer.Tracer.track`
-    view of the parent's tracer and record directly — same process,
-    same epoch — while process workers get ``True``, build their own
-    tracer and ship its spans home as wire dicts for the parent to
-    absorb.
+    local top-k rows.  ``trace`` opts into span recording: an inline
+    shard gets a :meth:`~repro.obs.tracer.Tracer.track` view of the
+    parent's tracer and records directly — same process, same epoch —
+    while a process worker gets ``True``, builds its own tracer and
+    ships its spans home as wire dicts for the parent to absorb.
 
     Any failure re-raises as a
     :class:`~repro.errors.ShardExecutionError` carrying the shard
@@ -289,20 +284,6 @@ def _evaluate_shard_task(
     return outcome
 
 
-def _worker_trace(
-    shard: Shard, tracer: Optional[Tracer], in_process: bool
-) -> Any:
-    """The ``trace`` argument a worker evaluates ``shard`` with.
-
-    Traced, in-process workers record spans straight onto the shard's
-    track of ``tracer`` (same process, same epoch); process workers
-    ship their spans home as wire dicts.
-    """
-    if tracer is None:
-        return None
-    return tracer.track(shard.index + 1) if in_process else True
-
-
 def _finish(
     shard: Shard,
     outcome: Dict[str, Any],
@@ -357,15 +338,15 @@ def _evaluate_in_process(
     reduce: Optional[Dict[str, Any]],
     tracer: Optional[Tracer],
 ) -> ShardResult:
-    """Evaluate one shard inline, as the serial backend does.
+    """Evaluate one shard inline, recording onto its track of ``tracer``.
 
-    Also the distributed policy's worker: a leased shard is computed
+    A one-worker :class:`ParallelExecutor` runs every shard this way,
+    and so does the distributed policy: a leased shard is computed
     in-process under exactly the same memory and tracing contract.
     """
     dispatched = perf_counter()
-    outcome = _evaluate_shard(
-        spec, shard, reduce, _worker_trace(shard, tracer, in_process=True)
-    )
+    trace = tracer.track(shard.index + 1) if tracer is not None else None
+    outcome = _evaluate_shard(spec, shard, reduce, trace)
     return _finish(shard, outcome, dispatched, tracer)
 
 
@@ -373,30 +354,22 @@ def _evaluate_in_process(
 # The local scheduling policy
 # ---------------------------------------------------------------------------
 class ParallelExecutor:
-    """Fan shards out over serial, thread, or process workers.
+    """Evaluate shards inline with one worker, in a process pool with more.
 
-    The pool is created lazily on first use and reused across calls
-    (warm pools amortize process start-up over many studies); call
-    :meth:`close` — or use the instance as a context manager — to shut
-    it down.  ``backend="serial"`` evaluates shards inline, one at a
-    time, which is the chunked *streaming* mode: peak memory is one
-    chunk, not one grid.  Every shard is evaluated exactly once.
+    ``n_workers=1`` evaluates shards inline, one at a time, which is the
+    chunked *streaming* mode: peak memory is one chunk, not one grid.
+    More workers fan shards out over a process pool, created lazily on
+    first use and reused across calls (warm pools amortize process
+    start-up over many studies); call :meth:`close` — or use the
+    instance as a context manager — to shut it down.  ``n_workers``
+    defaults to the CPU count.  Every shard is evaluated exactly once.
     """
 
     #: A local pool keeps no shared work directory: it persists shards
     #: only to a checkpoint directory the caller names.
     work_dir: Optional[Path] = None
 
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        backend: str = "process",
-    ) -> None:
-        if backend not in BACKENDS:
-            known = ", ".join(BACKENDS)
-            raise ConfigurationError(
-                f"unknown executor backend {backend!r}; backends: {known}"
-            )
+    def __init__(self, n_workers: Optional[int] = None) -> None:
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:
@@ -404,7 +377,6 @@ class ParallelExecutor:
                 f"n_workers must be >= 1, got {n_workers}"
             )
         self.n_workers = int(n_workers)
-        self.backend = backend
         self._pool: Optional[Any] = None
 
     def __enter__(self) -> "ParallelExecutor":
@@ -421,21 +393,14 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> Any:
         if self._pool is None:
-            if self.backend == "process":
-                from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers
-                )
+            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._pool
 
     def warm_up(self) -> None:
         """Spin the worker pool up eagerly (e.g. before benchmarking)."""
-        if self.backend == "serial":
+        if self.n_workers == 1:
             return
         pool = self._ensure_pool()
         wait([pool.submit(os.getpid) for _ in range(self.n_workers)])
@@ -450,7 +415,7 @@ class ParallelExecutor:
     ) -> Iterator[ShardResult]:
         """Evaluate the ``shards`` of ``spec``, yielding as they complete.
 
-        Completion order is arbitrary for parallel backends; consumers
+        Completion order is arbitrary in a process pool; consumers
         that need global order collect by :attr:`ShardResult.index`.
         ``reduce`` keeps each shard's local top-k (see
         :func:`_evaluate_shard`), and ``store`` persists every result
@@ -460,11 +425,10 @@ class ParallelExecutor:
         contributes a parent-side ``shard.task`` span and its
         worker-side spans (``shard.compile``/``shard.evaluate``/…)
         under ``tid = shard_index + 1``, plus ``shards.completed`` and
-        worker counters.  In-process workers (serial and thread
-        backends) record those spans directly into ``tracer`` via
-        :meth:`~repro.obs.tracer.Tracer.track`; process workers ship
-        them home as wire dicts (rebased on absorption, and also
-        exposed as :attr:`ShardResult.telemetry`).
+        worker counters.  Inline shards record those spans directly
+        into ``tracer`` via :meth:`~repro.obs.tracer.Tracer.track`;
+        process workers ship them home as wire dicts (rebased on
+        absorption, and also exposed as :attr:`ShardResult.telemetry`).
         """
         for result in self._evaluate(spec, shards, reduce, tracer):
             if store is not None:
@@ -479,16 +443,15 @@ class ParallelExecutor:
         tracer: Optional[Tracer],
     ) -> Iterator[ShardResult]:
         """Evaluate each shard, yielding in completion order."""
-        if self.backend == "serial":
+        if self.n_workers == 1:
             for shard in shards:
                 yield _evaluate_in_process(spec, shard, reduce, tracer)
             return
-        in_process = self.backend == "thread"
+        trace = True if tracer is not None else None
         dispatched: Dict[Future, Tuple[Shard, float]] = {}
         for shard in shards:  # the pool starts with the first shard
             future = self._ensure_pool().submit(
-                _evaluate_shard, spec, shard, reduce,
-                _worker_trace(shard, tracer, in_process),
+                _evaluate_shard, spec, shard, reduce, trace
             )
             dispatched[future] = (shard, perf_counter())
         pending = set(dispatched)
@@ -837,9 +800,9 @@ def _resume_and_map(
         for shard in iter_chunks(spec, manifest.chunk_rows)
         if shard.index not in completed
     )
-    # Without an executor the run streams in-process (a serial executor
-    # owns no pool, so there is nothing to close).
-    policy = executor or ParallelExecutor(backend="serial")
+    # Without an executor the run streams in-process (a one-worker
+    # executor owns no pool, so there is nothing to close).
+    policy = executor or ParallelExecutor(n_workers=1)
     for result in policy.map_shards(
         spec, remaining, manifest.reduce, tracer=tracer, store=store
     ):

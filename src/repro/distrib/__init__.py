@@ -11,7 +11,7 @@ Two entry points:
 
 * initiate and collect — ``run_study(spec,
   executor=DistributedExecutor(work_dir))``, or
-  ``repro-skyline study --distributed --work-dir DIR``;
+  ``repro-skyline study --spec SPEC --work-dir DIR``;
 * join and help — :func:`run_worker`, or
   ``repro-skyline worker --work-dir DIR``.
 """

@@ -13,7 +13,7 @@ there; ``map_shards`` then runs the lease state machine of
 1. probe: the record exists → consume it;
 2. claim the lease, or skip the shard while a live worker holds it;
 3. recheck: the record landed meanwhile → release and consume it;
-4. evaluate in-process, exactly like the serial backend;
+4. evaluate in-process, exactly like a one-worker ``ParallelExecutor``;
 5. publish the record atomically (``store.write``);
 6. release the lease.
 

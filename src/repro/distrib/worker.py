@@ -68,7 +68,7 @@ def open_study(
             raise ConfigurationError(
                 f"no distributed study at {directory} (needs "
                 f"manifest.json and {SPEC_FILE_NAME}); start one with "
-                "'repro-skyline study --distributed --work-dir "
+                "'repro-skyline study --spec SPEC --work-dir "
                 f"{directory}', or raise --wait if the initiator is "
                 "still starting"
             )

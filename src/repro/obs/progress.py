@@ -85,52 +85,30 @@ ProgressCallback = Callable[[Progress], None]
 
 
 class ProgressPrinter:
-    """Print :class:`Progress` snapshots as lines on a text stream.
+    """Print :class:`Progress` snapshots as ``study: ...`` lines.
 
-    Defaults to ``sys.stderr`` (resolved at call time so pytest's
-    capture sees it) and throttles to at most one line per
-    ``min_interval_s`` — except the final snapshot, which always
-    prints so runs end on an accurate line.
+    Writes to ``stream``, or to ``sys.stderr`` when none is given
+    (resolved at call time so pytest's capture sees it).
 
-    Thread-safe: parallel executors (and the serving layer) may fire
-    the callback from several worker threads at once, so the throttle
-    check, the monotonicity check, and the write are one atomic
+    Thread-safe: studies running on several threads may share one
+    printer, so the monotonicity check and the write are one atomic
     operation under a lock, and each update lands on the stream as a
-    *single* ``write`` call — lines can never interleave mid-text.
-    Out-of-order snapshots (fewer rows done than already printed) are
-    dropped so the printed sequence is monotone.
+    *single* ``write`` call — lines can never interleave mid-text.  Out-of-order snapshots
+    (fewer rows done than already printed) are dropped so the printed
+    sequence is monotone.
     """
 
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        min_interval_s: float = 0.0,
-        label: str = "study",
-    ) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self._stream = stream
-        self.min_interval_s = min_interval_s
-        self.label = label
         self._lock = threading.Lock()
-        self._last_at: Optional[float] = None
         self._max_rows_done = -1
 
     def __call__(self, progress: Progress) -> None:
-        final = progress.done >= progress.total
-        line = f"{self.label}: {progress.describe()}\n"
+        line = f"study: {progress.describe()}\n"
         with self._lock:
-            if not final:
-                if (
-                    self._last_at is not None
-                    and progress.elapsed_s - self._last_at
-                    < self.min_interval_s
-                ):
-                    return
-                if progress.rows_done < self._max_rows_done:
-                    return  # stale snapshot delivered late
-            self._last_at = progress.elapsed_s
-            self._max_rows_done = max(
-                self._max_rows_done, progress.rows_done
-            )
+            if progress.rows_done < self._max_rows_done:
+                return  # stale snapshot delivered late
+            self._max_rows_done = progress.rows_done
             stream = (
                 self._stream if self._stream is not None else sys.stderr
             )

@@ -17,10 +17,10 @@ from time containment per ``tid`` track, so no parent pointers are
 stored.  Worker processes run their own tracer and ship their finished
 spans back as wire dicts (see
 :func:`repro.io.serialization.trace_event_to_dict`); :meth:`Tracer.absorb`
-rebases those onto the parent's timeline.  In-process workers (serial
-and thread backends) skip the wire round-trip entirely: they record
-straight into the parent tracer through a :meth:`Tracer.track` view,
-which pins their spans to the shard's timeline track.
+rebases those onto the parent's timeline.  Shards evaluated inline
+skip the wire round-trip entirely: they record straight into the
+parent tracer through a :meth:`Tracer.track` view, which pins their
+spans to the shard's timeline track.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ _NULL_SPAN = _NullSpan()
 class _TrackView:
     """A recording view of a :class:`Tracer` pinned to one ``tid`` track.
 
-    Handed to in-process shard workers (serial/thread backends) by the
-    executor: the worker shares the parent's process and therefore its
-    ``perf_counter`` epoch, so spans can land directly in the parent
-    tracer — exact times, no wire round-trip, no rebasing — just on
-    the shard's own timeline track.  Exposes the recording surface the
+    Handed to inline shards (a one-worker executor, a distributed
+    worker) by the executor: the shard shares the parent's process and
+    therefore its ``perf_counter`` epoch, so spans can land directly in
+    the parent tracer — exact times, no wire round-trip, no rebasing —
+    just on the shard's own timeline track.  Exposes the recording surface the
     instrumented call sites use (``span``/``record_clock``/``counter``/
     ``gauge``); explicit ``tid`` arguments are overridden by the view's.
     """

@@ -59,11 +59,9 @@ class StudyScheduler:
 
     def __init__(
         self,
-        store: Optional[StudyStore] = None,
         max_concurrent: int = 1,
         max_queue: int = 16,
         study_workers: Optional[int] = None,
-        backend: str = "process",
         chunk_rows: Optional[int] = None,
         checkpoint_root: Optional[Union[str, Path]] = None,
         distrib_root: Optional[Union[str, Path]] = None,
@@ -85,11 +83,10 @@ class StudyScheduler:
             raise ConfigurationError(
                 f"chunk_rows must be >= 1, got {chunk_rows}"
             )
-        self.store = store if store is not None else StudyStore()
+        self.store = StudyStore()
         self.max_concurrent = max_concurrent
         self.max_queue = max_queue
         self.study_workers = study_workers
-        self.backend = backend
         self.chunk_rows = chunk_rows
         if checkpoint_root is not None and distrib_root is not None:
             raise ConfigurationError(
@@ -261,11 +258,8 @@ class StudyScheduler:
                     n_workers=self.study_workers or 1,
                 )
             else:
-                # Without --workers, stream serially in this thread.
-                executor = ParallelExecutor(
-                    n_workers=self.study_workers or 1,
-                    backend=self.backend if self.study_workers else "serial",
-                )
+                # Without --workers, stream inline in this thread.
+                executor = ParallelExecutor(n_workers=self.study_workers or 1)
             checkpoint = None
             if self.checkpoint_root is not None:
                 checkpoint = self.checkpoint_root / record.study_id

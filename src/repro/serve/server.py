@@ -53,7 +53,7 @@ from .protocol import (
     run_analyze,
 )
 from .scheduler import StudyScheduler
-from .state import StudyRecord, StudyStore
+from .state import StudyRecord
 
 __all__ = ["ServeConfig", "ReproServer", "ServerHandle"]
 
@@ -63,6 +63,14 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest request-line + header block accepted.
 MAX_HEADER_BYTES = 32 * 1024
+
+#: HTTP requests processed at once; also the size of the ``serve-io``
+#: pool their blocking calls run on.
+REQUEST_CONCURRENCY = 32
+
+#: Longest a progress stream waits for news before waiting again; a
+#: progress change wakes it at once (:meth:`StudyRecord.wait_update`).
+PROGRESS_POLL_S = 0.25
 
 _REASONS = {
     200: "OK",
@@ -80,19 +88,16 @@ _REASONS = {
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs for one server instance (mirrors the CLI flags)."""
+    """Knobs for one server instance (mirrors the ``serve`` CLI flags)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port; read it back from .port
     max_concurrent: int = 1  # study worker threads
     max_queue: int = 16  # queued studies before 429
     study_workers: Optional[int] = None  # per-study executor fan-out
-    backend: str = "process"
     chunk_rows: Optional[int] = None  # None = size-derived default
     checkpoint_root: Optional[str] = None
     distrib_root: Optional[str] = None  # per-study distributed work dirs
-    request_concurrency: int = 32  # concurrently served HTTP requests
-    progress_poll_s: float = 0.25  # stream wake-up cadence
 
 
 class _HttpError(ReproError):
@@ -117,30 +122,18 @@ class _Request:
 
 
 class ReproServer:
-    """One serving instance: store + scheduler + asyncio front door."""
+    """One serving instance: scheduler (and its store) + asyncio front door."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        if self.config.request_concurrency < 1:
-            raise ConfigurationError(
-                "request_concurrency must be >= 1, got "
-                f"{self.config.request_concurrency}"
-            )
         # One tracer spans the whole service; /v1/stats serves its
         # snapshots, so scheduler and front-door counters land in the
         # same namespace.
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.store = StudyStore()
+        self.tracer = Tracer()
         self.scheduler = StudyScheduler(
-            store=self.store,
             max_concurrent=self.config.max_concurrent,
             max_queue=self.config.max_queue,
             study_workers=self.config.study_workers,
-            backend=self.config.backend,
             chunk_rows=self.config.chunk_rows,
             checkpoint_root=self.config.checkpoint_root,
             distrib_root=self.config.distrib_root,
@@ -154,16 +147,13 @@ class ReproServer:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         self.scheduler.start()
-        self._semaphore = asyncio.Semaphore(
-            self.config.request_concurrency
-        )
+        self._semaphore = asyncio.Semaphore(REQUEST_CONCURRENCY)
         # A dedicated pool for blocking waits (locks, progress
         # streams) so they cannot starve the loop's tiny default
         # executor; sized with the semaphore since each in-flight
         # request holds at most one slot at a time.
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.request_concurrency,
-            thread_name_prefix="serve-io",
+            max_workers=REQUEST_CONCURRENCY, thread_name_prefix="serve-io"
         )
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -235,6 +225,13 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[_Request]:
+        """The connection's next request, or ``None`` to close it.
+
+        A request whose extent this server cannot tell exactly gets an
+        error envelope and ends the connection, because the bytes after
+        it would otherwise be read as the next request.  Bodies are
+        framed only by a ``Content-Length`` of ASCII digits.
+        """
         try:
             header_blob = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -269,11 +266,32 @@ class ReproServer:
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            # Repeated field lines combine into one list (RFC 9110,
+            # section 5.3), so two Content-Length lines are one bad length.
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        if "transfer-encoding" in headers:
+            self._write_envelope(
+                writer,
+                ErrorEnvelope(
+                    400, "BadRequest",
+                    "Transfer-Encoding is not supported; send the body "
+                    "with a Content-Length",
+                ),
+            )
+            return None
         length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
+            # ASCII digits only: int() alone would also take "-5", "+5"
+            # and "1_0".  It raises on more digits than it converts.
+            length = (
+                int(length_text)
+                if length_text.isascii() and length_text.isdigit()
+                else -1
+            )
         except ValueError:
+            length = -1
+        if length < 0:
             self._write_envelope(
                 writer,
                 ErrorEnvelope(400, "BadRequest",
@@ -341,7 +359,7 @@ class ReproServer:
     ) -> bool:
         rest = path[len("/v1/studies/"):]
         study_id, _, tail = rest.partition("/")
-        record = self.store.get(study_id)  # UnknownStudyError -> 404
+        record = self.scheduler.store.get(study_id)  # unknown -> 404
         if tail == "progress":
             self._require_method(request, "GET")
             await self._stream_progress(record, writer)
@@ -365,7 +383,7 @@ class ReproServer:
         doc = {
             "status": "ok" if self.ready else "unavailable",
             "protocol_version": SERVE_PROTOCOL_VERSION,
-            "studies": len(self.store),
+            "studies": len(self.scheduler.store),
         }
         status = 200 if self.ready else 503
         headers = {} if self.ready else {"Retry-After": "1"}
@@ -491,7 +509,7 @@ class ReproServer:
         last_seq = -1
         while True:
             seq, state, progress = await self._blocking(
-                record.wait_update, last_seq, self.config.progress_poll_s
+                record.wait_update, last_seq, PROGRESS_POLL_S
             )
             if seq <= last_seq:
                 continue  # timeout tick with no news; wait again
@@ -599,13 +617,9 @@ class ServerHandle:
     whitebox assertions on counters and the study store).
     """
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        self.server = ReproServer(self.config, tracer=tracer)
+        self.server = ReproServer(self.config)
         self._thread = threading.Thread(
             target=self._run, name="serve-loop", daemon=True
         )

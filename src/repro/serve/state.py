@@ -56,20 +56,12 @@ class StudyRecord:
         self._progress: Optional[Dict[str, Any]] = None
         self._result_json: Optional[str] = None
         self._error: Optional[str] = None
-        self.created_clock = perf_counter()
-        self.started_clock: Optional[float] = None
-        self.finished_clock: Optional[float] = None
 
     # -- snapshots ------------------------------------------------------
     @property
     def state(self) -> str:
         with self._condition:
             return self._state
-
-    @property
-    def progress(self) -> Optional[Dict[str, Any]]:
-        with self._condition:
-            return dict(self._progress) if self._progress else None
 
     @property
     def error(self) -> Optional[str]:
@@ -99,7 +91,6 @@ class StudyRecord:
     def mark_running(self) -> None:
         with self._condition:
             self._state = "running"
-            self.started_clock = perf_counter()
             self._bump()
 
     def update_progress(self, progress: Dict[str, Any]) -> None:
@@ -123,14 +114,12 @@ class StudyRecord:
         with self._condition:
             self._state = "done"
             self._result_json = result_json
-            self.finished_clock = perf_counter()
             self._bump()
 
     def mark_failed(self, message: str) -> None:
         with self._condition:
             self._state = "failed"
             self._error = message
-            self.finished_clock = perf_counter()
             self._bump()
 
     # -- waiting (front-door side) --------------------------------------

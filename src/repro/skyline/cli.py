@@ -14,8 +14,8 @@ Examples::
     repro-skyline study --spec big.json --workers 4 --resume ckpt/
     repro-skyline study --spec big.json --workers 4 --chunk-rows 65536 \\
         --trace trace.json --metrics --progress --json > result.json
-    repro-skyline study --spec big.json --distributed \\
-        --work-dir /mnt/shared/run1 --lease-ttl 30 --json
+    repro-skyline study --spec big.json --work-dir /mnt/shared/run1 \\
+        --lease-ttl 30 --json
     repro-skyline worker --work-dir /mnt/shared/run1 --wait 60
     repro-skyline serve --port 8351 --max-concurrent 2 --max-queue 32
     repro-skyline list
@@ -124,16 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--workers", type=int,
-        help="fan shards out over this many workers (>= 1)",
+        help="fan shards out over a pool of this many worker processes "
+        "(>= 1; 1 evaluates them inline)",
     )
     study.add_argument(
         "--chunk-rows", type=int,
         help="rows per shard (>= 1; default scales with --workers, "
         "capped to bound memory)",
-    )
-    study.add_argument(
-        "--backend", choices=("process", "thread", "serial"),
-        help="worker backend (requires --workers; default: process)",
     )
     resume_group = study.add_mutually_exclusive_group()
     resume_group.add_argument(
@@ -147,15 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "matching run's manifest)",
     )
     study.add_argument(
-        "--distributed", action="store_true",
-        help="pull shards from a shared --work-dir under the lease "
-        "protocol instead of a local pool (other hosts join with "
-        "'repro-skyline worker'; see docs/distributed-protocol.md)",
-    )
-    study.add_argument(
         "--work-dir", metavar="DIR",
-        help="shared work directory for --distributed (manifest, "
-        "spec.json, shard records and leases)",
+        help="pull shards from this shared work directory (manifest, "
+        "spec.json, shard records and leases) under the lease protocol "
+        "instead of a local pool; other hosts join with 'repro-skyline "
+        "worker' (see docs/distributed-protocol.md)",
     )
     study.add_argument(
         "--worker-id",
@@ -231,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int,
-        help="fan each study's shards over this many workers (>= 1; "
-        "default: in-process serial)",
+        help="fan each study's shards over a pool of this many worker "
+        "processes (>= 1; 1, the default, runs each study inline)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=16,
@@ -242,10 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-concurrent", type=int, default=1,
         help="studies executing at once (default 1)",
-    )
-    serve.add_argument(
-        "--backend", choices=("process", "thread", "serial"),
-        help="worker backend (requires --workers; default: process)",
     )
     serve.add_argument(
         "--chunk-rows", type=int,
@@ -297,25 +286,19 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from .knobs import Knobs
-    from .sweep import sweep_knob
+    from .sweep import _run_knob_sweep
 
+    # One evaluation feeds the JSON, the table and the chart.
+    study, result = _run_knob_sweep(Knobs(), args.knob, args.values)
     if args.json:
-        # The same sweep, expressed as a study.
-        from ..study import DesignSpec, StudySpec, run_study
-
-        spec = StudySpec(
-            design=DesignSpec.knob_axes(Knobs(), {args.knob: args.values})
-        )
-        print(json.dumps(run_study(spec).to_dict()))
+        print(json.dumps(study.to_dict()))
     else:
-        result = sweep_knob(Knobs(), args.knob, args.values)
         print(result.table())
         crossovers = result.crossover_values()
         if crossovers:
             print(f"\nbound changes at {args.knob} = "
                   + ", ".join(f"{v:g}" for v in crossovers))
     if args.plot:
-        result = sweep_knob(Knobs(), args.knob, args.values)
         result.figure().save(args.plot)
         stream = sys.stderr if args.json else sys.stdout
         print(f"sweep chart written to {args.plot}", file=stream)
@@ -337,35 +320,12 @@ def _run_study(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.backend is not None and args.workers is None:
-        print(
-            "error: --backend requires --workers (without workers the "
-            "study runs single-process)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.distributed:
-        if args.work_dir is None:
-            print(
-                "error: --distributed needs --work-dir (the shared "
-                "directory all workers meet in)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.backend is not None:
-            print(
-                "error: --backend applies to local worker pools; a "
-                "--distributed run computes its shards in-process "
-                "(parallelism comes from more workers joining)",
-                file=sys.stderr,
-            )
-            return 2
+    if args.work_dir is not None:
         if args.checkpoint is not None or args.resume is not None:
             print(
                 "error: --checkpoint/--resume do not combine with "
-                "--distributed (the --work-dir already is the "
-                "checkpoint; re-running with the same --work-dir "
-                "resumes)",
+                "--work-dir (the --work-dir already is the checkpoint; "
+                "re-running with the same --work-dir resumes)",
                 file=sys.stderr,
             )
             return 2
@@ -377,13 +337,12 @@ def _run_study(args: argparse.Namespace) -> int:
             return 2
     else:
         for flag, value in (
-            ("--work-dir", args.work_dir),
             ("--worker-id", args.worker_id),
             ("--lease-ttl", args.lease_ttl),
         ):
             if value is not None:
                 print(
-                    f"error: {flag} requires --distributed",
+                    f"error: {flag} requires --work-dir",
                     file=sys.stderr,
                 )
                 return 2
@@ -425,7 +384,7 @@ def _run_study(args: argparse.Namespace) -> int:
         progress = ProgressPrinter()
 
     executor = None
-    if args.distributed:
+    if args.work_dir is not None:
         from ..distrib import DEFAULT_LEASE_TTL_S, DistributedExecutor
 
         executor = DistributedExecutor(
@@ -441,9 +400,7 @@ def _run_study(args: argparse.Namespace) -> int:
     elif args.workers is not None:
         from ..batch.executor import ParallelExecutor
 
-        executor = ParallelExecutor(
-            n_workers=args.workers, backend=args.backend or "process"
-        )
+        executor = ParallelExecutor(n_workers=args.workers)
     try:
         result = run_study(
             spec,
@@ -561,13 +518,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.backend is not None and args.workers is None:
-        print(
-            "error: --backend requires --workers (without workers "
-            "each study runs in-process)",
-            file=sys.stderr,
-        )
-        return 2
     if args.distrib_root is not None and args.checkpoint_root is not None:
         print(
             "error: --distrib-root and --checkpoint-root are mutually "
@@ -585,7 +535,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_concurrent=args.max_concurrent,
         max_queue=args.max_queue,
         study_workers=args.workers,
-        backend=args.backend or "process",
         chunk_rows=args.chunk_rows,
         checkpoint_root=args.checkpoint_root,
         distrib_root=args.distrib_root,

@@ -30,7 +30,7 @@ from ..batch.result import SORTABLE_COLUMNS, BatchResult
 from ..core.bounds import BoundKind
 from ..errors import ConfigurationError
 from ..io.tables import format_table
-from ..study import DesignSpec, StudySpec, run_study
+from ..study import DesignSpec, StudyResult, StudySpec, run_study
 from ..viz.lineplot import LinePlot
 from .knobs import Knobs
 
@@ -120,12 +120,19 @@ def sweep_knob(
     A thin builder over :mod:`repro.study`: equivalent to running
     ``StudySpec(design=DesignSpec.knob_axes(base, {knob: values}))``.
     """
+    return _run_knob_sweep(base, knob, values)[1]
+
+
+def _run_knob_sweep(
+    base: Knobs, knob: str, values: Sequence[float]
+) -> Tuple[StudyResult, SweepResult]:
+    """One evaluation of a knob sweep, as a study and as a sweep."""
     spec = StudySpec(design=DesignSpec.knob_axes(base, {knob: values}))
     study = run_study(spec)
     points = _sweep_points(
         study.batch, values, np.arange(len(study.batch))
     )
-    return SweepResult(knob=knob, base=base, points=points)
+    return study, SweepResult(knob=knob, base=base, points=points)
 
 
 # ---------------------------------------------------------------------------

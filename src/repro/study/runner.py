@@ -11,9 +11,9 @@ serializable :class:`~repro.study.result.StudyResult`.
 Passing ``executor=`` / ``chunk_rows=`` / ``checkpoint=`` runs the
 study's spec through the sharded layer instead
 (:mod:`repro.batch.executor`): the grid is evaluated in row-range
-chunks — serially, across threads, or across worker processes that
-rebuild only their own rows — and merged back into a result that is
-bitwise identical to the single-pass path.  With ``checkpoint`` set,
+chunks — inline, or across worker processes that rebuild only their
+own rows — and merged back into a result that is bitwise identical to
+the single-pass path.  With ``checkpoint`` set,
 every completed shard persists as one JSONL record, and a re-run (or
 ``resume=True``, the CLI's ``--resume``) picks up from the completed
 shards instead of starting over.

@@ -809,23 +809,19 @@ class TestDistributedCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(_spec(4).to_json(), encoding="utf-8")
         cases = [
-            (["study", "--spec", str(spec_path), "--distributed"],
-             "--work-dir"),
-            (["study", "--spec", str(spec_path), "--distributed",
-              "--work-dir", str(tmp_path / "wd"), "--workers", "2",
-              "--backend", "thread"], "--backend"),
-            (["study", "--spec", str(spec_path), "--distributed",
+            (["study", "--spec", str(spec_path),
               "--work-dir", str(tmp_path / "wd"),
-              "--checkpoint", str(tmp_path / "ck")], "--checkpoint"),
-            (["study", "--spec", str(spec_path), "--distributed",
+              "--checkpoint", str(tmp_path / "ck")], "--work-dir"),
+            (["study", "--spec", str(spec_path),
+              "--work-dir", str(tmp_path / "wd"),
+              "--resume", str(tmp_path / "ck")], "--work-dir"),
+            (["study", "--spec", str(spec_path),
               "--work-dir", str(tmp_path / "wd"), "--lease-ttl", "0"],
              "--lease-ttl"),
-            (["study", "--spec", str(spec_path),
-              "--work-dir", str(tmp_path / "wd")], "--distributed"),
             (["study", "--spec", str(spec_path), "--worker-id", "w"],
-             "--distributed"),
+             "--work-dir"),
             (["study", "--spec", str(spec_path), "--lease-ttl", "5"],
-             "--distributed"),
+             "--work-dir"),
             (["worker", "--work-dir", str(tmp_path / "wd"),
               "--lease-ttl", "-1"], "--lease-ttl"),
             (["worker", "--work-dir", str(tmp_path / "wd"),
@@ -844,7 +840,7 @@ class TestDistributedCli:
         spec_path.write_text(spec.to_json(), encoding="utf-8")
         work_dir = tmp_path / "wd"
         assert cli_main([
-            "study", "--spec", str(spec_path), "--distributed",
+            "study", "--spec", str(spec_path),
             "--work-dir", str(work_dir), "--chunk-rows", "3",
             "--worker-id", "cli-init", "--lease-ttl", "10", "--json",
         ]) == 0
@@ -870,7 +866,7 @@ class TestDistributedCli:
         spec_path.write_text(_spec(4).to_json(), encoding="utf-8")
         work_dir = tmp_path / "wd"
         assert cli_main([
-            "study", "--spec", str(spec_path), "--distributed",
+            "study", "--spec", str(spec_path),
             "--work-dir", str(work_dir), "--chunk-rows", "2", "--json",
         ]) == 0
         capsys.readouterr()
@@ -893,7 +889,7 @@ class TestDistributedCli:
         work_dir = tmp_path / "wd"
         for _ in range(2):  # second run omits --chunk-rows: adopt, resume
             argv = [
-                "study", "--spec", str(spec_path), "--distributed",
+                "study", "--spec", str(spec_path),
                 "--work-dir", str(work_dir), "--json",
             ]
             if _ == 0:

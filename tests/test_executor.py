@@ -6,7 +6,7 @@ study spec is *bitwise* identical to the single-pass ``run_study`` it
 replaces (the kernels are elementwise, so chunk boundaries cannot
 change a double).  Process-backed tests are kept
 small and few — they exercise real worker processes, which are slow to
-spawn on CI — while the property suites run on the serial backend.
+spawn on CI — while the property suites evaluate shards inline.
 """
 
 from __future__ import annotations
@@ -346,7 +346,7 @@ class TestShardedEvaluate:
     @settings(max_examples=80, deadline=None)
     def test_serial_sharding_is_bitwise_identical(self, key, data):
         """Sharded equals the single pass, bitwise, for every design
-        kind, chunking and reduction, on the serial backend."""
+        kind, chunking and reduction, with shards evaluated inline."""
         spec = _PROPERTY_SPECS[key]
         n_rows = study_size(spec)
         chunk = data.draw(st.integers(1, n_rows + 1), label="chunk_rows")
@@ -369,21 +369,12 @@ class TestShardedEvaluate:
             sharded = run_study(spec, cache=None, chunk_rows=chunk)
             assert sharded.to_json() == single.to_json()
 
-    def test_thread_backend_identical(self):
-        spec = _line_spec(90)
-        reference = run_study(spec, cache=None)
-        with ParallelExecutor(n_workers=3, backend="thread") as executor:
-            sharded = run_study(
-                spec, cache=None, executor=executor, chunk_rows=17
-            )
-        assert batch_results_equal(reference.batch, sharded.batch)
-
-    def test_process_backend_identical(self):
+    def test_process_pool_identical(self):
         # A fleet x scenario study: labelled rows, and shards that cut
         # through a design's block of scenario rows.
         spec = _fleet_scenario_spec()
         reference = run_study(spec, cache=None)
-        with ParallelExecutor(n_workers=2, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             sharded = run_study(
                 spec, cache=None, executor=executor, chunk_rows=5
             )
@@ -574,7 +565,7 @@ class TestShardedStudies:
     def test_process_study_identical(self):
         spec = _knob_spec()
         single = run_study(spec, cache=None)
-        with ParallelExecutor(n_workers=2, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             parallel = run_study(
                 spec, cache=None, executor=executor, chunk_rows=5
             )
@@ -635,29 +626,30 @@ class TestShardedStudies:
 
 
 # ---------------------------------------------------------------------------
-# The one pipeline: reducer x store x backend
+# The one pipeline: reducer x store x workers
 # ---------------------------------------------------------------------------
 _PIPELINE_CASES = [
-    (source, reducer, store, backend)
+    (source, reducer, store, workers)
     for source in ("spec", "fleet")
     for reducer in ("concat", "top-k")
     for store in ("none", "checkpoint", "leased")
-    for backend in ("serial", "thread")
+    for workers in (1, 2)
 ]
 
 
 class TestShardedPipeline:
     """Every combination the pipeline runs is bitwise identical to the
     one-pass result.  The "spec" source is the knob study, "fleet" a
-    labelled fleet crossed with scenario axes.  A leased store is a
-    distributed work dir; its "thread" backend adds a joining worker
+    labelled fleet crossed with scenario axes.  One worker evaluates
+    shards inline, two run a process pool.  A leased store is a
+    distributed work dir; its second worker is a joining worker
     thread."""
 
     @pytest.mark.parametrize(
-        "source,reducer,store,backend", _PIPELINE_CASES
+        "source,reducer,store,workers", _PIPELINE_CASES
     )
     def test_bitwise_identical_to_one_pass(
-        self, tmp_path, source, reducer, store, backend
+        self, tmp_path, source, reducer, store, workers
     ):
         import threading
 
@@ -672,7 +664,7 @@ class TestShardedPipeline:
                 tmp_path, worker_id="init", lease_ttl_s=10.0,
                 poll_interval_s=0.02,
             )
-            if backend == "thread":
+            if workers == 2:
                 joiner = threading.Thread(
                     target=run_worker,
                     args=(tmp_path,),
@@ -683,7 +675,7 @@ class TestShardedPipeline:
                 )
                 joiner.start()
         else:
-            executor = ParallelExecutor(n_workers=2, backend=backend)
+            executor = ParallelExecutor(n_workers=workers)
         checkpoint = tmp_path if store == "checkpoint" else None
         try:
             with executor:
@@ -948,7 +940,7 @@ class TestCacheHygiene:
         evaluate_matrix(_grid(8))
         sweep_knob(Knobs(), "sensor_range_m", [2.0, 4.0, 8.0])
         explore(DesignSpace(("dji-spark",), ("intel-ncs",), ("dronet",)))
-        with ParallelExecutor(n_workers=2, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             run_study(spec, executor=executor, chunk_rows=5)
             top_k_sharded(spec, 3, executor=executor, chunk_rows=10)
         stats = DEFAULT_CACHE.stats_snapshot()
@@ -975,7 +967,7 @@ class TestCacheHygiene:
         )
         reference_a = run_study(spec_a, cache=None)
         reference_b = run_study(spec_b, cache=None)
-        with ParallelExecutor(n_workers=2, backend="thread") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             for _ in range(2):
                 assert reference_a.equals(
                     run_study(spec_a, executor=executor, chunk_rows=5)
@@ -984,23 +976,20 @@ class TestCacheHygiene:
                     run_study(spec_b, executor=executor, chunk_rows=5)
                 )
 
-    def test_in_process_backends_never_pin_chunks_in_the_cache(self):
-        """Serial and thread shards must honor the memory contract:
-        chunk results never land in the process-wide default cache,
-        and neither does the merged result of a sharded spec."""
+    def test_inline_shards_never_pin_chunks_in_the_cache(self):
+        """Inline shards must honor the memory contract: chunk results
+        never land in the process-wide default cache, and neither does
+        the merged result of a sharded spec."""
         spec = _knob_spec()
         single = run_study(spec, cache=None)
         reference = single.batch.top_k(4)
-        for backend in ("serial", "thread"):
-            clear_default_cache()
-            with ParallelExecutor(n_workers=2, backend=backend) as executor:
-                _, result = top_k_sharded(
-                    spec, 4, executor=executor, chunk_rows=10
-                )
-                study = run_study(spec, executor=executor, chunk_rows=5)
-            assert batch_results_equal(reference, result)
-            assert single.equals(study)
-            assert len(DEFAULT_CACHE) == 0, backend
+        clear_default_cache()
+        with ParallelExecutor(n_workers=1) as executor:
+            _, result = top_k_sharded(spec, 4, executor=executor, chunk_rows=10)
+            study = run_study(spec, executor=executor, chunk_rows=5)
+        assert batch_results_equal(reference, result)
+        assert single.equals(study)
+        assert len(DEFAULT_CACHE) == 0
 
     def test_worker_shard_evaluation_uses_a_scoped_key(self):
         """Two shards with identical row *shapes* but different values
@@ -1017,10 +1006,6 @@ class TestCacheHygiene:
 # Executor surface validation
 # ---------------------------------------------------------------------------
 class TestExecutorValidation:
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            ParallelExecutor(backend="gpu")
-
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
             ParallelExecutor(n_workers=0)
@@ -1107,8 +1092,7 @@ class TestStudyCLIScaling:
         code = cli_main(
             [
                 "study", "--spec", self._spec_file(tmp_path),
-                "--workers", "2", "--backend", "thread",
-                "--chunk-rows", "5", "--json",
+                "--workers", "2", "--chunk-rows", "5", "--json",
             ]
         )
         assert code == 0
@@ -1132,14 +1116,16 @@ class TestStudyCLIScaling:
         assert code == 2
         assert "--chunk-rows" in capsys.readouterr().err
 
-    def test_backend_without_workers_exits_2(self, capsys):
-        code = cli_main(
-            ["study", "--knob", "compute_tdp_w", "--values", "1", "5",
-             "--backend", "thread"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--backend" in err and "--workers" in err
+    @pytest.mark.parametrize("flag", ["--backend", "--distributed"])
+    def test_deleted_path_flags_are_unknown(self, capsys, flag):
+        # The worker count and --work-dir choose how a study runs.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(
+                ["study", "--knob", "compute_tdp_w", "--values", "1", "5",
+                 flag]
+            )
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_checkpoint_then_resume(self, capsys, tmp_path):
         spec = self._spec_file(tmp_path)
@@ -1198,7 +1184,7 @@ class TestShardFailureContext:
         return Shard(index=index, start=10, stop=20)
 
     def test_serial_failure_names_shard_and_row_range(self):
-        executor = ParallelExecutor(n_workers=1, backend="serial")
+        executor = ParallelExecutor(n_workers=1)
         with pytest.raises(ShardExecutionError) as excinfo:
             list(executor.map_shards(_knob_spec(), [self._failing_shard()]))
         err = excinfo.value
@@ -1212,7 +1198,7 @@ class TestShardFailureContext:
     def test_process_pool_failure_keeps_shard_context(self):
         # Regression: a worker-process traceback used to surface as a
         # bare ConfigurationError with no hint of which rows died.
-        with ParallelExecutor(n_workers=1, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             with pytest.raises(ShardExecutionError) as excinfo:
                 list(
                     executor.map_shards(
@@ -1311,7 +1297,7 @@ class TestExecutorObservability:
 
         spec = _line_spec(24)
         tracer = Tracer()
-        with ParallelExecutor(n_workers=2, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             result = run_study(
                 spec,
                 cache=None,
@@ -1337,7 +1323,7 @@ class TestExecutorObservability:
 
         spec = _line_spec(20)
         shards = list(iter_chunks(spec, chunk_rows=10))
-        with ParallelExecutor(n_workers=2, backend="process") as executor:
+        with ParallelExecutor(n_workers=2) as executor:
             results = list(
                 executor.map_shards(spec, shards, tracer=Tracer())
             )
@@ -1350,12 +1336,12 @@ class TestExecutorObservability:
             )
 
     def test_in_process_shards_record_directly(self):
-        # Serial/thread workers share the parent's process and epoch:
-        # their spans land straight in the tracer (exact times, shard
+        # Inline shards share the parent's process and epoch: their
+        # spans land straight in the tracer (exact times, shard
         # tracks), and the ShardResult ships no wire payload at all.
         from repro.obs import Tracer
 
-        executor = ParallelExecutor(n_workers=1, backend="serial")
+        executor = ParallelExecutor(n_workers=1)
         spec = _line_spec(20)
         shards = list(iter_chunks(spec, chunk_rows=10))
         tracer = Tracer()
@@ -1473,8 +1459,8 @@ class TestStudyCLIObservability:
         code = cli_main(
             [
                 "study", "--spec", self._spec_file(tmp_path),
-                "--workers", "2", "--backend", "thread",
-                "--chunk-rows", "5", "--trace", str(trace), "--json",
+                "--workers", "2", "--chunk-rows", "5",
+                "--trace", str(trace), "--json",
             ]
         )
         assert code == 0

@@ -297,23 +297,12 @@ class TestProgressPrinter:
 
     def test_prints_labelled_lines(self):
         stream = io.StringIO()
-        printer = ProgressPrinter(stream=stream, label="study")
+        printer = ProgressPrinter(stream=stream)
         printer(self._snapshot(1, 1.0))
         printer(self._snapshot(2, 2.0))
         lines = stream.getvalue().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("study: shards 1/4")
-
-    def test_throttles_but_always_prints_final(self):
-        stream = io.StringIO()
-        printer = ProgressPrinter(stream=stream, min_interval_s=10.0)
-        printer(self._snapshot(1, 0.1))
-        printer(self._snapshot(2, 0.2))  # throttled
-        printer(self._snapshot(3, 0.3))  # throttled
-        printer(self._snapshot(4, 0.4))  # final: always printed
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 2
-        assert "shards 4/4" in lines[-1]
 
     def test_defaults_to_stderr(self, capsys):
         printer = ProgressPrinter()
@@ -350,7 +339,7 @@ class _ChunkRecordingStream(io.StringIO):
 
 class TestProgressPrinterThreadSafety:
     """The serving layer drives one printer from many worker threads;
-    updates must land atomically, throttled, and monotone."""
+    updates must land atomically and monotone."""
 
     def _snapshot(self, done: int, elapsed: float) -> Progress:
         return Progress(
@@ -377,7 +366,7 @@ class TestProgressPrinterThreadSafety:
 
     def test_concurrent_updates_never_tear_lines(self):
         stream = _ChunkRecordingStream()
-        printer = ProgressPrinter(stream=stream, label="svc")
+        printer = ProgressPrinter(stream=stream)
         barrier = threading.Barrier(8)
 
         def work(thread_index: int) -> None:
@@ -395,7 +384,7 @@ class TestProgressPrinterThreadSafety:
         # Every chunk is one complete line; nothing interleaved.
         assert stream.chunks
         for chunk in stream.chunks:
-            assert chunk.startswith("svc: shards ")
+            assert chunk.startswith("study: shards ")
             assert chunk.endswith("\n")
             assert chunk.count("\n") == 1
         # And the printed row counts are monotone non-decreasing.
@@ -404,22 +393,3 @@ class TestProgressPrinterThreadSafety:
             for chunk in stream.chunks
         ]
         assert rows == sorted(rows)
-
-    def test_throttle_is_atomic_under_concurrency(self):
-        # All 8 threads deliver at the same elapsed time; the
-        # check-then-set throttle must admit exactly one line (the
-        # unlocked version let every thread observe 'no line yet').
-        stream = _ChunkRecordingStream()
-        printer = ProgressPrinter(stream=stream, min_interval_s=60.0)
-        barrier = threading.Barrier(8)
-
-        def work() -> None:
-            barrier.wait()
-            printer(self._snapshot(1, 0.0))
-
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(stream.chunks) == 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from pathlib import Path
 from time import perf_counter, sleep
@@ -36,6 +37,7 @@ from repro.serve import (
     study_id_for_digest,
 )
 from repro.serve.protocol import parse_study_request
+from repro.serve.server import MAX_BODY_BYTES, MAX_HEADER_BYTES
 from repro.serve.state import StudyRecord
 from repro.study import DesignSpec, StudySpec, run_study
 from repro.study.result import StudyResult
@@ -55,9 +57,7 @@ def _spec(n_rows: int = 64, start: float = 0.01) -> StudySpec:
 # ---------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def server():
-    handle = ServerHandle(
-        ServeConfig(chunk_rows=8, max_queue=8, progress_poll_s=0.05)
-    ).start()
+    handle = ServerHandle(ServeConfig(chunk_rows=8, max_queue=8)).start()
     yield handle
     handle.stop()
 
@@ -201,11 +201,7 @@ class TestCoalescing:
 class TestProgressStream:
     def test_stream_is_monotone_and_matches_checkpoint(self, tmp_path):
         handle = ServerHandle(
-            ServeConfig(
-                chunk_rows=8,
-                progress_poll_s=0.05,
-                checkpoint_root=str(tmp_path),
-            )
+            ServeConfig(chunk_rows=8, checkpoint_root=str(tmp_path))
         ).start()
         try:
             spec = _spec(64, start=0.06)
@@ -297,6 +293,82 @@ class TestBackpressure:
         finally:
             gate.set()
             handle.stop()
+
+
+#: A well-formed request, sent after the refused one.
+_NEXT_REQUEST = b"GET /v1/stats HTTP/1.1\r\n\r\n"
+
+
+def _exchange(port: int, payload: bytes) -> bytes:
+    """Every byte the server sends on a connection that carries only
+    ``payload``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestFraming:
+    """A request the server cannot frame exactly gets one error envelope
+    and ends its connection: the bytes after it are never answered as a
+    request of their own."""
+
+    @pytest.mark.parametrize(
+        "payload, status, error, message",
+        [
+            (b"GET /health HTTP/1.1\r\nHost: x\r\n", 400, "BadRequest",
+             "truncated"),
+            (b"HELLO\r\n\r\n" + _NEXT_REQUEST, 400, "BadRequest",
+             "malformed request line"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
+             + _NEXT_REQUEST, 400, "BadRequest", "Content-Length"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+             + _NEXT_REQUEST, 400, "BadRequest", "Content-Length"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+             + _NEXT_REQUEST, 400, "BadRequest", "Content-Length"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: " + b"1" * 5000
+             + b"\r\n\r\n" + _NEXT_REQUEST, 400, "BadRequest", "Content-Length"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 0\r\n"
+             b"Content-Length: 2\r\n\r\n{}" + _NEXT_REQUEST, 400, "BadRequest",
+             "Content-Length"),
+            (b"POST /v1/analyze HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"5\r\nhello\r\n0\r\n\r\n" + _NEXT_REQUEST, 400, "BadRequest",
+             "Transfer-Encoding"),
+            (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEADER_BYTES
+             + b"\r\n\r\n" + _NEXT_REQUEST, 413, "HeaderTooLarge",
+             "request headers exceed"),
+            (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+             % (MAX_BODY_BYTES + 1) + _NEXT_REQUEST, 413, "PayloadTooLarge",
+             "exceeds"),
+        ],
+        ids=[
+            "truncated-headers", "malformed-request-line", "non-digit-length",
+            "negative-length", "underscore-length", "overlong-length",
+            "repeated-length", "transfer-encoding",
+            "headers-too-large", "body-too-large",
+        ],
+    )
+    def test_refusal_is_one_envelope_then_close(
+        self, server, payload, status, error, message
+    ):
+        reply = _exchange(server.port, payload)
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} "), reply
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines[1:]
+            if line.lower().startswith("content-length:")
+        )
+        doc = json.loads(rest[:length])
+        assert (doc["kind"], doc["status"], doc["error"]) == (
+            "error", status, error,
+        )
+        assert message in doc["message"]
+        assert rest[length:] == b"", "a request after the refusal was answered"
 
 
 # ---------------------------------------------------------------------
@@ -409,9 +481,7 @@ class TestSchedulerUnits:
         spec = _spec(16, start=0.9)
         for study_workers in (None, 2):
             scheduler = StudyScheduler(
-                study_workers=study_workers,
-                backend="thread",
-                **{root: tmp_path},
+                study_workers=study_workers, **{root: tmp_path}
             )
             scheduler.start()
             try:
@@ -440,8 +510,9 @@ class TestStateUnits:
         record = StudyRecord(_spec(4), "ab" * 32)
         record.update_progress({"rows_done": 32, "rows_total": 64})
         record.update_progress({"rows_done": 16, "rows_total": 64})
-        assert record.progress is not None
-        assert record.progress["rows_done"] == 32
+        _seq, _state, progress = record.snapshot()
+        assert progress is not None
+        assert progress["rows_done"] == 32
 
     def test_wait_update_returns_immediately_when_done(self):
         record = StudyRecord(_spec(4), "cd" * 32)
@@ -731,17 +802,14 @@ class TestServeCliFlags:
         assert self._run("--port", "70000") == 2
         assert "--port" in capsys.readouterr().err
 
-    def test_backend_requires_workers(self, capsys):
-        assert self._run("--backend", "thread") == 2
-        assert "--backend" in capsys.readouterr().err
-
-    def test_unknown_flag_exits_2(self, capsys):
+    @pytest.mark.parametrize("flag", ["--bogus-flag", "--backend"])
+    def test_unknown_flag_exits_2(self, capsys, flag):
         from repro.skyline.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--bogus-flag"])
+            main(["serve", flag])
         assert excinfo.value.code == 2
-        assert "--bogus-flag" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestClientSmoke:

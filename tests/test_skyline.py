@@ -326,6 +326,32 @@ class TestCli:
         assert "compute_tdp_w" in out
         assert plot.exists()
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["table", "json"])
+    def test_sweep_evaluates_its_study_once(
+        self, capsys, tmp_path, monkeypatch, mode
+    ):
+        # The table (or JSON), the crossovers and the chart all come
+        # from one evaluation of the swept knob.
+        import repro.study.runner as runner
+
+        evaluations = []
+        evaluate = runner.evaluate_matrix
+
+        def counted(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate_matrix", counted)
+        code = cli_main(
+            [
+                "sweep", "--knob", "compute_tdp_w", "--values", "1", "5",
+                "--plot", str(tmp_path / "s.svg"), *mode,
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "s.svg").exists()
+        assert len(evaluations) == 1
+
     def test_sweep_reports_crossover(self, capsys):
         code = cli_main(
             [
