@@ -60,7 +60,7 @@ from .grid import (
     scenario_grid,
 )
 from .kernels import BOUND_KINDS, DESIGN_STATUSES
-from .matrix import DesignMatrix
+from .matrix import DesignMatrix, LabelColumn
 from .result import BatchResult, BatchRow, concat_results, merge_top_k
 
 # The raw kernels stay namespaced (`repro.batch.kernels.*`): several
@@ -94,6 +94,7 @@ __all__ = [
     "BOUND_KINDS",
     "DESIGN_STATUSES",
     "DesignMatrix",
+    "LabelColumn",
     "BatchResult",
     "BatchRow",
     "concat_results",

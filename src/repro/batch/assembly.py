@@ -375,7 +375,9 @@ def assemble_columns(
     A column may be a scalar that holds for every row.  The matrix
     adopts the stage-rate and sensing-range columns and
     ``f_compute_hz`` without a copy (and freezes them), so pass arrays
-    nothing else writes to.
+    nothing else writes to.  ``labels`` may be a
+    :class:`~repro.batch.matrix.LabelColumn`, which the matrix adopts
+    as it is; any other sequence becomes a tuple of one string per row.
     """
     tdp_w = np.asarray(columns["tdp_w"], dtype=np.float64)
     heatsink = heatsink_mass_g_array(tdp_w)

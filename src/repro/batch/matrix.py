@@ -2,27 +2,33 @@
 
 A :class:`DesignMatrix` holds N design points as five float64 columns —
 sensing range, maximum acceleration and the three pipeline stage rates
-— plus optional per-row labels.  Columns are validated once at
-construction (finite, strictly positive, equal length) so the kernels
-can skip per-element checks, and are frozen read-only so a matrix can
-be shared and sliced without a defensive copy (:class:`SealedColumns`).
+— plus optional per-row labels: a tuple of strings, or a
+:class:`LabelColumn` that derives each row's label from N design labels
+and M scenario suffixes.  Columns are validated once at construction
+(finite, strictly positive, equal length) so the kernels can skip
+per-element checks, and are frozen read-only so a matrix can be shared
+and sliced without a defensive copy (:class:`SealedColumns`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
     Any,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
+    SupportsIndex,
     Tuple,
     Type,
     TypeVar,
     Union,
+    overload,
 )
 
 import numpy as np
@@ -102,13 +108,155 @@ def sealed_column(
     return column
 
 
+@dataclass(frozen=True, eq=False)
+class LabelColumn(Sequence[str]):
+    """Row labels held as N design labels times M suffixes.
+
+    Row ``r`` of the whole factorization is
+    ``designs[r // M] + suffixes[r % M]``, and the column holds rows
+    ``[start, stop)`` of it, so a study of N designs under M scenario
+    rows keeps N + M strings instead of N·M.  To callers it is a
+    read-only sequence of ``str``: indexes (negative and NumPy integers
+    included), step-1 slices (still factorized), iteration and ``==``
+    against tuples and lists behave as on the tuple of its rows, and
+    its hash is that tuple's.
+    """
+
+    designs: Tuple[str, ...]
+    suffixes: Tuple[str, ...]
+    start: int
+    stop: int
+
+    def __post_init__(self) -> None:
+        designs, suffixes = tuple(self.designs), tuple(self.suffixes)
+        if not suffixes:
+            raise ConfigurationError("a label column needs at least one suffix")
+        if not 0 <= self.start <= self.stop <= len(designs) * len(suffixes):
+            raise ConfigurationError(
+                f"label rows [{self.start}, {self.stop}) out of range for "
+                f"{len(designs)} designs x {len(suffixes)} suffixes"
+            )
+        object.__setattr__(self, "designs", designs)
+        object.__setattr__(self, "suffixes", suffixes)
+
+    @property
+    def parts(self) -> Tuple[str, ...]:
+        """The N + M strings every row is made of."""
+        return self.designs + self.suffixes
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def _rows(self) -> List[str]:
+        """The rows, built by one comprehension over the designs they
+        touch, then cut to the range."""
+        if not len(self):
+            return []
+        per_design = len(self.suffixes)
+        first = self.start // per_design
+        last = (self.stop - 1) // per_design + 1
+        rows = [
+            design + suffix
+            for design in self.designs[first:last]
+            for suffix in self.suffixes
+        ]
+        offset = self.start - first * per_design
+        del rows[offset + len(self):], rows[:offset]
+        return rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows())
+
+    @overload
+    def __getitem__(self, index: SupportsIndex) -> str: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> Sequence[str]: ...
+
+    def __getitem__(
+        self, index: Union[SupportsIndex, slice]
+    ) -> Union[str, Sequence[str]]:
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return tuple(self._rows()[index])
+            return replace(
+                self,
+                start=self.start + start,
+                stop=self.start + max(start, stop),
+            )
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("label column index out of range")
+        design, suffix = divmod(self.start + row, len(self.suffixes))
+        return self.designs[design] + self.suffixes[suffix]
+
+    def take(self, indices: np.ndarray) -> Tuple[str, ...]:
+        """The rows at ``indices`` (negative ones count from the end),
+        built without touching any other row."""
+        rows = np.asarray(indices, dtype=np.intp)
+        rows = np.where(rows < 0, rows + len(self), rows)
+        if rows.size and not (0 <= rows.min() and rows.max() < len(self)):
+            raise IndexError("label column index out of range")
+        designs, suffixes = self.designs, self.suffixes
+        design, suffix = np.divmod(rows + self.start, len(suffixes))
+        return tuple(
+            designs[d] + suffixes[s]
+            for d, s in zip(design.tolist(), suffix.tolist())
+        )
+
+    def _factorization(self) -> Tuple[Any, ...]:
+        return (self.designs, self.suffixes, self.start, self.stop)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LabelColumn):
+            if self._factorization() == other._factorization():
+                return True
+            return len(self) == len(other) and self._rows() == other._rows()
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and self._rows() == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._rows()))
+
+
+def _concat_labels(parts: Sequence[Sequence[str]]) -> Sequence[str]:
+    """Labels of row-wise stacked parts.
+
+    Adjacent ranges of one factorization (the shards of one study)
+    stay one :class:`LabelColumn`; anything else becomes a tuple.
+    """
+    columns = [part for part in parts if isinstance(part, LabelColumn)]
+    if len(columns) == len(parts) and all(
+        part.start == previous.stop
+        and part.suffixes == columns[0].suffixes
+        and part.designs == columns[0].designs
+        for previous, part in zip(columns, columns[1:])
+    ):
+        return replace(columns[0], stop=columns[-1].stop)
+    return tuple(label for part in parts for label in part)
+
+
 def checked_labels(
     labels: Optional[Sequence[str]], rows: int
-) -> Optional[Tuple[str, ...]]:
-    """Per-row labels as a tuple of strings, one per row (or ``None``)."""
+) -> Optional[Sequence[str]]:
+    """Per-row labels, one string per row (or ``None``).
+
+    A :class:`LabelColumn` is adopted as it is once its N + M parts
+    are checked to be strings; any other sequence becomes a tuple of
+    ``str``.
+    """
     if labels is None:
         return None
-    checked = tuple(map(str, labels))
+    if isinstance(labels, LabelColumn):
+        if not all(isinstance(part, str) for part in labels.parts):
+            raise ConfigurationError("label column parts must be strings")
+        checked: Sequence[str] = labels
+    else:
+        checked = tuple(map(str, labels))
     if len(checked) != rows:
         raise ConfigurationError(f"{len(checked)} labels for {rows} rows")
     return checked
@@ -169,6 +317,13 @@ class DesignMatrix(SealedColumns):
     constructor :meth:`from_models` insists on at least one row, since
     an empty *input collection* there is almost certainly a caller
     bug.
+
+    ``labels`` is ``None``, a tuple with one string per row, or a
+    :class:`LabelColumn`, which the study planner builds for preset,
+    fleet and single-axis knob rows: it holds N design labels and M
+    scenario suffixes instead of N·M strings.  :meth:`take` builds only
+    the rows it takes, and :meth:`concat` keeps adjacent ranges of one
+    column factorized; either way the labels read as the same strings.
     """
 
     sensing_range_m: np.ndarray
@@ -176,7 +331,7 @@ class DesignMatrix(SealedColumns):
     f_sensor_hz: np.ndarray
     f_compute_hz: np.ndarray
     f_control_hz: np.ndarray
-    labels: Optional[Tuple[str, ...]] = None
+    labels: Optional[Sequence[str]] = None
     #: Fraction-of-roof knee rule these rows were authored under, when
     #: known (e.g. :meth:`from_models`); the engine uses it unless the
     #: caller passes an explicit ``knee_fraction``.
@@ -214,7 +369,7 @@ class DesignMatrix(SealedColumns):
             f_sensor_hz=f_sensor_hz,  # type: ignore[arg-type]
             f_compute_hz=f_compute_hz,  # type: ignore[arg-type]
             f_control_hz=f_control_hz,  # type: ignore[arg-type]
-            labels=tuple(labels) if labels is not None else None,
+            labels=labels,
             knee_fraction=knee_fraction,
         )
 
@@ -280,12 +435,17 @@ class DesignMatrix(SealedColumns):
         """Memory pinned by the columns and any labels (bytes).
 
         Label memory is an estimate (byte length plus the CPython
-        object overhead); computed once per (immutable) matrix.
+        object overhead) of the strings the matrix holds: one per row,
+        or a :class:`LabelColumn`'s N + M parts.  Computed once per
+        (immutable) matrix.
         """
         total = sum(column.nbytes for column in self.columns())
-        if self.labels is not None:
-            total += sum(map(len, self.labels))
-            total += len(self.labels) * self._STR_OVERHEAD_BYTES
+        labels = self.labels
+        if isinstance(labels, LabelColumn):
+            labels = labels.parts
+        if labels is not None:
+            total += sum(map(len, labels))
+            total += len(labels) * self._STR_OVERHEAD_BYTES
         return total
 
     @property
@@ -318,13 +478,14 @@ class DesignMatrix(SealedColumns):
         digest.update(len(self).to_bytes(8, "little"))
         for column in self.columns():
             digest.update(column.tobytes())
-        if self.labels is not None:
+        labels: Any = self.labels
+        if isinstance(labels, LabelColumn):
+            labels = labels._factorization()
+        if labels is not None:
             # The label component uses the C-level tuple hash: byte-wise
             # digesting 100k label strings costs ~5x a full re-evaluation,
             # defeating the cache this digest exists to serve.
-            digest.update(
-                hash(self.labels).to_bytes(8, "little", signed=True)
-            )
+            digest.update(hash(labels).to_bytes(8, "little", signed=True))
         return digest.hexdigest()
 
     def content_hash(self) -> str:
@@ -334,15 +495,21 @@ class DesignMatrix(SealedColumns):
         for labelled matrices it is *not* stable across processes (the
         label component uses Python's seeded string hashing), which the
         in-process :class:`~repro.batch.cache.BatchCache` never needs.
+        A :class:`LabelColumn` contributes its factorization (parts and
+        range), never its rows, so two matrices with equal rows digest
+        alike only when their labels are held the same way: a missed
+        cache hit, never a wrong one.
         """
         return self._content_hash
 
     def take(self, indices: Union[Sequence[int], np.ndarray]) -> "DesignMatrix":
         """A new matrix holding the selected rows, in the given order."""
         index_array = np.asarray(indices, dtype=np.intp)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in index_array)
+        labels = self.labels
+        if isinstance(labels, LabelColumn):
+            labels = labels.take(index_array)
+        elif labels is not None:
+            labels = tuple(labels[i] for i in index_array)
         return DesignMatrix._adopt(
             **{name: getattr(self, name)[index_array] for name in _COLUMN_NAMES},
             labels=labels,
@@ -356,7 +523,9 @@ class DesignMatrix(SealedColumns):
         All parts must agree on the knee rule, and either all carry
         labels or none do — concatenating a labelled shard into an
         unlabelled matrix would silently misattribute rows.  A single
-        part is returned as-is (no copy).
+        part is returned as-is (no copy).  Labels of adjacent ranges of
+        one :class:`LabelColumn` stay factorized; any other labels are
+        joined into one tuple.
         """
         parts = list(matrices)
         if not parts:
@@ -369,21 +538,16 @@ class DesignMatrix(SealedColumns):
                 f"matrices mix knee fractions {sorted(map(str, fractions))}; "
                 "one matrix takes one knee rule"
             )
-        labelled = [m.labels is not None for m in parts]
-        if any(labelled) and not all(labelled):
+        labelled = [m.labels for m in parts if m.labels is not None]
+        if labelled and len(labelled) != len(parts):
             raise ConfigurationError(
                 "cannot concat labelled and unlabelled matrices"
-            )
-        labels: Optional[Tuple[str, ...]] = None
-        if all(labelled):
-            labels = tuple(
-                label for m in parts for label in m.labels  # type: ignore[union-attr]
             )
         return cls._adopt(
             **{
                 name: np.concatenate([getattr(m, name) for m in parts])
                 for name in _COLUMN_NAMES
             },
-            labels=labels,
+            labels=_concat_labels(labelled) if labelled else None,
             knee_fraction=fractions.pop(),
         )

@@ -613,10 +613,9 @@ class WireTable:
 def _design_matrix(values: Dict[str, Any]) -> "DesignMatrix":
     from ..batch.matrix import DesignMatrix
 
-    columns = {key: value for key, value in values.items() if key != "rows"}
-    if "labels" in columns:
-        columns["labels"] = tuple(columns["labels"])
-    return DesignMatrix.from_arrays(**columns)
+    return DesignMatrix.from_arrays(
+        **{key: value for key, value in values.items() if key != "rows"}
+    )
 
 
 def _batch_result(values: Dict[str, Any]) -> "BatchResult":
@@ -646,7 +645,7 @@ DESIGN_MATRIX_TABLE = WireTable(
         ("f_sensor_hz", "<f8 column", REQUIRED, "sensor frame rate, Hz"),
         ("f_compute_hz", "<f8 column", REQUIRED, "compute throughput, Hz"),
         ("f_control_hz", "<f8 column", REQUIRED, "control-loop rate, Hz"),
-        ("labels", "list", OPTIONAL, "one name per row; absent when unlabelled"),
+        ("labels", "[str]", OPTIONAL, "one name per row; absent when unlabelled"),
         ("knee_fraction", "float", OPTIONAL, "the matrix's knee rule; absent for the default"),
     ),
 )

@@ -17,7 +17,10 @@ design-major (scenario varies fastest) and stay columnar throughout.
 Knob rows are a :func:`~repro.batch.grid.cartesian_slice` of the
 design and scenario axes; preset and fleet rows gather only the
 designs the range touches and cross them with the M scenario rows by
-index arithmetic, never as one configuration object per row.  A range
+index arithmetic, never as one configuration object per row.  Their
+labels are never built per row either: a
+:class:`~repro.batch.matrix.LabelColumn` of the N design labels and M
+scenario suffixes, derived from the spec, stands for them.  A range
 holds at most ``stop - start + 2·M`` rows, and nothing is kept between
 calls.  The spec checked every field value, and whether a knob grid's
 payload overflows, when it was built, so the planner checks only what
@@ -42,7 +45,7 @@ from ..batch.assembly import (
     knob_columns,
 )
 from ..batch.grid import cartesian_product, cartesian_slice
-from ..batch.matrix import DesignMatrix
+from ..batch.matrix import DesignMatrix, LabelColumn
 from ..errors import ConfigurationError
 from ..units import require_nonnegative
 from ..uav.configuration import UAVConfiguration
@@ -116,12 +119,12 @@ def _scenario_rows(
 # ---------------------------------------------------------------------------
 def _materialize_designs(
     design: DesignSpec, first: int, stop: int
-) -> Tuple[List[UAVConfiguration], List[float], Optional[List[str]]]:
-    """Designs ``[first, stop)``: configurations, rates and labels."""
+) -> Tuple[List[UAVConfiguration], List[float]]:
+    """Designs ``[first, stop)``: configurations and compute rates."""
     if design.kind == "presets":
-        # Enumerate through DesignSpace so ordering and labels match
-        # dse.explore exactly.  Imported lazily: repro.dse imports this
-        # package at module level.
+        # Enumerate through DesignSpace so ordering matches dse.explore
+        # exactly.  Imported lazily: repro.dse imports this package at
+        # module level.
         from ..dse.space import DesignSpace
 
         space = DesignSpace(
@@ -130,40 +133,42 @@ def _materialize_designs(
             algorithm_names=design.algorithm_names,
         )
         candidates = list(space.candidates(first, stop))
-        uavs = [c.uav for c in candidates]
-        rates = [c.f_compute_hz for c in candidates]
-        labels = [
-            f"{c.uav_name}+{c.compute_name}+{c.algorithm_name}"
-            for c in candidates
-        ]
-        return uavs, rates, labels
-    labels = (
-        list(design.labels[first:stop]) if design.labels is not None else None
-    )
-    return (
-        list(design.uavs[first:stop]),
-        list(design.f_compute_hz[first:stop]),
-        labels,
-    )
+        return [c.uav for c in candidates], [c.f_compute_hz for c in candidates]
+    return list(design.uavs[first:stop]), list(design.f_compute_hz[first:stop])
 
 
-def _scenario_labels(
-    labels: Optional[List[str]], scenario_axes: Dict[str, Tuple[float, ...]]
-) -> Optional[List[str]]:
-    """Design labels crossed with scenario suffixes.
+def _design_labels(design: DesignSpec) -> Optional[Tuple[str, ...]]:
+    """Every design's label, in row order, read off the spec alone.
+
+    Preset labels are ``uav+compute+algorithm`` in
+    ``DesignSpace.candidates`` order (the algorithm varies fastest), so
+    no candidate is built for a label; a fleet's are its own labels.
+    """
+    if design.kind == "presets":
+        return tuple(
+            f"{uav}+{compute}+{algorithm}"
+            for uav in design.uav_names
+            for compute in design.compute_names
+            for algorithm in design.algorithm_names
+        )
+    return design.labels
+
+
+def _scenario_suffixes(
+    scenario_axes: Dict[str, Tuple[float, ...]]
+) -> Tuple[str, ...]:
+    """The `` [name=value,...]`` label suffix of each scenario row.
 
     Each axis's ``name=value`` strings are formatted once and joined
-    per scenario row.
+    per scenario row; with no scenario axes the one suffix is empty.
     """
-    if labels is None or not scenario_axes:
-        return labels
+    if not scenario_axes:
+        return ("",)
     parts = [
         [f"{name}={value:g}" for value in values]
         for name, values in scenario_axes.items()
     ]
-    prefixes = [f"{label} [" for label in labels]
-    suffixes = [",".join(row) + "]" for row in itertools.product(*parts)]
-    return [prefix + suffix for prefix in prefixes for suffix in suffixes]
+    return tuple(" [" + ",".join(row) + "]" for row in itertools.product(*parts))
 
 
 def _shifted_payload(
@@ -196,10 +201,13 @@ def _compile_fleet(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
     With M scenario rows per design, only designs ``start // M``
     through ``(stop - 1) // M`` are gathered, so at most
     ``stop - start + 2·M`` rows are expanded before the range is cut.
+    Labels are the N design labels and M scenario suffixes of the
+    whole study as one :class:`~repro.batch.matrix.LabelColumn`, cut
+    to the range, so every chunk of a study shares one factorization.
     """
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
     first = start // n_scenarios
-    uavs, rates, labels = _materialize_designs(
+    uavs, rates = _materialize_designs(
         spec.design, first, (stop - 1) // n_scenarios + 1
     )
     rows = slice(start - first * n_scenarios, stop - first * n_scenarios)
@@ -219,10 +227,12 @@ def _compile_fleet(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
         if name == "extra_payload_g":
             column = _shifted_payload(columns, column)
         columns[name] = column
-    labels = _scenario_labels(labels, scenario_axes)
-    if labels is not None:
-        # Cut in place (the list is ours), so a full range copies none.
-        del labels[rows.stop:], labels[:rows.start]
+    names = _design_labels(spec.design)
+    labels = None
+    if names is not None:
+        labels = LabelColumn(
+            names, _scenario_suffixes(scenario_axes), start, stop
+        )
     return assemble_columns(
         columns,
         np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios)[rows],
@@ -315,8 +325,12 @@ def _compile_knob_chunk(
     knobs = {name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS}
     labels = None
     if len(design.axes) == 1 and not scenario_axes:
+        # Only the range's own values: the one axis spans every row of
+        # the study, so formatting all of it would cost O(study rows)
+        # in every shard.  These chunks concat into a tuple, as before.
         knob = design.axes[0][0]
-        labels = [f"{knob}={value:g}" for value in knobs[knob]]
+        values = tuple(f"{knob}={value:g}" for value in knobs[knob])
+        labels = LabelColumn(values, ("",), 0, len(values))
     if "extra_payload_g" in columns:
         delta = columns["extra_payload_g"]
         carried = np.broadcast_to(knobs["payload_weight_g"], delta.shape)

@@ -3,6 +3,7 @@ result, cache, scenario grids — and scalar/batch equivalence."""
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.batch import (
     scenario_grid,
 )
 from repro.batch.grid import grid_shape
+from repro.batch.matrix import LabelColumn
 from repro.batch.result import stable_top_k
 from repro.core.bounds import BoundKind
 from repro.core.model import F1Model
@@ -236,6 +238,133 @@ class TestDesignMatrix:
         subset = matrix.take([2, 0])
         assert subset.labels == ("c", "a")
         assert subset.a_max.tolist() == [3.0, 1.0]
+
+
+def _labelled(labels):
+    """A matrix with one row per label (row i has sensing range i + 1)."""
+    return DesignMatrix.from_arrays(
+        np.arange(1.0, len(labels) + 1.0), 50.0, 60.0, 100.0, labels=labels
+    )
+
+
+@st.composite
+def label_columns(draw):
+    """A label column over drawn parts and range, with its rows built
+    the obvious way."""
+    part = st.text(alphabet="ab+ =", max_size=3)
+    designs = draw(st.lists(part, max_size=5))
+    suffixes = draw(st.lists(part, min_size=1, max_size=4))
+    size = len(designs) * len(suffixes)
+    start = draw(st.integers(0, size))
+    stop = draw(st.integers(start, size))
+    rows = [d + s for d in designs for s in suffixes][start:stop]
+    return LabelColumn(tuple(designs), tuple(suffixes), start, stop), rows
+
+
+class TestLabelColumn:
+    """N design labels x M suffixes read as the tuple of their rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=label_columns(), data=st.data())
+    def test_property_reads_as_the_tuple_of_its_rows(self, drawn, data):
+        column, rows = drawn
+        assert list(column) == rows
+        assert len(column) == len(rows)
+        # Integer indexes: negative ones and NumPy ints included.
+        for index in range(-len(rows), len(rows)):
+            assert column[index] == rows[index]
+            assert column[np.intp(index)] == rows[index]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                column[index]
+        # Step-1 slices stay factorized; other steps build the rows.
+        start = data.draw(st.integers(-len(rows) - 1, len(rows) + 1))
+        stop = data.draw(st.integers(-len(rows) - 1, len(rows) + 1))
+        part = column[start:stop]
+        assert isinstance(part, LabelColumn)
+        assert list(part) == rows[start:stop]
+        step = data.draw(st.sampled_from([2, 3, -1, -2]))
+        stepped = column[start:stop:step]
+        assert type(stepped) is tuple
+        assert stepped == tuple(rows[start:stop:step])
+        # Equality by value, either operand order, and a hash to match.
+        for other in (tuple(rows), list(rows)):
+            assert column == other and other == column
+            assert not (column != other) and not (other != column)
+            longer = other + type(other)(["z"])
+            assert column != longer and longer != column
+        assert hash(column) == hash(tuple(rows))
+        # Process-pool shards return the column pickled.
+        thawed = pickle.loads(pickle.dumps(column))
+        assert isinstance(thawed, LabelColumn) and thawed == column
+        # A matrix builds only the rows it takes.
+        matrix = _labelled(column)
+        assert matrix.labels is column
+        taken = data.draw(
+            st.lists(st.integers(-len(rows), len(rows) - 1), max_size=6)
+            if rows else st.just([])
+        )
+        subset = matrix.take(np.asarray(taken, dtype=np.intp))
+        assert subset.labels == tuple(rows[i] for i in taken)
+        assert type(subset.labels) is tuple
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=label_columns(), data=st.data())
+    def test_property_concat_keeps_adjacent_ranges_factorized(
+        self, drawn, data
+    ):
+        column, rows = drawn
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=3))
+        )
+        bounds = [0, *cuts, len(rows)]
+        parts = [_labelled(column[a:b]) for a, b in zip(bounds, bounds[1:])]
+        joined = DesignMatrix.concat(parts).labels
+        assert isinstance(joined, LabelColumn)
+        assert list(joined) == rows
+        # The same range as one part: the column's own factorization.
+        assert joined == column and hash(joined) == hash(column)
+        # A part held as a tuple, or a gap between ranges, joins the
+        # rows into a tuple.
+        mixed = [_labelled(tuple(parts[0].labels)), *parts[1:]]
+        assert DesignMatrix.concat(mixed).labels == tuple(rows)
+        assert type(DesignMatrix.concat(mixed).labels) is tuple
+        if len(rows) >= 2:
+            gap = DesignMatrix.concat(
+                [_labelled(column[:1]), _labelled(column[2:])]
+            ).labels
+            assert type(gap) is tuple
+            assert gap == tuple(rows[:1] + rows[2:])
+
+    def test_parts_must_be_strings_and_range_must_fit(self):
+        with pytest.raises(ConfigurationError, match="strings"):
+            _labelled(LabelColumn(("a", 5), ("",), 0, 2))
+        with pytest.raises(ConfigurationError, match="out of range"):
+            LabelColumn(("a", "b"), ("x", "y"), 1, 5)
+        with pytest.raises(ConfigurationError, match="suffix"):
+            LabelColumn(("a",), (), 0, 0)
+        with pytest.raises(ConfigurationError, match="3 labels for 2 rows"):
+            DesignMatrix.from_arrays(
+                (1.0, 2.0), 5.0, 60.0, 100.0,
+                labels=LabelColumn(("a", "b", "c"), ("",), 0, 3),
+            )
+
+    def test_nbytes_and_content_hash_read_the_parts(self):
+        designs = tuple(f"design-{i}" for i in range(300))
+        suffixes = tuple(f" [scenario={i}]" for i in range(50))
+        column = LabelColumn(designs, suffixes, 0, 10_000)
+        matrix = _labelled(column)
+        strings = designs + suffixes
+        assert matrix.nbytes == 5 * 8 * 10_000 + sum(map(len, strings)) + (
+            len(strings) * DesignMatrix._STR_OVERHEAD_BYTES
+        )
+        # Equal factorizations digest alike; a shifted range does not.
+        assert matrix.content_hash() == _labelled(
+            LabelColumn(designs, suffixes, 0, 10_000)
+        ).content_hash()
+        assert matrix.content_hash() != _labelled(
+            LabelColumn(designs, suffixes, 1, 10_001)
+        ).content_hash()
 
 
 class TestScenarioGrid:

@@ -11,6 +11,7 @@ spawn on CI — while the property suites evaluate shards inline.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -623,6 +624,73 @@ class TestShardedStudies:
             with DistributedExecutor(tmp_path / "c") as executor:
                 run_study(spec, cache=None, executor=executor, chunk_rows=5)
         assert len(calls) == 4
+
+
+def _fleet_scenarios_spec() -> StudySpec:
+    """7 presets x 9 platforms x 6 algorithms x 100 scenario rows:
+    37,800 rows of 378 designs, the shape of perfbench's fleet study."""
+    return StudySpec(
+        design=DesignSpec.presets(
+            uav_names=tuple(sorted(UAV_PRESETS))[:7],
+            compute_names=tuple(sorted(PLATFORMS))[:9],
+            algorithm_names=tuple(sorted(ALGORITHMS))[:6],
+        ),
+        scenarios=ScenarioSpec(
+            extra_payload_g=tuple(np.linspace(0.0, 200.0, 10)),
+            a_max_scale=tuple(np.linspace(0.6, 1.0, 5)),
+            compute_redundancy=(1, 2),
+        ),
+    )
+
+
+def _retained(call):
+    """``call()``'s result and the ``tracemalloc`` bytes it retains."""
+    call()  # first-call imports and registry lookups are not retained
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained
+
+
+class TestFleetLabelMemory:
+    """A preset or fleet study holds N design labels and M scenario
+    suffixes, never one label string per row."""
+
+    def test_compile_spec_retains_no_per_row_labels(self):
+        # The numeric columns are 2.0 MiB; 37,800 labels of about 100
+        # characters would add 5.7 MiB.
+        spec = _fleet_scenarios_spec()
+        plan, retained = _retained(lambda: compile_spec(spec))
+        assert len(plan) == 37_800
+        assert retained < 3 * 2**20, f"retained {retained / 2**20:.2f} MiB"
+
+    def test_sharded_result_retains_no_per_row_labels(self):
+        # 80 inline shards, merged: the numeric columns are 3.5 MiB.
+        spec = _fleet_scenarios_spec()
+        result, retained = _retained(
+            lambda: run_study(
+                spec,
+                executor=ParallelExecutor(n_workers=1),
+                chunk_rows=math.ceil(37_800 / 80),
+            )
+        )
+        assert len(result.batch) == 37_800
+        assert retained < 4.5 * 2**20, f"retained {retained / 2**20:.2f} MiB"
+
+    def test_matrix_nbytes_counts_the_label_parts(self):
+        matrix = compile_spec(_fleet_scenarios_spec()).matrix
+        strings = 378 + 100
+        parts = matrix.labels.designs + matrix.labels.suffixes
+        assert len(parts) == strings
+        assert matrix.nbytes == (
+            sum(column.nbytes for column in matrix.columns())
+            + sum(map(len, parts))
+            + strings * DesignMatrix._STR_OVERHEAD_BYTES
+        )
 
 
 # ---------------------------------------------------------------------------

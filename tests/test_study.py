@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autonomy.workloads import ALGORITHMS
-from repro.batch import DesignMatrix, assemble_configurations
+from repro.batch import DesignMatrix, assemble_configurations, shard_ranges
 from repro.batch.assembly import KNOB_COLUMNS
+from repro.batch.matrix import LabelColumn
 from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError, ShardExecutionError
@@ -679,6 +680,46 @@ class TestColumnarFleetCompile:
     ):
         spec = StudySpec(design=design, scenarios=scenarios)
         assert _outcome(_planner, spec) == _outcome(per_row_compile, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=preset_or_fleet_designs(),
+        scenarios=scenario_specs(),
+        chunk_rows=st.integers(1, 7),
+    )
+    def test_property_chunk_labels_concat_into_the_single_pass_column(
+        self, design, scenarios, chunk_rows
+    ):
+        spec = StudySpec(design=design, scenarios=scenarios)
+        try:
+            single = compile_spec(spec).matrix.labels
+        except ConfigurationError:
+            return  # a payload gone negative: the per-row property's case
+        parts = [
+            compile_chunk(spec, start, stop).matrix
+            for start, stop in shard_ranges(study_size(spec), chunk_rows)
+        ]
+        merged = DesignMatrix.concat(parts).labels
+        if single is None:
+            assert merged is None
+            return
+        # Every chunk derives the same N design labels and M suffixes
+        # from the spec, so adjacent chunks join into one column.
+        assert isinstance(single, LabelColumn)
+        assert isinstance(merged, LabelColumn)
+        assert (merged.designs, merged.suffixes, merged.start, merged.stop) == (
+            single.designs, single.suffixes, single.start, single.stop
+        )
+        assert list(merged) == list(single)
+        # A part held as a tuple, or a missing middle part, gives a tuple
+        # of the same rows.
+        as_tuple = parts[0].take(np.arange(len(parts[0])))
+        mixed = DesignMatrix.concat([as_tuple, *parts[1:]])
+        assert type(mixed.labels) is tuple and mixed.labels == single
+        if len(parts) >= 3:
+            gap = DesignMatrix.concat([parts[0], parts[2]]).labels
+            assert type(gap) is tuple
+            assert gap == tuple(parts[0].labels) + tuple(parts[2].labels)
 
     @pytest.mark.parametrize(
         "extra_payload_g, deltas, message",

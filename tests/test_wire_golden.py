@@ -15,6 +15,10 @@ both times under the version it was written at:
   the ``build`` hook are left out, so a refactor moves no digest.
 * :data:`SPEC_DIGESTS` pins the ``content_digest()`` of each golden
   study spec: its study id, checkpoint key and serve coalescing key.
+* ``run-<kind>-v<N>.json`` is the compact result document of running
+  the golden ``spec-<kind>`` study (``repro-skyline study --spec ...
+  --json``), so a change of the planner, the kernels or the selection
+  that moves a result byte fails here too, across commits.
 
 A failure means a wire format moved: bump the ``*_VERSION`` constant the
 message names, then write the new version's files with::
@@ -43,6 +47,7 @@ import numpy as np
 import pytest
 
 from repro.io import serialization as ser
+from repro.study import run_study
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "wire_golden"
 DIGESTS_NAME = "tables.json"
@@ -58,6 +63,7 @@ DOCUMENTS: Dict[str, ser.WireTable] = {
     "result.json": ser.STUDY_RESULT_TABLE,
     **{f"serve-{table.kind}.json": table for table in ser.SERVE_ENVELOPES},
     **{f"spec-{kind}.json": ser.STUDY_SPEC_TABLE for kind in ser.DESIGN_KINDS},
+    **{f"run-{kind}.json": ser.STUDY_RESULT_TABLE for kind in ser.DESIGN_KINDS},
 }
 
 
@@ -374,8 +380,9 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
 
     Each text is produced the way the owning layer writes it: one
     ``json.dumps`` line for manifests, records, leases and envelopes,
-    :meth:`StudyResult.save` for the result and :meth:`StudySpec.save`
-    for the specs (both through ``scratch``).
+    :meth:`StudyResult.save` for the result, :meth:`StudySpec.save`
+    for the specs (both through ``scratch``) and one
+    :meth:`StudyResult.to_json` line for each golden spec's run.
     """
     full, top_k = _records()
     documents = {
@@ -392,6 +399,7 @@ def golden_documents(scratch: Path) -> Dict[str, str]:
     for name, spec in _specs().items():
         spec.save(scratch / name)
         documents[name] = (scratch / name).read_text(encoding="utf-8")
+        documents["run-" + name[len("spec-"):]] = _line(run_study(spec).to_dict())
     return documents
 
 
@@ -424,6 +432,9 @@ def _read_back(name: str, path: Path) -> None:
         assert loaded.telemetry == study.telemetry
     elif name.startswith("spec-"):
         assert StudySpec.load(path) == _specs()[name]
+    elif name.startswith("run-"):
+        spec = _specs()["spec-" + name[len("run-"):]]
+        assert StudyResult.load(path).equals(run_study(spec))
     else:
         doc = json.loads(text)
         assert ser.serve_envelope_from_dict(doc) == _envelopes()[name].to_dict()
@@ -523,6 +534,22 @@ def test_golden_spec_keeps_its_study_id(name):
     assert StudySpec.load(golden_path(name)).content_digest() == SPEC_DIGESTS[name]
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 3], ids=["single-pass", "chunk-rows-3"])
+@pytest.mark.parametrize("kind", ser.DESIGN_KINDS)
+def test_golden_spec_runs_to_its_golden_result(kind, chunk_rows):
+    # The committed run was written by an earlier commit, so this pins
+    # result bytes across commits; at --chunk-rows 3 some design's
+    # scenario rows straddle two shards.
+    from repro.study import StudySpec
+
+    spec = StudySpec.load(golden_path(f"spec-{kind}.json"))
+    text = run_study(spec, chunk_rows=chunk_rows).to_json() + "\n"
+    golden = golden_path(f"run-{kind}.json")
+    assert text.encode("utf-8") == golden.read_bytes(), (
+        f"{golden.name} changed; {_bump_hint(DOCUMENTS[f'run-{kind}.json'])}"
+    )
+
+
 @pytest.mark.parametrize("key", sorted(live_tables()))
 def test_table_digest_is_pinned(key):
     table = live_tables()[key]
@@ -544,9 +571,9 @@ def test_table_digest_is_pinned(key):
          ["lease_record"]),
         ("<i8 column | null", type(ser.WIRE_TYPES["<f8 column"])(ser.INDEX_COLUMN),
          ["shard_record"]),
-        ("list", lambda value: isinstance(value, (list, str)), [
-            "batch_result", "design_matrix", "shard_record", "study_axis",
-            "study_result",
+        ("[str]", lambda value: isinstance(value, (list, str)), [
+            "batch_result", "design_matrix", "design_spec", "shard_record",
+            "study_result", "study_spec",
         ]),
     ],
     ids=["predicate", "column-parameter", "embedded-tables"],

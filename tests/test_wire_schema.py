@@ -187,6 +187,10 @@ def _record_doc():
         (("batch", "rows"), True, "batch.rows"),
         (("batch", "matrix", "rows"), 1.5, "matrix.rows"),
         (("batch", "tolerance"), "loose", "tolerance"),
+        *(
+            (("batch", "matrix", "labels"), ["ok", label], "matrix.labels")
+            for label in (None, 5, 1.5, ["x"])
+        ),
     ],
     ids=[
         "invalid-base64-char", "star-in-valid-base64", "partial-item",
@@ -196,7 +200,7 @@ def _record_doc():
         "index-outside-shard", "full-shard-row-mismatch", "float-list", "name-list",
         "code-past-names", "negative-code", "unknown-name",
         "names-not-a-list", "negative-rows", "bool-rows", "float-rows",
-        "str-tolerance",
+        "str-tolerance", "null-label", "int-label", "float-label", "list-label",
     ],
 )
 def test_shard_record_from_dict_rejects_damage(path, value, field):
@@ -211,6 +215,22 @@ def test_shard_record_from_dict_rejects_damage(path, value, field):
     target[path[-1]] = value
     with pytest.raises(ConfigurationError, match=f"'{field}'"):
         ser.shard_record_from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "label", [None, 5, 1.5, ["x"]], ids=["null", "int", "float", "list"]
+)
+def test_result_document_refuses_a_label_that_is_not_a_string(label):
+    # Read through str(), a null label came back as "None" and was
+    # emitted again as bytes the document never held.
+    doc = _golden("result.json")
+    matrix = doc["batch"]["matrix"]
+    matrix["labels"] = [label] * matrix["rows"]
+    with pytest.raises(ConfigurationError) as exc:
+        StudyResult.from_dict(doc)
+    assert str(exc.value).startswith(
+        "design matrix field 'matrix.labels': expected [str], got "
+    )
 
 
 @pytest.mark.parametrize(
