@@ -6,18 +6,21 @@ column, but consumers used to *assemble* each point one at a time —
 mass/thrust/heatsink accounting the dominant cost of every sweep.
 This module columnizes the assembly chain, once for every design kind:
 
-* :func:`assemble_columns` runs the heatsink / payload / mass / thrust
-  / acceleration accounting over columns of component figures and
-  returns a :class:`FleetAssembly`: the
-  :class:`~repro.batch.matrix.DesignMatrix` plus the mass, thrust and
-  TDP columns.
+* :func:`account_columns` runs the heatsink / payload / mass / thrust
+  / acceleration accounting over columns of component figures of any
+  broadcastable shape, :func:`require_feasible` refuses a row no
+  thrust can move, and :meth:`FleetAssembly.adopt` builds the
+  :class:`~repro.batch.matrix.DesignMatrix` plus the mass and TDP
+  columns from row columns.  :func:`assemble_columns` is the three in
+  a row, for columns that already have one entry per row.
 * Two functions gather those columns.  :func:`configuration_columns`
   reads them off :class:`~repro.uav.configuration.UAVConfiguration`
   fleets (heterogeneous components, payload overrides, redundancy);
   :func:`knob_columns` maps Table II knob values, scalars or columns,
   onto the UAV that ``Knobs.build_uav`` assembles.  Callers may edit
-  the columns in between: the study planner crosses designs with
-  scenario axes that way instead of building one object per row.
+  the columns in between: the study planner crosses (P, 1)
+  configuration columns with (1, M) scenario columns that way, and
+  expands only the accounted columns to rows.
 * :func:`assemble_configurations` and :class:`KnobMatrix` (a
   structure-of-arrays set of Table II knobs) are the two public
   entry points over the chain.
@@ -87,6 +90,12 @@ KNOB_COLUMNS = (
 #: The accounting columns a :class:`FleetAssembly` carries beside its
 #: matrix, one entry per row; study shards and results carry them too.
 EXTRA_COLUMNS = ("total_mass_g", "compute_tdp_w")
+
+#: The row columns :meth:`FleetAssembly.adopt` reads: the design
+#: matrix columns but ``f_compute_hz``, then the :data:`EXTRA_COLUMNS`.
+ROW_COLUMNS = (
+    "sensing_range_m", "a_max", "f_sensor_hz", "f_control_hz"
+) + EXTRA_COLUMNS
 
 #: Knob columns allowed to be zero (everything else must be > 0,
 #: mirroring ``Knobs.__post_init__``): the rule a knob matrix seals
@@ -266,6 +275,37 @@ class FleetAssembly:
     def __len__(self) -> int:
         return len(self.matrix)
 
+    @classmethod
+    def adopt(
+        cls,
+        rows: Mapping[str, ArrayLike],
+        f_compute_hz: ArrayLike,
+        labels: Optional[Sequence[str]] = None,
+    ) -> "FleetAssembly":
+        """Build the design matrix over accounted row columns.
+
+        ``rows`` maps each of the :data:`ROW_COLUMNS` to one entry per
+        row, or to a scalar that holds for every row.
+        The matrix adopts its columns and ``f_compute_hz`` without a
+        copy (and freezes them), so pass arrays nothing else writes
+        to; ``labels`` is checked as :class:`DesignMatrix` checks it.
+        """
+        matrix = DesignMatrix._adopt(
+            sensing_range_m=rows["sensing_range_m"],
+            a_max=rows["a_max"],
+            f_sensor_hz=rows["f_sensor_hz"],
+            f_compute_hz=f_compute_hz,
+            f_control_hz=rows["f_control_hz"],
+            labels=labels,
+            knee_fraction=DEFAULT_KNEE_FRACTION,
+        )
+        count = len(matrix)
+        return cls(
+            matrix=matrix,
+            total_mass_g=_per_row(rows["total_mass_g"], count),
+            compute_tdp_w=_per_row(rows["compute_tdp_w"], count),
+        )
+
 
 def configuration_columns(
     uavs: Sequence["UAVConfiguration"],
@@ -273,9 +313,9 @@ def configuration_columns(
     """Gather each configuration's component figures into columns.
 
     The only per-configuration Python of fleet assembly: everything
-    after it is whole-column arithmetic, so callers may expand or edit
+    after it is whole-column arithmetic, so callers may reshape or edit
     the columns (the study planner crosses them with scenario axes)
-    before :func:`assemble_columns` runs the chain.  ``name`` (which
+    before :func:`account_columns` runs the chain.  ``name`` (which
     error messages cite) is an object column and ``needs_heatsink`` a
     bool one; the rest are float64, ``payload_override_g`` holding NaN
     where no override is set and ``a_max_scale`` — the Eq. 5
@@ -328,7 +368,7 @@ def knob_columns(
     module mass, battery and sensor masses folded into the payload
     knob, a massless flight controller at the default loop rate and
     the default braking pitch.  Figures the knobs do not set stay
-    scalars, which :func:`assemble_columns` broadcasts.
+    scalars, which :func:`account_columns` broadcasts.
     """
     return {
         "name": np.array("custom-knobs", dtype=object),
@@ -359,25 +399,23 @@ def _per_row(column: ArrayLike, rows: int) -> np.ndarray:
     return values if values.shape == (rows,) else np.full(rows, values)
 
 
-def assemble_columns(
-    columns: Mapping[str, ArrayLike],
-    f_compute_hz: ArrayLike,
-    labels: Optional[Sequence[str]] = None,
-) -> FleetAssembly:
+def account_columns(columns: Mapping[str, ArrayLike]) -> Dict[str, ArrayLike]:
     """Run the accounting chain over :func:`configuration_columns` or
-    :func:`knob_columns` output.
+    :func:`knob_columns` output of any broadcastable shape.
 
     The heatsink / payload / mass / thrust / acceleration chain,
     vectorized through the same plain functions the scalar properties
     call, honoring ``payload_override_g``, ``compute_redundancy``,
-    ``needs_heatsink`` and per-vehicle braking pitch; ``a_max`` is
-    derated by ``a_max_scale`` before the one design matrix is built.
-    A column may be a scalar that holds for every row.  The matrix
-    adopts the stage-rate and sensing-range columns and
-    ``f_compute_hz`` without a copy (and freezes them), so pass arrays
-    nothing else writes to.  ``labels`` may be a
-    :class:`~repro.batch.matrix.LabelColumn`, which the matrix adopts
-    as it is; any other sequence becomes a tuple of one string per row.
+    ``needs_heatsink`` and per-vehicle braking pitch.  A column may be
+    a scalar or an array of any shape that broadcasts with the others,
+    and each result has the shape its own inputs broadcast to: over
+    (P, 1) configuration columns crossed with (1, M) scenario columns,
+    heatsink and thrust take P values, and mass and ``a_max`` P·M.
+
+    Returns the :data:`ROW_COLUMNS` (``a_max`` derated by
+    ``a_max_scale``), plus what :func:`require_feasible`
+    reads: ``total_thrust_g`` and ``eq5_a_max``, the Eq. 5
+    acceleration before the derating, which nothing has checked yet.
     """
     tdp_w = np.asarray(columns["tdp_w"], dtype=np.float64)
     heatsink = heatsink_mass_g_array(tdp_w)
@@ -413,31 +451,61 @@ def assemble_columns(
         a_max = thrust_margin_acceleration(
             total_thrust, total_mass, columns["braking_pitch_deg"]
         )
-    if np.any(a_max <= 0.0):
-        # Only a zero braking pitch gets here, which knob columns never
-        # set, so these are configuration columns: one entry per row.
-        index = int(np.argmax(a_max <= 0.0))
+    return {
+        "sensing_range_m": columns["sensing_range_m"],
+        "a_max": a_max * columns["a_max_scale"],
+        "f_sensor_hz": columns["f_sensor_hz"],
+        "f_control_hz": columns["f_control_hz"],
+        "total_mass_g": total_mass,
+        "compute_tdp_w": tdp_w,
+        "total_thrust_g": total_thrust,
+        "eq5_a_max": a_max,
+    }
+
+
+def require_feasible(
+    accounted: Mapping[str, ArrayLike], names: ArrayLike
+) -> None:
+    """Refuse rows whose Eq. 5 acceleration is not > 0.
+
+    ``accounted`` is :func:`account_columns` output and ``names`` the
+    configuration names; the first offending entry names its
+    configuration.  Only a zero braking pitch gets here, which knob
+    columns never set.
+    """
+    a_max = np.asarray(accounted["eq5_a_max"])
+    infeasible = a_max <= 0.0
+    if np.any(infeasible):
+        index = int(np.argmax(infeasible))
+
+        def at(column: ArrayLike) -> object:
+            return np.broadcast_to(column, a_max.shape).flat[index]
+
         raise InfeasibleDesignError(
-            f"total thrust {total_thrust[index]:.0f} g cannot move an "
-            f"all-up mass of {total_mass[index]:.0f} g and no braking "
-            f"floor is configured (configuration "
-            f"{np.asarray(columns['name'])[index]!r})"
+            f"total thrust {at(accounted['total_thrust_g']):.0f} g cannot "
+            f"move an all-up mass of {at(accounted['total_mass_g']):.0f} g "
+            f"and no braking floor is configured (configuration "
+            f"{at(names)!r})"
         )
-    matrix = DesignMatrix._adopt(
-        sensing_range_m=columns["sensing_range_m"],
-        a_max=a_max * columns["a_max_scale"],
-        f_sensor_hz=columns["f_sensor_hz"],
-        f_compute_hz=f_compute_hz,
-        f_control_hz=columns["f_control_hz"],
-        labels=labels,
-        knee_fraction=DEFAULT_KNEE_FRACTION,
-    )
-    rows = len(matrix)
-    return FleetAssembly(
-        matrix=matrix,
-        total_mass_g=_per_row(total_mass, rows),
-        compute_tdp_w=_per_row(tdp_w, rows),
-    )
+
+
+def assemble_columns(
+    columns: Mapping[str, ArrayLike],
+    f_compute_hz: ArrayLike,
+    labels: Optional[Sequence[str]] = None,
+) -> FleetAssembly:
+    """Run the accounting chain over row columns and build the matrix.
+
+    :func:`account_columns`, :func:`require_feasible`, then
+    :meth:`FleetAssembly.adopt`.  Each column is a scalar that holds
+    for every row or has one entry per row: any shape that broadcasts
+    to the rows.  ``labels`` may be a
+    :class:`~repro.batch.matrix.LabelColumn`, which the matrix adopts
+    as it is; any other sequence becomes a tuple of one string per row.
+    """
+    accounted = account_columns(columns)
+    require_feasible(accounted, columns["name"])
+    return FleetAssembly.adopt(accounted, f_compute_hz, labels)
 
 
 def assemble_configurations(

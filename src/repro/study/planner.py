@@ -4,29 +4,32 @@ The planner turns a declarative spec into exactly the vectorized
 :mod:`repro.batch` execution the legacy entry points performed, so
 studies are numerically indistinguishable from the call stacks they
 replace (``sweep_knob``/``sweep_grid`` for knob axes, ``dse.explore``
-for presets).  Every design kind ends in the one accounting chain,
-:func:`~repro.batch.assembly.assemble_columns`: knob rows enter it
-through :func:`~repro.batch.assembly.knob_columns`, preset and fleet
-rows through :func:`~repro.batch.assembly.configuration_columns`, and
-each compile returns its :class:`~repro.batch.assembly.FleetAssembly`.
+for presets).  Every design kind runs the one accounting chain,
+:func:`~repro.batch.assembly.account_columns`: knob rows enter it
+through :func:`~repro.batch.assembly.knob_columns` (by
+:func:`~repro.batch.assembly.assemble_columns`), preset and fleet
+designs through :func:`~repro.batch.assembly.configuration_columns`,
+and each compile returns its
+:class:`~repro.batch.assembly.FleetAssembly`.
 
 Each design kind has one planner path, and it compiles a row range:
 :func:`compile_chunk` runs it over a shard's ``[start, stop)`` rows and
 :func:`compile_spec` over every row.  Scenario axes expand design rows
 design-major (scenario varies fastest) and stay columnar throughout.
 Knob rows are a :func:`~repro.batch.grid.cartesian_slice` of the
-design and scenario axes; preset and fleet rows gather only the
-designs the range touches and cross them with the M scenario rows by
-index arithmetic, never as one configuration object per row.  Their
-labels are never built per row either: a
+design and scenario axes.  Preset and fleet rows never become one
+configuration object, or one chain entry, per row: a design's
+all-up mass and ``a_max`` (Eq. 5) do not depend on its algorithm,
+so the chain runs over the (UAV, compute) pairs the range touches
+crossed with the M scenario rows, and only its output columns are
+expanded to rows.  Their labels are never built per row either: a
 :class:`~repro.batch.matrix.LabelColumn` of the N design labels and M
 scenario suffixes, derived from the spec, stands for them.  A range
 holds at most ``stop - start + 2·M`` rows, and nothing is kept between
-calls.  The spec checked every field value, and whether a knob grid's
-payload overflows, when it was built, so the planner checks only what
-crossing rows can produce: a scenario payload that goes negative (or,
-for a fleet, overflows), and the derived columns the design matrix
-seals.
+calls.  The spec checked every field value, and that no scenario
+payload goes negative or overflows on any row, when it was built, so
+the planner checks only what the chain derives: the ``a_max > 0``
+rule on the range's own rows and the columns the design matrix seals.
 """
 
 from __future__ import annotations
@@ -39,22 +42,20 @@ import numpy as np
 
 from ..batch.assembly import (
     KNOB_COLUMNS,
+    ROW_COLUMNS,
+    ArrayLike,
     FleetAssembly,
+    account_columns,
     assemble_columns,
     configuration_columns,
     knob_columns,
+    require_feasible,
 )
 from ..batch.grid import cartesian_product, cartesian_slice
 from ..batch.matrix import DesignMatrix, LabelColumn
 from ..errors import ConfigurationError
-from ..units import require_nonnegative
 from ..uav.configuration import UAVConfiguration
-from .spec import (
-    DesignSpec,
-    ScenarioSpec,
-    StudySpec,
-    spec_error,
-)
+from .spec import DesignSpec, ScenarioSpec, StudySpec
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,16 @@ def _scenario_rows(
 # ---------------------------------------------------------------------------
 # Preset / fleet designs (the dse.explore shape)
 # ---------------------------------------------------------------------------
-def _materialize_designs(
+def _pairs(
     design: DesignSpec, first: int, stop: int
-) -> Tuple[List[UAVConfiguration], List[float]]:
-    """Designs ``[first, stop)``: configurations and compute rates."""
+) -> Tuple[List[UAVConfiguration], int, List[float]]:
+    """What designs ``[first, stop)`` fly: each (UAV, compute) pair they
+    touch, composed once, how many designs each whole pair holds, and
+    each design's compute rate.
+
+    A preset pair holds one design per algorithm; a fleet's designs
+    are its own pairs.
+    """
     if design.kind == "presets":
         # Enumerate through DesignSpace so ordering matches dse.explore
         # exactly.  Imported lazily: repro.dse imports this package at
@@ -132,9 +139,10 @@ def _materialize_designs(
             compute_names=design.compute_names,
             algorithm_names=design.algorithm_names,
         )
-        candidates = list(space.candidates(first, stop))
-        return [c.uav for c in candidates], [c.f_compute_hz for c in candidates]
-    return list(design.uavs[first:stop]), list(design.f_compute_hz[first:stop])
+        per_pair = len(design.algorithm_names)
+        uavs = list(space.pairs(first // per_pair, (stop - 1) // per_pair + 1))
+        return uavs, per_pair, space.rates(first, stop)
+    return list(design.uavs[first:stop]), 1, list(design.f_compute_hz[first:stop])
 
 
 def _design_labels(design: DesignSpec) -> Optional[Tuple[str, ...]]:
@@ -171,72 +179,67 @@ def _scenario_suffixes(
     return tuple(" [" + ",".join(row) + "]" for row in itertools.product(*parts))
 
 
-def _shifted_payload(
-    columns: Dict[str, np.ndarray], deltas: np.ndarray
-) -> np.ndarray:
-    """The extra-payload column plus scenario deltas, checked per row.
-
-    The first offending row in row-major order decides the error, as
-    it did when every row was a validated ``UAVConfiguration``.
-    """
-    with np.errstate(over="ignore"):
-        extra = columns["extra_payload_g"] + deltas
-    bad = ~(np.isfinite(extra) & (extra >= 0.0))
-    if bad.any():
-        row = int(np.argmax(bad))
-        value = float(extra[row])
-        if value < 0.0:
-            raise spec_error(
-                "scenarios.extra_payload_g",
-                f"payload goes negative on configuration "
-                f"{columns['name'][row]!r} ({value:g} g)",
-            )
-        require_nonnegative("extra_payload_g", value)
-    return extra
-
-
 def _compile_fleet(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
     """Rows ``[start, stop)`` of a preset or fleet design.
 
-    With M scenario rows per design, only designs ``start // M``
-    through ``(stop - 1) // M`` are gathered, so at most
-    ``stop - start + 2·M`` rows are expanded before the range is cut.
+    The accounting chain never reads the algorithm, so it runs once
+    per (UAV, compute) pair and scenario row, at the shape of its
+    inputs: the P pairs the range touches as (P, 1) columns, the M
+    scenario rows as (1, M) ones.  Heatsink, compute mass and thrust
+    take P values, mass and ``a_max`` P·M.  Only the accounted columns
+    are expanded to rows, each by one ``np.repeat``: pair to design
+    (one design per algorithm), design to row by M, then cut to the
+    range.  The range touches designs ``start // M`` through
+    ``(stop - 1) // M``, so at most ``stop - start + 2·M`` rows are
+    expanded, and the ``a_max > 0`` check reads only the range's rows.
     Labels are the N design labels and M scenario suffixes of the
     whole study as one :class:`~repro.batch.matrix.LabelColumn`, cut
     to the range, so every chunk of a study shares one factorization.
     """
     scenario_axes, n_scenarios = _scenario_rows(spec.scenarios)
     first = start // n_scenarios
-    uavs, rates = _materialize_designs(
-        spec.design, first, (stop - 1) // n_scenarios + 1
-    )
-    rows = slice(start - first * n_scenarios, stop - first * n_scenarios)
-
-    # N designs x M scenarios, scenario fastest: repeat each design's
-    # columns M times, tile each scenario column N times, cut the
-    # range's rows, then apply every scenario axis as a column edit.
+    last = (stop - 1) // n_scenarios + 1
+    uavs, per_pair, rates = _pairs(spec.design, first, last)
     columns = {
-        name: np.repeat(column, n_scenarios)[rows]
+        name: column.reshape(-1, 1)
         for name, column in configuration_columns(uavs).items()
     }
-    scenario_columns = (
-        cartesian_product(scenario_axes) if scenario_axes else {}
-    )
-    for name, values in scenario_columns.items():
-        column = np.tile(values, len(uavs))[rows]
-        if name == "extra_payload_g":
-            column = _shifted_payload(columns, column)
-        columns[name] = column
+    if scenario_axes:
+        for name, values in cartesian_product(scenario_axes).items():
+            values = values.reshape(1, -1)
+            if name == "extra_payload_g":
+                # The spec refused any sum that goes negative or
+                # overflows, for every row of the study.
+                values = columns[name] + values
+            columns[name] = values
+    accounted = account_columns(columns)
+
+    # Designs per pair inside [first, last): all of a middle pair's,
+    # fewer of the first and last pairs' when the range cuts them.
+    designs = np.full(len(uavs), per_pair)
+    designs[0] -= first % per_pair
+    designs[-1] -= -last % per_pair
+    rows = slice(start - first * n_scenarios, stop - first * n_scenarios)
+
+    def expand(column: ArrayLike) -> np.ndarray:
+        block = np.broadcast_to(column, (len(uavs), n_scenarios))
+        return np.repeat(block, designs, axis=0).reshape(-1)[rows]
+
+    if np.any(accounted["eq5_a_max"] <= 0.0):
+        require_feasible(
+            {name: expand(column) for name, column in accounted.items()},
+            expand(columns["name"]),
+        )
     names = _design_labels(spec.design)
     labels = None
     if names is not None:
         labels = LabelColumn(
             names, _scenario_suffixes(scenario_axes), start, stop
         )
-    return assemble_columns(
-        columns,
+    return FleetAssembly.adopt(
+        {name: expand(accounted[name]) for name in ROW_COLUMNS},
         np.repeat(np.asarray(rates, dtype=np.float64), n_scenarios)[rows],
-        labels=labels,
+        labels,
     )
 
 
@@ -332,22 +335,10 @@ def _compile_knob_chunk(
         values = tuple(f"{knob}={value:g}" for value in knobs[knob])
         labels = LabelColumn(values, ("",), 0, len(values))
     if "extra_payload_g" in columns:
-        delta = columns["extra_payload_g"]
-        carried = np.broadcast_to(knobs["payload_weight_g"], delta.shape)
-        payload = carried + delta
-        negative = payload < 0.0
-        if negative.any():
-            # The first offending row in row-major order, so every
-            # chunking of the study names the same row.
-            row = int(np.argmax(negative))
-            raise spec_error(
-                "scenarios.extra_payload_g",
-                f"payload goes negative at payload_weight_g="
-                f"{carried[row]:g}, extra_payload_g={delta[row]:g} "
-                f"({payload[row]:g} g); deltas cannot shed more than "
-                "the payload knob carries",
-            )
-        knobs["payload_weight_g"] = payload
+        # The spec refused any sum that goes negative or overflows.
+        knobs["payload_weight_g"] = (
+            knobs["payload_weight_g"] + columns["extra_payload_g"]
+        )
     design_columns = knob_columns(knobs, base.rotor_count)
     if "a_max_scale" in columns:
         design_columns["a_max_scale"] = columns["a_max_scale"]

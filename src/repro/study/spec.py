@@ -49,7 +49,7 @@ from typing import (
 from ..autonomy.workloads import ALGORITHMS
 from ..batch.assembly import EXTRA_COLUMNS, KNOB_COLUMNS, NONNEGATIVE_KNOBS
 from ..batch.result import SORTABLE_COLUMNS
-from ..compute.platforms import PLATFORMS
+from ..compute.platforms import PLATFORMS, get_platform
 from ..errors import ConfigurationError
 from ..io.serialization import (
     BOUND_NAME_TO_CODE,
@@ -67,7 +67,7 @@ from ..io.serialization import (
     configuration_to_dict,
 )
 from ..uav.configuration import UAVConfiguration
-from ..uav.registry import UAV_PRESETS
+from ..uav.registry import UAV_PRESETS, get_preset
 from ..units import (
     require_finite_reciprocal,
     require_fraction,
@@ -613,7 +613,7 @@ class StudySpec:
                 "not applicable to a knobs design (knob-built UAVs fly one "
                 "compute module); use a presets or fleet design",
             )
-        self._validate_knob_payload()
+        self._validate_payload()
         metrics = tuple(str(m) for m in self.metrics)
         for name in metrics:
             if name not in ALL_COLUMNS:
@@ -642,26 +642,72 @@ class StudySpec:
             )
         require_nonnegative("tolerance", self.tolerance)
 
-    def _validate_knob_payload(self) -> None:
-        """Refuse payload deltas that overflow a knob row's payload.
+    def _validate_payload(self) -> None:
+        """Refuse payload deltas that take a row's payload below zero or
+        past the float range.
 
-        A knob grid crosses every payload value with every delta, so
-        the largest pair decides exactly whether any row overflows.
+        Every design's payload (a knob grid's ``payload_weight_g``
+        values, a configuration's ``extra_payload_g``) meets every
+        delta, and a float sum is monotone in each term, so the
+        smallest and the largest sums decide in O(N + M) whether any
+        row goes wrong.  Only then is the offending row looked for, in
+        row-major order: the first design that goes wrong, then its
+        first delta.  A knob grid's overflow names the largest pair.
         """
-        base = self.design.base
         deltas = None if self.scenarios is None else self.scenarios.extra_payload_g
-        if base is None or deltas is None:
+        if deltas is None:
             return
-        payloads = dict(self.design.axes or ()).get(
-            "payload_weight_g", (base.payload_weight_g,)
-        )
-        payload, delta = float(max(payloads)), max(deltas)
-        if not math.isfinite(payload + delta):
-            raise spec_error(
-                "scenarios.extra_payload_g",
-                f"payload overflows at payload_weight_g={payload:g}, "
-                f"extra_payload_g={delta:g}; a row's payload must be finite",
+        design = self.design
+        base = design.base
+        if base is not None:
+            carried = dict(design.axes or ()).get(
+                "payload_weight_g", (base.payload_weight_g,)
             )
+        elif design.uav_names is not None:
+            carried = tuple(
+                get_preset(name).extra_payload_g for name in design.uav_names
+            )
+        else:
+            carried = tuple(uav.extra_payload_g for uav in design.uavs or ())
+
+        def fits(payload: float) -> bool:
+            return payload >= 0.0 and math.isfinite(payload)
+
+        lightest, heaviest = min(deltas), max(deltas)
+        if fits(min(carried) + lightest) and fits(max(carried) + heaviest):
+            return
+        field = "scenarios.extra_payload_g"
+        if base is not None and not math.isfinite(max(carried) + heaviest):
+            raise spec_error(
+                field,
+                f"payload overflows at payload_weight_g={max(carried):g}, "
+                f"extra_payload_g={heaviest:g}; a row's payload must be "
+                "finite",
+            )
+        i, payload = next(
+            (i, payload) for i, payload in enumerate(carried)
+            if not (fits(payload + lightest) and fits(payload + heaviest))
+        )
+        delta = next(d for d in deltas if not fits(payload + d))
+        total = payload + delta
+        if base is not None:
+            raise spec_error(
+                field,
+                f"payload goes negative at payload_weight_g={payload:g}, "
+                f"extra_payload_g={delta:g} ({total:g} g); deltas cannot "
+                "shed more than the payload knob carries",
+            )
+        if design.uav_names is not None:
+            # The UAV's first design in row order flies the first platform.
+            name = get_preset(design.uav_names[i]).with_compute(
+                get_platform((design.compute_names or ())[0])
+            ).name
+        else:
+            name = (design.uavs or ())[i].name
+        what = "goes negative" if total < 0.0 else "overflows"
+        raise spec_error(
+            field, f"payload {what} on configuration {name!r} ({total:g} g)"
+        )
 
     @staticmethod
     def _validate_filter(index: int, clause: FilterClause) -> None:

@@ -483,22 +483,21 @@ class TestShardedStudies:
         assert sharded.batch.matrix.labels == single.batch.matrix.labels
 
     def test_knob_payload_error_is_independent_of_chunking(self):
-        # Rows (0, -5), (0, -20) and (10, -20) go negative; every
-        # chunking names the first of them, in row-major order.
-        spec = StudySpec(
-            design=DesignSpec.knob_axes(
-                axes={"payload_weight_g": (0.0, 10.0, 50.0)}
-            ),
-            scenarios=ScenarioSpec(extra_payload_g=(-5.0, -20.0)),
+        # Rows (0, -5), (0, -20) and (10, -20) go negative.  The spec
+        # names the first of them, in row-major order, when it is
+        # built, so no chunking of the study ever runs.
+        with pytest.raises(ConfigurationError) as built:
+            StudySpec(
+                design=DesignSpec.knob_axes(
+                    axes={"payload_weight_g": (0.0, 10.0, 50.0)}
+                ),
+                scenarios=ScenarioSpec(extra_payload_g=(-5.0, -20.0)),
+            )
+        assert str(built.value) == (
+            "study spec field 'scenarios.extra_payload_g': payload goes "
+            "negative at payload_weight_g=0, extra_payload_g=-5 (-5 g); "
+            "deltas cannot shed more than the payload knob carries"
         )
-        with pytest.raises(ConfigurationError) as single:
-            run_study(spec, cache=None)
-        message = str(single.value)
-        assert "payload_weight_g=0, extra_payload_g=-5 (-5 g)" in message
-        for chunk in (1, 2, 4):
-            with pytest.raises(ShardExecutionError) as sharded:
-                run_study(spec, cache=None, chunk_rows=chunk)
-            assert str(sharded.value.__cause__) == message
 
     def test_preset_shard_memory_is_bounded_by_its_rows(self):
         # A shard of a preset x scenario study gathers only the
@@ -644,16 +643,17 @@ def _fleet_scenarios_spec() -> StudySpec:
 
 
 def _retained(call):
-    """``call()``'s result and the ``tracemalloc`` bytes it retains."""
+    """``call()``'s result, the ``tracemalloc`` bytes it retains and
+    the bytes it held at its peak."""
     call()  # first-call imports and registry lookups are not retained
     gc.collect()
     tracemalloc.start()
     try:
         result = call()
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, retained
+    return result, retained, peak
 
 
 class TestFleetLabelMemory:
@@ -664,14 +664,24 @@ class TestFleetLabelMemory:
         # The numeric columns are 2.0 MiB; 37,800 labels of about 100
         # characters would add 5.7 MiB.
         spec = _fleet_scenarios_spec()
-        plan, retained = _retained(lambda: compile_spec(spec))
+        plan, retained, _ = _retained(lambda: compile_spec(spec))
         assert len(plan) == 37_800
         assert retained < 3 * 2**20, f"retained {retained / 2**20:.2f} MiB"
+
+    def test_compile_spec_peaks_near_its_own_output(self):
+        # The chain runs over 63 (UAV, compute) pairs x 100 scenario
+        # rows, and only the seven output columns (2.1 MiB) are
+        # expanded to rows; expanding every configuration column to
+        # rows first peaked at 7.9 MiB.
+        spec = _fleet_scenarios_spec()
+        plan, _, peak = _retained(lambda: compile_spec(spec))
+        assert len(plan) == 37_800
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_sharded_result_retains_no_per_row_labels(self):
         # 80 inline shards, merged: the numeric columns are 3.5 MiB.
         spec = _fleet_scenarios_spec()
-        result, retained = _retained(
+        result, retained, _ = _retained(
             lambda: run_study(
                 spec,
                 executor=ParallelExecutor(n_workers=1),

@@ -776,6 +776,30 @@ class TestStudyRequestBoundary:
         assert "'design.axes[compute_tdp_w]'" in doc["message"]
         assert len(store) == records
 
+    def test_negative_scenario_payload_is_refused_before_the_ack(self, server):
+        # Regression: this body was acknowledged with a 202, and the
+        # study then failed with the same message.
+        body = {
+            "design": {
+                "kind": "presets",
+                "uav_names": ["dji-spark"],
+                "compute_names": ["jetson-tx2"],
+                "algorithm_names": ["dronet"],
+            },
+            "scenarios": {"extra_payload_g": [-1e6]},
+        }
+        store = server.server.scheduler.store
+        records = len(store)
+        status, doc = self._post(server, body)
+        assert status == 400
+        assert doc["kind"] == "error"
+        assert doc["message"] == (
+            "study spec field 'scenarios.extra_payload_g': payload goes "
+            "negative on configuration 'dji-spark+intel-ncs+jetson-tx2' "
+            "(-1e+06 g)"
+        )
+        assert len(store) == records
+
 
 # ---------------------------------------------------------------------
 # CLI flag validation + the CI smoke path

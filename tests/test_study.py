@@ -19,7 +19,7 @@ from repro.batch.assembly import KNOB_COLUMNS
 from repro.batch.matrix import LabelColumn
 from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
-from repro.errors import ConfigurationError, ShardExecutionError
+from repro.errors import ConfigurationError, InfeasibleDesignError, ReproError
 from repro.skyline.cli import main as cli_main
 from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import sweep_grid, sweep_knob
@@ -35,6 +35,7 @@ from repro.study import (
     compile_chunk,
     compile_spec,
     run_study,
+    study_axes,
     study_size,
 )
 from repro.study.spec import spec_error
@@ -453,14 +454,17 @@ class TestScenarios:
         )
 
     def test_payload_cannot_go_negative(self):
-        spec = StudySpec(
-            design=knob_spec(compute_runtime_s=[0.01]).design,
-            scenarios=ScenarioSpec(extra_payload_g=(-100.0,)),
-        )
+        # Refused when the spec is built, before anything compiles.
+        # Every row goes negative, the heaviest included.
         with pytest.raises(
-            ConfigurationError, match=r"'scenarios\.extra_payload_g'"
+            ConfigurationError,
+            match=r"'scenarios\.extra_payload_g': payload goes negative at "
+            r"payload_weight_g=0, extra_payload_g=-100 \(-100 g\)",
         ):
-            compile_spec(spec)
+            StudySpec(
+                design=knob_spec(payload_weight_g=[0.0]).design,
+                scenarios=ScenarioSpec(extra_payload_g=(-100.0,)),
+            )
 
     def test_redundancy_on_fleet_matches_with_redundancy(self):
         uav = Skyline.from_preset(
@@ -500,16 +504,17 @@ class TestScenarios:
         assert np.allclose(f_c[:4], 100.0) and np.allclose(f_c[4:], 10.0)
 
 
-def per_row_compile(spec: StudySpec):
+def per_row_compile(design, scenarios, start=0, stop=None):
     """The per-row preset/fleet expansion ``compile_spec`` replaced.
 
     One ``dataclasses.replace`` per (design, scenario) row, each
     re-validating its ``UAVConfiguration``, then one
-    ``assemble_configurations`` and, for ``a_max_scale``, a second
-    matrix build: the bitwise reference for the columnar planner.
+    ``assemble_configurations`` over rows ``[start, stop)`` and, for
+    ``a_max_scale``, a second matrix build: the bitwise reference for
+    the columnar planner.  It takes the spec's parts, not a spec, so a
+    payload the spec refuses gets the error this path raises.
     Returns ``(matrix, total_mass_g, compute_tdp_w, axes)``.
     """
-    design = spec.design
     if design.kind == "presets":
         candidates = list(
             DesignSpace(
@@ -533,7 +538,7 @@ def per_row_compile(spec: StudySpec):
         labels = list(design.labels) if design.labels is not None else None
         names = design.labels or tuple(u.name for u in uavs)
         axes = [("design", names)]
-    scenario_axes = spec.scenarios.axes() if spec.scenarios else {}
+    scenario_axes = scenarios.axes() if scenarios else {}
     axes += list(scenario_axes.items())
     scale = None
     if scenario_axes:
@@ -547,10 +552,11 @@ def per_row_compile(spec: StudySpec):
                 changes = {}
                 if "extra_payload_g" in values:
                     extra = uav.extra_payload_g + values["extra_payload_g"]
-                    if extra < 0.0:
+                    if not extra >= 0.0 or extra == np.inf:
+                        what = "goes negative" if extra < 0.0 else "overflows"
                         raise spec_error(
                             "scenarios.extra_payload_g",
-                            f"payload goes negative on configuration "
+                            f"payload {what} on configuration "
                             f"{uav.name!r} ({extra:g} g)",
                         )
                     changes["extra_payload_g"] = extra
@@ -567,11 +573,15 @@ def per_row_compile(spec: StudySpec):
         if "a_max_scale" in scenario_axes:
             scale = np.tile(
                 [values["a_max_scale"] for values in rows], len(uavs)
-            )
+            )[start:stop]
         rates = list(np.repeat(rates, len(rows)))
         uavs = expanded
         labels = expanded_labels if labels is not None else None
-    fleet = assemble_configurations(uavs, rates, labels=labels)
+    fleet = assemble_configurations(
+        uavs[start:stop],
+        rates[start:stop],
+        labels=None if labels is None else labels[start:stop],
+    )
     matrix = fleet.matrix
     if scale is not None:
         matrix = DesignMatrix.from_arrays(
@@ -586,11 +596,11 @@ def per_row_compile(spec: StudySpec):
     return matrix, fleet.total_mass_g, fleet.compute_tdp_w, axes
 
 
-def _outcome(compile_fn, spec):
+def _outcome(compile_fn, *args):
     """Bytes of every plan column, or the error's type and message."""
     try:
-        matrix, total_mass_g, compute_tdp_w, axes = compile_fn(spec)
-    except ConfigurationError as exc:
+        matrix, total_mass_g, compute_tdp_w, axes = compile_fn(*args)
+    except ReproError as exc:
         return type(exc), str(exc)
     return (
         [column.tobytes() for column in matrix.columns()],
@@ -602,9 +612,15 @@ def _outcome(compile_fn, spec):
     )
 
 
-def _planner(spec):
-    plan = compile_spec(spec)
-    axes = [(axis.name, axis.values) for axis in plan.axes]
+def _planner(design, scenarios, start=0, stop=None):
+    """``compile_spec``, or ``compile_chunk`` of ``[start, stop)``."""
+    spec = StudySpec(design=design, scenarios=scenarios)
+    axes = [(axis.name, axis.values) for axis in study_axes(spec)]
+    if stop is None:
+        plan = compile_spec(spec)
+        assert [(axis.name, axis.values) for axis in plan.axes] == axes
+    else:
+        plan = compile_chunk(spec, start, stop)
     return plan.matrix, plan.total_mass_g, plan.compute_tdp_w, axes
 
 
@@ -618,16 +634,25 @@ def _names(draw, pool, max_size):
     return tuple(draw(names))
 
 
+#: Spare thrust (g) of the bare dji-spark preset: a fleet UAV flying
+#: with no braking floor and more extra payload than this cannot move.
+SPARK_HEADROOM_G = (
+    get_preset("dji-spark").total_thrust_g - get_preset("dji-spark").total_mass_g
+)
+
+
 @st.composite
 def preset_or_fleet_designs(draw):
-    """Preset subsets (payload-override airframes and heatsinkless
-    platforms included) or fleets, labelled or not, of presets with
-    another computer, extra payload or redundancy."""
+    """Preset subsets (payload-override airframes, heatsinkless
+    platforms and three algorithms included) or fleets, labelled or
+    not, of presets with another computer, extra payload or redundancy;
+    a fleet may hold a spark with no braking floor whose payload some
+    or all of its rows cannot lift."""
     if draw(st.booleans()):
         return DesignSpec.presets(
             _names(draw, UAV_PRESETS, 3),
             _names(draw, PLATFORMS, 3),
-            _names(draw, ALGORITHMS, 2),
+            _names(draw, ALGORITHMS, 3),
         )
     uavs = []
     for name in _names(draw, UAV_PRESETS, 3):
@@ -641,6 +666,16 @@ def preset_or_fleet_designs(draw):
             compute_redundancy=draw(st.integers(1, 2)),
         )
         uavs.append(uav)
+    if draw(st.booleans()):
+        tipping = replace(
+            get_preset("dji-spark"),
+            name="tipping-spark",
+            braking_pitch_deg=0.0,
+            extra_payload_g=draw(
+                st.floats(SPARK_HEADROOM_G - 300.0, SPARK_HEADROOM_G + 100.0)
+            ),
+        )
+        uavs.insert(draw(st.integers(0, len(uavs))), tipping)
     rates = draw(
         st.lists(
             st.floats(0.5, 500.0), min_size=len(uavs), max_size=len(uavs)
@@ -654,7 +689,9 @@ def preset_or_fleet_designs(draw):
 
 @st.composite
 def scenario_specs(draw):
-    """Every non-empty subset of the three scenario axes."""
+    """No scenarios, or a non-empty subset of the three scenario axes."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None
     axes = draw(st.sets(st.sampled_from(SCENARIO_AXES), min_size=1))
     low = draw(st.sampled_from((0.0, -150.0)))
     values = {
@@ -670,16 +707,106 @@ def scenario_specs(draw):
     )
 
 
+def _study_rows(design, scenarios):
+    """The row count of a study, whether or not its spec builds."""
+    count = len(design.uavs) if design.kind == "fleet" else (
+        len(design.uav_names) * len(design.compute_names)
+        * len(design.algorithm_names)
+    )
+    for values in (scenarios.axes() if scenarios else {}).values():
+        count *= len(values)
+    return count
+
+
 class TestColumnarFleetCompile:
-    """The planner's column expansion equals the per-row reference."""
+    """The planner's pair x scenario compile equals the per-row
+    reference, over every row and over any row range."""
 
     @settings(max_examples=60, deadline=None)
     @given(design=preset_or_fleet_designs(), scenarios=scenario_specs())
     def test_property_bitwise_equal_to_per_row_expansion(
         self, design, scenarios
     ):
+        # A payload that goes negative is refused when the spec is
+        # built, with the error the per-row path raises at that row.
+        assert _outcome(_planner, design, scenarios) == _outcome(
+            per_row_compile, design, scenarios
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=preset_or_fleet_designs(),
+        scenarios=scenario_specs(),
+        data=st.data(),
+    )
+    def test_property_ranges_equal_those_rows_of_the_per_row_expansion(
+        self, design, scenarios, data
+    ):
+        # A range may cut a (UAV, compute) pair's designs, or a
+        # design's scenario rows, at either end; an infeasible row is
+        # refused only by the ranges that hold it.
+        rows = _study_rows(design, scenarios)
+        start = data.draw(st.integers(0, rows - 1), label="start")
+        stop = data.draw(st.integers(start + 1, rows), label="stop")
+        assert _outcome(_planner, design, scenarios, start, stop) == _outcome(
+            per_row_compile, design, scenarios, start, stop
+        )
+
+    def test_every_range_cutting_pairs_equals_those_rows(self):
+        # 3 algorithms per (UAV, compute) pair and 2 scenario rows per
+        # design: ranges start and stop inside a pair's block and
+        # inside a design's scenario rows.
+        design = DesignSpec.presets(
+            ("dji-spark", "asctec-pelican"),
+            ("intel-ncs", "jetson-tx2", "raspi4"),
+            ("dronet", "trailnet", "cad2rl"),
+        )
+        scenarios = ScenarioSpec(a_max_scale=(0.5, 1.0))
         spec = StudySpec(design=design, scenarios=scenarios)
-        assert _outcome(_planner, spec) == _outcome(per_row_compile, spec)
+        matrix, total_mass_g, compute_tdp_w, _ = per_row_compile(
+            design, scenarios
+        )
+        rows = study_size(spec)
+        for start in range(rows):
+            for stop in range(start + 1, rows + 1):
+                chunk = compile_chunk(spec, start, stop)
+                assert [c.tobytes() for c in chunk.matrix.columns()] == [
+                    c[start:stop].tobytes() for c in matrix.columns()
+                ], (start, stop)
+                assert list(chunk.matrix.labels) == list(
+                    matrix.labels[start:stop]
+                )
+                assert chunk.total_mass_g.tobytes() == (
+                    total_mass_g[start:stop].tobytes()
+                )
+                assert chunk.compute_tdp_w.tobytes() == (
+                    compute_tdp_w[start:stop].tobytes()
+                )
+
+    def test_infeasible_row_is_refused_only_by_ranges_holding_it(self):
+        # Row 3 adds the spark's whole headroom to half of it; rows 0-2
+        # stay liftable.  All four rows share one (UAV, compute) pair.
+        uav = replace(
+            get_preset("dji-spark"),
+            name="tipping-spark",
+            braking_pitch_deg=0.0,
+            extra_payload_g=SPARK_HEADROOM_G / 2,
+        )
+        design = DesignSpec.fleet([uav], 30.0)
+        scenarios = ScenarioSpec(
+            extra_payload_g=(0.0, 1.0, 2.0, SPARK_HEADROOM_G)
+        )
+        spec = StudySpec(design=design, scenarios=scenarios)
+        assert len(compile_chunk(spec, 2, 3)) == 1
+        with pytest.raises(InfeasibleDesignError) as ranged:
+            compile_chunk(spec, 3, 4)
+        with pytest.raises(InfeasibleDesignError) as per_row:
+            per_row_compile(design, scenarios)
+        assert str(ranged.value) == str(per_row.value)
+        assert "(configuration 'tipping-spark')" in str(ranged.value)
+        with pytest.raises(InfeasibleDesignError) as single:
+            compile_spec(spec)
+        assert str(single.value) == str(per_row.value)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -690,11 +817,11 @@ class TestColumnarFleetCompile:
     def test_property_chunk_labels_concat_into_the_single_pass_column(
         self, design, scenarios, chunk_rows
     ):
-        spec = StudySpec(design=design, scenarios=scenarios)
         try:
+            spec = StudySpec(design=design, scenarios=scenarios)
             single = compile_spec(spec).matrix.labels
-        except ConfigurationError:
-            return  # a payload gone negative: the per-row property's case
+        except ReproError:
+            return  # a refused payload or an infeasible row: see above
         parts = [
             compile_chunk(spec, start, stop).matrix
             for start, stop in shard_ranges(study_size(spec), chunk_rows)
@@ -734,10 +861,18 @@ class TestColumnarFleetCompile:
             (
                 (0.0, 1.5e308),
                 (0.0, 1.5e308),
-                "extra_payload_g must be finite, got inf",
+                "study spec field 'scenarios.extra_payload_g': payload "
+                "overflows on configuration 'uav-1' (inf g)",
+            ),
+            # Row-major: (uav-0, -1) fails before (uav-1, 1.5e308).
+            (
+                (0.0, 1.5e308),
+                (-1.0, 1.5e308),
+                "study spec field 'scenarios.extra_payload_g': payload "
+                "goes negative on configuration 'uav-0' (-1 g)",
             ),
         ],
-        ids=["negative-payload", "overflowing-sum"],
+        ids=["negative-payload", "overflowing-sum", "negative-first"],
     )
     def test_scenario_payload_errors_match_per_row_path(
         self, extra_payload_g, deltas, message
@@ -748,25 +883,33 @@ class TestColumnarFleetCompile:
             )
             for i, extra in enumerate(extra_payload_g)
         ]
-        spec = StudySpec(
-            design=DesignSpec.fleet(uavs, 30.0),
-            scenarios=ScenarioSpec(extra_payload_g=deltas),
-        )
+        design = DesignSpec.fleet(uavs, 30.0)
+        scenarios = ScenarioSpec(extra_payload_g=deltas)
         with pytest.raises(ConfigurationError) as per_row:
-            per_row_compile(spec)
+            per_row_compile(design, scenarios)
         assert str(per_row.value) == message
-        with pytest.raises(ConfigurationError) as columnar:
-            compile_spec(spec)
-        assert type(columnar.value) is type(per_row.value)
-        assert str(columnar.value) == message
-        # Each shard checks only its own rows; in row order the first
-        # failing shard holds the first offending row.  (The
-        # overflowing case's earlier shards assemble 1.5e308 g rows,
-        # which take the braking floor.)
-        with pytest.raises(ShardExecutionError) as sharded:
-            run_study(spec, chunk_rows=1)
-        assert type(sharded.value.__cause__) is type(per_row.value)
-        assert str(sharded.value.__cause__) == message
+        # Refused when the spec is built, so no shard ever runs.
+        with pytest.raises(ConfigurationError) as built:
+            StudySpec(design=design, scenarios=scenarios)
+        assert str(built.value) == message
+
+    def test_preset_payload_is_refused_naming_the_first_design(self):
+        # The first design of the first UAV that goes negative flies
+        # the study's first platform.
+        with pytest.raises(ConfigurationError) as built:
+            StudySpec(
+                design=DesignSpec.presets(
+                    ("dji-spark", "asctec-pelican"),
+                    ("jetson-tx2", "intel-ncs"),
+                    ("dronet",),
+                ),
+                scenarios=ScenarioSpec(extra_payload_g=(0.0, -1e6)),
+            )
+        assert str(built.value) == (
+            "study spec field 'scenarios.extra_payload_g': payload goes "
+            "negative on configuration 'dji-spark+intel-ncs+jetson-tx2' "
+            "(-1e+06 g)"
+        )
 
 
 #: Drawn Table II knob values, each inside its knob's valid range.
@@ -1140,8 +1283,8 @@ class TestValidateOnce:
                 design=DesignSpec.knob_axes(base, {"compute_tdp_w": [5.0]}),
                 scenarios=ScenarioSpec(extra_payload_g=(1e308,)),
             )
-        # A pair whose sum stays finite still builds.
-        StudySpec(design=design, scenarios=ScenarioSpec(extra_payload_g=(-1.0, 7e307)))
+        # A pair whose sum stays finite (and >= 0) still builds.
+        StudySpec(design=design, scenarios=ScenarioSpec(extra_payload_g=(0.0, 7e307)))
 
     def test_near_limit_knob_payload_takes_the_braking_floor_quietly(self):
         # 1e308 + 7e307 g is finite, but the Eq. 5 margin g(T - W) / W
