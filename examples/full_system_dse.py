@@ -37,7 +37,7 @@ def main() -> None:
     print(result.table())
 
     # The request is data: it round-trips through JSON bit-exactly.
-    replayed = StudySpec.from_json(spec.to_json()).run()
+    replayed = run_study(StudySpec.from_json(spec.to_json()))
     assert replayed.equals(result)
     print("\nspec -> JSON -> spec replay: identical result "
           f"({len(spec.to_json())} bytes of JSON)\n")

@@ -9,8 +9,6 @@ discipline today and must keep holding as the codebase grows:
 * the :mod:`repro.errors` taxonomy and its field-naming messages
   (RPL002),
 * kernel purity in the :mod:`repro.batch` hot paths (RPL004),
-* the opt-in ``tracer is not None`` observability idiom (RPL005),
-* picklability of everything submitted to process pools (RPL006),
 
 and, via the whole-program :class:`~repro.analysis.graph.ProjectGraph`
 (module/import graph, symbol tables, a conservative call graph):
@@ -35,7 +33,10 @@ already checks is left to tier-1's ``tests/test_drift.py``: every
 module imports, every ``__all__`` entry exists, and the docs name only
 symbols that exist.  RPL003 (the old wire-format guard) is retired;
 the wire formats are pinned by golden documents in
-``tests/test_wire_golden.py``.
+``tests/test_wire_golden.py``.  RPL005 (tracer opt-in) and RPL006
+(process-pool picklability) are retired too: every edit they flag in
+``src/repro`` fails a tier-1 test (``docs/reprolint-rules.md`` names
+them).
 """
 
 from __future__ import annotations

@@ -42,9 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Repo-specific static analysis for the repro package: "
             "units-suffix consistency, error taxonomy, kernel purity, "
-            "tracer opt-in discipline, process-pool picklability, and "
-            "the whole-program rules (worker-state safety, units-flow, "
-            "dead private functions)."
+            "and the whole-program rules (worker-state safety, "
+            "units-flow, dead private functions)."
         ),
     )
     parser.add_argument(

@@ -2,9 +2,8 @@
 
 A :class:`Rule` inspects one parsed module (:class:`ModuleContext`) and
 yields :class:`Finding` objects.  The :class:`Analyzer` walks files,
-builds contexts (source, AST, parent links, suppression table) and runs
-every registered rule, honoring ``# reprolint: disable=RPL00x``
-comments:
+builds contexts (source, AST, suppression table) and runs every
+registered rule, honoring ``# reprolint: disable=RPL00x`` comments:
 
 * a trailing comment suppresses the named rules on its own line;
 * a standalone comment line suppresses them on the next code line too
@@ -116,26 +115,11 @@ class ModuleContext:
         self.config = config or AnalyzerConfig()
         self.tree = ast.parse(source, filename=str(path))
         self.lines = source.splitlines()
-        self._parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[child] = parent
         self._line_suppressed: Dict[int, Set[str]] = {}
         self._file_suppressed: Set[str] = set()
         self._read_suppressions()
 
     # -- structure ------------------------------------------------------
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The AST parent of ``node`` (None for the module root)."""
-        return self._parents.get(node)
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        """``node``'s ancestors, innermost first."""
-        current = self._parents.get(node)
-        while current is not None:
-            yield current
-            current = self._parents.get(current)
-
     def matches(self, patterns: Sequence[str]) -> bool:
         """Whether this file's posix path ends with any pattern."""
         posix = self.path.as_posix()
@@ -550,14 +534,3 @@ def report_to_dict(
             for rule_id in sorted(REGISTRY)
         },
     }
-
-
-def iter_python_files(paths: Iterable["Path | str"]) -> Iterator[Path]:
-    """Every ``*.py`` file the given paths name (dirs recurse)."""
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            for file in sorted(entry.rglob("*.py")):
-                yield file
-        elif entry.exists():
-            yield entry

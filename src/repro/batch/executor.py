@@ -399,11 +399,16 @@ class ParallelExecutor:
         return self._pool
 
     def warm_up(self) -> None:
-        """Spin the worker pool up eagerly (e.g. before benchmarking)."""
+        """Spin the worker pool up eagerly (e.g. before benchmarking).
+
+        Every warm-up task's result is read, so a pool whose workers
+        cannot start or cannot receive a task raises here.
+        """
         if self.n_workers == 1:
             return
         pool = self._ensure_pool()
-        wait([pool.submit(os.getpid) for _ in range(self.n_workers)])
+        for future in [pool.submit(os.getpid) for _ in range(self.n_workers)]:
+            future.result()
 
     def map_shards(
         self,

@@ -30,7 +30,7 @@ Quickstart::
     print(result.table())
 
     text = spec.to_json()            # ship the request anywhere...
-    again = StudySpec.from_json(text).run()   # ...same result
+    again = run_study(StudySpec.from_json(text))   # ...same result
 """
 
 from .planner import (

@@ -76,9 +76,7 @@ from ..units import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..batch.cache import BatchCache
     from ..skyline.knobs import Knobs
-    from .result import StudyResult
 
 #: Numeric result columns every study provides (per evaluated point).
 NUMERIC_RESULT_COLUMNS = SORTABLE_COLUMNS
@@ -749,15 +747,6 @@ class StudySpec:
                 f"{clause.column!r} filters compare against a number, "
                 f"got {clause.value!r}",
             )
-
-    # ------------------------------------------------------------------
-    # Execution convenience (lazy import: the runner imports spec)
-    # ------------------------------------------------------------------
-    def run(self, cache: Optional["BatchCache"] = None) -> "StudyResult":
-        """Compile and execute this spec in one call."""
-        from .runner import run_study
-
-        return run_study(self, cache=cache)
 
     # ------------------------------------------------------------------
     # Serialization

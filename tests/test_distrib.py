@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.batch import top_k_sharded
-from repro.batch.executor import CheckpointStore
+from repro.batch.executor import CheckpointStore, Shard
 from repro.distrib import (
     DEFAULT_LEASE_TTL_S,
     DistributedExecutor,
@@ -31,7 +31,7 @@ from repro.distrib import (
     publish_spec,
     run_worker,
 )
-from repro.distrib.executor import INJECT_DELAY_ENV
+from repro.distrib.executor import INJECT_DELAY_ENV, _compute
 from repro.errors import ConfigurationError, StaleLeaseError
 from repro.io.serialization import (
     DISTRIB_PROTOCOL_VERSION,
@@ -387,6 +387,39 @@ class TestHeartbeatAndRelease:
             victim.heartbeat(0)
         assert exc.value.owner == "thief"
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_stale_heartbeat_stops_quietly(
+        self, tmp_path, monkeypatch, traced
+    ):
+        # The heartbeat thread of a shard whose lease was taken over
+        # stops after one refresh and the shard still completes: the
+        # record settles it either way.
+        beats, written, uncaught = [], [], []
+
+        class StaleLeases:
+            lease_ttl_s = 0.03  # a heartbeat every 10 ms
+
+            def heartbeat(self, index):
+                beats.append(index)
+                raise StaleLeaseError("taken over", shard_index=index)
+
+        class Records:
+            def write(self, result, tracer=None):
+                written.append(result)
+
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        monkeypatch.setenv(INJECT_DELAY_ENV, "0.2")
+        tracer = Tracer() if traced else None
+        result = _compute(
+            _spec(2), Shard(0, 0, 2), None, Records(), StaleLeases(), tracer
+        )
+        assert [hook.exc_type for hook in uncaught] == []
+        assert len(result.batch) == 2 and written == [result]
+        assert beats == [0]
+        if traced:
+            counters = tracer.counters_snapshot()
+            assert counters["distrib.leases.stale"] == 1
+
     def test_release_never_deletes_another_workers_lease(self, tmp_path):
         _store(tmp_path, owner="w1").try_claim(0)
         assert _store(tmp_path, owner="w2").release(0) is False
@@ -542,6 +575,39 @@ class TestDistributedExecutor:
         assert batch_results_equal(serial.batch, dist.batch)
         assert dist.to_json() == serial.to_json()  # bitwise, not just equal
         assert list((tmp_path / "leases").glob("*.lease.json")) == []
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_polls_for_a_shard_leased_elsewhere(
+        self, tmp_path, monkeypatch, traced
+    ):
+        # A live remote worker holds shard 0, so this worker computes
+        # shard 1 and then polls until the remote's record lands, which
+        # here happens during the first poll.
+        from repro.distrib import executor as executor_mod
+
+        spec = _spec(4)
+        elsewhere, work = tmp_path / "elsewhere", tmp_path / "work"
+        run_study(spec, chunk_rows=2, checkpoint=elsewhere)
+        remote = LeaseStore(work, spec.content_digest(), "remote")
+        remote.try_claim(0)
+        polls = []
+
+        def remote_publishes(seconds):
+            polls.append(seconds)
+            record = "shard-000000.jsonl"
+            (work / record).write_bytes((elsewhere / record).read_bytes())
+            remote.release(0)
+
+        monkeypatch.setattr(executor_mod, "sleep", remote_publishes)
+        tracer = Tracer() if traced else None
+        with DistributedExecutor(work, worker_id="local") as ex:
+            dist = run_study(spec, executor=ex, chunk_rows=2, tracer=tracer)
+        assert batch_results_equal(run_study(spec).batch, dist.batch)
+        assert len(polls) == 1
+        if traced:
+            counters = tracer.counters_snapshot()
+            assert counters["distrib.wait_polls"] == 1
+            assert counters["distrib.shards.loaded"] == 1
 
     @pytest.mark.parametrize("n_joiners,chunk_rows", [(1, 3), (2, 2), (3, 5)])
     def test_fleet_is_bitwise_identical_to_serial(

@@ -381,6 +381,13 @@ class TestShardedEvaluate:
             )
         assert sharded.to_json() == reference.to_json()
 
+    def test_warm_up_reads_every_worker_task(self):
+        # A warm-up task that cannot reach a worker (it does not pickle,
+        # or the worker dies at start-up) must raise, not pass silently.
+        with ParallelExecutor(n_workers=2) as executor:
+            executor.warm_up()
+            assert executor._pool is not None
+
     def test_labels_survive_sharding(self):
         spec = _fleet_scenario_spec()
         single = run_study(spec, cache=None)
