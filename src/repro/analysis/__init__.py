@@ -24,10 +24,9 @@ analyze), registered in :data:`repro.analysis.core.REGISTRY`,
 suppressible per line with ``# reprolint: disable=RPL00x`` comments,
 and exercised by fixture files under ``tests/data/reprolint_fixtures/``.
 The ``reprolint`` console script (see :mod:`repro.analysis.cli`) runs
-the suite over a tree — incrementally, via a cache that re-analyzes
-only the files whose content or module name changed
-(:mod:`repro.analysis.cache`) — and is wired into CI next to ruff,
-with SARIF export (:mod:`repro.analysis.sarif`).  The tree must be
+the suite over a tree — every run parses every file, so no run can
+disagree with another — and is wired into CI next to ruff, with SARIF
+export (:mod:`repro.analysis.sarif`).  The tree must be
 clean: there is no baseline of accepted findings.  What an import
 already checks is left to tier-1's ``tests/test_drift.py``: every
 module imports, every ``__all__`` entry exists, and the docs name only
@@ -42,7 +41,6 @@ them).
 from __future__ import annotations
 
 from .core import (
-    AnalysisStats,
     Analyzer,
     AnalyzerConfig,
     Finding,
@@ -53,13 +51,10 @@ from .core import (
     all_rules,
 )
 from .graph import ModuleSummary, ProjectGraph, extract_summary
-from .cache import AnalysisCache
 from . import rules as _rules  # noqa: F401  (imports register the rules)
 from . import rules_interproc as _rules_interproc  # noqa: F401  (ditto)
 
 __all__ = [
-    "AnalysisCache",
-    "AnalysisStats",
     "Analyzer",
     "AnalyzerConfig",
     "Finding",

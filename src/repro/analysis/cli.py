@@ -7,14 +7,11 @@ Usage::
     reprolint --select RPL001,RPL004  # run a subset of rules
     reprolint --list-rules            # the catalog, one rule per block
     reprolint --sarif out.sarif PATHS # also write a SARIF 2.1.0 report
-    reprolint --no-cache PATHS        # force a cold run
-    reprolint --stats PATHS           # print analyzed/cached counts
 
-The incremental cache is on by default (``.reprolint_cache.json`` at
-the repo root, gitignored): a file re-analyzes only when its own
-content or its module name changed.  Exit status: 0 when clean, 1 when
-any finding is reported, 2 on usage errors (argparse), unreadable
-inputs or a ``--sarif`` path that cannot be written.
+Every run analyzes every file it is given and writes no file except
+an explicit ``--sarif`` path.  Exit status: 0 when clean, 1 when any
+finding is reported, 2 on usage errors (argparse), unreadable inputs
+or a ``--sarif`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from .core import (
     AnalyzerConfig,
     report_to_dict,
 )
-from . import cache as cachelib
 from . import sarif as sariflib
 
 
@@ -82,25 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write a SARIF 2.1.0 report to PATH",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental analysis cache (force a cold run)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help=(
-            "incremental cache location (default: "
-            f"{cachelib.DEFAULT_CACHE_NAME} at the repo root; the cache "
-            "is skipped when no repo root is found)"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print analyzed/cached file counts to stderr",
-    )
     return parser
 
 
@@ -148,23 +125,6 @@ def _path_error(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _open_cache(
-    args: argparse.Namespace, config: AnalyzerConfig
-) -> Optional[cachelib.AnalysisCache]:
-    if args.no_cache:
-        return None
-    if args.cache is not None:
-        cache_path = Path(args.cache)
-    else:
-        root = find_repo_root(Path.cwd())
-        if root is None:
-            return None  # outside a repo: nowhere sensible to put it
-        cache_path = root / cachelib.DEFAULT_CACHE_NAME
-    return cachelib.AnalysisCache(
-        cache_path, cachelib.compute_config_key(config)
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -187,46 +147,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"reprolint: {path_error}", file=sys.stderr)
         return 2
 
-    root = find_repo_root(Path.cwd())
     config = AnalyzerConfig(
         select=_parse_select(parser, args.select),
         exclude=tuple(args.exclude),
     )
     try:
         analyzer = Analyzer(config)
-        analysis_cache = _open_cache(args, config)
-        findings = analyzer.check_paths(paths, cache=analysis_cache)
+        files = analyzer.collect_files(paths)
+        findings = analyzer.check_paths(files)
     except ReproError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
 
     if args.sarif:
+        root = find_repo_root(Path.cwd())
         sariflib.write_sarif(
             Path(args.sarif), findings, root if root is not None else Path.cwd()
         )
 
-    stats = analyzer.last_stats
-    files_checked = stats.files_checked if stats is not None else 0
-    if args.stats and stats is not None:
-        print(
-            f"reprolint: {stats.analyzed} file(s) analyzed, "
-            f"{stats.cached} from cache",
-            file=sys.stderr,
-        )
-
     if args.json:
-        report = report_to_dict(findings, files_checked)
-        if stats is not None:
-            report["stats"] = stats.to_dict()
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report_to_dict(findings, len(files)), indent=2))
     else:
         for finding in findings:
             print(finding.format())
         summary = (
             f"reprolint: {len(findings)} finding(s) in "
-            f"{files_checked} file(s)"
+            f"{len(files)} file(s)"
             if findings
-            else f"reprolint: clean ({files_checked} file(s), "
+            else f"reprolint: clean ({len(files)} file(s), "
             f"{len(analyzer.rules)} rule(s))"
         )
         print(summary, file=sys.stderr if findings else sys.stdout)

@@ -24,11 +24,10 @@ itself import.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -46,7 +45,7 @@ from typing import (
 from ..errors import ConfigurationError
 
 #: Output-format version of ``reprolint --json`` documents.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 #: Sentinel rule id meaning "every rule" in suppression tables.
 ALL_RULES = "ALL"
@@ -114,6 +113,9 @@ class ModuleContext:
         self.source = source
         self.config = config or AnalyzerConfig()
         self.tree = ast.parse(source, filename=str(path))
+        #: Every node of ``tree`` in ``ast.walk`` order: one walk that
+        #: the rules and the summary share.
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
         self.lines = source.splitlines()
         self._line_suppressed: Dict[int, Set[str]] = {}
         self._file_suppressed: Set[str] = set()
@@ -127,6 +129,8 @@ class ModuleContext:
 
     # -- suppressions ---------------------------------------------------
     def _read_suppressions(self) -> None:
+        if "reprolint" not in self.source:
+            return  # no comment can match: skip the tokenizer
         reader = io.StringIO(self.source).readline
         try:
             tokens = list(tokenize.generate_tokens(reader))
@@ -231,9 +235,7 @@ class ProjectRule(Rule):
     Project rules run once per analysis over the
     :class:`repro.analysis.graph.ProjectGraph` built from every
     analyzed module, instead of once per file.  They operate on module
-    *summaries* (plain data), which is what makes the incremental cache
-    able to skip re-parsing unchanged files while still giving these
-    rules a complete graph.
+    *summaries* (plain data), never on ASTs.
     """
 
     scope = "project"
@@ -279,31 +281,13 @@ def all_rules() -> Tuple[Type[Rule], ...]:
     return tuple(REGISTRY[rule_id] for rule_id in sorted(REGISTRY))
 
 
-@dataclass(frozen=True)
-class AnalysisStats:
-    """How much work one :meth:`Analyzer.check_paths` run actually did."""
-
-    files_checked: int  #: files covered by the run (analyzed + cached)
-    analyzed: int  #: files parsed and run through the module rules
-    cached: int  #: files whose findings/summary came from the cache
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "files_checked": self.files_checked,
-            "analyzed": self.analyzed,
-            "cached": self.cached,
-        }
-
-
 class Analyzer:
     """Runs the registered rules over files, trees or source strings.
 
     Module-scope rules run once per file; project-scope rules
     (:class:`ProjectRule`) run once per analysis over the
     :class:`~repro.analysis.graph.ProjectGraph` built from every
-    analyzed module's summary.  :meth:`check_paths` optionally consults
-    an :class:`~repro.analysis.cache.AnalysisCache`, re-analyzing only
-    files whose content or module name changed.
+    analyzed module's summary.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None) -> None:
@@ -328,8 +312,6 @@ class Analyzer:
         self.project_rules: Tuple[Rule, ...] = tuple(
             active for active in self.rules if active.scope == "project"
         )
-        #: Work accounting of the most recent :meth:`check_paths` run.
-        self.last_stats: Optional[AnalysisStats] = None
 
     # -- entry points ---------------------------------------------------
     def check_source(
@@ -347,9 +329,7 @@ class Analyzer:
         findings = self._run_module_rules(module)
         if self.project_rules:
             summary = graphlib.extract_summary(
-                module,
-                graphlib.module_name_for(module.path),
-                _sha256_text(source),
+                module, graphlib.module_name_for(module.path)
             )
             findings.extend(self._project_findings([summary]))
         return sorted(findings)
@@ -369,57 +349,24 @@ class Analyzer:
         except SyntaxError as exc:
             return [_syntax_error_finding(path, exc)]
 
-    def check_paths(
-        self,
-        paths: Iterable["Path | str"],
-        cache: Optional[Any] = None,
-    ) -> List[Finding]:
+    def check_paths(self, paths: Iterable["Path | str"]) -> List[Finding]:
         """Analyze files and (recursively) directories of ``*.py``.
 
-        With a ``cache`` (an :class:`~repro.analysis.cache.AnalysisCache`),
-        files whose content hash and module name are unchanged reuse
-        their cached module-rule findings and summary; the project
-        rules always run, over the full summary graph, so
-        interprocedural findings never go stale.
+        Every file is parsed and run through the module rules; the
+        project rules then run once over the graph of every summary.
         """
-        files = self._collect_files(paths)
-        digests = {file: _sha256_path(file) for file in files}
-        reusable = cache.plan(files, digests) if cache is not None else set()
         findings: List[Finding] = []
         summaries: List[Any] = []
-        analyzed = 0
-        for file in files:
-            if file in reusable and cache is not None:
-                cached_findings, summary = cache.load_entry(file)
-                # The entry keeps the path spelling of the run that
-                # stored it; report this run's.
-                findings.extend(
-                    replace(finding, path=str(file)) for finding in cached_findings
-                )
-                if summary is not None:
-                    summary = replace(summary, path=file.as_posix())
-            else:
-                file_findings, summary = self._analyze_file(
-                    file, digests[file]
-                )
-                analyzed += 1
-                findings.extend(file_findings)
-                if cache is not None:
-                    cache.store(file, digests[file], file_findings, summary)
+        for file in self.collect_files(paths):
+            file_findings, summary = self._analyze_file(file)
+            findings.extend(file_findings)
             if summary is not None:
                 summaries.append(summary)
         findings.extend(self._project_findings(summaries))
-        if cache is not None:
-            cache.save()
-        self.last_stats = AnalysisStats(
-            files_checked=len(files),
-            analyzed=analyzed,
-            cached=len(files) - analyzed,
-        )
         return sorted(findings)
 
-    # -- internals ------------------------------------------------------
-    def _collect_files(self, paths: Iterable["Path | str"]) -> List[Path]:
+    def collect_files(self, paths: Iterable["Path | str"]) -> List[Path]:
+        """The ``*.py`` files :meth:`check_paths` analyzes for ``paths``."""
         files: List[Path] = []
         for entry in paths:
             entry = Path(entry)
@@ -442,9 +389,8 @@ class Analyzer:
             ]
         return files
 
-    def _analyze_file(
-        self, path: Path, sha256: str
-    ) -> Tuple[List[Finding], Optional[Any]]:
+    # -- internals ------------------------------------------------------
+    def _analyze_file(self, path: Path) -> Tuple[List[Finding], Optional[Any]]:
         """Module-rule findings and the summary of one file.
 
         Unreadable, undecodable and unparsable files yield an RPL000
@@ -464,9 +410,7 @@ class Analyzer:
             module = ModuleContext(path, source, self.config)
         except SyntaxError as exc:
             return [_syntax_error_finding(path, exc)], None
-        summary = graphlib.extract_summary(
-            module, graphlib.module_name_for(path), sha256
-        )
+        summary = graphlib.extract_summary(module, graphlib.module_name_for(path))
         return self._run_module_rules(module), summary
 
     def _run_module_rules(self, module: ModuleContext) -> List[Finding]:
@@ -485,17 +429,6 @@ class Analyzer:
         for active in self.project_rules:
             findings.extend(active.check_project(graph))  # type: ignore[attr-defined]
         return findings
-
-
-def _sha256_text(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _sha256_path(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return ""
 
 
 def _syntax_error_finding(path: Path, exc: SyntaxError) -> Finding:

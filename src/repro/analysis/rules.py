@@ -91,7 +91,7 @@ class UnitsSuffixRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
@@ -168,7 +168,7 @@ class ErrorTaxonomyRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc
@@ -208,7 +208,7 @@ class KernelPurityRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not module.matches(module.config.purity_modules):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):

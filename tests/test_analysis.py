@@ -228,7 +228,8 @@ class TestEndToEnd:
         )
         report = json.loads(capsys.readouterr().out)
         assert exit_code == 1
-        assert report["version"] == 1
+        assert report["version"] == 2
+        assert set(report) == {"version", "files_checked", "findings", "rules"}
         assert report["files_checked"] == 1
         assert {f["rule"] for f in report["findings"]} == {"RPL002"}
         assert set(report["rules"]) == set(REGISTRY)

@@ -1,32 +1,26 @@
-"""Tests for reprolint v2: ProjectGraph, RPL007-009, cache, SARIF.
+"""Tests for reprolint v2: ProjectGraph, RPL007-009, SARIF.
 
 Covers the whole-program layer added on top of the per-file engine:
 
 * :mod:`repro.analysis.graph` — module naming, import resolution
-  (absolute, relative, re-export chains, cycles), summaries and their
-  JSON round-trip, worker-entry resolution and call-graph reachability;
+  (absolute, relative, re-export chains, cycles), worker-entry
+  resolution and call-graph reachability;
 * the three interprocedural rules against their fixture mini-projects,
   including the PR-4 ``DEFAULT_CACHE`` fork-inheritance reproduction;
-* the incremental cache — warm runs analyze nothing, an edit
-  re-analyzes only the edited file (and a file whose module name
-  changed), a cached rerun on an unchanged tree is at least 5x faster
-  than a cold run, and a damaged entry is a miss;
 * the SARIF exporter;
 * analyzer edge inputs: syntax errors, empty files, non-UTF-8 source;
-* the new CLI flags.
+* the CLI flags, and that a run writes no file it was not asked for.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Dict, List
 
 import pytest
 
 from repro.analysis import (
-    AnalysisCache,
     Analyzer,
     AnalyzerConfig,
     ModuleContext,
@@ -35,9 +29,8 @@ from repro.analysis import (
 )
 from repro.analysis import cli
 from repro.analysis import sarif as sariflib
-from repro.analysis.cache import compute_config_key
 from repro.analysis.core import Finding
-from repro.analysis.graph import SUMMARY_VERSION, ModuleSummary, module_name_for
+from repro.analysis.graph import module_name_for
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint_fixtures"
@@ -62,9 +55,7 @@ def build_graph(root: Path, files: Dict[str, str]) -> ProjectGraph:
     summaries = []
     for path in write_tree(root, files):
         module = ModuleContext(path, path.read_text(encoding="utf-8"))
-        summaries.append(
-            extract_summary(module, module_name_for(path), "deadbeef")
-        )
+        summaries.append(extract_summary(module, module_name_for(path)))
     return ProjectGraph(summaries)
 
 
@@ -173,23 +164,6 @@ class TestProjectGraph:
         assert ("pkg.work", "leaf") in reached
         chain = graph.witness_chain(reached, ("pkg.work", "leaf"))
         assert chain == ["entry", "leaf"]
-
-    def test_summary_json_round_trip(self):
-        source = (FIXTURES / "rpl007_violations.py").read_text(
-            encoding="utf-8"
-        )
-        module = ModuleContext(FIXTURES / "rpl007_violations.py", source)
-        summary = extract_summary(module, "rpl007_violations", "abc123")
-        rebuilt = ModuleSummary.from_dict(summary.to_dict())
-        assert rebuilt == summary
-
-    def test_stale_summary_version_rejected(self):
-        source = "X = 1\n"
-        module = ModuleContext(Path("m.py"), source)
-        summary = extract_summary(module, "m", "abc")
-        document = summary.to_dict()
-        document["version"] = -1
-        assert ModuleSummary.from_dict(document) is None
 
 
 # ---------------------------------------------------------------------------
@@ -429,217 +403,7 @@ class TestEdgeInputs:
         )
         analyzer = Analyzer(AnalyzerConfig(exclude=("pkg/vendored",)))
         assert analyzer.check_paths([tmp_path / "pkg"]) == []
-        assert analyzer.last_stats.files_checked == 2
-
-
-# ---------------------------------------------------------------------------
-# incremental cache
-# ---------------------------------------------------------------------------
-def _chain_tree(n_modules: int, lines_per_module: int = 30) -> Dict[str, str]:
-    """A pkg of n chained modules: mod_i imports mod_{i-1}."""
-    files = {"bigpkg/__init__.py": ""}
-    for index in range(n_modules):
-        body = []
-        if index:
-            body.append(f"from .mod_{index - 1} import hop_{index - 1}")
-            body.append("")
-        for line in range(lines_per_module):
-            body.append(f"def fn_{line}_{index}(value_s):")
-            body.append(f"    return value_s + {line}")
-            body.append("")
-        body.append(f"def hop_{index}(value_s):")
-        if index:
-            body.append(f"    return hop_{index - 1}(value_s) + 1")
-        else:
-            body.append("    return value_s")
-        body.append("")
-        files[f"bigpkg/mod_{index}.py"] = "\n".join(body)
-    return files
-
-
-class TestIncrementalCache:
-    def _cache(self, tmp_path) -> AnalysisCache:
-        return AnalysisCache(tmp_path / "cache.json", "test-key")
-
-    def test_warm_run_analyzes_nothing_and_matches_cold(self, tmp_path):
-        write_tree(tmp_path, _chain_tree(6))
-        target = tmp_path / "bigpkg"
-        analyzer = Analyzer()
-        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 7
-        warm = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 0
-        assert analyzer.last_stats.cached == 7
-        assert warm == cold
-
-    def test_edit_reanalyzes_only_the_edited_file(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/c.py": "def hold(wait_s):\n    return wait_s\n",
-                "pkg/b.py": "from .c import hold\n\n\ndef f_b(dt_s):\n    return hold(dt_s)\n",
-                "pkg/a.py": "from .b import f_b\n\n\ndef f_a():\n    return f_b(1)\n",
-                "pkg/island.py": "def lonely():\n    return 0\n",
-            },
-        )
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        assert analyzer.check_paths([target], cache=self._cache(tmp_path)) == []
-        # Edit the chain's leaf: only c re-analyzes, yet the project
-        # rules still see the new signature from b's cached summary.
-        leaf = tmp_path / "pkg" / "c.py"
-        leaf.write_text(
-            "def hold(wait_ms):\n    return wait_ms\n", encoding="utf-8"
-        )
-        findings = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 1
-        assert analyzer.last_stats.cached == 4
-        (finding,) = findings
-        assert finding.rule == "RPL008" and finding.path.endswith("b.py")
-        assert findings == analyzer.check_paths([target])
-
-    def test_module_rename_reanalyzes_the_renamed_files(self, tmp_path):
-        # A new __init__.py above a file renames its module (lib.util
-        # -> pkg.lib.util) without touching its bytes, so its cached
-        # summary is stale; reusing it would misname the callee below.
-        write_tree(
-            tmp_path,
-            {
-                "pkg/lib/__init__.py": "",
-                "pkg/lib/util.py": "def hold(wait_s):\n    return wait_s\n",
-                "pkg/user.py": (
-                    "from .lib.util import hold\n\n\n"
-                    "def use(dt_ms):\n    return hold(dt_ms)\n"
-                ),
-            },
-        )
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        (before,) = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert "of lib.util.hold()" in before.message
-        (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
-        (after,) = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 4  # three renamed, one new
-        assert "of pkg.lib.util.hold()" in after.message
-        assert [after] == analyzer.check_paths([target])
-
-    def test_unchanged_tree_rerun_is_5x_faster(self, tmp_path):
-        write_tree(tmp_path, _chain_tree(40))
-        target = tmp_path / "bigpkg"
-        analyzer = Analyzer()
-
-        start = time.perf_counter()
-        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        cold_s = time.perf_counter() - start
-        assert analyzer.last_stats.analyzed == 41
-
-        warm_s = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            warm = analyzer.check_paths(
-                [target], cache=self._cache(tmp_path)
-            )
-            warm_s = min(warm_s, time.perf_counter() - start)
-        assert analyzer.last_stats.analyzed == 0
-        assert warm == cold
-        assert cold_s >= 5 * warm_s, (
-            f"cold {cold_s:.3f}s vs warm {warm_s:.3f}s — cache speedup "
-            f"below the 5x floor"
-        )
-
-    def test_cached_findings_survive_round_trip(self, tmp_path):
-        path = tmp_path / "dirty.py"
-        path.write_text(
-            "def f(mass_g, power_w):\n    return mass_g + power_w\n",
-            encoding="utf-8",
-        )
-        analyzer = Analyzer()
-        cold = analyzer.check_paths([path], cache=self._cache(tmp_path))
-        warm = analyzer.check_paths([path], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 0
-        assert warm == cold
-        assert rules_of(warm) == ["RPL001"]
-
-    def test_cached_run_names_files_as_this_run_spells_them(
-        self, tmp_path, monkeypatch
-    ):
-        # Entries are keyed on the resolved path, so a run given the
-        # absolute path reuses what a relative-path run stored; its
-        # module and project findings must still name the absolute path.
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": (
-                "def _unused():\n    return 1\n\n\n"
-                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
-            ),
-        })
-        monkeypatch.chdir(tmp_path)
-        analyzer = Analyzer()
-        relative = analyzer.check_paths([Path("pkg")], cache=self._cache(tmp_path))
-        absolute = analyzer.check_paths(
-            [tmp_path / "pkg"], cache=self._cache(tmp_path)
-        )
-        assert analyzer.last_stats.analyzed == 0
-        assert {finding.path for finding in relative} == {"pkg/m.py"}
-        assert rules_of(absolute) == ["RPL001", "RPL009"]
-        assert absolute == Analyzer().check_paths([tmp_path / "pkg"])
-
-    def test_config_key_mismatch_drops_entries(self, tmp_path):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        analyzer.check_paths(
-            [target], cache=AnalysisCache(tmp_path / "c.json", "key-one")
-        )
-        analyzer.check_paths(
-            [target], cache=AnalysisCache(tmp_path / "c.json", "key-two")
-        )
-        assert analyzer.last_stats.analyzed == 2
-
-    def test_corrupt_cache_file_starts_cold(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        analyzer = Analyzer()
-        analyzer.check_paths(
-            [tmp_path / "pkg"], cache=AnalysisCache(cache_path, "k")
-        )
-        assert analyzer.last_stats.analyzed == 2
-        # and the bad file was replaced by a valid one
-        assert json.loads(cache_path.read_text(encoding="utf-8"))
-
-    def _rerun_with_damaged_entry(self, tmp_path, damage) -> None:
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        cache_path = tmp_path / "cache.json"
-        document = json.loads(cache_path.read_text(encoding="utf-8"))
-        key = (target / "m.py").resolve().as_posix()
-        document["entries"][key] = damage(document["entries"][key])
-        cache_path.write_text(json.dumps(document), encoding="utf-8")
-        warm = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert warm == cold
-        assert analyzer.last_stats.analyzed == 1  # only the damaged entry
-
-    def test_entry_with_a_truncated_summary_is_a_miss(self, tmp_path):
-        # Regression: a summary missing its fields raised KeyError out of
-        # the CLI.
-        self._rerun_with_damaged_entry(
-            tmp_path, lambda entry: dict(entry, summary={"version": SUMMARY_VERSION})
-        )
-
-    def test_entry_that_is_not_a_mapping_is_a_miss(self, tmp_path):
-        # Regression: raised AttributeError ('str' has no 'get').
-        self._rerun_with_damaged_entry(tmp_path, lambda entry: "not an entry")
-
-    def test_compute_config_key_tracks_select(self):
-        base = compute_config_key(AnalyzerConfig())
-        assert base == compute_config_key(AnalyzerConfig())
-        assert base != compute_config_key(
-            AnalyzerConfig(select=("RPL001",))
-        )
+        assert len(analyzer.collect_files([tmp_path / "pkg"])) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -689,87 +453,46 @@ class TestProjectCli:
         assert "names no rules" in err
         assert "RPL009" in err  # the known-rules list includes new ids
 
-    def test_stats_flag_reports_cache_usage(self, tmp_path, capsys):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        argv = [
-            str(tmp_path / "pkg"),
-            "--cache",
-            str(tmp_path / "cache.json"),
-            "--stats",
-        ]
-        assert cli.main(argv) == 0
-        assert "2 file(s) analyzed, 0 from cache" in capsys.readouterr().err
-        assert cli.main(argv) == 0
-        assert "0 file(s) analyzed, 2 from cache" in capsys.readouterr().err
-
-    def test_no_cache_forces_cold_runs(self, tmp_path, capsys):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        argv = [str(tmp_path / "pkg"), "--no-cache", "--stats"]
-        cli.main(argv)
-        cli.main(argv)
-        assert "2 file(s) analyzed, 0 from cache" in capsys.readouterr().err
-
     def test_sarif_flag_writes_report(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "def f():\n    raise ValueError('nope')\n", encoding="utf-8"
         )
         out = tmp_path / "report.sarif"
-        assert (
-            cli.main([str(dirty), "--no-cache", "--sarif", str(out)]) == 1
-        )
+        assert cli.main([str(dirty), "--sarif", str(out)]) == 1
         capsys.readouterr()
         document = json.loads(out.read_text(encoding="utf-8"))
         assert document["runs"][0]["results"][0]["ruleId"] == "RPL002"
 
-    @pytest.mark.parametrize("first", ["relative", "absolute"])
-    @pytest.mark.parametrize("output", ["text", "json", "sarif"])
-    def test_cached_report_names_files_as_this_run_spells_them(
-        self, tmp_path, monkeypatch, capsys, output, first
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--json"], ["--select", "RPL001"]],
+        ids=["text", "json", "select"],
+    )
+    def test_run_leaves_the_working_directory_untouched(
+        self, tmp_path, monkeypatch, capsys, flags
     ):
-        # A warm run given the other spelling of the tree reports what
-        # a cold run with that spelling reports, in every output format.
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/m.py": (
-                "def _unused():\n    return 1\n\n\n"
-                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
-            ),
-        })
+        # Regression: every run stored its findings in a cache file at
+        # the repo root, the nearest directory above the cwd holding a
+        # pyproject.toml.
+        (tmp_path / "pyproject.toml").write_text(
+            "[project]\nname = 'linted'\n", encoding="utf-8"
+        )
         monkeypatch.chdir(tmp_path)
-        spelling = {"relative": "pkg", "absolute": str(tmp_path / "pkg")}
-        second = "absolute" if first == "relative" else "relative"
-        sarif = tmp_path / "report.sarif"
-        flags = {
-            "text": [],
-            "json": ["--json"],
-            "sarif": ["--sarif", str(sarif)],
-        }[output]
 
-        def report(*argv):
-            assert cli.main([*argv, *flags, "--stats"]) == 1
-            captured = capsys.readouterr()
-            if output == "json":
-                body = json.loads(captured.out)["findings"]
-            elif output == "sarif":
-                body = json.loads(sarif.read_text(encoding="utf-8"))
-            else:
-                body = captured.out
-            return body, captured.err
+        def contents() -> Dict[str, bytes]:
+            return {
+                path.relative_to(tmp_path).as_posix(): (
+                    path.read_bytes() if path.is_file() else b""
+                )
+                for path in tmp_path.rglob("*")
+            }
 
-        cache = ("--cache", str(tmp_path / "cache.json"))
-        report(spelling[first], *cache)
-        warm, err = report(spelling[second], *cache)
-        assert "0 file(s) analyzed, 2 from cache" in err
-        cold, _ = report(spelling[second], "--no-cache")
-        assert warm == cold
-
-    def test_json_report_includes_stats(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("X = 1\n", encoding="utf-8")
-        assert cli.main([str(clean), "--no-cache", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["stats"]["files_checked"] == 1
+        before = contents()
+        assert cli.main([*flags, str(FIXTURES / "rpl001_clean.py")]) == 0
+        cli.main([*flags, str(FIXTURES / "rpl002_violations.py")])
+        capsys.readouterr()
+        assert contents() == before
 
     @pytest.mark.parametrize(
         "name",
@@ -782,7 +505,7 @@ class TestProjectCli:
         clean = tmp_path / "clean.py"
         clean.write_text("X = 1\n", encoding="utf-8")
         path = str(tmp_path / name)
-        assert cli.main([str(clean), "--no-cache", "--sarif", path]) == 2
+        assert cli.main([str(clean), "--sarif", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and path in captured.err
@@ -795,11 +518,6 @@ class TestProjectCli:
                 "pkg/vendored/bad.py": "def broken(:\n",
             },
         )
-        argv = [
-            str(tmp_path / "pkg"),
-            "--no-cache",
-            "--exclude",
-            "pkg/vendored",
-        ]
+        argv = [str(tmp_path / "pkg"), "--exclude", "pkg/vendored"]
         assert cli.main(argv) == 0
         capsys.readouterr()

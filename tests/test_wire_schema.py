@@ -11,6 +11,7 @@ table.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -88,7 +89,7 @@ def test_damaged_telemetry_events_are_named(tmp_path, events):
     with pytest.raises(ConfigurationError, match="telemetry field 'events'"):
         ser.telemetry_from_dict(telemetry)
     path = tmp_path / "result.json"
-    path.write_text(json.dumps(dict(_BASE.to_dict(), telemetry=telemetry)))
+    path.write_text(json.dumps(dict(_base().to_dict(), telemetry=telemetry)))
     with pytest.raises(ConfigurationError, match="'events'"):
         StudyResult.load(path)
 
@@ -266,9 +267,15 @@ _SPECIAL_BITS = (
 _float_bits = st.one_of(
     st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)
 )
-_BASE = run_study(
-    StudySpec(design=DesignSpec.knob_axes(axes={"compute_tdp_w": (1.0, 5.0, 30.0)}))
-)
+
+
+@functools.lru_cache(maxsize=None)
+def _base():
+    """A three-row knob study, run on first use rather than at import,
+    so a module importing this one runs no study."""
+    return run_study(
+        StudySpec(design=DesignSpec.knob_axes(axes={"compute_tdp_w": (1.0, 5.0, 30.0)}))
+    )
 
 
 def _floats(draw, rows):
@@ -285,8 +292,9 @@ def _codes(draw, rows, n_names):
 def _batches(draw):
     """A batch of 0-6 real design rows whose result columns hold
     arbitrary bit patterns."""
-    rows = draw(st.lists(st.integers(0, len(_BASE) - 1), max_size=6))
-    batch = _BASE.batch.take(rows)
+    base = _base()
+    rows = draw(st.lists(st.integers(0, len(base) - 1), max_size=6))
+    batch = base.batch.take(rows)
     n = len(rows)
     return replace(
         batch,
@@ -315,8 +323,8 @@ def _assert_batches_bitwise(a, b):
 def test_study_result_round_trips_every_bit_pattern(batch, data):
     n = len(batch)
     result = StudyResult(
-        spec=_BASE.spec,
-        axes=_BASE.axes,
+        spec=_base().spec,
+        axes=_base().axes,
         batch=batch,
         selected_indices=data.draw(
             st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([])
