@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, AnalyzerConfig, REGISTRY
-from repro.analysis import cli
+from repro.analysis import Analyzer, AnalyzerConfig, ModuleContext, REGISTRY
+from repro.analysis import cli, core
 from repro.analysis.rules import UNIT_DIMENSIONS, unit_dimension
 from repro.errors import ConfigurationError
 
@@ -197,6 +197,72 @@ class TestEngine:
         assert path.endswith("rpl002_violations.py")
         assert int(line) > 0 and int(col) > 0
         assert rest.strip().startswith("RPL002")
+
+
+_MIXED_UNITS = "def f(mass_g, power_w):\n    return mass_g + power_w{tail}\n"
+
+
+class TestSuppressionScan:
+    def test_tokenizer_runs_only_on_sources_naming_reprolint(
+        self, monkeypatch
+    ):
+        calls = []
+        real = core.tokenize.generate_tokens
+
+        def counting(readline):
+            calls.append(readline)
+            return real(readline)
+
+        monkeypatch.setattr(core.tokenize, "generate_tokens", counting)
+        plain = _MIXED_UNITS.format(tail="  # units are mixed on purpose")
+        ModuleContext(Path("plain.py"), plain)
+        assert calls == []
+        assert [f.rule for f in Analyzer().check_source(plain)] == ["RPL001"]
+        marked = _MIXED_UNITS.format(tail="  # reprolint: disable=RPL001")
+        module = ModuleContext(Path("marked.py"), marked)
+        assert len(calls) == 1
+        assert module.is_suppressed(2, "RPL001")
+
+    def test_marker_outside_a_comment_suppresses_nothing(self):
+        source = 'NOTE = "# reprolint: disable-file"\n\n\n' + (
+            _MIXED_UNITS.format(tail="")
+        )
+        findings = Analyzer().check_source(source)
+        assert [f.rule for f in findings] == ["RPL001"]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (_MIXED_UNITS.format(tail="  # reprolint: disable=RPL001"), []),
+            (
+                "def f(mass_g, power_w):\n"
+                "    # reprolint: disable=RPL001\n"
+                "    return mass_g + power_w\n",
+                [],
+            ),
+            (
+                "# reprolint: disable-file=RPL001\n"
+                + _MIXED_UNITS.format(tail=""),
+                [],
+            ),
+            (_MIXED_UNITS.format(tail="  # reprolint: disable"), []),
+            (
+                _MIXED_UNITS.format(tail="  # reprolint: disable=RPL002"),
+                ["RPL001"],
+            ),
+        ],
+        ids=["trailing", "standalone", "file", "bare", "other-rule"],
+    )
+    def test_suppression_forms(self, source, expected):
+        findings = Analyzer().check_source(source)
+        assert [f.rule for f in findings] == expected
+
+    def test_nodes_is_one_walk_of_the_tree(self):
+        path = FIXTURES / "rpl004_violations.py"
+        module = ModuleContext(path, path.read_text(encoding="utf-8"))
+        walked = list(ast.walk(module.tree))
+        assert len(module.nodes) == len(walked) > 1
+        assert all(a is b for a, b in zip(module.nodes, walked))
 
 
 class TestEndToEnd:

@@ -9,6 +9,8 @@ Covers the whole-program layer added on top of the per-file engine:
   including the PR-4 ``DEFAULT_CACHE`` fork-inheritance reproduction;
 * the SARIF exporter;
 * analyzer edge inputs: syntax errors, empty files, non-UTF-8 source;
+* that every run reads the tree as it is now: edits, renames and
+  deletions show in the next run, and an analyzer keeps no state;
 * the CLI flags, and that a run writes no file it was not asked for.
 """
 
@@ -61,6 +63,16 @@ def build_graph(root: Path, files: Dict[str, str]) -> ProjectGraph:
 
 def rules_of(findings) -> List[str]:
     return sorted({finding.rule for finding in findings})
+
+
+def _contents(root: Path) -> Dict[str, bytes]:
+    """Every path under ``root`` and its bytes (empty for directories)."""
+    return {
+        path.relative_to(root).as_posix(): (
+            path.read_bytes() if path.is_file() else b""
+        )
+        for path in root.rglob("*")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +419,104 @@ class TestEdgeInputs:
 
 
 # ---------------------------------------------------------------------------
+# every run reads the tree as it is now
+# ---------------------------------------------------------------------------
+_CHAIN = {
+    "pkg/__init__.py": "",
+    "pkg/c.py": "def hold(wait_s):\n    return wait_s\n",
+    "pkg/b.py": "from .c import hold\n\n\ndef f_b(dt_s):\n    return hold(dt_s)\n",
+    "pkg/a.py": "from .b import f_b\n\n\ndef f_a():\n    return f_b(1)\n",
+}
+
+
+class TestFreshRuns:
+    def test_repeat_run_matches_the_first(self, tmp_path):
+        write_tree(tmp_path, dict(_CHAIN, **{
+            "pkg/c.py": "def hold(wait_ms):\n    return wait_ms\n",
+            "pkg/m.py": (
+                "def _unused():\n    return 1\n\n\n"
+                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
+            ),
+        }))
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        first = analyzer.check_paths([target])
+        assert rules_of(first) == ["RPL001", "RPL008", "RPL009"]
+        assert analyzer.check_paths([target]) == first
+        assert Analyzer().check_paths([target]) == first
+
+    def test_edit_is_seen_by_the_next_run(self, tmp_path):
+        write_tree(tmp_path, _CHAIN)
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        assert analyzer.check_paths([target]) == []
+        # Edit the chain's leaf: the unchanged caller b.py now passes
+        # seconds into a millisecond parameter.
+        leaf = tmp_path / "pkg" / "c.py"
+        leaf.write_text(
+            "def hold(wait_ms):\n    return wait_ms\n", encoding="utf-8"
+        )
+        (finding,) = analyzer.check_paths([target])
+        assert finding.rule == "RPL008" and finding.path.endswith("b.py")
+        leaf.write_text(_CHAIN["pkg/c.py"], encoding="utf-8")
+        assert analyzer.check_paths([target]) == []
+
+    def test_module_rename_is_seen_by_the_next_run(self, tmp_path):
+        # A new __init__.py above a file renames its module (lib.util
+        # -> pkg.lib.util) without touching its bytes.
+        write_tree(
+            tmp_path,
+            {
+                "pkg/lib/__init__.py": "",
+                "pkg/lib/util.py": "def hold(wait_s):\n    return wait_s\n",
+                "pkg/user.py": (
+                    "from .lib.util import hold\n\n\n"
+                    "def use(dt_ms):\n    return hold(dt_ms)\n"
+                ),
+            },
+        )
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        (before,) = analyzer.check_paths([target])
+        assert "of lib.util.hold()" in before.message
+        (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+        (after,) = analyzer.check_paths([target])
+        assert "of pkg.lib.util.hold()" in after.message
+
+    def test_deleted_file_drops_out_of_the_next_run(self, tmp_path):
+        write_tree(tmp_path, dict(_CHAIN, **{
+            "pkg/m.py": "def f(mass_g, power_w):\n    return mass_g + power_w\n",
+        }))
+        target = tmp_path / "pkg"
+        analyzer = Analyzer()
+        (finding,) = analyzer.check_paths([target])
+        assert finding.rule == "RPL001" and finding.path.endswith("m.py")
+        (tmp_path / "pkg" / "m.py").unlink()
+        assert analyzer.check_paths([target]) == []
+        assert len(analyzer.collect_files([target])) == 4
+
+    def test_analyzer_keeps_no_state_between_trees(self, tmp_path):
+        # Tree one defines the millisecond callee; tree two calls a
+        # callee of the same module name that it lacks.  A summary
+        # carried over from the first run would flag the second.
+        write_tree(tmp_path / "one", {
+            "pkg/__init__.py": "",
+            "pkg/c.py": "def hold(wait_ms):\n    return wait_ms\n",
+        })
+        write_tree(tmp_path / "two", {
+            "pkg/__init__.py": "",
+            "pkg/b.py": _CHAIN["pkg/b.py"],
+        })
+        analyzer = Analyzer()
+        assert analyzer.check_paths([tmp_path / "one" / "pkg"]) == []
+        assert analyzer.check_paths([tmp_path / "two" / "pkg"]) == []
+        both = analyzer.check_paths(
+            [tmp_path / "one" / "pkg", tmp_path / "two" / "pkg"]
+        )
+        assert rules_of(both) == ["RPL008"]
+
+
+# ---------------------------------------------------------------------------
 # SARIF export
 # ---------------------------------------------------------------------------
 def _finding(path: str, rule: str, line: int = 1) -> Finding:
@@ -479,20 +589,90 @@ class TestProjectCli:
             "[project]\nname = 'linted'\n", encoding="utf-8"
         )
         monkeypatch.chdir(tmp_path)
-
-        def contents() -> Dict[str, bytes]:
-            return {
-                path.relative_to(tmp_path).as_posix(): (
-                    path.read_bytes() if path.is_file() else b""
-                )
-                for path in tmp_path.rglob("*")
-            }
-
-        before = contents()
+        before = _contents(tmp_path)
         assert cli.main([*flags, str(FIXTURES / "rpl001_clean.py")]) == 0
         cli.main([*flags, str(FIXTURES / "rpl002_violations.py")])
         capsys.readouterr()
-        assert contents() == before
+        assert _contents(tmp_path) == before
+
+    def test_sarif_run_writes_only_the_sarif_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "pyproject.toml").write_text(
+            "[project]\nname = 'linted'\n", encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        before = _contents(tmp_path)
+        argv = [str(FIXTURES / "rpl002_violations.py"), "--sarif", "out.sarif"]
+        assert cli.main(argv) == 1
+        capsys.readouterr()
+        after = _contents(tmp_path)
+        assert set(after) - set(before) == {"out.sarif"}
+        del after["out.sarif"]
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cache", "cache.json"], ["--no-cache"], ["--stats"]],
+        ids=["cache", "no-cache", "stats"],
+    )
+    def test_removed_cache_options_are_usage_errors(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([str(FIXTURES / "rpl001_clean.py"), *argv])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in (
+            capsys.readouterr().err
+        )
+        assert _contents(tmp_path) == {}
+
+    @pytest.mark.parametrize("spelling", ["relative", "absolute"])
+    @pytest.mark.parametrize("output", ["text", "json", "sarif"])
+    def test_report_names_files_as_this_run_spells_them(
+        self, tmp_path, monkeypatch, capsys, output, spelling
+    ):
+        # Module (RPL001) and project (RPL009) findings both name the
+        # file as the argv spells the tree; SARIF locates it relative
+        # to the root either way.
+        write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/m.py": (
+                "def _unused():\n    return 1\n\n\n"
+                "def f(mass_g, power_w):\n    return mass_g + power_w\n"
+            ),
+        })
+        monkeypatch.chdir(tmp_path)
+        tree = {"relative": "pkg", "absolute": str(tmp_path / "pkg")}[spelling]
+        expected = f"{tree}/m.py"
+        sarif = tmp_path / "report.sarif"
+        flags = {
+            "text": [],
+            "json": ["--json"],
+            "sarif": ["--sarif", str(sarif)],
+        }[output]
+        assert cli.main([tree, *flags]) == 1
+        out = capsys.readouterr().out
+        if output == "json":
+            findings = json.loads(out)["findings"]
+            assert sorted(f["rule"] for f in findings) == ["RPL001", "RPL009"]
+            assert {f["path"] for f in findings} == {expected}
+        elif output == "sarif":
+            results = json.loads(sarif.read_text(encoding="utf-8"))[
+                "runs"
+            ][0]["results"]
+            assert sorted(r["ruleId"] for r in results) == ["RPL001", "RPL009"]
+            uris = {
+                location["physicalLocation"]["artifactLocation"]["uri"]
+                for result in results
+                for location in result["locations"]
+            }
+            assert uris == {"pkg/m.py"}
+        else:
+            lines = out.splitlines()
+            assert len(lines) == 2
+            assert all(line.startswith(f"{expected}:") for line in lines)
 
     @pytest.mark.parametrize(
         "name",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.batch import DesignMatrix, evaluate_matrix
 from repro.batch.executor import ShardResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.io import serialization as ser
 from repro.study import DesignSpec, StudyResult, StudySpec, run_study
 from test_wire_golden import DOCUMENTS, golden_path, live_tables
@@ -276,6 +277,22 @@ def _base():
     return run_study(
         StudySpec(design=DesignSpec.knob_axes(axes={"compute_tdp_w": (1.0, 5.0, 30.0)}))
     )
+
+
+def test_importing_the_module_runs_no_study(monkeypatch):
+    # Regression: the study ran at import, so a defect on the evaluation
+    # path stopped collection of tests/test_serve.py, which imports this
+    # module, instead of failing named tests.
+    def broken(*args, **kwargs):
+        raise SimulationError("study ran")
+
+    monkeypatch.setattr("repro.study.run_study", broken)
+    monkeypatch.setattr("repro.batch.evaluate_matrix", broken)
+    spec = importlib.util.spec_from_file_location("_wire_schema_copy", __file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    with pytest.raises(SimulationError, match="study ran"):
+        fresh._base()
 
 
 def _floats(draw, rows):
