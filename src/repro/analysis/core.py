@@ -334,21 +334,6 @@ class Analyzer:
             findings.extend(self._project_findings([summary]))
         return sorted(findings)
 
-    def check_file(self, path: "Path | str") -> List[Finding]:
-        path = Path(path)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            return [_decode_error_finding(path, exc)]
-        except OSError as exc:
-            raise ConfigurationError(
-                f"reprolint path {str(path)!r}: cannot read: {exc}"
-            ) from exc
-        try:
-            return self.check_source(source, path)
-        except SyntaxError as exc:
-            return [_syntax_error_finding(path, exc)]
-
     def check_paths(self, paths: Iterable["Path | str"]) -> List[Finding]:
         """Analyze files and (recursively) directories of ``*.py``.
 

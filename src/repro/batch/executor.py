@@ -40,10 +40,10 @@ evaluates shards inline with one worker (chunked streaming in-process)
 and in a process pool with more.
 :class:`~repro.distrib.DistributedExecutor` pulls shards from a shared
 work directory under the lease protocol.  Both persist every shard
-they complete to the store as one JSONL record
-(:class:`CheckpointStore`; see
+they complete to the store as one framed record — a JSON header line,
+then the raw column bytes (:class:`CheckpointStore`; see
 :func:`repro.io.serialization.shard_manifest_to_dict` for the wire
-format), so an interrupted million-point study resumes from its
+format) — so an interrupted million-point study resumes from its
 completed shards instead of restarting.
 
 No shard memoizes its result: workers keep no state between shards,
@@ -76,6 +76,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, ShardExecutionError
 from ..io.serialization import (
+    SHARD_RECORD_TABLE,
+    decode_frame,
+    encode_frame,
     shard_manifest_to_dict,
     shard_record_from_dict,
     shard_record_to_dict,
@@ -437,7 +440,7 @@ class ParallelExecutor:
         """
         for result in self._evaluate(spec, shards, reduce, tracer):
             if store is not None:
-                store.write(result, tracer)
+                store.write(result)
             yield result
 
     def _evaluate(
@@ -481,9 +484,7 @@ class ShardManifest:
     :func:`repro.io.serialization.shard_manifest_to_dict`.
     """
 
-    #: Always ``"study"`` when written; a ``"matrix"`` manifest still
-    #: reads (and is refused by the field-for-field match) until the
-    #: next ``MANIFEST_VERSION``.
+    #: Always ``"study"``.
     kind: str
     digest: str
     total_rows: int
@@ -495,21 +496,34 @@ class ShardManifest:
 
 
 class CheckpointStore:
-    """One JSONL record per completed shard, plus a pinning manifest.
+    """One framed record per completed shard, plus a pinning manifest.
 
-    Layout: ``<dir>/manifest.json`` and ``<dir>/shard-<index>.jsonl``
-    (each a single JSON line; a record is only visible after an atomic
-    rename, so an interrupt mid-write never corrupts a visible shard).
-    Unreadable shard files are skipped — their rows are simply
-    recomputed — while a missing or mismatched manifest is a hard
+    Layout: ``<dir>/manifest.json`` and ``<dir>/shard-<index>.jsonl``.
+    A record is a framed file
+    (:func:`~repro.io.serialization.encode_frame`): one JSON header
+    line, then the raw column bytes; the name keeps ``.jsonl`` because
+    its first line still is the record's JSON document.  A record is
+    only visible after an atomic rename, so an interrupt mid-write
+    never corrupts a visible shard.  Unreadable shard files are
+    skipped — their rows are simply recomputed — while a missing or
+    mismatched manifest is a hard
     :class:`~repro.errors.ConfigurationError`.
+
+    ``tracer``, the run's tracer, times every record written as a
+    ``checkpoint.write`` span (counted in ``checkpoint.writes``) and
+    every read of the directory or of one record as a
+    ``checkpoint.read`` span giving the shards read and their bytes.
     """
 
     def __init__(
-        self, directory: Union[str, Path], manifest: ShardManifest
+        self,
+        directory: Union[str, Path],
+        manifest: ShardManifest,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.directory = Path(directory)
         self.manifest = manifest
+        self.tracer = tracer
         self.skipped: List[str] = []
 
     # -- construction --------------------------------------------------
@@ -535,6 +549,7 @@ class CheckpointStore:
         directory: Union[str, Path],
         manifest: ShardManifest,
         must_exist: bool = False,
+        tracer: Optional[Tracer] = None,
     ) -> "CheckpointStore":
         """Bind a checkpoint directory to this run's manifest.
 
@@ -554,7 +569,7 @@ class CheckpointStore:
             directory.mkdir(parents=True, exist_ok=True)
             _atomic_write(
                 directory / _MANIFEST_NAME,
-                json.dumps(shard_manifest_to_dict(manifest)) + "\n",
+                [(json.dumps(shard_manifest_to_dict(manifest)) + "\n").encode()],
             )
         elif existing != manifest:
             mismatched = [
@@ -570,23 +585,20 @@ class CheckpointStore:
                 "(pass a fresh directory, or re-run with the original "
                 f"spec and chunk_rows={existing.chunk_rows})"
             )
-        return cls(directory, manifest)
+        return cls(directory, manifest, tracer)
 
     # -- shard records -------------------------------------------------
     def shard_path(self, index: int) -> Path:
         return self.directory / f"shard-{index:06d}.jsonl"
 
-    def write(
-        self, result: ShardResult, tracer: Optional[Tracer] = None
-    ) -> None:
-        """Persist one completed shard atomically (write + rename).
-
-        ``tracer`` times the write as a ``checkpoint.write`` span and
-        counts it in ``checkpoint.writes``.
-        """
+    def write(self, result: ShardResult) -> None:
+        """Persist one completed shard atomically (write + rename)."""
+        tracer = self.tracer
         started = perf_counter() if tracer is not None else 0.0
-        record = json.dumps(shard_record_to_dict(result))
-        _atomic_write(self.shard_path(result.index), record + "\n")
+        chunks = encode_frame(
+            lambda payload: shard_record_to_dict(result, payload)
+        )
+        _atomic_write(self.shard_path(result.index), chunks)
         if tracer is not None:
             tracer.record_clock(
                 "checkpoint.write", started, perf_counter(), shard=result.index
@@ -601,11 +613,20 @@ class CheckpointStore:
         of another reduction) are noted in :attr:`skipped` and
         recomputed rather than trusted.
         """
+        tracer = self.tracer
+        started = perf_counter() if tracer is not None else 0.0
         completed: Dict[int, ShardResult] = {}
+        size = 0
         for path in sorted(self.directory.glob("shard-*.jsonl")):
-            result = self._read_record(path)
+            result, read = self._read_record(path)
+            size += read
             if result is not None:
                 completed[result.index] = result
+        if tracer is not None:
+            tracer.record_clock(
+                "checkpoint.read", started, perf_counter(),
+                shards=len(completed), bytes=size,
+            )
         return completed
 
     def load_shard(self, index: int) -> Optional[ShardResult]:
@@ -616,15 +637,30 @@ class CheckpointStore:
         up shards finished by *other* workers without re-reading the
         whole directory.  An invalid or misfiled record reads as
         "absent" (and is noted in :attr:`skipped`), so a torn record is
-        recomputed, never trusted.
+        recomputed, never trusted.  Only a record that exists is read,
+        and timed.
         """
         path = self.shard_path(index)
-        return self._read_record(path) if path.exists() else None
+        if not path.exists():
+            return None
+        tracer = self.tracer
+        started = perf_counter() if tracer is not None else 0.0
+        result, size = self._read_record(path)
+        if tracer is not None:
+            tracer.record_clock(
+                "checkpoint.read", started, perf_counter(),
+                shards=int(result is not None), bytes=size,
+            )
+        return result
 
-    def _read_record(self, path: Path) -> Optional[ShardResult]:
+    def _read_record(self, path: Path) -> Tuple[Optional[ShardResult], int]:
+        """One record and the bytes read for it; ``None`` if unusable."""
+        data = b""
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            result = shard_record_from_dict(data)
+            data = path.read_bytes()
+            result = decode_frame(
+                SHARD_RECORD_TABLE.title, data, shard_record_from_dict
+            )
             # The manifest's uniform chunking fully determines every
             # shard's row range, so a record whose range disagrees
             # with its index (a hand-edited or misfiled record)
@@ -664,17 +700,15 @@ class CheckpointStore:
                     f"record does not match the manifest's reduce "
                     f"{reduce!r}: {held} local indices, expected {expected}"
                 )
-        except (
-            OSError, UnicodeDecodeError, json.JSONDecodeError,
-            ConfigurationError,
-        ) as exc:
+        except (OSError, ConfigurationError) as exc:
             self.skipped.append(f"{path.name}: {exc}")
-            return None
-        return result
+            return None, len(data)
+        return result, len(data)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` by write-then-rename.
+def _atomic_write(path: Path, chunks: Iterable[Any]) -> None:
+    """Publish the bytes of ``chunks``, in order, at ``path`` by
+    write-then-rename.
 
     Every write has its own temporary in the target's directory, so two
     writers of one file (a shard computed twice, two initiators stamping
@@ -685,8 +719,8 @@ def _atomic_write(path: Path, text: str) -> None:
     """
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as stream:
-            stream.write(text)
+        with open(tmp, "xb") as stream:
+            stream.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -703,11 +737,13 @@ def _plan(
     chunk_rows: Optional[int],
     checkpoint_dir: Optional[Union[str, Path]],
     resume: bool,
+    tracer: Optional[Tracer],
 ) -> Tuple[ShardManifest, Optional[CheckpointStore]]:
     """Resolve one run's manifest and its store, if it has one.
 
     The store is the checkpoint directory, or the executor's own work
-    directory for a distributed run.  An unspecified ``chunk_rows``
+    directory for a distributed run, and it records its reads and
+    writes on the run's ``tracer``.  An unspecified ``chunk_rows``
     adopts the manifest already there (a resume, a re-run, a restarted
     server), else targets ~4 shards per worker.  Opening the store then
     checks every manifest field against the one on disk, so a
@@ -751,7 +787,7 @@ def _plan(
         reduce=reduce,
     )
     store = (
-        CheckpointStore.open(directory, manifest, must_exist=resume)
+        CheckpointStore.open(directory, manifest, must_exist=resume, tracer=tracer)
         if directory is not None
         else None
     )
@@ -839,7 +875,7 @@ def _run_sharded(
     # process: each shard compiles its own rows.
     with maybe_span(tracer, "study.compile") as span:
         manifest, store = _plan(
-            spec, reduce, executor, chunk_rows, checkpoint_dir, resume
+            spec, reduce, executor, chunk_rows, checkpoint_dir, resume, tracer
         )
         span.set(rows=manifest.total_rows, shards=manifest.n_shards)
     results = _resume_and_map(spec, manifest, store, executor, tracer, progress)

@@ -139,7 +139,7 @@ def _compute(
         if delay_s > 0:
             sleep(delay_s)
         result = _evaluate_in_process(spec, shard, reduce, tracer)
-        store.write(result, tracer)
+        store.write(result)
         return result
     finally:
         stop.set()
@@ -169,7 +169,7 @@ def publish_spec(work_dir: Union[str, Path], spec: "StudySpec") -> None:
                 f"is {spec.content_digest()!r}"
             )
         return
-    _atomic_write(path, spec.to_json(indent=2) + "\n")
+    _atomic_write(path, [(spec.to_json(indent=2) + "\n").encode("utf-8")])
 
 
 class DistributedExecutor:

@@ -113,7 +113,7 @@ def run_worker(
         wait_s=wait_s,
         poll_interval_s=min(0.25, executor.poll_interval_s),
     )
-    store = CheckpointStore.open(work_dir, manifest)
+    store = CheckpointStore.open(work_dir, manifest, tracer=tracer)
     done = store.load_completed()
     shards = [
         shard

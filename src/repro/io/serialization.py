@@ -13,10 +13,17 @@ Readers refuse a missing required field, a value outside its type
 (``null`` included, unless the type allows it) and any key the table
 does not declare.
 
-Every per-row array travels as a *column object* — the base64 of its
-little-endian bytes under a pinned dtype tag (:func:`encode_column`) —
-so encoding costs a memory copy, not a float-to-text conversion, and
-every float64 bit pattern survives.  Bound and verdict columns are
+Every per-row array travels as a *column object*: its little-endian
+bytes under a pinned dtype tag (:func:`encode_column`), so encoding
+costs a memory copy, not a float-to-text conversion, and every float64
+bit pattern survives.  A JSON document carries the bytes as ``b64``
+text.  The two files the package writes for itself — checkpoint shard
+records and saved study results — are *framed*
+(:func:`encode_frame`): the same document as one compact JSON header
+line whose column objects carry a byte range ``[start, stop]`` instead
+of ``b64``, then ``\n``, then the raw column bytes, which must be
+covered exactly once.  One emitter, one reader and one
+:func:`decode_column` serve both forms.  Bound and verdict columns are
 int8 codes that carry their names list, so a document never depends
 on the in-process integer encoding the kernels are free to reorder:
 :data:`BOUND_CODE_TO_NAME` / :data:`STATUS_CODE_TO_NAME` below are
@@ -33,9 +40,21 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -191,7 +210,7 @@ def configuration_from_dict(data: Dict[str, Any]) -> UAVConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# The column codec: one per-row array as little-endian bytes in base64
+# The column codec: one per-row array as little-endian bytes
 # ---------------------------------------------------------------------------
 #: Pinned dtype tags of the three column kinds: float64 values, int64
 #: row indices and int8 bound/verdict codes.
@@ -221,15 +240,84 @@ def check_indices(title: str, where: str, values: np.ndarray, stop: int) -> None
         )
 
 
-def encode_column(values: Any, dtype: str) -> Dict[str, Any]:
-    """One per-row array as a ``{"dtype", "b64"}`` column object.
+class Payload:
+    """The raw column bytes of one framed file.
 
-    ``b64`` is the standard base64 of the array's little-endian bytes
-    under the pinned ``dtype`` tag, so every bit pattern — ``-0.0``,
-    subnormals, NaN payloads — round-trips exactly.
+    Written, it collects each column's little-endian array and hands
+    out the byte range the header names for it; read, it serves those
+    ranges from the file's bytes.  Both sides walk the columns in the
+    same order — embedded documents first, then each table's own
+    columns in field order — so every range must start where the one
+    before it stopped, and :meth:`finish` requires the last to stop at
+    the end: the ranges cover the payload exactly once.
     """
-    payload = np.ascontiguousarray(values, dtype=dtype).tobytes()
-    return {"dtype": dtype, "b64": base64.b64encode(payload).decode("ascii")}
+
+    def __init__(self, data: bytes = b"") -> None:
+        self.data = memoryview(data)
+        self.parts: List[np.ndarray] = []
+        self.offset = 0
+        self.last = "<root>"
+
+    def put(self, values: np.ndarray) -> List[int]:
+        """Append one column's bytes; returns its ``[start, stop]``."""
+        start = self.offset
+        self.parts.append(values)
+        self.offset += values.nbytes
+        return [start, self.offset]
+
+    def take(self, title: str, where: str, column: Dict[str, Any]) -> memoryview:
+        """The bytes of the column object ``column`` of field ``where``."""
+        if "b64" in column:
+            raise _field_error(
+                title, where, "a framed column carries a byte range, not b64"
+            )
+        span = column.get("range")
+        if not (isinstance(span, list) and len(span) == 2 and all(map(_is_int, span))):
+            raise _field_error(
+                title, where, f"range must be [start, stop] integers, got {_shown(span)}"
+            )
+        start, stop = span
+        if start != self.offset:
+            held = (
+                f"bytes [{self.offset}, {start}) belong to no column"
+                if start > self.offset
+                else f"it overlaps bytes [{start}, {self.offset}) of the columns before it"
+            )
+            raise _field_error(
+                title, where, f"range [{start}, {stop}] must start at byte {self.offset}: {held}"
+            )
+        if stop < start or stop > len(self.data):
+            raise _field_error(
+                title, where,
+                f"range [{start}, {stop}] is outside the {len(self.data)}-byte payload",
+            )
+        self.offset, self.last = stop, where
+        return self.data[start:stop]
+
+    def finish(self, title: str) -> None:
+        """Require the columns read to have covered every payload byte."""
+        if self.offset != len(self.data):
+            raise _field_error(
+                title, self.last,
+                f"{len(self.data) - self.offset} byte(s) of the "
+                f"{len(self.data)}-byte payload follow the last column",
+            )
+
+
+def encode_column(
+    values: Any, dtype: str, payload: Optional[Payload] = None
+) -> Dict[str, Any]:
+    """One per-row array as a column object.
+
+    The array's little-endian bytes under the pinned ``dtype`` tag go
+    into ``payload`` as a byte ``range`` when one is given, else into
+    the object as standard base64 ``b64`` text; either way every bit
+    pattern — ``-0.0``, subnormals, NaN payloads — round-trips exactly.
+    """
+    array = np.ascontiguousarray(values, dtype=dtype)
+    if payload is not None:
+        return {"dtype": dtype, "range": payload.put(array)}
+    return {"dtype": dtype, "b64": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
 def decode_column(
@@ -239,15 +327,17 @@ def decode_column(
     dtype: str,
     rows: Optional[int] = None,
     stop: Optional[int] = None,
+    payload: Optional[Payload] = None,
 ) -> np.ndarray:
     """Rebuild a fresh native array from an :func:`encode_column` object.
 
     The one validation point of every column: the tag must be the pinned
-    ``dtype`` for ``field``, ``b64`` strict base64 of a whole number of
-    items, the item count exactly ``rows`` (any count when ``None``) and,
-    for columns that index something, every item in ``[0, stop)``.
-    Every failure is a :class:`ConfigurationError` naming ``field`` of
-    the ``title`` document.
+    ``dtype`` for ``field``; the bytes — strict base64 ``b64`` text, or
+    with ``payload`` the next ``range`` of a framed file — a whole
+    number of items; the item count exactly ``rows`` (any count when
+    ``None``) and, for columns that index something, every item in
+    ``[0, stop)``.  Every failure is a :class:`ConfigurationError`
+    naming ``field`` of the ``title`` document.
     """
     if not isinstance(column, dict):
         raise _field_error(
@@ -259,16 +349,20 @@ def decode_column(
             title, field,
             f"dtype must be {dtype!r}, got {column.get('dtype')!r}",
         )
-    payload = column.get("b64")
-    if not isinstance(payload, str):
-        raise _field_error(
-            title, field,
-            f"b64 must be a string, got {type(payload).__name__}",
-        )
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise _field_error(title, field, f"invalid base64: {exc}") from exc
+    raw: Any
+    if payload is not None:
+        raw = payload.take(title, field, column)
+    else:
+        text = column.get("b64")
+        if not isinstance(text, str):
+            raise _field_error(
+                title, field,
+                f"b64 must be a string, got {type(text).__name__}",
+            )
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise _field_error(title, field, f"invalid base64: {exc}") from exc
     items, remainder = divmod(len(raw), np.dtype(dtype).itemsize)
     if remainder:
         raise _field_error(
@@ -307,34 +401,43 @@ class _Column:
         self.nullable = nullable
         self.mapped = mapped
 
-    def encode(self, values: Any) -> Any:
+    def encode(self, values: Any, payload: Optional[Payload]) -> Any:
         if self.mapped:
             return {
-                name: encode_column(column, self.dtype)
+                name: encode_column(column, self.dtype, payload)
                 for name, column in (values or {}).items()
             }
         if values is None:
             return None
-        column = encode_column(values, self.dtype)
+        column = encode_column(values, self.dtype, payload)
         if self.codes is not None:
             column["names"] = [self.codes[code] for code in sorted(self.codes)]
         return column
 
-    def decode(self, title: str, where: str, column: Any, rows: Optional[int]) -> Any:
+    def decode(
+        self,
+        title: str,
+        where: str,
+        column: Any,
+        rows: Optional[int],
+        payload: Optional[Payload],
+    ) -> Any:
         if self.mapped:
             if not isinstance(column, dict):
                 raise _field_error(
                     title, where, f"must be a mapping, got {type(column).__name__}"
                 )
             return {
-                name: decode_column(title, f"{where}.{name}", item, self.dtype, rows)
+                name: decode_column(
+                    title, f"{where}.{name}", item, self.dtype, rows, payload=payload
+                )
                 for name, item in column.items()
             }
         if column is None and self.nullable:
             return None
         count = rows if self.per_row else None
         if self.codes is None:
-            return decode_column(title, where, column, self.dtype, count)
+            return decode_column(title, where, column, self.dtype, count, payload=payload)
         name_to_code = {name: code for code, name in self.codes.items()}
         # A column that is not a mapping fails in decode_column below.
         names = column.get("names") if isinstance(column, dict) else []
@@ -350,19 +453,77 @@ class _Column:
                     f"unknown name {name!r}; known: {', '.join(sorted(name_to_code))}",
                 )
         lookup = np.asarray([name_to_code[name] for name in names], dtype=np.int8)
-        return lookup[decode_column(title, where, column, self.dtype, count, len(names))]
+        codes = decode_column(title, where, column, self.dtype, count, len(names), payload)
+        return lookup[codes]
+
+
+# ---------------------------------------------------------------------------
+# Framed files: one compact JSON header line, then the raw column bytes
+# ---------------------------------------------------------------------------
+_T = TypeVar("_T")
+
+
+def encode_frame(emit: Callable[[Payload], Dict[str, Any]]) -> List[Any]:
+    """The chunks of a framed file, to be written in order.
+
+    ``emit`` builds the document with its columns in a fresh
+    :class:`Payload`.  The first chunk is that document as one compact
+    JSON header line; the rest are the column arrays themselves, so a
+    writer streams them without joining one copy of the payload.
+    """
+    payload = Payload()
+    header = json.dumps(emit(payload), separators=(",", ":"))
+    return [header.encode("ascii") + b"\n", *payload.parts]
+
+
+def decode_frame(
+    title: str, data: bytes, read: Callable[[Any, Payload], _T]
+) -> _T:
+    """Rebuild a value from the bytes of an :func:`encode_frame` file.
+
+    ``read(header, payload)`` validates the header document and decodes
+    its columns from ``payload``; the ranges it reads must then cover
+    the payload exactly once.  A file without a header line, or whose
+    header is not UTF-8 JSON, is a :class:`ConfigurationError` naming
+    ``<root>`` of the ``title`` document; damage to a column names the
+    column.  A whole-file JSON document, as an older version saved, is
+    refused by its version.
+    """
+    newline = data.find(b"\n")
+    if newline < 0:
+        raise _field_error(
+            title, "<root>", f"no header line: {len(data)} bytes hold no newline"
+        )
+    try:
+        header = json.loads(data[:newline].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        try:
+            older = json.loads(data)
+        except ValueError:
+            older = None
+        if isinstance(older, dict):
+            read(older, Payload())  # raises, naming the version or a column
+        raise _field_error(
+            title, "<root>", f"the header line is not UTF-8 JSON: {exc}"
+        ) from exc
+    payload = Payload(memoryview(data)[newline + 1:])
+    value = read(header, payload)
+    payload.finish(title)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Versions and enumerations of the wire documents
 # ---------------------------------------------------------------------------
-#: Version of the shard-checkpoint family: manifests, shard records and
-#: the batch-result and design-matrix documents embedded in them.
-MANIFEST_VERSION = 2
+#: Version of the shard-checkpoint family: manifests, framed shard
+#: records and the batch-result and design-matrix documents embedded in
+#: them.
+MANIFEST_VERSION = 3
 
-#: Version of the saved :class:`~repro.study.result.StudyResult`
-#: document (and the study axes embedded in it).
-RESULT_VERSION = 2
+#: Version of the :class:`~repro.study.result.StudyResult` document
+#: (and the study axes embedded in it): the JSON text of ``to_json``
+#: and serve, and the framed file of ``save``.
+RESULT_VERSION = 3
 
 #: Version stamped on every lease document.  Workers refuse leases
 #: from a different protocol generation rather than guessing.
@@ -380,10 +541,8 @@ SERVE_PROTOCOL_VERSION = 1
 #: ``repro-skyline study --spec`` files and a work dir's ``spec.json``.
 SPEC_VERSION = 1
 
-#: Manifest kinds a checkpoint directory may hold.  The package writes
-#: only ``"study"``; ``"matrix"``, the retired design-matrix source,
-#: still reads until the next ``MANIFEST_VERSION``.
-MANIFEST_KINDS = ("study", "matrix")
+#: Manifest kinds a checkpoint directory may hold.
+MANIFEST_KINDS = ("study",)
 
 #: Lifecycle states a served study moves through (in order; terminal
 #: states are the last two).
@@ -525,13 +684,16 @@ class WireTable:
     def error(self, where: str, message: str) -> ConfigurationError:
         return _field_error(self.title, where, message)
 
-    def emit(self, source: Any, **computed: Any) -> Dict[str, Any]:
+    def emit(
+        self, source: Any, payload: Optional[Payload] = None, **computed: Any
+    ) -> Dict[str, Any]:
         """The document for ``source``, keys in table order.
 
         Each field's value is ``computed[name]`` when given, else the
         ``name`` attribute of ``source``.  Optional fields are left out
-        when ``None``; column fields are encoded, and embedded documents
-        are passed in already emitted.
+        when ``None``; column fields are encoded (into ``payload`` for a
+        framed file), and embedded documents are passed in already
+        emitted, into the same ``payload``.
         """
         data: Dict[str, Any] = {}
         if self.versioned:
@@ -541,16 +703,22 @@ class WireTable:
         for name, _kind, required, entry, column in self._plan:
             value = computed[name] if name in computed else getattr(source, name)
             if value is not None or required:
-                data[name] = entry.encode(value) if column else value
+                data[name] = entry.encode(value, payload) if column else value
         return data
 
-    def read(self, data: Any, prefix: Optional[str] = None) -> Dict[str, Any]:
+    def read(
+        self,
+        data: Any,
+        prefix: Optional[str] = None,
+        payload: Optional[Payload] = None,
+    ) -> Dict[str, Any]:
         """Validate ``data`` against the table; returns its field values.
 
         Columns come back decoded, each holding the document's row
         count: its own ``rows``, or the length of the ``batch`` it
-        embeds.  Embedded documents come back built, or as their own
-        value mappings when their table has no ``build``.
+        embeds; a framed file's header reads its columns' bytes from
+        ``payload``.  Embedded documents come back built, or as their
+        own value mappings when their table has no ``build``.
         Every failure is a :class:`ConfigurationError` quoting the
         field, or the document for a key the table does not declare;
         ``prefix`` replaces :attr:`path` for list items.
@@ -587,10 +755,11 @@ class WireTable:
             elif isinstance(kind, list) and isinstance(value, list):
                 where = self.where(name, prefix)
                 values[name] = [
-                    kind[0].read(item, f"{where}[{i}].") for i, item in enumerate(value)
+                    kind[0].read(item, f"{where}[{i}].", payload)
+                    for i, item in enumerate(value)
                 ]
             elif isinstance(kind, WireTable) and isinstance(value, dict):
-                embedded = kind.read(value)
+                embedded = kind.read(value, payload=payload)
                 values[name] = embedded if kind.build is None else kind.build(embedded)
             elif entry is not None and entry(value):
                 values[name] = value
@@ -603,7 +772,9 @@ class WireTable:
             rows = values["rows"] if "rows" in values else len(values["batch"])
             for name, column_type in columns:
                 where = self.where(name, prefix)
-                values[name] = column_type.decode(self.title, where, data[name], rows)
+                values[name] = column_type.decode(
+                    self.title, where, data[name], rows, payload
+                )
         return values
 
 
@@ -674,10 +845,13 @@ _RESULT_COLUMNS = tuple(
 )
 
 
-def design_matrix_to_dict(matrix: "DesignMatrix") -> Dict[str, Any]:
+def design_matrix_to_dict(
+    matrix: "DesignMatrix", payload: Optional[Payload] = None
+) -> Dict[str, Any]:
     """Serialize a design matrix to a JSON-compatible dict."""
     return DESIGN_MATRIX_TABLE.emit(
         matrix,
+        payload,
         rows=len(matrix),
         labels=None if matrix.labels is None else list(matrix.labels),
     )
@@ -688,7 +862,9 @@ def design_matrix_from_dict(data: Any) -> "DesignMatrix":
     return _design_matrix(DESIGN_MATRIX_TABLE.read(data))
 
 
-def batch_result_to_dict(result: "BatchResult") -> Dict[str, Any]:
+def batch_result_to_dict(
+    result: "BatchResult", payload: Optional[Payload] = None
+) -> Dict[str, Any]:
     """Serialize a batch result (and its matrix) to a plain dict.
 
     ``bounds``/``statuses`` are code columns carrying the pinned
@@ -697,8 +873,9 @@ def batch_result_to_dict(result: "BatchResult") -> Dict[str, Any]:
     """
     return BATCH_RESULT_TABLE.emit(
         result,
+        payload,
         rows=len(result),
-        matrix=design_matrix_to_dict(result.matrix),
+        matrix=design_matrix_to_dict(result.matrix, payload),
         bounds=result.bound_codes,
         statuses=result.status_codes,
     )
@@ -714,7 +891,7 @@ def batch_result_from_dict(data: Any) -> "BatchResult":
 # ---------------------------------------------------------------------------
 SHARD_MANIFEST_TABLE = WireTable(
     "shard manifest", MANIFEST_VERSION, fields=(
-        ("kind", "manifest kind", REQUIRED, 'always `"study"`; `"matrix"` still reads until the next `MANIFEST_VERSION`'),
+        ("kind", "manifest kind", REQUIRED, 'always `"study"`'),
         ("digest", "str, non-empty", REQUIRED, "content digest of the source"),
         ("total_rows", "int >= 0", REQUIRED, "rows in the full design grid"),
         ("chunk_rows", "int >= 1", REQUIRED, "rows per shard"),
@@ -741,10 +918,11 @@ def shard_manifest_to_dict(manifest: "ShardManifest") -> Dict[str, Any]:
     """Serialize a shard manifest: ``manifest.json`` pins a checkpoint
     directory to one sharded run.
 
-    Each completed shard sits next to it as ``shard-<index>.jsonl``,
-    one :func:`shard_record_to_dict` object per (single-line) file.
-    Resume compares every manifest field; any mismatch rejects the
-    directory rather than mixing rows from different runs.
+    Each completed shard sits next to it as ``shard-<index>.jsonl``, a
+    framed file (:func:`encode_frame`) whose header line is one
+    :func:`shard_record_to_dict` document.  Resume compares every
+    manifest field; any mismatch rejects the directory rather than
+    mixing rows from different runs.
     """
     return SHARD_MANIFEST_TABLE.emit(manifest)
 
@@ -771,18 +949,23 @@ def shard_manifest_from_dict(data: Any) -> "ShardManifest":
     return ShardManifest(**values)
 
 
-def shard_record_to_dict(result: "ShardResult") -> Dict[str, Any]:
-    """Serialize one completed shard to its single-line JSONL record."""
+def shard_record_to_dict(
+    result: "ShardResult", payload: Optional[Payload] = None
+) -> Dict[str, Any]:
+    """Serialize one completed shard: the header of its framed record
+    when ``payload`` collects the columns, else a ``b64`` document."""
     return SHARD_RECORD_TABLE.emit(
-        result, batch=batch_result_to_dict(result.batch)
+        result, payload, batch=batch_result_to_dict(result.batch, payload)
     )
 
 
-def shard_record_from_dict(data: Any) -> "ShardResult":
+def shard_record_from_dict(
+    data: Any, payload: Optional[Payload] = None
+) -> "ShardResult":
     """Rebuild a shard record from :func:`shard_record_to_dict` output."""
     from ..batch.executor import ShardResult
 
-    values = SHARD_RECORD_TABLE.read(data)
+    values = SHARD_RECORD_TABLE.read(data, payload=payload)
     batch = values["batch"]
     span = values["stop"] - values["start"]
     if values["local_indices"] is not None:

@@ -120,7 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the full study result as JSON on stdout",
     )
     study.add_argument(
-        "--out", help="also write the result JSON to this path"
+        "--out", metavar="FILE",
+        help="also save the result to FILE as a framed file (a JSON "
+        "header line, then raw column bytes), which StudyResult.load reads",
     )
     study.add_argument(
         "--workers", type=int,
@@ -135,8 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     resume_group = study.add_mutually_exclusive_group()
     resume_group.add_argument(
         "--checkpoint", metavar="DIR",
-        help="write one JSONL record per completed shard to DIR "
-        "(re-running reuses completed shards)",
+        help="write one framed record (a JSON header line, then raw "
+        "column bytes) per completed shard to DIR (re-running reuses "
+        "completed shards)",
     )
     resume_group.add_argument(
         "--resume", metavar="DIR",
@@ -242,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--checkpoint-root", metavar="DIR",
-        help="write per-study shard checkpoints under DIR "
+        help="write per-study framed shard records under DIR "
         "(restarting the server reuses completed shards)",
     )
     serve.add_argument(

@@ -8,8 +8,11 @@ reshapes back onto the study's grid), the selection the spec's
 mass/TDP accounting columns.  Like the spec, it is plain data:
 ``to_dict``/``from_dict``/JSON round-trips are bitwise lossless, with
 every per-row array carried as base64 column bytes and bound and
-verdict codes carrying their stable names.  The document's fields are
-declared once, in :data:`repro.io.serialization.STUDY_RESULT_TABLE`.
+verdict codes carrying their stable names.  :meth:`StudyResult.save`
+writes the same document framed — one JSON header line whose columns
+name byte ranges, then the raw column bytes — and
+:meth:`StudyResult.load` reads only that form.  The document's fields
+are declared once, in :data:`repro.io.serialization.STUDY_RESULT_TABLE`.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from ..io.serialization import (
     STATUS_CODE_TO_NAME,
     STUDY_AXIS_TABLE,
     STUDY_RESULT_TABLE,
+    Payload,
     batch_result_to_dict,
     batch_results_equal,
     check_indices,
+    decode_frame,
+    encode_frame,
 )
 from ..batch.result import BatchResult
 from .planner import StudyAxis
@@ -185,22 +191,27 @@ class StudyResult:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, payload: Optional[Payload] = None) -> Dict[str, Any]:
         """The version-pinned result document
-        (:data:`~repro.io.serialization.STUDY_RESULT_TABLE`)."""
+        (:data:`~repro.io.serialization.STUDY_RESULT_TABLE`); with
+        ``payload``, the header of a framed file whose column bytes go
+        there."""
         return STUDY_RESULT_TABLE.emit(
             self,
+            payload,
             spec=self.spec.to_dict(),
             axes=[
                 STUDY_AXIS_TABLE.emit(axis, values=list(axis.values))
                 for axis in self.axes
             ],
-            batch=batch_result_to_dict(self.batch),
+            batch=batch_result_to_dict(self.batch, payload),
         )
 
     @classmethod
-    def from_dict(cls, data: Any) -> "StudyResult":
-        values = STUDY_RESULT_TABLE.read(data)
+    def from_dict(
+        cls, data: Any, payload: Optional[Payload] = None
+    ) -> "StudyResult":
+        values = STUDY_RESULT_TABLE.read(data, payload=payload)
         batch = values["batch"]
         check_indices(
             STUDY_RESULT_TABLE.title, "selected_indices",
@@ -219,8 +230,8 @@ class StudyResult:
             telemetry=data.get("telemetry"),
         )
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "StudyResult":
@@ -233,19 +244,25 @@ class StudyResult:
         return cls.from_dict(data)
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the result to ``path`` as indented JSON."""
-        Path(path).write_text(self.to_json(indent=2) + "\n")
+        """Write the result to ``path`` as a framed file: the
+        :meth:`to_dict` document as one compact JSON header line whose
+        column objects give a byte range instead of ``b64``, then the
+        raw little-endian column bytes
+        (:func:`~repro.io.serialization.encode_frame`)."""
+        with open(path, "wb") as stream:
+            stream.writelines(encode_frame(self.to_dict))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "StudyResult":
-        """Read a result previously written by :meth:`save`."""
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise STUDY_RESULT_TABLE.error(
-                "<root>", f"not UTF-8 text: {exc}"
-            ) from exc
-        return cls.from_json(text)
+        """Read a result previously written by :meth:`save`.
+
+        A damaged file — no header line, a header that is not UTF-8
+        JSON, byte ranges that do not cover the payload exactly once —
+        is a :class:`~repro.errors.ConfigurationError` naming the field.
+        """
+        return decode_frame(
+            STUDY_RESULT_TABLE.title, Path(path).read_bytes(), cls.from_dict
+        )
 
     def equals(self, other: "StudyResult") -> bool:
         """Deep value equality (bitwise on every column).

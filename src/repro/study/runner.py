@@ -14,9 +14,10 @@ study's spec through the sharded layer instead
 chunks — inline, or across worker processes that rebuild only their
 own rows — and merged back into a result that is bitwise identical to
 the single-pass path.  With ``checkpoint`` set,
-every completed shard persists as one JSONL record, and a re-run (or
-``resume=True``, the CLI's ``--resume``) picks up from the completed
-shards instead of starting over.
+every completed shard persists as one framed record (a JSON header
+line, then the raw column bytes), and a re-run (or ``resume=True``, the
+CLI's ``--resume``) picks up from the completed shards instead of
+starting over.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def run_study(
     module docstring) of the spec, which for a :class:`StudyPlan` is
     ``plan.spec``: the shards compile their own rows, bitwise equal to
     the plan's.  ``checkpoint`` names a directory that receives
-    one JSONL record per completed shard, and ``resume=True``
+    one framed record per completed shard, and ``resume=True``
     additionally *requires* that directory to hold a matching run's
     manifest (the ``--resume`` contract: resuming a checkpoint that
     does not exist is an error, not a silent fresh start).

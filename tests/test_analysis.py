@@ -27,7 +27,7 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 def run_fixture(name: str, **config) -> list:
     analyzer = Analyzer(AnalyzerConfig(**config)) if config else Analyzer()
-    return analyzer.check_file(FIXTURES / name)
+    return analyzer.check_paths([FIXTURES / name])
 
 
 class TestRegistry:
@@ -182,7 +182,7 @@ class TestEngine:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        findings = Analyzer().check_file(bad)
+        findings = Analyzer().check_paths([bad])
         assert len(findings) == 1
         assert findings[0].rule == "RPL000"
         assert "syntax error" in findings[0].message

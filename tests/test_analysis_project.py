@@ -196,10 +196,10 @@ class TestRPL007:
         assert findings == []
 
     def test_single_file_violation_and_escapes(self):
-        bad = Analyzer().check_file(FIXTURES / "rpl007_violations.py")
+        bad = Analyzer().check_paths([FIXTURES / "rpl007_violations.py"])
         assert rules_of(bad) == ["RPL007"]
         assert "RESULT_CACHE" in bad[0].message
-        clean = Analyzer().check_file(FIXTURES / "rpl007_clean.py")
+        clean = Analyzer().check_paths([FIXTURES / "rpl007_clean.py"])
         assert clean == []
 
     def test_lock_guarded_mutations_are_safe(self, tmp_path):
@@ -284,7 +284,7 @@ class TestRPL008:
         assert "'frame_ms'" in returned.message
 
     def test_single_file_variants(self):
-        findings = Analyzer().check_file(FIXTURES / "rpl008_violations.py")
+        findings = Analyzer().check_paths([FIXTURES / "rpl008_violations.py"])
         assert rules_of(findings) == ["RPL008"]
         messages = "\n".join(f.message for f in findings)
         assert "scale" in messages  # _s into _ms
@@ -346,7 +346,7 @@ class TestRPL009:
         assert finding.path.endswith("core.py")
 
     def test_single_file_fixture(self):
-        findings = Analyzer().check_file(FIXTURES / "rpl009_violations.py")
+        findings = Analyzer().check_paths([FIXTURES / "rpl009_violations.py"])
         assert rules_of(findings) == ["RPL009"]
         (finding,) = findings
         assert "_forgotten_helper" in finding.message
@@ -385,8 +385,6 @@ class TestEdgeInputs:
         findings = Analyzer().check_paths([path])
         assert rules_of(findings) == ["RPL000"]
         assert "not valid UTF-8" in findings[0].message
-        findings_via_file = Analyzer().check_file(path)
-        assert rules_of(findings_via_file) == ["RPL000"]
 
     def test_broken_file_does_not_poison_the_project_pass(self, tmp_path):
         write_tree(

@@ -608,6 +608,8 @@ class TestDistributedExecutor:
             counters = tracer.counters_snapshot()
             assert counters["distrib.wait_polls"] == 1
             assert counters["distrib.shards.loaded"] == 1
+            reads = [s.attributes for s in tracer.spans if s.name == "checkpoint.read"]
+            assert {"shards": 1, "bytes": (work / "shard-000000.jsonl").stat().st_size} in reads
 
     @pytest.mark.parametrize("n_joiners,chunk_rows", [(1, 3), (2, 2), (3, 5)])
     def test_fleet_is_bitwise_identical_to_serial(
@@ -817,9 +819,9 @@ class TestDistributedExecutor:
         real = executor_mod.shard_record_from_dict
         calls = []
 
-        def counting(data):
+        def counting(data, payload=None):
             calls.append(data["index"])
-            return real(data)
+            return real(data, payload)
 
         monkeypatch.setattr(executor_mod, "shard_record_from_dict", counting)
         resumed = _initiate(tmp_path, spec, chunk_rows=4)

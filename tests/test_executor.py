@@ -43,19 +43,23 @@ from repro.batch import (
     shard_ranges,
     top_k_sharded,
 )
-from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard
+from repro.batch.executor import DEFAULT_CHUNK_ROWS, ShardResult, _evaluate_shard
 from repro.batch.result import SORTABLE_COLUMNS
 from repro.compute.platforms import PLATFORMS
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.io.serialization import (
     MANIFEST_VERSION,
+    SHARD_RECORD_TABLE,
     batch_results_equal,
+    decode_frame,
+    encode_frame,
     design_matrices_equal,
     shard_manifest_from_dict,
     shard_record_from_dict,
     shard_record_to_dict,
 )
+from repro.obs import Tracer
 from repro.skyline.cli import main as cli_main
 from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import sweep_knob
@@ -789,11 +793,29 @@ class TestShardedPipeline:
 # ---------------------------------------------------------------------------
 # Checkpoints and resume
 # ---------------------------------------------------------------------------
-def _short_extras(record: dict) -> bytes:
+def _read_framed(data: bytes) -> ShardResult:
+    return decode_frame(SHARD_RECORD_TABLE.title, data, shard_record_from_dict)
+
+
+def _framed(shard: ShardResult) -> bytes:
+    return b"".join(
+        encode_frame(lambda payload: shard_record_to_dict(shard, payload))
+    )
+
+
+def _edit_header(data: bytes, edit) -> bytes:
+    """A framed record with ``edit`` applied to its header line."""
+    line, payload = data.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def _short_extras(data: bytes) -> bytes:
     """A record whose accounting column is one row short of its batch."""
-    shard = shard_record_from_dict(record)
+    shard = _read_framed(data)
     shard.extras["total_mass_g"] = shard.extras["total_mass_g"][:-1]
-    return json.dumps(shard_record_to_dict(shard)).encode()
+    return _framed(shard)
 
 
 class TestCheckpoints:
@@ -806,8 +828,8 @@ class TestCheckpoints:
         assert parsed.chunk_rows == 5
         shard_files = sorted(tmp_path.glob("shard-*.jsonl"))
         assert len(shard_files) == parsed.n_shards
-        record = json.loads(shard_files[0].read_text())
-        assert record["start"] == 0 and record["stop"] == 5
+        header = json.loads(shard_files[0].read_bytes().split(b"\n", 1)[0])
+        assert header["start"] == 0 and header["stop"] == 5
 
     def test_resume_reuses_completed_shards(self, tmp_path, monkeypatch):
         spec = _knob_spec()
@@ -852,11 +874,11 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda record: b"{ definitely not json\n",
-            lambda record: b"\xff\xfe not utf-8\n",
-            lambda record: json.dumps(
-                {**record, "batch": {**record["batch"], "tolerance": "loose"}}
-            ).encode(),
+            lambda data: b"{ definitely not json\n",
+            lambda data: b"\xff\xfe not utf-8\n",
+            lambda data: _edit_header(
+                data, lambda header: header["batch"].update(tolerance="loose")
+            ),
             _short_extras,
         ],
         ids=["text-garbage", "invalid-utf8", "str-tolerance", "short-extras"],
@@ -868,7 +890,7 @@ class TestCheckpoints:
         first = run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)
         shard = sorted(tmp_path.glob("shard-*.jsonl"))[2]
         original = shard.read_bytes()
-        shard.write_bytes(damage(json.loads(original)))
+        shard.write_bytes(damage(original))
         resumed = run_study(
             spec, cache=None, chunk_rows=5, checkpoint=tmp_path, resume=True
         )
@@ -882,12 +904,46 @@ class TestCheckpoints:
         spec = _knob_spec()
         first = run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)
         shards = sorted(tmp_path.glob("shard-*.jsonl"))
-        record = json.loads(shards[2].read_text())
-        shards[2].write_text(json.dumps({**record, "index": 1}) + "\n")
+        shards[2].write_bytes(
+            _edit_header(shards[2].read_bytes(), lambda header: header.update(index=1))
+        )
         resumed = run_study(
             spec, cache=None, chunk_rows=5, checkpoint=tmp_path, resume=True
         )
         assert first.equals(resumed)
+
+    def test_traced_resume_records_one_checkpoint_read_span(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _knob_spec()
+        first = run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)
+        size = sum(path.stat().st_size for path in tmp_path.glob("shard-*.jsonl"))
+        tracer = Tracer()
+        resumed = run_study(
+            spec, cache=None, checkpoint=tmp_path, resume=True, tracer=tracer
+        )
+        assert resumed.equals(first)
+        reads = [span for span in tracer.spans if span.name == "checkpoint.read"]
+        assert [span.attributes for span in reads] == [{"shards": 4, "bytes": size}]
+        recorded = []
+        monkeypatch.setattr(
+            Tracer, "record_clock", lambda *args, **kwargs: recorded.append(args)
+        )
+        run_study(spec, cache=None, checkpoint=tmp_path, resume=True)
+        assert recorded == []  # an untraced resume records nothing
+
+    def test_traced_load_shard_records_the_record_it_reads(self, tmp_path):
+        run_study(_knob_spec(), cache=None, chunk_rows=5, checkpoint=tmp_path)
+        tracer = Tracer()
+        store = CheckpointStore.open(
+            tmp_path, CheckpointStore.peek_manifest(tmp_path), tracer=tracer
+        )
+        assert store.load_shard(1) is not None
+        store.shard_path(2).unlink()
+        assert store.load_shard(2) is None  # nothing on disk: nothing read
+        (span,) = [span for span in tracer.spans if span.name == "checkpoint.read"]
+        size = store.shard_path(1).stat().st_size
+        assert span.attributes == {"shards": 1, "bytes": size}
 
     def test_corrupt_manifest_is_a_clean_error(self, tmp_path):
         spec = _knob_spec()

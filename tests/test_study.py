@@ -20,6 +20,7 @@ from repro.batch.matrix import LabelColumn
 from repro.compute.platforms import PLATFORMS, get_platform
 from repro.dse import DesignSpace, explore
 from repro.errors import ConfigurationError, InfeasibleDesignError, ReproError
+from repro.io.serialization import encode_frame
 from repro.skyline.cli import main as cli_main
 from repro.skyline.knobs import Knobs
 from repro.skyline.sweep import sweep_grid, sweep_knob
@@ -1072,11 +1073,15 @@ class TestFiltersAndRank:
         assert rebuilt.equals(study)
 
 
-def _edited(study: StudyResult, edit) -> bytes:
-    """``study``'s JSON document after ``edit`` mutates it in place."""
-    data = study.to_dict()
-    edit(data)
-    return json.dumps(data).encode()
+def _edited(study: StudyResult, edit=lambda data: None) -> bytes:
+    """``study``'s saved file after ``edit`` mutates its header in place."""
+
+    def header(payload):
+        data = study.to_dict(payload)
+        edit(data)
+        return data
+
+    return b"".join(encode_frame(header))
 
 
 class TestResultRoundTrip:
@@ -1131,10 +1136,10 @@ class TestResultRoundTrip:
              r"'axes\[0\]\.name'"),
             (lambda study: _edited(study, lambda d: d.update(axes=5)),
              "'axes'"),
-            (lambda study: b"\xff" + study.to_json().encode(), "'<root>'"),
-            (lambda study: replace(
-                study, selected_indices=[1_000_000]
-            ).to_json().encode(), "'selected_indices'"),
+            (lambda study: b"\xff" + _edited(study), "'<root>'"),
+            (lambda study: _edited(
+                replace(study, selected_indices=[1_000_000])
+            ), "'selected_indices'"),
             (lambda study: _edited(study, lambda d: d.update(version=1)),
              "'version'"),
         ],

@@ -6,7 +6,8 @@ both times under the version it was written at:
 
 * ``tests/data/wire_golden/<document>-v<N>.<ext>`` is one sample of each
   top-level document, written from the fixed inputs below (no live
-  timings) at version ``N`` of its table.  The live reader must accept
+  timings) at version ``N`` of its table; shard records and the saved
+  result are framed files (a JSON header line, then raw column bytes).  The live reader must accept
   the file for the live version, and the live emitter must rebuild it
   byte for byte.  Files of older versions stay as history, unread.
 * ``tests/data/wire_golden/tables.json`` maps ``"<table>-v<N>"`` to the
@@ -371,34 +372,40 @@ SPEC_DIGESTS = {
 }
 
 
-def _line(document) -> str:
-    return json.dumps(document) + "\n"
+def _line(document) -> bytes:
+    return (json.dumps(document) + "\n").encode("utf-8")
 
 
-def golden_documents(scratch: Path) -> Dict[str, str]:
-    """Document name -> the text the live emitters write for it.
+def _framed_record(record) -> bytes:
+    """A shard record as :meth:`CheckpointStore.write` frames it."""
+    chunks = ser.encode_frame(lambda payload: ser.shard_record_to_dict(record, payload))
+    return b"".join(chunks)
 
-    Each text is produced the way the owning layer writes it: one
-    ``json.dumps`` line for manifests, records, leases and envelopes,
-    :meth:`StudyResult.save` for the result, :meth:`StudySpec.save`
-    for the specs (both through ``scratch``) and one
-    :meth:`StudyResult.to_json` line for each golden spec's run.
+
+def golden_documents(scratch: Path) -> Dict[str, bytes]:
+    """Document name -> the bytes the live emitters write for it.
+
+    Each file is produced the way the owning layer writes it: one
+    ``json.dumps`` line for manifests, leases and envelopes, a framed
+    record for shard records, :meth:`StudyResult.save` for the result,
+    :meth:`StudySpec.save` for the specs (both through ``scratch``) and
+    one :meth:`StudyResult.to_json` line for each golden spec's run.
     """
     full, top_k = _records()
     documents = {
         "manifest.json": _line(ser.shard_manifest_to_dict(_manifest())),
-        "shard-full.jsonl": _line(ser.shard_record_to_dict(full)),
-        "shard-topk.jsonl": _line(ser.shard_record_to_dict(top_k)),
+        "shard-full.jsonl": _framed_record(full),
+        "shard-topk.jsonl": _framed_record(top_k),
         "lease.json": _line(ser.lease_record_to_dict(_lease())),
     }
     for name, envelope in _envelopes().items():
         documents[name] = _line(envelope.to_dict())
     result_path = scratch / "result.json"
     _study().save(result_path)
-    documents["result.json"] = result_path.read_text(encoding="utf-8")
+    documents["result.json"] = result_path.read_bytes()
     for name, spec in _specs().items():
         spec.save(scratch / name)
-        documents[name] = (scratch / name).read_text(encoding="utf-8")
+        documents[name] = (scratch / name).read_bytes()
         documents["run-" + name[len("spec-"):]] = _line(run_study(spec).to_dict())
     return documents
 
@@ -408,7 +415,7 @@ def _read_back(name: str, path: Path) -> None:
     from repro.io.serialization import batch_results_equal
     from repro.study import StudyResult, StudySpec
 
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes()
     if name == "manifest.json":
         assert ser.shard_manifest_from_dict(json.loads(text)) == _manifest()
     elif name == "lease.json":
@@ -416,7 +423,9 @@ def _read_back(name: str, path: Path) -> None:
     elif name.startswith("shard-"):
         full, top_k = _records()
         want = full if name == "shard-full.jsonl" else top_k
-        rebuilt = ser.shard_record_from_dict(json.loads(text))
+        rebuilt = ser.decode_frame(
+            ser.SHARD_RECORD_TABLE.title, text, ser.shard_record_from_dict
+        )
         assert (rebuilt.index, rebuilt.start, rebuilt.stop) == (
             want.index, want.start, want.stop,
         )
@@ -434,7 +443,7 @@ def _read_back(name: str, path: Path) -> None:
         assert StudySpec.load(path) == _specs()[name]
     elif name.startswith("run-"):
         spec = _specs()["spec-" + name[len("run-"):]]
-        assert StudyResult.load(path).equals(run_study(spec))
+        assert StudyResult.from_json(text.decode("utf-8")).equals(run_study(spec))
     else:
         doc = json.loads(text)
         assert ser.serve_envelope_from_dict(doc) == _envelopes()[name].to_dict()
@@ -452,13 +461,13 @@ def generate(golden_dir: Path) -> List[str]:
     golden_dir.mkdir(parents=True, exist_ok=True)
     refused = []
     with tempfile.TemporaryDirectory() as tmp_dir:
-        texts = golden_documents(Path(tmp_dir))
-    for document, text in texts.items():
+        files = golden_documents(Path(tmp_dir))
+    for document, data in files.items():
         path = golden_path(document, golden_dir)
         if not path.exists():
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(data)
             print(f"wrote {path.name}")
-        elif path.read_bytes() != text.encode("utf-8"):
+        elif path.read_bytes() != data:
             refused.append(f"{path.name}: {_bump_hint(DOCUMENTS[document])}")
     digests_path = golden_dir / DIGESTS_NAME
     committed = (
@@ -520,7 +529,7 @@ def test_live_reader_accepts_golden_document(name):
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_live_emitter_rebuilds_golden_bytes(name, live_documents):
     committed = golden_path(name).read_bytes()
-    assert live_documents[name].encode("utf-8") == committed, (
+    assert live_documents[name] == committed, (
         f"{golden_path(name).name} changed on the wire; "
         f"{_bump_hint(DOCUMENTS[name])}"
     )
@@ -623,9 +632,9 @@ def test_generator_adds_missing_files_and_refuses_changed_ones(tmp_path):
     assert after["telemetry-v1"] == _committed_digests()["telemetry-v1"]
     assert after[lease_key] == "0" * 64
     assert [line.split(":")[0] for line in refused] == [
-        "manifest-v2.json", f"{DIGESTS_NAME} key {lease_key}",
+        changed.name, f"{DIGESTS_NAME} key {lease_key}",
     ]
-    assert "bump MANIFEST_VERSION (now 2)" in refused[0]
+    assert f"bump MANIFEST_VERSION (now {ser.MANIFEST_VERSION})" in refused[0]
     assert (
         f"bump DISTRIB_PROTOCOL_VERSION (now {ser.DISTRIB_PROTOCOL_VERSION})"
         in refused[1]

@@ -3,9 +3,10 @@
 Every wire document is one ``WireTable`` in ``repro/io/serialization.py``;
 its bytes and its table digest are pinned in ``tests/test_wire_golden.py``.
 This suite checks what the readers refuse: a damage matrix per lease and
-shard record, one generated from every field of every table, bitwise
-round trips of every float64 bit pattern, and the docs rows of each
-table.
+shard record, one per framed file (saved results and checkpoint
+records), one generated from every field of every table, bitwise round
+trips of every float64 bit pattern through JSON and framed files, and
+the docs rows of each table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import base64
 import functools
 import importlib.util
 import json
+import shutil
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import DesignMatrix, evaluate_matrix
-from repro.batch.executor import ShardResult
+from repro.batch.executor import CheckpointStore, ShardManifest, ShardResult
 from repro.errors import ConfigurationError, SimulationError
 from repro.io import serialization as ser
-from repro.study import DesignSpec, StudyResult, StudySpec, run_study
-from test_wire_golden import DOCUMENTS, golden_path, live_tables
+from repro.study import DesignSpec, ScenarioSpec, StudyResult, StudySpec, run_study
+from repro.uav.registry import get_preset
+from test_wire_golden import GOLDEN_DIR, DOCUMENTS, golden_path, live_tables
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -90,7 +94,9 @@ def test_damaged_telemetry_events_are_named(tmp_path, events):
     with pytest.raises(ConfigurationError, match="telemetry field 'events'"):
         ser.telemetry_from_dict(telemetry)
     path = tmp_path / "result.json"
-    path.write_text(json.dumps(dict(_base().to_dict(), telemetry=telemetry)))
+    path.write_bytes(b"".join(ser.encode_frame(
+        lambda payload: dict(_base().to_dict(payload), telemetry=telemetry)
+    )))
     with pytest.raises(ConfigurationError, match="'events'"):
         StudyResult.load(path)
 
@@ -121,8 +127,9 @@ def test_versioned_documents_carry_their_version():
     # trace events ride inside a versioned telemetry document instead.
     seen = set()
     for document, table in DOCUMENTS.items():
-        text = golden_path(document).read_text(encoding="utf-8")
-        first, _end = json.JSONDecoder().raw_decode(text)  # a .jsonl's first line
+        # The first JSON value: a framed file's header line, or a document.
+        text = golden_path(document).read_bytes().decode("utf-8", "replace")
+        first, _end = json.JSONDecoder().raw_decode(text)
         for carried, version, kind in _carried_versions(table, first):
             assert version == carried.version, document
             assert carried.kind in (None, kind), document
@@ -305,20 +312,55 @@ def _codes(draw, rows, n_names):
     return np.asarray(codes, dtype=np.int8)
 
 
+@functools.lru_cache(maxsize=None)
+def _kind_bases():
+    """One small study per design kind: the knob study above, presets
+    with scenarios and a labelled fleet."""
+    presets = StudySpec(
+        design=DesignSpec.presets(
+            ("dji-spark", "asctec-pelican"), ("intel-ncs", "jetson-tx2"), ("dronet",)
+        ),
+        scenarios=ScenarioSpec(compute_redundancy=(1, 2)),
+    )
+    fleet = StudySpec(
+        design=DesignSpec.fleet(
+            (get_preset("dji-spark"), get_preset("asctec-pelican")),
+            (30.0, 178.0),
+            labels=("spark", "pelican"),
+        ),
+        scenarios=ScenarioSpec(extra_payload_g=(0.0, 10.0)),
+    )
+    return (_base(), run_study(presets), run_study(fleet))
+
+
 @st.composite
-def _batches(draw):
-    """A batch of 0-6 real design rows whose result columns hold
+def _results(draw):
+    """A result over 0-6 real design rows of a knob, preset or labelled
+    fleet study, whose result, accounting and selection columns hold
     arbitrary bit patterns."""
-    base = _base()
+    base = draw(st.sampled_from(_kind_bases()))
     rows = draw(st.lists(st.integers(0, len(base) - 1), max_size=6))
-    batch = base.batch.take(rows)
     n = len(rows)
-    return replace(
-        batch,
+    batch = replace(
+        base.batch.take(rows),
         **{name: _floats(draw, n) for name in ser._RESULT_COLUMNS},
         bound_codes=_codes(draw, n, len(ser.BOUND_CODE_TO_NAME)),
         status_codes=_codes(draw, n, len(ser.STATUS_CODE_TO_NAME)),
     )
+    return StudyResult(
+        spec=base.spec,
+        axes=base.axes,
+        batch=batch,
+        selected_indices=draw(
+            st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([])
+        ),
+        total_mass_g=_floats(draw, n),
+        compute_tdp_w=_floats(draw, n),
+    )
+
+
+def _batches():
+    return _results().map(lambda result: result.batch)
 
 
 def _assert_bitwise(a, b):
@@ -329,6 +371,7 @@ def _assert_bitwise(a, b):
 def _assert_batches_bitwise(a, b):
     for left, right in zip(a.matrix.columns(), b.matrix.columns()):
         _assert_bitwise(left, right)
+    assert list(a.matrix.labels or ()) == list(b.matrix.labels or ())
     for name in ser._RESULT_COLUMNS:
         _assert_bitwise(getattr(a, name), getattr(b, name))
     _assert_bitwise(a.bound_codes, b.bound_codes)
@@ -383,13 +426,185 @@ def test_shard_record_round_trips_every_bit_pattern(batch, top_k, data):
 
 
 # ---------------------------------------------------------------------------
+# Framed files: saved results and checkpoint records
+# ---------------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(result=_results())
+def test_saved_result_round_trips_every_bit_pattern(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "result.json"
+        result.save(path)
+        loaded = StudyResult.load(path)
+    assert loaded.spec == result.spec and loaded.axes == result.axes
+    _assert_batches_bitwise(result.batch, loaded.batch)
+    for name in ("selected_indices", "total_mass_g", "compute_tdp_w"):
+        _assert_bitwise(getattr(result, name), getattr(loaded, name))
+    assert loaded.to_json() == result.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_batches(), top_k=st.booleans(), data=st.data())
+def test_checkpoint_record_round_trips_every_bit_pattern(batch, top_k, data):
+    # A full shard of n rows, or a top-k shard keeping n of 2n rows,
+    # through CheckpointStore.write and load_shard.
+    n = len(batch)
+    span = 2 * n if top_k else n
+    record = ShardResult(
+        index=0,
+        start=0,
+        stop=span,
+        batch=batch,
+        local_indices=np.arange(0, span, 2) if top_k else None,
+        extras={name: _floats(data.draw, n) for name in ("total_mass_g", "compute_tdp_w")},
+    )
+    manifest = ShardManifest(
+        kind="study", digest="d" * 32, total_rows=span, chunk_rows=max(span, 1),
+        n_shards=1, knee_fraction=None, tolerance=0.05,
+        reduce={"k": max(n, 1), "by": "safe_velocity", "descending": True} if top_k else None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore.open(tmp, manifest)
+        store.write(record)
+        rebuilt = store.load_shard(0)
+    assert rebuilt is not None, store.skipped
+    assert (rebuilt.index, rebuilt.start, rebuilt.stop) == (0, 0, span)
+    _assert_batches_bitwise(record.batch, rebuilt.batch)
+    assert sorted(rebuilt.extras) == sorted(record.extras)
+    for name, column in record.extras.items():
+        _assert_bitwise(column, rebuilt.extras[name])
+    if top_k:
+        _assert_bitwise(record.local_indices, rebuilt.local_indices)
+    else:
+        assert rebuilt.local_indices is None
+
+
+def _reframed(edit):
+    """A damage that applies ``edit(header, payload)`` to a framed file;
+    ``edit`` changes the header in place and returns the payload."""
+
+    def damage(data):
+        line, payload = data.split(b"\n", 1)
+        header = json.loads(line)
+        payload = edit(header, payload)
+        return json.dumps(header).encode() + b"\n" + payload
+
+    return damage
+
+
+def _column(edit):
+    """A damage to the ``batch.safe_velocity`` column object, which a
+    saved result and a checkpoint record both hold."""
+
+    def edit_header(header, payload):
+        edit(header["batch"]["safe_velocity"], payload)
+        return payload
+
+    return _reframed(edit_header)
+
+
+def _as_b64(column, payload):
+    start, stop = column.pop("range")
+    column["b64"] = base64.b64encode(payload[start:stop]).decode()
+
+
+def _shifted(by):
+    def edit(column, payload):
+        start, stop = column["range"]
+        column["range"] = [start + by, stop + by]
+
+    return edit
+
+
+#: Each damage to a framed file, and the field a reader names for it in
+#: a saved result and in a checkpoint record.
+FRAME_DAMAGE = [
+    pytest.param(lambda data: data.split(b"\n", 1)[0], "<root>", "<root>",
+                 id="no-header-newline"),
+    pytest.param(lambda data: b"\xff" + data, "<root>", "<root>",
+                 id="header-not-utf8-json"),
+    pytest.param(_column(_as_b64), "safe_velocity", "safe_velocity",
+                 id="b64-column"),
+    pytest.param(
+        _column(lambda column, payload: column.update(range=[column["range"][0], len(payload) + 8])),
+        "safe_velocity", "safe_velocity", id="range-past-the-end",
+    ),
+    pytest.param(_column(_shifted(8)), "safe_velocity", "safe_velocity", id="gap"),
+    pytest.param(_column(_shifted(-8)), "safe_velocity", "safe_velocity", id="overlap"),
+    pytest.param(lambda data: data + b"\0", "compute_tdp_w",
+                 "shard.extras.compute_tdp_w", id="trailing-byte"),
+    pytest.param(lambda data: data[:-1], "compute_tdp_w",
+                 "shard.extras.compute_tdp_w", id="truncated-payload"),
+    pytest.param(
+        _column(lambda column, payload: column.update(range=[float(column["range"][0]), column["range"][1]])),
+        "safe_velocity", "safe_velocity", id="non-integer-range",
+    ),
+    pytest.param(_column(lambda column, payload: column.update(dtype="<f4")),
+                 "safe_velocity", "safe_velocity", id="wrong-dtype-tag"),
+]
+
+
+@pytest.mark.parametrize("damage, field, _record_field", FRAME_DAMAGE)
+def test_damaged_saved_result_is_refused_naming_the_field(
+    tmp_path, damage, field, _record_field
+):
+    path = tmp_path / "result.json"
+    _base().save(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigurationError, match=f"field '{field}'"):
+        StudyResult.load(path)
+
+
+@pytest.mark.parametrize("damage, _result_field, field", FRAME_DAMAGE)
+def test_damaged_checkpoint_record_is_recomputed(
+    tmp_path, damage, _result_field, field
+):
+    first = run_study(_base().spec, chunk_rows=1, checkpoint=tmp_path)
+    record = tmp_path / "shard-000001.jsonl"
+    original = record.read_bytes()
+    record.write_bytes(damage(original))
+    store = CheckpointStore.open(tmp_path, CheckpointStore.peek_manifest(tmp_path))
+    assert store.load_shard(1) is None
+    assert f"field '{field}'" in store.skipped[0]
+    resumed = run_study(_base().spec, checkpoint=tmp_path, resume=True)
+    assert resumed.equals(first)
+    assert record.read_bytes() == original  # recomputed and rewritten
+
+
+def test_version_2_saved_result_is_refused_by_version():
+    # Version 2 saved the whole document as indented JSON.
+    with pytest.raises(
+        ConfigurationError, match="field 'version': unsupported version 2"
+    ):
+        StudyResult.load(GOLDEN_DIR / "result-v2.json")
+
+
+def test_version_2_checkpoint_dir_is_refused_by_version(tmp_path):
+    shutil.copy(GOLDEN_DIR / "manifest-v2.json", tmp_path / "manifest.json")
+    shutil.copy(GOLDEN_DIR / "shard-full-v2.jsonl", tmp_path / "shard-000001.jsonl")
+    with pytest.raises(
+        ConfigurationError, match="field 'version': unsupported version 2"
+    ):
+        run_study(_base().spec, checkpoint=tmp_path, resume=True)
+
+
+# ---------------------------------------------------------------------------
 # Table-driven checks: every field of every table
 # ---------------------------------------------------------------------------
 DOCS_DIR = REPO_ROOT / "docs"
 
 
 def _golden(name):
-    return json.loads(golden_path(name).read_text(encoding="utf-8"))
+    """A golden document as JSON; a framed file is read back and given
+    in the form with ``b64`` columns."""
+    path = golden_path(name)
+    if name == "result.json":
+        return StudyResult.load(path).to_dict()
+    if name.startswith("shard-"):
+        record = ser.decode_frame(
+            ser.SHARD_RECORD_TABLE.title, path.read_bytes(), ser.shard_record_from_dict
+        )
+        return ser.shard_record_to_dict(record)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 #: Where each spec table's sample sits: its golden spec, and the path of
