@@ -11,8 +11,10 @@ This module columnizes the assembly chain, once for every design kind:
   broadcastable shape, :func:`require_feasible` refuses a row no
   thrust can move, and :meth:`FleetAssembly.adopt` builds the
   :class:`~repro.batch.matrix.DesignMatrix` plus the mass and TDP
-  columns from row columns.  :func:`assemble_columns` is the three in
-  a row, for columns that already have one entry per row.
+  columns from row columns (:meth:`FleetAssembly.adopt_blocks` from
+  the accounted factors of a knob grid's blocks).
+  :func:`assemble_columns` is the three in a row, for columns that
+  already have one entry per row.
 * Two functions gather those columns.  :func:`configuration_columns`
   reads them off :class:`~repro.uav.configuration.UAVConfiguration`
   fleets (heterogeneous components, payload overrides, redundancy);
@@ -20,7 +22,8 @@ This module columnizes the assembly chain, once for every design kind:
   onto the UAV that ``Knobs.build_uav`` assembles.  Callers may edit
   the columns in between: the study planner crosses (P, 1)
   configuration columns with (1, M) scenario columns that way, and
-  expands only the accounted columns to rows.
+  expands only the accounted columns to rows; it runs a knob grid's
+  blocks on their axis values, each shaped along its own dimension.
 * :func:`assemble_configurations` and :class:`KnobMatrix` (a
   structure-of-arrays set of Table II knobs) are the two public
   entry points over the chain.
@@ -60,8 +63,10 @@ from ..errors import ConfigurationError, InfeasibleDesignError
 from ..uav import budget
 from ..units import require_finite_reciprocal, require_rotor_count
 from .matrix import (
+    ColumnBlock,
     DesignMatrix,
     SealedColumns,
+    block_rows,
     broadcast_rows,
     checked_labels,
     sealed_column,
@@ -305,6 +310,40 @@ class FleetAssembly:
             total_mass_g=_per_row(rows["total_mass_g"], count),
             compute_tdp_w=_per_row(rows["compute_tdp_w"], count),
         )
+
+    @classmethod
+    def adopt_blocks(
+        cls,
+        blocks: Sequence[ColumnBlock],
+        labels: Optional[Sequence[str]] = None,
+    ) -> "FleetAssembly":
+        """Build the design matrix over accounted blocks.
+
+        Each block's ``columns`` map the :data:`ROW_COLUMNS` and
+        ``f_compute_hz`` to factors of any shape that broadcasts to
+        the block's (:func:`account_columns` output over a block's axis
+        values).  The matrix keeps the five F-1 factors and writes its
+        columns once from them; the :data:`EXTRA_COLUMNS` are written
+        once each.  Pass factors nothing else writes to: they are
+        frozen, and a lone block's full-shape factor is adopted.
+        """
+        matrix = DesignMatrix._adopt(
+            _blocks=tuple(blocks),
+            labels=labels,
+            knee_fraction=DEFAULT_KNEE_FRACTION,
+        )
+        extras = {
+            name: block_rows(
+                blocks,
+                [
+                    np.asarray(block.columns[name], dtype=np.float64)
+                    for block in blocks
+                ],
+                len(matrix),
+            )
+            for name in EXTRA_COLUMNS
+        }
+        return cls(matrix=matrix, **extras)
 
 
 def configuration_columns(

@@ -1,9 +1,16 @@
 """One-pass batch evaluation of a design matrix.
 
 :func:`evaluate_matrix` runs every vectorized F-1 kernel over the
-columns of a :class:`~repro.batch.matrix.DesignMatrix` and assembles a
-:class:`~repro.batch.result.BatchResult` that adopts the kernel
-outputs without a copy.  Nothing is memoized unless the caller passes
+:attr:`~repro.batch.matrix.DesignMatrix.blocks` of a design matrix and
+assembles a :class:`~repro.batch.result.BatchResult`.  A knob study's
+matrix holds the factors its block compile built, so each kernel runs
+at the shape its inputs broadcast to: Eq. 3's action throughput over
+the stage rates' axes, the roof and the knee over range and
+``a_max``, and only the safe velocity, the knee test and the
+optimality verdict over every row.  Each output is written once into
+its rows; an output that already has every row, as every output of a
+matrix of plain 1-D columns does, is adopted without a copy.  Nothing
+is memoized unless the caller passes
 a content-addressed :class:`~repro.batch.cache.BatchCache` as
 ``cache=``: keying one hashes every matrix column, which costs about
 as much as the kernels it would save.
@@ -18,13 +25,15 @@ grid.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+
+import numpy as np
 
 from ..core.knee import DEFAULT_KNEE_FRACTION
 from ..units import require_fraction, require_nonnegative
 from . import kernels
 from .cache import BatchCache, CacheStats
-from .matrix import DesignMatrix
+from .matrix import DesignMatrix, block_rows
 from .result import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,29 +109,25 @@ def evaluate_matrix(
                 )
             return cached
 
-    d = matrix.sensing_range_m
-    a = matrix.a_max
-    f_action = kernels.action_throughput(
-        matrix.f_sensor_hz, matrix.f_compute_hz, matrix.f_control_hz
-    )
-    knee_hz = kernels.knee_throughput(d, a, knee_fraction)
+    blocks = matrix.blocks
+    rows = len(matrix)
+    columns: Dict[str, np.ndarray] = {}
+    for block in blocks:
+        # Each block's outputs go into their rows before the next block
+        # runs; a lone block's full-shape output is the column itself.
+        outputs = _evaluate_block(block.columns, knee_fraction, tolerance)
+        for name, value in outputs.items():
+            if len(blocks) == 1:
+                columns[name] = block_rows(blocks, (value,), rows)
+                continue
+            if name not in columns:
+                columns[name] = np.empty(rows, dtype=np.result_type(value))
+            block.rows(columns[name])[...] = value
     result = BatchResult._adopt(
         matrix=matrix,
-        roof_velocity=kernels.roof_velocity(d, a),
-        knee_hz=knee_hz,
-        knee_velocity=kernels.knee_velocity(d, a, knee_fraction),
-        action_throughput_hz=f_action,
-        safe_velocity=kernels.safe_velocity_at_rate(f_action, d, a),
-        bound_codes=kernels.classify_bounds(
-            matrix.f_sensor_hz,
-            matrix.f_compute_hz,
-            matrix.f_control_hz,
-            f_action,
-            knee_hz,
-        ),
-        status_codes=kernels.optimality_status(f_action, knee_hz, tolerance),
         knee_fraction=knee_fraction,
         tolerance=tolerance,
+        **columns,
     )
     if tracer is not None:
         tracer.counter("rows.evaluated").add(len(matrix))
@@ -133,6 +138,37 @@ def evaluate_matrix(
             tracer, started, cache, cache_before, matrix, cache_hit=False
         )
     return result
+
+
+def _evaluate_block(
+    columns: Mapping[str, np.ndarray], knee_fraction: float, tolerance: float
+) -> Dict[str, Any]:
+    """Every kernel over one block's factors, each at the shape its
+    inputs broadcast to.
+
+    Eq. 3's action throughput takes the stage rates' shape, the roof
+    and the knee that of range and ``a_max``; only the safe velocity,
+    the knee test of the bound code and the optimality verdict take
+    every cell of the block.
+    """
+    d = columns["sensing_range_m"]
+    a = columns["a_max"]
+    f_sensor = columns["f_sensor_hz"]
+    f_compute = columns["f_compute_hz"]
+    f_control = columns["f_control_hz"]
+    f_action = kernels.action_throughput(f_sensor, f_compute, f_control)
+    knee_hz = kernels.knee_throughput(d, a, knee_fraction)
+    return {
+        "roof_velocity": kernels.roof_velocity(d, a),
+        "knee_hz": knee_hz,
+        "knee_velocity": kernels.knee_velocity(d, a, knee_fraction),
+        "action_throughput_hz": f_action,
+        "safe_velocity": kernels.safe_velocity_at_rate(f_action, d, a),
+        "bound_codes": kernels.classify_bounds(
+            f_sensor, f_compute, f_control, f_action, knee_hz
+        ),
+        "status_codes": kernels.optimality_status(f_action, knee_hz, tolerance),
+    }
 
 
 def _record_evaluation(

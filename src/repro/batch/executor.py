@@ -28,8 +28,9 @@ A :class:`Shard` is only a row range ``[start, stop)`` of the spec,
 streamed lazily by :func:`iter_chunks`.  Shards are never materialized
 in the parent: each worker rebuilds only its rows with
 :func:`~repro.study.planner.compile_chunk`, the planner's one
-row-range path.  A knob shard is a
-:func:`~repro.batch.grid.cartesian_slice`, and a preset or fleet shard
+row-range path.  A knob shard is at most ``2·ndim − 1`` axis-aligned
+blocks of the grid (:func:`~repro.batch.grid.cartesian_blocks`),
+compiled and evaluated over their axes, and a preset or fleet shard
 gathers only the designs its rows touch, so for every design kind a
 shard holds at most ``chunk_rows + 2·M`` rows (M scenario rows per
 design, 1 without scenarios): a 10M-point grid needs

@@ -11,13 +11,14 @@ of values and expands their Cartesian product into a single
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple, Union
+import math
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError
-from .matrix import DesignMatrix
+from .matrix import ColumnBlock, DesignMatrix
 
 AxisLike = Union[float, Sequence[float], np.ndarray]
 
@@ -50,7 +51,8 @@ def cartesian_product(axes: Mapping[str, AxisLike]) -> Dict[str, np.ndarray]:
     insertion order (the *last* axis varies fastest).  This is the one
     expansion shared by :func:`scenario_grid` (F-1 parameter axes) and
     :func:`repro.skyline.sweep.sweep_grid` (Table II knob axes): the
-    :func:`cartesian_slice` of every row.
+    :func:`cartesian_slice` of every row.  A knob study's planner never
+    expands its axes to rows: it compiles :func:`cartesian_blocks`.
     """
     return cartesian_slice(axes, 0, cartesian_row_count(axes))
 
@@ -107,6 +109,104 @@ def cartesian_slice(
         columns[name] = column
         run *= array.size
     return {name: columns[name] for name in arrays}
+
+
+def _block_ranges(
+    sizes: Sequence[int], start: int, stop: int
+) -> List[Tuple[int, int, int]]:
+    """``(axis, first, last)`` of each axis-aligned block of rows
+    ``[start, stop)`` of a row-major grid of ``sizes``, in row order.
+
+    Up from the fastest axis, each block finishes the run of an axis up
+    to the next boundary of the axis above it; then, down from the
+    slowest axis the range reaches, each block takes the whole runs
+    that fit before ``stop``.  That is at most one block per axis each
+    way and one on the slowest: ``2·ndim − 1`` blocks.
+    """
+    strides = [1] * len(sizes)
+    for axis in range(len(sizes) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * sizes[axis + 1]
+    ranges = []
+    position, axis = start, len(sizes) - 1
+    while axis > 0:
+        outer = strides[axis - 1]
+        if position % outer:
+            end = min(
+                (position // outer + 1) * outer,
+                stop // strides[axis] * strides[axis],
+            )
+            if end > position:
+                ranges.append((axis, position, end))
+                position = end
+            if position % outer:
+                break  # stop falls inside this run: go down from here
+        axis -= 1
+    while position < stop:
+        end = stop // strides[axis] * strides[axis]
+        if end > position:
+            ranges.append((axis, position, end))
+            position = end
+        axis += 1
+    return ranges
+
+
+def cartesian_blocks(
+    axes: Mapping[str, AxisLike], start: int, stop: int
+) -> List[ColumnBlock]:
+    """Rows ``[start, stop)`` of the row-major Cartesian product as at
+    most ``2·ndim − 1`` axis-aligned :class:`ColumnBlock` s, in row order.
+
+    Block rows count from ``start``.  A block on axis ``j`` fixes each
+    slower axis at one value, takes a run of axis ``j``'s values and
+    every value of each faster axis, so its shape is
+    ``(1, …, run, n_{j+1}, …, n_last)``.  Its ``columns`` map each axis
+    name to that axis's values shaped ``(1, …, n, …, 1)`` along the
+    axis's own dimension: reshaped views of one fresh copy of each axis,
+    so they are contiguous and never alias the caller's arrays.  Memory
+    is O(axis values) however many rows the blocks hold; the rows they
+    stand for are :func:`cartesian_slice` of the same range.
+    """
+    if not axes:
+        raise ConfigurationError("a grid needs at least one axis")
+    # A fresh copy of each axis: factors are views of it, and the
+    # design matrix freezes (and may adopt) them.
+    arrays = {
+        name: np.array(_axis(name, values)) for name, values in axes.items()
+    }
+    sizes = [array.size for array in arrays.values()]
+    total = math.prod(sizes)
+    if not 0 <= start <= stop <= total:
+        raise ConfigurationError(
+            f"slice [{start}, {stop}) out of range for a {total}-row grid"
+        )
+    ndim = len(sizes)
+
+    def along(position: int, values: np.ndarray) -> np.ndarray:
+        shape = [1] * ndim
+        shape[position] = values.size
+        return values.reshape(shape)
+
+    # Every block that spans a whole axis shares one view of it.
+    whole = [
+        along(position, array) for position, array in enumerate(arrays.values())
+    ]
+    blocks = []
+    for axis, first, last in _block_ranges(sizes, start, stop):
+        index = np.unravel_index(first, sizes)
+        run = (last - first) // math.prod(sizes[axis + 1:])
+        factors = {}
+        for position, name in enumerate(arrays):
+            if position > axis:
+                factors[name] = whole[position]
+                continue
+            begin = int(index[position])
+            end = begin + (run if position == axis else 1)
+            factors[name] = along(position, arrays[name][begin:end])
+        shape = [1] * axis + [run] + sizes[axis + 1:]
+        blocks.append(
+            ColumnBlock(first - start, last - start, tuple(shape), factors)
+        )
+    return blocks
 
 
 def grid_shape(

@@ -94,9 +94,18 @@ def safe_velocity_at_rate(
     sensing_range_m: np.ndarray,
     a_max: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 4 safe velocity at an action throughput, per design (m/s)."""
+    """Eq. 4 safe velocity at an action throughput, per design (m/s).
+
+    ``t`` takes the shape of ``f_action_hz`` and ``2d/a`` that of range
+    and ``a_max``; the sum they broadcast to is the one full-size
+    array, and the remaining steps run in place on it.
+    """
     t = 1.0 / f_action_hz
-    return a_max * (np.sqrt(t * t + 2.0 * sensing_range_m / a_max) - t)
+    velocity = np.asarray(t * t + 2.0 * sensing_range_m / a_max)
+    np.sqrt(velocity, out=velocity)
+    velocity -= t
+    velocity *= a_max
+    return velocity
 
 
 def classify_bounds(
@@ -111,17 +120,19 @@ def classify_bounds(
     At or beyond the knee a design is physics bound; otherwise the
     slowest stage names the bound, with stage-rate ties resolving in
     pipeline order sensor -> compute -> control exactly as the scalar
-    :func:`~repro.core.bounds.classify_bound` does.
+    :func:`~repro.core.bounds.classify_bound` does.  The stage code
+    takes the shape the three rates broadcast to; only the knee test
+    runs at the shape of ``f_action_hz`` against the knee.
+
+    The codes are sums of masks: ``PHYSICS_CODE`` is 0 and the stage
+    codes count up in pipeline order.
     """
-    sensor_slowest = (f_sensor_hz <= f_compute_hz) & (
-        f_sensor_hz <= f_control_hz
-    )
+    sensor_slowest = (f_sensor_hz <= f_compute_hz) & (f_sensor_hz <= f_control_hz)
     compute_slowest = f_compute_hz <= f_control_hz
-    return np.select(
-        [f_action_hz >= knee_throughput_hz, sensor_slowest, compute_slowest],
-        [PHYSICS_CODE, SENSOR_CODE, COMPUTE_CODE],
-        default=CONTROL_CODE,
-    ).astype(np.int8)
+    stage = (np.int8(CONTROL_CODE) - compute_slowest) * np.logical_not(
+        sensor_slowest
+    ) + sensor_slowest * np.int8(SENSOR_CODE)
+    return stage * np.logical_not(f_action_hz >= knee_throughput_hz)
 
 
 def optimality_status(
@@ -133,11 +144,12 @@ def optimality_status(
 
     ``tolerance`` is the relative band around the knee throughput still
     considered optimal, matching :func:`~repro.core.optimality.assess_design`.
+    The verdict is arithmetic on two masks: ``OVER_PROVISIONED_CODE``
+    is one below ``UNDER_PROVISIONED_CODE``, and the optimal band
+    zeroes the code to ``OPTIMAL_CODE``.
     """
     ratio = f_action_hz / knee_throughput_hz
     optimal = (1.0 - tolerance <= ratio) & (ratio <= 1.0 + tolerance)
-    return np.select(
-        [optimal, ratio > 1.0],
-        [OPTIMAL_CODE, OVER_PROVISIONED_CODE],
-        default=UNDER_PROVISIONED_CODE,
-    ).astype(np.int8)
+    return (np.int8(UNDER_PROVISIONED_CODE) - (ratio > 1.0)) * np.logical_not(
+        optimal
+    )

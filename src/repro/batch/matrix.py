@@ -8,6 +8,14 @@ and M scenario suffixes.  Columns are validated once at construction
 (finite, strictly positive, equal length) so the kernels can skip
 per-element checks, and are frozen read-only so a matrix can be shared
 and sliced without a defensive copy (:class:`SealedColumns`).
+
+A knob study's matrix also keeps the :class:`ColumnBlock` factors the
+planner's block compile built it from: each block is a box of the
+study's grid, and each column's factor holds one value per combination
+of the axes that column depends on.  The seal checks the factors and
+writes every 1-D column once from them, and
+:func:`~repro.batch.engine.evaluate_matrix` runs each kernel at the
+shape of its inputs' factors (:attr:`DesignMatrix.blocks`).
 """
 
 from __future__ import annotations
@@ -18,9 +26,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
     Any,
+    ClassVar,
+    Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     SupportsIndex,
@@ -65,17 +76,37 @@ def broadcast_rows(
     """``values`` as 1-D float64 columns, plus the rows they broadcast to.
 
     Scalars (and length-1 columns) broadcast against the longest
-    column.
+    column.  The count is read off the lengths: ``np.broadcast_shapes``
+    builds a broadcast iterator of about 15 KB, which set the peak
+    memory of every ``take`` of a few rows.
     """
     columns = [_as_column(name, value) for name, value in zip(names, values)]
-    try:
-        (rows,) = np.broadcast_shapes(*(column.shape for column in columns))
-    except ValueError as exc:
+    lengths = {len(column) for column in columns} - {1}
+    if len(lengths) > 1:
         shapes = {name: column.shape for name, column in zip(names, columns)}
-        raise ConfigurationError(
-            f"{what} lengths are incompatible: {shapes}"
-        ) from exc
-    return columns, rows
+        raise ConfigurationError(f"{what} lengths are incompatible: {shapes}")
+    return columns, lengths.pop() if lengths else 1
+
+
+def require_column(
+    name: str, parts: Sequence[np.ndarray], allow_zero: bool = False
+) -> None:
+    """Refuse a column unless every value of its ``parts`` is finite and
+    > 0 (>= 0 with ``allow_zero``).
+
+    The parts are the column itself, or its :class:`ColumnBlock`
+    factors, which hold every value its rows do: either way each check
+    runs once, with one message, and a non-finite value anywhere is
+    named before a non-positive one.
+    """
+    for part in parts:
+        low = part.min(initial=np.inf)
+        high = part.max(initial=-np.inf)
+        if not (high < np.inf and (low >= 0.0 if allow_zero else low > 0.0)):
+            if not all(np.isfinite(each).all() for each in parts):
+                raise ConfigurationError(f"{name} must be finite")
+            bound = ">= 0" if allow_zero else "> 0"
+            raise ConfigurationError(f"{name} must be {bound} everywhere")
 
 
 def sealed_column(
@@ -92,19 +123,58 @@ def sealed_column(
     full-length column a fresh buffer, so freezing it never freezes or
     aliases a caller's array; ``copy=False`` adopts it.
     """
-    values = column[:rows]  # the column, or a scalar's one value
-    low = values.min(initial=np.inf)
-    high = values.max(initial=-np.inf)
-    if not (high < np.inf and (low >= 0.0 if allow_zero else low > 0.0)):
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError(f"{name} must be finite")
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ConfigurationError(f"{name} must be {bound} everywhere")
+    # The column, or a scalar's one value.
+    require_column(name, (column[:rows],), allow_zero)
     if column.size != rows:
         column = np.full(rows, column[0])
     elif copy:
         column = column.copy()
     column.flags.writeable = False
+    return column
+
+
+# eq=False: ndarray factors; identity semantics, like the matrix.
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
+    """Rows ``[start, stop)`` of a matrix, held as a box of its grid.
+
+    The rows are the cells of ``shape`` in C order.  Each entry of
+    ``columns`` is a factor: a column's values at the shape of the
+    axes it depends on, broadcasting to ``shape``.  A block of a knob
+    grid fixes the axes slower than its own at one value each, takes a
+    run of its own axis's values and every value of each faster axis,
+    so a factor holds one value per combination of the axes it reads
+    (a_max varies with the mass knobs, never with the compute
+    runtime).  :func:`~repro.batch.grid.cartesian_blocks` cuts a row
+    range into blocks, and the knob planner maps their axis factors
+    through the accounting chain.
+    """
+
+    start: int
+    stop: int
+    shape: Tuple[int, ...]
+    columns: Mapping[str, Any]
+
+    def rows(self, column: np.ndarray) -> np.ndarray:
+        """This block's rows of the 1-D ``column``, viewed at ``shape``."""
+        return column[self.start:self.stop].reshape(self.shape)
+
+
+def block_rows(
+    blocks: Sequence[ColumnBlock], parts: Sequence[Any], rows: int
+) -> np.ndarray:
+    """One column with an entry per row, written once from ``parts``.
+
+    ``parts[i]`` holds block ``i``'s values, a NumPy array or scalar
+    of any shape that broadcasts to its ``shape``.  A lone block's
+    part that already has every row is the column (reshaped, not
+    copied), so pass fresh arrays nothing else writes to.
+    """
+    if len(blocks) == 1 and parts[0].shape == blocks[0].shape:
+        return parts[0].reshape(rows)
+    column = np.empty(rows, dtype=np.result_type(*parts))
+    for block, part in zip(blocks, parts):
+        block.rows(column)[...] = part
     return column
 
 
@@ -324,6 +394,11 @@ class DesignMatrix(SealedColumns):
     scenario suffixes instead of N·M strings.  :meth:`take` builds only
     the rows it takes, and :meth:`concat` keeps adjacent ranges of one
     column factorized; either way the labels read as the same strings.
+
+    A knob study's matrix is built from :class:`ColumnBlock` factors
+    (see :attr:`blocks`): the seal checks the factors and writes each
+    column once from them.  The columns are the same eager 1-D arrays
+    either way; :meth:`take` and :meth:`concat` return plain matrices.
     """
 
     sensing_range_m: np.ndarray
@@ -336,17 +411,77 @@ class DesignMatrix(SealedColumns):
     #: known (e.g. :meth:`from_models`); the engine uses it unless the
     #: caller passes an explicit ``knee_fraction``.
     knee_fraction: Optional[float] = None
+    #: The blocks a block compile built the rows from, each holding the
+    #: five column factors; ``None`` for any other matrix.  Set only
+    #: through ``_adopt(_blocks=...)``, which writes the columns.
+    _blocks: ClassVar[Optional[Tuple[ColumnBlock, ...]]] = None
 
     def _seal(self, copy: bool) -> None:
         if self.knee_fraction is not None:
             require_fraction("knee_fraction", self.knee_fraction)
-        columns, rows = broadcast_rows(
-            _COLUMN_NAMES, [getattr(self, name) for name in _COLUMN_NAMES], "column"
-        )
-        for name, column in zip(_COLUMN_NAMES, columns):
-            column = sealed_column(name, column, rows, copy)
-            object.__setattr__(self, name, column)
+        if self._blocks is not None:
+            rows = self._seal_blocks(self._blocks)
+        else:
+            columns, rows = broadcast_rows(
+                _COLUMN_NAMES,
+                [getattr(self, name) for name in _COLUMN_NAMES],
+                "column",
+            )
+            for name, column in zip(_COLUMN_NAMES, columns):
+                column = sealed_column(name, column, rows, copy)
+                object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", checked_labels(self.labels, rows))
+
+    def _seal_blocks(self, blocks: Sequence[ColumnBlock]) -> int:
+        """Check each column's factors, write the column once from them,
+        and keep the five factors, frozen; returns the row count.
+
+        A scalar factor is kept as one ``(1, …, 1)`` array per value,
+        which every block shares: a kernel over it runs the same array
+        loop, with the same warnings, as over the rows it stands for.
+        """
+        shared: Dict[Tuple[bytes, int], np.ndarray] = {}
+
+        def factor(value: Any, ndim: int) -> np.ndarray:
+            part = np.asarray(value, dtype=np.float64)
+            if part.ndim == 0:
+                part = shared.setdefault(
+                    (part.tobytes(), ndim), part.reshape((1,) * ndim)
+                )
+            part.flags.writeable = False
+            return part
+
+        rows = 0
+        for block in blocks:
+            if block.start != rows or block.stop - block.start != int(
+                np.prod(block.shape)
+            ):
+                raise ConfigurationError(
+                    f"block [{block.start}, {block.stop}) of shape "
+                    f"{block.shape} does not continue rows [0, {rows})"
+                )
+            rows = block.stop
+        kept: List[Dict[str, np.ndarray]] = [{} for _ in blocks]
+        for name in _COLUMN_NAMES:
+            parts = [
+                factor(block.columns[name], len(block.shape))
+                for block in blocks
+            ]
+            require_column(name, parts)
+            for part, factors in zip(parts, kept):
+                factors[name] = part
+            column = block_rows(blocks, parts, rows)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(
+            self,
+            "_blocks",
+            tuple(
+                replace(block, columns=factors)
+                for block, factors in zip(blocks, kept)
+            ),
+        )
+        return rows
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -426,6 +561,19 @@ class DesignMatrix(SealedColumns):
     def __len__(self) -> int:
         return int(self.sensing_range_m.size)
 
+    @property
+    def blocks(self) -> Tuple[ColumnBlock, ...]:
+        """The rows as :class:`ColumnBlock` factors of the five columns.
+
+        The blocks a knob study's block compile built the matrix from,
+        or, for any other matrix, one block made of its own columns.
+        """
+        if self._blocks is not None:
+            return self._blocks
+        rows = len(self)
+        columns = dict(zip(_COLUMN_NAMES, self.columns()))
+        return (ColumnBlock(0, rows, (rows,), columns),)
+
     #: CPython's per-str object overhead (ASCII), used to estimate
     #: label memory without a Python-level loop over every string.
     _STR_OVERHEAD_BYTES = 49
@@ -436,10 +584,16 @@ class DesignMatrix(SealedColumns):
 
         Label memory is an estimate (byte length plus the CPython
         object overhead) of the strings the matrix holds: one per row,
-        or a :class:`LabelColumn`'s N + M parts.  Computed once per
-        (immutable) matrix.
+        or a :class:`LabelColumn`'s N + M parts.  Block factors count
+        too.  Computed once per (immutable) matrix.
         """
         total = sum(column.nbytes for column in self.columns())
+        if self._blocks is not None:
+            total += sum(
+                factor.nbytes
+                for block in self._blocks
+                for factor in block.columns.values()
+            )
         labels = self.labels
         if isinstance(labels, LabelColumn):
             labels = labels.parts

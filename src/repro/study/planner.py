@@ -5,9 +5,8 @@ The planner turns a declarative spec into exactly the vectorized
 studies are numerically indistinguishable from the call stacks they
 replace (``sweep_knob``/``sweep_grid`` for knob axes, ``dse.explore``
 for presets).  Every design kind runs the one accounting chain,
-:func:`~repro.batch.assembly.account_columns`: knob rows enter it
-through :func:`~repro.batch.assembly.knob_columns` (by
-:func:`~repro.batch.assembly.assemble_columns`), preset and fleet
+:func:`~repro.batch.assembly.account_columns`: knob grids enter it
+through :func:`~repro.batch.assembly.knob_columns`, preset and fleet
 designs through :func:`~repro.batch.assembly.configuration_columns`,
 and each compile returns its
 :class:`~repro.batch.assembly.FleetAssembly`.
@@ -16,17 +15,21 @@ Each design kind has one planner path, and it compiles a row range:
 :func:`compile_chunk` runs it over a shard's ``[start, stop)`` rows and
 :func:`compile_spec` over every row.  Scenario axes expand design rows
 design-major (scenario varies fastest) and stay columnar throughout.
-Knob rows are a :func:`~repro.batch.grid.cartesian_slice` of the
-design and scenario axes.  Preset and fleet rows never become one
-configuration object, or one chain entry, per row: a design's
-all-up mass and ``a_max`` (Eq. 5) do not depend on its algorithm,
-so the chain runs over the (UAV, compute) pairs the range touches
-crossed with the M scenario rows, and only its output columns are
-expanded to rows.  Their labels are never built per row either: a
-:class:`~repro.batch.matrix.LabelColumn` of the N design labels and M
-scenario suffixes, derived from the spec, stands for them.  A range
-holds at most ``stop - start + 2·M`` rows, and nothing is kept between
-calls.  The spec checked every field value, and that no scenario
+Knob rows are never expanded axis by axis: the range is at most
+``2·ndim − 1`` axis-aligned blocks of the design and scenario grid
+(:func:`~repro.batch.grid.cartesian_blocks`), the chain runs on each
+block's axis values shaped along their own dimensions, and the design
+matrix keeps the resulting factors, from which it writes each column
+once (:class:`~repro.batch.matrix.ColumnBlock`).  Preset and fleet
+rows never become one configuration object, or one chain entry, per
+row: a design's all-up mass and ``a_max`` (Eq. 5) do not depend on
+its algorithm, so the chain runs over the (UAV, compute) pairs the
+range touches crossed with the M scenario rows, and only its output
+columns are expanded to rows.  Their labels are never built per row
+either: a :class:`~repro.batch.matrix.LabelColumn` of the N design
+labels and M scenario suffixes, derived from the spec, stands for
+them.  A range holds at most ``stop - start + 2·M`` rows, and nothing
+is kept between calls.  The spec checked every field value, and that no scenario
 payload goes negative or overflows on any row, when it was built, so
 the planner checks only what the chain derives: the ``a_max > 0``
 rule on the range's own rows and the columns the design matrix seals.
@@ -35,7 +38,7 @@ rule on the range's own rows and the columns the design matrix seals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,12 +49,11 @@ from ..batch.assembly import (
     ArrayLike,
     FleetAssembly,
     account_columns,
-    assemble_columns,
     configuration_columns,
     knob_columns,
     require_feasible,
 )
-from ..batch.grid import cartesian_product, cartesian_slice
+from ..batch.grid import cartesian_blocks, cartesian_product
 from ..batch.matrix import DesignMatrix, LabelColumn
 from ..errors import ConfigurationError
 from ..uav.configuration import UAVConfiguration
@@ -309,42 +311,58 @@ def study_size(spec: StudySpec) -> int:
 def _compile_knob_chunk(
     spec: StudySpec, start: int, stop: int
 ) -> FleetAssembly:
-    """Rows ``[start, stop)`` of a knobs design, by index arithmetic.
+    """Rows ``[start, stop)`` of a knobs design, compiled over its axes.
 
     The design axes followed by the scenario axes (scenario varies
-    fastest) are one row-major Cartesian grid, so the rows are
-    :func:`~repro.batch.grid.cartesian_slice` of the combined axes —
-    O(stop - start) memory however large the grid.  Knobs no axis
-    sweeps stay the base's scalars, and an ``a_max_scale`` axis is a
-    column edit, as for fleets.
+    fastest) are one row-major Cartesian grid, and the range is at most
+    ``2·ndim − 1`` axis-aligned blocks of it
+    (:func:`~repro.batch.grid.cartesian_blocks`).  The chain runs once
+    per block on the block's axis values, each shaped along its own
+    dimension, so every quantity takes one value per combination of
+    the axes it reads: the heatsink sees only TDP values, mass and
+    ``a_max`` only those of the mass knobs, and the compute rate only
+    runtimes.  Knobs no axis sweeps stay the base's scalars, a payload
+    delta is one broadcast add and an ``a_max_scale`` axis one
+    broadcast multiply, as for fleets.  The design matrix keeps the
+    block factors and writes each of its columns, and each extra
+    column, once from them.
     """
     design = spec.design
     base = design.base
     scenario_axes, _ = _scenario_rows(spec.scenarios)
-    columns = cartesian_slice(
+    blocks = []
+    for block in cartesian_blocks(
         {**dict(design.axes), **scenario_axes}, start, stop
-    )
-
-    knobs = {name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS}
+    ):
+        axes = block.columns
+        knobs = {name: axes.get(name, getattr(base, name)) for name in KNOB_COLUMNS}
+        if "extra_payload_g" in axes:
+            # The spec refused any sum that goes negative or overflows.
+            knobs["payload_weight_g"] = (
+                knobs["payload_weight_g"] + axes["extra_payload_g"]
+            )
+        columns = knob_columns(knobs, base.rotor_count)
+        if "a_max_scale" in axes:
+            columns["a_max_scale"] = axes["a_max_scale"]
+        f_compute_hz = 1.0 / knobs["compute_runtime_s"]
+        accounted = account_columns(columns)
+        require_feasible(accounted, columns["name"])
+        factors = {name: accounted[name] for name in ROW_COLUMNS}
+        factors["f_compute_hz"] = f_compute_hz
+        blocks.append(replace(block, columns=factors))
     labels = None
     if len(design.axes) == 1 and not scenario_axes:
         # Only the range's own values: the one axis spans every row of
         # the study, so formatting all of it would cost O(study rows)
         # in every shard.  These chunks concat into a tuple, as before.
-        knob = design.axes[0][0]
-        values = tuple(f"{knob}={value:g}" for value in knobs[knob])
-        labels = LabelColumn(values, ("",), 0, len(values))
-    if "extra_payload_g" in columns:
-        # The spec refused any sum that goes negative or overflows.
-        knobs["payload_weight_g"] = (
-            knobs["payload_weight_g"] + columns["extra_payload_g"]
+        knob, values = design.axes[0]
+        labels = LabelColumn(
+            tuple(f"{knob}={value:g}" for value in values[start:stop]),
+            ("",),
+            0,
+            stop - start,
         )
-    design_columns = knob_columns(knobs, base.rotor_count)
-    if "a_max_scale" in columns:
-        design_columns["a_max_scale"] = columns["a_max_scale"]
-    return assemble_columns(
-        design_columns, 1.0 / knobs["compute_runtime_s"], labels
-    )
+    return FleetAssembly.adopt_blocks(blocks, labels)
 
 
 def compile_chunk(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
