@@ -6,8 +6,8 @@ Three end-to-end comparisons:
   :class:`~repro.core.model.F1Model` loop and the vectorized
   :mod:`repro.batch` engine (evaluation only).
 * **assembly** — whole knob sweeps through the per-point
-  ``Knobs.build_uav().f1(...)`` idiom and the columnar
-  :class:`~repro.batch.assembly.KnobMatrix` chain (assembly *plus*
+  ``Knobs.build_uav().f1(...)`` idiom and the columnar row chain,
+  ``assemble_columns(knob_columns(...))`` (assembly *plus*
   evaluation), the regime `sweep_grid` multi-knob studies live in.
 * **fleet-assembly** — a preset x scenario study compiled through the
   per-row expansion (one ``dataclasses.replace`` per row, then
@@ -20,9 +20,9 @@ batch path wins by the required margin at 10k and above.  A fourth
 comparison — **study** — runs the same knob grid through the declarative
 :mod:`repro.study` layer (spec construction + planner compile +
 dispatch) and asserts the abstraction costs < 5% over the raw
-``KnobMatrix`` + ``evaluate_matrix`` path at 100k points, so the
-spec-first API can never quietly become a tax.  Set
-``REPRO_RECORD_BENCH=1`` to append the measured numbers to
+``assemble_columns(knob_columns(...))`` + ``evaluate_matrix`` row
+path at 100k points, so the spec-first API can never quietly become
+a tax.  Set ``REPRO_RECORD_BENCH=1`` to append the measured numbers to
 ``benchmarks/results/bench_batch.json`` so the bench trajectory keeps
 populating across machines and revisions.  Set ``REPRO_BENCH_SMOKE=1``
 (CI does) to run tiny grids that exercise every code path without
@@ -43,12 +43,12 @@ import numpy as np
 from _recording import GATE, SMOKE, record
 from repro.batch import (
     DesignMatrix,
-    KnobMatrix,
     assemble_configurations,
     cartesian_product,
     evaluate_matrix,
     scenario_grid,
 )
+from repro.batch.assembly import KNOB_COLUMNS, assemble_columns, knob_columns
 from repro.dse import DesignSpace
 from repro.skyline.knobs import Knobs
 from repro.study import DesignSpec, ScenarioSpec, StudySpec, compile_spec
@@ -120,10 +120,18 @@ def _scalar_assembly_loop(base: Knobs, columns: dict) -> np.ndarray:
     return velocities
 
 
+def _knob_chain(base: Knobs, columns: dict) -> DesignMatrix:
+    """The row chain: ``knob_columns`` over the swept columns and the
+    base's other knobs (scalars), then ``assemble_columns``."""
+    knobs = {name: columns.get(name, getattr(base, name)) for name in KNOB_COLUMNS}
+    return assemble_columns(
+        knob_columns(knobs, base.rotor_count), 1.0 / knobs["compute_runtime_s"]
+    ).matrix
+
+
 def _batch_assembly(base: Knobs, columns: dict):
-    """The columnar chain: KnobMatrix assembly + one engine pass."""
-    matrix = KnobMatrix.from_base(base, **columns).assemble()
-    return evaluate_matrix(matrix, cache=None)
+    """The columnar chain: row-chain assembly + one engine pass."""
+    return evaluate_matrix(_knob_chain(base, columns), cache=None)
 
 
 def _time(fn, *args):
@@ -308,9 +316,9 @@ def _study_axes(n_points: int) -> dict:
 
 def _raw_knob_run(base: Knobs, axes: dict):
     """What the planner compiles to, wired by hand (the baseline)."""
-    columns = cartesian_product(axes)
-    matrix = KnobMatrix.from_base(base, **columns).assemble()
-    return evaluate_matrix(matrix, cache=None)
+    return evaluate_matrix(
+        _knob_chain(base, cartesian_product(axes)), cache=None
+    )
 
 
 def _study_run(axes: dict):

@@ -18,11 +18,11 @@ coordinate present in both the current run and the baseline, the
 Two deliberate choices keep the gate meaningful on shared runners:
 
 * Only **machine-normalized** metrics gate — speedups, overheads,
-  peak-memory ratios and the result codec's cost in units of the
-  study it encodes, each measured against a same-process,
-  same-machine counterpart inside the bench itself.  Raw seconds are
-  recorded and reported but never gated (a slow runner is not a
-  regression).
+  peak-memory ratios and the result codec's cost in units of a
+  ``base64`` round trip of the same result's column bytes, each
+  measured against a same-process, same-machine counterpart inside
+  the bench itself.  Raw seconds are recorded and reported but never
+  gated (a slow runner is not a regression).
 * Parallel-executor speedups only gate at *scale* (``points`` >=
   10k): below that, pool dispatch dominates and the ratio is noise.
   The smoke-speed gate rows are recorded at 1000 points for the

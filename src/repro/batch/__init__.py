@@ -17,10 +17,10 @@ matrix.
 The assembly layer (:mod:`repro.batch.assembly`) columnizes the
 Table II accounting chain itself — payload mass, TDP-derived
 heatsinks, thrust budgets and accelerations — once for every design
-kind: Table II knob columns (a :class:`KnobMatrix`, or a knob study's
-rows) and whole UAV configurations (:func:`assemble_configurations`,
-preset and fleet studies) run through the same vectorized chain, so
-neither sweeps nor fleets touch per-point Python.
+kind: a knob study's blocks and whole UAV configurations
+(:func:`assemble_configurations`, preset and fleet studies) run
+through the same vectorized chain, so neither sweeps nor fleets touch
+per-point Python.
 
 Quickstart::
 
@@ -38,7 +38,7 @@ Quickstart::
 """
 
 from . import kernels
-from .assembly import FleetAssembly, KnobMatrix, assemble_configurations
+from .assembly import FleetAssembly, assemble_configurations
 from .cache import BatchCache, CacheStats
 from .engine import DEFAULT_CACHE, clear_default_cache, evaluate_matrix
 from ..errors import ShardExecutionError
@@ -70,7 +70,6 @@ from .result import BatchResult, BatchRow, concat_results, merge_top_k
 __all__ = [
     "kernels",
     "FleetAssembly",
-    "KnobMatrix",
     "assemble_configurations",
     "BatchCache",
     "CacheStats",

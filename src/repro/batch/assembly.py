@@ -24,9 +24,11 @@ This module columnizes the assembly chain, once for every design kind:
   configuration columns with (1, M) scenario columns that way, and
   expands only the accounted columns to rows; it runs a knob grid's
   blocks on their axis values, each shaped along its own dimension.
-* :func:`assemble_configurations` and :class:`KnobMatrix` (a
-  structure-of-arrays set of Table II knobs) are the two public
-  entry points over the chain.
+* :func:`assemble_configurations` is the public entry point over the
+  chain.  Table II knob grids reach a matrix only through the study
+  planner; any other set of knob values is
+  ``assemble_configurations([k.build_uav() for k in sets],
+  [k.f_compute_hz for k in sets])``.
 
 The chain shares its arithmetic with the scalar properties through
 the plain functions in :mod:`repro.uav.budget`,
@@ -42,11 +44,9 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -61,26 +61,16 @@ from ..core.physics import (
 from ..core.throughput import DEFAULT_CONTROL_RATE_HZ
 from ..errors import ConfigurationError, InfeasibleDesignError
 from ..uav import budget
-from ..units import require_finite_reciprocal, require_rotor_count
-from .matrix import (
-    ColumnBlock,
-    DesignMatrix,
-    SealedColumns,
-    block_rows,
-    broadcast_rows,
-    checked_labels,
-    sealed_column,
-)
+from .matrix import ColumnBlock, DesignMatrix, block_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..skyline.knobs import Knobs
     from ..uav.configuration import UAVConfiguration
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
-#: The sweepable (float) Table II knobs, one KnobMatrix column each.
-#: ``rotor_count`` stays a scalar: it is the one integer knob (airframe
-#: topology), uniform across a matrix like a knee rule is.
+#: The sweepable (float) Table II knobs, the names :func:`knob_columns`
+#: reads.  ``rotor_count`` stays a scalar: it is the one integer knob
+#: (airframe topology), uniform across a study like a knee rule is.
 KNOB_COLUMNS = (
     "sensor_framerate_hz",
     "compute_tdp_w",
@@ -103,160 +93,9 @@ ROW_COLUMNS = (
 ) + EXTRA_COLUMNS
 
 #: Knob columns allowed to be zero (everything else must be > 0,
-#: mirroring ``Knobs.__post_init__``): the rule a knob matrix seals
-#: with and a knobs study spec checks its axes against.
+#: mirroring ``Knobs.__post_init__``): the rule a knobs study spec
+#: checks its axes against.
 NONNEGATIVE_KNOBS = frozenset({"payload_weight_g"})
-
-
-# eq=False: dataclass-generated __eq__/__hash__ choke on ndarray fields
-# (ambiguous truth value / unhashable); identity semantics apply instead.
-@dataclass(frozen=True, eq=False)
-class KnobMatrix(SealedColumns):
-    """N Table II knob sets, one NumPy column per knob.
-
-    Columns may be passed as scalars or 1-D sequences; scalars (and
-    length-1 columns) broadcast against the longest column.  Validation
-    mirrors the scalar :class:`~repro.skyline.knobs.Knobs` contract —
-    every knob finite and strictly positive, ``payload_weight_g``
-    allowed to be zero — once per matrix instead of once per point.
-    """
-
-    sensor_framerate_hz: np.ndarray
-    compute_tdp_w: np.ndarray
-    compute_runtime_s: np.ndarray
-    sensor_range_m: np.ndarray
-    drone_weight_g: np.ndarray
-    rotor_pull_g: np.ndarray
-    payload_weight_g: np.ndarray
-    compute_mass_g: np.ndarray
-    rotor_count: int = 4
-    labels: Optional[Tuple[str, ...]] = None
-
-    def _seal(self, copy: bool) -> None:
-        object.__setattr__(
-            self, "rotor_count", require_rotor_count(self.rotor_count)
-        )
-        columns, rows = broadcast_rows(
-            KNOB_COLUMNS, [getattr(self, name) for name in KNOB_COLUMNS], "knob column"
-        )
-        if rows == 0:
-            raise ConfigurationError("a knob matrix needs at least one row")
-        # Per-column, not per-row: bounded by the 8 Table II knobs.
-        # reprolint: disable=RPL004
-        for name, column in zip(KNOB_COLUMNS, columns):
-            column = sealed_column(
-                name, column, rows, copy, allow_zero=name in NONNEGATIVE_KNOBS
-            )
-            object.__setattr__(self, name, column)
-        # The compute rate is 1 / runtime, so the smallest runtime must
-        # keep it finite (the scalar Knobs rule).
-        require_finite_reciprocal(
-            "compute_runtime_s", float(self.compute_runtime_s.min())
-        )
-        object.__setattr__(self, "labels", checked_labels(self.labels, rows))
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_base(
-        cls,
-        base: "Knobs",
-        labels: Optional[Sequence[str]] = None,
-        **overrides: ArrayLike,
-    ) -> "KnobMatrix":
-        """Broadcast a base knob set against swept columns.
-
-        ``overrides`` maps knob names from :data:`KNOB_COLUMNS` to a
-        scalar or a 1-D axis of values; every knob not overridden takes
-        its (scalar) value from ``base``.
-        """
-        unknown = sorted(set(overrides) - set(KNOB_COLUMNS))
-        if unknown:
-            known = ", ".join(KNOB_COLUMNS)
-            raise ConfigurationError(
-                f"unknown knob column(s) {', '.join(map(repr, unknown))}; "
-                f"sweepable knobs: {known} (rotor_count is the airframe "
-                "topology — build a new base Knobs to change it)"
-            )
-        values = {
-            name: overrides.get(name, getattr(base, name))
-            for name in KNOB_COLUMNS
-        }
-        return cls(
-            rotor_count=base.rotor_count,
-            labels=tuple(labels) if labels is not None else None,
-            **values,  # type: ignore[arg-type]
-        )
-
-    @classmethod
-    def from_knobs(
-        cls,
-        knobs: Iterable["Knobs"],
-        labels: Optional[Sequence[str]] = None,
-    ) -> "KnobMatrix":
-        """Columnize an iterable of scalar knob sets.
-
-        All knob sets must agree on ``rotor_count`` (one matrix holds
-        one airframe topology, like one knee rule).
-        """
-        rows = list(knobs)
-        if not rows:
-            raise ConfigurationError("a knob matrix needs at least one row")
-        rotor_counts = {k.rotor_count for k in rows}
-        if len(rotor_counts) > 1:
-            raise ConfigurationError(
-                f"knob sets mix rotor counts {sorted(rotor_counts)}; "
-                "one matrix takes one airframe topology"
-            )
-        columns = np.asarray(
-            [[getattr(k, name) for name in KNOB_COLUMNS] for k in rows],
-            dtype=np.float64,
-        ).T
-        return cls(
-            rotor_count=rotor_counts.pop(),
-            labels=tuple(labels) if labels is not None else None,
-            **dict(zip(KNOB_COLUMNS, columns)),  # type: ignore[arg-type]
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return int(self.sensor_framerate_hz.size)
-
-    def knobs_at(self, index: int) -> "Knobs":
-        """The scalar :class:`Knobs` of one row (for cross-checks)."""
-        from ..skyline.knobs import Knobs
-
-        return Knobs(
-            rotor_count=self.rotor_count,
-            **{
-                name: float(getattr(self, name)[index])
-                for name in KNOB_COLUMNS
-            },
-        )
-
-    def label_at(self, index: int) -> str:
-        """The row's label, or a positional placeholder."""
-        if self.labels is not None:
-            return self.labels[index]
-        return f"#{index}"
-
-    def assemble(self) -> DesignMatrix:
-        """Run the accounting chain and columnize the F-1 parameters.
-
-        :func:`knob_columns` then :func:`assemble_columns`: numerically
-        identical to building ``Knobs.build_uav().f1(knobs.f_compute_hz)``
-        per row, with the default fraction-of-roof knee rule recorded
-        on the matrix.
-        """
-        knobs = {name: getattr(self, name) for name in KNOB_COLUMNS}
-        return assemble_columns(
-            knob_columns(knobs, self.rotor_count),
-            1.0 / self.compute_runtime_s,
-            self.labels,
-        ).matrix
 
 
 # ---------------------------------------------------------------------------

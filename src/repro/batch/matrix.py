@@ -71,7 +71,7 @@ def _as_column(name: str, values: ArrayLike) -> np.ndarray:
 
 
 def broadcast_rows(
-    names: Sequence[str], values: Sequence[ArrayLike], what: str
+    names: Sequence[str], values: Sequence[ArrayLike]
 ) -> Tuple[List[np.ndarray], int]:
     """``values`` as 1-D float64 columns, plus the rows they broadcast to.
 
@@ -84,15 +84,12 @@ def broadcast_rows(
     lengths = {len(column) for column in columns} - {1}
     if len(lengths) > 1:
         shapes = {name: column.shape for name, column in zip(names, columns)}
-        raise ConfigurationError(f"{what} lengths are incompatible: {shapes}")
+        raise ConfigurationError(f"column lengths are incompatible: {shapes}")
     return columns, lengths.pop() if lengths else 1
 
 
-def require_column(
-    name: str, parts: Sequence[np.ndarray], allow_zero: bool = False
-) -> None:
-    """Refuse a column unless every value of its ``parts`` is finite and
-    > 0 (>= 0 with ``allow_zero``).
+def require_column(name: str, parts: Sequence[np.ndarray]) -> None:
+    """Refuse a column unless every value of its ``parts`` is finite, > 0.
 
     The parts are the column itself, or its :class:`ColumnBlock`
     factors, which hold every value its rows do: either way each check
@@ -102,29 +99,24 @@ def require_column(
     for part in parts:
         low = part.min(initial=np.inf)
         high = part.max(initial=-np.inf)
-        if not (high < np.inf and (low >= 0.0 if allow_zero else low > 0.0)):
+        if not (high < np.inf and low > 0.0):
             if not all(np.isfinite(each).all() for each in parts):
                 raise ConfigurationError(f"{name} must be finite")
-            bound = ">= 0" if allow_zero else "> 0"
-            raise ConfigurationError(f"{name} must be {bound} everywhere")
+            raise ConfigurationError(f"{name} must be > 0 everywhere")
 
 
 def sealed_column(
-    name: str,
-    column: np.ndarray,
-    rows: int,
-    copy: bool,
-    allow_zero: bool = False,
+    name: str, column: np.ndarray, rows: int, copy: bool
 ) -> np.ndarray:
     """``column`` checked, broadcast to ``rows`` entries and made read-only.
 
-    Every value must be finite and > 0 (>= 0 with ``allow_zero``); a
-    scalar is checked before it is broadcast.  ``copy=True`` gives a
-    full-length column a fresh buffer, so freezing it never freezes or
-    aliases a caller's array; ``copy=False`` adopts it.
+    Every value must be finite and > 0; a scalar is checked before it
+    is broadcast.  ``copy=True`` gives a full-length column a fresh
+    buffer, so freezing it never freezes or aliases a caller's array;
+    ``copy=False`` adopts it.
     """
     # The column, or a scalar's one value.
-    require_column(name, (column[:rows],), allow_zero)
+    require_column(name, (column[:rows],))
     if column.size != rows:
         column = np.full(rows, column[0])
     elif copy:
@@ -423,9 +415,7 @@ class DesignMatrix(SealedColumns):
             rows = self._seal_blocks(self._blocks)
         else:
             columns, rows = broadcast_rows(
-                _COLUMN_NAMES,
-                [getattr(self, name) for name in _COLUMN_NAMES],
-                "column",
+                _COLUMN_NAMES, [getattr(self, name) for name in _COLUMN_NAMES]
             )
             for name, column in zip(_COLUMN_NAMES, columns):
                 column = sealed_column(name, column, rows, copy)
@@ -585,15 +575,15 @@ class DesignMatrix(SealedColumns):
         Label memory is an estimate (byte length plus the CPython
         object overhead) of the strings the matrix holds: one per row,
         or a :class:`LabelColumn`'s N + M parts.  Block factors count
-        too.  Computed once per (immutable) matrix.
+        too, each buffer once: a lone block's full-shape factor is its
+        column, and blocks share scalar and whole-axis factors.
+        Computed once per (immutable) matrix.
         """
-        total = sum(column.nbytes for column in self.columns())
-        if self._blocks is not None:
-            total += sum(
-                factor.nbytes
-                for block in self._blocks
-                for factor in block.columns.values()
-            )
+        arrays = list(self.columns())
+        for block in self._blocks or ():
+            arrays.extend(block.columns.values())
+        buffers = {(array.ctypes.data, array.nbytes) for array in arrays}
+        total = sum(nbytes for _, nbytes in buffers)
         labels = self.labels
         if isinstance(labels, LabelColumn):
             labels = labels.parts

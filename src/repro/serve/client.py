@@ -185,7 +185,7 @@ class ServeClient:
         )
 
     def status(self, study_id: str) -> Dict[str, Any]:
-        """The status envelope (plus embedded result once done)."""
+        """The status envelope; :meth:`result_text` fetches the result."""
         return self._json("GET", f"/v1/studies/{study_id}")
 
     def result_text(self, study_id: str) -> Optional[str]:

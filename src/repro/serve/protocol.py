@@ -21,6 +21,7 @@ is acknowledged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -40,6 +41,7 @@ from ..io.serialization import (
     SERVE_STATS_TABLE,
     SERVE_STATUS_TABLE,
 )
+from ..units import require_positive
 
 __all__ = [
     "SERVE_PROTOCOL_VERSION",
@@ -169,6 +171,7 @@ def _request_error(field: str, message: str) -> ConfigurationError:
 
 
 def _optional_number(body: Mapping[str, Any], field: str) -> Optional[float]:
+    """``body[field]`` as a finite float > 0, or ``None`` when absent."""
     value = body.get(field)
     if value is None:
         return None
@@ -176,7 +179,10 @@ def _optional_number(body: Mapping[str, Any], field: str) -> Optional[float]:
         raise _request_error(
             field, f"must be a number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        return require_positive(field, float(value))
+    except (ConfigurationError, OverflowError) as exc:  # e.g. 10**400
+        raise _request_error(field, str(exc)) from exc
 
 
 #: Keys a ``POST /v1/analyze`` body may carry.
@@ -223,9 +229,10 @@ def parse_analyze_request(body: Any) -> Dict[str, Any]:
             "algorithm",
             f"must be a string, got {type(algorithm).__name__}",
         )
-    if runtime_s is not None and runtime_s <= 0:
+    # The compute rate is 1 / runtime_s, so it must be finite too.
+    if runtime_s is not None and not math.isfinite(1.0 / runtime_s):
         raise _request_error(
-            "runtime_s", f"must be > 0 seconds, got {runtime_s!r}"
+            "runtime_s", f"must have a finite reciprocal, got {runtime_s!r}"
         )
     compute = body.get("compute")
     if compute is not None and not isinstance(compute, str):

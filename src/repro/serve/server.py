@@ -421,14 +421,10 @@ class ReproServer:
         self._write_json(writer, 200 if coalesced else 202, ack.to_dict())
         return self._keep_alive(request)
 
-    def _respond_status(
-        self,
-        request: _Request,
-        record: StudyRecord,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
+    def _status(self, record: StudyRecord) -> StudyStatus:
+        """The status envelope of one study, as it stands now."""
         seq, state, progress = record.snapshot()
-        status = StudyStatus(
+        return StudyStatus(
             study_id=record.study_id,
             state=state,
             spec_digest=record.digest,
@@ -437,15 +433,15 @@ class ReproServer:
             error=record.error,
             result_ready=state == "done",
         )
-        doc = status.to_dict()
-        # The issue contract: the status endpoint carries the full
-        # StudyResult document once the study is done (clients that
-        # need the bitwise-exact text use /result instead).
-        result_json = record.result_json()
-        doc["result"] = (
-            json.loads(result_json) if result_json is not None else None
-        )
-        self._write_json(writer, 200, doc)
+
+    def _respond_status(
+        self,
+        request: _Request,
+        record: StudyRecord,
+        writer: asyncio.StreamWriter,
+    ) -> bool:
+        # Only the envelope: /result serves the stored result text.
+        self._write_json(writer, 200, self._status(record).to_dict())
         return self._keep_alive(request)
 
     def _respond_result(
@@ -470,18 +466,8 @@ class ReproServer:
             # 202 + the status envelope tells the client to keep
             # polling (Retry-After carries the scheduler's estimate).
             retry_s = self.scheduler.retry_after_s()
-            seq, state, progress = record.snapshot()
-            status = StudyStatus(
-                study_id=record.study_id,
-                state=state,
-                spec_digest=record.digest,
-                queue_position=self.scheduler.queue_position(record),
-                progress=progress,
-                error=None,
-                result_ready=False,
-            )
             self._write_json(
-                writer, 202, status.to_dict(),
+                writer, 202, self._status(record).to_dict(),
                 extra_headers={
                     "Retry-After": str(int(math.ceil(retry_s)))
                 },

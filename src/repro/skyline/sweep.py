@@ -8,12 +8,12 @@ exploration Sec. V demonstrates interactively.
 Both :func:`sweep_knob` and :func:`sweep_grid` are thin builders over
 the declarative :mod:`repro.study` layer: they assemble a
 :class:`~repro.study.spec.StudySpec` and hand it to
-:func:`~repro.study.runner.run_study`, which compiles the knob rows
-through the one columnar accounting chain
-(:func:`~repro.batch.assembly.assemble_columns`) and evaluates them
-in one :mod:`repro.batch` pass — public signatures and numerics
-unchanged, but every sweep is now also expressible (and serializable)
-as a spec.
+:func:`~repro.study.runner.run_study`.  Its planner runs the one
+columnar accounting chain
+(:func:`~repro.batch.assembly.account_columns`) once per block of the
+knob grid, and the rows are evaluated in one :mod:`repro.batch` pass —
+public signatures and numerics unchanged, but every sweep is now also
+expressible (and serializable) as a spec.
 """
 
 from __future__ import annotations
@@ -342,10 +342,11 @@ def sweep_grid(
     """Cross several Table II knobs in one vectorized call.
 
     ``axes`` maps knob names to 1-D value axes (scalars allowed); the
-    Cartesian product is expanded row-major (last knob fastest) through
-    the :mod:`repro.study` planner — a thin builder over
-    ``StudySpec(design=DesignSpec.knob_axes(base, axes))`` — assembled
-    columnar by :func:`~repro.batch.assembly.assemble_columns` and
+    Cartesian product is ordered row-major (last knob fastest).  A thin
+    builder over ``StudySpec(design=DesignSpec.knob_axes(base, axes))``:
+    the :mod:`repro.study` planner runs
+    :func:`~repro.batch.assembly.account_columns` on each block's axis
+    values, never expanding the axes to rows, and the rows are
     evaluated in one batch pass.
     """
     spec = StudySpec(

@@ -368,8 +368,9 @@ def _compile_knob_chunk(
 def compile_chunk(spec: StudySpec, start: int, stop: int) -> FleetAssembly:
     """Compile only rows ``[start, stop)`` of a spec.
 
-    The one planner path of each design kind: knob rows are a
-    Cartesian slice, and preset/fleet rows gather only the designs the
+    The one planner path of each design kind: knob rows are at most
+    ``2·ndim − 1`` axis-aligned blocks of the grid, each compiled over
+    its axis values, and preset/fleet rows gather only the designs the
     range touches, so a chunk holds at most ``stop - start + 2·M``
     rows (M scenario rows per design) and nothing is memoized.  Chunks
     concatenate bitwise-identically to ``compile_spec(spec)``, which

@@ -165,13 +165,12 @@ class TestRPL004Purity:
         # Without the module in purity scope, the same file is clean.
         assert run_fixture("rpl004_violations.py") == []
 
-    def test_shipped_hot_paths_use_one_justified_suppression(self):
-        # assembly.py carries exactly one per-column loop, explicitly
-        # suppressed with a justification; kernels.py needs none.
-        assembly = (SRC_REPRO / "batch" / "assembly.py").read_text()
-        assert assembly.count("reprolint: disable=RPL004") == 1
-        kernels = (SRC_REPRO / "batch" / "kernels.py").read_text()
-        assert "reprolint" not in kernels
+    def test_shipped_hot_paths_carry_no_suppression(self):
+        # Neither hot path needs the escape hatch: both are clean
+        # under RPL004 as written.
+        for name in ("assembly.py", "kernels.py"):
+            source = (SRC_REPRO / "batch" / name).read_text()
+            assert "reprolint" not in source, name
 
 
 class TestEngine:

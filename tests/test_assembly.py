@@ -1,15 +1,17 @@
 """Tests for repro.batch.assembly: the columnar Knobs->UAV->F1 chain.
 
-The load-bearing property: a :class:`KnobMatrix` (and
-:func:`assemble_configurations`) must be numerically identical — 1e-9,
-property-tested — to looping ``Knobs.build_uav().f1(...)`` /
-reading per-vehicle scalar properties.
+The load-bearing property: the row chain (:func:`knob_columns` over one
+column per Table II knob, then :func:`assemble_columns`) and
+:func:`assemble_configurations` must be numerically identical — 1e-9,
+property-tested — to looping ``Knobs.build_uav().f1(...)`` / reading
+per-vehicle scalar properties.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import fields, replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -18,18 +20,18 @@ from hypothesis import strategies as st
 
 from repro.batch import (
     DesignMatrix,
-    KnobMatrix,
+    FleetAssembly,
     assemble_configurations,
     evaluate_matrix,
 )
 from repro.batch.assembly import (
+    EXTRA_COLUMNS,
     KNOB_COLUMNS,
     assemble_columns,
     configuration_columns,
     knob_columns,
 )
 from repro.core.knee import DEFAULT_KNEE_FRACTION
-from repro.core.model import F1Model
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError, InfeasibleDesignError
 from repro.skyline.knobs import Knobs
@@ -50,13 +52,21 @@ knob_sets = st.builds(
     compute_mass_g=st.floats(min_value=1.0, max_value=500.0),
 )
 
-#: Airframe rotor counts; one knob matrix holds one count.
+#: Airframe rotor counts; one chain run takes one count.
 rotor_counts = st.sampled_from((3, 4, 6, 8))
 
 
-def scalar_model(knobs: Knobs) -> F1Model:
-    """The pre-assembly idiom: per-point UAV build + F-1 model."""
-    return knobs.build_uav().f1(knobs.f_compute_hz)
+def knob_rows(sets: Sequence[Knobs]) -> FleetAssembly:
+    """The row chain over knob sets of one rotor count: one column per
+    knob, :func:`knob_columns`, then :func:`assemble_columns`."""
+    columns = {
+        name: np.array([getattr(knobs, name) for knobs in sets])
+        for name in KNOB_COLUMNS
+    }
+    return assemble_columns(
+        knob_columns(columns, sets[0].rotor_count),
+        1.0 / columns["compute_runtime_s"],
+    )
 
 
 def assert_matches_scalar_chain(matrix, result, knob_sets_list) -> None:
@@ -90,7 +100,7 @@ def assert_matches_scalar_chain(matrix, result, knob_sets_list) -> None:
         assert result.bound_at(i) is model.bound
 
 
-class TestKnobMatrixEquivalence:
+class TestKnobChainEquivalence:
     @given(
         sets=st.lists(knob_sets, min_size=1, max_size=16),
         rotor_count=rotor_counts,
@@ -98,18 +108,46 @@ class TestKnobMatrixEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_random_knob_sets_match_scalar_assembly(self, sets, rotor_count):
         sets = [replace(knobs, rotor_count=rotor_count) for knobs in sets]
-        km = KnobMatrix.from_knobs(sets)
-        matrix = km.assemble()
+        matrix = knob_rows(sets).matrix
         result = evaluate_matrix(matrix, cache=None)
         assert_matches_scalar_chain(matrix, result, sets)
+
+    @given(
+        sets=st.lists(knob_sets, min_size=1, max_size=16),
+        rotor_count=rotor_counts,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_built_uavs_assemble_bitwise_like_the_row_chain(
+        self, sets, rotor_count
+    ):
+        # Built knob UAVs and the knob columns are one chain, so the
+        # fleet entry point gives the same bytes.
+        sets = [replace(knobs, rotor_count=rotor_count) for knobs in sets]
+        rows = knob_rows(sets)
+        built = assemble_configurations(
+            [knobs.build_uav() for knobs in sets],
+            [knobs.f_compute_hz for knobs in sets],
+        )
+        pairs = list(zip(built.matrix.columns(), rows.matrix.columns()))
+        pairs += [
+            (getattr(built, name), getattr(rows, name))
+            for name in EXTRA_COLUMNS
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        assert built.matrix.knee_fraction == rows.matrix.knee_fraction
 
     @given(base=knob_sets, tdps=st.lists(
         st.floats(min_value=0.2, max_value=60.0), min_size=1, max_size=8
     ))
     @settings(max_examples=40, deadline=None)
-    def test_from_base_single_knob_sweep_matches_loop(self, base, tdps):
-        km = KnobMatrix.from_base(base, compute_tdp_w=tdps)
-        matrix = km.assemble()
+    def test_single_knob_sweep_matches_loop(self, base, tdps):
+        # The base's knobs stay scalars, which the chain broadcasts.
+        knobs = {name: getattr(base, name) for name in KNOB_COLUMNS}
+        knobs["compute_tdp_w"] = np.array(tdps)
+        matrix = assemble_columns(
+            knob_columns(knobs, base.rotor_count), base.f_compute_hz
+        ).matrix
         result = evaluate_matrix(matrix, cache=None)
         scalars = [replace(base, compute_tdp_w=t) for t in tdps]
         assert_matches_scalar_chain(matrix, result, scalars)
@@ -120,19 +158,13 @@ class TestKnobMatrixEquivalence:
             Knobs(compute_tdp_w=0.5),   # below the heatsink cutoff
             Knobs(compute_tdp_w=30.0, payload_weight_g=750.0),
         ]
-        km = KnobMatrix.from_knobs(sets)
-        fleet = assemble_columns(
-            knob_columns(
-                {name: getattr(km, name) for name in KNOB_COLUMNS},
-                km.rotor_count,
-            ),
-            1.0 / km.compute_runtime_s,
-        )
+        fleet = knob_rows(sets)
         for i, knobs in enumerate(sets):
             uav = knobs.build_uav()
             assert fleet.total_mass_g[i] == pytest.approx(
                 uav.total_mass_g, abs=EQ_TOL
             )
+            assert fleet.compute_tdp_w[i] == knobs.compute_tdp_w
             assert fleet.matrix.a_max[i] == pytest.approx(
                 uav.max_acceleration, abs=EQ_TOL
             )
@@ -155,6 +187,11 @@ class TestKnobMatrixEquivalence:
                 or (np.isnan(got[0]) and np.isnan(column[0]))
             ), (name, got, column)
 
+    def test_knob_columns_are_the_float_knobs(self):
+        assert KNOB_COLUMNS == tuple(
+            f.name for f in fields(Knobs) if f.type in (float, "float")
+        )
+
     def test_six_rotor_uav_equals_its_knob_study(self):
         knobs = Knobs(rotor_count=6, rotor_pull_g=200.0)
         uav = knobs.build_uav()
@@ -167,7 +204,7 @@ class TestKnobMatrixEquivalence:
         )
 
     def test_assemble_records_default_knee_rule(self):
-        matrix = KnobMatrix.from_base(Knobs()).assemble()
+        matrix = knob_rows([Knobs()]).matrix
         assert matrix.knee_fraction == DEFAULT_KNEE_FRACTION
 
     @pytest.mark.parametrize("payload_g", [1e307, 2e307, 1e308, 1.7e308])
@@ -178,95 +215,8 @@ class TestKnobMatrixEquivalence:
         knobs = Knobs(payload_weight_g=payload_g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matrix = KnobMatrix.from_base(knobs).assemble()
+            matrix = knob_rows([knobs]).matrix
         assert matrix.a_max.tolist() == [knobs.build_uav().max_acceleration]
-
-
-class TestKnobMatrixConstruction:
-    def test_knob_columns_are_the_float_knobs(self):
-        assert KNOB_COLUMNS == tuple(
-            f.name for f in fields(Knobs) if f.type in (float, "float")
-        )
-
-    def test_scalars_broadcast_against_columns(self):
-        km = KnobMatrix.from_base(
-            Knobs(), compute_tdp_w=(5.0, 10.0, 15.0)
-        )
-        assert len(km) == 3
-        assert km.drone_weight_g.tolist() == [1000.0] * 3
-        assert km.compute_tdp_w.tolist() == [5.0, 10.0, 15.0]
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigurationError, match="rotor_count"):
-            KnobMatrix.from_base(Knobs(), rotor_count=(4, 6))
-        with pytest.raises(ConfigurationError, match="unknown knob"):
-            KnobMatrix.from_base(Knobs(), warp_factor=(1.0,))
-
-    def test_incompatible_lengths_rejected(self):
-        with pytest.raises(ConfigurationError, match="incompatible"):
-            KnobMatrix.from_base(
-                Knobs(),
-                compute_tdp_w=(1.0, 2.0),
-                payload_weight_g=(0.0, 1.0, 2.0),
-            )
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_nonpositive_and_nonfinite_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            KnobMatrix.from_base(Knobs(), compute_tdp_w=(7.5, bad))
-
-    def test_runtime_needs_a_finite_reciprocal(self):
-        # 1 / 1e-309 overflows: the seal names the knob, as Knobs does.
-        with pytest.raises(
-            ConfigurationError, match="compute_runtime_s must have a finite reciprocal"
-        ):
-            KnobMatrix.from_base(Knobs(), compute_runtime_s=(0.01, 1e-309))
-
-    def test_payload_may_be_zero_but_not_negative(self):
-        km = KnobMatrix.from_base(Knobs(), payload_weight_g=(0.0, 100.0))
-        assert len(km) == 2
-        with pytest.raises(ConfigurationError, match="payload_weight_g"):
-            KnobMatrix.from_base(Knobs(), payload_weight_g=(-1.0,))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            KnobMatrix.from_knobs([])
-        with pytest.raises(ConfigurationError, match="at least one"):
-            KnobMatrix.from_base(Knobs(), compute_tdp_w=())
-
-    def test_mixed_rotor_counts_rejected(self):
-        with pytest.raises(ConfigurationError, match="rotor counts"):
-            KnobMatrix.from_knobs(
-                [Knobs(rotor_count=4), Knobs(rotor_count=6)]
-            )
-
-    def test_invalid_rotor_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="rotor_count"):
-            KnobMatrix.from_base(Knobs(rotor_count=6), rotor_count=2)
-
-    def test_labels_must_match_rows(self):
-        with pytest.raises(ConfigurationError, match="labels"):
-            KnobMatrix.from_base(
-                Knobs(), labels=("one",), compute_tdp_w=(1.0, 2.0)
-            )
-        km = KnobMatrix.from_base(
-            Knobs(), labels=("a", "b"), compute_tdp_w=(1.0, 2.0)
-        )
-        assert km.label_at(1) == "b"
-        assert KnobMatrix.from_base(Knobs()).label_at(0) == "#0"
-
-    def test_columns_are_frozen(self):
-        km = KnobMatrix.from_base(Knobs(), compute_tdp_w=(5.0, 10.0))
-        with pytest.raises(ValueError):
-            km.compute_tdp_w[0] = 1.0
-
-    def test_knobs_at_round_trips(self):
-        base = Knobs(rotor_count=6, payload_weight_g=123.0)
-        km = KnobMatrix.from_base(base, compute_tdp_w=(5.0, 10.0))
-        recovered = km.knobs_at(1)
-        assert recovered == Knobs(
-            rotor_count=6, payload_weight_g=123.0, compute_tdp_w=10.0
-        )
 
 
 class TestCallerArrays:
@@ -277,17 +227,11 @@ class TestCallerArrays:
         "build",
         [
             lambda mine: DesignMatrix.from_arrays(mine, mine, mine, mine, mine),
-            lambda mine: KnobMatrix.from_base(
-                Knobs(), compute_tdp_w=mine, sensor_range_m=mine
-            ),
-            lambda mine: KnobMatrix.from_base(
-                Knobs(), sensor_range_m=mine
-            ).assemble(),
             lambda mine: assemble_configurations(
                 [dji_spark(), dji_spark()], f_compute_hz=mine
             ).matrix,
         ],
-        ids=["from_arrays", "from_base", "assemble", "configurations"],
+        ids=["from_arrays", "configurations"],
     )
     def test_never_frozen_or_aliased(self, build):
         mine = np.array([10.0, 20.0])

@@ -211,8 +211,7 @@ class TestCartesianSlice:
     def test_every_range_of_small_shapes(self, shape):
         # Every [start, stop), so slices start and end mid-run of
         # every slower axis; the columns are fresh arrays, because
-        # KnobMatrix._adopt and DesignMatrix._adopt freeze them
-        # without copying.
+        # DesignMatrix._adopt freezes them without copying.
         axes = {
             f"axis{i}": np.arange(n, dtype=np.float64) + 10.0 * i
             for i, n in enumerate(shape)
@@ -711,6 +710,27 @@ class TestFleetLabelMemory:
             sum(column.nbytes for column in matrix.columns())
             + sum(map(len, parts))
             + strings * DesignMatrix._STR_OVERHEAD_BYTES
+        )
+
+    def test_matrix_nbytes_counts_an_adopted_factor_once(self):
+        # A one-axis knob study is one block, and its full-shape a_max
+        # factor is the a_max column: one buffer, counted once.  The
+        # other factors are (1,) arrays, one per distinct value.
+        spec = StudySpec(
+            design=DesignSpec.knob_axes(
+                axes={"compute_tdp_w": tuple(np.linspace(1.0, 30.0, 1_000))}
+            )
+        )
+        matrix = compile_spec(spec).matrix
+        (block,) = matrix.blocks
+        assert np.shares_memory(block.columns["a_max"], matrix.a_max)
+        scalars = {f.tobytes() for f in block.columns.values() if f.size == 1}
+        parts = matrix.labels.parts
+        assert matrix.nbytes == (
+            5 * 8 * 1_000
+            + 8 * len(scalars)
+            + sum(map(len, parts))
+            + len(parts) * DesignMatrix._STR_OVERHEAD_BYTES
         )
 
 

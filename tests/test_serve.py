@@ -103,6 +103,32 @@ class TestAnalyzeEndpoint:
         with pytest.raises(ConfigurationError, match="'algorithm'"):
             client.analyze({"uav": "dji-spark"})  # neither knob given
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"runtime_s": float("nan")}, "runtime_s"),
+            ({"runtime_s": 1e-320}, "runtime_s"),  # 1 / 1e-320 is inf
+            ({"runtime_s": float("inf")}, "runtime_s"),
+            ({"sensor_range_m": -1}, "sensor_range_m"),
+            ({"sensor_range_m": 10**400}, "sensor_range_m"),
+            ({"sensor_framerate_hz": float("nan")}, "sensor_framerate_hz"),
+            ({"sensor_framerate_hz": 0.0}, "sensor_framerate_hz"),
+        ],
+        ids=[
+            "runtime-nan", "runtime-rate-overflows", "runtime-inf",
+            "range-negative", "range-huge-int", "framerate-nan",
+            "framerate-zero",
+        ],
+    )
+    def test_bad_numbers_are_400s_naming_the_field(
+        self, client, overrides, field
+    ):
+        body = {"uav": "dji-spark", "runtime_s": 0.1, **overrides}
+        with pytest.raises(
+            ConfigurationError, match=rf"^request field '{field}': "
+        ):
+            client.analyze(body)
+
 
 class TestStudyLifecycle:
     def test_submit_run_result_roundtrip(self, client):
@@ -117,17 +143,41 @@ class TestStudyLifecycle:
         served = StudyResult.from_json(text)
         assert served.equals(run_study(spec))
 
-    def test_status_embeds_result_when_done(self, client):
-        spec = _spec(16, start=0.03)
-        ack = client.submit(spec.to_dict())
-        client.wait_result(ack["study_id"], timeout_s=60)
-        status = client.status(ack["study_id"])
-        assert status["state"] == "done"
-        assert status["result_ready"] is True
-        assert status["result"] is not None
-        assert StudyResult.from_dict(status["result"]).equals(
-            run_study(spec)
+    def test_done_and_failed_status_bodies_pass_the_status_table(
+        self, monkeypatch
+    ):
+        from repro.io.serialization import serve_envelope_from_dict
+
+        failing = _spec(4, start=0.13)
+        real_run_study = scheduler_mod.run_study
+
+        def run_or_fail(spec, **kwargs):
+            if spec.content_digest() == failing.content_digest():
+                raise ConfigurationError("field 'x': bad")
+            return real_run_study(spec, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "run_study", run_or_fail)
+        handle = ServerHandle(ServeConfig(chunk_rows=8)).start()
+        try:
+            with ServeClient(port=handle.port) as c:
+                done = c.submit(_spec(16, start=0.03).to_dict())
+                failed = c.submit(failing.to_dict())
+                c.wait_result(done["study_id"], timeout_s=60)
+                deadline = perf_counter() + 10
+                while c.status(failed["study_id"])["state"] != "failed":
+                    assert perf_counter() < deadline
+                    sleep(0.01)
+                done_body = serve_envelope_from_dict(c.status(done["study_id"]))
+                failed_body = serve_envelope_from_dict(
+                    c.status(failed["study_id"])
+                )
+        finally:
+            handle.stop()
+        assert (done_body["state"], done_body["result_ready"]) == ("done", True)
+        assert (failed_body["state"], failed_body["result_ready"]) == (
+            "failed", False,
         )
+        assert "field 'x'" in failed_body["error"]
 
     def test_unknown_study_id_is_404(self, client):
         with pytest.raises(UnknownStudyError, match="study-nope"):
