@@ -227,11 +227,14 @@ class TestCallerArrays:
         "build",
         [
             lambda mine: DesignMatrix.from_arrays(mine, mine, mine, mine, mine),
+            lambda mine: compile_spec(StudySpec(design=DesignSpec.knob_axes(
+                Knobs(), compute_tdp_w=mine, sensor_range_m=mine
+            ))).matrix,
             lambda mine: assemble_configurations(
                 [dji_spark(), dji_spark()], f_compute_hz=mine
             ).matrix,
         ],
-        ids=["from_arrays", "configurations"],
+        ids=["from_arrays", "knob_study", "configurations"],
     )
     def test_never_frozen_or_aliased(self, build):
         mine = np.array([10.0, 20.0])

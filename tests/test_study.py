@@ -90,6 +90,26 @@ class TestSpecValidation:
         ):
             knob_spec(compute_tdp_w=[5.0, 0.0])
 
+    @pytest.mark.parametrize("name", KNOB_COLUMNS)
+    def test_axis_values_are_exactly_what_knobs_take(self, name):
+        # A knob grid's rows are checked once, by the axis check, so it
+        # takes exactly the values a scalar Knobs takes, knob by knob.
+        field = rf"^study spec field 'design\.axes\[{name}\]': "
+        for value in (
+            1.0, 1e308, 5e-324, 1e-309, 0.0, -0.0, -1.0,
+            float("nan"), float("inf"), float("-inf"),
+        ):
+            try:
+                Knobs(**{name: value})
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError, match=field) as caught:
+                    knob_spec(**{name: [1.0, value]})
+                if np.isfinite(value):
+                    assert str(caught.value).endswith(f": {exc}")
+            else:
+                spec = knob_spec(**{name: [value]})
+                assert spec.design.axes == ((name, (value,)),)
+
     def test_filter_on_unknown_column_named(self):
         with pytest.raises(
             ConfigurationError,
